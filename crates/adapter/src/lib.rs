@@ -10,7 +10,11 @@
 //! 2. registers every Genomics Algebra operation as an **external
 //!    function**, making `SELECT id FROM DNAFragments WHERE
 //!    contains(fragment, 'ATTGCCATA')` (§6.3) work verbatim — text
-//!    arguments are coerced to sequences where the algebra expects them;
+//!    arguments are coerced to sequences where the algebra expects them.
+//!    Each function comes with a binder: the engine hands over a call
+//!    site's literal arguments when it compiles the statement, the
+//!    operator is resolved and the literals prepared once, and each row
+//!    then reaches the algebra as the stored payload it is;
 //! 3. offers [`Adapter::attach_kmer_index`] to plug the k-mer index in as a
 //!    **user-defined access method** (§6.5) so `contains` predicates become
 //!    index probes instead of full scans.
@@ -18,15 +22,17 @@
 //! The adapter is the *only* component that knows both worlds; neither
 //! `genalg-core` nor `unidb` references the other.
 
-use genalg_core::algebra::{KernelAlgebra, SortId, Value};
+use genalg_core::algebra::{BindArg, BoundOp, CallArg, KernelAlgebra, SortId, Value};
 use genalg_core::compact::{value_from_bytes, value_to_bytes};
 use genalg_core::error::GenAlgError;
 use genalg_core::index::KmerIndex;
-use genalg_core::seq::{DnaSeq, ProteinSeq};
-use std::collections::HashMap;
-use std::sync::Arc;
+use genalg_core::seq::DnaSeq;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 use unidb::storage::heap::Rid;
-use unidb::{AccessMethod, Database, Datum, DbError, DbResult};
+use unidb::{
+    AccessMethod, BoundScalarFn, DataType, Database, Datum, DbError, DbResult, ScalarBinder,
+};
 
 /// Opaque type ids assigned by the engine, keyed by sort.
 #[derive(Debug, Clone, Default)]
@@ -120,10 +126,13 @@ impl Adapter {
         }
 
         let adapter = Adapter { algebra, types };
-        for (op, sql_name) in SQL_OPS {
+        for &(op, sql_name) in SQL_OPS {
             let glue = adapter.clone();
-            let op = op.to_string();
-            db.register_scalar(sql_name, Arc::new(move |args: &[Datum]| glue.call(&op, args)))?;
+            db.register_scalar_with_binder(
+                sql_name,
+                Arc::new(move |args: &[Datum]| glue.call(op, args)),
+                adapter.binder(op),
+            )?;
         }
         // A user-defined aggregate (requirement C14): the longest sequence
         // of a group.
@@ -192,30 +201,37 @@ impl Adapter {
         })
     }
 
-    /// Bridge one SQL call into the algebra, coercing text arguments to
-    /// sequences when the direct application does not type-check.
+    /// Bridge one SQL call into the algebra with nothing known in advance:
+    /// every argument is a constant of a binding that is used once. This is
+    /// what a call site without a binding costs per row, and what a bound
+    /// call site falls back to for a row its binding cannot serve.
     fn call(&self, op: &str, args: &[Datum]) -> DbResult<Datum> {
         if args.iter().any(Datum::is_null) {
             return Ok(Datum::Null);
         }
         let values: Vec<Value> = args.iter().map(|d| self.to_value(d)).collect::<DbResult<_>>()?;
-        match self.algebra.apply(op, &values) {
-            Ok(v) => self.to_datum(&v),
-            Err(GenAlgError::SortMismatch { .. }) | Err(GenAlgError::UnknownOperation(_)) => {
-                // Retry with Str arguments promoted to sequences.
-                for promote in [promote_str_to_dna, promote_str_to_protein] {
-                    if let Some(promoted) = promote(&values) {
-                        if let Ok(v) = self.algebra.apply(op, &promoted) {
-                            return self.to_datum(&v);
-                        }
-                    }
-                }
-                // Report the original resolution failure.
-                let err = self.algebra.apply(op, &values).unwrap_err();
-                Err(external(err))
+        let consts: Vec<BindArg<'_>> = values.iter().map(BindArg::Const).collect();
+        let bound = self.algebra.bind(op, &consts).map_err(external)?;
+        self.to_datum(&bound.call(&[]).map_err(external)?)
+    }
+
+    /// The [`ScalarBinder`] of `op`: specialise a call site on its literal
+    /// arguments.
+    fn binder(&self, op: &'static str) -> ScalarBinder {
+        let glue = self.clone();
+        Arc::new(move |literals: &[Option<&Datum>]| -> Option<BoundScalarFn> {
+            if literals.iter().flatten().any(|d| d.is_null()) {
+                // NULL in, NULL out, whatever the other arguments are.
+                return Some(Arc::new(|_: &[&Datum]| Ok(Datum::Null)));
             }
-            Err(e) => Err(external(e)),
-        }
+            let site = CallSite {
+                adapter: glue.clone(),
+                op,
+                literals: literals.iter().map(|l| l.cloned()).collect(),
+                plan: OnceLock::new(),
+            };
+            Some(Arc::new(move |vars: &[&Datum]| site.call(vars)))
+        })
     }
 
     /// Attach a k-mer access method to `table.column` (a `dna` column), so
@@ -227,8 +243,11 @@ impl Adapter {
         column: &str,
         k: usize,
     ) -> DbResult<()> {
-        let method =
-            KmerAccessMethod { adapter: self.clone(), index: KmerIndex::new(k), all: Vec::new() };
+        let method = KmerAccessMethod {
+            adapter: self.clone(),
+            index: KmerIndex::new(k),
+            all: BTreeSet::new(),
+        };
         db.register_access_method(table, column, Box::new(method))
     }
 }
@@ -237,40 +256,105 @@ fn external(e: GenAlgError) -> DbError {
     DbError::External(e.to_string())
 }
 
-fn promote_str_to_dna(values: &[Value]) -> Option<Vec<Value>> {
-    let mut out = Vec::with_capacity(values.len());
-    let mut changed = false;
-    for v in values {
-        match v {
-            Value::Str(s) => match DnaSeq::from_text(s) {
-                Ok(d) => {
-                    out.push(Value::Dna(d));
-                    changed = true;
-                }
-                Err(_) => out.push(v.clone()),
-            },
-            other => out.push(other.clone()),
-        }
-    }
-    changed.then_some(out)
+/// One call site of an algebra operator in a compiled statement: the
+/// literal arguments are known, the others arrive per row.
+struct CallSite {
+    adapter: Adapter,
+    op: &'static str,
+    /// The argument list with the varying positions left open.
+    literals: Vec<Option<Datum>>,
+    /// The operator bound for the varying arguments' types as the first
+    /// row showed them (`None`: they do not bind). Columns are typed, so
+    /// in practice every row shows the same.
+    plan: OnceLock<Option<Plan>>,
 }
 
-fn promote_str_to_protein(values: &[Value]) -> Option<Vec<Value>> {
-    let mut out = Vec::with_capacity(values.len());
-    let mut changed = false;
-    for v in values {
-        match v {
-            Value::Str(s) => match ProteinSeq::from_text(s) {
-                Ok(p) => {
-                    out.push(Value::ProteinSeq(p));
-                    changed = true;
-                }
-                Err(_) => out.push(v.clone()),
-            },
-            other => out.push(other.clone()),
+struct Plan {
+    var_types: Vec<DataType>,
+    bound: BoundOp,
+}
+
+impl CallSite {
+    fn call(&self, vars: &[&Datum]) -> DbResult<Datum> {
+        if vars.iter().any(|d| d.is_null()) {
+            return Ok(Datum::Null);
         }
+        if let Some(plan) = self.plan.get_or_init(|| self.plan(vars)) {
+            let same_types = plan.var_types.len() == vars.len()
+                && plan.var_types.iter().zip(vars).all(|(t, d)| d.data_type() == Some(*t));
+            if same_types {
+                if let Some(value) = self.call_bound(&plan.bound, vars) {
+                    return self.adapter.to_datum(&value);
+                }
+            }
+        }
+        // Not bound, or not this row: the plain call decides the outcome
+        // and words the error.
+        let mut vars = vars.iter();
+        let args: Vec<Datum> = self
+            .literals
+            .iter()
+            .map(|l| l.clone().or_else(|| vars.next().map(|d| (*d).clone())))
+            .collect::<Option<_>>()
+            .ok_or_else(|| DbError::Internal(format!("{}: argument count changed", self.op)))?;
+        self.adapter.call(self.op, &args)
     }
-    changed.then_some(out)
+
+    /// Bind the operator for the literals and for varying arguments of the
+    /// sorts this first row shows. Anything that stands in the way — a
+    /// value with no algebra sort, sorts that do not resolve — means no
+    /// plan, and every row takes the plain call.
+    fn plan(&self, vars: &[&Datum]) -> Option<Plan> {
+        let var_types = vars.iter().map(|d| d.data_type()).collect::<Option<_>>()?;
+        let to_value = |d: &Datum| self.adapter.to_value(d).ok();
+        let consts: Vec<Option<Value>> = self
+            .literals
+            .iter()
+            .map(|l| match l {
+                Some(d) => to_value(d).map(Some),
+                None => Some(None),
+            })
+            .collect::<Option<_>>()?;
+        let var_sorts: Vec<SortId> =
+            vars.iter().map(|d| Some(to_value(d)?.sort())).collect::<Option<_>>()?;
+        let mut var_sorts = var_sorts.iter();
+        let args: Vec<BindArg<'_>> = consts
+            .iter()
+            .map(|c| match c {
+                Some(v) => Some(BindArg::Const(v)),
+                None => var_sorts.next().map(BindArg::Var),
+            })
+            .collect::<Option<_>>()?;
+        let bound = self.adapter.algebra.bind(self.op, &args).ok()?;
+        Some(Plan { var_types, bound })
+    }
+
+    /// The bound call, or `None` for anything but a value.
+    fn call_bound(&self, bound: &BoundOp, vars: &[&Datum]) -> Option<Value> {
+        // One stored payload is the whole argument list of most calls in a
+        // scan; it goes to the kernel as it lies in the row.
+        if let [Datum::Opaque(_, bytes)] = vars {
+            return bound.call(&[CallArg::Compact(bytes)]).ok();
+        }
+        // Payloads stay where they are; scalars become values.
+        let scalars: Vec<Option<Value>> = vars
+            .iter()
+            .map(|d| match d {
+                Datum::Opaque(..) => Some(None),
+                scalar => self.adapter.to_value(scalar).ok().map(Some),
+            })
+            .collect::<Option<_>>()?;
+        let args: Vec<CallArg<'_>> = vars
+            .iter()
+            .zip(&scalars)
+            .map(|(d, scalar)| match (d, scalar) {
+                (_, Some(v)) => Some(CallArg::Value(v)),
+                (Datum::Opaque(_, bytes), None) => Some(CallArg::Compact(bytes)),
+                _ => None,
+            })
+            .collect::<Option<_>>()?;
+        bound.call(&args).ok()
+    }
 }
 
 /// Display hook for opaque payloads: decode and render, truncating long
@@ -308,7 +392,7 @@ struct KmerAccessMethod {
     adapter: Adapter,
     index: KmerIndex,
     /// Every indexed rid, for unfilterable patterns.
-    all: Vec<Rid>,
+    all: BTreeSet<Rid>,
 }
 
 impl KmerAccessMethod {
@@ -333,16 +417,16 @@ impl AccessMethod for KmerAccessMethod {
     }
 
     fn on_insert(&mut self, rid: Rid, value: &Datum) {
-        self.all.push(rid);
+        self.all.insert(rid);
         if let Some(seq) = self.decode(value) {
             self.index.add(rid_key(rid), &seq);
         }
     }
 
     fn on_delete(&mut self, rid: Rid, value: &Datum) {
-        self.all.retain(|r| *r != rid);
-        if self.decode(value).is_some() {
-            self.index.remove(rid_key(rid));
+        self.all.remove(&rid);
+        if let Some(seq) = self.decode(value) {
+            self.index.remove(rid_key(rid), &seq);
         }
     }
 
@@ -363,7 +447,7 @@ impl AccessMethod for KmerAccessMethod {
             }
             // Unfilterable pattern (short or ambiguous): every row is a
             // candidate; the residual predicate does the work.
-            None => Some(self.all.clone()),
+            None => Some(self.all.iter().copied().collect()),
         }
     }
 
@@ -417,6 +501,7 @@ impl unidb::expr::func::Accumulator for LongestSeq {
 mod tests {
     use super::*;
     use genalg_core::gdt::Gene;
+    use genalg_core::seq::ProteinSeq;
 
     fn setup() -> (Database, Adapter) {
         let db = Database::in_memory();
@@ -643,5 +728,293 @@ mod tests {
         assert!(adapter.to_value(&Datum::Null).is_err());
         assert!(adapter.to_value(&Datum::Blob(vec![1])).is_err());
         assert!(adapter.to_value(&Datum::opaque(999, vec![1, 2])).is_err());
+    }
+
+    /// Deterministic strict fragments with a planted motif in every tenth.
+    fn fragments(n: usize) -> Vec<DnaSeq> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|i| {
+                let mut text: String = (0..60)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        b"ACGT"[(state >> 33) as usize % 4] as char
+                    })
+                    .collect();
+                if i % 10 == 0 {
+                    text.replace_range(20..32, "ATTGCCATAGGC");
+                }
+                DnaSeq::from_text(&text).unwrap()
+            })
+            .collect()
+    }
+
+    fn load_fragments(db: &Database, frags: &[DnaSeq]) {
+        db.execute("CREATE TABLE frags (id INT, s dna)").unwrap();
+        for (chunk, rows) in frags.chunks(250).enumerate() {
+            let values: Vec<String> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, s)| format!("({}, dna('{}'))", chunk * 250 + i, s.to_text()))
+                .collect();
+            db.execute(&format!("INSERT INTO frags VALUES {}", values.join(","))).unwrap();
+        }
+    }
+
+    fn ids(db: &Database, sql: &str) -> Vec<i64> {
+        let mut ids: Vec<i64> =
+            db.execute(sql).unwrap().rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// A pattern shorter than the index's word size cannot be filtered; the
+    /// access method says so (selectivity 1) and the planner scans instead
+    /// of fetching every row through the index one rid at a time.
+    #[test]
+    fn a_pattern_the_index_cannot_filter_is_planned_as_a_scan() {
+        let (db, adapter) = setup();
+        let frags = fragments(300);
+        load_fragments(&db, &frags);
+        adapter.attach_kmer_index(&db, "frags", "s", 8).unwrap();
+        let plan = |pattern: &str| {
+            db.execute(&format!("EXPLAIN SELECT id FROM frags WHERE contains(s, '{pattern}')"))
+                .unwrap()
+                .explain
+                .unwrap()
+        };
+        let seven = plan("ATTGCCA");
+        assert!(seven.contains("SeqScan") && !seven.contains("UdiScan"), "{seven}");
+        // An ambiguity code breaks the pattern's k-mer cover just the same.
+        let blurred = plan("ATTGCCATNGGC");
+        assert!(blurred.contains("SeqScan") && !blurred.contains("UdiScan"), "{blurred}");
+        let twelve = plan("ATTGCCATAGGC");
+        assert!(twelve.contains("UdiScan"), "{twelve}");
+
+        for pattern in ["ATTGCCA", "ATTGCCATNGGC", "ATTGCCATAGGC"] {
+            let want: Vec<i64> = frags
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.contains(&DnaSeq::from_text(pattern).unwrap()))
+                .map(|(i, _)| i as i64)
+                .collect();
+            assert!(want.len() >= 30, "{pattern}");
+            let sql = format!("SELECT id FROM frags WHERE contains(s, '{pattern}')");
+            assert_eq!(ids(&db, &sql), want, "{pattern}");
+        }
+    }
+
+    /// Index maintenance costs what the deleted sequence's own k-mers cost,
+    /// so deleting half of a table is no longer quadratic in its size — and
+    /// what is left answers exactly as a scan does.
+    #[test]
+    fn the_index_survives_deleting_half_the_table() {
+        let (db, adapter) = setup();
+        let frags = fragments(5_000);
+        load_fragments(&db, &frags);
+        adapter.attach_kmer_index(&db, "frags", "s", 8).unwrap();
+        db.execute("DELETE FROM frags WHERE id % 20 < 10").unwrap();
+        // A fragment planted after the deletes is found too.
+        db.execute("INSERT INTO frags VALUES (5001, dna('GGGGATTGCCATAGGCGGGG'))").unwrap();
+
+        let cut = frags[4_998].subseq(3, 19).unwrap().to_text();
+        for pattern in ["ATTGCCATAGGC", "GCCATAGG", cut.as_str(), "ACGTACGTACGT"] {
+            let p = DnaSeq::from_text(pattern).unwrap();
+            let mut want: Vec<i64> = frags
+                .iter()
+                .enumerate()
+                .filter(|(i, f)| i % 20 >= 10 && f.contains(&p))
+                .map(|(i, _)| i as i64)
+                .collect();
+            if DnaSeq::from_text("GGGGATTGCCATAGGCGGGG").unwrap().contains(&p) {
+                want.push(5001);
+            }
+            let sql = format!("SELECT id FROM frags WHERE contains(s, '{pattern}')");
+            let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
+            assert!(plan.contains("UdiScan"), "{plan}");
+            assert_eq!(ids(&db, &sql), want, "{pattern}");
+        }
+        assert_eq!(ids(&db, "SELECT id FROM frags WHERE contains(s, 'ATTGCCATAGGC')").len(), 251);
+    }
+
+    /// The statement-level binding must be invisible: for every operator
+    /// exposed to SQL, whichever of its arguments are literals, a bound
+    /// call site returns what the plain per-row call returns — value for
+    /// value and error text for error text. One argument at a time is swept
+    /// through NULL, every scalar type, text that is a dna / a protein /
+    /// neither, every genomic sort, and corrupt and mistyped payloads.
+    #[test]
+    fn bound_call_sites_agree_with_the_plain_call() {
+        let (_db, adapter) = setup();
+        let alg = adapter.algebra();
+        let gene = Value::Gene(Box::new(
+            Gene::builder("g1")
+                .sequence(DnaSeq::from_text("ATGGCCTTTAAGGTAACCGGGTTTCACTGA").unwrap())
+                .exon(0, 12)
+                .exon(21, 30)
+                .build()
+                .unwrap(),
+        ));
+        let transcript = alg.apply("transcribe", std::slice::from_ref(&gene)).unwrap();
+        let mrna = alg.apply("splice", std::slice::from_ref(&transcript)).unwrap();
+        let protein = alg.apply("translate", std::slice::from_ref(&mrna)).unwrap();
+        let rna = alg.apply("mrna_sequence", std::slice::from_ref(&mrna)).unwrap();
+        let d = |v: &Value| adapter.to_datum(v).unwrap();
+        let dna = d(&Value::Dna(DnaSeq::from_text("CCATGGCCTTTAAGTGACC").unwrap()));
+        let protein_seq = d(&Value::ProteinSeq(ProteinSeq::from_text("MAFKW").unwrap()));
+        let (gene, transcript, mrna, protein, rna) =
+            (d(&gene), d(&transcript), d(&mrna), d(&protein), d(&rna));
+        let dna_id = adapter.types().dna();
+        let (_, dna_bytes) = dna.as_opaque().unwrap();
+        let (_, protein_bytes) = protein_seq.as_opaque().unwrap();
+
+        let text = |s: &str| Datum::Text(s.into());
+        let sweep: Vec<Datum> = vec![
+            Datum::Null,
+            Datum::Bool(true),
+            Datum::Int(0),
+            Datum::Int(99),
+            Datum::Float(0.8),
+            text("GGCCTTTAAG"),
+            text("MAFKW"),
+            text("hello, world"),
+            text(""),
+            Datum::Blob(vec![1, 2, 3]),
+            dna.clone(),
+            rna.clone(),
+            protein_seq.clone(),
+            gene.clone(),
+            transcript.clone(),
+            mrna.clone(),
+            protein.clone(),
+            // A dna column holding a protein payload, a truncated payload,
+            // one that lies about its length, and an unregistered type.
+            Datum::opaque(dna_id, protein_bytes.to_vec()),
+            Datum::opaque(dna_id, dna_bytes[..dna_bytes.len() - 2].to_vec()),
+            Datum::opaque(dna_id, vec![1, 200, 0x21, 0x43]),
+            Datum::opaque(9_999, dna_bytes.to_vec()),
+        ];
+
+        // One well-sorted argument list per operator (per arity).
+        let good: Vec<(&str, Vec<Datum>)> = vec![
+            ("transcribe", vec![gene.clone()]),
+            ("splice", vec![transcript.clone()]),
+            ("translate", vec![mrna.clone()]),
+            ("express", vec![gene.clone()]),
+            ("reverse_transcribe", vec![mrna.clone()]),
+            ("decode", vec![dna.clone(), Datum::Int(2)]),
+            ("complement", vec![dna.clone()]),
+            ("reverse_complement", vec![dna.clone()]),
+            ("gc_content", vec![dna.clone()]),
+            ("length", vec![dna.clone()]),
+            ("subsequence", vec![dna.clone(), Datum::Int(2), Datum::Int(9)]),
+            ("contains", vec![dna.clone(), text("GGCCTTTAAG")]),
+            ("find", vec![dna.clone(), text("TTTAAG")]),
+            (
+                "resembles",
+                vec![
+                    dna.clone(),
+                    text("CCATGGCCTTAAAGTGACC"),
+                    Datum::Float(0.8),
+                    Datum::Float(0.8),
+                ],
+            ),
+            ("local_score", vec![dna.clone(), text("GGCCTTTAAG")]),
+            ("identity", vec![dna.clone(), text("CCATGGCCTTAAAGTGACC")]),
+            ("hamming", vec![dna.clone(), text("CCATGGCCTTTAAGTGACG")]),
+            ("orf_count", vec![dna.clone(), Datum::Int(6)]),
+            ("melting_temperature", vec![dna.clone()]),
+            ("molecular_weight", vec![protein_seq.clone()]),
+            ("gravy", vec![protein_seq.clone()]),
+            ("isoelectric_point", vec![protein_seq.clone()]),
+            ("longest_orf", vec![dna.clone()]),
+            ("sequence_of", vec![gene.clone()]),
+            ("gene_id", vec![gene.clone()]),
+            ("protein_sequence", vec![protein.clone()]),
+            ("mrna_sequence", vec![mrna.clone()]),
+            ("parse_dna", vec![text("acgtn")]),
+            ("parse_protein", vec![text("MAFKW")]),
+        ];
+        let covered: Vec<&str> = good.iter().map(|(op, _)| *op).collect();
+        assert_eq!(covered, SQL_OPS.iter().map(|(op, _)| *op).collect::<Vec<_>>());
+
+        let show = |r: &DbResult<Datum>| match r {
+            Ok(d) => format!("ok {d:?}"),
+            Err(e) => format!("err {e}"),
+        };
+        let (mut calls, mut errors, mut nulls) = (0, 0, 0);
+        for (op, base) in &good {
+            assert!(matches!(adapter.call(op, base), Ok(d) if !d.is_null()), "{op} base case");
+            for position in 0..base.len() {
+                for value in &sweep {
+                    let mut args = base.clone();
+                    args[position] = value.clone();
+                    let plain = adapter.call(op, &args);
+                    match &plain {
+                        Ok(Datum::Null) => nulls += 1,
+                        Ok(_) => {}
+                        Err(_) => errors += 1,
+                    }
+                    // Every choice of which arguments are literals.
+                    for literal_mask in 0..(1u32 << args.len()) {
+                        let is_literal = |i: usize| literal_mask & (1 << i) != 0;
+                        let literals: Vec<Option<&Datum>> = args
+                            .iter()
+                            .enumerate()
+                            .map(|(i, a)| is_literal(i).then_some(a))
+                            .collect();
+                        let vars: Vec<&Datum> = args
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| !is_literal(*i))
+                            .map(|(_, a)| a)
+                            .collect();
+                        let bound = match adapter.binder(op)(&literals) {
+                            Some(f) => f(&vars),
+                            None => adapter.call(op, &args),
+                        };
+                        assert_eq!(
+                            show(&bound),
+                            show(&plain),
+                            "{op}({args:?}) with literals {literal_mask:#b}"
+                        );
+                        calls += 1;
+                    }
+                }
+            }
+        }
+        assert!(calls > 3_000 && errors > 300 && nulls > 40, "{calls} {errors} {nulls}");
+
+        // The agreement above would also hold if nothing ever bound, so:
+        // the shapes a scan is made of do bind, on their first row.
+        let threshold = Some(Datum::Float(0.8));
+        for (op, literals) in [
+            ("contains", vec![None, Some(text("GGCCTTTAAG"))]),
+            ("find", vec![None, Some(text("TTTAAG"))]),
+            ("gc_content", vec![None]),
+            ("length", vec![None]),
+            (
+                "resembles",
+                vec![None, Some(text("CCATGGCCTTAAAGTGACC")), threshold.clone(), threshold],
+            ),
+            ("translate", vec![None]),
+        ] {
+            let site = CallSite { adapter: adapter.clone(), op, literals, plan: OnceLock::new() };
+            let var = if op == "translate" { &mrna } else { &dna };
+            assert!(site.call(&[var]).is_ok(), "{op}");
+            assert!(matches!(site.plan.get(), Some(Some(_))), "{op} did not bind");
+        }
+
+        // A call site keeps working when rows of another type follow the
+        // one it bound for: `seq_length` has a text and a dna overload.
+        let length = adapter.binder("length")(&[None]).expect("binds");
+        for _ in 0..2 {
+            assert_eq!(length(&[&dna]).unwrap(), Datum::Int(19));
+            assert_eq!(length(&[&text("héllo")]).unwrap(), Datum::Int(5));
+            assert_eq!(length(&[&Datum::Null]).unwrap(), Datum::Null);
+            assert!(length(&[&Datum::Bool(true)]).is_err());
+        }
     }
 }

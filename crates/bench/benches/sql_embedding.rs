@@ -63,7 +63,11 @@ fn bench_clauses(c: &mut Criterion) {
     });
     group.bench_function("resembles_predicate_100rows", |b| {
         let (db2, pattern2) = {
-            // Smaller table: resembles is quadratic per row.
+            // Kept at 100 rows for continuity with earlier captures. The
+            // alignment behind `resembles` is quadratic in the sequence
+            // length, but only pairs that pass the q-gram bound reach it:
+            // an unrelated pair costs ~1.3 ns per nucleotide, against
+            // ~1.3 µs aligned (BENCH_align.json, `resembles_screen`).
             let db = Database::in_memory();
             Adapter::install(&db).unwrap();
             db.execute("CREATE TABLE f (id INT, seq dna)").unwrap();

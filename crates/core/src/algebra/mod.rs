@@ -23,13 +23,17 @@
 //! * [`KernelAlgebra`] binds Rust functions to operators and evaluates
 //!   terms. [`KernelAlgebra::standard`] ships the full built-in operation
 //!   set; `register_sort`/`register_op` extend it (requirement C13/C14).
+//! * [`KernelAlgebra::bind`] resolves an operator once for a whole query;
+//!   the [`BoundOp`] runs the built-in kernels on stored payloads in place.
 
+mod bound;
 mod registry;
 mod signature;
 mod sort;
 mod term;
 mod value;
 
+pub use bound::{BindArg, BoundOp, CallArg};
 pub use registry::{Bindings, KernelAlgebra, OpImpl};
 pub use signature::{OpSig, Signature};
 pub use sort::SortId;

@@ -1,5 +1,6 @@
 //! The executable algebra: operator implementations and term evaluation.
 
+use crate::algebra::bound::{self, BindArg, BoundOp, KernelBinder};
 use crate::algebra::signature::{OpSig, Signature};
 use crate::algebra::sort::SortId;
 use crate::algebra::term::Term;
@@ -28,7 +29,15 @@ pub type Bindings = HashMap<String, Value>;
 /// registered operations compose freely with built-in ones in terms.
 pub struct KernelAlgebra {
     signature: Signature,
-    impls: HashMap<(String, Vec<SortId>), OpImpl>,
+    impls: HashMap<String, Vec<Overload>>,
+}
+
+/// One implemented overload of an operator name.
+struct Overload {
+    args: Vec<SortId>,
+    body: OpImpl,
+    /// Built-in overloads with a kernel that runs on borrowed payloads.
+    kernel: Option<KernelBinder>,
 }
 
 impl KernelAlgebra {
@@ -84,8 +93,33 @@ impl KernelAlgebra {
         body: impl Fn(&[Value]) -> Result<Value> + Send + Sync + 'static,
     ) -> Result<()> {
         self.signature.add_op(OpSig { name: name.to_string(), args: args.clone(), result })?;
-        self.impls.insert((name.to_string(), args), Arc::new(body));
+        self.impls.entry(name.to_string()).or_default().push(Overload {
+            args,
+            body: Arc::new(body),
+            kernel: None,
+        });
         Ok(())
+    }
+
+    /// Give the built-in overload `name(args)` a kernel.
+    fn with_kernel(&mut self, name: &str, args: &[SortId], kernel: KernelBinder) {
+        let overload = self
+            .impls
+            .get_mut(name)
+            .and_then(|os| os.iter_mut().find(|o| o.args == args))
+            .expect("kernels are attached to operators registered just above");
+        overload.kernel = Some(kernel);
+    }
+
+    /// The implemented overload of `op` taking exactly `sorts`, or the
+    /// signature's resolution error.
+    fn overload(&self, op: &str, sorts: &[SortId]) -> Result<&Overload> {
+        if let Some(o) = self.impls.get(op).and_then(|os| os.iter().find(|o| o.args == sorts)) {
+            return Ok(o);
+        }
+        // Resolve against the signature for a precise error message.
+        self.signature.resolve(op, sorts)?;
+        Err(GenAlgError::UnknownOperation(format!("{op} (declared but not implemented)")))
     }
 
     /// Evaluate a closed term.
@@ -116,15 +150,77 @@ impl KernelAlgebra {
         }
     }
 
-    /// Apply an operator directly to values (the adapter's entry point).
+    /// Apply an operator directly to values.
     pub fn apply(&self, op: &str, args: &[Value]) -> Result<Value> {
         let arg_sorts: Vec<SortId> = args.iter().map(Value::sort).collect();
-        // Resolve against the signature first for a precise error message.
-        self.signature.resolve(op, &arg_sorts)?;
-        let body = self.impls.get(&(op.to_string(), arg_sorts)).ok_or_else(|| {
-            GenAlgError::UnknownOperation(format!("{op} (declared but not implemented)"))
-        })?;
-        body(args)
+        (self.overload(op, &arg_sorts)?.body)(args)
+    }
+
+    /// Resolve `op` once for many calls (the adapter's entry point).
+    ///
+    /// The overload is chosen by the arguments' sorts as they stand. If
+    /// none accepts them, constant text arguments that parse as DNA are
+    /// read as `dna` and the resolution retried, then the same with
+    /// `protein_seq` — the coercion that lets a query say
+    /// `contains(fragment, 'ATTGCCATA')`. When nothing resolves, the error
+    /// is that of the arguments as they stand. Whether a varying text
+    /// argument parses is a property of each call, so with one of those
+    /// nothing is coerced.
+    pub fn bind(&self, op: &str, args: &[BindArg<'_>]) -> Result<BoundOp> {
+        let unresolved = match self.bind_exact(op, args, None) {
+            Ok(bound) => return Ok(bound),
+            Err(e @ (GenAlgError::SortMismatch { .. } | GenAlgError::UnknownOperation(_))) => e,
+            Err(e) => return Err(e),
+        };
+        if args.iter().any(|a| matches!(a, BindArg::Var(s) if **s == SortId::string())) {
+            return Err(unresolved);
+        }
+        let parsers: [fn(&str) -> Option<Value>; 2] = [
+            |s| DnaSeq::from_text(s).ok().map(Value::Dna),
+            |s| ProteinSeq::from_text(s).ok().map(Value::ProteinSeq),
+        ];
+        for parse in parsers {
+            let parsed: Vec<Option<Value>> = args
+                .iter()
+                .map(|a| match a {
+                    BindArg::Const(Value::Str(s)) => parse(s),
+                    _ => None,
+                })
+                .collect();
+            if parsed.iter().all(Option::is_none) {
+                continue;
+            }
+            let promoted: Vec<BindArg<'_>> = args
+                .iter()
+                .zip(&parsed)
+                .map(|(a, p)| p.as_ref().map_or(*a, BindArg::Const))
+                .collect();
+            if let Ok(bound) = self.bind_exact(op, &promoted, Some(&unresolved)) {
+                return Ok(bound);
+            }
+        }
+        Err(unresolved)
+    }
+
+    fn bind_exact(
+        &self,
+        op: &str,
+        args: &[BindArg<'_>],
+        unpromoted: Option<&GenAlgError>,
+    ) -> Result<BoundOp> {
+        let sorts: Vec<SortId> = args
+            .iter()
+            .map(|a| match a {
+                BindArg::Const(v) => v.sort(),
+                BindArg::Var(s) => (*s).clone(),
+            })
+            .collect();
+        let overload = self.overload(op, &sorts)?;
+        let call = overload
+            .kernel
+            .and_then(|bind| bind(args))
+            .unwrap_or_else(|| bound::generic(Arc::clone(&overload.body), args));
+        Ok(BoundOp::new(call, unpromoted.cloned()))
     }
 
     fn install_standard_ops(&mut self) -> Result<()> {
@@ -173,9 +269,11 @@ impl KernelAlgebra {
         self.register_op("gc_content", vec![S::dna()], S::float(), |a| {
             Ok(Value::Float(need_dna(&a[0])?.gc_content()))
         })?;
+        self.with_kernel("gc_content", &[S::dna()], bound::gc_content);
         self.register_op("length", vec![S::dna()], S::int(), |a| {
             Ok(Value::Int(need_dna(&a[0])?.len() as i64))
         })?;
+        self.with_kernel("length", &[S::dna()], bound::dna_length);
         self.register_op("length", vec![S::rna()], S::int(), |a| {
             let r = a[0].as_rna().ok_or_else(|| sort_err("length"))?;
             Ok(Value::Int(r.len() as i64))
@@ -214,9 +312,11 @@ impl KernelAlgebra {
         self.register_op("contains", vec![S::dna(), S::dna()], S::bool(), |a| {
             Ok(Value::Bool(need_dna(&a[0])?.contains(need_dna(&a[1])?)))
         })?;
+        self.with_kernel("contains", &[S::dna(), S::dna()], bound::contains);
         self.register_op("find", vec![S::dna(), S::dna()], S::int(), |a| {
             Ok(Value::Int(need_dna(&a[0])?.find(need_dna(&a[1])?).map_or(-1, |p| p as i64)))
         })?;
+        self.with_kernel("find", &[S::dna(), S::dna()], bound::find);
         self.register_op(
             "resembles",
             vec![S::dna(), S::dna(), S::float(), S::float()],
@@ -230,6 +330,11 @@ impl KernelAlgebra {
                 )))
             },
         )?;
+        self.with_kernel(
+            "resembles",
+            &[S::dna(), S::dna(), S::float(), S::float()],
+            bound::resembles,
+        );
         self.register_op("local_score", vec![S::dna(), S::dna()], S::int(), |a| {
             let aln = align::local_align_dna(
                 need_dna(&a[0])?,
@@ -328,6 +433,7 @@ fn need_str(v: &Value) -> Result<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::CallArg;
     use crate::gdt::Gene;
 
     fn dna(s: &str) -> DnaSeq {
@@ -482,5 +588,115 @@ mod tests {
             Value::ProteinSeq(ProteinSeq::from_text("MA").unwrap())
         );
         assert!(alg.apply("decode", &[d, Value::Int(7)]).is_err());
+    }
+
+    /// Every way of calling an operator agrees: `apply`, a binding with
+    /// everything constant, and a binding called with the varying argument
+    /// decoded or still in its compact payload.
+    #[test]
+    fn bound_calls_agree_with_apply() {
+        use crate::compact::value_to_bytes;
+        let alg = KernelAlgebra::standard();
+        let frag = Value::Dna(dna("ATTGCCATAGGNNACGT"));
+        let payload = value_to_bytes(&frag).unwrap();
+        let cases: Vec<(&str, Vec<Value>)> = vec![
+            ("contains", vec![Value::Dna(dna("GCCATA"))]),
+            ("contains", vec![Value::Dna(dna("TTTT"))]),
+            ("find", vec![Value::Dna(dna("CCAT"))]),
+            ("find", vec![Value::Dna(dna("TTTT"))]),
+            ("gc_content", vec![]),
+            ("length", vec![]),
+            (
+                "resembles",
+                vec![Value::Dna(dna("ATTGCCATAGGAAACGT")), Value::Float(0.8), Value::Float(0.8)],
+            ),
+            (
+                "resembles",
+                vec![Value::Dna(dna("ATTGCCATAGGAAACGT")), Value::Float(0.99), Value::Float(0.99)],
+            ),
+            // No kernel: the registered implementation, resolved once.
+            ("complement", vec![]),
+            ("subsequence", vec![Value::Int(2), Value::Int(9)]),
+        ];
+        for (op, rest) in cases {
+            let mut all = vec![frag.clone()];
+            all.extend(rest.iter().cloned());
+            let want = alg.apply(op, &all).unwrap();
+
+            let consts: Vec<BindArg<'_>> = all.iter().map(BindArg::Const).collect();
+            assert_eq!(alg.bind(op, &consts).unwrap().call(&[]).unwrap(), want, "{op} const");
+
+            let sort = SortId::dna();
+            let mut args = vec![BindArg::Var(&sort)];
+            args.extend(rest.iter().map(BindArg::Const));
+            let bound = alg.bind(op, &args).unwrap();
+            assert_eq!(bound.call(&[CallArg::Value(&frag)]).unwrap(), want, "{op} value");
+            assert_eq!(bound.call(&[CallArg::Compact(&payload)]).unwrap(), want, "{op} compact");
+        }
+    }
+
+    #[test]
+    fn bind_reads_constant_text_as_a_sequence_when_nothing_else_resolves() {
+        let alg = KernelAlgebra::standard();
+        let sort = SortId::dna();
+        let frag = Value::Dna(dna("ATTGCCATAGG"));
+        // Text → dna.
+        let pattern = Value::Str("gccata".into());
+        let bound = alg.bind("contains", &[BindArg::Var(&sort), BindArg::Const(&pattern)]).unwrap();
+        assert_eq!(bound.call(&[CallArg::Value(&frag)]).unwrap(), Value::Bool(true));
+        // Text → protein_seq, for an operator with no dna overload.
+        let residues = Value::Str("MAFK".into());
+        let weight = alg.bind("molecular_weight", &[BindArg::Const(&residues)]).unwrap();
+        assert_eq!(
+            weight.call(&[]).unwrap(),
+            alg.apply(
+                "molecular_weight",
+                &[Value::ProteinSeq(ProteinSeq::from_text("MAFK").unwrap())]
+            )
+            .unwrap()
+        );
+        // As it stands first: `length` of a string is its character count.
+        let text = Value::Str("ACGT!".into());
+        assert_eq!(
+            alg.bind("length", &[BindArg::Const(&text)]).unwrap().call(&[]).unwrap(),
+            Value::Int(5)
+        );
+        // Text that is no sequence, and a varying text argument, stay text.
+        let junk = Value::Str("not dna".into());
+        let direct = alg.apply("contains", &[frag.clone(), junk.clone()]).unwrap_err();
+        let err = alg
+            .bind("contains", &[BindArg::Var(&sort), BindArg::Const(&junk)])
+            .err()
+            .expect("nothing resolves");
+        assert_eq!(err, direct);
+        let string = SortId::string();
+        assert!(alg.bind("contains", &[BindArg::Var(&sort), BindArg::Var(&string)]).is_err());
+    }
+
+    #[test]
+    fn a_failed_coercion_reports_the_arguments_as_they_stand() {
+        let alg = KernelAlgebra::standard();
+        let args = [Value::Str("ACGT".into()), Value::Int(0), Value::Int(99)];
+        let consts: Vec<BindArg<'_>> = args.iter().map(BindArg::Const).collect();
+        let bound = alg.bind("subsequence", &consts).unwrap();
+        assert_eq!(bound.call(&[]).unwrap_err(), alg.apply("subsequence", &args).unwrap_err());
+    }
+
+    #[test]
+    fn a_bound_call_checks_what_it_is_handed() {
+        use crate::compact::value_to_bytes;
+        let alg = KernelAlgebra::standard();
+        let sort = SortId::dna();
+        let protein =
+            value_to_bytes(&Value::ProteinSeq(ProteinSeq::from_text("MAFK").unwrap())).unwrap();
+        let dna_payload = value_to_bytes(&Value::Dna(dna("ACGTACGT"))).unwrap();
+        for op in ["gc_content", "complement"] {
+            let bound = alg.bind(op, &[BindArg::Var(&sort)]).unwrap();
+            // Another sort's payload, a truncated one, none at all.
+            assert!(bound.call(&[CallArg::Compact(&protein)]).is_err(), "{op}");
+            assert!(bound.call(&[CallArg::Compact(&dna_payload[..3])]).is_err(), "{op}");
+            assert!(bound.call(&[CallArg::Value(&Value::Int(1))]).is_err(), "{op}");
+            assert!(bound.call(&[]).is_err(), "{op}");
+        }
     }
 }

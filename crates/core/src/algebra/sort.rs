@@ -5,78 +5,116 @@ use std::sync::Arc;
 
 /// The name of a sort (type) in the many-sorted signature.
 ///
-/// Cheap to clone (shared string) and compared by name. The built-in sorts
-/// are exposed as constructors; user extensions make their own with
-/// [`SortId::new`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SortId(Arc<str>);
+/// Cheap to clone and compared by name. The built-in sorts are interned:
+/// their constructors hand out a `&'static str`, so
+/// [`Value::sort`](crate::algebra::Value::sort) on a built-in value never
+/// allocates. User extensions make their own with [`SortId::new`] and
+/// share the string.
+#[derive(Debug, Clone)]
+pub struct SortId(Name);
+
+#[derive(Debug, Clone)]
+enum Name {
+    Builtin(&'static str),
+    Custom(Arc<str>),
+}
 
 impl SortId {
     /// A sort with the given name.
     pub fn new(name: &str) -> Self {
-        SortId(Arc::from(name))
+        SortId(Name::Custom(Arc::from(name)))
     }
 
     /// The sort's name.
     pub fn name(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Name::Builtin(s) => s,
+            Name::Custom(s) => s,
+        }
     }
 
     // Built-in base sorts.
     pub fn bool() -> Self {
-        Self::new("bool")
+        SortId(Name::Builtin("bool"))
     }
     pub fn int() -> Self {
-        Self::new("int")
+        SortId(Name::Builtin("int"))
     }
     pub fn float() -> Self {
-        Self::new("float")
+        SortId(Name::Builtin("float"))
     }
     pub fn string() -> Self {
-        Self::new("string")
+        SortId(Name::Builtin("string"))
     }
 
     // Genomic sorts.
     pub fn dna() -> Self {
-        Self::new("dna")
+        SortId(Name::Builtin("dna"))
     }
     pub fn rna() -> Self {
-        Self::new("rna")
+        SortId(Name::Builtin("rna"))
     }
     pub fn protein_seq() -> Self {
-        Self::new("protein_seq")
+        SortId(Name::Builtin("protein_seq"))
     }
     pub fn gene() -> Self {
-        Self::new("gene")
+        SortId(Name::Builtin("gene"))
     }
     pub fn primary_transcript() -> Self {
-        Self::new("primary_transcript")
+        SortId(Name::Builtin("primary_transcript"))
     }
     pub fn mrna() -> Self {
-        Self::new("mrna")
+        SortId(Name::Builtin("mrna"))
     }
     pub fn protein() -> Self {
-        Self::new("protein")
+        SortId(Name::Builtin("protein"))
     }
     pub fn chromosome() -> Self {
-        Self::new("chromosome")
+        SortId(Name::Builtin("chromosome"))
     }
     pub fn genome() -> Self {
-        Self::new("genome")
+        SortId(Name::Builtin("genome"))
     }
 
     // Structural sorts.
     pub fn list() -> Self {
-        Self::new("list")
+        SortId(Name::Builtin("list"))
     }
     pub fn uncertain() -> Self {
-        Self::new("uncertain")
+        SortId(Name::Builtin("uncertain"))
+    }
+}
+
+// Identity is the name, whichever way it is held.
+impl PartialEq for SortId {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+    }
+}
+
+impl Eq for SortId {}
+
+impl std::hash::Hash for SortId {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.name().hash(state);
+    }
+}
+
+impl PartialOrd for SortId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SortId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.name().cmp(other.name())
     }
 }
 
 impl fmt::Display for SortId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.name())
     }
 }
 

@@ -18,7 +18,7 @@ use crate::gdt::{
     Chromosome, Feature, FeatureKind, Gene, Genome, Interval, Location, Mrna, PrimaryTranscript,
     Protein,
 };
-use crate::seq::{DnaSeq, ProteinSeq, RnaSeq};
+use crate::seq::{DnaSeq, DnaView, ProteinSeq, RnaSeq};
 
 /// A type with a compact byte encoding.
 pub trait Compact: Sized {
@@ -236,6 +236,23 @@ impl Compact for DnaSeq {
         let raw = take_slice(buf, nbytes)?.to_vec();
         DnaSeq::from_raw(len, raw)
     }
+}
+
+/// Borrow the sequence of a tagged `dna` payload without copying it: the
+/// view's bytes are the stored bytes. Everything [`DnaSeq::from_bytes`]
+/// rejects — wrong tag, truncation, a length that disagrees with the byte
+/// count, trailing bytes — is rejected here the same way.
+pub fn dna_view(mut bytes: &[u8]) -> Result<DnaView<'_>> {
+    let tag = take_u8(&mut bytes)?;
+    if tag != DnaSeq::TAG {
+        return Err(GenAlgError::Corrupt(format!("expected tag {}, found {tag}", DnaSeq::TAG)));
+    }
+    let len = take_varint(&mut bytes)? as usize;
+    let packed = take_slice(&mut bytes, len.div_ceil(2))?;
+    if !bytes.is_empty() {
+        return Err(GenAlgError::Corrupt(format!("{} trailing bytes", bytes.len())));
+    }
+    DnaView::new(len, packed)
 }
 
 impl Compact for RnaSeq {
@@ -570,6 +587,42 @@ mod tests {
         assert_eq!(DnaSeq::from_bytes(&bytes).unwrap(), s);
         // Payload is ~half a byte per symbol plus framing.
         assert!(bytes.len() <= s.len() / 2 + 3);
+    }
+
+    #[test]
+    fn dna_view_borrows_what_from_bytes_decodes() {
+        for text in ["", "A", "ATGCRYSWKMBDHVN", "ACGTACGT"] {
+            let bytes = dna(text).to_bytes();
+            let view = dna_view(&bytes).unwrap();
+            assert_eq!(view.to_seq(), DnaSeq::from_bytes(&bytes).unwrap());
+            assert_eq!(view.to_text(), text);
+        }
+    }
+
+    #[test]
+    fn dna_view_rejects_corrupt_payloads() {
+        let bytes = dna("ATGCRYSWK").to_bytes();
+        // Every truncation, a wrong tag, trailing bytes.
+        for cut in 0..bytes.len() {
+            assert!(matches!(dna_view(&bytes[..cut]), Err(GenAlgError::Corrupt(_))), "cut {cut}");
+        }
+        let mut wrong_tag = bytes.clone();
+        wrong_tag[0] = ProteinSeq::TAG;
+        assert!(matches!(dna_view(&wrong_tag), Err(GenAlgError::Corrupt(_))));
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(matches!(dna_view(&trailing), Err(GenAlgError::Corrupt(_))));
+        // A length that claims more symbols than the bytes can hold.
+        for claimed in [11u64, 1 << 20, u64::MAX] {
+            let mut lying = vec![DnaSeq::TAG];
+            put_varint(&mut lying, claimed);
+            lying.extend_from_slice(&bytes[2..]);
+            assert!(matches!(dna_view(&lying), Err(GenAlgError::Corrupt(_))), "claimed {claimed}");
+        }
+        // A length that claims fewer leaves trailing bytes.
+        let mut short = vec![DnaSeq::TAG, 3];
+        short.extend_from_slice(&bytes[2..]);
+        assert!(matches!(dna_view(&short), Err(GenAlgError::Corrupt(_))));
     }
 
     #[test]

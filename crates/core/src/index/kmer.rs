@@ -57,30 +57,42 @@ impl KmerIndex {
     /// Index `seq` under `key`. Re-adding a key indexes it again; call
     /// [`KmerIndex::remove`] first when replacing.
     pub fn add(&mut self, key: u64, seq: &DnaSeq) {
-        let mut any = false;
-        for (pos, km) in kmers(seq, self.k) {
+        seq.view().for_each_kmer(self.k, |pos, km| {
             self.map.entry(km).or_default().push((key, pos as u32));
             self.positions += 1;
-            any = true;
-        }
-        // Count the sequence even if it yielded no k-mers (too short or all
-        // ambiguous): it is still registered, it simply can never be a
-        // candidate.
-        let _ = any;
+        });
+        // A sequence that yields no k-mers (too short or all ambiguous) is
+        // still registered; it simply can never be a candidate.
         self.sequences += 1;
     }
 
-    /// Remove every posting for `key`.
-    pub fn remove(&mut self, key: u64) {
-        let mut removed = 0usize;
-        self.map.retain(|_, postings| {
+    /// Remove the postings of `seq` under `key`. The sequence must be the
+    /// one the key was added with: only its own k-mers' posting lists are
+    /// visited, so the cost does not grow with the index.
+    pub fn remove(&mut self, key: u64, seq: &DnaSeq) {
+        let mut own: Vec<u64> = kmers(seq, self.k).into_iter().map(|(_, km)| km).collect();
+        own.sort_unstable();
+        own.dedup();
+        for km in own {
+            let Some(postings) = self.map.get_mut(&km) else { continue };
             let before = postings.len();
             postings.retain(|(k, _)| *k != key);
-            removed += before - postings.len();
-            !postings.is_empty()
-        });
-        self.positions -= removed;
+            self.positions -= before - postings.len();
+            if postings.is_empty() {
+                self.map.remove(&km);
+            }
+        }
         self.sequences = self.sequences.saturating_sub(1);
+    }
+
+    /// The pattern's k-mers if they cover it completely — the condition for
+    /// the index to filter soundly. `kmers` skips windows holding an
+    /// ambiguity code, so a pattern shorter than `k` or with any ambiguous
+    /// symbol has fewer than one k-mer per window.
+    fn covering_kmers(&self, pattern: &DnaSeq) -> Option<Vec<(usize, u64)>> {
+        let pattern_kmers = kmers(pattern, self.k);
+        (pattern.len() >= self.k && pattern_kmers.len() == pattern.len() - self.k + 1)
+            .then_some(pattern_kmers)
     }
 
     /// Keys of sequences that share *every* k-mer of `pattern` (a superset
@@ -88,15 +100,8 @@ impl KmerIndex {
     /// least `k` long). Returns `None` when the pattern is too short or too
     /// ambiguous to filter, in which case the caller must scan.
     pub fn candidates(&self, pattern: &DnaSeq) -> Option<HashSet<u64>> {
-        let pattern_kmers = kmers(pattern, self.k);
-        // The filter is only sound if the pattern's k-mer decomposition
-        // covers it completely: `kmers` skips ambiguous windows, so require
-        // the full count.
-        if pattern.len() < self.k || pattern_kmers.len() != pattern.len() - self.k + 1 {
-            return None;
-        }
         let mut result: Option<HashSet<u64>> = None;
-        for (_, km) in pattern_kmers {
+        for (_, km) in self.covering_kmers(pattern)? {
             let keys: HashSet<u64> = match self.map.get(&km) {
                 Some(postings) => postings.iter().map(|(k, _)| *k).collect(),
                 None => return Some(HashSet::new()),
@@ -113,29 +118,26 @@ impl KmerIndex {
     }
 
     /// Estimated fraction of sequences matching a `contains(pattern)`
-    /// predicate, based on the rarest k-mer of the pattern. Used by the
-    /// optimizer's selectivity hook (§6.5).
+    /// predicate, based on the rarest k-mer of the pattern; 1 for a pattern
+    /// [`KmerIndex::candidates`] cannot filter. Used by the optimizer's
+    /// selectivity hook (§6.5).
     pub fn estimate_selectivity(&self, pattern: &DnaSeq) -> f64 {
         if self.sequences == 0 {
             return 0.0;
         }
-        let pattern_kmers = kmers(pattern, self.k);
-        if pattern_kmers.is_empty() {
-            return 1.0; // unfilterable pattern: assume everything matches
-        }
+        let Some(pattern_kmers) = self.covering_kmers(pattern) else { return 1.0 };
+        // A sequence's postings for one k-mer are adjacent (one `add` wrote
+        // them), so distinct sequences are runs of equal keys.
         let rarest = pattern_kmers
             .iter()
             .map(|(_, km)| {
                 self.map.get(km).map_or(0, |p| {
-                    let mut keys: Vec<u64> = p.iter().map(|(k, _)| *k).collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    keys.len()
+                    p.len().min(1) + p.windows(2).filter(|w| w[0].0 != w[1].0).count()
                 })
             })
             .min()
             .unwrap_or(0);
-        rarest as f64 / self.sequences as f64
+        (rarest as f64 / self.sequences as f64).min(1.0)
     }
 }
 
@@ -181,10 +183,44 @@ mod tests {
     #[test]
     fn remove_drops_postings() {
         let mut idx = sample_index();
-        idx.remove(1);
+        idx.remove(1, &dna("ATGGCCTTTAAG"));
         let cands = idx.candidates(&dna("TTTAAG")).unwrap();
         assert!(cands.is_empty());
         assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn remove_leaves_exactly_the_other_sequences() {
+        // Removing one sequence — repeats, shared k-mers and all — leaves
+        // the index as if it had never been added.
+        let (shared, repeat) = (dna("ATGGCCAAAAAA"), dna("AAAAAAAAAAAA"));
+        let mut with = sample_index();
+        with.add(7, &repeat);
+        with.remove(3, &shared);
+        let mut without = KmerIndex::new(4);
+        without.add(1, &dna("ATGGCCTTTAAG"));
+        without.add(2, &dna("CCCCGGGGAAAA"));
+        without.add(7, &repeat);
+        assert_eq!(with.len(), without.len());
+        assert_eq!(with.indexed_positions(), without.indexed_positions());
+        assert_eq!(with.distinct_kmers(), without.distinct_kmers());
+        for pattern in ["ATGGCC", "AAAA", "GGCCAAAA", "CCAAAAAA", "GGGGAAAA"] {
+            let p = dna(pattern);
+            assert_eq!(with.candidates(&p), without.candidates(&p), "{pattern}");
+            assert_eq!(with.estimate_selectivity(&p), without.estimate_selectivity(&p));
+        }
+    }
+
+    #[test]
+    fn selectivity_counts_sequences_not_positions() {
+        let mut idx = KmerIndex::new(4);
+        idx.add(1, &dna("AAAAAAAAAAAA")); // nine postings of one k-mer
+        idx.add(2, &dna("CCCCCCCCAAAA"));
+        idx.add(3, &dna("GGGGGGGGGGGG"));
+        assert_eq!(idx.estimate_selectivity(&dna("AAAA")), 2.0 / 3.0);
+        // What `candidates` cannot filter is estimated as a full scan.
+        assert_eq!(idx.estimate_selectivity(&dna("AAA")), 1.0);
+        assert_eq!(idx.estimate_selectivity(&dna("AAAANAAAA")), 1.0);
     }
 
     #[test]

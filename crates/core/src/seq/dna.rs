@@ -4,6 +4,7 @@ use crate::alphabet::{DnaBase, IupacDna};
 use crate::error::{GenAlgError, Result};
 use crate::seq::packed::PackedVec;
 use crate::seq::rna::RnaSeq;
+use crate::seq::view::{self, DnaView, Pattern};
 use std::fmt;
 
 /// A DNA sequence over the 15-symbol IUPAC alphabet, packed at 4 bits per
@@ -12,6 +13,10 @@ use std::fmt;
 /// `DnaSeq` is the workhorse GDT of the algebra. It deliberately admits
 /// ambiguity codes because repository data is noisy (problem B10); strict
 /// operations such as transcription check [`DnaSeq::is_strict`] first.
+///
+/// `DnaSeq` owns the packed bytes; every read-only operation runs on the
+/// borrowed [`DnaView`] of them, the same code a stored payload is read
+/// with.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DnaSeq {
     codes: PackedVec,
@@ -25,11 +30,14 @@ impl DnaSeq {
 
     /// Parse from text containing IUPAC characters (case-insensitive).
     pub fn from_text(text: &str) -> Result<Self> {
-        let mut codes = PackedVec::with_capacity(4, text.len());
-        for c in text.chars() {
-            codes.push(IupacDna::from_char(c)?.mask());
+        match view::pack_text(text) {
+            // Every byte was an ASCII letter, so bytes and symbols coincide.
+            Some(data) => Self::from_raw(text.len(), data),
+            None => Err(text
+                .chars()
+                .find_map(|c| IupacDna::from_char(c).err())
+                .expect("a byte outside the alphabet belongs to a char outside it")),
         }
-        Ok(DnaSeq { codes })
     }
 
     /// Build from unambiguous bases.
@@ -48,6 +56,12 @@ impl DnaSeq {
             codes.push(s.mask());
         }
         DnaSeq { codes }
+    }
+
+    /// The sequence as a borrowed view of its packed bytes.
+    pub fn view(&self) -> DnaView<'_> {
+        DnaView::new(self.codes.len(), self.codes.raw_bytes())
+            .expect("a packed vector holds exactly the bytes of its codes")
     }
 
     /// Number of nucleotides.
@@ -77,17 +91,17 @@ impl DnaSeq {
 
     /// Iterate over symbols.
     pub fn iter(&self) -> impl Iterator<Item = IupacDna> + '_ {
-        self.codes.iter().map(IupacDna::from_mask)
+        self.view().codes().map(IupacDna::from_mask)
     }
 
     /// Render as an upper-case IUPAC string.
     pub fn to_text(&self) -> String {
-        self.iter().map(IupacDna::to_char).collect()
+        self.view().to_text()
     }
 
     /// True if every symbol is one of the four concrete bases.
     pub fn is_strict(&self) -> bool {
-        self.iter().all(IupacDna::is_unambiguous)
+        self.view().is_strict()
     }
 
     /// The concrete bases, if the sequence is strict.
@@ -109,62 +123,29 @@ impl DnaSeq {
 
     /// The sequence read back-to-front.
     pub fn reversed(&self) -> DnaSeq {
-        let mut codes = PackedVec::with_capacity(4, self.len());
-        for i in (0..self.len()).rev() {
-            codes.push(self.codes.get(i).expect("index < len"));
-        }
-        DnaSeq { codes }
+        self.view().reversed()
     }
 
     /// Per-symbol IUPAC complement.
     pub fn complement(&self) -> DnaSeq {
-        let mut codes = PackedVec::with_capacity(4, self.len());
-        for s in self.iter() {
-            codes.push(s.complement().mask());
-        }
-        DnaSeq { codes }
+        self.view().complement()
     }
 
     /// Reverse complement — the opposite strand in 5'→3' orientation.
     pub fn reverse_complement(&self) -> DnaSeq {
-        let mut codes = PackedVec::with_capacity(4, self.len());
-        for i in (0..self.len()).rev() {
-            let s = IupacDna::from_mask(self.codes.get(i).expect("index < len"));
-            codes.push(s.complement().mask());
-        }
-        DnaSeq { codes }
+        self.view().reverse_complement()
     }
 
     /// Fraction of G/C among unambiguous symbols (0.0 for the empty or fully
     /// ambiguous sequence).
     pub fn gc_content(&self) -> f64 {
-        let mut gc = 0usize;
-        let mut total = 0usize;
-        for s in self.iter() {
-            if let Some(b) = s.as_base() {
-                total += 1;
-                if matches!(b, DnaBase::G | DnaBase::C) {
-                    gc += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            gc as f64 / total as f64
-        }
+        self.view().gc_content()
     }
 
     /// Count occurrences of each concrete base `[A, C, G, T]`; ambiguity
     /// codes are not counted.
     pub fn base_counts(&self) -> [usize; 4] {
-        let mut counts = [0usize; 4];
-        for s in self.iter() {
-            if let Some(b) = s.as_base() {
-                counts[b.code() as usize] += 1;
-            }
-        }
-        counts
+        self.view().base_counts()
     }
 
     /// First occurrence of `pattern` at or after `from`, using IUPAC
@@ -172,25 +153,7 @@ impl DnaSeq {
     /// `R` matches `A`/`G`, and so on. This is the semantics of the paper's
     /// `contains(fragment, "ATTGCCATA")` predicate (§6.3).
     pub fn find_from(&self, pattern: &DnaSeq, from: usize) -> Option<usize> {
-        let n = self.len();
-        let m = pattern.len();
-        if m == 0 {
-            return (from <= n).then_some(from);
-        }
-        if m > n {
-            return None;
-        }
-        let pat: Vec<IupacDna> = pattern.iter().collect();
-        'outer: for start in from..=(n - m) {
-            for (j, p) in pat.iter().enumerate() {
-                let t = self.get(start + j).expect("start + j < n");
-                if !t.compatible(*p) {
-                    continue 'outer;
-                }
-            }
-            return Some(start);
-        }
-        None
+        self.view().find_from(pattern.view(), from)
     }
 
     /// First occurrence of `pattern` (see [`DnaSeq::find_from`]).
@@ -200,16 +163,7 @@ impl DnaSeq {
 
     /// All (possibly overlapping) occurrence positions of `pattern`.
     pub fn find_all(&self, pattern: &DnaSeq) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut from = 0;
-        while let Some(pos) = self.find_from(pattern, from) {
-            out.push(pos);
-            from = pos + 1;
-            if pattern.is_empty() {
-                break;
-            }
-        }
-        out
+        Pattern::new(pattern.view()).find_all(self.view())
     }
 
     /// True if `pattern` occurs somewhere in this sequence.
@@ -256,10 +210,7 @@ impl DnaSeq {
 
 impl fmt::Display for DnaSeq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for s in self.iter() {
-            write!(f, "{}", s.to_char())?;
-        }
-        Ok(())
+        f.write_str(&self.to_text())
     }
 }
 

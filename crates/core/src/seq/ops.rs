@@ -99,30 +99,8 @@ fn scan_strand(
 /// Returns `(position, packed_kmer)` pairs; windows containing ambiguity
 /// codes are skipped. `k` must be 1–31 so the packed value fits in a `u64`.
 pub fn kmers(seq: &DnaSeq, k: usize) -> Vec<(usize, u64)> {
-    assert!((1..=31).contains(&k), "k must be in 1..=31");
-    let n = seq.len();
-    if n < k {
-        return Vec::new();
-    }
-    let mask: u64 = if k == 32 { u64::MAX } else { (1u64 << (2 * k)) - 1 };
-    let mut out = Vec::new();
-    let mut packed: u64 = 0;
-    let mut valid = 0usize; // number of consecutive unambiguous bases ending here
-    for i in 0..n {
-        match seq.get(i).and_then(|s| s.as_base()) {
-            Some(b) => {
-                packed = ((packed << 2) | b.code() as u64) & mask;
-                valid += 1;
-                if valid >= k {
-                    out.push((i + 1 - k, packed));
-                }
-            }
-            None => {
-                valid = 0;
-                packed = 0;
-            }
-        }
-    }
+    let mut out = Vec::with_capacity((seq.len() + 1).saturating_sub(k));
+    seq.view().for_each_kmer(k, |pos, packed| out.push((pos, packed)));
     out
 }
 

@@ -2,11 +2,12 @@
 
 use genalg_core::algebra::Value;
 use genalg_core::align::{
-    banded_global_align, global_align, local_align, NucleotideScore, Scoring,
+    banded_global_align, global_align, local_align, local_align_dna, resembles, NucleotideScore,
+    ResemblesQuery, Scoring,
 };
 use genalg_core::alphabet::{AminoAcid, DnaBase, IupacDna};
 use genalg_core::codon::GeneticCode;
-use genalg_core::compact::{value_from_bytes, value_to_bytes, Compact};
+use genalg_core::compact::{dna_view, value_from_bytes, value_to_bytes, Compact};
 use genalg_core::gdt::Gene;
 use genalg_core::index::{KmerIndex, SuffixArray};
 use genalg_core::seq::ops::{kmers, pack_kmer, unpack_kmer};
@@ -327,4 +328,251 @@ proptest! {
         let aa = AminoAcid::from_code(code);
         prop_assert_eq!(AminoAcid::from_code(aa.code()), aa);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Kernels against their per-symbol references
+// ---------------------------------------------------------------------------
+
+mod reference;
+
+/// IUPAC text that is mostly concrete bases, so that patterns cut from it
+/// still match somewhere once a few of their symbols are blurred.
+fn mostly_strict_text(max: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        proptest::sample::select("AAAACCCCGGGGTTTTRYSWKMBDHVN".chars().collect::<Vec<_>>()),
+        0..max,
+    )
+    .prop_map(|v| v.into_iter().collect())
+}
+
+/// A pattern for `text`: a window of it (so it occurs), the window with
+/// one symbol replaced (so it may not), or unrelated text.
+fn pattern_for(text: &str, len: usize, at: usize, blur: usize, kind: u8) -> String {
+    if text.is_empty() || kind == 0 {
+        return "ACGTNRYACGT".chars().cycle().skip(at % 7).take(len).collect();
+    }
+    let len = len.min(text.len());
+    let at = at % (text.len() - len + 1);
+    let mut window: Vec<char> = text[at..at + len].chars().collect();
+    if kind == 1 && !window.is_empty() {
+        let i = blur % window.len();
+        window[i] = "ACGTNRB".chars().nth(blur % 7).expect("7 choices");
+    }
+    window.into_iter().collect()
+}
+
+proptest! {
+    #[test]
+    fn search_kernels_agree_with_the_reference(
+        text in mostly_strict_text(300),
+        len in 0usize..90,
+        at in 0usize..300,
+        blur in 0usize..1000,
+        kind in 0u8..3,
+        from in 0usize..320,
+    ) {
+        let pattern = pattern_for(&text, len, at, blur, kind);
+        let (t, p) = (DnaSeq::from_text(&text).unwrap(), DnaSeq::from_text(&pattern).unwrap());
+        prop_assert_eq!(t.find_from(&p, from), reference::find_from(&t, &p, from));
+        prop_assert_eq!(t.find_all(&p), reference::find_all(&t, &p));
+        prop_assert_eq!(t.contains(&p), reference::find_from(&t, &p, 0).is_some());
+        // Ambiguity on the text side only, and on neither.
+        let strict = DnaSeq::from_text(&pattern.replace(|c| !"ACGT".contains(c), "A")).unwrap();
+        prop_assert_eq!(t.find_all(&strict), reference::find_all(&t, &strict));
+    }
+
+    #[test]
+    fn composition_kernels_agree_with_the_reference(text in iupac_text()) {
+        let seq = DnaSeq::from_text(&text).unwrap();
+        prop_assert_eq!(seq.base_counts(), reference::base_counts(&seq));
+        prop_assert_eq!(seq.gc_content().to_bits(), reference::gc_content(&seq).to_bits());
+        prop_assert_eq!(seq.is_strict(), reference::is_strict(&seq));
+        prop_assert_eq!(seq.complement(), reference::complement(&seq));
+        prop_assert_eq!(seq.reverse_complement(), reference::reverse_complement(&seq));
+        prop_assert_eq!(seq.reversed(), reference::reversed(&seq));
+        prop_assert_eq!(seq.to_text(), reference::to_text(&seq));
+        prop_assert_eq!(DnaSeq::from_text(&seq.to_text()).unwrap(), seq);
+    }
+
+    #[test]
+    fn kmer_kernel_agrees_with_the_reference(text in mostly_strict_text(200), k in 1usize..32) {
+        // Windows broken by ambiguity codes are the interesting part.
+        let seq = DnaSeq::from_text(&text).unwrap();
+        prop_assert_eq!(kmers(&seq, k), reference::kmers(&seq, k));
+    }
+
+    #[test]
+    fn text_parsing_agrees_with_the_reference(
+        chars in proptest::collection::vec(
+            proptest::sample::select("ACGTacgtRYSWKMBDHVNnry U-é*".chars().collect::<Vec<_>>()),
+            0..40,
+        ),
+    ) {
+        // Same sequence, or the same first offending symbol.
+        let text: String = chars.into_iter().collect();
+        prop_assert_eq!(DnaSeq::from_text(&text), reference::from_text(&text));
+    }
+
+    #[test]
+    fn a_corrupt_dna_payload_is_an_error_never_a_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..80),
+        claimed in any::<u64>(),
+    ) {
+        // Arbitrary bytes, and a well-formed header lying about its length.
+        for payload in [bytes.clone(), {
+            let mut lying = vec![DnaSeq::TAG];
+            genalg_core::compact::put_varint(&mut lying, claimed);
+            lying.extend_from_slice(&bytes);
+            lying
+        }] {
+            match (dna_view(&payload), DnaSeq::from_bytes(&payload)) {
+                (Ok(view), Ok(seq)) => {
+                    prop_assert_eq!(view.to_seq(), seq.clone());
+                    // Every kernel stays inside the payload.
+                    prop_assert_eq!(view.base_counts(), reference::base_counts(&seq));
+                    prop_assert_eq!(view.to_text(), reference::to_text(&seq));
+                    let probe = DnaSeq::from_text("ACGTN").unwrap();
+                    prop_assert_eq!(
+                        view.find_from(probe.view(), 0),
+                        reference::find_from(&seq, &probe, 0)
+                    );
+                }
+                (Err(view_err), Err(_)) => {
+                    prop_assert!(matches!(view_err, genalg_core::GenAlgError::Corrupt(_)));
+                }
+                (view, seq) => prop_assert!(false, "view {view:?} but decode {seq:?}"),
+            }
+        }
+    }
+}
+
+/// The cases the issue names, spelled out: empty pattern, a match at the
+/// very last position, `from` past the end, odd and even lengths, and
+/// patterns of 1, 64, 65 and 200 symbols — on either side of the 64-symbol
+/// state word — with ambiguity codes on both sides.
+#[test]
+fn search_kernel_edge_cases() {
+    // A fixed pseudo-random IUPAC text, mostly concrete.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let alphabet: Vec<char> = "AAAACCCCGGGGTTTTRYSWKMBDHVN".chars().collect();
+    let text: String = (0..451).map(|_| alphabet[next() % alphabet.len()]).collect();
+
+    for n in [0usize, 1, 2, 63, 64, 65, 128, 129, 200, 201, 450, 451] {
+        let t = DnaSeq::from_text(&text[..n]).unwrap();
+        for m in [0usize, 1, 2, 7, 63, 64, 65, 66, 127, 128, 129, 200] {
+            if m > n + 3 {
+                continue;
+            }
+            // The tail of the text (a match at the last position), the
+            // head, a blurred copy, an all-N pattern, and a near miss.
+            let mut patterns: Vec<String> = vec!["N".repeat(m)];
+            if m <= n {
+                patterns.push(text[n - m..n].to_string());
+                patterns.push(text[..m].to_string());
+                let mut blurred: Vec<char> = text[n - m..n].chars().collect();
+                for (i, c) in blurred.iter_mut().enumerate() {
+                    if i % 5 == 0 {
+                        *c = 'N';
+                    }
+                }
+                patterns.push(blurred.iter().collect());
+                if m > 0 {
+                    // Differs from the tail in its last symbol only.
+                    let last = blurred.len() - 1;
+                    let mut miss: Vec<char> = text[n - m..n].chars().collect();
+                    miss[last] = if miss[last] == 'A' { 'C' } else { 'A' };
+                    patterns.push(miss.into_iter().collect());
+                }
+            } else {
+                patterns.push(text[..m.min(text.len())].to_string());
+            }
+            for pattern in patterns {
+                let p = DnaSeq::from_text(&pattern).unwrap();
+                assert_eq!(t.find_all(&p), reference::find_all(&t, &p), "n={n} m={m} {pattern}");
+                for from in [0, 1, n / 2, n.saturating_sub(m), n, n + 1, n + 100] {
+                    assert_eq!(
+                        t.find_from(&p, from),
+                        reference::find_from(&t, &p, from),
+                        "n={n} m={m} from={from} {pattern}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `resembles` must give the verdict of the plain local alignment: the
+/// q-gram screen may only reject what the alignment would reject. Pairs
+/// are derived from one another by a few substitutions and an indel, and
+/// the thresholds are set a hair's breadth on either side of what the
+/// pair actually reaches, plus the usual 0.9/0.9.
+#[test]
+fn resembles_gives_the_alignments_verdict_around_both_thresholds() {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let bases = ['A', 'C', 'G', 'T'];
+    let (mut accepted, mut rejected) = (0, 0);
+    for round in 0..160 {
+        let len = 20 + next(140);
+        let original: Vec<char> = (0..len).map(|_| bases[next(4)]).collect();
+        let mut mutated = original.clone();
+        for _ in 0..next(1 + len / 6) {
+            let i = next(mutated.len());
+            mutated[i] = bases[next(4)];
+        }
+        match round % 4 {
+            0 => drop(mutated.drain(..next(len / 3))),
+            1 => mutated.insert(next(mutated.len()), bases[next(4)]),
+            2 if round % 8 == 2 => mutated[next(len)] = 'N',
+            _ => {}
+        }
+        // Every fifth pair is unrelated.
+        if round % 5 == 4 {
+            mutated = (0..len).map(|_| bases[next(4)]).collect();
+        }
+        let a = DnaSeq::from_text(&original.iter().collect::<String>()).unwrap();
+        let b = DnaSeq::from_text(&mutated.iter().collect::<String>()).unwrap();
+
+        let aln = local_align_dna(&a, &b, &NucleotideScore::default());
+        let identity = aln.identity();
+        let cover = (aln.a_range.1 - aln.a_range.0) as f64 / a.len().min(b.len()) as f64;
+        let eps = 1e-9;
+        for (min_identity, min_cover) in [
+            (identity, cover),
+            (identity + eps, cover),
+            (identity, cover + eps),
+            (identity - eps, cover - eps),
+            (0.9, 0.9),
+            (0.95, 0.5),
+            (0.88, 1.0),
+            (0.5, 0.5),
+        ] {
+            let want = reference::resembles(&a, &b, min_identity, min_cover);
+            assert_eq!(
+                resembles(&a, &b, min_identity, min_cover),
+                want,
+                "round {round}: identity {identity} cover {cover} against \
+                 {min_identity}/{min_cover}\n{a}\n{b}"
+            );
+            // The prepared query gives the same answer as the one-off call.
+            let query = ResemblesQuery::new(b.view(), min_identity, min_cover);
+            assert_eq!(query.matches(a.view()), want);
+            if want {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+    }
+    assert!(accepted > 100 && rejected > 100, "{accepted} accepted, {rejected} rejected");
 }

@@ -1,0 +1,131 @@
+//! The sequence operations as they were written before they ran on packed
+//! bytes: one `IupacDna` at a time through `DnaSeq::get`. Kept as the
+//! specification the byte- and word-parallel kernels are tested against.
+//!
+//! Shared by `tests/properties.rs` and, through `#[path]`, by the `align`
+//! bench, which times each kernel against its reference in one process.
+
+use genalg_core::align::{local_align_dna, NucleotideScore};
+use genalg_core::alphabet::{DnaBase, IupacDna};
+use genalg_core::seq::DnaSeq;
+
+fn symbols(seq: &DnaSeq) -> impl DoubleEndedIterator<Item = IupacDna> + '_ {
+    (0..seq.len()).map(|i| seq.get(i).expect("i < len"))
+}
+
+pub fn find_from(text: &DnaSeq, pattern: &DnaSeq, from: usize) -> Option<usize> {
+    let (n, m) = (text.len(), pattern.len());
+    if m == 0 {
+        return (from <= n).then_some(from);
+    }
+    if m > n {
+        return None;
+    }
+    let pat: Vec<IupacDna> = symbols(pattern).collect();
+    'outer: for start in from..=(n - m) {
+        for (j, p) in pat.iter().enumerate() {
+            if !text.get(start + j).expect("start + j < n").compatible(*p) {
+                continue 'outer;
+            }
+        }
+        return Some(start);
+    }
+    None
+}
+
+pub fn find_all(text: &DnaSeq, pattern: &DnaSeq) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = find_from(text, pattern, from) {
+        out.push(pos);
+        from = pos + 1;
+        if pattern.is_empty() {
+            break;
+        }
+    }
+    out
+}
+
+pub fn base_counts(seq: &DnaSeq) -> [usize; 4] {
+    let mut counts = [0usize; 4];
+    for b in symbols(seq).filter_map(IupacDna::as_base) {
+        counts[b.code() as usize] += 1;
+    }
+    counts
+}
+
+pub fn gc_content(seq: &DnaSeq) -> f64 {
+    let (mut gc, mut total) = (0usize, 0usize);
+    for b in symbols(seq).filter_map(IupacDna::as_base) {
+        total += 1;
+        if matches!(b, DnaBase::G | DnaBase::C) {
+            gc += 1;
+        }
+    }
+    if total == 0 {
+        0.0
+    } else {
+        gc as f64 / total as f64
+    }
+}
+
+pub fn is_strict(seq: &DnaSeq) -> bool {
+    symbols(seq).all(IupacDna::is_unambiguous)
+}
+
+pub fn complement(seq: &DnaSeq) -> DnaSeq {
+    let out: Vec<IupacDna> = symbols(seq).map(IupacDna::complement).collect();
+    DnaSeq::from_symbols(&out)
+}
+
+pub fn reverse_complement(seq: &DnaSeq) -> DnaSeq {
+    let out: Vec<IupacDna> = symbols(seq).rev().map(IupacDna::complement).collect();
+    DnaSeq::from_symbols(&out)
+}
+
+pub fn reversed(seq: &DnaSeq) -> DnaSeq {
+    let out: Vec<IupacDna> = symbols(seq).rev().collect();
+    DnaSeq::from_symbols(&out)
+}
+
+pub fn kmers(seq: &DnaSeq, k: usize) -> Vec<(usize, u64)> {
+    let mask: u64 = (1u64 << (2 * k)) - 1;
+    let mut out = Vec::new();
+    let (mut packed, mut valid) = (0u64, 0usize);
+    for i in 0..seq.len() {
+        match seq.get(i).and_then(IupacDna::as_base) {
+            Some(b) => {
+                packed = ((packed << 2) | b.code() as u64) & mask;
+                valid += 1;
+                if valid >= k {
+                    out.push((i + 1 - k, packed));
+                }
+            }
+            None => {
+                valid = 0;
+                packed = 0;
+            }
+        }
+    }
+    out
+}
+
+pub fn to_text(seq: &DnaSeq) -> String {
+    symbols(seq).map(IupacDna::to_char).collect()
+}
+
+pub fn from_text(text: &str) -> genalg_core::Result<DnaSeq> {
+    let symbols: Vec<IupacDna> =
+        text.chars().map(IupacDna::from_char).collect::<genalg_core::Result<_>>()?;
+    Ok(DnaSeq::from_symbols(&symbols))
+}
+
+/// `resembles` with nothing in front of the alignment.
+pub fn resembles(a: &DnaSeq, b: &DnaSeq, min_identity: f64, min_cover: f64) -> bool {
+    if a.is_empty() || b.is_empty() {
+        return false;
+    }
+    let aln = local_align_dna(a, b, &NucleotideScore::default());
+    let cover = (aln.a_range.1 - aln.a_range.0) as f64 / a.len().min(b.len()) as f64;
+    aln.identity() >= min_identity && cover >= min_cover
+}

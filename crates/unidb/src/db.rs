@@ -8,7 +8,7 @@ use crate::exec::stats::OpStatsSnapshot;
 use crate::exec::{execute_plan, execute_plan_with_stats, ScanProgress, ScanSpec, StorageAccess};
 use crate::expr::compile::compile;
 use crate::expr::eval::{eval, ColumnBinding, EvalContext};
-use crate::expr::func::{AggregateFn, FunctionRegistry, ScalarFn};
+use crate::expr::func::{AggregateFn, FunctionRegistry, ScalarBinder, ScalarFn};
 use crate::index::btree::BTreeIndex;
 use crate::index::udi::AccessMethod;
 use crate::plan::planner::{plan_select, PlannerContext};
@@ -27,7 +27,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The result of executing one statement.
@@ -154,8 +154,11 @@ pub(crate) struct Inner {
     /// they were planned under and refuse to run once it moves.
     catalog_gen: u64,
     /// Worker threads per query (1 = serial). Morsel-driven scans and the
-    /// executor's pipeline breakers fan out to this many scoped threads.
+    /// executor's pipeline breakers fan out to this many scoped threads,
+    /// less one per other statement [`Inner::executing`] at the time.
     pub(crate) parallelism: usize,
+    /// Statements inside the executor right now.
+    executing: AtomicUsize,
     /// Heap pages read by `scan_batches` since open — an observability
     /// counter (SHOW STATS, tests asserting LIMIT short-circuits). Counts
     /// only pages actually visited; zone-map-refuted pages land in
@@ -303,6 +306,7 @@ impl Database {
                 table_gens: HashMap::new(),
                 catalog_gen: 0,
                 parallelism: default_parallelism(),
+                executing: AtomicUsize::new(0),
                 scan_pages: AtomicU64::new(0),
                 scan_pages_skipped: AtomicU64::new(0),
                 stats_rebuilt: AtomicU64::new(0),
@@ -723,6 +727,17 @@ impl Database {
     /// Register an external scalar function (§6.3).
     pub fn register_scalar(&self, name: &str, f: ScalarFn) -> DbResult<()> {
         self.inner.write().funcs.register_scalar(name, f)
+    }
+
+    /// Register an external scalar function that can specialise itself on
+    /// the literal arguments of a call site (see [`ScalarBinder`]).
+    pub fn register_scalar_with_binder(
+        &self,
+        name: &str,
+        f: ScalarFn,
+        binder: ScalarBinder,
+    ) -> DbResult<()> {
+        self.inner.write().funcs.register_scalar_with_binder(name, f, binder)
     }
 
     /// Register a user-defined aggregate (C14).
@@ -1674,6 +1689,10 @@ impl Inner {
 }
 
 impl StorageAccess for Inner {
+    fn executing(&self) -> &AtomicUsize {
+        &self.executing
+    }
+
     fn scan_batches(
         &self,
         table_id: u32,

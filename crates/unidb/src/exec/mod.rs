@@ -38,6 +38,7 @@ use stats::{stats_tree, OpStats, OpStatsSnapshot};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// Target rows per batch pulled through the operator tree.
@@ -90,6 +91,34 @@ pub trait StorageAccess: Sync {
         func: &str,
         args: &[Datum],
     ) -> DbResult<Vec<Rid>>;
+    /// How many statements are executing against this database right now;
+    /// kept by [`execute_plan`] and [`execute_plan_with_stats`].
+    fn executing(&self) -> &AtomicUsize;
+}
+
+/// One executing statement, counted from construction to drop.
+struct Executing<'a>(&'a AtomicUsize);
+
+impl<'a> Executing<'a> {
+    /// Count this statement in and say how many workers its operators may
+    /// fan out to. Intra-query parallelism is for cores nothing else is
+    /// using: every statement already executing occupies one, so a new one
+    /// gets the configured `parallelism` less those, and at least itself.
+    /// Two clients on two cores therefore run two serial scans, not four
+    /// threads taking turns. Results do not depend on the width (morsels
+    /// are reassembled in order), so this changes timing only.
+    fn enter(storage: &'a dyn StorageAccess, parallelism: usize) -> (Self, usize) {
+        let counter = storage.executing();
+        // Relaxed: the count steers a performance choice and publishes nothing.
+        let others = counter.fetch_add(1, AtomicOrdering::Relaxed);
+        (Executing(counter), parallelism.saturating_sub(others).max(1))
+    }
+}
+
+impl Drop for Executing<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, AtomicOrdering::Relaxed);
+    }
 }
 
 /// What a scan reads of each row, built once per scan iterator from the
@@ -144,7 +173,8 @@ pub fn execute_plan(
     parallelism: usize,
 ) -> DbResult<Vec<Row>> {
     let mut query_span = genalg_obs::tracer().span("exec.query");
-    let mut it = build_iter(storage, funcs, plan, parallelism.max(1), None, query_span.id())?;
+    let (_executing, width) = Executing::enter(storage, parallelism);
+    let mut it = build_iter(storage, funcs, plan, width, None, query_span.id())?;
     let mut out = Vec::new();
     while let Some(batch) = it.next_batch()? {
         out.extend(batch);
@@ -165,8 +195,8 @@ pub fn execute_plan_with_stats(
 ) -> DbResult<(Vec<Row>, OpStatsSnapshot)> {
     let mut query_span = genalg_obs::tracer().span("exec.query");
     let root = stats_tree(plan);
-    let mut it =
-        build_iter(storage, funcs, plan, parallelism.max(1), Some(&root), query_span.id())?;
+    let (_executing, width) = Executing::enter(storage, parallelism);
+    let mut it = build_iter(storage, funcs, plan, width, Some(&root), query_span.id())?;
     let mut out = Vec::new();
     while let Some(batch) = it.next_batch()? {
         out.extend(batch);

@@ -2,8 +2,10 @@
 //!
 //! [`compile`] lowers an [`Expr`] into a [`CompiledExpr`]: column references
 //! become positional indices into the operator's input row, scalar function
-//! names become direct [`ScalarFn`] handles, and literal LIKE patterns are
-//! tokenized once. Evaluating a compiled program therefore does zero string
+//! names become direct [`ScalarFn`] handles — or, for a function registered
+//! with a [`ScalarBinder`](crate::expr::func::ScalarBinder), a handle already
+//! specialised on the call's literal arguments — and literal LIKE patterns
+//! are tokenized once. Evaluating a compiled program therefore does zero string
 //! work per row — the interpreter's per-row, per-reference lower-cased name
 //! scan (see [`EvalContext::resolve`]) happens exactly once, before the
 //! first row flows. Resolution errors (unknown or ambiguous columns,
@@ -17,7 +19,7 @@
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
 use crate::expr::eval::{ColumnBinding, EvalContext, LikePattern};
-use crate::expr::func::{FunctionRegistry, ScalarFn};
+use crate::expr::func::{BoundScalarFn, FunctionRegistry, ScalarFn};
 use crate::sql::ast::{BinOp, Expr, UnaryOp};
 use crate::storage::colpage::ColBound;
 use std::cmp::Ordering;
@@ -39,6 +41,13 @@ pub enum CompiledExpr {
     },
     Func {
         f: ScalarFn,
+        args: Vec<CompiledExpr>,
+    },
+    /// A function whose [`ScalarBinder`](crate::expr::func::ScalarBinder)
+    /// took its literal arguments at compile time; `args` are the
+    /// remaining ones.
+    BoundFunc {
+        f: BoundScalarFn,
         args: Vec<CompiledExpr>,
     },
     IsNull {
@@ -101,13 +110,25 @@ pub fn compile(
                     "aggregate {name}() is not allowed in this context"
                 )));
             }
-            let f = funcs
-                .scalar(name)
-                .ok_or(DbError::NotFound { kind: "function", name: name.clone() })?
-                .clone();
-            let args =
+            let scalar = funcs
+                .scalar_entry(name)
+                .ok_or(DbError::NotFound { kind: "function", name: name.clone() })?;
+            let mut args =
                 args.iter().map(|a| compile(a, bindings, funcs)).collect::<DbResult<Vec<_>>>()?;
-            Ok(CompiledExpr::Func { f, args })
+            if let Some(bind) = &scalar.binder {
+                let literals: Vec<Option<&Datum>> = args
+                    .iter()
+                    .map(|a| match a {
+                        CompiledExpr::Literal(d) => Some(d),
+                        _ => None,
+                    })
+                    .collect();
+                if let Some(f) = bind(&literals) {
+                    args.retain(|a| !matches!(a, CompiledExpr::Literal(_)));
+                    return Ok(CompiledExpr::BoundFunc { f, args });
+                }
+            }
+            Ok(CompiledExpr::Func { f: scalar.f.clone(), args })
         }
         Expr::IsNull { expr, negated } => Ok(CompiledExpr::IsNull {
             expr: Box::new(compile(expr, bindings, funcs)?),
@@ -185,6 +206,18 @@ impl CompiledExpr {
                 }
                 f(&values)
             }
+            CompiledExpr::BoundFunc { f, args } => match args.as_slice() {
+                // A column is handed over where it lies in the row.
+                [CompiledExpr::Column(i)] => f(&[&row[*i]]),
+                [a] => f(&[&a.eval(row)?]),
+                _ => {
+                    let mut values = Vec::with_capacity(args.len());
+                    for a in args {
+                        values.push(a.eval(row)?);
+                    }
+                    f(&values.iter().collect::<Vec<_>>())
+                }
+            },
             CompiledExpr::IsNull { expr, negated } => {
                 let v = expr.eval(row)?;
                 Ok(Datum::Bool(v.is_null() != *negated))
@@ -269,7 +302,7 @@ impl CompiledExpr {
             CompiledExpr::Binary { left, right, .. } => {
                 opt_max(left.max_column(), right.max_column())
             }
-            CompiledExpr::Func { args, .. } => {
+            CompiledExpr::Func { args, .. } | CompiledExpr::BoundFunc { args, .. } => {
                 args.iter().fold(None, |m, a| opt_max(m, a.max_column()))
             }
             CompiledExpr::InList { expr, list, .. } => {
@@ -299,7 +332,7 @@ impl CompiledExpr {
                 left.collect_columns(out);
                 right.collect_columns(out);
             }
-            CompiledExpr::Func { args, .. } => {
+            CompiledExpr::Func { args, .. } | CompiledExpr::BoundFunc { args, .. } => {
                 for a in args {
                     a.collect_columns(out);
                 }
@@ -360,6 +393,7 @@ impl CompiledExpr {
                 expr.error_free() && low.error_free() && high.error_free()
             }
             CompiledExpr::Func { .. }
+            | CompiledExpr::BoundFunc { .. }
             | CompiledExpr::LikePre { .. }
             | CompiledExpr::LikeDyn { .. } => false,
         }
@@ -682,6 +716,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A function with a binder sees its literal arguments once, at compile
+    /// time, and only the others per row; one whose binder declines, or
+    /// that has none, is called as before.
+    #[test]
+    fn literal_arguments_are_bound_at_compile_time() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let binds = Arc::new(AtomicUsize::new(0));
+        let mut funcs = FunctionRegistry::with_builtins();
+        let count = Arc::clone(&binds);
+        funcs
+            .register_scalar_with_binder(
+                "tagged",
+                Arc::new(|args| Ok(Datum::Text(format!("plain {args:?}")))),
+                Arc::new(move |literals| {
+                    // Declines unless the first argument is the literal 'yes'.
+                    if literals.first() != Some(&Some(&Datum::Text("yes".into()))) {
+                        return None;
+                    }
+                    count.fetch_add(1, Ordering::Relaxed);
+                    let shape = format!("{literals:?}");
+                    Some(Arc::new(move |vars: &[&Datum]| {
+                        Ok(Datum::Text(format!("bound {shape} {vars:?}")))
+                    }))
+                }),
+            )
+            .unwrap();
+        let b = bindings();
+        let row = vec![Datum::Int(1), Datum::Text("tp53".into()), Datum::Int(9)];
+        let run = |sql: &str| compile(&expr(sql), &b, &funcs).unwrap().eval(&row).unwrap();
+
+        let prog = compile(&expr("tagged('yes', name, 7, g.id + 1)"), &b, &funcs).unwrap();
+        assert_eq!(prog.max_column(), Some(1));
+        assert!(!prog.error_free());
+        for _ in 0..3 {
+            assert_eq!(
+                prog.eval(&row).unwrap(),
+                Datum::Text(
+                    "bound [Some(Text(\"yes\")), None, Some(Int(7)), None] \
+                     [Text(\"tp53\"), Int(2)]"
+                        .into()
+                )
+            );
+        }
+        assert_eq!(binds.load(Ordering::Relaxed), 1, "bound once, not once per row");
+        // One varying argument, a column or not; and none at all.
+        assert_eq!(
+            run("tagged('yes', name)"),
+            Datum::Text("bound [Some(Text(\"yes\")), None] [Text(\"tp53\")]".into())
+        );
+        assert_eq!(
+            run("tagged('yes', p.id * 2)"),
+            Datum::Text("bound [Some(Text(\"yes\")), None] [Int(18)]".into())
+        );
+        assert_eq!(run("tagged('yes')"), Datum::Text("bound [Some(Text(\"yes\"))] []".into()));
+        // Declined: the plain function with the full argument list.
+        assert_eq!(
+            run("tagged('no', name)"),
+            Datum::Text("plain [Text(\"no\"), Text(\"tp53\")]".into())
+        );
+        // An argument that errors does so before the function is reached.
+        assert!(compile(&expr("tagged('yes', g.id / 0)"), &b, &funcs).unwrap().eval(&row).is_err());
     }
 
     #[test]

@@ -15,6 +15,26 @@ use std::sync::Arc;
 /// A scalar function implementation.
 pub type ScalarFn = Arc<dyn Fn(&[Datum]) -> DbResult<Datum> + Send + Sync>;
 
+/// A scalar function specialised on its literal arguments: called with the
+/// remaining arguments only, in order, borrowed from wherever they live.
+pub type BoundScalarFn = Arc<dyn Fn(&[&Datum]) -> DbResult<Datum> + Send + Sync>;
+
+/// Specialises a scalar function for one call site. It is handed each
+/// argument that is a literal in the statement (`Some`) and a placeholder
+/// for each that varies by row (`None`), once, when the expression is
+/// compiled — so parsing a pattern or resolving an overload is paid per
+/// statement, not per row. The bound function must return exactly what the
+/// plain function returns for the same full argument list; returning `None`
+/// leaves the call site on the plain function.
+pub type ScalarBinder = Arc<dyn Fn(&[Option<&Datum>]) -> Option<BoundScalarFn> + Send + Sync>;
+
+/// A registered scalar function.
+#[derive(Clone)]
+pub struct Scalar {
+    pub f: ScalarFn,
+    pub binder: Option<ScalarBinder>,
+}
+
 /// Per-group aggregate state.
 pub trait Accumulator: Send {
     /// Fold one input value (NULLs are filtered by the executor except for
@@ -30,7 +50,7 @@ pub type AggregateFn = Arc<dyn Fn() -> Box<dyn Accumulator> + Send + Sync>;
 /// Registry of scalar functions and aggregates.
 #[derive(Clone, Default)]
 pub struct FunctionRegistry {
-    scalars: HashMap<String, ScalarFn>,
+    scalars: HashMap<String, Scalar>,
     aggregates: HashMap<String, AggregateFn>,
 }
 
@@ -45,11 +65,25 @@ impl FunctionRegistry {
     /// Register a scalar function; rejects duplicate names so extensions
     /// cannot silently shadow built-ins.
     pub fn register_scalar(&mut self, name: &str, f: ScalarFn) -> DbResult<()> {
+        self.register(name, Scalar { f, binder: None })
+    }
+
+    /// Register a scalar function together with its [`ScalarBinder`].
+    pub fn register_scalar_with_binder(
+        &mut self,
+        name: &str,
+        f: ScalarFn,
+        binder: ScalarBinder,
+    ) -> DbResult<()> {
+        self.register(name, Scalar { f, binder: Some(binder) })
+    }
+
+    fn register(&mut self, name: &str, scalar: Scalar) -> DbResult<()> {
         let key = name.to_ascii_lowercase();
         if self.scalars.contains_key(&key) || self.aggregates.contains_key(&key) {
             return Err(DbError::AlreadyExists { kind: "function", name: key });
         }
-        self.scalars.insert(key, f);
+        self.scalars.insert(key, scalar);
         Ok(())
     }
 
@@ -65,6 +99,11 @@ impl FunctionRegistry {
 
     /// Look up a scalar function.
     pub fn scalar(&self, name: &str) -> Option<&ScalarFn> {
+        self.scalar_entry(name).map(|s| &s.f)
+    }
+
+    /// Look up a scalar function with its binder, if it has one.
+    pub fn scalar_entry(&self, name: &str) -> Option<&Scalar> {
         self.scalars.get(&name.to_ascii_lowercase())
     }
 
@@ -86,22 +125,25 @@ impl FunctionRegistry {
     }
 
     fn install_builtins(&mut self) {
-        self.scalars.insert(
-            "upper".into(),
+        let mut builtin = |name: &str, f: ScalarFn| {
+            self.scalars.insert(name.into(), Scalar { f, binder: None });
+        };
+        builtin(
+            "upper",
             Arc::new(|args| {
                 text_arg(args, "upper")
                     .map(|s| s.map_or(Datum::Null, |s| Datum::Text(s.to_uppercase())))
             }),
         );
-        self.scalars.insert(
-            "lower".into(),
+        builtin(
+            "lower",
             Arc::new(|args| {
                 text_arg(args, "lower")
                     .map(|s| s.map_or(Datum::Null, |s| Datum::Text(s.to_lowercase())))
             }),
         );
-        self.scalars.insert(
-            "length".into(),
+        builtin(
+            "length",
             Arc::new(|args| {
                 arity(args, 1, "length")?;
                 Ok(match &args[0] {
@@ -116,8 +158,8 @@ impl FunctionRegistry {
                 })
             }),
         );
-        self.scalars.insert(
-            "abs".into(),
+        builtin(
+            "abs",
             Arc::new(|args| {
                 arity(args, 1, "abs")?;
                 Ok(match &args[0] {
@@ -135,12 +177,12 @@ impl FunctionRegistry {
                 })
             }),
         );
-        self.scalars.insert(
-            "coalesce".into(),
+        builtin(
+            "coalesce",
             Arc::new(|args| Ok(args.iter().find(|d| !d.is_null()).cloned().unwrap_or(Datum::Null))),
         );
-        self.scalars.insert(
-            "substr".into(),
+        builtin(
+            "substr",
             Arc::new(|args| {
                 arity(args, 3, "substr")?;
                 if args.iter().any(Datum::is_null) {

@@ -53,7 +53,7 @@ pub use catalog::{ColumnDef, OpaqueTypeDef, TableDef};
 pub use datum::{DataType, Datum};
 pub use db::{Database, Prepared, ResultSet};
 pub use error::{DbError, DbResult};
-pub use expr::func::{AggregateFn, FunctionRegistry, ScalarFn};
+pub use expr::func::{AggregateFn, BoundScalarFn, FunctionRegistry, ScalarBinder, ScalarFn};
 pub use index::udi::AccessMethod;
 pub use storage::heap::Rid;
 pub use storage::vfs::{FaultConfig, FaultVfs, StdVfs, Vfs};

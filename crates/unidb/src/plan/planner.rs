@@ -299,11 +299,11 @@ fn attribute(expr: &Expr, tables: &[TableInfo]) -> Option<usize> {
     }
 }
 
-/// A histogram-backed access path expected to touch at least this
-/// fraction of the table loses to the fused sequential scan, which
-/// streams pages in order and prunes them by zone map. Fixed fallback
-/// selectivities (no histogram) never trigger the cutoff, so plans
-/// without statistics are unchanged.
+/// A histogram-backed or access-method-estimated path expected to touch
+/// at least this fraction of the table loses to the fused sequential scan,
+/// which streams pages in order and prunes them by zone map. Fixed
+/// fallback selectivities (no histogram) never trigger the cutoff, so
+/// plans without statistics are unchanged.
 const INDEX_WORTHWHILE: f64 = 0.4;
 
 /// Mirror a comparison for flipped operands: `5 < col` is `col > 5`.
@@ -539,7 +539,14 @@ fn build_scan(ctx: &dyn PlannerContext, t: &TableInfo, conjuncts: Vec<Expr>) -> 
                     .collect();
                 if let Some(rest) = rest {
                     let col = col.to_ascii_lowercase();
-                    if let Some(sel) = ctx.udi_selectivity(t.table_id, &col, func, &rest) {
+                    // The access method's estimate is a measurement of its
+                    // own postings, so the cutoff applies as it does to a
+                    // histogram: a probe that returns most of the table
+                    // (a pattern the index cannot filter) loses to the scan.
+                    let sel = ctx
+                        .udi_selectivity(t.table_id, &col, func, &rest)
+                        .filter(|sel| *sel < INDEX_WORTHWHILE);
+                    if let Some(sel) = sel {
                         consider(
                             (
                                 i,

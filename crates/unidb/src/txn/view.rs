@@ -113,6 +113,10 @@ impl<'a> ReadView<'a> {
 }
 
 impl StorageAccess for ReadView<'_> {
+    fn executing(&self) -> &std::sync::atomic::AtomicUsize {
+        self.inner.executing()
+    }
+
     fn scan_batches(
         &self,
         table_id: u32,

@@ -487,6 +487,8 @@ fn opaque_types_store_and_render() {
 struct ParityIndex {
     even: Vec<Rid>,
     odd: Vec<Rid>,
+    /// What the method tells the optimizer about itself.
+    selectivity: f64,
 }
 
 impl AccessMethod for ParityIndex {
@@ -519,7 +521,7 @@ impl AccessMethod for ParityIndex {
         Some(if n % 2 == 0 { self.even.clone() } else { self.odd.clone() })
     }
     fn selectivity(&self, _func: &str, _args: &[Datum]) -> Option<f64> {
-        Some(0.5)
+        Some(self.selectivity)
     }
 }
 
@@ -545,8 +547,12 @@ fn user_defined_index_drives_the_plan() {
         .unwrap();
     assert!(plan.contains("SeqScan"), "{plan}");
 
-    d.register_access_method("genes", "id", Box::new(ParityIndex { even: vec![], odd: vec![] }))
-        .unwrap();
+    d.register_access_method(
+        "genes",
+        "id",
+        Box::new(ParityIndex { even: vec![], odd: vec![], selectivity: 0.3 }),
+    )
+    .unwrap();
     let plan = d
         .execute("EXPLAIN SELECT symbol FROM genes WHERE same_parity(id, 2)")
         .unwrap()
@@ -563,6 +569,26 @@ fn user_defined_index_drives_the_plan() {
     d.execute("INSERT INTO genes VALUES (6, 'new_even', 10, 0.5)").unwrap();
     let rs = d.execute("SELECT symbol FROM genes WHERE same_parity(id, 2) ORDER BY id").unwrap();
     assert_eq!(texts(&rs), vec!["egfr", "new_even"]);
+}
+
+/// An access method that expects to return most of the table loses to the
+/// sequential scan, exactly as a B-tree path with such a histogram does.
+#[test]
+fn unselective_user_defined_index_loses_to_the_scan() {
+    let d = seeded();
+    d.register_scalar("same_parity", Arc::new(|_| Ok(Datum::Bool(true)))).unwrap();
+    d.register_access_method(
+        "genes",
+        "id",
+        Box::new(ParityIndex { even: vec![], odd: vec![], selectivity: 0.4 }),
+    )
+    .unwrap();
+    let plan = d
+        .execute("EXPLAIN SELECT symbol FROM genes WHERE same_parity(id, 2)")
+        .unwrap()
+        .explain
+        .unwrap();
+    assert!(plan.contains("SeqScan") && !plan.contains("UdiScan"), "{plan}");
 }
 
 #[test]

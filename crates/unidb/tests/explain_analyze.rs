@@ -210,3 +210,59 @@ fn explain_analyze_rejects_writes() {
     let rs = d.execute("SELECT count(*) FROM chroms").unwrap();
     assert_eq!(rs.rows[0][0].as_int().unwrap(), 4);
 }
+
+/// Intra-query parallelism is for idle cores: a scan that starts while
+/// another statement is executing fans out over one worker fewer. A scan
+/// emits one batch per wave of morsels, so the width shows in `batches`.
+#[test]
+fn a_scan_fans_out_only_over_cores_no_other_statement_occupies() {
+    use std::sync::{Arc, Barrier};
+
+    let d = Arc::new(Database::in_memory());
+    d.execute("CREATE TABLE wide (id INT, pad TEXT)").unwrap();
+    let pad = "x".repeat(200);
+    for chunk in 0..12 {
+        let values: Vec<String> =
+            (0..500).map(|i| format!("({}, '{pad}')", chunk * 500 + i)).collect();
+        d.execute(&format!("INSERT INTO wide VALUES {}", values.join(","))).unwrap();
+    }
+    d.set_parallelism(2);
+    let scan_batches = |d: &Database| {
+        let (rs, stats) = d.explain_analyze("SELECT id FROM wide WHERE id >= 0").unwrap();
+        assert_eq!(rs.rows.len(), 6000);
+        fn scan(s: &OpStatsSnapshot) -> Option<&OpStatsSnapshot> {
+            if s.is_scan {
+                return Some(s);
+            }
+            s.children.iter().find_map(scan)
+        }
+        scan(&stats).expect("the plan scans").batches
+    };
+    let alone = scan_batches(&d);
+    assert!(alone >= 2, "the table must span several waves, got {alone}");
+
+    // A statement that stays inside the executor until released.
+    let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let (e, r) = (Arc::clone(&entered), Arc::clone(&release));
+    d.register_scalar(
+        "hold",
+        Arc::new(move |_| {
+            e.wait();
+            r.wait();
+            Ok(unidb::Datum::Int(1))
+        }),
+    )
+    .unwrap();
+    let holder = {
+        let d = Arc::clone(&d);
+        std::thread::spawn(move || d.execute("SELECT hold()").unwrap())
+    };
+    entered.wait();
+    let beside = scan_batches(&d);
+    release.wait();
+    holder.join().unwrap();
+
+    // Width 1 is one morsel per batch; width 2 paired them up.
+    assert!(beside == 2 * alone || beside + 1 == 2 * alone, "{alone} alone, {beside} beside");
+    assert_eq!(scan_batches(&d), alone, "the width comes back once the other statement is done");
+}

@@ -9,9 +9,11 @@
 //!
 //! * **sessions** ([`SessionManager`]) with the §5.1 role split: public
 //!   (anonymous, read-only), user, maintainer;
-//! * a **worker pool** ([`WorkerPool`]) behind a *bounded* admission queue —
-//!   a saturated server rejects with a structured [`ServerError::Busy`]
-//!   carrying a retry hint instead of queueing unboundedly;
+//! * **bounded admission** ([`Admission`]): a statement runs on the thread
+//!   that received it once it holds one of `workers` permits; a bounded
+//!   number of callers may wait their turn, and a saturated server rejects
+//!   with a structured [`ServerError::Busy`] carrying a retry hint instead
+//!   of queueing unboundedly;
 //! * **plan and result caches** ([`PlanCache`], [`ResultCache`]) keyed on
 //!   normalized statement text and invalidated by the engine's catalog /
 //!   table generation counters — repeated public-space queries (the
@@ -33,8 +35,8 @@
 //!   panics, conflict storms, and load-harness SLO violations.
 //!
 //! The engine itself runs reads concurrently (shared read lock; see
-//! [`unidb::Database`]), so the pool translates directly into parallel
-//! SELECT throughput.
+//! [`unidb::Database`]), so the permits translate directly into parallel
+//! SELECT throughput across connections.
 //!
 //! ```
 //! use genalg_server::{Server, ServerConfig, SessionKind};
@@ -51,20 +53,20 @@
 //! client.close(session);
 //! ```
 
+pub mod admission;
 pub mod cache;
 pub mod error;
 pub mod metrics;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod service;
 pub mod session;
 
+pub use admission::{Admission, Permit};
 pub use cache::{normalize_sql, PlanCache, ResultCache, StatementKey};
 pub use error::{ServerError, ServerResult};
 pub use metrics::{Histogram, Metrics};
 pub use protocol::{Lang, Request, Response};
-pub use queue::WorkerPool;
 pub use server::{Client, Server, ServerHandle, TcpClient};
 pub use service::{stat_value, QueryService, ServerConfig, SlowQuery};
 pub use session::{SessionId, SessionKind, SessionManager};
@@ -72,6 +74,7 @@ pub use session::{SessionId, SessionKind, SessionManager};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
     use unidb::{Database, Datum};
 
@@ -214,48 +217,137 @@ mod tests {
 
     #[test]
     fn saturated_queue_returns_busy_to_clients() {
-        // One worker, one queue slot: park the worker, fill the slot, then
-        // the next query must bounce with Busy — deterministically.
+        // One permit, one waiting place: hold the permit, park a waiter,
+        // then the next query must bounce with Busy — deterministically.
         let config = ServerConfig { workers: 1, queue_capacity: 1, ..ServerConfig::default() };
         let server = seeded_server(&config);
         let client = server.client();
         let s = client.open(SessionKind::Public);
 
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        server
-            .pool()
-            .submit(move || {
-                started_tx.send(()).unwrap();
-                let _ = release_rx.recv();
-            })
-            .unwrap();
-        started_rx.recv().unwrap(); // the only worker is now parked
-        server.pool().submit(|| ()).unwrap(); // fills the single queue slot
-
-        let err = client.query(s, "SELECT 1").unwrap_err();
-        match err {
-            ServerError::Busy { retry_after_ms } => assert!(retry_after_ms > 0),
-            other => panic!("expected Busy, got {other:?}"),
-        }
-        release_tx.send(()).unwrap();
-
-        // The server recovers once the queue drains — which takes a moment,
-        // so honor the Busy retry hint — and the rejection is visible in
-        // SHOW STATS.
-        let rs = loop {
-            match client.query(s, "SELECT count(*) FROM public.genes") {
-                Ok(rs) => break rs,
-                Err(ServerError::Busy { retry_after_ms }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(retry_after_ms.min(20)));
-                }
-                Err(other) => panic!("expected Busy or success, got {other:?}"),
+        let held = server.admission().acquire().unwrap();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| client.query(s, "SELECT count(*) FROM public.genes"));
+            while server.service().metrics().queue_depth.load(Ordering::Relaxed) != 1 {
+                std::thread::yield_now();
             }
-        };
+            let err = client.query(s, "SELECT 1").unwrap_err();
+            match err {
+                ServerError::Busy { retry_after_ms } => assert!(retry_after_ms > 0),
+                other => panic!("expected Busy, got {other:?}"),
+            }
+            // The server recovers as soon as the permit comes back: the
+            // parked statement runs, and so does whatever comes next.
+            drop(held);
+            let rs = waiter.join().unwrap().unwrap();
+            assert_eq!(rs.rows[0][0], Datum::Int(3));
+        });
+        // The rejection and the wait are visible in SHOW STATS.
+        let stats = client.query(s, "SHOW STATS").unwrap();
+        assert_eq!(stat_value(&stats, "server_rejected_busy"), Some(1));
+        assert_eq!(stat_value(&stats, "server_queue_peak"), Some(1));
+        assert_eq!(stat_value(&stats, "server_queue_depth"), Some(0));
+    }
+
+    /// A statement runs on the thread that asked: no hand-off to a pool.
+    #[test]
+    fn statements_execute_on_the_calling_thread() {
+        let server = seeded_server(&ServerConfig::default());
+        let ran_on = Arc::new(parking_lot::Mutex::new(None));
+        let seen = Arc::clone(&ran_on);
+        server
+            .service()
+            .database()
+            .register_scalar(
+                "whoami",
+                Arc::new(move |_: &[Datum]| -> unidb::DbResult<Datum> {
+                    *seen.lock() = Some(std::thread::current().id());
+                    Ok(Datum::Int(1))
+                }),
+            )
+            .unwrap();
+        let client = server.client();
+        let s = client.open(SessionKind::Public);
+        client.query(s, "SELECT whoami()").unwrap();
+        assert_eq!(*ran_on.lock(), Some(std::thread::current().id()));
+    }
+
+    /// A panicking statement answers *its* caller with a structured error,
+    /// is counted, gives its permit back, and the session carries on.
+    #[test]
+    fn panicking_statement_is_contained() {
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let server = seeded_server(&config);
+        server
+            .service()
+            .database()
+            .register_scalar(
+                "boom",
+                Arc::new(|_: &[Datum]| -> unidb::DbResult<Datum> { panic!("injected panic") }),
+            )
+            .unwrap();
+        let client = server.client();
+        let s = client.open(SessionKind::Public);
+        let err = client.query(s, "SELECT boom()").unwrap_err();
+        assert!(matches!(err, ServerError::Io(_)), "got {err:?}");
+        // The only permit came back: this would wait forever otherwise.
+        let rs = client.query(s, "SELECT count(*) FROM public.genes").unwrap();
         assert_eq!(rs.rows[0][0], Datum::Int(3));
         let stats = client.query(s, "SHOW STATS").unwrap();
-        assert!(stat_value(&stats, "server_rejected_busy").unwrap() >= 1);
-        assert!(stat_value(&stats, "server_queue_peak").unwrap() >= 1);
+        assert_eq!(stat_value(&stats, "server_worker_panics"), Some(1));
+        assert_eq!(stat_value(&stats, "server_jobs_completed"), Some(1));
+        // Submitted counts the SHOW STATS statement that is reading it.
+        assert_eq!(stat_value(&stats, "server_jobs_submitted"), Some(3));
+        assert_eq!(stat_value(&stats, "query_queue_wait_count"), Some(3));
+    }
+
+    /// Satellite: a connection may only name the sessions it opened. Ids
+    /// are sequential, so anything less lets a `Public` client borrow a
+    /// `Maintainer` session by guessing a small integer.
+    #[test]
+    fn sessions_belong_to_the_connection_that_opened_them() {
+        let server = seeded_server(&ServerConfig::default());
+        let handle = server.listen("127.0.0.1:0").unwrap();
+        let mut owner = TcpClient::connect(handle.addr()).unwrap();
+        let maintainer = owner.open(SessionKind::Maintainer).unwrap();
+        let mut intruder = TcpClient::connect(handle.addr()).unwrap();
+        intruder.open(SessionKind::Public).unwrap();
+
+        let write = "INSERT INTO public.genes VALUES (4, 'gyrA')";
+        let err = intruder.query(maintainer, Lang::Sql, write).unwrap_err();
+        assert!(matches!(err, ServerError::UnknownSession), "got {err:?}");
+        let err = intruder.close(maintainer).unwrap_err();
+        assert!(matches!(err, ServerError::UnknownSession), "got {err:?}");
+        // The owner's session is untouched and still works.
+        assert_eq!(owner.query(maintainer, Lang::Sql, write).unwrap().affected, 1);
+        owner.close(maintainer).unwrap();
+        // Once closed, the id is gone for its former owner too.
+        let err = owner.query(maintainer, Lang::Sql, "SELECT 1").unwrap_err();
+        assert!(matches!(err, ServerError::UnknownSession), "got {err:?}");
+        handle.stop();
+    }
+
+    /// Satellite: a connection that ends without `CloseSession` takes its
+    /// sessions with it.
+    #[test]
+    fn dropped_connection_closes_its_sessions() {
+        let server = seeded_server(&ServerConfig::default());
+        let handle = server.listen("127.0.0.1:0").unwrap();
+        let active = || server.service().metrics().active_sessions.load(Ordering::Relaxed);
+        let before = active();
+        {
+            let mut doomed = TcpClient::connect(handle.addr()).unwrap();
+            doomed.open(SessionKind::Public).unwrap();
+            doomed.open(SessionKind::User("alice".into())).unwrap();
+            assert_eq!(active(), before + 2);
+            // Connection drops here — no CloseSession frame ever arrives.
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while active() != before {
+            assert!(std::time::Instant::now() < deadline, "sessions outlived their connection");
+            std::thread::yield_now();
+        }
+        assert_eq!(server.service().session_count(), before as usize);
+        handle.stop();
     }
 
     /// Satellite: `SHOW STATS` rows group by subsystem prefix. The exact

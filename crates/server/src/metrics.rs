@@ -14,21 +14,22 @@ use genalg_obs::Snapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The server's metrics registry. One instance per [`crate::Server`]; shared
-/// by every session and worker.
+/// by every session and connection.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Queries that completed successfully (any language, any kind).
     pub queries_ok: AtomicU64,
     /// Queries that returned an error to the client.
     pub queries_err: AtomicU64,
-    /// Requests rejected at admission because the queue was full.
+    /// Requests rejected at admission: every permit out, every waiting
+    /// place taken.
     pub rejected_busy: AtomicU64,
-    /// Jobs offered to the admission queue (accepted or shed). The pool's
-    /// conservation law — checked by the load tests — is
+    /// Statements offered to the admission gate (admitted or shed). The
+    /// gate's conservation law — checked by the load tests — is
     /// `jobs_submitted == jobs_completed + worker_panics + rejected_busy`
-    /// once the queue has drained.
+    /// once nothing is in flight.
     pub jobs_submitted: AtomicU64,
-    /// Jobs a worker ran to completion without panicking.
+    /// Admitted statements that ran to completion without panicking.
     pub jobs_completed: AtomicU64,
     /// Transactions rolled back by the expired-transaction sweep (the
     /// owning session went quiet — shed with `Busy` mid-transaction,
@@ -37,7 +38,7 @@ pub struct Metrics {
     /// Queries that failed with a storage-level I/O error
     /// ([`unidb::DbError::Io`]) — disk faults, not client mistakes.
     pub io_errors: AtomicU64,
-    /// Jobs that panicked on a worker thread (the worker survived).
+    /// Admitted statements that panicked (caught; the permit came back).
     pub worker_panics: AtomicU64,
     /// Plan-cache lookups that found a live prepared plan.
     pub plan_cache_hits: AtomicU64,
@@ -47,7 +48,7 @@ pub struct Metrics {
     pub result_cache_hits: AtomicU64,
     /// Result-cache lookups that had to execute.
     pub result_cache_misses: AtomicU64,
-    /// Requests currently waiting in the admission queue.
+    /// Callers currently waiting for an admission permit.
     pub queue_depth: AtomicU64,
     /// High-water mark of `queue_depth`.
     pub queue_peak: AtomicU64,
@@ -57,19 +58,20 @@ pub struct Metrics {
     pub read_latency: Histogram,
     /// Latency of write statements (DML / DDL / transactions).
     pub write_latency: Histogram,
-    /// Time jobs spend in the admission queue between enqueue and worker
-    /// pickup — the saturation signal `queue_depth` only hints at.
+    /// Time each admitted statement waited for its permit (0 when one was
+    /// free) — the saturation signal `queue_depth` only hints at.
     pub queue_wait: Histogram,
 }
 
 impl Metrics {
-    /// Bump the queue-depth gauge and maintain its high-water mark.
+    /// A caller starts waiting: bump the queue-depth gauge and maintain its
+    /// high-water mark.
     pub fn enqueue(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.queue_peak.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Decrement the queue-depth gauge when a job leaves the queue.
+    /// A waiting caller got its permit.
     pub fn dequeue(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }

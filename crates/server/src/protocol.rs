@@ -28,6 +28,9 @@ use unidb::ResultSet;
 /// Frames larger than this are rejected as malformed (64 MiB).
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
+/// What [`read_frame`] reserves before any payload byte has arrived.
+const FIRST_CHUNK: usize = 64 * 1024;
+
 /// Query language of a [`Request::Query`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lang {
@@ -65,20 +68,29 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 }
 
 /// Read one frame. `Ok(None)` means the peer closed the connection cleanly
-/// (EOF before any length byte).
+/// (EOF before any length byte); EOF anywhere later is an error.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
+    use std::io::ErrorKind::UnexpectedEof;
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
+    match r.read_exact(&mut len_buf[..1]) {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) if e.kind() == UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
+    // Past the first byte the peer is mid-frame: EOF is an error from here.
+    r.read_exact(&mut len_buf[1..])?;
     let len = u32::from_be_bytes(len_buf);
     if len > MAX_FRAME {
         return Err(std::io::Error::other("frame exceeds MAX_FRAME"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The declared length is only the peer's word: reserve a modest first
+    // chunk and let the buffer grow with the bytes that actually arrive, so
+    // a header alone cannot make the server allocate 64 MiB.
+    let mut payload = Vec::with_capacity((len as usize).min(FIRST_CHUNK));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(std::io::Error::new(UnexpectedEof, "frame payload cut short"));
+    }
     Ok(Some(payload))
 }
 
@@ -404,5 +416,17 @@ mod tests {
         // Oversized frame length.
         let mut r = &[0xff, 0xff, 0xff, 0xff, 0][..];
         assert!(read_frame(&mut r).is_err());
+        // A header cut off after 1-3 bytes is not a clean close.
+        for cut in 1..4 {
+            let mut r = &[0u8, 0, 0, 5][..cut];
+            let err = read_frame(&mut r).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "header of {cut} bytes");
+        }
+        // A peer that declares the largest frame and sends next to nothing
+        // gets an error, not a 64 MiB buffer waiting to be filled.
+        let mut bytes = MAX_FRAME.to_be_bytes().to_vec();
+        bytes.extend_from_slice(b"abc");
+        let err = read_frame(&mut &bytes[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

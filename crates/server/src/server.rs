@@ -1,16 +1,19 @@
 //! Transports: a TCP listener speaking the frame protocol, and an
-//! in-process client that exercises the identical dispatch path without a
-//! socket (used by tests and benches).
+//! in-process client that takes the identical path without a socket (used
+//! by tests and benches).
 //!
-//! Both funnel into `dispatch`: session management runs inline (cheap,
-//! never blocks on the engine) while queries go through the worker pool's
-//! bounded admission queue — a saturated server answers `Busy` instead of
-//! stacking connections.
+//! Both funnel statements into `run_statement`: the thread that received
+//! the statement — the connection's own, or the in-process caller's —
+//! takes a permit from the [`Admission`] gate and executes it there. A
+//! saturated server answers `Busy` instead of stacking connections.
+//! Session management runs inline (cheap, never blocks on the engine); a
+//! TCP connection may only use the sessions it opened itself, and whatever
+//! it leaves open is closed when it goes away.
 
+use crate::admission::Admission;
 use crate::error::{ServerError, ServerResult};
 use crate::protocol::{read_frame, write_frame, Lang, Request, Response};
-use crate::queue::WorkerPool;
-use crate::service::{QueryService, ServerConfig};
+use crate::service::{empty_result, QueryService, ServerConfig};
 use crate::session::{SessionId, SessionKind};
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -19,10 +22,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use unidb::{Database, ResultSet};
 
-/// The query server: service + worker pool, independent of transport.
+/// The query server: service + admission gate, independent of transport.
 pub struct Server {
     service: Arc<QueryService>,
-    pool: Arc<WorkerPool>,
+    gate: Arc<Admission>,
     /// Background metrics sampler feeding `SHOW HISTORY` and the incident
     /// triggers; stops when dropped with the server (or on its own once
     /// the service is gone — the tick holds only a `Weak`).
@@ -33,7 +36,7 @@ impl Server {
     /// Stand up a server over `db` with the given tuning.
     pub fn new(db: Arc<Database>, config: &ServerConfig) -> Self {
         let service = Arc::new(QueryService::new(db, config));
-        let pool = Arc::new(WorkerPool::new(
+        let gate = Arc::new(Admission::new(
             config.workers,
             config.queue_capacity,
             Arc::clone(service.metrics()),
@@ -51,7 +54,7 @@ impl Server {
                 },
             )
         });
-        Server { service, pool, _sampler: sampler }
+        Server { service, gate, _sampler: sampler }
     }
 
     /// The service behind this server (for stats inspection in tests).
@@ -59,14 +62,15 @@ impl Server {
         &self.service
     }
 
-    /// The worker pool (tests use this to park workers deterministically).
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
+    /// The admission gate (tests hold its permits to saturate the server
+    /// deterministically).
+    pub fn admission(&self) -> &Admission {
+        &self.gate
     }
 
-    /// An in-process client sharing this server's admission queue.
+    /// An in-process client sharing this server's admission gate.
     pub fn client(&self) -> Client {
-        Client { service: Arc::clone(&self.service), pool: Arc::clone(&self.pool) }
+        Client { service: Arc::clone(&self.service), gate: Arc::clone(&self.gate) }
     }
 
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve connections until the
@@ -76,7 +80,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let service = Arc::clone(&self.service);
-        let pool = Arc::clone(&self.pool);
+        let gate = Arc::clone(&self.gate);
         let accept_stop = Arc::clone(&stop);
         let thread = std::thread::Builder::new().name("genalg-accept".into()).spawn(move || {
             for conn in listener.incoming() {
@@ -85,9 +89,9 @@ impl Server {
                 }
                 let Ok(stream) = conn else { continue };
                 let service = Arc::clone(&service);
-                let pool = Arc::clone(&pool);
+                let gate = Arc::clone(&gate);
                 let _ = std::thread::Builder::new().name("genalg-conn".into()).spawn(move || {
-                    let _ = serve_connection(&service, &pool, stream);
+                    let _ = serve_connection(&service, &gate, stream);
                 });
             }
         })?;
@@ -130,49 +134,71 @@ impl Drop for ServerHandle {
     }
 }
 
-/// One request through the shared dispatch path. Session open/close run
-/// inline (cheap, never touch the engine); queries pass the bounded
-/// admission queue via [`dispatch_query`].
-fn dispatch(service: &Arc<QueryService>, pool: &WorkerPool, req: Request) -> Response {
-    match req {
-        Request::OpenSession { kind } => {
-            Response::SessionOpened { session: service.open_session(kind).0 }
-        }
-        Request::CloseSession { session } => {
-            service.close_session(SessionId(session));
-            Response::Ok(ResultSet { columns: vec![], rows: vec![], affected: 0, explain: None })
-        }
-        Request::Query { session, lang, text } => {
-            dispatch_query(service, pool, session, lang, text)
-        }
-    }
-}
-
-fn dispatch_query(
-    service: &Arc<QueryService>,
-    pool: &WorkerPool,
-    session: u64,
+/// One statement, on the calling thread: through the admission gate, then
+/// the service — the one path both transports share.
+fn run_statement(
+    service: &QueryService,
+    gate: &Admission,
+    session: SessionId,
     lang: Lang,
-    text: String,
-) -> Response {
-    let svc = Arc::clone(service);
-    match pool.run(move || svc.execute(SessionId(session), lang, &text)) {
-        Ok(Ok(rs)) => Response::Ok(rs),
-        Ok(Err(e)) => Response::Error(e),
-        Err(e) => Response::Error(e),
-    }
+    text: &str,
+) -> ServerResult<ResultSet> {
+    gate.run(|queue_wait_us| service.execute_admitted(session, lang, text, queue_wait_us))?
 }
 
 fn serve_connection(
-    service: &Arc<QueryService>,
-    pool: &WorkerPool,
+    service: &QueryService,
+    gate: &Admission,
     stream: TcpStream,
+) -> std::io::Result<()> {
+    // Sessions this connection opened and has not closed. Ids are small
+    // sequential integers, so honouring an id some *other* connection was
+    // issued would let a `Public` client speak in a `Maintainer` session by
+    // guessing it.
+    let mut owned: Vec<u64> = Vec::new();
+    let served = serve_requests(service, gate, stream, &mut owned);
+    // Nobody can name what the connection left open any more. A
+    // transaction rolled back here counts as reaped: its owner is gone,
+    // exactly as if the idle sweep had found it.
+    for session in owned {
+        if service.close_session(SessionId(session)) {
+            service.metrics().txn_reaped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    served
+}
+
+fn serve_requests(
+    service: &QueryService,
+    gate: &Admission,
+    stream: TcpStream,
+    owned: &mut Vec<u64>,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     while let Some(payload) = read_frame(&mut reader)? {
         let response = match Request::decode(&payload) {
-            Ok(req) => dispatch(service, pool, req),
+            Ok(Request::OpenSession { kind }) => {
+                let session = service.open_session(kind).0;
+                owned.push(session);
+                Response::SessionOpened { session }
+            }
+            Ok(Request::CloseSession { session } | Request::Query { session, .. })
+                if !owned.contains(&session) =>
+            {
+                Response::Error(ServerError::UnknownSession)
+            }
+            Ok(Request::CloseSession { session }) => {
+                owned.retain(|s| *s != session);
+                service.close_session(SessionId(session));
+                Response::Ok(empty_result())
+            }
+            Ok(Request::Query { session, lang, text }) => {
+                match run_statement(service, gate, SessionId(session), lang, &text) {
+                    Ok(rs) => Response::Ok(rs),
+                    Err(e) => Response::Error(e),
+                }
+            }
             Err(e) => Response::Error(e),
         };
         write_frame(&mut writer, &response.encode())?;
@@ -180,11 +206,13 @@ fn serve_connection(
     Ok(())
 }
 
-/// In-process client: same admission control and dispatch as TCP, no socket.
+/// In-process client: same admission control and statement path as TCP, no
+/// socket. It is the embedding program itself, so it is trusted with any
+/// session id, including ones a TCP connection opened.
 #[derive(Clone)]
 pub struct Client {
     service: Arc<QueryService>,
-    pool: Arc<WorkerPool>,
+    gate: Arc<Admission>,
 }
 
 impl Client {
@@ -198,20 +226,14 @@ impl Client {
         self.service.close_session(id);
     }
 
-    /// Run one SQL statement through the worker pool.
+    /// Run one SQL statement on the calling thread, admission permitting.
     pub fn query(&self, session: SessionId, sql: &str) -> ServerResult<ResultSet> {
-        self.request(session, Lang::Sql, sql)
+        run_statement(&self.service, &self.gate, session, Lang::Sql, sql)
     }
 
-    /// Run one BQL statement through the worker pool.
+    /// Run one BQL statement on the calling thread, admission permitting.
     pub fn query_bql(&self, session: SessionId, bql: &str) -> ServerResult<ResultSet> {
-        self.request(session, Lang::Bql, bql)
-    }
-
-    fn request(&self, session: SessionId, lang: Lang, text: &str) -> ServerResult<ResultSet> {
-        let svc = Arc::clone(&self.service);
-        let text = text.to_string();
-        self.pool.run(move || svc.execute(session, lang, &text))?
+        run_statement(&self.service, &self.gate, session, Lang::Bql, bql)
     }
 }
 

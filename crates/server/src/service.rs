@@ -41,9 +41,11 @@ const CONFLICT_STORM_THRESHOLD: u64 = 256;
 /// Tuning knobs for [`QueryService`] and [`crate::Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing queries.
+    /// Statements executing at once (admission permits). Each runs on the
+    /// thread that received it; no thread is spawned per permit.
     pub workers: usize,
-    /// Admission-queue slots; submissions beyond this bounce with `Busy`.
+    /// Callers allowed to wait for a permit; the caller after that bounces
+    /// with `Busy`. `workers + queue_capacity` bounds statements in flight.
     pub queue_capacity: usize,
     /// Prepared-plan LRU capacity.
     pub plan_cache_size: usize,
@@ -190,8 +192,10 @@ impl SlowQueryLog {
 
 /// How a read statement was answered — feeds the slow-query log.
 struct QueryPath {
-    plan: String,
-    cache: &'static str,
+    /// The plan a cached read executed; its label is rendered only if the
+    /// statement turns out slow.
+    plan: Option<Arc<unidb::Prepared>>,
+    cache: CacheTier,
 }
 
 /// The transport-independent query engine front end.
@@ -388,11 +392,11 @@ impl QueryService {
 
     /// Close a session (idempotent). A transaction left open by the
     /// session is rolled back — a disconnecting client must not keep a
-    /// snapshot pinned.
-    pub fn close_session(&self, id: SessionId) {
-        if let Some(txn) = self.sessions.close(id) {
-            let _ = self.db.txn_rollback(txn.id);
-        }
+    /// snapshot pinned — and the return value says whether one was.
+    pub fn close_session(&self, id: SessionId) -> bool {
+        let Some(txn) = self.sessions.close(id) else { return false };
+        let _ = self.db.txn_rollback(txn.id);
+        true
     }
 
     /// Number of currently open sessions.
@@ -448,9 +452,22 @@ impl QueryService {
         self.reap_except(speaking);
     }
 
-    /// Execute one statement on behalf of a session.
+    /// Execute one statement on behalf of a session that did not pass the
+    /// admission gate (embedders and harnesses calling the service directly).
     pub fn execute(&self, session: SessionId, lang: Lang, text: &str) -> ServerResult<ResultSet> {
-        let result = self.execute_inner(session, lang, text);
+        self.execute_admitted(session, lang, text, 0)
+    }
+
+    /// Execute one statement that waited `queue_wait_us` for admission; the
+    /// wait is attributed to the statement's fingerprint.
+    pub fn execute_admitted(
+        &self,
+        session: SessionId,
+        lang: Lang,
+        text: &str,
+        queue_wait_us: u64,
+    ) -> ServerResult<ResultSet> {
+        let result = self.execute_inner(session, lang, text, queue_wait_us);
         match &result {
             Ok(_) => {
                 self.metrics.queries_ok.fetch_add(1, Ordering::Relaxed);
@@ -468,7 +485,13 @@ impl QueryService {
         result
     }
 
-    fn execute_inner(&self, session: SessionId, lang: Lang, text: &str) -> ServerResult<ResultSet> {
+    fn execute_inner(
+        &self,
+        session: SessionId,
+        lang: Lang,
+        text: &str,
+        queue_wait_us: u64,
+    ) -> ServerResult<ResultSet> {
         let kind = self.sessions.kind(session).ok_or(ServerError::UnknownSession)?;
         // Abandoned transactions on *other* sessions are reaped by a
         // rate-limited global sweep riding on any statement (including the
@@ -549,19 +572,18 @@ impl QueryService {
         }
         let mut span = tracer.span("server.query");
         span.field("read", is_read);
-        let mut path = QueryPath { plan: statement_tag(&normalized), cache: "bypass" };
-        // Attribution inputs: the admission wait stamped by the worker that
-        // picked this request up, and the engine's page counters before
-        // execution (deltas are approximate under concurrency — shared
-        // counters attribute *somebody's* pages to concurrent statements).
-        let queue_wait_us = crate::queue::take_last_queue_wait_us();
+        let mut path = QueryPath { plan: None, cache: CacheTier::Bypass };
+        // Attribution inputs: the admission wait the caller measured, and
+        // the engine's page counters before execution (deltas are
+        // approximate under concurrency — shared counters attribute
+        // *somebody's* pages to concurrent statements).
         let pages_before = (self.db.scan_pages_read(), self.db.scan_pages_skipped());
         let start = Instant::now();
         let result = if let Some(txn) = self.sessions.txn(session) {
             // Inside an interactive transaction every statement goes to
             // its snapshot + write-set, bypassing both caches (a cached
             // latest-state result would violate snapshot isolation).
-            path.cache = "txn";
+            path.cache = CacheTier::Txn;
             let _exec = tracer.span_with_parent("server.execute", span.id());
             let outcome = self.db.txn_execute_as(txn.id, &sql, &role).map_err(ServerError::Db);
             self.sessions.touch_txn(session);
@@ -586,7 +608,7 @@ impl QueryService {
             normalized: &normalized,
             latency_us,
             ok: result.is_ok(),
-            tier: CacheTier::from_label(path.cache),
+            tier: path.cache,
             rows_out,
             pages_read: self.db.scan_pages_read().saturating_sub(pages_before.0),
             pages_skipped: self.db.scan_pages_skipped().saturating_sub(pages_before.1),
@@ -594,11 +616,11 @@ impl QueryService {
         });
         if result.is_ok() && latency_us >= self.slow_threshold_us {
             self.slow_log.record(SlowQuery {
+                plan: path.plan.map_or_else(|| statement_tag(&normalized), |p| p.root_label()),
                 sql: normalized,
                 latency_us,
                 role: kind_label(&kind),
-                plan: std::mem::take(&mut path.plan),
-                cache: path.cache,
+                cache: path.cache.label(),
             });
         }
         result
@@ -625,7 +647,7 @@ impl QueryService {
             self.result_cache.get(&key, catalog_gen, |ids| self.db.table_versions(ids))
         {
             self.metrics.result_cache_hits.fetch_add(1, Ordering::Relaxed);
-            path.cache = "result";
+            path.cache = CacheTier::Result;
             return Ok((*cached).clone());
         }
         drop(lookup);
@@ -638,12 +660,12 @@ impl QueryService {
             let plan = match self.plan_cache.get(&key, catalog_gen) {
                 Some(plan) => {
                     self.metrics.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    path.cache = "plan";
+                    path.cache = CacheTier::Plan;
                     plan
                 }
                 None => {
                     self.metrics.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-                    path.cache = "miss";
+                    path.cache = CacheTier::Miss;
                     let plan = {
                         let _span = tracer.span_with_parent("server.plan", parent);
                         Arc::new(self.db.prepare_as(sql, role)?)
@@ -652,7 +674,7 @@ impl QueryService {
                     plan
                 }
             };
-            path.plan = plan.root_label();
+            path.plan = Some(Arc::clone(&plan));
             // Every planned execution reports its plan hash; the registry
             // records an audit entry only when the hash flips. The audit
             // carries the access path, not the root label — an index
@@ -939,7 +961,7 @@ impl QueryService {
     }
 }
 
-fn empty_result() -> ResultSet {
+pub(crate) fn empty_result() -> ResultSet {
     ResultSet { columns: Vec::new(), rows: Vec::new(), affected: 0, explain: None }
 }
 

@@ -12,6 +12,7 @@
 //! pays for the scan.
 
 use genalg_server::{stat_value, Lang, Server, ServerConfig, ServerError, SessionKind, TcpClient};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use unidb::{Database, Datum, Role};
@@ -45,25 +46,25 @@ fn busy_shed_mid_transaction_is_reaped_by_other_traffic() {
     client.query(a, "BEGIN").unwrap();
     client.query(a, "INSERT INTO public.genes VALUES (4, 'gyrA')").unwrap();
 
-    // Saturate the pool: park the only worker, fill the only queue slot.
-    let (started_tx, started_rx) = std::sync::mpsc::channel();
-    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-    server
-        .pool()
-        .submit(move || {
-            started_tx.send(()).unwrap();
-            let _ = release_rx.recv();
-        })
-        .unwrap();
-    started_rx.recv().unwrap();
-    server.pool().submit(|| ()).unwrap();
-
-    // A's next in-transaction statement is shed at admission — it never
-    // reaches the service, so nothing touches the transaction's idle
-    // clock. A gives up here: no COMMIT, no ROLLBACK, no close.
-    let err = client.query(a, "INSERT INTO public.genes VALUES (5, 'rpoC')").unwrap_err();
-    assert!(matches!(err, ServerError::Busy { .. }), "got {err:?}");
-    release_tx.send(()).unwrap();
+    // Saturate the gate: hold the only permit, park a caller in the only
+    // waiting place.
+    let held = server.admission().acquire().unwrap();
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| {
+            let s = client.open(SessionKind::Public);
+            client.query(s, "SELECT 1").unwrap();
+        });
+        while server.service().metrics().queue_depth.load(Ordering::Relaxed) != 1 {
+            std::thread::yield_now();
+        }
+        // A's next in-transaction statement is shed at admission — it never
+        // reaches the service, so nothing touches the transaction's idle
+        // clock. A gives up here: no COMMIT, no ROLLBACK, no close.
+        let err = client.query(a, "INSERT INTO public.genes VALUES (5, 'rpoC')").unwrap_err();
+        assert!(matches!(err, ServerError::Busy { .. }), "got {err:?}");
+        drop(held);
+        parked.join().unwrap();
+    });
 
     // Other sessions keep talking. Once A's transaction has sat idle past
     // the timeout, their traffic must reap it — A never speaks again.
@@ -71,11 +72,7 @@ fn busy_shed_mid_transaction_is_reaped_by_other_traffic() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let reaped = loop {
         std::thread::sleep(Duration::from_millis(20));
-        let stats = match client.query(b, "SHOW STATS") {
-            Ok(rs) => rs,
-            Err(ServerError::Busy { .. }) => continue, // queue still draining
-            Err(other) => panic!("unexpected error {other:?}"),
-        };
+        let stats = client.query(b, "SHOW STATS").unwrap();
         if stat_value(&stats, "txn_reaped") == Some(1) {
             break stats;
         }

@@ -204,6 +204,11 @@ pub struct Prepared {
     plan_hash: u64,
     est_rows: u64,
     stats_gen: u64,
+    /// Rendered once by [`Database::prepare_as`]: a cached plan is asked
+    /// for both labels on every execution.
+    root_label: String,
+    access_label: String,
+    approx_bytes: usize,
 }
 
 impl Prepared {
@@ -225,7 +230,7 @@ impl Prepared {
     /// One-line summary of the plan's root operator (the first line of
     /// `EXPLAIN`) — what slow-query logs record instead of the whole tree.
     pub fn root_label(&self) -> String {
-        self.plan.node_label()
+        self.root_label.clone()
     }
 
     /// The deepest line of the literal-elided plan, trimmed — the access
@@ -234,8 +239,7 @@ impl Prepared {
     /// exactly the change worth naming; literals are elided so the label
     /// matches the hash's insensitivity to bound constants.
     pub fn access_label(&self) -> String {
-        let shape = self.plan.shape();
-        shape.lines().last().unwrap_or_default().trim_start().to_string()
+        self.access_label.clone()
     }
 
     /// Deterministic hash of the plan *shape* (the literal-elided
@@ -261,12 +265,10 @@ impl Prepared {
     }
 
     /// Rough heap footprint of this prepared statement for cache byte
-    /// accounting: the plan's rendered size plus column/table metadata.
+    /// accounting: the plan's rendered (literal-elided) size plus
+    /// column/table metadata.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.plan.explain().len()
-            + self.columns.iter().map(|c| c.len()).sum::<usize>()
-            + self.table_ids.len() * std::mem::size_of::<u32>()
+        self.approx_bytes
     }
 }
 
@@ -515,15 +517,24 @@ impl Database {
         let inner = self.inner.read();
         let (plan, columns) = plan_select(&*inner, role.default_space(), &s)?;
         let table_ids = plan.table_ids();
+        // One rendering of the literal-elided tree serves the hash, the
+        // access label (its deepest line) and the size estimate.
+        let shape = plan.shape();
         let plan_hash = {
             use std::hash::{Hash, Hasher};
             let mut h = crate::fxhash::FxHasher::default();
-            plan.shape().hash(&mut h);
+            shape.hash(&mut h);
             h.finish()
         };
+        let access_label = shape.lines().last().unwrap_or_default().trim_start().to_string();
+        let approx_bytes = std::mem::size_of::<Prepared>()
+            + shape.len()
+            + columns.iter().map(|c| c.len()).sum::<usize>()
+            + table_ids.len() * std::mem::size_of::<u32>();
         let est_rows = crate::plan::planner::estimate_rows(&plan, &*inner).round().max(0.0) as u64;
         let stats_gen = inner.stats_rebuilt.load(Ordering::Relaxed);
         Ok(Prepared {
+            root_label: plan.node_label(),
             plan,
             columns,
             table_ids,
@@ -531,6 +542,8 @@ impl Database {
             plan_hash,
             est_rows,
             stats_gen,
+            access_label,
+            approx_bytes,
         })
     }
 

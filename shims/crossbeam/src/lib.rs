@@ -3,46 +3,13 @@
 
 pub mod channel {
     use std::sync::mpsc;
-    use std::time::Duration;
 
     /// Error returned by [`Sender::send`] when the receiver is gone.
     #[derive(Debug, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
-    /// Error returned by [`Sender::try_send`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        Full(T),
-        Disconnected(T),
-    }
-
-    /// Error returned by [`Receiver::recv`] when all senders are gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        Timeout,
-        Disconnected,
-    }
-
-    enum Tx<T> {
-        Unbounded(mpsc::Sender<T>),
-        Bounded(mpsc::SyncSender<T>),
-    }
-
-    impl<T> Clone for Tx<T> {
-        fn clone(&self) -> Self {
-            match self {
-                Tx::Unbounded(s) => Tx::Unbounded(s.clone()),
-                Tx::Bounded(s) => Tx::Bounded(s.clone()),
-            }
-        }
-    }
-
     /// The sending half of a channel.
-    pub struct Sender<T>(Tx<T>);
+    pub struct Sender<T>(mpsc::Sender<T>);
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
@@ -50,31 +17,10 @@ pub mod channel {
         }
     }
 
-    impl<T> std::fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
     impl<T> Sender<T> {
-        /// Send a value, blocking if a bounded channel is full.
+        /// Send a value; fails only once the receiver is gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            match &self.0 {
-                Tx::Unbounded(s) => s.send(value).map_err(|e| SendError(e.0)),
-                Tx::Bounded(s) => s.send(value).map_err(|e| SendError(e.0)),
-            }
-        }
-
-        /// Send without blocking; a full bounded channel reports
-        /// [`TrySendError::Full`] instead of waiting.
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            match &self.0 {
-                Tx::Unbounded(s) => s.send(value).map_err(|e| TrySendError::Disconnected(e.0)),
-                Tx::Bounded(s) => s.try_send(value).map_err(|e| match e {
-                    mpsc::TrySendError::Full(v) => TrySendError::Full(v),
-                    mpsc::TrySendError::Disconnected(v) => TrySendError::Disconnected(v),
-                }),
-            }
+            self.0.send(value).map_err(|e| SendError(e.0))
         }
     }
 
@@ -88,45 +34,16 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
-        /// Block until a value arrives or every sender disconnects.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv().map_err(|_| RecvError)
-        }
-
-        /// Block with a deadline.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-                mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-            })
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Option<T> {
-            self.0.try_recv().ok()
-        }
-
         /// Iterator over values currently queued (non-blocking).
         pub fn try_iter(&self) -> impl Iterator<Item = T> + '_ {
             self.0.try_iter()
-        }
-
-        /// Blocking iterator until disconnect.
-        pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-            self.0.iter()
         }
     }
 
     /// A channel with unlimited capacity.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let (tx, rx) = mpsc::channel();
-        (Sender(Tx::Unbounded(tx)), Receiver(rx))
-    }
-
-    /// A channel holding at most `cap` queued values.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender(Tx::Bounded(tx)), Receiver(rx))
+        (Sender(tx), Receiver(rx))
     }
 }
 
@@ -140,18 +57,8 @@ mod tests {
         tx.send(1).unwrap();
         tx.clone().send(2).unwrap();
         assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(rx.try_recv(), None);
-    }
-
-    #[test]
-    fn bounded_backpressure() {
-        let (tx, rx) = bounded(1);
-        tx.try_send(1).unwrap();
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
-        assert_eq!(rx.recv(), Ok(1));
-        tx.try_send(3).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Ok(3));
-        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(rx.try_iter().next(), None);
+        drop(rx);
+        assert_eq!(tx.send(3), Err(SendError(3)));
     }
 }

@@ -93,7 +93,19 @@ fn bench_heap(c: &mut Criterion) {
     for i in 0..5000u32 {
         heap.insert(&i.to_le_bytes()).unwrap();
     }
-    group.bench_function("scan_5000", |b| b.iter(|| heap.scan().unwrap().len()));
+    group.bench_function("scan_5000", |b| {
+        b.iter(|| {
+            let mut rows = 0usize;
+            for page_no in 0..heap.num_pages() {
+                heap.page_visit_rows(page_no, &mut |_| {
+                    rows += 1;
+                    Ok(())
+                })
+                .unwrap();
+            }
+            rows
+        })
+    });
     group.finish();
 }
 

@@ -5,19 +5,31 @@
 //! snapshot readers scanning while writers churn (measures reader
 //! isolation from the write path).
 //!
+//! A second section times single statements, commit excluded, on a
+//! 10 000-row table with a unique index: the indexed point `SELECT` and the
+//! indexed point `UPDATE` in autocommit, as the first statement of a
+//! transaction on a clean table, and as the first statement of a transaction
+//! whose table another session committed to after the snapshot. The
+//! `update_vs_select` ratios are same-run and are what to read: an `UPDATE`
+//! that finds its row through the index costs a small multiple of the
+//! `SELECT`, in every context; one that walks the heap costs 30–50×.
+//!
 //! Emits one JSON document on stdout:
 //!
 //! ```json
 //! {"bench":"txn","results":[
 //!   {"mode":"disjoint","writers":4,"committed":8000,"conflict_retries":0,
-//!    "elapsed_ms":420.0,"commits_per_sec":19047.6}]}
+//!    "elapsed_ms":420.0,"commits_per_sec":19047.6}],
+//!  "statements":[
+//!   {"context":"autocommit","select_us":20.1,"update_us":31.0,"update_vs_select":1.5}]}
 //! ```
 //!
 //! Environment:
 //!
 //! * `BENCH_TXN_WRITERS` — comma-separated writer-thread counts
 //!   (default `1,2,4`); CI smoke uses `1,2`.
-//! * `BENCH_TXN_OPS` — committed transactions per writer (default `2000`).
+//! * `BENCH_TXN_OPS` — committed transactions per writer, and timed
+//!   statements per cell of the statement section (default `2000`).
 //!
 //! Run with `cargo bench -p genalg-bench --bench txn`.
 
@@ -42,18 +54,22 @@ fn env_u64(name: &str, default: u64) -> u64 {
 }
 
 fn build_db() -> Arc<Database> {
+    build_db_with(SEED_ROWS)
+}
+
+fn build_db_with(rows: i64) -> Arc<Database> {
     let db = Database::in_memory();
     db.execute("CREATE TABLE t (k INT, v INT)").unwrap();
     db.execute("CREATE UNIQUE INDEX ON t (k)").unwrap();
     let mut batch = String::new();
-    for k in 0..SEED_ROWS {
+    for k in 0..rows {
         if batch.is_empty() {
             batch.push_str("INSERT INTO t VALUES ");
         } else {
             batch.push(',');
         }
         batch.push_str(&format!("({k}, 0)"));
-        if (k + 1) % 256 == 0 || k + 1 == SEED_ROWS {
+        if (k + 1) % 256 == 0 || k + 1 == rows {
             db.execute(&batch).unwrap();
             batch.clear();
         }
@@ -157,6 +173,77 @@ fn run_read_while_write(db: &Arc<Database>, writers: u64, ops: u64) -> (f64, u64
     )
 }
 
+/// Rows of the statement-timing table.
+const STATEMENT_ROWS: i64 = 10_000;
+
+/// Where a timed statement runs.
+#[derive(Clone, Copy)]
+enum Context {
+    Autocommit,
+    /// First statement of a transaction nothing has committed under.
+    CleanTxn,
+    /// First statement of a transaction whose table another session
+    /// committed to after the snapshot.
+    DirtyTxn,
+}
+
+/// Mean microseconds of `n` executions of `stmt(key)` in `context`, keys
+/// striding over the table; begin, the other session's commit and the
+/// rollback are outside the timed region.
+fn time_statement(db: &Database, context: Context, n: u64, stmt: impl Fn(i64) -> String) -> f64 {
+    let mut total = std::time::Duration::ZERO;
+    for i in 0..n as i64 {
+        let sql = stmt(i * 7919 % STATEMENT_ROWS);
+        let txn = match context {
+            Context::Autocommit => None,
+            Context::CleanTxn => Some(db.txn_begin()),
+            Context::DirtyTxn => {
+                let id = db.txn_begin();
+                let other = (i * 7919 + 1) % STATEMENT_ROWS;
+                db.execute(&format!("UPDATE t SET v = v + 1 WHERE k = {other}")).unwrap();
+                Some(id)
+            }
+        };
+        let start = Instant::now();
+        let rs = match txn {
+            None => db.execute(&sql),
+            Some(id) => db.txn_execute(id, &sql),
+        };
+        total += start.elapsed();
+        std::hint::black_box(rs.unwrap());
+        if let Some(id) = txn {
+            db.txn_rollback(id).unwrap();
+        }
+    }
+    total.as_secs_f64() * 1e6 / n as f64
+}
+
+fn statement_section(n: u64) -> Vec<String> {
+    let db = build_db_with(STATEMENT_ROWS);
+    [
+        ("autocommit", Context::Autocommit),
+        ("clean_txn", Context::CleanTxn),
+        ("dirty_txn", Context::DirtyTxn),
+    ]
+    .iter()
+    .map(|&(name, context)| {
+        let select = time_statement(&db, context, n, |k| format!("SELECT v FROM t WHERE k = {k}"));
+        let update =
+            time_statement(&db, context, n, |k| format!("UPDATE t SET v = v + 1 WHERE k = {k}"));
+        format!(
+            concat!(
+                "{{\"context\":\"{}\",\"select_us\":{:.1},\"update_us\":{:.1},",
+                "\"update_vs_select\":{:.2}}}"
+            ),
+            name,
+            select,
+            update,
+            update / select,
+        )
+    })
+    .collect()
+}
+
 fn main() {
     let writer_counts = env_list("BENCH_TXN_WRITERS", "1,2,4");
     let ops = env_u64("BENCH_TXN_OPS", 2000);
@@ -217,5 +304,9 @@ fn main() {
             scans as f64 / (ms / 1e3),
         ));
     }
-    println!("{{\"bench\":\"txn\",\"results\":[{}]}}", results.join(","));
+    println!(
+        "{{\"bench\":\"txn\",\"results\":[{}],\"statements\":[{}]}}",
+        results.join(","),
+        statement_section(ops).join(",")
+    );
 }

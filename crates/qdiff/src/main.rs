@@ -127,8 +127,13 @@ fn main() -> ExitCode {
     }
 
     // Concurrent-transaction sweep: interleaved BEGIN/COMMIT events across
-    // slots, checked against the snapshot-isolation oracle.
-    for seed in args.start..args.start + args.txn_count {
+    // slots, checked against the snapshot-isolation oracle. CI cuts its
+    // shards from the scalar range (`start` = shard × `count`); the txn
+    // range is cut the same way at its own length, so shards with a longer
+    // txn sweep stay disjoint. (`--start S --seeds 1 --txn-seeds 1` replays
+    // txn seed S.)
+    let txn_start = args.start.checked_div(args.count).map_or(args.start, |i| i * args.txn_count);
+    for seed in txn_start..txn_start + args.txn_count {
         let sc = gen_txn_scenario(seed);
         let Some(first) = check_txn_scenario(&sc) else { continue };
         divergent += 1;
@@ -162,8 +167,9 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "qdiff: {} scalar + {} txn seeds checked (from {}), {divergent} divergence(s)",
-        args.count, args.txn_count, args.start
+        "qdiff: {} scalar (from {}) + {} txn (from {txn_start}) seeds checked, \
+         {divergent} divergence(s)",
+        args.count, args.start, args.txn_count
     );
     if divergent == 0 {
         ExitCode::SUCCESS

@@ -3,7 +3,11 @@
 //! A seeded generator produces an *interleaving*: BEGIN / statement /
 //! COMMIT / ROLLBACK events spread across up to three transaction slots,
 //! mixed with auto-commit statements, all over one table
-//! `t (k INT, v INT)` with a unique index on `k`. Every event runs through
+//! `t (k INT, v INT)` with a unique index on `k` and a plain one on `v`:
+//! point and range reads, reads through the non-unique index, inserts,
+//! updates, deletes, and updates that *move* a row's unique key — so every
+//! statement of the sweep goes through an index probe whose candidates the
+//! engine must re-check against the snapshot. Every event runs through
 //! the real engine's transaction API **and** through an independent
 //! snapshot-isolation reference model, and the outcomes — result rows,
 //! affected counts, and the *kind* of error (serialization conflict vs
@@ -28,7 +32,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::btree_map::Entry;
 use std::collections::hash_map::Entry as HashEntry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,14 +41,40 @@ use unidb::{Database, Datum, DbError, ResultSet};
 pub const TXN_SLOTS: u8 = 3;
 /// Small key space so transactions collide often.
 const KEYS: i64 = 8;
+/// Small value space so the non-unique index on `v` holds duplicates.
+const VALS: i64 = 12;
 
 /// One statement against the fuzz table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TOp {
-    Insert { k: i64, v: i64 },
-    Update { k: i64, v: i64 },
-    Delete { k: i64 },
-    Get { k: i64 },
+    Insert {
+        k: i64,
+        v: i64,
+    },
+    Update {
+        k: i64,
+        v: i64,
+    },
+    /// `UPDATE t SET k = to WHERE k = from`: the unique key moves.
+    Move {
+        from: i64,
+        to: i64,
+    },
+    Delete {
+        k: i64,
+    },
+    Get {
+        k: i64,
+    },
+    /// `k >= lo AND k < hi`.
+    Range {
+        lo: i64,
+        hi: i64,
+    },
+    /// A read through the non-unique index on `v`.
+    ByV {
+        v: i64,
+    },
     Scan,
 }
 
@@ -54,14 +83,17 @@ impl TOp {
         match self {
             TOp::Insert { k, v } => format!("INSERT INTO t VALUES ({k}, {v})"),
             TOp::Update { k, v } => format!("UPDATE t SET v = {v} WHERE k = {k}"),
+            TOp::Move { from, to } => format!("UPDATE t SET k = {to} WHERE k = {from}"),
             TOp::Delete { k } => format!("DELETE FROM t WHERE k = {k}"),
             TOp::Get { k } => format!("SELECT k, v FROM t WHERE k = {k}"),
+            TOp::Range { lo, hi } => format!("SELECT k, v FROM t WHERE k >= {lo} AND k < {hi}"),
+            TOp::ByV { v } => format!("SELECT k, v FROM t WHERE v = {v}"),
             TOp::Scan => "SELECT k, v FROM t".into(),
         }
     }
 
     fn is_read(self) -> bool {
-        matches!(self, TOp::Get { .. } | TOp::Scan)
+        matches!(self, TOp::Get { .. } | TOp::Range { .. } | TOp::ByV { .. } | TOp::Scan)
     }
 }
 
@@ -112,7 +144,8 @@ impl TxnScenario {
     pub fn render_script(&self) -> String {
         let mut out = format!(
             "-- qdiff txn scenario, seed {}\n\
-             -- setup: CREATE TABLE t (k INT, v INT); CREATE UNIQUE INDEX ON t (k)\n",
+             -- setup: CREATE TABLE t (k INT, v INT); CREATE UNIQUE INDEX ON t (k); \
+             CREATE INDEX ON t (v)\n",
             self.seed
         );
         for (i, ev) in self.events.iter().enumerate() {
@@ -179,15 +212,17 @@ impl std::fmt::Display for TxnDivergence {
 struct MTxn {
     /// Commit timestamp visible to this transaction.
     snap: u64,
-    /// Frozen committed state at BEGIN.
+    /// Frozen committed state at BEGIN. A committed row is identified by
+    /// its *origin*: the key it had in this snapshot.
     snap_live: BTreeMap<i64, i64>,
-    /// Buffered updates of committed rows (key → new value).
-    upd: BTreeMap<i64, i64>,
-    /// Buffered deletes of committed rows.
+    /// Buffered rewrites of committed rows: origin → (current key, value).
+    /// The current key differs from the origin after a key-moving UPDATE.
+    upd: BTreeMap<i64, (i64, i64)>,
+    /// Origins of committed rows this transaction deleted.
     del: BTreeSet<i64>,
-    /// Own inserts still alive (key → value).
+    /// Own inserts still alive (current key → value).
     ins: BTreeMap<i64, i64>,
-    /// Keys whose *committed* row this transaction updated or deleted —
+    /// Origins whose *committed* row this transaction updated or deleted —
     /// the write-set first-committer-wins validation ranges over.
     touched: BTreeSet<i64>,
     /// A statement hit a serialization conflict; everything after must
@@ -195,16 +230,57 @@ struct MTxn {
     doomed: bool,
 }
 
+/// Which buffered or snapshot row a key resolves to in a transaction's view.
+enum Holder {
+    /// An own insert.
+    Ins,
+    /// A committed row this transaction rewrote, by origin.
+    Upd(i64),
+    /// An untouched snapshot row (its origin is the key itself).
+    Snap,
+}
+
 impl MTxn {
-    fn visible(&self, k: i64) -> Option<i64> {
+    /// The transaction's view: its snapshot, minus the committed rows it
+    /// deleted or rewrote, plus the rewritten images and its own inserts.
+    fn view(&self) -> BTreeMap<i64, i64> {
+        let mut rows = self.snap_live.clone();
+        for origin in self.del.iter().chain(self.upd.keys()) {
+            rows.remove(origin);
+        }
+        rows.extend(self.upd.values().copied());
+        rows.extend(self.ins.iter().map(|(&k, &v)| (k, v)));
+        rows
+    }
+
+    /// The row holding key `k` in the view, and its value.
+    fn holder(&self, k: i64) -> Option<(Holder, i64)> {
         if let Some(&v) = self.ins.get(&k) {
-            Some(v)
-        } else if let Some(&v) = self.upd.get(&k) {
-            Some(v)
-        } else if self.del.contains(&k) {
-            None
-        } else {
-            self.snap_live.get(&k).copied()
+            return Some((Holder::Ins, v));
+        }
+        if let Some((&origin, &(_, v))) = self.upd.iter().find(|(_, &(cur, _))| cur == k) {
+            return Some((Holder::Upd(origin), v));
+        }
+        if self.del.contains(&k) || self.upd.contains_key(&k) {
+            return None;
+        }
+        self.snap_live.get(&k).map(|&v| (Holder::Snap, v))
+    }
+
+    /// Rewrite the row `holder` refers to (found under key `k`) as `(to, v)`.
+    fn rewrite(&mut self, holder: Holder, k: i64, to: i64, v: i64) {
+        match holder {
+            Holder::Ins => {
+                self.ins.remove(&k);
+                self.ins.insert(to, v);
+            }
+            Holder::Upd(origin) => {
+                self.upd.insert(origin, (to, v));
+            }
+            Holder::Snap => {
+                self.upd.insert(k, (to, v));
+                self.touched.insert(k);
+            }
         }
     }
 }
@@ -214,11 +290,27 @@ struct Model {
     /// Latest committed state.
     committed: BTreeMap<i64, i64>,
     /// Per-key version: the commit timestamp that last wrote (inserted,
-    /// updated, or deleted) the key.
+    /// updated, deleted, moved a row into or out of) the key.
     ver: BTreeMap<i64, u64>,
     /// Commit timestamp counter.
     ts: u64,
     open: HashMap<u8, MTxn>,
+}
+
+fn rows_where(rows: &BTreeMap<i64, i64>, keep: impl Fn(i64, i64) -> bool) -> TOutcome {
+    TOutcome::Rows(rows.iter().map(|(&k, &v)| (k, v)).filter(|&(k, v)| keep(k, v)).collect())
+}
+
+/// The rows a read returns from `rows` (the committed state, or a
+/// transaction's view).
+fn read(rows: &BTreeMap<i64, i64>, op: TOp) -> TOutcome {
+    match op {
+        TOp::Get { k } => rows_where(rows, |key, _| key == k),
+        TOp::Range { lo, hi } => rows_where(rows, |key, _| lo <= key && key < hi),
+        TOp::ByV { v } => rows_where(rows, |_, val| val == v),
+        TOp::Scan => rows_where(rows, |_, _| true),
+        _ => unreachable!("read() takes read ops"),
+    }
 }
 
 impl Model {
@@ -229,8 +321,14 @@ impl Model {
         );
     }
 
-    fn write_key(&mut self, k: i64, v: Option<i64>) {
+    /// One auto-committed statement writing `k` (and, for a key move,
+    /// `from` — both under the same commit timestamp).
+    fn write_key(&mut self, from: Option<i64>, k: i64, v: Option<i64>) {
         self.ts += 1;
+        if let Some(from) = from {
+            self.committed.remove(&from);
+            self.ver.insert(from, self.ts);
+        }
         match v {
             Some(v) => {
                 self.committed.insert(k, v);
@@ -248,29 +346,34 @@ impl Model {
                 if self.committed.contains_key(&k) {
                     return TOutcome::Fail(ErrKind::Constraint);
                 }
-                self.write_key(k, Some(v));
+                self.write_key(None, k, Some(v));
                 TOutcome::Affected(1)
             }
             TOp::Update { k, v } => {
                 if self.committed.contains_key(&k) {
-                    self.write_key(k, Some(v));
+                    self.write_key(None, k, Some(v));
                     TOutcome::Affected(1)
                 } else {
                     TOutcome::Affected(0)
                 }
+            }
+            TOp::Move { from, to } => {
+                let Some(&v) = self.committed.get(&from) else { return TOutcome::Affected(0) };
+                if from != to && self.committed.contains_key(&to) {
+                    return TOutcome::Fail(ErrKind::Constraint);
+                }
+                self.write_key(Some(from), to, Some(v));
+                TOutcome::Affected(1)
             }
             TOp::Delete { k } => {
                 if self.committed.contains_key(&k) {
-                    self.write_key(k, None);
+                    self.write_key(None, k, None);
                     TOutcome::Affected(1)
                 } else {
                     TOutcome::Affected(0)
                 }
             }
-            TOp::Get { k } => {
-                TOutcome::Rows(self.committed.get(&k).map(|&v| (k, v)).into_iter().collect())
-            }
-            TOp::Scan => TOutcome::Rows(self.committed.iter().map(|(&k, &v)| (k, v)).collect()),
+            read_op => read(&self.committed, read_op),
         }
     }
 
@@ -281,84 +384,99 @@ impl Model {
         out
     }
 
+    fn key_ver(&self, k: i64) -> u64 {
+        self.ver.get(&k).copied().unwrap_or(0)
+    }
+
+    /// A key is *stale* when the snapshot still sees its old image but a
+    /// concurrent commit has since rewritten, moved or removed that row —
+    /// the engine serves the image from the version chain and refuses to
+    /// write through it, whatever the transaction itself did to the row.
+    fn stale(&self, txn: &MTxn, k: i64) -> bool {
+        txn.snap_live.contains_key(&k) && self.key_ver(k) > txn.snap
+    }
+
+    /// May the transaction bring a row with key `k` into its view (by
+    /// insert, or by moving a row that currently has another key onto it)?
+    /// The precedence mirrors the engine's: a committed holder the snapshot
+    /// cannot see is a (retryable) conflict, one it can see a constraint
+    /// violation — unless the transaction already deleted, rewrote or moved
+    /// it — then the snapshot's own superseded image, then own writes.
+    fn claim_key(&self, txn: &MTxn, k: i64) -> Result<(), ErrKind> {
+        if self.committed.contains_key(&k) {
+            if self.key_ver(k) > txn.snap {
+                return Err(ErrKind::Conflict);
+            }
+            if !txn.touched.contains(&k) {
+                return Err(ErrKind::Constraint);
+            }
+        } else if self.stale(txn, k) {
+            return Err(ErrKind::Constraint);
+        }
+        if txn.ins.contains_key(&k) || txn.upd.values().any(|&(cur, _)| cur == k) {
+            return Err(ErrKind::Constraint);
+        }
+        Ok(())
+    }
+
     fn stmt_inner(&self, txn: &mut MTxn, op: TOp) -> TOutcome {
         if txn.doomed {
             return TOutcome::Fail(ErrKind::Conflict);
         }
-        // A key is *stale* when the snapshot still sees its old image but
-        // a concurrent commit has since rewritten or removed it — the
-        // engine serves that image from the version chain and refuses to
-        // write through it.
-        let key_ver = |k: i64| self.ver.get(&k).copied().unwrap_or(0);
-        let stale = |txn: &MTxn, k: i64| txn.snap_live.contains_key(&k) && key_ver(k) > txn.snap;
+        let fail = |txn: &mut MTxn, kind: ErrKind| {
+            txn.doomed |= kind == ErrKind::Conflict;
+            TOutcome::Fail(kind)
+        };
         match op {
-            TOp::Get { k } => TOutcome::Rows(txn.visible(k).map(|v| (k, v)).into_iter().collect()),
-            TOp::Scan => {
-                let mut rows: BTreeMap<i64, i64> = txn.snap_live.clone();
-                for k in &txn.del {
-                    rows.remove(k);
-                }
-                for (&k, &v) in txn.upd.iter().chain(txn.ins.iter()) {
-                    rows.insert(k, v);
-                }
-                TOutcome::Rows(rows.into_iter().collect())
-            }
             TOp::Insert { k, v } => {
-                if self.committed.contains_key(&k) {
-                    if key_ver(k) > txn.snap {
-                        // The committed row was claimed after our snapshot:
-                        // a duplicate we cannot even see. Retryable.
-                        txn.doomed = true;
-                        return TOutcome::Fail(ErrKind::Conflict);
-                    }
-                    if !txn.touched.contains(&k) {
-                        // Plain visible duplicate.
-                        return TOutcome::Fail(ErrKind::Constraint);
-                    }
-                    // Our own buffered update/delete owns the committed
-                    // row; fall through to the overlay checks.
-                } else if stale(txn, k) {
-                    // Concurrently deleted, but the old image is still
-                    // visible to us — a duplicate in our snapshot.
-                    return TOutcome::Fail(ErrKind::Constraint);
-                }
-                if txn.ins.contains_key(&k) || txn.upd.contains_key(&k) {
-                    return TOutcome::Fail(ErrKind::Constraint);
+                if let Err(kind) = self.claim_key(txn, k) {
+                    return fail(txn, kind);
                 }
                 txn.ins.insert(k, v);
                 TOutcome::Affected(1)
             }
             TOp::Update { k, v } => {
-                if stale(txn, k) {
-                    txn.doomed = true;
-                    return TOutcome::Fail(ErrKind::Conflict);
+                if self.stale(txn, k) {
+                    return fail(txn, ErrKind::Conflict);
                 }
-                if txn.visible(k).is_none() {
-                    return TOutcome::Affected(0);
+                let Some((holder, _)) = txn.holder(k) else { return TOutcome::Affected(0) };
+                txn.rewrite(holder, k, k, v);
+                TOutcome::Affected(1)
+            }
+            TOp::Move { from, to } => {
+                if self.stale(txn, from) {
+                    return fail(txn, ErrKind::Conflict);
                 }
-                if let Entry::Occupied(mut e) = txn.ins.entry(k) {
-                    e.insert(v);
-                } else {
-                    txn.upd.insert(k, v);
-                    txn.touched.insert(k);
+                let Some((holder, v)) = txn.holder(from) else { return TOutcome::Affected(0) };
+                if from != to {
+                    if let Err(kind) = self.claim_key(txn, to) {
+                        return fail(txn, kind);
+                    }
                 }
+                txn.rewrite(holder, from, to, v);
                 TOutcome::Affected(1)
             }
             TOp::Delete { k } => {
-                if stale(txn, k) {
-                    txn.doomed = true;
-                    return TOutcome::Fail(ErrKind::Conflict);
+                if self.stale(txn, k) {
+                    return fail(txn, ErrKind::Conflict);
                 }
-                if txn.visible(k).is_none() {
-                    return TOutcome::Affected(0);
-                }
-                if txn.ins.remove(&k).is_none() {
-                    txn.upd.remove(&k);
-                    txn.del.insert(k);
-                    txn.touched.insert(k);
+                match txn.holder(k) {
+                    None => return TOutcome::Affected(0),
+                    Some((Holder::Ins, _)) => {
+                        txn.ins.remove(&k);
+                    }
+                    Some((Holder::Upd(origin), _)) => {
+                        txn.upd.remove(&origin);
+                        txn.del.insert(origin);
+                    }
+                    Some((Holder::Snap, _)) => {
+                        txn.del.insert(k);
+                        txn.touched.insert(k);
+                    }
                 }
                 TOutcome::Affected(1)
             }
+            read_op => read(&txn.view(), read_op),
         }
     }
 
@@ -371,24 +489,26 @@ impl Model {
             return TOutcome::Unit;
         }
         // First-committer-wins: every committed row we wrote must be
-        // untouched since our snapshot, and every key we insert must not
-        // have been claimed by a commit we cannot see.
+        // untouched since our snapshot, and every key we bring in (by
+        // insert or by moving a row onto it) must not have been claimed by
+        // a commit we cannot see.
         for &k in &txn.touched {
-            if self.ver.get(&k).copied().unwrap_or(0) > txn.snap {
+            if self.key_ver(k) > txn.snap {
                 return TOutcome::Fail(ErrKind::Conflict);
             }
         }
-        for &k in txn.ins.keys() {
+        let new_keys = txn.upd.values().map(|&(cur, _)| cur).chain(txn.ins.keys().copied());
+        for k in new_keys {
             if self.committed.contains_key(&k) && !txn.touched.contains(&k) {
                 return TOutcome::Fail(ErrKind::Conflict);
             }
         }
         self.ts += 1;
-        for &k in &txn.del {
-            self.committed.remove(&k);
-            self.ver.insert(k, self.ts);
+        for &origin in txn.del.iter().chain(txn.upd.keys()) {
+            self.committed.remove(&origin);
+            self.ver.insert(origin, self.ts);
         }
-        for (&k, &v) in txn.upd.iter().chain(txn.ins.iter()) {
+        for (&k, &v) in txn.upd.values().map(|(k, v)| (k, v)).chain(txn.ins.iter()) {
             self.committed.insert(k, v);
             self.ver.insert(k, self.ts);
         }
@@ -441,7 +561,9 @@ fn engine_outcome(
 /// transactions left open. Returns the first disagreement.
 pub fn check_txn_scenario(sc: &TxnScenario) -> Option<TxnDivergence> {
     let db = Database::in_memory();
-    for ddl in ["CREATE TABLE t (k INT, v INT)", "CREATE UNIQUE INDEX ON t (k)"] {
+    for ddl in
+        ["CREATE TABLE t (k INT, v INT)", "CREATE UNIQUE INDEX ON t (k)", "CREATE INDEX ON t (v)"]
+    {
         if let Err(e) = db.execute(ddl) {
             return Some(TxnDivergence {
                 event_index: 0,
@@ -525,10 +647,13 @@ pub fn check_txn_scenario(sc: &TxnScenario) -> Option<TxnDivergence> {
 fn gen_op(rng: &mut StdRng) -> TOp {
     let k = rng.gen_range(0..KEYS);
     match rng.gen_range(0..100u32) {
-        0..=29 => TOp::Insert { k, v: rng.gen_range(0..100) },
-        30..=54 => TOp::Update { k, v: rng.gen_range(0..100) },
-        55..=69 => TOp::Delete { k },
-        70..=89 => TOp::Get { k },
+        0..=24 => TOp::Insert { k, v: rng.gen_range(0..VALS) },
+        25..=44 => TOp::Update { k, v: rng.gen_range(0..VALS) },
+        45..=56 => TOp::Move { from: k, to: rng.gen_range(0..KEYS) },
+        57..=68 => TOp::Delete { k },
+        69..=80 => TOp::Get { k },
+        81..=88 => TOp::Range { lo: k, hi: k + rng.gen_range(1..=4) },
+        89..=94 => TOp::ByV { v: rng.gen_range(0..VALS) },
         _ => TOp::Scan,
     }
 }
@@ -544,7 +669,7 @@ pub fn gen_txn_scenario(seed: u64) -> TxnScenario {
     for _ in 0..rng.gen_range(2..=5usize) {
         events.push(TEvent::Auto(TOp::Insert {
             k: rng.gen_range(0..KEYS),
-            v: rng.gen_range(0..100),
+            v: rng.gen_range(0..VALS),
         }));
     }
     let mut open: Vec<u8> = Vec::new();
@@ -689,6 +814,43 @@ mod tests {
             ],
         };
         assert!(check_txn_scenario(&sc).is_none());
+    }
+
+    #[test]
+    fn handwritten_key_move_interleaving_agrees() {
+        // A transaction moves one key, a concurrent commit moves another:
+        // range, point and by-value reads keep serving the snapshot, and a
+        // write through the moved-away image is a conflict — on both sides.
+        let sc = TxnScenario {
+            seed: 0,
+            events: vec![
+                TEvent::Auto(TOp::Insert { k: 1, v: 10 }),
+                TEvent::Auto(TOp::Insert { k: 2, v: 7 }),
+                TEvent::Begin(0),
+                TEvent::Stmt(0, TOp::Move { from: 1, to: 5 }),
+                TEvent::Stmt(0, TOp::Range { lo: 0, hi: 8 }), // (2,7), (5,10)
+                TEvent::Stmt(0, TOp::Get { k: 1 }),           // moved away: empty
+                TEvent::Auto(TOp::Move { from: 2, to: 3 }),
+                TEvent::Stmt(0, TOp::Range { lo: 2, hi: 4 }), // still (2,7)
+                TEvent::Stmt(0, TOp::ByV { v: 7 }),           // still (2,7)
+                TEvent::Stmt(0, TOp::Insert { k: 3, v: 0 }),  // claimed unseen → conflict
+                TEvent::Commit(0),
+                TEvent::Auto(TOp::Scan),
+            ],
+        };
+        assert!(check_txn_scenario(&sc).is_none());
+        let mut m = Model::default();
+        m.auto(TOp::Insert { k: 1, v: 10 });
+        m.auto(TOp::Insert { k: 2, v: 7 });
+        m.begin(0);
+        assert_eq!(m.stmt(0, TOp::Move { from: 1, to: 5 }), TOutcome::Affected(1));
+        assert_eq!(m.stmt(0, TOp::Range { lo: 0, hi: 8 }), TOutcome::Rows(vec![(2, 7), (5, 10)]));
+        assert_eq!(m.stmt(0, TOp::Move { from: 5, to: 2 }), TOutcome::Fail(ErrKind::Constraint));
+        assert_eq!(m.auto(TOp::Move { from: 2, to: 3 }), TOutcome::Affected(1));
+        assert_eq!(m.stmt(0, TOp::ByV { v: 7 }), TOutcome::Rows(vec![(2, 7)]));
+        assert_eq!(m.stmt(0, TOp::Move { from: 2, to: 6 }), TOutcome::Fail(ErrKind::Conflict));
+        assert_eq!(m.commit(0), TOutcome::Fail(ErrKind::Conflict));
+        assert_eq!(m.auto(TOp::Scan), TOutcome::Rows(vec![(1, 10), (3, 7)]));
     }
 
     #[test]

@@ -6,11 +6,11 @@ use crate::datum::{DataType, Datum};
 use crate::error::{DbError, DbResult};
 use crate::exec::stats::OpStatsSnapshot;
 use crate::exec::{execute_plan, execute_plan_with_stats, ScanProgress, ScanSpec, StorageAccess};
-use crate::expr::compile::compile;
 use crate::expr::eval::{eval, ColumnBinding, EvalContext};
 use crate::expr::func::{AggregateFn, FunctionRegistry, ScalarBinder, ScalarFn};
 use crate::index::btree::BTreeIndex;
 use crate::index::udi::AccessMethod;
+use crate::locate::{explain_dml, locate_rows, table_bindings, RowSource};
 use crate::plan::planner::{plan_select, PlannerContext};
 use crate::plan::PhysicalPlan;
 use crate::sql::ast::{Expr, Stmt};
@@ -485,7 +485,7 @@ impl Database {
                 }
                 if matches!(other, Stmt::Select(_) | Stmt::Explain { .. }) {
                     let inner = self.inner.read();
-                    inner.run_read(other, role)
+                    run_read(&*inner, inner.parallelism, other, role)
                 } else {
                     let mut inner = self.inner.write();
                     inner.track_versions = self.txns.active() > 0;
@@ -614,10 +614,7 @@ impl Database {
     pub fn verify_zone_maps(&self, table: &str) -> DbResult<bool> {
         let inner = self.inner.read();
         let id = inner.catalog.find_table(table)?.id;
-        let storage = inner
-            .tables
-            .get(&id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
+        let storage = inner.storage(id)?;
         for page_no in 0..storage.heap.num_pages() {
             let mut rows: Vec<Row> = Vec::new();
             storage.heap.page_visit_rows(page_no, &mut |bytes| {
@@ -777,10 +774,10 @@ impl Database {
             .tables
             .get_mut(&table_id)
             .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        for (rid, bytes) in storage.heap.scan()? {
-            let row = decode_row(&bytes)?;
+        storage.for_each_row(&mut |rid, row| {
             method.on_insert(rid, &row[col_idx]);
-        }
+            Ok(())
+        })?;
         storage.udis.insert(column, method);
         Ok(())
     }
@@ -849,44 +846,9 @@ impl Database {
 // ---------------------------------------------------------------------------
 
 impl Inner {
-    /// Read-only statements (SELECT / EXPLAIN). Takes `&self` so callers can
-    /// run it under the shared read lock, concurrently with other readers.
-    fn run_read(&self, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
-        match stmt {
-            Stmt::Select(s) => {
-                let plan_span = genalg_obs::tracer().span("unidb.plan");
-                let (plan, columns) = plan_select(self, role.default_space(), &s)?;
-                drop(plan_span);
-                let rows = execute_plan(self, &self.funcs, &plan, self.parallelism)?;
-                Ok(ResultSet { columns, rows, affected: 0, explain: None })
-            }
-            Stmt::Explain { stmt: inner_stmt, analyze } => match *inner_stmt {
-                Stmt::Select(s) => {
-                    let (plan, _) = plan_select(self, role.default_space(), &s)?;
-                    if analyze {
-                        // ANALYZE executes the query (discarding rows) and
-                        // renders the plan annotated with live counters.
-                        let (_, stats) =
-                            execute_plan_with_stats(self, &self.funcs, &plan, self.parallelism)?;
-                        Ok(ResultSet { explain: Some(stats.render()), ..ResultSet::empty() })
-                    } else {
-                        Ok(ResultSet { explain: Some(plan.explain()), ..ResultSet::empty() })
-                    }
-                }
-                _ if analyze => {
-                    Err(DbError::Unsupported("EXPLAIN ANALYZE supports only SELECT".into()))
-                }
-                other => {
-                    Ok(ResultSet { explain: Some(format!("{other:?}")), ..ResultSet::empty() })
-                }
-            },
-            _ => Err(DbError::Internal("run_read called on a write statement".into())),
-        }
-    }
-
     fn run_stmt(&mut self, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
         match stmt {
-            Stmt::Select(_) | Stmt::Explain { .. } => self.run_read(stmt, role),
+            Stmt::Select(_) | Stmt::Explain { .. } => run_read(self, self.parallelism, stmt, role),
             Stmt::CreateTable { table, columns } => self.create_table(&table, &columns, role),
             Stmt::DropTable { table } => self.drop_table(&table, role),
             Stmt::CreateIndex { table, column, unique } => {
@@ -1061,10 +1023,7 @@ impl Inner {
             return Err(DbError::AlreadyExists { kind: "index", name: column });
         }
         let mut index = BTreeIndex::new(unique);
-        for (rid, bytes) in storage.heap.scan()? {
-            let row = decode_row(&bytes)?;
-            index.insert(row[col_idx].clone(), rid)?;
-        }
+        storage.for_each_row(&mut |rid, mut row| index.insert(row.swap_remove(col_idx), rid))?;
         storage.btrees.insert(column.clone(), index);
         self.bump_catalog();
         self.log(WalRecord::CreateIndex { table: qualified, column, unique })?;
@@ -1074,6 +1033,19 @@ impl Inner {
 
     // -- DML -----------------------------------------------------------------
 
+    /// Resolve a DML statement's target table and check the role may write
+    /// it — the preamble of every INSERT/UPDATE/DELETE, autocommit or not.
+    pub(crate) fn writable_table(&self, table: &str, role: &Role) -> DbResult<TableDef> {
+        let def = self.catalog.resolve_table(role.default_space(), table)?;
+        if !self.catalog.can_write(role, &def.space) {
+            return Err(DbError::AccessDenied(format!(
+                "space {:?} is read-only for this role",
+                def.space
+            )));
+        }
+        Ok(def.clone())
+    }
+
     fn insert(
         &mut self,
         table: &str,
@@ -1081,39 +1053,11 @@ impl Inner {
         rows: Vec<Vec<Expr>>,
         role: &Role,
     ) -> DbResult<ResultSet> {
-        let def = self.catalog.resolve_table(role.default_space(), table)?.clone();
-        if !self.catalog.can_write(role, &def.space) {
-            return Err(DbError::AccessDenied(format!(
-                "space {:?} is read-only for this role",
-                def.space
-            )));
-        }
-        // Map the provided columns to table positions.
-        let positions: Vec<usize> = match &columns {
-            None => (0..def.columns.len()).collect(),
-            Some(cols) => cols
-                .iter()
-                .map(|c| {
-                    def.column_index(c).ok_or(DbError::NotFound { kind: "column", name: c.clone() })
-                })
-                .collect::<DbResult<_>>()?,
-        };
+        let def = self.writable_table(table, role)?;
         let funcs = self.funcs.clone();
         let mut n = 0u64;
-        for value_exprs in rows {
-            if value_exprs.len() != positions.len() {
-                return Err(DbError::Constraint(format!(
-                    "INSERT supplies {} values for {} columns",
-                    value_exprs.len(),
-                    positions.len()
-                )));
-            }
-            let mut row: Row = vec![Datum::Null; def.columns.len()];
-            let ctx = EvalContext { bindings: &[], row: &[], funcs: &funcs };
-            for (expr, &pos) in value_exprs.iter().zip(&positions) {
-                row[pos] = eval(expr, &ctx)?;
-            }
-            let row = check_row(&def, row)?;
+        for row in insert_images(&def, columns.as_deref(), &rows, &funcs)? {
+            let row = row?;
             self.insert_row(def.id, row)?;
             n += 1;
         }
@@ -1128,101 +1072,51 @@ impl Inner {
         filter: Option<Expr>,
         role: &Role,
     ) -> DbResult<ResultSet> {
-        let def = self.catalog.resolve_table(role.default_space(), table)?.clone();
-        if !self.catalog.can_write(role, &def.space) {
-            return Err(DbError::AccessDenied(format!(
-                "space {:?} is read-only for this role",
-                def.space
-            )));
+        let def = self.writable_table(table, role)?;
+        let targets = update_targets(&def, assignments)?;
+        let bindings = table_bindings(&def);
+        // Locate and compute every new image before the first write: the
+        // statement never meets its own output, and an expression error
+        // leaves the table untouched.
+        let mut writes = Vec::new();
+        for (prov, row) in locate_rows(&*self, &def, &bindings, filter.as_ref())? {
+            let new_row = assign(&def, &bindings, &targets, &row, &self.funcs)?;
+            writes.push((prov.committed()?, row, new_row));
         }
-        let targets: Vec<(usize, Expr)> = assignments
-            .into_iter()
-            .map(|(c, e)| {
-                def.column_index(&c)
-                    .map(|i| (i, e))
-                    .ok_or(DbError::NotFound { kind: "column", name: c })
-            })
-            .collect::<DbResult<_>>()?;
-        let bindings: Vec<ColumnBinding> =
-            def.columns.iter().map(|c| ColumnBinding::new(&def.name, &c.name)).collect();
-        let funcs = self.funcs.clone();
-        let matching = self.matching_rows(&def, &bindings, filter.as_ref(), &funcs)?;
-        let mut n = 0u64;
-        for (rid, row) in matching {
-            let ctx = EvalContext { bindings: &bindings, row: &row, funcs: &funcs };
-            let mut new_row = row.clone();
-            for (pos, expr) in &targets {
-                new_row[*pos] = eval(expr, &ctx)?;
-            }
-            let new_row = check_row(&def, new_row)?;
+        let n = writes.len() as u64;
+        for (rid, row, new_row) in writes {
             self.update_row(def.id, rid, &row, new_row)?;
-            n += 1;
         }
         self.maybe_sync()?;
         Ok(ResultSet::affected(n))
     }
 
     fn delete(&mut self, table: &str, filter: Option<Expr>, role: &Role) -> DbResult<ResultSet> {
-        let def = self.catalog.resolve_table(role.default_space(), table)?.clone();
-        if !self.catalog.can_write(role, &def.space) {
-            return Err(DbError::AccessDenied(format!(
-                "space {:?} is read-only for this role",
-                def.space
-            )));
-        }
-        let bindings: Vec<ColumnBinding> =
-            def.columns.iter().map(|c| ColumnBinding::new(&def.name, &c.name)).collect();
-        let funcs = self.funcs.clone();
-        let matching = self.matching_rows(&def, &bindings, filter.as_ref(), &funcs)?;
-        let mut n = 0u64;
-        for (rid, row) in matching {
-            self.delete_row(def.id, rid, &row)?;
-            n += 1;
+        let def = self.writable_table(table, role)?;
+        let matching = locate_rows(&*self, &def, &table_bindings(&def), filter.as_ref())?;
+        let n = matching.len() as u64;
+        for (prov, row) in matching {
+            self.delete_row(def.id, prov.committed()?, &row)?;
         }
         self.maybe_sync()?;
         Ok(ResultSet::affected(n))
     }
 
-    fn matching_rows(
-        &mut self,
-        def: &TableDef,
-        bindings: &[ColumnBinding],
-        filter: Option<&Expr>,
-        funcs: &FunctionRegistry,
-    ) -> DbResult<Vec<(Rid, Row)>> {
-        let compiled = filter.map(|pred| compile(pred, bindings, funcs)).transpose()?;
-        let storage = self
-            .tables
-            .get_mut(&def.id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        let mut out = Vec::new();
-        for (rid, bytes) in storage.heap.scan()? {
-            let row = decode_row(&bytes)?;
-            let keep = match &compiled {
-                None => true,
-                Some(pred) => pred.accepts(&row)?,
-            };
-            if keep {
-                out.push((rid, row));
-            }
-        }
-        Ok(out)
+    // -- row-level mutation with index + WAL maintenance -----------------------
+
+    pub(crate) fn storage(&self, table_id: u32) -> DbResult<&TableStorage> {
+        self.tables.get(&table_id).ok_or_else(|| DbError::Internal("missing table storage".into()))
     }
 
-    // -- row-level mutation with index + WAL maintenance -----------------------
+    fn btree(&self, table_id: u32, column: &str) -> DbResult<&BTreeIndex> {
+        let index = self.storage(table_id)?.btrees.get(column);
+        index.ok_or_else(|| DbError::Internal(format!("no B-tree on {column}")))
+    }
 
     pub(crate) fn insert_row(&mut self, table_id: u32, row: Row) -> DbResult<Rid> {
         let ts = self.pending_ts();
         let track = self.track_versions && !self.replaying;
-        let def = self
-            .catalog
-            .table_by_id(table_id)
-            .ok_or_else(|| DbError::Internal("unknown table id".into()))?
-            .clone();
-        let storage = self
-            .tables
-            .get_mut(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
+        let (def, storage) = table_parts(&self.catalog, &mut self.tables, table_id)?;
         // Unique checks first so a violation cannot leave partial state.
         for (col, idx) in &storage.btrees {
             if idx.is_unique() {
@@ -1241,11 +1135,6 @@ impl Inner {
         // from the replayed inserts.
         storage.zones.observe_insert(rid.page, &row);
         storage.col_cache.get_mut().remove(&rid.page);
-        // Feed the per-column statistics (NDV sketches, null counts,
-        // histogram samples). Runs during WAL replay too — the catalog
-        // (and its statistics) is in-memory, so recovery rebuilds them
-        // from the replayed inserts.
-        self.catalog.observe_row(table_id, &row);
         if track {
             storage.born.insert(rid, ts);
         }
@@ -1257,23 +1146,21 @@ impl Inner {
             let pos = def.column_index(col).expect("indexed column exists");
             udi.on_insert(rid, &row[pos]);
         }
+        let table = def.qualified_name();
+        // Feed the per-column statistics (NDV sketches, null counts,
+        // histogram samples). Runs during WAL replay too — the catalog
+        // (and its statistics) is in-memory, so recovery rebuilds them
+        // from the replayed inserts.
+        self.catalog.observe_row(table_id, &row);
         self.bump_table(table_id);
-        self.log(WalRecord::Insert { table: def.qualified_name(), row })?;
+        self.log(WalRecord::Insert { table, row })?;
         Ok(rid)
     }
 
     pub(crate) fn delete_row(&mut self, table_id: u32, rid: Rid, row: &Row) -> DbResult<()> {
         let ts = self.pending_ts();
         let track = self.track_versions && !self.replaying;
-        let def = self
-            .catalog
-            .table_by_id(table_id)
-            .ok_or_else(|| DbError::Internal("unknown table id".into()))?
-            .clone();
-        let storage = self
-            .tables
-            .get_mut(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
+        let (def, storage) = table_parts(&self.catalog, &mut self.tables, table_id)?;
         storage.heap.delete(rid)?;
         if track {
             let born = storage.born.remove(&rid).unwrap_or(0);
@@ -1289,7 +1176,8 @@ impl Inner {
             let pos = def.column_index(col).expect("indexed column exists");
             udi.on_delete(rid, &row[pos]);
         }
-        rebuild_page_zone(storage, rid.page)?;
+        refresh_page_zone(storage, rid.page, row, None)?;
+        let table = def.qualified_name();
         self.bump_table(table_id);
         // Delete-heavy churn decays the table's statistics (the sketches
         // and samples only ever accumulate); past a threshold, rebuild
@@ -1298,7 +1186,7 @@ impl Inner {
         if self.catalog.observe_delete(table_id) {
             self.rebuild_table_stats(table_id)?;
         }
-        self.log(WalRecord::Delete { table: def.qualified_name(), row: row.clone() })?;
+        self.log(WalRecord::Delete { table, row: row.clone() })?;
         Ok(())
     }
 
@@ -1311,15 +1199,7 @@ impl Inner {
     ) -> DbResult<Rid> {
         let ts = self.pending_ts();
         let track = self.track_versions && !self.replaying;
-        let def = self
-            .catalog
-            .table_by_id(table_id)
-            .ok_or_else(|| DbError::Internal("unknown table id".into()))?
-            .clone();
-        let storage = self
-            .tables
-            .get_mut(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
+        let (def, storage) = table_parts(&self.catalog, &mut self.tables, table_id)?;
         // Unique checks on changed keys.
         for (col, idx) in &storage.btrees {
             if idx.is_unique() {
@@ -1333,7 +1213,6 @@ impl Inner {
             }
         }
         let new_rid = storage.heap.update(rid, &encode_row(&new_row))?;
-        self.catalog.observe_row(table_id, &new_row);
         if track {
             let born = storage.born.remove(&rid).unwrap_or(0);
             storage.old_versions.push(OldVersion { rid, row: old_row.clone(), born, died: ts });
@@ -1343,36 +1222,30 @@ impl Inner {
         }
         for (col, idx) in storage.btrees.iter_mut() {
             let pos = def.column_index(col).expect("index column exists");
-            idx.remove(&old_row[pos], rid);
-            idx.insert(new_row[pos].clone(), new_rid)?;
+            // An in-place update that keeps the key leaves the entry as it is.
+            if rid != new_rid || old_row[pos] != new_row[pos] {
+                idx.remove(&old_row[pos], rid);
+                idx.insert(new_row[pos].clone(), new_rid)?;
+            }
         }
         for (col, udi) in storage.udis.iter_mut() {
             let pos = def.column_index(col).expect("indexed column exists");
             udi.on_delete(rid, &old_row[pos]);
             udi.on_insert(new_rid, &new_row[pos]);
         }
-        rebuild_page_zone(storage, rid.page)?;
-        if new_rid.page != rid.page {
-            rebuild_page_zone(storage, new_rid.page)?;
+        if new_rid.page == rid.page {
+            refresh_page_zone(storage, rid.page, old_row, Some(&new_row))?;
+        } else {
+            // Relocated: a removal from one page, an insert into another.
+            refresh_page_zone(storage, rid.page, old_row, None)?;
+            storage.zones.observe_insert(new_rid.page, &new_row);
+            storage.col_cache.get_mut().remove(&new_rid.page);
         }
+        let table = def.qualified_name();
+        self.catalog.observe_row(table_id, &new_row);
         self.bump_table(table_id);
-        self.log(WalRecord::Update {
-            table: def.qualified_name(),
-            old_row: old_row.clone(),
-            new_row,
-        })?;
+        self.log(WalRecord::Update { table, old_row: old_row.clone(), new_row })?;
         Ok(new_rid)
-    }
-
-    pub(crate) fn fetch_row(&mut self, table_id: u32, rid: Rid) -> DbResult<Option<Row>> {
-        let storage = self
-            .tables
-            .get_mut(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        match storage.heap.get(rid)? {
-            Some(bytes) => Ok(Some(decode_row(&bytes)?)),
-            None => Ok(None),
-        }
     }
 
     // -- WAL ---------------------------------------------------------------------
@@ -1461,16 +1334,17 @@ impl Inner {
                 self.insert_row(id, row).map(|_| ())
             }
             WalRecord::Delete { table, row } => {
-                let id = self.catalog.resolve_table("public", &table)?.id;
-                let rid = self.find_row(id, &row)?;
-                if let Some(rid) = rid {
+                let def = self.catalog.resolve_table("public", &table)?;
+                let id = def.id;
+                if let Some(rid) = self.storage(id)?.find_row(def, &row)? {
                     self.delete_row(id, rid, &row)?;
                 }
                 Ok(())
             }
             WalRecord::Update { table, old_row, new_row } => {
-                let id = self.catalog.resolve_table("public", &table)?.id;
-                if let Some(rid) = self.find_row(id, &old_row)? {
+                let def = self.catalog.resolve_table("public", &table)?;
+                let id = def.id;
+                if let Some(rid) = self.storage(id)?.find_row(def, &old_row)? {
                     self.update_row(id, rid, &old_row, new_row)?;
                 }
                 Ok(())
@@ -1480,19 +1354,6 @@ impl Inner {
             // here (e.g. via a raw record stream) they are no-ops.
             WalRecord::TxnBegin | WalRecord::TxnCommit => Ok(()),
         }
-    }
-
-    fn find_row(&mut self, table_id: u32, row: &Row) -> DbResult<Option<Rid>> {
-        let storage = self
-            .tables
-            .get_mut(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        for (rid, bytes) in storage.heap.scan()? {
-            if decode_row(&bytes)? == *row {
-                return Ok(Some(rid));
-            }
-        }
-        Ok(None)
     }
 
     fn snapshot_records(&mut self) -> DbResult<Vec<WalRecord>> {
@@ -1518,21 +1379,16 @@ impl Inner {
             });
         }
         for t in &tables {
-            let storage = self
-                .tables
-                .get_mut(&t.id)
-                .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
+            let storage = self.storage(t.id)?;
             let btree_meta: Vec<(String, bool)> =
                 storage.btrees.iter().map(|(c, i)| (c.clone(), i.is_unique())).collect();
             for (column, unique) in btree_meta {
                 recs.push(WalRecord::CreateIndex { table: t.qualified_name(), column, unique });
             }
-            for (_, bytes) in storage.heap.scan()? {
-                recs.push(WalRecord::Insert {
-                    table: t.qualified_name(),
-                    row: decode_row(&bytes)?,
-                });
-            }
+            storage.for_each_row(&mut |_, row| {
+                recs.push(WalRecord::Insert { table: t.qualified_name(), row });
+                Ok(())
+            })?;
         }
         recs.push(WalRecord::Checkpoint);
         Ok(recs)
@@ -1580,6 +1436,131 @@ pub(crate) fn check_row(def: &TableDef, mut row: Row) -> DbResult<Row> {
         }
     }
     Ok(row)
+}
+
+/// Read-only statements (SELECT / EXPLAIN) against the engine itself
+/// (autocommit, under the shared read lock) or a transaction's view of it.
+pub(crate) fn run_read(
+    src: &dyn RowSource,
+    parallelism: usize,
+    stmt: Stmt,
+    role: &Role,
+) -> DbResult<ResultSet> {
+    let explained = |text: String| Ok(ResultSet { explain: Some(text), ..ResultSet::empty() });
+    match stmt {
+        Stmt::Select(s) => {
+            let plan_span = genalg_obs::tracer().span("unidb.plan");
+            let (plan, columns) = plan_select(src, role.default_space(), &s)?;
+            drop(plan_span);
+            let rows = execute_plan(src, src.funcs(), &plan, parallelism)?;
+            Ok(ResultSet { columns, rows, affected: 0, explain: None })
+        }
+        Stmt::Explain { stmt: inner_stmt, analyze } => match *inner_stmt {
+            Stmt::Select(s) => {
+                let (plan, _) = plan_select(src, role.default_space(), &s)?;
+                if analyze {
+                    // ANALYZE executes the query (discarding rows) and
+                    // renders the plan annotated with live counters.
+                    let (_, stats) = execute_plan_with_stats(src, src.funcs(), &plan, parallelism)?;
+                    explained(stats.render())
+                } else {
+                    explained(plan.explain())
+                }
+            }
+            _ if analyze => {
+                Err(DbError::Unsupported("EXPLAIN ANALYZE supports only SELECT".into()))
+            }
+            other => match explain_dml(src, &other, role)? {
+                Some(text) => explained(text),
+                None => explained(format!("{other:?}")),
+            },
+        },
+        _ => Err(DbError::Internal("run_read called on a write statement".into())),
+    }
+}
+
+/// A table's definition and its storage, borrowed side by side: they live
+/// in different fields of [`Inner`], so the row mutators can read the one
+/// while writing the other instead of cloning the definition per row.
+fn table_parts<'a>(
+    catalog: &'a Catalog,
+    tables: &'a mut HashMap<u32, TableStorage>,
+    table_id: u32,
+) -> DbResult<(&'a TableDef, &'a mut TableStorage)> {
+    let def = catalog
+        .table_by_id(table_id)
+        .ok_or_else(|| DbError::Internal("unknown table id".into()))?;
+    let storage = tables
+        .get_mut(&table_id)
+        .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
+    Ok((def, storage))
+}
+
+/// The row images an INSERT supplies, in statement order: column names
+/// resolve up front, each row's expressions evaluate (and the image is
+/// validated against the table definition) only when the row is pulled.
+pub(crate) fn insert_images<'a>(
+    def: &'a TableDef,
+    columns: Option<&[String]>,
+    rows: &'a [Vec<Expr>],
+    funcs: &'a FunctionRegistry,
+) -> DbResult<impl Iterator<Item = DbResult<Row>> + 'a> {
+    let positions: Vec<usize> = match columns {
+        None => (0..def.columns.len()).collect(),
+        Some(cols) => cols
+            .iter()
+            .map(|c| {
+                def.column_index(c).ok_or(DbError::NotFound { kind: "column", name: c.clone() })
+            })
+            .collect::<DbResult<_>>()?,
+    };
+    Ok(rows.iter().map(move |value_exprs| {
+        if value_exprs.len() != positions.len() {
+            return Err(DbError::Constraint(format!(
+                "INSERT supplies {} values for {} columns",
+                value_exprs.len(),
+                positions.len()
+            )));
+        }
+        let mut row: Row = vec![Datum::Null; def.columns.len()];
+        let ctx = EvalContext { bindings: &[], row: &[], funcs };
+        for (expr, &pos) in value_exprs.iter().zip(&positions) {
+            row[pos] = eval(expr, &ctx)?;
+        }
+        check_row(def, row)
+    }))
+}
+
+/// Resolve an UPDATE's `SET` list to column positions.
+pub(crate) fn update_targets(
+    def: &TableDef,
+    assignments: Vec<(String, Expr)>,
+) -> DbResult<Vec<(usize, Expr)>> {
+    assignments
+        .into_iter()
+        .map(|(c, e)| {
+            def.column_index(&c)
+                .map(|i| (i, e))
+                .ok_or(DbError::NotFound { kind: "column", name: c })
+        })
+        .collect()
+}
+
+/// The image an UPDATE writes over `row`: every `SET` expression evaluated
+/// against the old row, then validated against the table definition.
+pub(crate) fn assign(
+    def: &TableDef,
+    bindings: &[ColumnBinding],
+    targets: &[(usize, Expr)],
+    row: &Row,
+    funcs: &FunctionRegistry,
+) -> DbResult<Row> {
+    let ctx = EvalContext { bindings, row, funcs };
+    let mut new_row = row.clone();
+    for (pos, expr) in targets {
+        new_row[*pos] = eval(expr, &ctx)?;
+    }
+    check_row(def, new_row)
 }
 
 // ---------------------------------------------------------------------------
@@ -1635,17 +1616,26 @@ impl PlannerContext for Inner {
     }
 }
 
-/// Rebuild one page's zone map from the heap and drop its cached
-/// columnar image. Called after deletes and updates, whose effect on
-/// min/max cannot be applied incrementally.
-fn rebuild_page_zone(storage: &mut TableStorage, page_no: u32) -> DbResult<()> {
+/// Bring one page's zone map up to date after `old` was replaced by `new`
+/// (or removed) on it, and drop the page's cached columnar image. The zone
+/// absorbs the change in place when that keeps it exact — the old values
+/// were interior to its min/max — and is rebuilt from the heap otherwise.
+fn refresh_page_zone(
+    storage: &mut TableStorage,
+    page_no: u32,
+    old: &Row,
+    new: Option<&Row>,
+) -> DbResult<()> {
+    storage.col_cache.get_mut().remove(&page_no);
+    if storage.zones.replace_row(page_no, old, new.map(Vec::as_slice)) {
+        return Ok(());
+    }
     let mut rows: Vec<Row> = Vec::new();
     storage.heap.page_visit_rows(page_no, &mut |bytes| {
         rows.push(decode_row(bytes)?);
         Ok(())
     })?;
     storage.zones.set_page(page_no, PageZone::rebuild(rows.iter()));
-    storage.col_cache.get_mut().remove(&page_no);
     Ok(())
 }
 
@@ -1654,14 +1644,12 @@ impl Inner {
     /// live heap rows, in heap-scan order (deterministic, so WAL replay
     /// reproduces the same sketches/samples).
     fn rebuild_table_stats(&mut self, table_id: u32) -> DbResult<()> {
-        let storage = self
-            .tables
-            .get_mut(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
+        let storage = self.storage(table_id)?;
         let mut rows: Vec<Row> = Vec::new();
-        for (_, bytes) in storage.heap.scan()? {
-            rows.push(decode_row(&bytes)?);
-        }
+        storage.for_each_row(&mut |_, row| {
+            rows.push(row);
+            Ok(())
+        })?;
         self.catalog.reset_stats(table_id);
         for row in &rows {
             self.catalog.observe_row(table_id, row);
@@ -1714,10 +1702,7 @@ impl StorageAccess for Inner {
         spec: &ScanSpec,
         on_row: &mut dyn FnMut(&[Datum]) -> DbResult<()>,
     ) -> DbResult<ScanProgress> {
-        let storage = self
-            .tables
-            .get(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
+        let storage = self.storage(table_id)?;
         let total = storage.heap.num_pages();
         if first_page >= total {
             return Ok(ScanProgress {
@@ -1791,29 +1776,11 @@ impl StorageAccess for Inner {
     }
 
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>> {
-        let storage = self
-            .tables
-            .get(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        let mut out = Vec::with_capacity(rids.len());
-        for &rid in rids {
-            if let Some(bytes) = storage.heap.get(rid)? {
-                out.push(decode_row(&bytes)?);
-            }
-        }
-        Ok(out)
+        self.storage(table_id)?.fetch_rows(rids, |_, row| row)
     }
 
     fn btree_eq(&self, table_id: u32, column: &str, key: &Datum) -> DbResult<Vec<Rid>> {
-        let storage = self
-            .tables
-            .get(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        let idx = storage
-            .btrees
-            .get(column)
-            .ok_or_else(|| DbError::Internal(format!("no B-tree on {column}")))?;
-        Ok(idx.get(key))
+        Ok(self.btree(table_id, column)?.get(key))
     }
 
     fn btree_range(
@@ -1823,15 +1790,7 @@ impl StorageAccess for Inner {
         lo: Bound<&Datum>,
         hi: Bound<&Datum>,
     ) -> DbResult<Vec<Rid>> {
-        let storage = self
-            .tables
-            .get(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        let idx = storage
-            .btrees
-            .get(column)
-            .ok_or_else(|| DbError::Internal(format!("no B-tree on {column}")))?;
-        Ok(idx.range(lo, hi).into_iter().map(|(_, rid)| rid).collect())
+        Ok(self.btree(table_id, column)?.range(lo, hi).into_iter().map(|(_, rid)| rid).collect())
     }
 
     fn udi_probe(
@@ -1841,10 +1800,7 @@ impl StorageAccess for Inner {
         func: &str,
         args: &[Datum],
     ) -> DbResult<Vec<Rid>> {
-        let storage = self
-            .tables
-            .get(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
+        let storage = self.storage(table_id)?;
         let udi = storage
             .udis
             .get(column)

@@ -42,6 +42,7 @@ pub mod exec;
 pub mod expr;
 pub mod fxhash;
 pub mod index;
+mod locate;
 pub mod plan;
 pub mod sql;
 pub mod storage;

@@ -1,6 +1,6 @@
 //! The planner: SELECT → physical plan.
 
-use crate::catalog::{Catalog, EquiDepthHistogram};
+use crate::catalog::{Catalog, EquiDepthHistogram, TableDef};
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
 use crate::expr::eval::ColumnBinding;
@@ -610,6 +610,26 @@ fn build_scan(ctx: &dyn PlannerContext, t: &TableInfo, conjuncts: Vec<Expr>) -> 
             }
         }
     }
+}
+
+/// The access path of a single-table `UPDATE`/`DELETE`: its `WHERE` goes
+/// through the same [`build_scan`] a `SELECT`'s FROM entry does, so DML and
+/// queries pick indexes by one rule. `columns` are the bindings the caller
+/// compiles the residual (and its `SET` expressions) against.
+pub(crate) fn plan_table_scan(
+    ctx: &dyn PlannerContext,
+    def: &TableDef,
+    columns: &[ColumnBinding],
+    filter: Option<&Expr>,
+) -> PhysicalPlan {
+    let t = TableInfo {
+        table_id: def.id,
+        qualified: def.qualified_name(),
+        binding: def.name.clone(),
+        columns: columns.to_vec(),
+        null_padded: false,
+    };
+    build_scan(ctx, &t, filter.cloned().map_or_else(Vec::new, Expr::conjuncts))
 }
 
 /// Plan the FROM clause: scans plus the join tree.

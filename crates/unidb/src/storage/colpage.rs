@@ -64,28 +64,69 @@ const COL_HEADER: usize = 4;
 // ---------------------------------------------------------------------------
 
 /// Per-column zone entry: NULL count plus min/max over non-NULL values
-/// (absent when every observed value was NULL).
+/// (absent when every observed value was NULL), each with the number of
+/// rows holding it — what lets a row leave the page without a rebuild
+/// unless it was the last holder of an extremum.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColZone {
     pub nulls: u32,
     pub min: Option<Datum>,
     pub max: Option<Datum>,
+    min_rows: u32,
+    max_rows: u32,
+}
+
+/// One end of a [`ColZone`]: the extremum, how many rows hold it, and which
+/// way is "beyond" it (`Less` for the min, `Greater` for the max).
+struct ZoneEnd<'a> {
+    edge: &'a mut Option<Datum>,
+    rows: &'a mut u32,
+    beyond: Ordering,
+}
+
+impl ZoneEnd<'_> {
+    /// Take `old` out and put `new` in (each `None` when NULL or absent).
+    /// `false` when the extremum among the remaining rows cannot be known.
+    fn replace(self, old: Option<&Datum>, new: Option<&Datum>) -> bool {
+        if old.is_some() && self.edge.as_ref() == old {
+            *self.rows -= 1;
+        }
+        let Some(new) = new else { return *self.rows > 0 || self.edge.is_none() };
+        let vs_edge = match (&*self.edge, *self.rows) {
+            (None, _) => self.beyond,
+            // The last holder left: every remaining row is strictly inside
+            // it, so `new` is the extremum iff it is at or beyond it.
+            (Some(edge), 0) if new.total_cmp(edge) == self.beyond.reverse() => return false,
+            (Some(_), 0) => self.beyond,
+            (Some(edge), _) => new.total_cmp(edge),
+        };
+        if vs_edge == self.beyond {
+            *self.edge = Some(new.clone());
+            *self.rows = 1;
+        } else if vs_edge == Ordering::Equal {
+            *self.rows += 1;
+        }
+        true
+    }
 }
 
 impl ColZone {
     fn observe(&mut self, d: &Datum) {
-        if d.is_null() {
-            self.nulls += 1;
-            return;
-        }
-        match &self.min {
-            Some(m) if d.total_cmp(m) != Ordering::Less => {}
-            _ => self.min = Some(d.clone()),
-        }
-        match &self.max {
-            Some(m) if d.total_cmp(m) != Ordering::Greater => {}
-            _ => self.max = Some(d.clone()),
-        }
+        let done = self.replace(None, Some(d));
+        debug_assert!(done, "adding a value never needs the other rows");
+    }
+
+    /// Replace one row's value `old` (`None`: the row is new) by `new`
+    /// (`None`: the row is gone), keeping the entry exact; `false` when
+    /// that needs the page's other rows (the entry is then unspecified).
+    fn replace(&mut self, old: Option<&Datum>, new: Option<&Datum>) -> bool {
+        self.nulls -= u32::from(old.is_some_and(Datum::is_null));
+        self.nulls += u32::from(new.is_some_and(Datum::is_null));
+        let (old, new) = (old.filter(|d| !d.is_null()), new.filter(|d| !d.is_null()));
+        let min = ZoneEnd { edge: &mut self.min, rows: &mut self.min_rows, beyond: Ordering::Less };
+        let max =
+            ZoneEnd { edge: &mut self.max, rows: &mut self.max_rows, beyond: Ordering::Greater };
+        min.replace(old, new) && max.replace(old, new)
     }
 }
 
@@ -111,6 +152,33 @@ impl PageZone {
         for (i, d) in row.iter().take(n).enumerate() {
             self.cols[i].observe(d);
         }
+    }
+
+    /// Apply the replacement (`Some`) or removal (`None`) of one of this
+    /// page's rows, keeping the zone exact. Returns `false`, zone
+    /// untouched, when exactness needs the page's other rows — the last
+    /// holder of a column's min or max left and nothing at or beyond it
+    /// arrived — so the caller must rebuild.
+    pub fn replace_row(&mut self, old: &[Datum], new: Option<&[Datum]>) -> bool {
+        let n = old.len().min(ZONE_COLS);
+        if self.cols.len() < n || new.is_some_and(|r| r.len() != old.len()) {
+            return false;
+        }
+        // Work on copies of the columns that change, so a decline part-way
+        // through leaves the zone as it was.
+        let mut changed = Vec::new();
+        for i in (0..n).filter(|&i| new.is_none_or(|r| r[i] != old[i])) {
+            let mut col = self.cols[i].clone();
+            if !col.replace(Some(&old[i]), new.map(|r| &r[i])) {
+                return false;
+            }
+            changed.push((i, col));
+        }
+        for (i, col) in changed {
+            self.cols[i] = col;
+        }
+        self.rows -= u32::from(new.is_none());
+        true
     }
 
     /// Rebuild from scratch over a page's live rows.
@@ -234,6 +302,12 @@ impl ZoneMaps {
             self.pages.resize(idx + 1, PageZone::default());
         }
         self.pages[idx].observe_row(row);
+    }
+
+    /// [`PageZone::replace_row`] on `page_no`'s zone; `false` (rebuild
+    /// needed) also when the page has no zone yet.
+    pub fn replace_row(&mut self, page_no: u32, old: &[Datum], new: Option<&[Datum]>) -> bool {
+        self.pages.get_mut(page_no as usize).is_some_and(|z| z.replace_row(old, new))
     }
 
     /// Replace `page_no`'s zone wholesale (post delete/update rebuild).
@@ -560,6 +634,50 @@ mod tests {
 
     fn rows(vals: &[&[Datum]]) -> Vec<Row> {
         vals.iter().map(|r| r.to_vec()).collect()
+    }
+
+    #[test]
+    fn replace_row_is_exact_or_declines() {
+        // A deterministic churn of replacements and removals over a small
+        // value domain (so values sit on the zone's edges often, and NULLs
+        // come and go): whenever the zone absorbs a change in place it must
+        // equal a rebuild over the surviving rows, and whenever it declines
+        // it must be untouched.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let value = |next: &mut dyn FnMut(u64) -> u64| match next(7) {
+            0 => Datum::Null,
+            v => Datum::Int(v as i64),
+        };
+        let mut live: Vec<Row> =
+            (0..40).map(|_| vec![value(&mut next), value(&mut next)]).collect();
+        let mut zone = PageZone::rebuild(live.iter());
+        let (mut absorbed, mut declined) = (0, 0);
+        while live.len() > 1 {
+            let at = next(live.len() as u64) as usize;
+            let old = live[at].clone();
+            let new = (next(4) > 0).then(|| vec![old[0].clone(), value(&mut next)]);
+            let before = zone.clone();
+            match &new {
+                Some(row) => live[at] = row.clone(),
+                None => drop(live.swap_remove(at)),
+            }
+            if zone.replace_row(&old, new.as_deref()) {
+                absorbed += 1;
+                assert_eq!(zone, PageZone::rebuild(live.iter()), "{old:?} -> {new:?}");
+            } else {
+                declined += 1;
+                assert_eq!(zone, before, "a declined change must leave the zone alone");
+                zone = PageZone::rebuild(live.iter());
+            }
+        }
+        assert!(absorbed > 20 && declined > 5, "absorbed {absorbed}, declined {declined}");
+        // Arity mismatches and pages without a zone decline.
+        assert!(!zone.replace_row(&live[0], Some(&[Datum::Int(1)])));
+        assert!(!ZoneMaps::default().replace_row(0, &live[0], None));
     }
 
     #[test]

@@ -138,41 +138,11 @@ impl HeapFile {
         self.insert(bytes)
     }
 
-    /// Live records of one page, expanded. Pages past the end yield an
-    /// empty batch, which lets scans race ahead safely.
-    pub fn page_records(&self, page_no: u32) -> DbResult<Vec<(Rid, Vec<u8>)>> {
-        if page_no >= self.pool.num_pages() {
-            return Ok(Vec::new());
-        }
-        // Inline records (the common case) are expanded inside the pool
-        // visit — a single copy straight off the page. Overflow stubs are
-        // noted and chased afterwards: `expand` re-enters the pool, which
-        // would deadlock under the page latch. Overflow chunks themselves
-        // are internal records; only stubs are rows.
-        let mut out: Vec<(Rid, Vec<u8>)> = Vec::new();
-        let mut deferred: Vec<(usize, Vec<u8>)> = Vec::new();
-        self.pool.with_page(page_no, |p| {
-            for (slot, rec) in p.iter() {
-                let rid = Rid { page: page_no, slot };
-                match rec.first() {
-                    Some(&INLINE) => out.push((rid, rec[1..].to_vec())),
-                    Some(&OVERFLOW) => {
-                        deferred.push((out.len(), rec.to_vec()));
-                        out.push((rid, Vec::new()));
-                    }
-                    _ => {}
-                }
-            }
-        })?;
-        for (i, stub) in deferred {
-            out[i].1 = self.expand(&stub)?;
-        }
-        Ok(out)
-    }
-
     /// Visit the live records of one page in slot order without copying
     /// inline payloads out of the page first: `visit` runs on the page's
-    /// own bytes under the latch. Overflow stubs can't be expanded there
+    /// own bytes under the latch. Pages past the end visit nothing, which
+    /// lets scans race ahead safely. Overflow chunks are internal records;
+    /// only stubs are rows. Overflow stubs can't be expanded there
     /// (`expand` re-enters the pool, which would deadlock under the page
     /// latch), so from the first stub onward records are buffered and
     /// visited after the latch drops — slot order is preserved either way,
@@ -275,15 +245,6 @@ impl HeapFile {
             }
         })?;
         Ok(all_inline)
-    }
-
-    /// Materialize every live record.
-    pub fn scan(&self) -> DbResult<Vec<(Rid, Vec<u8>)>> {
-        let mut out = Vec::new();
-        for page_no in 0..self.pool.num_pages() {
-            out.extend(self.page_records(page_no)?);
-        }
-        Ok(out)
     }
 
     /// Flush dirty pages to the store.
@@ -402,6 +363,19 @@ mod tests {
         HeapFile::new(BufferPool::new(Box::new(MemStore::new()), 64))
     }
 
+    /// Every live record, by walking each page's rows.
+    fn scan(h: &HeapFile) -> Vec<(Rid, Vec<u8>)> {
+        let mut out = Vec::new();
+        for page_no in 0..h.num_pages() {
+            h.page_visit_rows_rid(page_no, &mut |rid, bytes| {
+                out.push((rid, bytes.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+        }
+        out
+    }
+
     #[test]
     fn insert_get_delete_small() {
         let mut h = heap();
@@ -432,7 +406,7 @@ mod tests {
         for (i, rid) in rids.iter().enumerate() {
             assert_eq!(h.get(*rid).unwrap().unwrap(), format!("record-{i:04}").into_bytes());
         }
-        assert_eq!(h.scan().unwrap().len(), 1000);
+        assert_eq!(scan(&h).len(), 1000);
     }
 
     #[test]
@@ -445,9 +419,9 @@ mod tests {
         assert_eq!(h.get(rid).unwrap().unwrap(), big);
         assert_eq!(h.get(small).unwrap().as_deref(), Some(&b"small"[..]));
         // Scans see exactly the two logical records, not the chunks.
-        let scan = h.scan().unwrap();
-        assert_eq!(scan.len(), 2);
-        assert!(scan.iter().any(|(r, data)| *r == rid && *data == big));
+        let rows = scan(&h);
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().any(|(r, data)| *r == rid && *data == big));
     }
 
     #[test]
@@ -457,7 +431,7 @@ mod tests {
         let rid = h.insert(&big).unwrap();
         assert!(h.delete(rid).unwrap());
         assert_eq!(h.get(rid).unwrap(), None);
-        assert_eq!(h.scan().unwrap().len(), 0);
+        assert_eq!(scan(&h).len(), 0);
         assert_eq!(h.len(), 0);
     }
 
@@ -494,7 +468,7 @@ mod tests {
         assert_eq!(h.get(rid2).unwrap().unwrap(), big);
         let rid3 = h.update(rid2, b"tiny again").unwrap();
         assert_eq!(h.get(rid3).unwrap().as_deref(), Some(&b"tiny again"[..]));
-        assert_eq!(h.scan().unwrap().len(), 1);
+        assert_eq!(scan(&h).len(), 1);
     }
 
     #[test]
@@ -507,12 +481,8 @@ mod tests {
     fn page_batches_skip_chunks() {
         let mut h = heap();
         h.insert(&vec![3u8; 40_000]).unwrap();
-        let mut logical = 0;
-        for p in 0..h.num_pages() {
-            logical += h.page_records(p).unwrap().len();
-        }
-        assert_eq!(logical, 1);
-        assert!(h.page_records(999).unwrap().is_empty());
+        assert_eq!(scan(&h).len(), 1);
+        h.page_visit_rows_rid(999, &mut |rid, _| panic!("row {rid} past the end")).unwrap();
     }
 
     #[test]

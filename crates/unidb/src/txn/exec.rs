@@ -4,37 +4,25 @@
 //! Statements run under the shared engine read lock: reads plan and
 //! execute against a [`ReadView`]; writes buffer row images in the
 //! transaction's [`WriteSet`](super::WriteSet) without touching the heap.
+//! `UPDATE` and `DELETE` find their rows through the row locator
+//! ([`crate::locate`]) run against the same view, so they take the access
+//! path a `SELECT` with that `WHERE` would — index probes included, on
+//! clean and dirty tables alike — and learn where each match lives.
 //! Serialization conflicts are detected eagerly where cheap (a write
-//! targeting a row some concurrent transaction already superseded, an
+//! matching a row some concurrent transaction already superseded, an
 //! insert colliding with a key committed after the snapshot) and
 //! re-validated at commit, where first-committer-wins is enforced under
 //! the exclusive write lock.
 
 use crate::catalog::{Role, TableDef};
-use crate::db::{check_row, Inner, ResultSet};
+use crate::db::{assign, insert_images, run_read, update_targets, Inner, ResultSet};
 use crate::error::{DbError, DbResult};
-use crate::exec::{execute_plan, execute_plan_with_stats};
-use crate::expr::compile::compile;
-use crate::expr::eval::{eval, ColumnBinding, EvalContext};
-use crate::expr::func::FunctionRegistry;
-use crate::plan::planner::plan_select;
+use crate::locate::{locate_rows, table_bindings, Prov};
 use crate::sql::ast::{Expr, Stmt};
 use crate::storage::heap::Rid;
 use crate::storage::wal::WalRecord;
-use crate::tuple::{decode_row, Row};
+use crate::tuple::Row;
 use crate::txn::{ReadView, TableWrites, TxnState};
-
-/// Where a row matched by an UPDATE/DELETE filter lives.
-enum Prov {
-    /// A committed heap row visible to the snapshot; writes target its rid.
-    Committed(Rid),
-    /// A row this transaction inserted, addressed by write-set position.
-    OwnInsert(usize),
-    /// A prior image: visible to the snapshot, but a concurrent
-    /// transaction already committed over it. Writing it is a
-    /// serialization conflict.
-    Stale,
-}
 
 pub(crate) fn run_txn_stmt(
     inner: &Inner,
@@ -46,7 +34,10 @@ pub(crate) fn run_txn_stmt(
         return Err(DbError::Conflict(format!("transaction must be rolled back: {reason}")));
     }
     match stmt {
-        Stmt::Select(_) | Stmt::Explain { .. } => run_txn_read(inner, state, stmt, role),
+        Stmt::Select(_) | Stmt::Explain { .. } => {
+            let view = ReadView::new(inner, state.snapshot, Some(&state.writes));
+            run_read(&view, inner.parallelism, stmt, role)
+        }
         Stmt::Insert { table, columns, rows } => {
             txn_insert(inner, state, &table, columns, rows, role)
         }
@@ -64,47 +55,6 @@ pub(crate) fn run_txn_stmt(
             Err(DbError::Internal("transaction control reached the transaction executor".into()))
         }
     }
-}
-
-fn run_txn_read(inner: &Inner, state: &TxnState, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
-    let view = ReadView::new(inner, state.snapshot, Some(&state.writes));
-    match stmt {
-        Stmt::Select(s) => {
-            let (plan, columns) = plan_select(&view, role.default_space(), &s)?;
-            let rows = execute_plan(&view, &inner.funcs, &plan, inner.parallelism)?;
-            Ok(ResultSet { columns, rows, affected: 0, explain: None })
-        }
-        Stmt::Explain { stmt: inner_stmt, analyze } => match *inner_stmt {
-            Stmt::Select(s) => {
-                let (plan, _) = plan_select(&view, role.default_space(), &s)?;
-                if analyze {
-                    let (_, stats) =
-                        execute_plan_with_stats(&view, &inner.funcs, &plan, inner.parallelism)?;
-                    Ok(ResultSet { explain: Some(stats.render()), ..ResultSet::empty() })
-                } else {
-                    Ok(ResultSet { explain: Some(plan.explain()), ..ResultSet::empty() })
-                }
-            }
-            _ if analyze => {
-                Err(DbError::Unsupported("EXPLAIN ANALYZE supports only SELECT".into()))
-            }
-            other => Ok(ResultSet { explain: Some(format!("{other:?}")), ..ResultSet::empty() }),
-        },
-        _ => Err(DbError::Internal("run_txn_read called on a write statement".into())),
-    }
-}
-
-/// Resolve the target table and check write access, mirroring the
-/// auto-commit DML preamble.
-fn writable_table(inner: &Inner, table: &str, role: &Role) -> DbResult<TableDef> {
-    let def = inner.catalog.resolve_table(role.default_space(), table)?.clone();
-    if !inner.catalog.can_write(role, &def.space) {
-        return Err(DbError::AccessDenied(format!(
-            "space {:?} is read-only for this role",
-            def.space
-        )));
-    }
-    Ok(def)
 }
 
 fn conflict_stale_row() -> DbError {
@@ -211,32 +161,11 @@ fn txn_insert(
     rows: Vec<Vec<Expr>>,
     role: &Role,
 ) -> DbResult<ResultSet> {
-    let def = writable_table(inner, table, role)?;
-    let positions: Vec<usize> = match &columns {
-        None => (0..def.columns.len()).collect(),
-        Some(cols) => cols
-            .iter()
-            .map(|c| {
-                def.column_index(c).ok_or(DbError::NotFound { kind: "column", name: c.clone() })
-            })
-            .collect::<DbResult<_>>()?,
-    };
+    let def = inner.writable_table(table, role)?;
     let snapshot = state.snapshot;
     let mut n = 0u64;
-    for value_exprs in rows {
-        if value_exprs.len() != positions.len() {
-            return Err(DbError::Constraint(format!(
-                "INSERT supplies {} values for {} columns",
-                value_exprs.len(),
-                positions.len()
-            )));
-        }
-        let mut row: Row = vec![crate::datum::Datum::Null; def.columns.len()];
-        let ctx = EvalContext { bindings: &[], row: &[], funcs: &inner.funcs };
-        for (expr, &pos) in value_exprs.iter().zip(&positions) {
-            row[pos] = eval(expr, &ctx)?;
-        }
-        let row = check_row(&def, row)?;
+    for row in insert_images(&def, columns.as_deref(), &rows, &inner.funcs)? {
+        let row = row?;
         {
             let tw = state.writes.table_mut(def.id);
             UniqueScope { inner, def: &def, tw, snapshot }.check(&row, None, None, None)?;
@@ -247,68 +176,21 @@ fn txn_insert(
     Ok(ResultSet::affected(n))
 }
 
-/// Rows in the transaction's view that pass `filter`, with provenance.
-fn txn_matching_rows(
+/// The rows of the transaction's view that pass `filter`, located through
+/// the same access path a SELECT would take. A match that is a prior image
+/// — in the view, but already committed over — is a write-write conflict.
+fn txn_locate(
     inner: &Inner,
     state: &TxnState,
     def: &TableDef,
-    bindings: &[ColumnBinding],
     filter: Option<&Expr>,
-    funcs: &FunctionRegistry,
 ) -> DbResult<Vec<(Prov, Row)>> {
-    let compiled = filter.map(|pred| compile(pred, bindings, funcs)).transpose()?;
-    let keep = |row: &Row| -> DbResult<bool> {
-        match &compiled {
-            None => Ok(true),
-            Some(pred) => pred.accepts(row),
-        }
-    };
-    let storage = inner
-        .tables
-        .get(&def.id)
-        .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-    let tw = state.writes.table(def.id);
-    let snapshot = state.snapshot;
-    let mut out = Vec::new();
-    for page_no in 0..storage.heap.num_pages() {
-        storage.heap.page_visit_rows_rid(page_no, &mut |rid, bytes| {
-            if let Some(tw) = tw {
-                if tw.deleted.contains(&rid) || tw.updated.contains_key(&rid) {
-                    return Ok(());
-                }
-            }
-            if storage.born.get(&rid).copied().unwrap_or(0) > snapshot {
-                return Ok(());
-            }
-            let row = decode_row(bytes)?;
-            if keep(&row)? {
-                out.push((Prov::Committed(rid), row));
-            }
-            Ok(())
-        })?;
+    let view = ReadView::new(inner, state.snapshot, Some(&state.writes));
+    let matching = locate_rows(&view, def, &table_bindings(def), filter)?;
+    if matching.iter().any(|(prov, _)| *prov == Prov::Stale) {
+        return Err(conflict_stale_row());
     }
-    // Prior images visible to the snapshot: the row is in the view, but a
-    // concurrent transaction committed over it — writing it must conflict.
-    for v in &storage.old_versions {
-        if v.born <= snapshot && snapshot < v.died && keep(&v.row)? {
-            out.push((Prov::Stale, v.row.clone()));
-        }
-    }
-    if let Some(tw) = tw {
-        for (rid, row) in &tw.updated {
-            if keep(row)? {
-                out.push((Prov::Committed(*rid), row.clone()));
-            }
-        }
-        for (i, slot) in tw.inserted.iter().enumerate() {
-            if let Some(row) = slot {
-                if keep(row)? {
-                    out.push((Prov::OwnInsert(i), row.clone()));
-                }
-            }
-        }
-    }
-    Ok(out)
+    Ok(matching)
 }
 
 fn txn_update(
@@ -319,51 +201,37 @@ fn txn_update(
     filter: Option<Expr>,
     role: &Role,
 ) -> DbResult<ResultSet> {
-    let def = writable_table(inner, table, role)?;
-    let targets: Vec<(usize, Expr)> = assignments
-        .into_iter()
-        .map(|(c, e)| {
-            def.column_index(&c)
-                .map(|i| (i, e))
-                .ok_or(DbError::NotFound { kind: "column", name: c })
-        })
-        .collect::<DbResult<_>>()?;
-    let bindings: Vec<ColumnBinding> =
-        def.columns.iter().map(|c| ColumnBinding::new(&def.name, &c.name)).collect();
-    let matching = txn_matching_rows(inner, state, &def, &bindings, filter.as_ref(), &inner.funcs)?;
-    if matching.iter().any(|(prov, _)| matches!(prov, Prov::Stale)) {
-        return Err(conflict_stale_row());
+    let def = inner.writable_table(table, role)?;
+    let targets = update_targets(&def, assignments)?;
+    let bindings = table_bindings(&def);
+    let matching = txn_locate(inner, state, &def, filter.as_ref())?;
+    if matching.is_empty() {
+        // No overlay entry for a statement that wrote nothing: the table
+        // stays on the unversioned fast path.
+        return Ok(ResultSet::affected(0));
     }
     let snapshot = state.snapshot;
+    let tw = state.writes.table_mut(def.id);
     let mut n = 0u64;
     for (prov, row) in matching {
-        let ctx = EvalContext { bindings: &bindings, row: &row, funcs: &inner.funcs };
-        let mut new_row = row.clone();
-        for (pos, expr) in &targets {
-            new_row[*pos] = eval(expr, &ctx)?;
-        }
-        let new_row = check_row(&def, new_row)?;
+        let new_row = assign(&def, &bindings, &targets, &row, &inner.funcs)?;
         let (self_rid, self_insert) = match prov {
             Prov::Committed(rid) => (Some(rid), None),
             Prov::OwnInsert(i) => (None, Some(i)),
-            Prov::Stale => unreachable!("stale rows rejected above"),
+            Prov::Stale => unreachable!("stale rows rejected by txn_locate"),
         };
-        {
-            let tw = state.writes.table_mut(def.id);
-            UniqueScope { inner, def: &def, tw, snapshot }.check(
-                &new_row,
-                Some(&row),
-                self_rid,
-                self_insert,
-            )?;
-        }
-        let tw = state.writes.table_mut(def.id);
+        UniqueScope { inner, def: &def, tw: &*tw, snapshot }.check(
+            &new_row,
+            Some(&row),
+            self_rid,
+            self_insert,
+        )?;
         match prov {
             Prov::Committed(rid) => {
                 tw.updated.insert(rid, new_row);
             }
             Prov::OwnInsert(i) => tw.inserted[i] = Some(new_row),
-            Prov::Stale => unreachable!("stale rows rejected above"),
+            Prov::Stale => unreachable!("stale rows rejected by txn_locate"),
         }
         n += 1;
     }
@@ -377,15 +245,13 @@ fn txn_delete(
     filter: Option<Expr>,
     role: &Role,
 ) -> DbResult<ResultSet> {
-    let def = writable_table(inner, table, role)?;
-    let bindings: Vec<ColumnBinding> =
-        def.columns.iter().map(|c| ColumnBinding::new(&def.name, &c.name)).collect();
-    let matching = txn_matching_rows(inner, state, &def, &bindings, filter.as_ref(), &inner.funcs)?;
-    if matching.iter().any(|(prov, _)| matches!(prov, Prov::Stale)) {
-        return Err(conflict_stale_row());
+    let def = inner.writable_table(table, role)?;
+    let matching = txn_locate(inner, state, &def, filter.as_ref())?;
+    if matching.is_empty() {
+        return Ok(ResultSet::affected(0));
     }
     let tw = state.writes.table_mut(def.id);
-    let mut n = 0u64;
+    let n = matching.len() as u64;
     for (prov, _) in matching {
         match prov {
             Prov::Committed(rid) => {
@@ -393,9 +259,8 @@ fn txn_delete(
                 tw.deleted.insert(rid);
             }
             Prov::OwnInsert(i) => tw.inserted[i] = None,
-            Prov::Stale => unreachable!("stale rows rejected above"),
+            Prov::Stale => unreachable!("stale rows rejected by txn_locate"),
         }
-        n += 1;
     }
     Ok(ResultSet::affected(n))
 }
@@ -476,23 +341,34 @@ pub(crate) fn validate_and_apply(inner: &mut Inner, state: &TxnState) -> DbResul
     }
     // -- apply -------------------------------------------------------------
     inner.log(WalRecord::TxnBegin)?;
-    // Phase 1: clear out every rid the transaction supersedes, so phase 2's
-    // inserts can never trip over keys the transaction itself is moving.
+    // Phase 1: clear out every rid whose row the transaction removes or
+    // whose unique key it moves, so phase 2's inserts can never trip over
+    // keys the transaction itself is freeing. An update that keeps every
+    // unique key cannot collide with anything and is applied where it
+    // stands, as one update (one WAL record, the rid kept when it fits).
+    let mut moved: Vec<(u32, &Row)> = Vec::new();
     for (&table_id, tw) in &state.writes.tables {
-        let rids: Vec<Rid> = tw.deleted.iter().chain(tw.updated.keys()).copied().collect();
-        for rid in rids {
-            let row = inner
-                .fetch_row(table_id, rid)?
-                .ok_or_else(|| DbError::Internal("validated rid vanished during apply".into()))?;
+        for &rid in &tw.deleted {
+            let row = validated_row(inner, table_id, rid)?;
             inner.delete_row(table_id, rid, &row)?;
         }
-    }
-    // Phase 2: write the new images (updated rows get fresh rids).
-    for (&table_id, tw) in &state.writes.tables {
-        let new_rows = tw.updated.values().chain(tw.inserted.iter().flatten());
-        for row in new_rows {
-            inner.insert_row(table_id, row.clone())?;
+        for (&rid, new_row) in &tw.updated {
+            let old_row = validated_row(inner, table_id, rid)?;
+            if keeps_unique_keys(inner, table_id, &old_row, new_row)? {
+                inner.update_row(table_id, rid, &old_row, new_row.clone())?;
+            } else {
+                inner.delete_row(table_id, rid, &old_row)?;
+                moved.push((table_id, new_row));
+            }
         }
+    }
+    // Phase 2: write the moved and the new images (fresh rids).
+    let inserted =
+        state.writes.tables.iter().flat_map(|(&table_id, tw)| {
+            tw.inserted.iter().flatten().map(move |row| (table_id, row))
+        });
+    for (table_id, row) in moved.into_iter().chain(inserted) {
+        inner.insert_row(table_id, row.clone())?;
     }
     inner.log(WalRecord::TxnCommit)?;
     inner.committed_ts += 1;
@@ -501,4 +377,26 @@ pub(crate) fn validate_and_apply(inner: &mut Inner, state: &TxnState) -> DbResul
         wal.sync()?;
     }
     Ok(())
+}
+
+/// The current heap image of a rid that validation just found live.
+fn validated_row(inner: &Inner, table_id: u32, rid: Rid) -> DbResult<Row> {
+    inner
+        .storage(table_id)?
+        .fetch_rows(&[rid], |_, row| row)?
+        .pop()
+        .ok_or_else(|| DbError::Internal("validated rid vanished during apply".into()))
+}
+
+/// Does rewriting `old` as `new` leave every unique-indexed column of the
+/// table unchanged?
+fn keeps_unique_keys(inner: &Inner, table_id: u32, old: &Row, new: &Row) -> DbResult<bool> {
+    let def = inner
+        .catalog
+        .table_by_id(table_id)
+        .ok_or_else(|| DbError::Internal("unknown table id".into()))?;
+    Ok(inner.storage(table_id)?.btrees.iter().filter(|(_, idx)| idx.is_unique()).all(|(col, _)| {
+        let pos = def.column_index(col).expect("index column exists");
+        old[pos] == new[pos]
+    }))
 }

@@ -48,7 +48,7 @@ use crate::storage::heap::Rid;
 use crate::tuple::Row;
 use genalg_obs::{Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -159,7 +159,9 @@ pub struct TxnStats {
 pub(crate) struct TableWrites {
     /// Committed rids rewritten by this transaction, with their new
     /// contents. The rid keys double as the conflict-validation set.
-    pub(crate) updated: HashMap<Rid, Row>,
+    /// Ordered, so the positions the read view's synthetic rids address
+    /// (and the order commit applies in) do not depend on a hasher.
+    pub(crate) updated: BTreeMap<Rid, Row>,
     /// Committed rids deleted by this transaction.
     pub(crate) deleted: HashSet<Rid>,
     /// Rows this transaction inserted. `None` marks an insert that a later

@@ -141,7 +141,14 @@ proptest! {
             let got = heap.get(*rid).unwrap();
             prop_assert_eq!(got.as_ref(), Some(expected));
         }
-        let scanned: HashMap<Rid, Vec<u8>> = heap.scan().unwrap().into_iter().collect();
+        let mut scanned: HashMap<Rid, Vec<u8>> = HashMap::new();
+        for page_no in 0..heap.num_pages() {
+            heap.page_visit_rows_rid(page_no, &mut |rid, bytes| {
+                scanned.insert(rid, bytes.to_vec());
+                Ok(())
+            })
+            .unwrap();
+        }
         prop_assert_eq!(scanned, model);
     }
 

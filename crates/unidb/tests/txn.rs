@@ -504,3 +504,179 @@ fn version_gc_prunes_churn_under_long_lived_reader() {
     assert!(db.txn_stats().versions_pruned > pruned, "post-reader GC should reclaim the rest");
     assert_eq!(ints(&db, "SELECT k, v FROM t"), vec![(1, 199), (2, 0)]);
 }
+
+// -- index on == index off -------------------------------------------------
+
+/// One step of a visibility shape, run after the transaction has begun.
+#[derive(Clone, Copy)]
+enum Step {
+    /// A statement inside the transaction under test.
+    Own(&'static str),
+    /// An auto-committed statement from another session.
+    Other(&'static str),
+}
+use Step::{Other, Own};
+
+/// How the indexed column of a variant is indexed.
+const INDEXES: [Option<&str>; 3] =
+    [None, Some("CREATE INDEX ON t (k)"), Some("CREATE UNIQUE INDEX ON t (k)")];
+
+/// Keys 1..=20 without 5 (so a shape can insert it), `v = 10 * k`.
+fn shape_db(index: Option<&str>, parallelism: usize) -> Database {
+    let db = Database::in_memory();
+    db.set_parallelism(parallelism);
+    db.execute("CREATE TABLE t (k INT, v INT)").unwrap();
+    if let Some(ddl) = index {
+        db.execute(ddl).unwrap();
+    }
+    for k in (1..=20).filter(|k| *k != 5) {
+        db.execute(&format!("INSERT INTO t VALUES ({k}, {})", 10 * k)).unwrap();
+    }
+    db
+}
+
+/// A statement's comparable outcome: sorted rows, the affected count, or
+/// the *kind* of error.
+fn outcome(res: Result<unidb::ResultSet, DbError>) -> String {
+    match res {
+        Ok(rs) if rs.columns.is_empty() => format!("affected {}", rs.affected),
+        Ok(rs) => {
+            let mut rows: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
+            rows.sort_unstable();
+            format!("rows {rows:?}")
+        }
+        Err(e) => error_kind(&e),
+    }
+}
+
+fn error_kind(e: &DbError) -> String {
+    match e {
+        DbError::Conflict(_) => "conflict".into(),
+        DbError::Constraint(_) => "constraint".into(),
+        other => format!("error {other}"),
+    }
+}
+
+/// Run `shape` then `probes` inside one transaction, commit, and return
+/// everything observable: each own step's and probe's outcome, the
+/// transaction's view after the probes, the commit result and the final
+/// table.
+fn run_shape(db: &Database, shape: &[Step], probes: &[&str]) -> Vec<String> {
+    let mut log = Vec::new();
+    let id = db.txn_begin();
+    for step in shape {
+        match *step {
+            Own(sql) => log.push(format!("{sql} -> {}", outcome(db.txn_execute(id, sql)))),
+            Other(sql) => {
+                db.execute(sql).unwrap();
+            }
+        }
+    }
+    for sql in probes {
+        log.push(format!("{sql} -> {}", outcome(db.txn_execute(id, sql))));
+    }
+    log.push(format!("view -> {}", outcome(db.txn_execute(id, "SELECT k, v FROM t"))));
+    let committed = db.txn_commit(id);
+    log.push(format!("commit -> {}", committed.map_or_else(|e| error_kind(&e), |()| "ok".into())));
+    log.push(format!("final -> {}", outcome(db.execute("SELECT k, v FROM t"))));
+    log
+}
+
+/// Point and range SELECT, UPDATE and DELETE return the same rows,
+/// `affected` counts, conflicts and final contents whether `k` carries no
+/// index, a B-tree or a unique B-tree — under every way a row can differ
+/// between the snapshot, the latest heap and the write-set, and at
+/// parallelism 1 and 4. The indexed runs are checked (via EXPLAIN inside
+/// the transaction, after the shape dirtied the table) to have really
+/// planned the index.
+#[test]
+fn index_on_equals_index_off_under_every_visibility_shape() {
+    let shapes: &[(&str, &[Step])] = &[
+        ("clean", &[]),
+        ("updated by another session", &[Other("UPDATE t SET v = 999 WHERE k = 4")]),
+        ("deleted by another session", &[Other("DELETE FROM t WHERE k = 4")]),
+        ("inserted by another session", &[Other("INSERT INTO t VALUES (5, 555)")]),
+        ("key moved out of range", &[Other("UPDATE t SET k = 50 WHERE k = 4")]),
+        ("key moved into range", &[Other("UPDATE t SET k = 5 WHERE k = 10")]),
+        (
+            "slot recycled",
+            &[Other("DELETE FROM t WHERE k = 4"), Other("INSERT INTO t VALUES (4, 444)")],
+        ),
+        ("own update", &[Own("UPDATE t SET v = 41 WHERE k = 4")]),
+        ("own insert", &[Own("INSERT INTO t VALUES (5, 55)")]),
+        ("own delete", &[Own("DELETE FROM t WHERE k = 4")]),
+        (
+            "second update of the same key",
+            &[Own("UPDATE t SET v = 41 WHERE k = 4"), Own("UPDATE t SET v = 42 WHERE k = 4")],
+        ),
+        ("own key move", &[Own("UPDATE t SET k = 5 WHERE k = 4")]),
+        (
+            "own update, then committed over",
+            &[Own("UPDATE t SET v = 41 WHERE k = 4"), Other("UPDATE t SET v = 999 WHERE k = 4")],
+        ),
+        (
+            "own delete, then committed over",
+            &[Own("DELETE FROM t WHERE k = 4"), Other("UPDATE t SET v = 999 WHERE k = 4")],
+        ),
+        (
+            "own write on a table another session keeps dirtying",
+            &[Own("UPDATE t SET v = 41 WHERE k = 4"), Other("UPDATE t SET v = 7 WHERE k = 18")],
+        ),
+    ];
+    let probe_sets: &[&[&str]] = &[
+        &[
+            "SELECT k, v FROM t WHERE k = 4",
+            "SELECT k, v FROM t WHERE k = 5",
+            "SELECT k, v FROM t WHERE k BETWEEN 3 AND 6",
+            "SELECT k, v FROM t WHERE k BETWEEN 3 AND 6 AND v > 40",
+        ],
+        &["UPDATE t SET v = v + 1 WHERE k = 4"],
+        &["UPDATE t SET v = v + 1 WHERE k = 5"],
+        &["UPDATE t SET v = v + 1 WHERE k BETWEEN 3 AND 6"],
+        &["UPDATE t SET k = k + 100 WHERE k BETWEEN 3 AND 6"],
+        &["DELETE FROM t WHERE k = 4"],
+        &["DELETE FROM t WHERE k BETWEEN 3 AND 6"],
+        &["DELETE FROM t WHERE k BETWEEN 3 AND 6 AND v > 40"],
+    ];
+    for (name, shape) in shapes {
+        for probes in probe_sets {
+            let reference = run_shape(&shape_db(None, 1), shape, probes);
+            for index in INDEXES {
+                for parallelism in [1, 4] {
+                    let got = run_shape(&shape_db(index, parallelism), shape, probes);
+                    assert_eq!(
+                        got, reference,
+                        "shape {name:?}, probes {probes:?}, index {index:?}, par {parallelism}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The equivalence above compares real access paths: inside a transaction
+/// on a table another session dirtied, and on one the transaction itself
+/// wrote, EXPLAIN shows the B-tree for SELECT, UPDATE and DELETE when there
+/// is one and the sequential scan when there is not.
+#[test]
+fn explain_shows_the_index_on_a_dirty_table() {
+    for index in INDEXES {
+        let db = shape_db(index, 1);
+        let id = db.txn_begin();
+        db.execute("UPDATE t SET v = 999 WHERE k = 4").unwrap();
+        db.txn_execute(id, "UPDATE t SET v = 1 WHERE k = 7").unwrap();
+        for (sql, indexed) in [
+            ("SELECT k, v FROM t WHERE k = 4", "IndexEqScan"),
+            ("UPDATE t SET v = 0 WHERE k = 4", "IndexEqScan"),
+            ("DELETE FROM t WHERE k = 4", "IndexEqScan"),
+            ("SELECT k, v FROM t WHERE k BETWEEN 3 AND 6", "IndexRangeScan"),
+            ("UPDATE t SET v = 0 WHERE k BETWEEN 3 AND 6", "IndexRangeScan"),
+            ("DELETE FROM t WHERE k BETWEEN 3 AND 6", "IndexRangeScan"),
+        ] {
+            let plan = db.txn_execute(id, &format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
+            let expected = if index.is_some() { indexed } else { "SeqScan" };
+            assert!(plan.contains(expected), "{sql} with {index:?} planned as:\n{plan}");
+        }
+        db.txn_rollback(id).unwrap();
+    }
+}

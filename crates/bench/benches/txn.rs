@@ -14,6 +14,11 @@
 //! that finds its row through the index costs a small multiple of the
 //! `SELECT`, in every context; one that walks the heap costs 30–50×.
 //!
+//! A third section times one 20 000-row `INSERT` into a table with a plain
+//! B-tree and into one with a unique B-tree, and fails the run if uniqueness
+//! costs more than 2× (same run, best of three): the unique-key check is
+//! hashed per statement, so it must stay linear in the statement's rows.
+//!
 //! Emits one JSON document on stdout:
 //!
 //! ```json
@@ -21,7 +26,8 @@
 //!   {"mode":"disjoint","writers":4,"committed":8000,"conflict_retries":0,
 //!    "elapsed_ms":420.0,"commits_per_sec":19047.6}],
 //!  "statements":[
-//!   {"context":"autocommit","select_us":20.1,"update_us":31.0,"update_vs_select":1.5}]}
+//!   {"context":"autocommit","select_us":20.1,"update_us":31.0,"update_vs_select":1.5}],
+//!  "bulk_insert":{"rows":20000,"plain_ms":41.0,"unique_ms":52.3,"unique_vs_plain":1.28}}
 //! ```
 //!
 //! Environment:
@@ -244,6 +250,43 @@ fn statement_section(n: u64) -> Vec<String> {
     .collect()
 }
 
+/// Rows of the bulk-insert check.
+const BULK_ROWS: i64 = 20_000;
+
+/// Best-of-three milliseconds of one `BULK_ROWS`-row autocommit `INSERT`
+/// into an empty table indexed by `index_ddl`.
+fn time_bulk_insert(index_ddl: &str) -> f64 {
+    let tuples: Vec<String> = (0..BULK_ROWS).map(|k| format!("({k}, 0)")).collect();
+    let insert = format!("INSERT INTO t VALUES {}", tuples.join(","));
+    (0..3)
+        .map(|_| {
+            let db = Database::in_memory();
+            db.execute("CREATE TABLE t (k INT, v INT)").unwrap();
+            db.execute(index_ddl).unwrap();
+            let start = Instant::now();
+            let rs = db.execute(&insert).unwrap();
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(rs.affected, BULK_ROWS as u64);
+            ms
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn bulk_insert_section() -> String {
+    let plain = time_bulk_insert("CREATE INDEX ON t (k)");
+    let unique = time_bulk_insert("CREATE UNIQUE INDEX ON t (k)");
+    assert!(
+        unique <= 2.0 * plain,
+        "a {BULK_ROWS}-row INSERT costs {unique:.1} ms with a unique B-tree, {plain:.1} ms with \
+         a plain one: the uniqueness check is no longer linear in the statement"
+    );
+    format!(
+        "{{\"rows\":{BULK_ROWS},\"plain_ms\":{plain:.1},\"unique_ms\":{unique:.1},\
+         \"unique_vs_plain\":{:.2}}}",
+        unique / plain
+    )
+}
+
 fn main() {
     let writer_counts = env_list("BENCH_TXN_WRITERS", "1,2,4");
     let ops = env_u64("BENCH_TXN_OPS", 2000);
@@ -305,8 +348,9 @@ fn main() {
         ));
     }
     println!(
-        "{{\"bench\":\"txn\",\"results\":[{}],\"statements\":[{}]}}",
+        "{{\"bench\":\"txn\",\"results\":[{}],\"statements\":[{}],\"bulk_insert\":{}}}",
         results.join(","),
-        statement_section(ops).join(",")
+        statement_section(ops).join(","),
+        bulk_insert_section()
     );
 }

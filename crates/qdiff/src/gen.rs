@@ -5,8 +5,9 @@
 //! division by zero) — the engine and oracle evaluate them over the same
 //! surviving rows, so error outcomes agree — but WHERE predicates and DML
 //! assignments are error-free by construction: predicate pushdown changes
-//! which rows a sub-predicate sees, and engine UPDATEs are not atomic per
-//! statement, so an error there would make outcomes depend on row order.
+//! which rows a sub-predicate sees, and while the engine applies an UPDATE
+//! wholly or not at all, the oracle assigns row by row with no undo, so an
+//! error there would leave the two sides in different states.
 
 use crate::{
     AggFunc, AggSpec, ColSpec, ColTy, JoinKind, JoinSpec, Op, Proj, QExpr, QOp, Query, Scenario,

@@ -22,8 +22,9 @@
 //! * `sum`/`avg` only over INT columns — float accumulation order matters,
 //!   and UPDATEs relocate heap rows;
 //! * DML assignments are literals or same-type column copies, so an
-//!   UPDATE can never fail halfway through (engine updates are not atomic
-//!   per statement);
+//!   UPDATE never fails on some of its rows: the engine would leave no
+//!   trace of such a statement (DML is atomic per statement), but the
+//!   oracle applies assignments row by row and models no undo;
 //! * WHERE predicates are error-free by construction (no arithmetic that
 //!   can overflow, division only by non-zero literals) because predicate
 //!   pushdown legitimately changes *which rows* a sub-predicate is

@@ -1,5 +1,9 @@
-//! The database engine facade: sessions, DDL/DML execution, transactions,
-//! durability, and the extension registration surface.
+//! The database engine facade: sessions, statement dispatch, DDL, the row
+//! mutators every write is applied (and replayed) through, durability, and
+//! the extension registration surface. DML itself lives in [`crate::txn`]:
+//! an autocommit `INSERT`/`UPDATE`/`DELETE` is a one-statement transaction,
+//! run and committed by the same code as a statement between `BEGIN` and
+//! `COMMIT`, so it applies wholly or not at all.
 
 use crate::catalog::{Catalog, ColumnDef, EquiDepthHistogram, Role, TableDef};
 use crate::datum::{DataType, Datum};
@@ -10,7 +14,7 @@ use crate::expr::eval::{eval, ColumnBinding, EvalContext};
 use crate::expr::func::{AggregateFn, FunctionRegistry, ScalarBinder, ScalarFn};
 use crate::index::btree::BTreeIndex;
 use crate::index::udi::AccessMethod;
-use crate::locate::{explain_dml, locate_rows, table_bindings, RowSource};
+use crate::locate::{explain_dml, RowSource};
 use crate::plan::planner::{plan_select, PlannerContext};
 use crate::plan::PhysicalPlan;
 use crate::sql::ast::{Expr, Stmt};
@@ -22,7 +26,8 @@ use crate::storage::store::MemStore;
 use crate::storage::vfs::{StdVfs, Vfs};
 use crate::storage::wal::{read_log_prefix, WalRecord, WalWriter};
 use crate::tuple::{decode_row, decode_row_cols_into, encode_row, Row};
-use crate::txn::TxnManager;
+use crate::txn::exec::{run_txn_stmt, validate_and_apply};
+use crate::txn::{TxnManager, TxnState};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -176,9 +181,6 @@ pub(crate) struct Inner {
     /// active snapshot the bookkeeping would be garbage-collected
     /// immediately, so it is skipped at the source.
     pub(crate) track_versions: bool,
-    /// Set by row mutators; consumed by [`Inner::seal_statement`] to
-    /// advance [`Inner::committed_ts`] once per mutating statement.
-    pub(crate) pending_dirty: bool,
 }
 
 /// Default query parallelism: `UNIDB_PARALLELISM` if set (min 1), else the
@@ -314,7 +316,6 @@ impl Database {
                 stats_rebuilt: AtomicU64::new(0),
                 committed_ts: 0,
                 track_versions: false,
-                pending_dirty: false,
             }),
             txns: TxnManager::new(),
             ambient: Mutex::new(None),
@@ -378,7 +379,6 @@ impl Database {
             inner.replay_records(wal_records)?;
         }
         inner.replaying = false;
-        inner.pending_dirty = false;
         inner.epoch = snap_epoch;
         let mut wal =
             WalWriter::open(vfs.as_ref(), &wal_path, if stale_wal { 0 } else { valid_len })?;
@@ -490,7 +490,6 @@ impl Database {
                     let mut inner = self.inner.write();
                     inner.track_versions = self.txns.active() > 0;
                     let result = inner.run_stmt(other, role);
-                    inner.seal_statement();
                     let actives = self.txns.active_snapshots();
                     let current = inner.committed_ts;
                     let pruned = inner.gc_versions(&actives, current);
@@ -717,10 +716,29 @@ impl Database {
     }
 
     /// Execute a script with an explicit role. Each statement dispatches
-    /// independently, so scripts can open and commit transactions.
+    /// independently, so scripts can open and commit transactions. A script
+    /// that fails inside a transaction it opened rolls that transaction back
+    /// before returning the error: the ambient slot is database-wide, and
+    /// left occupied it would swallow every later statement into a
+    /// transaction nobody will commit.
     pub fn execute_script_as(&self, sql: &str, role: &Role) -> DbResult<Vec<ResultSet>> {
         let stmts = parse_many(sql)?;
-        stmts.into_iter().map(|s| self.dispatch_stmt(s, role)).collect()
+        let before = *self.ambient.lock();
+        let results: DbResult<Vec<ResultSet>> =
+            stmts.into_iter().map(|s| self.dispatch_stmt(s, role)).collect();
+        if results.is_err() {
+            let mut ambient = self.ambient.lock();
+            // A transaction in the slot that was not there when the script
+            // started is one the script opened.
+            if let Some(id) = ambient.filter(|id| Some(*id) != before) {
+                *ambient = None;
+                drop(ambient);
+                // Only fails if the transaction is already gone; the
+                // statement's error is the one to report.
+                let _ = self.txn_rollback(id);
+            }
+        }
+        results
     }
 
     /// Register an opaque UDT (§6.2); returns its type id.
@@ -846,6 +864,7 @@ impl Database {
 // ---------------------------------------------------------------------------
 
 impl Inner {
+    /// Run one autocommit statement under the exclusive lock.
     fn run_stmt(&mut self, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
         match stmt {
             Stmt::Select(_) | Stmt::Explain { .. } => run_read(self, self.parallelism, stmt, role),
@@ -865,11 +884,19 @@ impl Inner {
                 self.maybe_sync()?;
                 Ok(ResultSet::empty())
             }
-            Stmt::Insert { table, columns, rows } => self.insert(&table, columns, rows, role),
-            Stmt::Update { table, assignments, filter } => {
-                self.update(&table, assignments, filter, role)
+            // Autocommit DML is a one-statement transaction. It is pinned at
+            // the current commit timestamp and never registered with the
+            // transaction manager: the caller holds the write lock, so
+            // nothing can commit (or collect versions) under it — it cannot
+            // conflict, and the `txn_*` counters keep counting `BEGIN`s only.
+            // A statement that fails has written nothing, to the heap or to
+            // the WAL buffer; one that succeeds commits like any transaction.
+            Stmt::Insert { .. } | Stmt::Update { .. } | Stmt::Delete { .. } => {
+                let mut txn = TxnState::new(self.committed_ts);
+                let result = run_txn_stmt(self, &mut txn, stmt, role)?;
+                validate_and_apply(self, txn)?;
+                Ok(result)
             }
-            Stmt::Delete { table, filter } => self.delete(&table, filter, role),
             // Transaction control never reaches the auto-commit executor:
             // `Database::dispatch_stmt` routes it to the ambient transaction.
             Stmt::Begin | Stmt::Commit | Stmt::Rollback => Err(DbError::Internal(
@@ -898,17 +925,6 @@ impl Inner {
         let ts = self.pending_ts();
         let gen = self.table_gens.entry(table_id).or_insert(0);
         *gen = (*gen).max(ts);
-        self.pending_dirty = true;
-    }
-
-    /// Advance the commit timestamp if the finished statement mutated any
-    /// row. Called once per auto-commit statement; explicit transactions
-    /// advance it in their commit path instead.
-    pub(crate) fn seal_statement(&mut self) {
-        if self.pending_dirty {
-            self.committed_ts += 1;
-            self.pending_dirty = false;
-        }
     }
 
     /// Drop version bookkeeping no active snapshot can still see,
@@ -1044,62 +1060,6 @@ impl Inner {
             )));
         }
         Ok(def.clone())
-    }
-
-    fn insert(
-        &mut self,
-        table: &str,
-        columns: Option<Vec<String>>,
-        rows: Vec<Vec<Expr>>,
-        role: &Role,
-    ) -> DbResult<ResultSet> {
-        let def = self.writable_table(table, role)?;
-        let funcs = self.funcs.clone();
-        let mut n = 0u64;
-        for row in insert_images(&def, columns.as_deref(), &rows, &funcs)? {
-            let row = row?;
-            self.insert_row(def.id, row)?;
-            n += 1;
-        }
-        self.maybe_sync()?;
-        Ok(ResultSet::affected(n))
-    }
-
-    fn update(
-        &mut self,
-        table: &str,
-        assignments: Vec<(String, Expr)>,
-        filter: Option<Expr>,
-        role: &Role,
-    ) -> DbResult<ResultSet> {
-        let def = self.writable_table(table, role)?;
-        let targets = update_targets(&def, assignments)?;
-        let bindings = table_bindings(&def);
-        // Locate and compute every new image before the first write: the
-        // statement never meets its own output, and an expression error
-        // leaves the table untouched.
-        let mut writes = Vec::new();
-        for (prov, row) in locate_rows(&*self, &def, &bindings, filter.as_ref())? {
-            let new_row = assign(&def, &bindings, &targets, &row, &self.funcs)?;
-            writes.push((prov.committed()?, row, new_row));
-        }
-        let n = writes.len() as u64;
-        for (rid, row, new_row) in writes {
-            self.update_row(def.id, rid, &row, new_row)?;
-        }
-        self.maybe_sync()?;
-        Ok(ResultSet::affected(n))
-    }
-
-    fn delete(&mut self, table: &str, filter: Option<Expr>, role: &Role) -> DbResult<ResultSet> {
-        let def = self.writable_table(table, role)?;
-        let matching = locate_rows(&*self, &def, &table_bindings(&def), filter.as_ref())?;
-        let n = matching.len() as u64;
-        for (prov, row) in matching {
-            self.delete_row(def.id, prov.committed()?, &row)?;
-        }
-        self.maybe_sync()?;
-        Ok(ResultSet::affected(n))
     }
 
     // -- row-level mutation with index + WAL maintenance -----------------------
@@ -1260,9 +1220,9 @@ impl Inner {
         Ok(())
     }
 
-    /// Sync the WAL at an auto-commit statement boundary. Explicit
-    /// transactions never reach this: their writes buffer in the write-set
-    /// and hit the WAL (framed, with one sync) at commit.
+    /// Sync the WAL at the end of a DDL statement. DML never reaches this:
+    /// its writes buffer in a write-set and hit the WAL, with one sync, when
+    /// that commits (`txn::exec::validate_and_apply`).
     fn maybe_sync(&mut self) -> DbResult<()> {
         if let Some(wal) = self.wal.as_mut() {
             wal.sync()?;

@@ -4,8 +4,10 @@
 //! A DML statement's `WHERE` is planned by the planner's own `build_scan`
 //! (through [`plan_table_scan`]) — the same `INDEX_WORTHWHILE` rule and the
 //! same residual ordering a `SELECT` gets — and the chosen access path runs
-//! against whichever [`RowSource`] the statement has: the engine itself in
-//! autocommit, a [`crate::txn::ReadView`] inside a transaction. Every match
+//! against the statement's [`RowSource`]: a [`crate::txn::ReadView`] — every
+//! DML statement runs in a transaction, autocommit's being one statement
+//! long — which on a table nothing has written since its snapshot hands
+//! straight through to the engine. Every match
 //! comes back with its [`Prov`] *before* any row is written, so an `UPDATE`
 //! that moves the key it is being located by never meets its own output.
 
@@ -22,7 +24,7 @@ use crate::storage::heap::Rid;
 use crate::tuple::{decode_row, Row};
 
 /// Where a located row lives, i.e. what a write to it must target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Prov {
     /// A committed heap row (visible to the snapshot, if there is one);
     /// writes target its rid.
@@ -34,17 +36,6 @@ pub(crate) enum Prov {
     /// transaction already committed over it. Writing it is a
     /// serialization conflict.
     Stale,
-}
-
-impl Prov {
-    /// The rid of a row located outside any transaction, where every row
-    /// is a committed one.
-    pub(crate) fn committed(self) -> DbResult<Rid> {
-        match self {
-            Prov::Committed(rid) => Ok(rid),
-            other => Err(DbError::Internal(format!("autocommit located a {other:?} row"))),
-        }
-    }
 }
 
 /// Storage the locator can address rows in: the executor's probes plus

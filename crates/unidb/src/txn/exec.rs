@@ -1,13 +1,21 @@
-//! Statement execution inside a transaction, and commit-time
-//! validate-and-apply.
+//! The one DML path: statement execution against a transaction's
+//! write-set, and commit-time validate-and-apply.
 //!
-//! Statements run under the shared engine read lock: reads plan and
-//! execute against a [`ReadView`]; writes buffer row images in the
-//! transaction's [`WriteSet`](super::WriteSet) without touching the heap.
-//! `UPDATE` and `DELETE` find their rows through the row locator
-//! ([`crate::locate`]) run against the same view, so they take the access
-//! path a `SELECT` with that `WHERE` would — index probes included, on
-//! clean and dirty tables alike — and learn where each match lives.
+//! Every `INSERT`/`UPDATE`/`DELETE` runs here — inside an explicit
+//! transaction under the shared engine read lock, or as the one-statement
+//! transaction autocommit wraps around it under the write lock
+//! (`Database::dispatch_stmt`). Reads plan and execute against a
+//! [`ReadView`]; writes buffer row images in the transaction's
+//! [`WriteSet`](super::WriteSet) without touching the heap. `UPDATE` and
+//! `DELETE` find their rows through the row locator ([`crate::locate`]) run
+//! against the same view, so they take the access path a `SELECT` with that
+//! `WHERE` would — index probes included, on clean and dirty tables alike —
+//! and learn where each match lives.
+//!
+//! **Statement atomicity.** A statement computes and checks every row image
+//! before it buffers the first, so a statement that fails — on its first row
+//! or its last — leaves the write-set exactly as it found it.
+//!
 //! Serialization conflicts are detected eagerly where cheap (a write
 //! matching a row some concurrent transaction already superseded, an
 //! insert colliding with a key committed after the snapshot) and
@@ -15,7 +23,10 @@
 //! the exclusive write lock.
 
 use crate::catalog::{Role, TableDef};
-use crate::db::{assign, insert_images, run_read, update_targets, Inner, ResultSet};
+use crate::datum::Datum;
+use crate::db::{
+    assign, insert_images, run_read, update_targets, Inner, OldVersion, ResultSet, TableStorage,
+};
 use crate::error::{DbError, DbResult};
 use crate::locate::{locate_rows, table_bindings, Prov};
 use crate::sql::ast::{Expr, Stmt};
@@ -23,6 +34,7 @@ use crate::storage::heap::Rid;
 use crate::storage::wal::WalRecord;
 use crate::tuple::Row;
 use crate::txn::{ReadView, TableWrites, TxnState};
+use std::collections::HashSet;
 
 pub(crate) fn run_txn_stmt(
     inner: &Inner,
@@ -64,93 +76,69 @@ fn conflict_stale_row() -> DbError {
     )
 }
 
-/// Everything a uniqueness check reads: engine state, the table, the
-/// transaction's buffered writes, and its snapshot.
-struct UniqueScope<'a> {
-    inner: &'a Inner,
-    def: &'a TableDef,
-    tw: &'a TableWrites,
+/// The unique-key check a batch of row images passes before it is written:
+/// a statement's images before they enter the write-set, the whole
+/// write-set before commit applies it. Each batch entry is `(old, new)` —
+/// `old` the image an update replaces, so a key it keeps is not probed.
+///
+/// For each unique index column, in precedence order:
+/// 1. committed heap rows still holding a key the batch introduces, other
+///    than the ones `replaced` names (rows the transaction deleted or
+///    rewrites — their new images are in `held` or in the batch):
+///    invisible holder (`born > snapshot`) → [`DbError::Conflict`] (a
+///    concurrent transaction claimed the key first), visible holder →
+///    [`DbError::Constraint`];
+/// 2. `prior_images` visible to the snapshot → [`DbError::Constraint`] (the
+///    duplicate is in the transaction's view even if since removed). Commit
+///    passes none: every statement checked them, and what a snapshot sees
+///    never changes;
+/// 3. the transaction's other buffered rows (`held`) and the batch's own
+///    earlier rows → [`DbError::Constraint`]. One hashed key set per index,
+///    so a batch costs time linear in its rows plus `held`.
+fn check_unique<'r>(
+    storage: &TableStorage,
+    def: &TableDef,
     snapshot: u64,
-}
-
-impl UniqueScope<'_> {
-    /// Uniqueness check for a row this transaction is about to buffer.
-    ///
-    /// Checks, in precedence order, each unique index column whose key the
-    /// write actually changes (`old_row` is the prior contents for an
-    /// update; `self_rid`/`self_insert` identify the write-set entry being
-    /// rewritten so it does not collide with itself):
-    /// 1. committed heap rows still holding the key (excluding rows this
-    ///    transaction deleted or rewrote, and the row being rewritten):
-    ///    invisible holder (`born > snapshot`) → [`DbError::Conflict`]
-    ///    (a concurrent transaction claimed the key first), visible holder →
-    ///    [`DbError::Constraint`];
-    /// 2. prior images visible to the snapshot → [`DbError::Constraint`]
-    ///    (the duplicate is in the transaction's view even if since removed);
-    /// 3. the transaction's own buffered rows → [`DbError::Constraint`].
-    fn check(
-        &self,
-        new_row: &Row,
-        old_row: Option<&Row>,
-        self_rid: Option<Rid>,
-        self_insert: Option<usize>,
-    ) -> DbResult<()> {
-        let Some(storage) = self.inner.tables.get(&self.def.id) else {
-            return Err(DbError::Internal("missing table storage".into()));
+    prior_images: &[OldVersion],
+    replaced: impl Fn(Rid) -> bool,
+    held: impl Iterator<Item = &'r Row> + Clone,
+    batch: impl Iterator<Item = (Option<&'r Row>, &'r Row)> + Clone,
+) -> DbResult<()> {
+    for (col, idx) in storage.btrees.iter().filter(|(_, idx)| idx.is_unique()) {
+        let pos = def.column_index(col).expect("index column exists");
+        let duplicate = |key: &Datum| {
+            DbError::Constraint(format!("duplicate key {key} for unique index on {col}"))
         };
-        let (tw, snapshot) = (self.tw, self.snapshot);
-        for (col, idx) in &storage.btrees {
-            if !idx.is_unique() {
-                continue;
-            }
-            let pos = self.def.column_index(col).expect("index column exists");
-            let key = &new_row[pos];
-            if let Some(old) = old_row {
-                if old[pos] == *key {
-                    continue;
+        let mut taken: HashSet<&Datum> = held.clone().map(|row| &row[pos]).collect();
+        for (old, new) in batch.clone() {
+            let key = &new[pos];
+            if old.is_none_or(|old| old[pos] != *key) {
+                for rid in idx.get(key) {
+                    // Born-after-snapshot comes first: heap slots are
+                    // recycled, so a rid this write-set claims may since have
+                    // been re-bestowed on a concurrent commit's row — the
+                    // claim is void and the key is taken.
+                    if storage.born.get(&rid).copied().unwrap_or(0) > snapshot {
+                        return Err(DbError::Conflict(format!(
+                            "unique key {key} for index on {col} was claimed by a concurrent \
+                             transaction; retry the transaction"
+                        )));
+                    }
+                    if !replaced(rid) {
+                        return Err(duplicate(key));
+                    }
+                }
+                let visible = |v: &&OldVersion| v.born <= snapshot && snapshot < v.died;
+                if prior_images.iter().filter(visible).any(|v| v.row[pos] == *key) {
+                    return Err(duplicate(key));
                 }
             }
-            for rid in idx.get(key) {
-                // Born-after-snapshot comes first: heap slots are recycled,
-                // so a rid this write-set claims may since have been
-                // re-bestowed on a concurrent commit's row — the claim is
-                // void and the key is taken.
-                if storage.born.get(&rid).copied().unwrap_or(0) > snapshot {
-                    return Err(DbError::Conflict(format!(
-                        "unique key {key} for index on {col} was claimed by a concurrent \
-                         transaction; retry the transaction"
-                    )));
-                }
-                if tw.deleted.contains(&rid)
-                    || tw.updated.contains_key(&rid)
-                    || self_rid == Some(rid)
-                {
-                    continue;
-                }
-                return Err(DbError::Constraint(format!(
-                    "duplicate key {key} for unique index on {col}"
-                )));
-            }
-            for v in &storage.old_versions {
-                if v.born <= snapshot && snapshot < v.died && v.row[pos] == *key {
-                    return Err(DbError::Constraint(format!(
-                        "duplicate key {key} for unique index on {col}"
-                    )));
-                }
-            }
-            let own_dup =
-                tw.updated.iter().any(|(rid, row)| self_rid != Some(*rid) && row[pos] == *key)
-                    || tw.inserted.iter().enumerate().any(|(i, slot)| {
-                        self_insert != Some(i) && slot.as_ref().is_some_and(|row| row[pos] == *key)
-                    });
-            if own_dup {
-                return Err(DbError::Constraint(format!(
-                    "duplicate key {key} for unique index on {col}"
-                )));
+            if !taken.insert(key) {
+                return Err(duplicate(key));
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 fn txn_insert(
@@ -162,17 +150,26 @@ fn txn_insert(
     role: &Role,
 ) -> DbResult<ResultSet> {
     let def = inner.writable_table(table, role)?;
-    let snapshot = state.snapshot;
-    let mut n = 0u64;
-    for row in insert_images(&def, columns.as_deref(), &rows, &inner.funcs)? {
-        let row = row?;
-        {
-            let tw = state.writes.table_mut(def.id);
-            UniqueScope { inner, def: &def, tw, snapshot }.check(&row, None, None, None)?;
-        }
-        state.writes.table_mut(def.id).inserted.push(Some(row));
-        n += 1;
-    }
+    // Every image is computed and checked before the first is buffered: a
+    // statement that fails on a later row leaves no earlier one behind.
+    let images: Vec<Row> =
+        insert_images(&def, columns.as_deref(), &rows, &inner.funcs)?.collect::<DbResult<_>>()?;
+    let storage = inner.storage(def.id)?;
+    let none = TableWrites::default();
+    // Read, not `table_mut`: a statement that fails must not leave so much as
+    // an empty entry behind (one would take the table off the fast path).
+    let tw = state.writes.table(def.id).unwrap_or(&none);
+    check_unique(
+        storage,
+        &def,
+        state.snapshot,
+        &storage.old_versions,
+        |rid| tw.replaces(rid),
+        tw.rows(),
+        images.iter().map(|row| (None, row)),
+    )?;
+    let n = images.len() as u64;
+    state.writes.table_mut(def.id).inserted.extend(images.into_iter().map(Some));
     Ok(ResultSet::affected(n))
 }
 
@@ -204,28 +201,39 @@ fn txn_update(
     let def = inner.writable_table(table, role)?;
     let targets = update_targets(&def, assignments)?;
     let bindings = table_bindings(&def);
-    let matching = txn_locate(inner, state, &def, filter.as_ref())?;
-    if matching.is_empty() {
+    // Locate, compute every new image, check them as one batch, and only
+    // then write: the statement never meets its own output, its uniqueness
+    // outcome does not depend on the order rows were found in, and an error
+    // on any row leaves the write-set untouched.
+    let mut staged = Vec::new();
+    for (prov, row) in txn_locate(inner, state, &def, filter.as_ref())? {
+        let new_row = assign(&def, &bindings, &targets, &row, &inner.funcs)?;
+        staged.push((prov, row, new_row));
+    }
+    if staged.is_empty() {
         // No overlay entry for a statement that wrote nothing: the table
         // stays on the unversioned fast path.
         return Ok(ResultSet::affected(0));
     }
-    let snapshot = state.snapshot;
+    let storage = inner.storage(def.id)?;
+    let none = TableWrites::default();
+    let tw = state.writes.table(def.id).unwrap_or(&none);
+    let rewritten: HashSet<Prov> = staged.iter().map(|(prov, ..)| *prov).collect();
+    let updated = tw.updated.iter().filter(|(rid, _)| !rewritten.contains(&Prov::Committed(**rid)));
+    let inserted =
+        tw.inserted.iter().enumerate().filter(|(i, _)| !rewritten.contains(&Prov::OwnInsert(*i)));
+    check_unique(
+        storage,
+        &def,
+        state.snapshot,
+        &storage.old_versions,
+        |rid| tw.replaces(rid) || rewritten.contains(&Prov::Committed(rid)),
+        updated.map(|(_, row)| row).chain(inserted.filter_map(|(_, slot)| slot.as_ref())),
+        staged.iter().map(|(_, old, new)| (Some(old), new)),
+    )?;
+    let n = staged.len() as u64;
     let tw = state.writes.table_mut(def.id);
-    let mut n = 0u64;
-    for (prov, row) in matching {
-        let new_row = assign(&def, &bindings, &targets, &row, &inner.funcs)?;
-        let (self_rid, self_insert) = match prov {
-            Prov::Committed(rid) => (Some(rid), None),
-            Prov::OwnInsert(i) => (None, Some(i)),
-            Prov::Stale => unreachable!("stale rows rejected by txn_locate"),
-        };
-        UniqueScope { inner, def: &def, tw: &*tw, snapshot }.check(
-            &new_row,
-            Some(&row),
-            self_rid,
-            self_insert,
-        )?;
+    for (prov, _, new_row) in staged {
         match prov {
             Prov::Committed(rid) => {
                 tw.updated.insert(rid, new_row);
@@ -233,7 +241,6 @@ fn txn_update(
             Prov::OwnInsert(i) => tw.inserted[i] = Some(new_row),
             Prov::Stale => unreachable!("stale rows rejected by txn_locate"),
         }
-        n += 1;
     }
     Ok(ResultSet::affected(n))
 }
@@ -266,33 +273,35 @@ fn txn_delete(
 }
 
 // ---------------------------------------------------------------------------
-// Commit: validate under the write lock, then apply inside one WAL frame
+// Commit: validate under the write lock, then apply atomically
 // ---------------------------------------------------------------------------
 
 /// First-committer-wins validation followed by atomic application of the
-/// write-set. Runs under the exclusive engine lock.
+/// write-set. Runs under the exclusive engine lock; the commit point of
+/// every `INSERT`/`UPDATE`/`DELETE`, autocommit or not.
 ///
 /// Validation is strictly ordered before any mutation: every check that
 /// can fail runs first, so a conflicting or constraint-violating
-/// transaction leaves the engine untouched. Application then frames the
-/// row mutations between [`WalRecord::TxnBegin`] and
-/// [`WalRecord::TxnCommit`] with one sync, so recovery replays the
-/// transaction all-or-nothing.
-pub(crate) fn validate_and_apply(inner: &mut Inner, state: &TxnState) -> DbResult<()> {
+/// write-set leaves the engine untouched. Application then logs the row
+/// mutations with one sync. A write-set of several rows is framed between
+/// [`WalRecord::TxnBegin`] and [`WalRecord::TxnCommit`], so recovery
+/// replays it all-or-nothing; a write-set of one row is applied as the one
+/// record it is — a CRC'd record is already atomic, and two 9-byte markers
+/// on a ~40-byte single-row update would grow the log by almost half.
+pub(crate) fn validate_and_apply(inner: &mut Inner, state: TxnState) -> DbResult<()> {
     let snapshot = state.snapshot;
+    let rows_written: usize = state.writes.tables.values().map(TableWrites::len).sum();
+    if rows_written == 0 {
+        return Ok(());
+    }
     // -- validate ----------------------------------------------------------
     for (&table_id, tw) in &state.writes.tables {
         if tw.is_empty() {
             continue;
         }
-        let def = inner
-            .catalog
-            .table_by_id(table_id)
-            .ok_or_else(|| DbError::Conflict("table was dropped by a concurrent statement".into()))?
-            .clone();
-        let storage = inner.tables.get(&table_id).ok_or_else(|| {
-            DbError::Conflict("table was dropped by a concurrent statement".into())
-        })?;
+        let dropped = || DbError::Conflict("table was dropped by a concurrent statement".into());
+        let def = inner.catalog.table_by_id(table_id).ok_or_else(dropped)?;
+        let storage = inner.tables.get(&table_id).ok_or_else(dropped)?;
         // Every written rid must still be the version the snapshot saw.
         for rid in tw.updated.keys().chain(tw.deleted.iter()) {
             if storage.born.get(rid).copied().unwrap_or(0) > snapshot
@@ -303,76 +312,53 @@ pub(crate) fn validate_and_apply(inner: &mut Inner, state: &TxnState) -> DbResul
         }
         // Unique keys the transaction introduces must not collide — with
         // each other, or with committed rows that survive phase 1.
-        for (col, idx) in &storage.btrees {
-            if !idx.is_unique() {
-                continue;
-            }
-            let pos = def.column_index(col).expect("index column exists");
-            let new_rows = tw.updated.values().chain(tw.inserted.iter().flatten());
-            let mut keys: Vec<&crate::datum::Datum> = Vec::new();
-            for row in new_rows {
-                let key = &row[pos];
-                if keys.iter().any(|k| **k == *key) {
-                    return Err(DbError::Constraint(format!(
-                        "duplicate key {key} for unique index on {col}"
-                    )));
-                }
-                for rid in idx.get(key) {
-                    // Born check first: a recycled rid may carry a
-                    // concurrent commit's row, voiding this write-set's
-                    // claim on it (the rid loop above already conflicts in
-                    // that case; this keeps the two checks aligned).
-                    if storage.born.get(&rid).copied().unwrap_or(0) > snapshot {
-                        return Err(DbError::Conflict(format!(
-                            "unique key {key} for index on {col} was claimed by a \
-                             concurrent transaction; retry the transaction"
-                        )));
-                    }
-                    if tw.deleted.contains(&rid) || tw.updated.contains_key(&rid) {
-                        continue;
-                    }
-                    return Err(DbError::Constraint(format!(
-                        "duplicate key {key} for unique index on {col}"
-                    )));
-                }
-                keys.push(key);
-            }
-        }
+        check_unique(
+            storage,
+            def,
+            snapshot,
+            &[],
+            |rid| tw.replaces(rid),
+            std::iter::empty(),
+            tw.rows().map(|row| (None, row)),
+        )?;
     }
     // -- apply -------------------------------------------------------------
-    inner.log(WalRecord::TxnBegin)?;
+    let framed = rows_written > 1;
+    if framed {
+        inner.log(WalRecord::TxnBegin)?;
+    }
     // Phase 1: clear out every rid whose row the transaction removes or
     // whose unique key it moves, so phase 2's inserts can never trip over
     // keys the transaction itself is freeing. An update that keeps every
     // unique key cannot collide with anything and is applied where it
-    // stands, as one update (one WAL record, the rid kept when it fits).
-    let mut moved: Vec<(u32, &Row)> = Vec::new();
-    for (&table_id, tw) in &state.writes.tables {
-        for &rid in &tw.deleted {
+    // stands, as one update (one WAL record, the rid kept when it fits);
+    // so is an update that is the whole write-set, which has no sibling
+    // write to trip over.
+    let mut fresh: Vec<(u32, Row)> = Vec::new();
+    for (table_id, tw) in state.writes.tables {
+        for rid in tw.deleted {
             let row = validated_row(inner, table_id, rid)?;
             inner.delete_row(table_id, rid, &row)?;
         }
-        for (&rid, new_row) in &tw.updated {
+        for (rid, new_row) in tw.updated {
             let old_row = validated_row(inner, table_id, rid)?;
-            if keeps_unique_keys(inner, table_id, &old_row, new_row)? {
-                inner.update_row(table_id, rid, &old_row, new_row.clone())?;
+            if !framed || keeps_unique_keys(inner, table_id, &old_row, &new_row)? {
+                inner.update_row(table_id, rid, &old_row, new_row)?;
             } else {
                 inner.delete_row(table_id, rid, &old_row)?;
-                moved.push((table_id, new_row));
+                fresh.push((table_id, new_row));
             }
         }
+        fresh.extend(tw.inserted.into_iter().flatten().map(|row| (table_id, row)));
     }
     // Phase 2: write the moved and the new images (fresh rids).
-    let inserted =
-        state.writes.tables.iter().flat_map(|(&table_id, tw)| {
-            tw.inserted.iter().flatten().map(move |row| (table_id, row))
-        });
-    for (table_id, row) in moved.into_iter().chain(inserted) {
-        inner.insert_row(table_id, row.clone())?;
+    for (table_id, row) in fresh {
+        inner.insert_row(table_id, row)?;
     }
-    inner.log(WalRecord::TxnCommit)?;
+    if framed {
+        inner.log(WalRecord::TxnCommit)?;
+    }
     inner.committed_ts += 1;
-    inner.pending_dirty = false;
     if let Some(wal) = inner.wal.as_mut() {
         wal.sync()?;
     }

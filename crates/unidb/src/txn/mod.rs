@@ -13,16 +13,25 @@
 //!   (`born <= snapshot`), serves prior images of rows that were updated
 //!   or deleted after the snapshot, and overlays the transaction's own
 //!   buffered writes. Writes never touch the heap: they accumulate in a
-//!   private `WriteSet`.
+//!   private `WriteSet`. A statement computes and checks every row image
+//!   before it buffers the first, so one that fails leaves the write-set
+//!   as it found it.
 //! * **Commit** takes the write lock briefly: first-committer-wins
 //!   validation (every written rid must still carry a version stamp at or
 //!   below the snapshot; unique keys must not collide with rows the
 //!   transaction cannot see), then the write-set is applied through the
-//!   ordinary row mutators inside a `TxnBegin … TxnCommit` WAL frame with
-//!   a single sync. A crash before the frame is durable rolls the whole
-//!   transaction back at recovery; a transaction that never reaches
-//!   commit writes no WAL bytes at all.
+//!   ordinary row mutators with a single sync — inside a
+//!   `TxnBegin … TxnCommit` WAL frame when it writes more than one row (a
+//!   single CRC'd record is atomic without one). A crash before the frame
+//!   is durable rolls the whole transaction back at recovery; a
+//!   transaction that never reaches commit writes no WAL bytes at all.
 //! * **Rollback** discards the write-set — zero heap or WAL IO.
+//! * **Autocommit** DML is the same thing, one statement long: under the
+//!   write lock `Database::dispatch_stmt` holds for the statement, a
+//!   transaction pinned at the current commit timestamp runs the statement
+//!   and commits. Nothing can commit beneath that lock, so the transaction
+//!   is never registered here, never conflicts, and is not counted in
+//!   [`TxnStats`]. There is no second write path.
 //!
 //! Conflicts surface as [`DbError::Conflict`], which is *retryable*: the
 //! transaction has been aborted and the caller should re-run it from
@@ -34,7 +43,7 @@
 //! that drives transactions (the server's session layer, benches, tests)
 //! programs against them rather than against `Database` internals.
 
-mod exec;
+pub(crate) mod exec;
 mod view;
 
 pub(crate) use view::ReadView;
@@ -172,9 +181,22 @@ pub(crate) struct TableWrites {
 
 impl TableWrites {
     pub(crate) fn is_empty(&self) -> bool {
-        self.updated.is_empty()
-            && self.deleted.is_empty()
-            && self.inserted.iter().all(|r| r.is_none())
+        self.len() == 0
+    }
+
+    /// Rows this write-set rewrites, removes or adds.
+    pub(crate) fn len(&self) -> usize {
+        self.updated.len() + self.deleted.len() + self.inserted.iter().flatten().count()
+    }
+
+    /// The images commit will write: updated rows, then inserted ones.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &Row> + Clone {
+        self.updated.values().chain(self.inserted.iter().flatten())
+    }
+
+    /// Does this write-set rewrite or remove the committed row at `rid`?
+    pub(crate) fn replaces(&self, rid: Rid) -> bool {
+        self.deleted.contains(&rid) || self.updated.contains_key(&rid)
     }
 }
 
@@ -208,6 +230,13 @@ pub(crate) struct TxnState {
     /// conflict), mirroring "current transaction is aborted" semantics.
     pub(crate) doomed: Option<String>,
     pub(crate) started: Instant,
+}
+
+impl TxnState {
+    /// A transaction with no writes yet, pinned at `snapshot`.
+    pub(crate) fn new(snapshot: u64) -> Self {
+        TxnState { snapshot, writes: WriteSet::default(), doomed: None, started: Instant::now() }
+    }
 }
 
 /// Registry slot: `Busy` while a thread is executing a statement inside
@@ -260,13 +289,7 @@ impl TxnManager {
     /// version GC) can run between reading the timestamp and registering.
     fn register(&self, snapshot: u64) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let state = TxnState {
-            snapshot,
-            writes: WriteSet::default(),
-            doomed: None,
-            started: Instant::now(),
-        };
-        self.registry.lock().insert(id, Slot::Ready(Box::new(state)));
+        self.registry.lock().insert(id, Slot::Ready(Box::new(TxnState::new(snapshot))));
         self.begun.fetch_add(1, Ordering::Relaxed);
         id
     }
@@ -411,7 +434,7 @@ impl Database {
             // to transactions that remain active.
             self.txns.finish(id);
             inner.track_versions = self.txns.active() > 0;
-            let result = exec::validate_and_apply(&mut inner, &state);
+            let result = exec::validate_and_apply(&mut inner, *state);
             let actives = self.txns.active_snapshots();
             let current = inner.committed_ts;
             let pruned = inner.gc_versions(&actives, current);

@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use unidb::catalog::Role;
+use unidb::storage::wal::{read_log, WalRecord};
 use unidb::{Database, DbError, FaultConfig, FaultVfs};
 
 const DB_DIR: &str = "/crashdb";
@@ -43,6 +44,19 @@ enum Op {
     Delete {
         id: i64,
     },
+    /// One multi-row `INSERT`.
+    InsertMany(Vec<(i64, String)>),
+    /// One `UPDATE` of every row with `lo <= id <= hi`.
+    UpdateRange {
+        lo: i64,
+        hi: i64,
+        val: String,
+    },
+    /// One `DELETE` of every row with `lo <= id <= hi`.
+    DeleteRange {
+        lo: i64,
+        hi: i64,
+    },
     /// BEGIN; inner ops; COMMIT — applied atomically or not at all.
     Txn(Vec<Op>),
 }
@@ -56,6 +70,11 @@ impl Op {
             Op::Delete { id } => {
                 model.remove(id);
             }
+            Op::InsertMany(rows) => model.extend(rows.iter().cloned()),
+            Op::UpdateRange { lo, hi, val } => {
+                model.range_mut(lo..=hi).for_each(|(_, v)| v.clone_from(val));
+            }
+            Op::DeleteRange { lo, hi } => model.retain(|id, _| !(lo..=hi).contains(&id)),
             Op::Txn(ops) => ops.iter().for_each(|op| op.apply_to(model)),
         }
     }
@@ -69,6 +88,17 @@ impl Op {
                 vec![format!("UPDATE public.t SET val = '{val}' WHERE id = {id}")]
             }
             Op::Delete { id } => vec![format!("DELETE FROM public.t WHERE id = {id}")],
+            Op::InsertMany(rows) => {
+                let tuples: Vec<String> =
+                    rows.iter().map(|(id, val)| format!("({id}, '{val}')")).collect();
+                vec![format!("INSERT INTO public.t VALUES {}", tuples.join(", "))]
+            }
+            Op::UpdateRange { lo, hi, val } => {
+                vec![format!("UPDATE public.t SET val = '{val}' WHERE id >= {lo} AND id <= {hi}")]
+            }
+            Op::DeleteRange { lo, hi } => {
+                vec![format!("DELETE FROM public.t WHERE id >= {lo} AND id <= {hi}")]
+            }
             Op::Txn(ops) => {
                 let mut stmts = vec!["BEGIN".to_string()];
                 stmts.extend(ops.iter().flat_map(Op::sql));
@@ -79,9 +109,11 @@ impl Op {
     }
 }
 
-/// Deterministically generate a workload from a seed. Single-row
-/// statements only (targeted by unique id), so a statement either fully
-/// applies or fully fails — the granularity the model tracks.
+/// Deterministically generate a workload from a seed: single-row statements
+/// targeted by unique id, and multi-row `INSERT`/`UPDATE`/`DELETE`s. The
+/// model applies each statement whole — a statement of any width either
+/// fully applies or leaves no trace, also across a crash, and a recovered
+/// state that holds part of one matches no model prefix.
 fn generate_workload(seed: u64, len: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
     let mut next_id = 0i64;
@@ -89,17 +121,32 @@ fn generate_workload(seed: u64, len: usize) -> Vec<Op> {
     let mut ops = Vec::with_capacity(len);
     let single = |rng: &mut StdRng, next_id: &mut i64, live: &mut Vec<i64>| {
         let roll: f64 = rng.gen();
-        if live.is_empty() || roll < 0.55 {
+        let mut fresh = |rng: &mut StdRng, live: &mut Vec<i64>| {
             let id = *next_id;
             *next_id += 1;
             live.push(id);
-            Op::Insert { id, val: format!("v{id}-{}", rng.gen_range(0..1000)) }
-        } else if roll < 0.8 {
+            (id, format!("v{id}-{}", rng.gen_range(0..1000)))
+        };
+        if live.is_empty() || roll < 0.45 {
+            let (id, val) = fresh(rng, live);
+            Op::Insert { id, val }
+        } else if roll < 0.55 {
+            Op::InsertMany((0..rng.gen_range(2..=4)).map(|_| fresh(rng, live)).collect())
+        } else if roll < 0.72 {
             let id = live[rng.gen_range(0..live.len())];
             Op::Update { id, val: format!("u{id}-{}", rng.gen_range(0..1000)) }
-        } else {
+        } else if roll < 0.8 {
+            let lo = live[rng.gen_range(0..live.len())];
+            let val = format!("r{lo}-{}", rng.gen_range(0..1000));
+            Op::UpdateRange { lo, hi: lo + rng.gen_range(1..=5), val }
+        } else if roll < 0.93 {
             let id = live.swap_remove(rng.gen_range(0..live.len()));
             Op::Delete { id }
+        } else {
+            let lo = live[rng.gen_range(0..live.len())];
+            let hi = lo + rng.gen_range(1..=3);
+            live.retain(|id| !(lo..=hi).contains(id));
+            Op::DeleteRange { lo, hi }
         }
     };
     while ops.len() < len {
@@ -333,8 +380,9 @@ fn crash_inside_open_transactions_leaves_no_trace() {
     let mut crashed = 0u64;
     let mut failures = Vec::new();
     for seed in start..start + count {
-        // Autocommit stream: single-row ops only (the ambient-transaction
-        // sweep above covers `Op::Txn`), so the model prefix is exact.
+        // Autocommit stream: every statement on its own, single- and
+        // multi-row alike (the ambient-transaction sweep above covers
+        // `Op::Txn`). Each is all-or-nothing, so the model prefix is exact.
         let ops: Vec<Op> = generate_workload(seed ^ 0x7A31_0000, OPS_PER_WORKLOAD)
             .into_iter()
             .flat_map(|op| match op {
@@ -676,4 +724,65 @@ fn crash_during_checkpoint_never_double_applies() {
         }
     }
     assert!(failures.is_empty(), "{} failing combos:\n{}", failures.len(), failures.join("\n"));
+}
+
+/// The WAL shape of a commit point. A statement (or transaction) that
+/// writes one row appends exactly that one record — a CRC'd record is atomic
+/// on its own, and frame markers would grow a small update's log by half —
+/// while one that writes `n > 1` rows appends `n + 2`: its records between
+/// `TxnBegin` and `TxnCommit`, which is what lets replay drop a torn one
+/// whole. A statement that fails or matches nothing appends nothing.
+#[test]
+fn wal_frames_exactly_the_multi_row_commits() {
+    let vfs = FaultVfs::new(FaultConfig::reliable());
+    let db = setup(&vfs);
+    let log = || read_log(&vfs, &Path::new(DB_DIR).join("wal.db")).expect("readable log");
+    let appended = |script: &str| -> Vec<WalRecord> {
+        let before = log().len();
+        let outcome = db.execute_script_as(script, &Role::Maintainer);
+        let records = log().split_off(before);
+        assert_eq!(db.wal_stats().appends as usize, before + records.len(), "{script}: unsynced");
+        assert!(outcome.is_ok() || records.is_empty(), "{script}: failed, yet logged {records:?}");
+        records
+    };
+    let framed = |records: &[WalRecord], rows: usize| {
+        records.len() == rows + 2
+            && records[0] == WalRecord::TxnBegin
+            && records[rows + 1] == WalRecord::TxnCommit
+            && !records[1..=rows]
+                .iter()
+                .any(|r| matches!(r, WalRecord::TxnBegin | WalRecord::TxnCommit))
+    };
+    use WalRecord::{Delete, Insert, Update};
+    let one = appended("INSERT INTO public.t VALUES (1, 'a')");
+    assert!(matches!(one[..], [Insert { .. }]), "{one:?}");
+    let many = appended("INSERT INTO public.t VALUES (2, 'b'), (3, 'c'), (4, 'd')");
+    assert!(framed(&many, 3), "{many:?}");
+    let one = appended("UPDATE public.t SET val = 'x' WHERE id = 1");
+    assert!(matches!(one[..], [Update { .. }]), "{one:?}");
+    // Alone in its write-set, even an update that moves its unique key.
+    let one = appended("UPDATE public.t SET id = 9 WHERE id = 1");
+    assert!(matches!(one[..], [Update { .. }]), "{one:?}");
+    let many = appended("UPDATE public.t SET val = 'y' WHERE id <= 4");
+    assert!(framed(&many, 3), "{many:?}");
+    let one = appended(
+        "BEGIN; UPDATE public.t SET val = 'p' WHERE id = 2; \
+                        UPDATE public.t SET val = 'q' WHERE id = 2; COMMIT",
+    );
+    assert!(matches!(one[..], [Update { .. }]), "{one:?}");
+    let many = appended(
+        "BEGIN; INSERT INTO public.t VALUES (5, 'e'); \
+                         DELETE FROM public.t WHERE id = 3; COMMIT",
+    );
+    assert!(framed(&many, 2), "{many:?}");
+    assert!(appended("UPDATE public.t SET val = 'z' WHERE id = 77").is_empty());
+    assert!(appended("INSERT INTO public.t VALUES (6, 'f'), (2, 'dup')").is_empty());
+    assert!(appended("BEGIN; INSERT INTO public.t VALUES (7, 'g'); ROLLBACK").is_empty());
+    let one = appended("DELETE FROM public.t WHERE id = 9");
+    assert!(matches!(one[..], [Delete { .. }]), "{one:?}");
+    let many = appended("DELETE FROM public.t WHERE id >= 2");
+    assert!(framed(&many, 3), "{many:?}");
+    drop(db);
+    let db = open_db(&vfs).expect("reopen");
+    assert!(dump_table(&db).is_empty());
 }

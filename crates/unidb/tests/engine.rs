@@ -1090,7 +1090,9 @@ fn dml_db(index: Option<&str>) -> Database {
 
 /// Autocommit UPDATE and DELETE do the same thing — affected counts,
 /// errors, final contents — whether the filtered column has no index, a
-/// B-tree or a unique B-tree, and EXPLAIN names the access path taken.
+/// B-tree or a unique B-tree, and EXPLAIN names the access path taken. And
+/// since autocommit *is* a one-statement transaction, each does exactly what
+/// `BEGIN; <statement>; COMMIT` does on a twin database, error text included.
 #[test]
 fn autocommit_dml_is_the_same_with_and_without_an_index() {
     // (statement, access path EXPLAIN must show when `k` is indexed)
@@ -1112,31 +1114,72 @@ fn autocommit_dml_is_the_same_with_and_without_an_index() {
         // to values its own filter still matches: each row moves once.
         ("UPDATE t SET k = k + 100 WHERE k >= 15", "IndexRangeScan"),
         ("UPDATE t SET k = k + 100 WHERE k = 4", "IndexEqScan"),
+        // Keys that move onto each other: uniqueness is judged on the
+        // statement's outcome, not on the order its rows were found in.
+        ("UPDATE t SET k = k + 1 WHERE k >= 18", "IndexRangeScan"),
+        ("UPDATE t SET k = 39 - k WHERE k >= 19", "IndexRangeScan"),
         ("DELETE FROM t WHERE k = 4", "IndexEqScan"),
         ("DELETE FROM t WHERE k BETWEEN 3 AND 6", "IndexRangeScan"),
         ("DELETE FROM t WHERE k = 9 AND 100 / v > 1", "IndexEqScan"),
         ("DELETE FROM t WHERE v = 70", "SeqScan"),
         ("DELETE FROM t WHERE t.k = 4", "IndexEqScan"),
     ];
-    let run = |d: &Database, sql: &str| -> (String, Vec<(i64, i64)>) {
+    // What a unique index forbids (no index-free reference for these): the
+    // two modes must still agree on the error and on leaving no trace.
+    let unique_violations = [
+        "INSERT INTO t VALUES (21, 1), (22, 2), (21, 3)",
+        "INSERT INTO t VALUES (30, 1), (4, 2)",
+        "UPDATE t SET k = 5 WHERE k BETWEEN 3 AND 4",
+        "UPDATE t SET k = 30 WHERE k >= 19",
+    ];
+    let run = |d: &Database, sql: &str, in_txn: bool| -> (String, Vec<(i64, i64)>) {
+        if in_txn {
+            d.execute("BEGIN").unwrap();
+        }
         let outcome = match d.execute(sql) {
             Ok(rs) => format!("affected {}", rs.affected),
             Err(e) => format!("error {e}"),
         };
+        if in_txn {
+            d.execute("COMMIT").unwrap();
+        }
         let rs = d.execute("SELECT k, v FROM t ORDER BY k").unwrap();
         let rows = rs.rows.iter().map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()));
         (outcome, rows.collect())
     };
-    for (sql, path) in statements {
-        let reference = run(&dml_db(None), sql);
-        for index in ["CREATE INDEX ON t (k)", "CREATE UNIQUE INDEX ON t (k)"] {
-            let d = dml_db(Some(index));
-            let plan = d.execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
-            assert!(plan.contains(path), "{sql} with {index} planned as:\n{plan}");
-            assert_eq!(run(&d, sql), reference, "{sql} with {index}");
+    let explain = |d: &Database, sql: &str, in_txn: bool| -> String {
+        if in_txn {
+            d.execute("BEGIN").unwrap();
         }
-        let plan = dml_db(None).execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
-        assert!(plan.contains("SeqScan"), "{sql} without an index planned as:\n{plan}");
+        let plan = d.execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
+        if in_txn {
+            d.execute("ROLLBACK").unwrap();
+        }
+        plan
+    };
+    for (sql, path) in statements {
+        let reference = run(&dml_db(None), sql, false);
+        for index in ["CREATE INDEX ON t (k)", "CREATE UNIQUE INDEX ON t (k)"] {
+            for in_txn in [false, true] {
+                let d = dml_db(Some(index));
+                let plan = explain(&d, sql, in_txn);
+                assert!(plan.contains(path), "{sql} with {index} planned as:\n{plan}");
+                assert_eq!(run(&d, sql, in_txn), reference, "{sql} with {index}, txn {in_txn}");
+            }
+        }
+        for in_txn in [false, true] {
+            let d = dml_db(None);
+            let plan = explain(&d, sql, in_txn);
+            assert!(plan.contains("SeqScan"), "{sql} without an index planned as:\n{plan}");
+            assert_eq!(run(&d, sql, in_txn), reference, "{sql} without an index, txn {in_txn}");
+        }
+    }
+    for sql in unique_violations {
+        let untouched = run(&dml_db(None), "DELETE FROM t WHERE k = 0", false).1;
+        let auto = run(&dml_db(Some("CREATE UNIQUE INDEX ON t (k)")), sql, false);
+        assert!(auto.0.starts_with("error constraint violation: duplicate key"), "{sql}: {auto:?}");
+        assert_eq!(auto.1, untouched, "{sql}");
+        assert_eq!(run(&dml_db(Some("CREATE UNIQUE INDEX ON t (k)")), sql, true), auto, "{sql}");
     }
     // Names resolve the same on either path, in the statement and its EXPLAIN.
     for index in [None, Some("CREATE UNIQUE INDEX ON t (k)")] {

@@ -427,6 +427,112 @@ fn committed_survives_reopen_uncommitted_does_not() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// -- statement atomicity ---------------------------------------------------
+
+/// Statements that fail on a row after their first: the earlier rows must
+/// leave no trace, in autocommit and inside a transaction alike.
+const FAIL_PART_WAY: [&str; 3] = [
+    // The last row is NULL in a NOT NULL column.
+    "INSERT INTO public.t VALUES (4, 40), (5, 50), (NULL, 60)",
+    // The second row collides with the first on the unique key.
+    "UPDATE public.t SET k = 7 WHERE k >= 2",
+    // The SET expression divides by zero on the second row.
+    "UPDATE public.t SET v = 100 / (v - 20) WHERE k >= 1",
+];
+
+/// A durable `t (k INT NOT NULL, v INT)`, unique on `k`, holding three rows.
+fn atomicity_db(dir: &std::path::Path) -> Database {
+    let _ = std::fs::remove_dir_all(dir);
+    let db = Database::open(dir).unwrap();
+    db.recover().unwrap();
+    db.execute_script_as(
+        "CREATE TABLE public.t (k INT NOT NULL, v INT);
+         CREATE UNIQUE INDEX ON public.t (k);
+         INSERT INTO public.t VALUES (1, 10), (2, 20), (3, 30);",
+        &unidb::Role::Maintainer,
+    )
+    .unwrap();
+    db
+}
+
+fn reopened(dir: &std::path::Path) -> Database {
+    let db = Database::open(dir).unwrap();
+    db.recover().unwrap();
+    db
+}
+
+#[test]
+fn failed_autocommit_statement_leaves_no_trace() {
+    let m = unidb::Role::Maintainer;
+    let dir = std::env::temp_dir().join(format!("unidb-atomic-auto-{}", std::process::id()));
+    let db = atomicity_db(&dir);
+    let before = ints(&db, "SELECT k, v FROM public.t");
+    let (wal, stats) = (db.wal_stats(), db.stats_fingerprint("public.t").unwrap());
+    for sql in FAIL_PART_WAY {
+        let err = db.execute_as(sql, &m).unwrap_err();
+        assert!(!matches!(err, DbError::Conflict(_)), "{sql}: autocommit never conflicts: {err}");
+        assert_eq!(ints(&db, "SELECT k, v FROM public.t"), before, "{sql}");
+        // Nothing reached the WAL, not even its buffer, nor the statistics.
+        assert_eq!(db.wal_stats(), wal, "{sql}");
+        assert_eq!(db.stats_fingerprint("public.t").unwrap(), stats, "{sql}");
+        assert!(db.verify_zone_maps("public.t").unwrap(), "{sql}");
+    }
+    // Autocommit statements are not transactions the registry ever sees.
+    assert_eq!(db.txn_stats(), unidb::TxnStats::default());
+    drop(db);
+    assert_eq!(ints(&reopened(&dir), "SELECT k, v FROM public.t"), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_statement_in_a_transaction_leaves_no_trace() {
+    let m = unidb::Role::Maintainer;
+    let dir = std::env::temp_dir().join(format!("unidb-atomic-txn-{}", std::process::id()));
+    let db = atomicity_db(&dir);
+    let id = db.txn_begin();
+    db.txn_execute_as(id, "UPDATE public.t SET v = 11 WHERE k = 1", &m).unwrap();
+    let before = txn_ints(&db, id, "SELECT k, v FROM public.t");
+    for sql in FAIL_PART_WAY {
+        assert!(db.txn_execute_as(id, sql, &m).is_err(), "{sql}");
+        // The write-set is as the statement found it: the transaction's
+        // earlier write is still there, none of the failed statement's are.
+        assert_eq!(txn_ints(&db, id, "SELECT k, v FROM public.t"), before, "{sql}");
+    }
+    db.txn_commit(id).unwrap();
+    assert_eq!(ints(&db, "SELECT k, v FROM public.t"), before);
+    drop(db);
+    assert_eq!(ints(&reopened(&dir), "SELECT k, v FROM public.t"), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A script that dies between its own `BEGIN` and `COMMIT` rolls its
+/// transaction back: the database-wide ambient slot is free again, so later
+/// statements commit on their own, and no snapshot stays pinned.
+#[test]
+fn failing_script_releases_the_ambient_transaction() {
+    let db = fresh_kv();
+    let err = db
+        .execute_script(
+            "BEGIN; INSERT INTO t VALUES (1, 10); INSERT INTO nosuch VALUES (1); COMMIT",
+        )
+        .unwrap_err();
+    assert!(matches!(err, DbError::NotFound { .. }), "{err}");
+    db.execute("INSERT INTO t VALUES (2, 20)").unwrap();
+    // Visible to a reader that begins now — it was committed, not buffered.
+    let reader = db.txn_begin();
+    assert_eq!(txn_ints(&db, reader, "SELECT k, v FROM t"), vec![(2, 20)]);
+    db.txn_commit(reader).unwrap();
+    let stats = db.txn_stats();
+    assert_eq!(stats.begun, stats.committed + stats.aborted);
+    // A script failing inside a transaction it did not open leaves it alone.
+    db.execute("BEGIN").unwrap();
+    assert!(db
+        .execute_script("INSERT INTO t VALUES (3, 30); INSERT INTO nosuch VALUES (1)")
+        .is_err());
+    db.execute("COMMIT").unwrap();
+    assert_eq!(ints(&db, "SELECT k, v FROM t"), vec![(2, 20), (3, 30)]);
+}
+
 // -- caches and metrics ----------------------------------------------------
 
 /// Table version counters only move when a transaction *commits*, and

@@ -806,6 +806,44 @@ mod tests {
         }
     }
 
+    /// `contains` through the k-mer index is one statement whichever entry it
+    /// comes in by: autocommit, inside a (clean) transaction, and prepared
+    /// then executed all probe the access method through the same view, at
+    /// any parallelism — same plan, same rows.
+    #[test]
+    fn contains_through_the_index_is_the_same_statement_in_every_entry() {
+        let (db, adapter) = setup();
+        let frags = fragments(1_000);
+        load_fragments(&db, &frags);
+        adapter.attach_kmer_index(&db, "frags", "s", 8).unwrap();
+        let sql = "SELECT id FROM frags WHERE contains(s, 'ATTGCCATAGGC')";
+        let explain = format!("EXPLAIN {sql}");
+        for width in [1, 4] {
+            db.set_parallelism(width);
+            let (auto, stats) = db.explain_analyze(sql).unwrap();
+            assert!(stats.render_counters().contains("UdiScan"), "{}", stats.render_counters());
+            assert_eq!(auto.rows.len(), 100, "every tenth fragment carries the motif");
+            assert_eq!(db.execute(sql).unwrap().rows, auto.rows);
+
+            let txn = db.txn_begin();
+            let plan = db.txn_execute(txn, &explain).unwrap().explain.unwrap();
+            assert_eq!(plan, db.execute(&explain).unwrap().explain.unwrap());
+            assert_eq!(db.txn_execute(txn, sql).unwrap().rows, auto.rows);
+            // An index scan's one deterministic counter, node by node.
+            let rows_out = |text: &str| -> Vec<String> {
+                let words = text.split([' ', ')', '\n']).filter(|w| w.contains("rows_out="));
+                words.map(String::from).collect()
+            };
+            let analyzed = db.txn_execute(txn, &format!("EXPLAIN ANALYZE {sql}")).unwrap();
+            assert_eq!(rows_out(&analyzed.explain.unwrap()), rows_out(&stats.render_counters()));
+            db.txn_commit(txn).unwrap();
+
+            let prepared = db.prepare(sql).unwrap();
+            assert!(prepared.access_label().starts_with("UdiScan"), "{}", prepared.access_label());
+            assert_eq!(db.execute_prepared(&prepared).unwrap().rows, auto.rows);
+        }
+    }
+
     /// Index maintenance costs what the deleted sequence's own k-mers cost,
     /// so deleting half of a table is no longer quadratic in its size — and
     /// what is left answers exactly as a scan does.

@@ -97,7 +97,7 @@ fn bench_heap(c: &mut Criterion) {
         b.iter(|| {
             let mut rows = 0usize;
             for page_no in 0..heap.num_pages() {
-                heap.page_visit_rows(page_no, &mut |_| {
+                heap.page_visit_rows_rid(page_no, &mut |_, _| {
                     rows += 1;
                     Ok(())
                 })

@@ -597,6 +597,82 @@ mod tests {
         handle.stop();
     }
 
+    /// Transaction control is recognised from the parsed statement, so a
+    /// comment, odd case or a stray semicolon still opens and closes the
+    /// *session's* transaction — never the engine's database-wide ambient
+    /// one, which would swallow every other session's writes.
+    #[test]
+    fn commented_transaction_control_stays_in_its_session() {
+        let server = seeded_server(&ServerConfig::default());
+        let client = server.client();
+        let a = client.open(SessionKind::Maintainer);
+        let b = client.open(SessionKind::Maintainer);
+        let count_sql = "SELECT count(*) FROM public.genes";
+
+        client.query(a, "BEGIN -- x").unwrap();
+        client.query(a, "INSERT INTO public.genes VALUES (4, 'gyrA')").unwrap();
+        // b is not inside a's transaction: its insert commits on the spot
+        // and b reads it back.
+        let rs = client.query(b, "INSERT INTO public.genes VALUES (5, 'dnaA')").unwrap();
+        assert_eq!(rs.affected, 1);
+        assert_eq!(client.query(b, count_sql).unwrap().rows[0][0], Datum::Int(4));
+        assert_eq!(client.query(a, count_sql).unwrap().rows[0][0], Datum::Int(4), "3 + its own");
+
+        // a's rollback discards a's work only.
+        client.query(a, "-- y\n  RollBack ;").unwrap();
+        assert_eq!(client.query(a, count_sql).unwrap().rows[0][0], Datum::Int(4));
+        let err = client.query(b, "ROLLBACK -- nothing open here").unwrap_err();
+        assert!(
+            matches!(&err, ServerError::Db(unidb::DbError::Txn(m)) if m == "ROLLBACK without BEGIN"),
+            "got {err:?}"
+        );
+
+        client.query(b, "begin;").unwrap();
+        client.query(b, "DELETE FROM public.genes WHERE id = 5").unwrap();
+        client.query(b, "COMMIT -- done").unwrap();
+        assert_eq!(client.query(a, count_sql).unwrap().rows[0][0], Datum::Int(3));
+        let stats = client.query(a, "SHOW STATS").unwrap();
+        assert_eq!(stat_value(&stats, "txn_begun"), Some(2));
+        assert_eq!(stat_value(&stats, "txn_committed"), Some(1));
+        assert_eq!(stat_value(&stats, "txn_aborted"), Some(1));
+    }
+
+    /// A statement that panics inside a session's transaction is contained
+    /// by admission — and must leave the transaction where `ROLLBACK`, a
+    /// closing session and the reaper can still end it.
+    #[test]
+    fn a_panicking_statement_does_not_wedge_its_transaction() {
+        let db = Arc::new(Database::in_memory());
+        db.execute_as("CREATE TABLE public.t (k INT, v INT)", &unidb::Role::Maintainer).unwrap();
+        db.execute_as("INSERT INTO public.t VALUES (1, 10)", &unidb::Role::Maintainer).unwrap();
+        db.register_scalar("boom", Arc::new(|_| panic!("boom() always panics"))).unwrap();
+        let server = Server::new(db, &ServerConfig::default());
+        let client = server.client();
+        let s = client.open(SessionKind::Maintainer);
+
+        client.query(s, "BEGIN").unwrap();
+        let err = client.query(s, "SELECT boom() FROM public.t").unwrap_err();
+        assert!(matches!(err, ServerError::Io(_)), "got {err:?}");
+        client.query(s, "ROLLBACK").expect("the transaction is still there to roll back");
+
+        // Same again, ended by the session closing instead.
+        client.query(s, "BEGIN").unwrap();
+        client.query(s, "SELECT boom() FROM public.t").unwrap_err();
+        client.close(s);
+
+        let s = client.open(SessionKind::Maintainer);
+        let stats = client.query(s, "SHOW STATS").unwrap();
+        assert_eq!(stat_value(&stats, "server_worker_panics"), Some(2));
+        assert_eq!(stat_value(&stats, "txn_begun"), Some(2));
+        assert_eq!(stat_value(&stats, "txn_aborted"), Some(2));
+        // Nothing is left pinning versions: autocommit churn prunes none.
+        for i in 0..20 {
+            client.query(s, &format!("UPDATE public.t SET v = {i} WHERE k = 1")).unwrap();
+        }
+        let stats = client.query(s, "SHOW STATS").unwrap();
+        assert_eq!(stat_value(&stats, "txn_versions_pruned"), Some(0));
+    }
+
     /// Satellite: an abandoned transaction is reaped lazily — the next
     /// statement finds it expired, the engine rolls it back, and the
     /// session learns via a structured Txn error.

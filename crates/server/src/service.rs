@@ -7,8 +7,13 @@
 //! 2. compiles BQL to the extended SQL of the Unifying Database (§6.4);
 //! 3. intercepts the observability statements — `SHOW STATS`,
 //!    `SHOW METRICS` (Prometheus text), `SHOW SLOW QUERIES`, `SHOW TRACE`;
-//! 4. routes reads through the plan + result caches, writes straight to
-//!    the engine (whose generation counters invalidate cached state).
+//! 4. keeps transactions per session: `BEGIN`/`COMMIT`/`ROLLBACK` are
+//!    recognised from the parsed statement, whatever its comments or case;
+//! 5. routes an autocommit `SELECT` through the plan + result caches and every
+//!    other statement through [`Database::execute_in`] with the session's
+//!    transaction passed explicitly — never through an entry that consults
+//!    the engine's database-wide ambient transaction. The engine's generation
+//!    counters invalidate cached state.
 //!
 //! Both `SHOW STATS` and `SHOW METRICS` render the same
 //! [`genalg_obs::Snapshot`], built in one place ([`QueryService::snapshot`]); the
@@ -27,6 +32,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use unidb::sql::{transaction_control, Stmt};
 use unidb::{Database, Datum, DbError, ResultSet};
 
 /// Distinct query shapes the workload registry tracks before overflowing.
@@ -545,30 +551,25 @@ impl QueryService {
             ));
         }
         let role = kind.role();
-        match normalized.as_str() {
-            "begin" => {
+        match transaction_control(&sql) {
+            Some(Stmt::Begin) => {
                 if self.sessions.txn(session).is_some() {
-                    return Err(ServerError::Db(DbError::Txn(
-                        "nested transactions are not supported".into(),
-                    )));
+                    return Err(DbError::Txn("nested transactions are not supported".into()).into());
                 }
-                let txn_id = self.db.txn_begin();
-                self.sessions.set_txn(session, txn_id);
+                self.sessions.set_txn(session, self.db.txn_begin());
                 return Ok(empty_result());
             }
-            "commit" | "rollback" => {
-                let verb = if normalized == "commit" { "COMMIT" } else { "ROLLBACK" };
-                let txn = self.sessions.clear_txn(session).ok_or_else(|| {
-                    ServerError::Db(DbError::Txn(format!("{verb} without BEGIN")))
-                })?;
-                let outcome = if normalized == "commit" {
-                    self.db.txn_commit(txn.id)
-                } else {
-                    self.db.txn_rollback(txn.id)
-                };
-                return outcome.map(|()| empty_result()).map_err(ServerError::Db);
+            Some(end) => {
+                let verb = if end == Stmt::Commit { "COMMIT" } else { "ROLLBACK" };
+                let open = self.sessions.clear_txn(session);
+                let txn = open.ok_or_else(|| DbError::Txn(format!("{verb} without BEGIN")))?;
+                match end {
+                    Stmt::Commit => self.db.txn_commit(txn.id)?,
+                    _ => self.db.txn_rollback(txn.id)?,
+                }
+                return Ok(empty_result());
             }
-            _ => {}
+            None => {}
         }
         let mut span = tracer.span("server.query");
         span.field("read", is_read);
@@ -579,20 +580,19 @@ impl QueryService {
         // *somebody's* pages to concurrent statements).
         let pages_before = (self.db.scan_pages_read(), self.db.scan_pages_skipped());
         let start = Instant::now();
-        let result = if let Some(txn) = self.sessions.txn(session) {
-            // Inside an interactive transaction every statement goes to
-            // its snapshot + write-set, bypassing both caches (a cached
-            // latest-state result would violate snapshot isolation).
-            path.cache = CacheTier::Txn;
-            let _exec = tracer.span_with_parent("server.execute", span.id());
-            let outcome = self.db.txn_execute_as(txn.id, &sql, &role).map_err(ServerError::Db);
-            self.sessions.touch_txn(session);
-            outcome
-        } else if is_read {
+        let txn = self.sessions.txn(session).map(|txn| txn.id);
+        let result = if txn.is_none() && is_read {
             self.execute_read(&sql, normalized.clone(), &role, &mut path, span.id())
         } else {
+            // A write, or a statement inside the session's transaction (where a
+            // cached latest-state result would violate snapshot isolation).
             let _exec = tracer.span_with_parent("server.execute", span.id());
-            self.db.execute_as(&sql, &role).map_err(ServerError::Db)
+            let outcome = self.db.execute_in(txn, &sql, &role).map_err(ServerError::Db);
+            if txn.is_some() {
+                path.cache = CacheTier::Txn;
+                self.sessions.touch_txn(session);
+            }
+            outcome
         };
         let elapsed = start.elapsed();
         let hist = if is_read { &self.metrics.read_latency } else { &self.metrics.write_latency };
@@ -638,7 +638,7 @@ impl QueryService {
         // EXPLAIN and other non-SELECT reads bypass the caches entirely.
         if !normalized.starts_with("select") || !self.caches_enabled {
             let _exec = tracer.span_with_parent("server.execute", parent);
-            return self.db.execute_as(sql, role).map_err(ServerError::Db);
+            return self.db.execute_in(None, sql, role).map_err(ServerError::Db);
         }
         let key = StatementKey { normalized_sql: normalized, space: role.default_space().into() };
         let catalog_gen = self.db.catalog_generation();

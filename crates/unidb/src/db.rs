@@ -1,21 +1,24 @@
-//! The database engine facade: sessions, statement dispatch, DDL, the row
-//! mutators every write is applied (and replayed) through, durability, and
-//! the extension registration surface. DML itself lives in [`crate::txn`]:
-//! an autocommit `INSERT`/`UPDATE`/`DELETE` is a one-statement transaction,
-//! run and committed by the same code as a statement between `BEGIN` and
-//! `COMMIT`, so it applies wholly or not at all.
+//! The database engine facade: the statement entries and the one routine
+//! they all call, DDL, the row mutators every write is applied (and
+//! replayed) through, durability, and the extension registration surface.
+//! Statements themselves run in [`crate::txn`]: an autocommit statement —
+//! read or write — is a one-statement transaction, run (and, if it wrote,
+//! committed) by the same code as a statement between `BEGIN` and `COMMIT`,
+//! against the same `ReadView` of storage. The engine state here is what
+//! that view looks at; it implements neither the planner's nor the
+//! executor's storage trait itself.
 
-use crate::catalog::{Catalog, ColumnDef, EquiDepthHistogram, Role, TableDef};
+use crate::catalog::{Catalog, ColumnDef, Role, TableDef};
 use crate::datum::{DataType, Datum};
 use crate::error::{DbError, DbResult};
 use crate::exec::stats::OpStatsSnapshot;
-use crate::exec::{execute_plan, execute_plan_with_stats, ScanProgress, ScanSpec, StorageAccess};
+use crate::exec::{execute_plan, execute_plan_with_stats};
 use crate::expr::eval::{eval, ColumnBinding, EvalContext};
 use crate::expr::func::{AggregateFn, FunctionRegistry, ScalarBinder, ScalarFn};
 use crate::index::btree::BTreeIndex;
 use crate::index::udi::AccessMethod;
-use crate::locate::{explain_dml, RowSource};
-use crate::plan::planner::{plan_select, PlannerContext};
+use crate::locate::explain_dml;
+use crate::plan::planner::{estimate_rows, plan_select, upper_bound_rows, PlannerContext};
 use crate::plan::PhysicalPlan;
 use crate::sql::ast::{Expr, Stmt};
 use crate::sql::parser::{parse, parse_many};
@@ -25,12 +28,11 @@ use crate::storage::heap::{HeapFile, Rid};
 use crate::storage::store::MemStore;
 use crate::storage::vfs::{StdVfs, Vfs};
 use crate::storage::wal::{read_log_prefix, WalRecord, WalWriter};
-use crate::tuple::{decode_row, decode_row_cols_into, encode_row, Row};
+use crate::tuple::{encode_row, Row};
 use crate::txn::exec::{run_txn_stmt, validate_and_apply};
-use crate::txn::{TxnManager, TxnState};
+use crate::txn::{ReadView, TxnManager, TxnState};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -163,7 +165,7 @@ pub(crate) struct Inner {
     /// less one per other statement [`Inner::executing`] at the time.
     pub(crate) parallelism: usize,
     /// Statements inside the executor right now.
-    executing: AtomicUsize,
+    pub(crate) executing: AtomicUsize,
     /// Heap pages read by `scan_batches` since open — an observability
     /// counter (SHOW STATS, tests asserting LIMIT short-circuits). Counts
     /// only pages actually visited; zone-map-refuted pages land in
@@ -277,9 +279,10 @@ impl Prepared {
 /// The Unifying Database engine. Cheap to share (`Arc` internally is not
 /// needed; the handle itself is `Send + Sync` via the internal lock).
 ///
-/// Reads run concurrently: SELECT/EXPLAIN take a shared (read) lock on the
-/// engine, so any number of sessions can scan and join at once — page-level
-/// synchronization happens inside each table's buffer pool. DML and DDL take
+/// Reads run concurrently: SELECT/EXPLAIN, and every statement inside a
+/// transaction, take a shared (read) lock on the engine, so any number of
+/// sessions can scan and join at once — page-level synchronization happens
+/// inside each table's buffer pool. Autocommit DML, DDL and `COMMIT` take
 /// the exclusive (write) lock.
 pub struct Database {
     pub(crate) inner: RwLock<Inner>,
@@ -437,19 +440,27 @@ impl Database {
 
     /// Execute one statement with an explicit role.
     ///
-    /// SELECT and EXPLAIN run under the shared read lock (concurrently with
-    /// other readers); auto-committed DML and DDL take the exclusive write
-    /// lock. `BEGIN` opens the ambient transaction: until `COMMIT` or
-    /// `ROLLBACK`, statements buffer their writes in a snapshot-isolated
-    /// write-set and run under the read lock only.
+    /// `BEGIN` opens the ambient transaction; until `COMMIT` or `ROLLBACK`,
+    /// statements through this entry run inside it. Anything but transaction
+    /// control is [`Database::execute_in`] with the ambient transaction, if
+    /// one is open.
     pub fn execute_as(&self, sql: &str, role: &Role) -> DbResult<ResultSet> {
-        let stmt = parse(sql)?;
-        self.dispatch_stmt(stmt, role)
+        self.dispatch_stmt(parse(sql)?, role)
     }
 
-    /// Route one parsed statement: transaction control to the ambient
-    /// transaction, statements inside an open ambient transaction to its
-    /// write-set, everything else to the auto-commit path.
+    /// Execute one statement inside transaction `txn`, or — `None` — as a
+    /// transaction of its own (autocommit). This is the entry for callers
+    /// that own their transactions (the server's sessions,
+    /// [`crate::txn::Transaction`] handles): the ambient slot is never
+    /// consulted, and `BEGIN`/`COMMIT`/`ROLLBACK` are rejected with
+    /// [`DbError::Txn`] — those callers use [`Database::txn_begin`],
+    /// [`Database::txn_commit`] and [`Database::txn_rollback`].
+    pub fn execute_in(&self, txn: Option<u64>, sql: &str, role: &Role) -> DbResult<ResultSet> {
+        self.run_stmt(txn, parse(sql)?, role)
+    }
+
+    /// Transaction control drives the ambient slot; every other statement
+    /// runs in the ambient transaction, if one is open.
     pub(crate) fn dispatch_stmt(&self, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
         match stmt {
             Stmt::Begin => {
@@ -480,23 +491,61 @@ impl Database {
             }
             other => {
                 let ambient = *self.ambient.lock();
-                if let Some(id) = ambient {
-                    return self.txn_dispatch(id, other, role);
-                }
-                if matches!(other, Stmt::Select(_) | Stmt::Explain { .. }) {
-                    let inner = self.inner.read();
-                    run_read(&*inner, inner.parallelism, other, role)
-                } else {
-                    let mut inner = self.inner.write();
-                    inner.track_versions = self.txns.active() > 0;
-                    let result = inner.run_stmt(other, role);
-                    let actives = self.txns.active_snapshots();
-                    let current = inner.committed_ts;
-                    let pruned = inner.gc_versions(&actives, current);
-                    self.txns.versions_pruned.fetch_add(pruned, Ordering::Relaxed);
-                    result
-                }
+                self.run_stmt(ambient, other, role)
             }
+        }
+    }
+
+    /// The one statement routine. Every statement runs in a transaction,
+    /// through [`run_txn_stmt`] against a [`ReadView`]: in `txn`, or — `None`,
+    /// autocommit — in one of its own, pinned at the newest commit and
+    /// committed on the spot if it wrote. An autocommit transaction is never
+    /// registered with the transaction manager: it cannot conflict, and the
+    /// `txn_*` counters count `BEGIN`s only.
+    ///
+    /// Locks. A statement inside a transaction takes the shared read lock
+    /// (its writes only buffer), and so does an autocommit `SELECT`/`EXPLAIN`;
+    /// any number of them run at once. Autocommit DML holds the write lock
+    /// over the statement *and* its commit, so nothing can commit (or collect
+    /// versions) beneath it and a statement that fails has written nothing,
+    /// to the heap or to the WAL buffer. DDL holds the write lock and is
+    /// autocommit only.
+    pub(crate) fn run_stmt(
+        &self,
+        txn: Option<u64>,
+        stmt: Stmt,
+        role: &Role,
+    ) -> DbResult<ResultSet> {
+        match (stmt, txn) {
+            (Stmt::Begin | Stmt::Commit | Stmt::Rollback, _) => Err(DbError::Txn(
+                "BEGIN/COMMIT/ROLLBACK go through the session or handle that owns the \
+                 transaction, not through a statement entry"
+                    .into(),
+            )),
+            (stmt, Some(id)) => {
+                let mut checked_out = self.txns.check_out(id)?;
+                let state = checked_out.state();
+                let inner = self.inner.read();
+                let result = run_txn_stmt(&inner, state, stmt, role);
+                if let (Err(DbError::Conflict(msg)), None) = (&result, &state.doomed) {
+                    state.doomed = Some(msg.clone());
+                    self.txns.conflicts.fetch_add(1, Ordering::Relaxed);
+                }
+                result
+            }
+            (stmt @ (Stmt::Select(_) | Stmt::Explain { .. }), None) => {
+                let inner = self.inner.read();
+                run_txn_stmt(&inner, &mut TxnState::new(inner.committed_ts), stmt, role)
+            }
+            (stmt @ (Stmt::Insert { .. } | Stmt::Update { .. } | Stmt::Delete { .. }), None) => {
+                self.exclusive(None, |inner| {
+                    let mut state = TxnState::new(inner.committed_ts);
+                    let result = run_txn_stmt(inner, &mut state, stmt, role)?;
+                    validate_and_apply(inner, state)?;
+                    Ok(result)
+                })
+            }
+            (ddl, None) => self.exclusive(None, |inner| inner.run_ddl(ddl, role)),
         }
     }
 
@@ -514,7 +563,8 @@ impl Database {
             return Err(DbError::Unsupported("only SELECT can be prepared".into()));
         };
         let inner = self.inner.read();
-        let (plan, columns) = plan_select(&*inner, role.default_space(), &s)?;
+        let view = inner.latest();
+        let (plan, columns) = plan_select(&view, role.default_space(), &s)?;
         let table_ids = plan.table_ids();
         // One rendering of the literal-elided tree serves the hash, the
         // access label (its deepest line) and the size estimate.
@@ -530,7 +580,7 @@ impl Database {
             + shape.len()
             + columns.iter().map(|c| c.len()).sum::<usize>()
             + table_ids.len() * std::mem::size_of::<u32>();
-        let est_rows = crate::plan::planner::estimate_rows(&plan, &*inner).round().max(0.0) as u64;
+        let est_rows = estimate_rows(&plan, &view).round().max(0.0) as u64;
         let stats_gen = inner.stats_rebuilt.load(Ordering::Relaxed);
         Ok(Prepared {
             root_label: plan.node_label(),
@@ -546,7 +596,8 @@ impl Database {
         })
     }
 
-    /// Execute a previously prepared SELECT under the shared read lock.
+    /// Execute a previously prepared SELECT under the shared read lock,
+    /// against the newest committed state.
     ///
     /// Fails with [`DbError::Stale`] if DDL has moved the catalog generation
     /// since [`Database::prepare`]; callers should re-prepare.
@@ -558,7 +609,7 @@ impl Database {
                 prepared.catalog_gen, inner.catalog_gen
             )));
         }
-        let rows = execute_plan(&*inner, &inner.funcs, &prepared.plan, inner.parallelism)?;
+        let rows = execute_plan(&inner.latest(), &inner.funcs, &prepared.plan, inner.parallelism)?;
         Ok(ResultSet { columns: prepared.columns.clone(), rows, affected: 0, explain: None })
     }
 
@@ -615,12 +666,7 @@ impl Database {
         let id = inner.catalog.find_table(table)?.id;
         let storage = inner.storage(id)?;
         for page_no in 0..storage.heap.num_pages() {
-            let mut rows: Vec<Row> = Vec::new();
-            storage.heap.page_visit_rows(page_no, &mut |bytes| {
-                rows.push(decode_row(bytes)?);
-                Ok(())
-            })?;
-            let fresh = PageZone::rebuild(rows.iter());
+            let fresh = PageZone::rebuild(storage.page_rows(page_no)?.iter());
             let ok = match storage.zones.page(page_no) {
                 Some(zone) => *zone == fresh,
                 // No zone recorded is fine only while no row starts here.
@@ -661,9 +707,9 @@ impl Database {
             return Err(DbError::Unsupported("explain_analyze takes a SELECT".into()));
         };
         let inner = self.inner.read();
-        let (plan, columns) = plan_select(&*inner, role.default_space(), &s)?;
-        let (rows, stats) =
-            execute_plan_with_stats(&*inner, &inner.funcs, &plan, inner.parallelism)?;
+        let view = inner.latest();
+        let (plan, columns) = plan_select(&view, role.default_space(), &s)?;
+        let (rows, stats) = execute_plan_with_stats(&view, &inner.funcs, &plan, inner.parallelism)?;
         Ok((ResultSet { columns, rows, affected: 0, explain: None }, stats))
     }
 
@@ -678,11 +724,9 @@ impl Database {
             return Err(DbError::Unsupported("plan_estimate takes a SELECT".into()));
         };
         let inner = self.inner.read();
-        let role = Role::User("user".into());
-        let (plan, _) = plan_select(&*inner, role.default_space(), &s)?;
-        let est = crate::plan::planner::estimate_rows(&plan, &*inner);
-        let bound = crate::plan::planner::upper_bound_rows(&plan, &*inner);
-        Ok((est, bound))
+        let view = inner.latest();
+        let (plan, _) = plan_select(&view, Role::User("user".into()).default_space(), &s)?;
+        Ok((estimate_rows(&plan, &view), upper_bound_rows(&plan, &view)))
     }
 
     /// Write-ahead-log counters since open; all zero for an in-memory
@@ -864,10 +908,15 @@ impl Database {
 // ---------------------------------------------------------------------------
 
 impl Inner {
-    /// Run one autocommit statement under the exclusive lock.
-    fn run_stmt(&mut self, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
+    /// The committed state as the planner and the executor see it: the view
+    /// of the newest commit, with no transaction's writes over it.
+    pub(crate) fn latest(&self) -> ReadView<'_> {
+        ReadView::new(self, self.committed_ts, None)
+    }
+
+    /// Run one DDL statement under the exclusive lock.
+    fn run_ddl(&mut self, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
         match stmt {
-            Stmt::Select(_) | Stmt::Explain { .. } => run_read(self, self.parallelism, stmt, role),
             Stmt::CreateTable { table, columns } => self.create_table(&table, &columns, role),
             Stmt::DropTable { table } => self.drop_table(&table, role),
             Stmt::CreateIndex { table, column, unique } => {
@@ -884,24 +933,7 @@ impl Inner {
                 self.maybe_sync()?;
                 Ok(ResultSet::empty())
             }
-            // Autocommit DML is a one-statement transaction. It is pinned at
-            // the current commit timestamp and never registered with the
-            // transaction manager: the caller holds the write lock, so
-            // nothing can commit (or collect versions) under it — it cannot
-            // conflict, and the `txn_*` counters keep counting `BEGIN`s only.
-            // A statement that fails has written nothing, to the heap or to
-            // the WAL buffer; one that succeeds commits like any transaction.
-            Stmt::Insert { .. } | Stmt::Update { .. } | Stmt::Delete { .. } => {
-                let mut txn = TxnState::new(self.committed_ts);
-                let result = run_txn_stmt(self, &mut txn, stmt, role)?;
-                validate_and_apply(self, txn)?;
-                Ok(result)
-            }
-            // Transaction control never reaches the auto-commit executor:
-            // `Database::dispatch_stmt` routes it to the ambient transaction.
-            Stmt::Begin | Stmt::Commit | Stmt::Rollback => Err(DbError::Internal(
-                "transaction control must go through Database::execute".into(),
-            )),
+            other => Err(DbError::Internal(format!("{other:?} is not DDL"))),
         }
     }
 
@@ -1066,11 +1098,6 @@ impl Inner {
 
     pub(crate) fn storage(&self, table_id: u32) -> DbResult<&TableStorage> {
         self.tables.get(&table_id).ok_or_else(|| DbError::Internal("missing table storage".into()))
-    }
-
-    fn btree(&self, table_id: u32, column: &str) -> DbResult<&BTreeIndex> {
-        let index = self.storage(table_id)?.btrees.get(column);
-        index.ok_or_else(|| DbError::Internal(format!("no B-tree on {column}")))
     }
 
     pub(crate) fn insert_row(&mut self, table_id: u32, row: Row) -> DbResult<Rid> {
@@ -1398,14 +1425,10 @@ pub(crate) fn check_row(def: &TableDef, mut row: Row) -> DbResult<Row> {
     Ok(row)
 }
 
-/// Read-only statements (SELECT / EXPLAIN) against the engine itself
-/// (autocommit, under the shared read lock) or a transaction's view of it.
-pub(crate) fn run_read(
-    src: &dyn RowSource,
-    parallelism: usize,
-    stmt: Stmt,
-    role: &Role,
-) -> DbResult<ResultSet> {
+/// Read-only statements (SELECT / EXPLAIN) against a transaction's view of
+/// the engine.
+pub(crate) fn run_read(src: &ReadView, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
+    let parallelism = src.inner.parallelism;
     let explained = |text: String| Ok(ResultSet { explain: Some(text), ..ResultSet::empty() });
     match stmt {
         Stmt::Select(s) => {
@@ -1523,59 +1546,6 @@ pub(crate) fn assign(
     check_row(def, new_row)
 }
 
-// ---------------------------------------------------------------------------
-// Planner + executor wiring
-// ---------------------------------------------------------------------------
-
-impl PlannerContext for Inner {
-    fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    fn funcs(&self) -> &FunctionRegistry {
-        &self.funcs
-    }
-
-    fn btree_columns(&self, table_id: u32) -> Vec<(String, usize)> {
-        self.tables.get(&table_id).map_or_else(Vec::new, |t| {
-            t.btrees.iter().map(|(c, i)| (c.clone(), i.distinct_keys())).collect()
-        })
-    }
-
-    fn row_count(&self, table_id: u32) -> u64 {
-        self.tables.get(&table_id).map_or(0, |t| t.heap.len())
-    }
-
-    fn column_ndv(&self, table_id: u32, column: &str) -> Option<u64> {
-        let pos = self.catalog.table_by_id(table_id)?.column_index(column)?;
-        self.catalog.column_ndv(table_id, pos)
-    }
-
-    fn column_histogram(&self, table_id: u32, column: &str) -> Option<EquiDepthHistogram> {
-        let pos = self.catalog.table_by_id(table_id)?.column_index(column)?;
-        self.catalog.column_histogram(table_id, pos)
-    }
-
-    fn column_null_frac(&self, table_id: u32, column: &str) -> Option<f64> {
-        let pos = self.catalog.table_by_id(table_id)?.column_index(column)?;
-        self.catalog.column_null_frac(table_id, pos)
-    }
-
-    fn udi_selectivity(
-        &self,
-        table_id: u32,
-        column: &str,
-        func: &str,
-        args: &[Datum],
-    ) -> Option<f64> {
-        let udi = self.tables.get(&table_id)?.udis.get(column)?;
-        if !udi.supports(func) {
-            return None;
-        }
-        Some(udi.selectivity(func, args).unwrap_or(0.1))
-    }
-}
-
 /// Bring one page's zone map up to date after `old` was replaced by `new`
 /// (or removed) on it, and drop the page's cached columnar image. The zone
 /// absorbs the change in place when that keeps it exact — the old values
@@ -1590,12 +1560,8 @@ fn refresh_page_zone(
     if storage.zones.replace_row(page_no, old, new.map(Vec::as_slice)) {
         return Ok(());
     }
-    let mut rows: Vec<Row> = Vec::new();
-    storage.heap.page_visit_rows(page_no, &mut |bytes| {
-        rows.push(decode_row(bytes)?);
-        Ok(())
-    })?;
-    storage.zones.set_page(page_no, PageZone::rebuild(rows.iter()));
+    let fresh = PageZone::rebuild(storage.page_rows(page_no)?.iter());
+    storage.zones.set_page(page_no, fresh);
     Ok(())
 }
 
@@ -1616,156 +1582,5 @@ impl Inner {
         }
         self.stats_rebuilt.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// The cached (or freshly built) columnar image of a heap page, or
-    /// `None` when the page is not a candidate: the append-target tail
-    /// page is still changing, and pages with overflow stubs hold rows
-    /// the column segments could not represent inline.
-    fn column_image(
-        &self,
-        storage: &TableStorage,
-        page_no: u32,
-        total: u32,
-    ) -> DbResult<Option<Arc<ColumnPage>>> {
-        if page_no + 1 >= total {
-            return Ok(None);
-        }
-        if let Some(cp) = storage.col_cache.lock().get(&page_no) {
-            return Ok(Some(Arc::clone(cp)));
-        }
-        if !storage.heap.page_all_inline(page_no)? {
-            return Ok(None);
-        }
-        let mut rows: Vec<Row> = Vec::new();
-        storage.heap.page_visit_rows(page_no, &mut |bytes| {
-            rows.push(decode_row(bytes)?);
-            Ok(())
-        })?;
-        let Some(cp) = ColumnPage::build(&rows) else { return Ok(None) };
-        let cp = Arc::new(cp);
-        storage.col_cache.lock().insert(page_no, Arc::clone(&cp));
-        Ok(Some(cp))
-    }
-}
-
-impl StorageAccess for Inner {
-    fn executing(&self) -> &AtomicUsize {
-        &self.executing
-    }
-
-    fn scan_batches(
-        &self,
-        table_id: u32,
-        first_page: u32,
-        max_pages: u32,
-        spec: &ScanSpec,
-        on_row: &mut dyn FnMut(&[Datum]) -> DbResult<()>,
-    ) -> DbResult<ScanProgress> {
-        let storage = self.storage(table_id)?;
-        let total = storage.heap.num_pages();
-        if first_page >= total {
-            return Ok(ScanProgress {
-                next_page: None,
-                pages_read: 0,
-                pages_skipped: 0,
-                segments_decoded: 0,
-            });
-        }
-        let end = first_page.saturating_add(max_pages).min(total);
-        let (mut skipped, mut segments, mut visited) = (0u32, 0u64, 0u64);
-        let mut scratch: Row = Vec::new();
-        // The columnar image only beats direct row decode when the mask
-        // skips *interior* columns: segment decode then avoids walking the
-        // skipped columns' bytes entirely, where the row codec must parse
-        // past them. A dense scan (no mask, or every prefix column
-        // referenced — trailing columns are free to skip in row form too)
-        // decodes rows in place with no intermediate column vectors. The
-        // choice is a pure function of the spec, so `segments_decoded`
-        // (same formula both paths) stays deterministic.
-        let sparse = spec.mask.as_deref().is_some_and(|m| m.iter().any(|b| !*b));
-        for page_no in first_page..end {
-            // Zone-map pruning. Only reached when the caller supplied
-            // bounds, i.e. the whole filter is error-free; an
-            // unconditional scan visits every page.
-            if !spec.bounds.is_empty() {
-                if let Some(zone) = storage.zones.page(page_no) {
-                    if zone.refutes(&spec.bounds) {
-                        skipped += 1;
-                        continue;
-                    }
-                }
-            }
-            visited += 1;
-            if sparse {
-                if let Some(cp) = self.column_image(storage, page_no, total)? {
-                    segments +=
-                        cp.emit_rows(spec.prefix, spec.mask.as_deref(), &mut *on_row)? as u64;
-                    continue;
-                }
-            }
-            // Row path: decode only the referenced columns. The per-page
-            // segment count uses the same formula as the columnar path —
-            // referenced columns within the page's row arity, counted
-            // once per non-empty page — so the counter is identical
-            // whichever representation served the page.
-            let (mut rows_on_page, mut referenced) = (0u64, 0u64);
-            storage.heap.page_visit_rows(page_no, &mut |bytes| {
-                decode_row_cols_into(&mut scratch, bytes, spec.prefix, spec.mask.as_deref())?;
-                if rows_on_page == 0 {
-                    referenced = match spec.mask.as_deref() {
-                        Some(m) => m.iter().take(scratch.len()).filter(|b| **b).count() as u64,
-                        None => scratch.len() as u64,
-                    };
-                }
-                rows_on_page += 1;
-                on_row(&scratch)
-            })?;
-            if rows_on_page > 0 {
-                segments += referenced;
-            }
-        }
-        self.scan_pages.fetch_add(visited, Ordering::Relaxed);
-        self.scan_pages_skipped.fetch_add(u64::from(skipped), Ordering::Relaxed);
-        Ok(ScanProgress {
-            next_page: if end < total { Some(end) } else { None },
-            pages_read: end - first_page,
-            pages_skipped: skipped,
-            segments_decoded: segments,
-        })
-    }
-
-    fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>> {
-        self.storage(table_id)?.fetch_rows(rids, |_, row| row)
-    }
-
-    fn btree_eq(&self, table_id: u32, column: &str, key: &Datum) -> DbResult<Vec<Rid>> {
-        Ok(self.btree(table_id, column)?.get(key))
-    }
-
-    fn btree_range(
-        &self,
-        table_id: u32,
-        column: &str,
-        lo: Bound<&Datum>,
-        hi: Bound<&Datum>,
-    ) -> DbResult<Vec<Rid>> {
-        Ok(self.btree(table_id, column)?.range(lo, hi).into_iter().map(|(_, rid)| rid).collect())
-    }
-
-    fn udi_probe(
-        &self,
-        table_id: u32,
-        column: &str,
-        func: &str,
-        args: &[Datum],
-    ) -> DbResult<Vec<Rid>> {
-        let storage = self.storage(table_id)?;
-        let udi = storage
-            .udis
-            .get(column)
-            .ok_or_else(|| DbError::Internal(format!("no access method on {column}")))?;
-        udi.probe(func, args)
-            .ok_or_else(|| DbError::Internal(format!("{} cannot answer {func}", udi.name())))
     }
 }

@@ -4,15 +4,16 @@
 //! A DML statement's `WHERE` is planned by the planner's own `build_scan`
 //! (through [`plan_table_scan`]) — the same `INDEX_WORTHWHILE` rule and the
 //! same residual ordering a `SELECT` gets — and the chosen access path runs
-//! against the statement's [`RowSource`]: a [`crate::txn::ReadView`] — every
-//! DML statement runs in a transaction, autocommit's being one statement
-//! long — which on a table nothing has written since its snapshot hands
-//! straight through to the engine. Every match
-//! comes back with its [`Prov`] *before* any row is written, so an `UPDATE`
-//! that moves the key it is being located by never meets its own output.
+//! against the statement's [`ReadView`], the same view its reads would run
+//! against (every DML statement runs in a transaction, autocommit's being
+//! one statement long). Beyond the executor's probes the locator uses the
+//! view's rid-addressed fetch and full walk that say where each row lives:
+//! every match comes back with its [`Prov`] *before* any row is written, so
+//! an `UPDATE` that moves the key it is being located by never meets its own
+//! output.
 
 use crate::catalog::{Role, TableDef};
-use crate::db::{Inner, TableStorage};
+use crate::db::TableStorage;
 use crate::error::{DbError, DbResult};
 use crate::exec::StorageAccess;
 use crate::expr::compile::compile;
@@ -22,6 +23,7 @@ use crate::plan::PhysicalPlan;
 use crate::sql::ast::{Expr, Stmt};
 use crate::storage::heap::Rid;
 use crate::tuple::{decode_row, Row};
+use crate::txn::ReadView;
 
 /// Where a located row lives, i.e. what a write to it must target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,21 +38,6 @@ pub(crate) enum Prov {
     /// transaction already committed over it. Writing it is a
     /// serialization conflict.
     Stale,
-}
-
-/// Storage the locator can address rows in: the executor's probes plus
-/// rid-addressed fetches and a full walk that say where each row lives.
-pub(crate) trait RowSource: StorageAccess + PlannerContext {
-    /// The rows at `rids`, in input order; rids that are missing or not
-    /// part of this source's view are skipped.
-    fn rows_at(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<(Prov, Row)>>;
-
-    /// Every row of the table in this source's view.
-    fn for_each_row(
-        &self,
-        table_id: u32,
-        visit: &mut dyn FnMut(Prov, Row) -> DbResult<()>,
-    ) -> DbResult<()>;
 }
 
 /// The bindings DML compiles its `WHERE` and `SET` expressions against.
@@ -75,7 +62,7 @@ fn plan_access(
 
 /// The rows of `def` that pass `filter`, each with where it lives.
 pub(crate) fn locate_rows(
-    src: &dyn RowSource,
+    src: &ReadView,
     def: &TableDef,
     bindings: &[ColumnBinding],
     filter: Option<&Expr>,
@@ -144,20 +131,19 @@ impl TableStorage {
         Ok(())
     }
 
-    /// Decode the rows at `rids` (missing rids are skipped) into whatever
-    /// the caller keeps of each.
-    pub(crate) fn fetch_rows<T>(
-        &self,
-        rids: &[Rid],
-        keep: impl Fn(Rid, Row) -> T,
-    ) -> DbResult<Vec<T>> {
-        let mut out = Vec::with_capacity(rids.len());
-        for &rid in rids {
-            if let Some(bytes) = self.heap.get(rid)? {
-                out.push(keep(rid, decode_row(&bytes)?));
-            }
-        }
-        Ok(out)
+    /// Every live row of one heap page, decoded, in slot order.
+    pub(crate) fn page_rows(&self, page_no: u32) -> DbResult<Vec<Row>> {
+        let mut rows = Vec::new();
+        self.heap.page_visit_rows_rid(page_no, &mut |_, bytes| {
+            rows.push(decode_row(bytes)?);
+            Ok(())
+        })?;
+        Ok(rows)
+    }
+
+    /// The row at `rid`, decoded; `None` if nothing lives there.
+    pub(crate) fn fetch_row(&self, rid: Rid) -> DbResult<Option<Row>> {
+        self.heap.get(rid)?.map(|bytes| decode_row(&bytes)).transpose()
     }
 
     /// The lowest rid holding exactly `row` — the target of a replayed
@@ -173,10 +159,8 @@ impl TableStorage {
             let mut rids = index.get(&row[pos]);
             rids.sort_unstable();
             for rid in rids {
-                if let Some(bytes) = self.heap.get(rid)? {
-                    if decode_row(&bytes)? == *row {
-                        return Ok(Some(rid));
-                    }
+                if self.fetch_row(rid)?.as_ref() == Some(row) {
+                    return Ok(Some(rid));
                 }
             }
             return Ok(None);
@@ -194,19 +178,5 @@ impl TableStorage {
             }
         }
         Ok(found)
-    }
-}
-
-impl RowSource for Inner {
-    fn rows_at(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<(Prov, Row)>> {
-        self.storage(table_id)?.fetch_rows(rids, |rid, row| (Prov::Committed(rid), row))
-    }
-
-    fn for_each_row(
-        &self,
-        table_id: u32,
-        visit: &mut dyn FnMut(Prov, Row) -> DbResult<()>,
-    ) -> DbResult<()> {
-        self.storage(table_id)?.for_each_row(&mut |rid, row| visit(Prov::Committed(rid), row))
     }
 }

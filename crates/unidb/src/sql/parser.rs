@@ -57,6 +57,21 @@ pub fn parse_many(sql: &str) -> DbResult<Vec<Stmt>> {
     }
 }
 
+/// The statement `sql` is, when that is `BEGIN`, `COMMIT` or `ROLLBACK` —
+/// keyword case, comments and trailing semicolons ignored, because the
+/// answer comes from the parsed statement, not its text. Front ends that
+/// keep transactions per session route on this. Anything else answers
+/// `None` without being parsed: a transaction-control statement starts with
+/// its keyword or with a comment.
+pub fn transaction_control(sql: &str) -> Option<Stmt> {
+    let head = sql.trim_start();
+    let starts = |p: &str| head.get(..p.len()).is_some_and(|h| h.eq_ignore_ascii_case(p));
+    if !["BEGIN", "COMMIT", "ROLLBACK", "--"].into_iter().any(starts) {
+        return None;
+    }
+    parse(sql).ok().filter(|s| matches!(s, Stmt::Begin | Stmt::Commit | Stmt::Rollback))
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -702,6 +717,12 @@ mod tests {
         assert_eq!(parse("BEGIN").unwrap(), Stmt::Begin);
         assert_eq!(parse("COMMIT;").unwrap(), Stmt::Commit);
         assert_eq!(parse("ROLLBACK").unwrap(), Stmt::Rollback);
+        assert_eq!(transaction_control("BEGIN -- x"), Some(Stmt::Begin));
+        assert_eq!(transaction_control("-- y\n  commit ;;"), Some(Stmt::Commit));
+        assert_eq!(transaction_control(" RollBack;"), Some(Stmt::Rollback));
+        for not_control in ["SELECT 1", "-- begin\nSELECT 1", "BEGIN x", "beginning", ""] {
+            assert_eq!(transaction_control(not_control), None, "{not_control:?}");
+        }
         let s = parse("EXPLAIN SELECT 1").unwrap();
         assert!(matches!(s, Stmt::Explain { analyze: false, .. }));
         let s = parse("EXPLAIN ANALYZE SELECT 1").unwrap();

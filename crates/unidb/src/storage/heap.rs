@@ -138,57 +138,16 @@ impl HeapFile {
         self.insert(bytes)
     }
 
-    /// Visit the live records of one page in slot order without copying
-    /// inline payloads out of the page first: `visit` runs on the page's
-    /// own bytes under the latch. Pages past the end visit nothing, which
-    /// lets scans race ahead safely. Overflow chunks are internal records;
-    /// only stubs are rows. Overflow stubs can't be expanded there
-    /// (`expand` re-enters the pool, which would deadlock under the page
-    /// latch), so from the first stub onward records are buffered and
-    /// visited after the latch drops — slot order is preserved either way,
-    /// and the common all-inline page stays copy-free.
-    pub fn page_visit_rows(
-        &self,
-        page_no: u32,
-        visit: &mut dyn FnMut(&[u8]) -> DbResult<()>,
-    ) -> DbResult<()> {
-        if page_no >= self.pool.num_pages() {
-            return Ok(());
-        }
-        let mut tail: Vec<Vec<u8>> = Vec::new();
-        let mut failed = None;
-        self.pool.with_page(page_no, |p| {
-            for (_slot, rec) in p.iter() {
-                match rec.first() {
-                    Some(&INLINE) if tail.is_empty() => {
-                        if let Err(e) = visit(&rec[1..]) {
-                            failed = Some(e);
-                            return;
-                        }
-                    }
-                    Some(&INLINE) | Some(&OVERFLOW) => tail.push(rec.to_vec()),
-                    _ => {}
-                }
-            }
-        })?;
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        for rec in tail {
-            match rec.first() {
-                Some(&INLINE) => visit(&rec[1..])?,
-                _ => visit(&self.expand(&rec)?)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// [`HeapFile::page_visit_rows`] with each record's [`Rid`] passed
-    /// alongside its bytes. MVCC read views need the rid to overlay
-    /// version visibility and transaction-local writes onto a page scan.
-    /// Same latch discipline: inline records are visited in place until
-    /// the first overflow stub, after which `(slot, record)` pairs are
-    /// buffered and visited once the latch drops.
+    /// Visit the live records of one page in slot order, each with its
+    /// [`Rid`], without copying inline payloads out of the page first:
+    /// `visit` runs on the page's own bytes under the latch. Pages past the
+    /// end visit nothing, which lets scans race ahead safely. Overflow
+    /// chunks are internal records; only stubs are rows. Overflow stubs
+    /// can't be expanded there (`expand` re-enters the pool, which would
+    /// deadlock under the page latch), so from the first stub onward
+    /// `(slot, record)` pairs are buffered and visited after the latch
+    /// drops — slot order is preserved either way, and the common
+    /// all-inline page stays copy-free.
     pub fn page_visit_rows_rid(
         &self,
         page_no: u32,

@@ -1,12 +1,12 @@
-//! The one DML path: statement execution against a transaction's
-//! write-set, and commit-time validate-and-apply.
+//! The one statement path: statement execution against a transaction's
+//! view and write-set, and commit-time validate-and-apply.
 //!
-//! Every `INSERT`/`UPDATE`/`DELETE` runs here — inside an explicit
-//! transaction under the shared engine read lock, or as the one-statement
-//! transaction autocommit wraps around it under the write lock
-//! (`Database::dispatch_stmt`). Reads plan and execute against a
-//! [`ReadView`]; writes buffer row images in the transaction's
-//! [`WriteSet`](super::WriteSet) without touching the heap. `UPDATE` and
+//! Every `SELECT`, `EXPLAIN`, `INSERT`, `UPDATE` and `DELETE` runs here —
+//! inside an explicit transaction under the shared engine read lock, or as
+//! the one-statement transaction autocommit wraps around it
+//! (`Database::run_stmt`: read lock for a read, write lock for DML). Reads
+//! plan and execute against a [`ReadView`]; writes buffer row images in the
+//! transaction's [`WriteSet`](super::WriteSet) without touching the heap. `UPDATE` and
 //! `DELETE` find their rows through the row locator ([`crate::locate`]) run
 //! against the same view, so they take the access path a `SELECT` with that
 //! `WHERE` would — index probes included, on clean and dirty tables alike —
@@ -47,8 +47,7 @@ pub(crate) fn run_txn_stmt(
     }
     match stmt {
         Stmt::Select(_) | Stmt::Explain { .. } => {
-            let view = ReadView::new(inner, state.snapshot, Some(&state.writes));
-            run_read(&view, inner.parallelism, stmt, role)
+            run_read(&ReadView::new(inner, state.snapshot, Some(&state.writes)), stmt, role)
         }
         Stmt::Insert { table, columns, rows } => {
             txn_insert(inner, state, &table, columns, rows, role)
@@ -367,11 +366,8 @@ pub(crate) fn validate_and_apply(inner: &mut Inner, state: TxnState) -> DbResult
 
 /// The current heap image of a rid that validation just found live.
 fn validated_row(inner: &Inner, table_id: u32, rid: Rid) -> DbResult<Row> {
-    inner
-        .storage(table_id)?
-        .fetch_rows(&[rid], |_, row| row)?
-        .pop()
-        .ok_or_else(|| DbError::Internal("validated rid vanished during apply".into()))
+    let row = inner.storage(table_id)?.fetch_row(rid)?;
+    row.ok_or_else(|| DbError::Internal("validated rid vanished during apply".into()))
 }
 
 /// Does rewriting `old` as `new` leave every unique-indexed column of the

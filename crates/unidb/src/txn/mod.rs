@@ -9,13 +9,16 @@
 //!   Registration happens under the shared read lock, so no commit can
 //!   slide between reading the timestamp and publishing the snapshot.
 //! * **Statements** inside a transaction take only the *read* lock. Reads
-//!   go through a `view::ReadView` that filters rows by visibility
+//!   go through a `view::ReadView` — the one implementor of the planner's
+//!   and the executor's storage traits — that filters rows by visibility
 //!   (`born <= snapshot`), serves prior images of rows that were updated
 //!   or deleted after the snapshot, and overlays the transaction's own
 //!   buffered writes. Writes never touch the heap: they accumulate in a
 //!   private `WriteSet`. A statement computes and checks every row image
 //!   before it buffers the first, so one that fails leaves the write-set
-//!   as it found it.
+//!   as it found it. A statement that *panics* (a user-defined function
+//!   unwinding) hands its transaction back doomed: it can still be rolled
+//!   back, by its owner or by whoever reaps it.
 //! * **Commit** takes the write lock briefly: first-committer-wins
 //!   validation (every written rid must still carry a version stamp at or
 //!   below the snapshot; unique keys must not collide with rows the
@@ -26,12 +29,15 @@
 //!   is durable rolls the whole transaction back at recovery; a
 //!   transaction that never reaches commit writes no WAL bytes at all.
 //! * **Rollback** discards the write-set — zero heap or WAL IO.
-//! * **Autocommit** DML is the same thing, one statement long: under the
-//!   write lock `Database::dispatch_stmt` holds for the statement, a
-//!   transaction pinned at the current commit timestamp runs the statement
-//!   and commits. Nothing can commit beneath that lock, so the transaction
-//!   is never registered here, never conflicts, and is not counted in
-//!   [`TxnStats`]. There is no second write path.
+//! * **Autocommit** is the same thing, one statement long
+//!   (`Database::run_stmt`, the one statement routine, with no transaction
+//!   id): a transaction pinned at the current commit timestamp runs the
+//!   statement through the same `exec::run_txn_stmt` against the same view,
+//!   under the read lock if it is a `SELECT`/`EXPLAIN`, under the write lock
+//!   — and committing before it lets go — if it is DML. Nothing can commit
+//!   beneath that lock, so the transaction is never registered here, never
+//!   conflicts, and is not counted in [`TxnStats`]. There is no second
+//!   read path and no second write path.
 //!
 //! Conflicts surface as [`DbError::Conflict`], which is *retryable*: the
 //! transaction has been aborted and the caller should re-run it from
@@ -49,10 +55,8 @@ mod view;
 pub(crate) use view::ReadView;
 
 use crate::catalog::Role;
-use crate::db::{Database, ResultSet};
+use crate::db::{Database, Inner, ResultSet};
 use crate::error::{DbError, DbResult};
-use crate::sql::ast::Stmt;
-use crate::sql::parser::parse;
 use crate::storage::heap::Rid;
 use crate::tuple::Row;
 use genalg_obs::{Histogram, HistogramSnapshot};
@@ -255,6 +259,36 @@ impl Slot {
     }
 }
 
+/// A transaction's state checked out of the registry for one statement.
+/// Dropping it puts the state back — also when the statement unwinds (a
+/// panicking UDF, contained further up by the server's admission layer): a
+/// slot left `Busy` could never be committed, rolled back or reaped, and
+/// its snapshot would pin version chains for the life of the process. The
+/// statement's effect on the write-set is unknown then, so the transaction
+/// comes back doomed and can only be rolled back.
+pub(crate) struct CheckedOut<'a> {
+    txns: &'a TxnManager,
+    id: u64,
+    /// `Some` until dropped.
+    state: Option<Box<TxnState>>,
+}
+
+impl CheckedOut<'_> {
+    pub(crate) fn state(&mut self) -> &mut TxnState {
+        self.state.as_mut().expect("state held until drop")
+    }
+}
+
+impl Drop for CheckedOut<'_> {
+    fn drop(&mut self) {
+        let Some(mut state) = self.state.take() else { return };
+        if std::thread::panicking() && state.doomed.is_none() {
+            state.doomed = Some("a statement panicked inside the transaction".into());
+        }
+        self.txns.registry.lock().insert(self.id, Slot::Ready(state));
+    }
+}
+
 /// Hands out monotonically increasing transaction ids, tracks open
 /// transactions and their snapshots, and owns the transaction counters.
 /// Lives outside the engine `RwLock` so concurrent sessions can run
@@ -316,8 +350,10 @@ impl TxnManager {
         }
     }
 
-    fn put_back(&self, id: u64, state: Box<TxnState>) {
-        self.registry.lock().insert(id, Slot::Ready(state));
+    /// [`TxnManager::take`] for the length of one statement: the state goes
+    /// back into the registry when the guard drops.
+    pub(crate) fn check_out(&self, id: u64) -> DbResult<CheckedOut<'_>> {
+        Ok(CheckedOut { txns: self, id, state: Some(self.take(id)?) })
     }
 
     /// Deregister `id` (the state was already taken).
@@ -372,35 +408,34 @@ impl Database {
 
     /// Execute one statement inside transaction `id` with an explicit
     /// role. Reads see the transaction's snapshot plus its own writes;
-    /// writes buffer in the write-set. DDL and nested transaction control
-    /// are rejected with [`DbError::Txn`].
+    /// writes buffer in the write-set. DDL and transaction control are
+    /// rejected with [`DbError::Txn`].
     pub fn txn_execute_as(&self, id: u64, sql: &str, role: &Role) -> DbResult<ResultSet> {
-        let stmt = parse(sql)?;
-        self.txn_dispatch(id, stmt, role)
+        self.execute_in(Some(id), sql, role)
     }
 
-    pub(crate) fn txn_dispatch(&self, id: u64, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
-        match stmt {
-            Stmt::Begin => Err(DbError::Txn("nested transactions are not supported".into())),
-            Stmt::Commit | Stmt::Rollback => Err(DbError::Txn(
-                "COMMIT/ROLLBACK of an explicit transaction must go through its handle".into(),
-            )),
-            other => {
-                let mut state = self.txns.take(id)?;
-                let result = {
-                    let inner = self.inner.read();
-                    exec::run_txn_stmt(&inner, &mut state, other, role)
-                };
-                if let Err(DbError::Conflict(msg)) = &result {
-                    if state.doomed.is_none() {
-                        state.doomed = Some(msg.clone());
-                        self.txns.conflicts.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                self.txns.put_back(id, state);
-                result
-            }
+    /// Run `apply` under the exclusive lock, the way every commit point and
+    /// every DDL statement does. `finishing`, a committing transaction,
+    /// deregisters first: its own snapshot must not pin versions, and its
+    /// stamps only matter to transactions that remain active. Row mutations
+    /// then record version stamps and prior images iff a snapshot is still
+    /// open, and afterwards the versions no open snapshot can see are
+    /// collected.
+    pub(crate) fn exclusive<T>(
+        &self,
+        finishing: Option<u64>,
+        apply: impl FnOnce(&mut Inner) -> T,
+    ) -> T {
+        let mut inner = self.inner.write();
+        if let Some(id) = finishing {
+            self.txns.finish(id);
         }
+        inner.track_versions = self.txns.active() > 0;
+        let out = apply(&mut inner);
+        let current = inner.committed_ts;
+        let pruned = inner.gc_versions(&self.txns.active_snapshots(), current);
+        self.txns.versions_pruned.fetch_add(pruned, Ordering::Relaxed);
+        out
     }
 
     /// Commit transaction `id`: first-committer-wins validation, then the
@@ -427,20 +462,7 @@ impl Database {
             self.txns.duration.record(elapsed);
             return Ok(());
         }
-        let result = {
-            let mut inner = self.inner.write();
-            // Deregister before applying: the committing transaction's own
-            // snapshot must not pin versions, and its stamps only matter
-            // to transactions that remain active.
-            self.txns.finish(id);
-            inner.track_versions = self.txns.active() > 0;
-            let result = exec::validate_and_apply(&mut inner, *state);
-            let actives = self.txns.active_snapshots();
-            let current = inner.committed_ts;
-            let pruned = inner.gc_versions(&actives, current);
-            self.txns.versions_pruned.fetch_add(pruned, Ordering::Relaxed);
-            result
-        };
+        let result = self.exclusive(Some(id), |inner| exec::validate_and_apply(inner, *state));
         self.txns.duration.record(elapsed);
         match &result {
             // An Io error means the WAL sync failed *after* the write-set

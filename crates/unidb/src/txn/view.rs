@@ -1,20 +1,35 @@
-//! Snapshot-isolated storage and planner view.
+//! The engine as the planner and the executor see it.
 //!
-//! A [`ReadView`] wraps the engine state with a snapshot timestamp and
-//! (for statements inside a transaction) the transaction's own write-set,
-//! and implements both [`StorageAccess`] and [`PlannerContext`], so the
-//! ordinary planner and executor run unmodified against it.
+//! A [`ReadView`] is the engine state at a snapshot timestamp, plus (for
+//! statements inside a transaction) the transaction's own write-set. It is
+//! the only implementor of [`StorageAccess`] and [`PlannerContext`]: every
+//! statement — autocommit or between `BEGIN` and `COMMIT`, `SELECT` or the
+//! row location of a write — plans and executes against one, so there is one
+//! scan loop, one set of index probes and one set of planner statistics.
+//! Autocommit statements and prepared plans use the view of the newest
+//! commit with no write-set ([`Inner::latest`]).
 //!
-//! **Fast path**: a table nothing committed to since the snapshot, and
-//! that the transaction has not written, scans exactly like a latest-read
-//! — straight delegation, no per-row checks.
+//! **Scans.** A table is *dirty* for a view when something committed to it
+//! after the snapshot or the transaction has buffered writes against it.
+//! Every scan visits its pages the same way: a page whose zone map refutes
+//! the filter's bounds is skipped; otherwise its rows are decoded — from the
+//! cached columnar image when the column mask is sparse and the table is
+//! clean, from the row form otherwise — and on a dirty table each heap row
+//! is first checked for visibility by rid. A dirty table then serves one
+//! *virtual page* past the real heap: (a) prior images visible to the
+//! snapshot but already superseded in the heap and (b) the transaction's own
+//! updated/inserted rows. Columnar decode and user-defined indexes are off
+//! on dirty tables.
 //!
-//! **Versioned path**: a *dirty* table (committed-to after the snapshot,
-//! or carrying overlay writes) scans with per-rid visibility filtering,
-//! and appends one *virtual page* past the real heap serving (a) prior
-//! images visible to the snapshot but already superseded in the heap and
-//! (b) the transaction's own updated/inserted rows. Zone-map pruning and
-//! user-defined indexes are off on this path.
+//! **Zone pruning on dirty tables is sound.** A zone map describes the
+//! *current* content of its page, exactly. Every heap row a view serves is
+//! the current content of its rid (`rid_visible` hides rids born after the
+//! snapshot or rewritten by the transaction), so a page whose zone refutes
+//! the bounds holds no row the view would have served. What the view sees
+//! and the heap no longer holds — a row replaced or removed since the
+//! snapshot, or an own write — is served from the virtual page, which is
+//! never pruned. That includes a row whose prior image satisfies the bounds
+//! while its page's current zone refutes them.
 //!
 //! **Index probes on dirty tables: candidate re-check.** B-trees stay
 //! visible to the planner. An index describes the *latest* heap, so a probe
@@ -35,21 +50,24 @@ use crate::db::{Inner, TableStorage};
 use crate::error::{DbError, DbResult};
 use crate::exec::{ScanProgress, ScanSpec, StorageAccess};
 use crate::expr::func::FunctionRegistry;
-use crate::locate::{Prov, RowSource};
+use crate::index::btree::BTreeIndex;
+use crate::locate::Prov;
 use crate::plan::planner::PlannerContext;
+use crate::storage::colpage::ColumnPage;
 use crate::storage::heap::Rid;
 use crate::tuple::{decode_row_cols_into, Row};
 use crate::txn::{TableWrites, WriteSet};
 use std::ops::{Bound, RangeBounds};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 pub(crate) struct ReadView<'a> {
     pub(crate) inner: &'a Inner,
     /// Rows are visible iff their commit timestamp is at or below this.
-    pub(crate) snapshot: u64,
-    /// The running transaction's own writes (`None` for a bare snapshot
-    /// read with no transaction overlay).
-    pub(crate) writes: Option<&'a WriteSet>,
+    snapshot: u64,
+    /// The running transaction's own writes (`None` for a view of committed
+    /// state alone).
+    writes: Option<&'a WriteSet>,
 }
 
 impl<'a> ReadView<'a> {
@@ -72,25 +90,33 @@ impl<'a> ReadView<'a> {
         self.inner.storage(table_id)
     }
 
+    fn btree(&self, table_id: u32, column: &str) -> DbResult<&'a BTreeIndex> {
+        let index = self.storage(table_id)?.btrees.get(column);
+        index.ok_or_else(|| DbError::Internal(format!("no B-tree on {column}")))
+    }
+
+    /// Position of a named column in its table.
+    fn column_pos(&self, table_id: u32, column: &str) -> Option<usize> {
+        self.inner.catalog.table_by_id(table_id)?.column_index(column)
+    }
+
     /// Is the heap row at `rid` part of this view's base relation? Own
     /// updates and deletes hide the heap row (updates re-serve the new
     /// contents from the virtual page); rows born after the snapshot are
-    /// invisible.
+    /// invisible. On a clean table every rid is visible.
     fn rid_visible(&self, storage: &TableStorage, overlay: Option<&TableWrites>, rid: Rid) -> bool {
-        if let Some(tw) = overlay {
-            if tw.deleted.contains(&rid) || tw.updated.contains_key(&rid) {
-                return false;
-            }
+        if overlay.is_some_and(|tw| tw.replaces(rid)) {
+            return false;
         }
         storage.born.get(&rid).copied().unwrap_or(0) <= self.snapshot
     }
 
     /// The rows of the virtual page appended after the real heap:
     /// snapshot-visible prior images, then the overlay's updated and
-    /// inserted rows. The position in this sequence is what a synthetic rid
-    /// addresses ([`virtual_rid`]); it is stable for as long as the view
-    /// is, because the view borrows the write-set and statements hold the
-    /// engine read lock.
+    /// inserted rows (none of either on a clean table). The position in this
+    /// sequence is what a synthetic rid addresses ([`virtual_rid`]); it is
+    /// stable for as long as the view is, because the view borrows the
+    /// write-set and statements hold the engine read lock.
     fn virtual_rows(
         &self,
         storage: &'a TableStorage,
@@ -105,9 +131,7 @@ impl<'a> ReadView<'a> {
             .map(move |v| VirtualRow {
                 prov: Prov::Stale,
                 row: &v.row,
-                readable: !overlay.is_some_and(|tw| {
-                    tw.updated.contains_key(&v.rid) || tw.deleted.contains(&v.rid)
-                }),
+                readable: !overlay.is_some_and(|tw| tw.replaces(v.rid)),
             })
             .chain(updated.map(|(rid, row)| VirtualRow {
                 prov: Prov::Committed(*rid),
@@ -119,9 +143,17 @@ impl<'a> ReadView<'a> {
             }))
     }
 
-    /// The rows at `rids` as the view sees them; `for_write` adds the
+    /// What the view keeps of the rows at `rids`, in input order: a heap rid
+    /// is served only if the view sees it, whatever produced the rid list,
+    /// and a synthetic rid addresses the virtual page. `for_write` adds the
     /// unreadable prior images a write must conflict on.
-    fn located(&self, table_id: u32, rids: &[Rid], for_write: bool) -> DbResult<Vec<(Prov, Row)>> {
+    fn located<T>(
+        &self,
+        table_id: u32,
+        rids: &[Rid],
+        for_write: bool,
+        keep: impl Fn(Prov, Row) -> T,
+    ) -> DbResult<Vec<T>> {
         let storage = self.storage(table_id)?;
         let overlay = self.overlay(table_id);
         let real_pages = storage.heap.num_pages();
@@ -129,10 +161,8 @@ impl<'a> ReadView<'a> {
         let mut out = Vec::with_capacity(rids.len());
         for &rid in rids {
             match virtual_index(real_pages, rid) {
-                // A heap rid is served only if the view sees it, whatever
-                // produced the rid list.
                 None if self.rid_visible(storage, overlay, rid) => {
-                    out.extend(storage.fetch_rows(&[rid], |rid, row| (Prov::Committed(rid), row))?);
+                    out.extend(storage.fetch_row(rid)?.map(|row| keep(Prov::Committed(rid), row)));
                 }
                 None => {}
                 Some(i) => {
@@ -141,7 +171,7 @@ impl<'a> ReadView<'a> {
                     out.extend(
                         page.get(i)
                             .filter(|v| v.readable || for_write)
-                            .map(|v| (v.prov, v.row.clone())),
+                            .map(|v| keep(v.prov, v.row.clone())),
                     );
                 }
             }
@@ -149,12 +179,38 @@ impl<'a> ReadView<'a> {
         Ok(out)
     }
 
-    /// Candidates for an index probe on a dirty table. The index describes
-    /// the *latest* heap: its rids stay candidates (the fetch drops the
-    /// ones this view does not see, see [`ReadView::located`]), and what
-    /// the view sees and the index does not — which can only be a prior
-    /// image or an own write, i.e. a row of the virtual page — is added
-    /// when its key is `in_bound`, addressed by synthetic rid.
+    /// The rows at `rids` with where each lives, for the row locator; rids
+    /// that are missing or not part of this view are skipped.
+    pub(crate) fn rows_at(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<(Prov, Row)>> {
+        self.located(table_id, rids, true, |prov, row| (prov, row))
+    }
+
+    /// Every row of the table in this view, with where it lives.
+    pub(crate) fn for_each_row(
+        &self,
+        table_id: u32,
+        visit: &mut dyn FnMut(Prov, Row) -> DbResult<()>,
+    ) -> DbResult<()> {
+        let storage = self.storage(table_id)?;
+        let overlay = self.overlay(table_id);
+        storage.for_each_row(&mut |rid, row| {
+            if self.rid_visible(storage, overlay, rid) {
+                visit(Prov::Committed(rid), row)?;
+            }
+            Ok(())
+        })?;
+        for v in self.virtual_rows(storage, overlay) {
+            visit(v.prov, v.row.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Candidates for an index probe. The index describes the *latest* heap:
+    /// its rids stay candidates (the fetch drops the ones this view does not
+    /// see, see [`ReadView::located`]), and on a dirty table what the view
+    /// sees and the index does not — which can only be a prior image or an
+    /// own write, i.e. a row of the virtual page — is added when its key is
+    /// `in_bound`, addressed by synthetic rid.
     fn with_virtual_candidates(
         &self,
         table_id: u32,
@@ -166,15 +222,11 @@ impl<'a> ReadView<'a> {
             return Ok(rids);
         }
         let storage = self.storage(table_id)?;
-        let overlay = self.overlay(table_id);
         let pos = self
-            .inner
-            .catalog
-            .table_by_id(table_id)
-            .and_then(|def| def.column_index(column))
+            .column_pos(table_id, column)
             .ok_or_else(|| DbError::Internal(format!("no column {column} to re-check")))?;
         let real_pages = storage.heap.num_pages();
-        for (i, v) in self.virtual_rows(storage, overlay).enumerate() {
+        for (i, v) in self.virtual_rows(storage, self.overlay(table_id)).enumerate() {
             if in_bound(&v.row[pos]) {
                 rids.push(virtual_rid(real_pages, i)?);
             }
@@ -214,9 +266,33 @@ fn virtual_index(real_pages: u32, rid: Rid) -> Option<usize> {
     Some(page as usize * VIRTUAL_SLOTS + rid.slot as usize)
 }
 
+/// The cached (or freshly built) columnar image of a heap page, or `None`
+/// when the page is not a candidate: the append-target tail page is still
+/// changing, and pages with overflow stubs hold rows the column segments
+/// could not represent inline.
+fn column_image(
+    storage: &TableStorage,
+    page_no: u32,
+    total: u32,
+) -> DbResult<Option<Arc<ColumnPage>>> {
+    if page_no + 1 >= total {
+        return Ok(None);
+    }
+    if let Some(cp) = storage.col_cache.lock().get(&page_no) {
+        return Ok(Some(Arc::clone(cp)));
+    }
+    if !storage.heap.page_all_inline(page_no)? {
+        return Ok(None);
+    }
+    let Some(cp) = ColumnPage::build(&storage.page_rows(page_no)?) else { return Ok(None) };
+    let cp = Arc::new(cp);
+    storage.col_cache.lock().insert(page_no, Arc::clone(&cp));
+    Ok(Some(cp))
+}
+
 impl StorageAccess for ReadView<'_> {
-    fn executing(&self) -> &std::sync::atomic::AtomicUsize {
-        self.inner.executing()
+    fn executing(&self) -> &AtomicUsize {
+        &self.inner.executing
     }
 
     fn scan_batches(
@@ -227,20 +303,16 @@ impl StorageAccess for ReadView<'_> {
         spec: &ScanSpec,
         on_row: &mut dyn FnMut(&[Datum]) -> DbResult<()>,
     ) -> DbResult<ScanProgress> {
-        if !self.dirty(table_id) {
-            return self.inner.scan_batches(table_id, first_page, max_pages, spec, on_row);
-        }
-        // Versioned path: no zone-map pruning. Zones describe the latest
-        // heap, while this view filters per-rid and serves prior images
-        // from the virtual page; visiting every page keeps the soundness
-        // argument local. The path choice depends only on table state,
-        // never on parallelism, so counters stay deterministic.
         let storage = self.storage(table_id)?;
         let overlay = self.overlay(table_id);
+        // Every choice below depends on table state and the spec, never on
+        // parallelism, so the counters stay deterministic.
+        let dirty = self.dirty(table_id);
         let real = storage.heap.num_pages();
-        // One virtual page past the heap carries prior images and the
-        // overlay, so morsel-parallel scans pick it up like any other page.
-        let total = real.saturating_add(1);
+        // A dirty table has one virtual page past the heap carrying prior
+        // images and the overlay, so morsel-parallel scans pick it up like
+        // any other page.
+        let total = real.saturating_add(u32::from(dirty));
         if first_page >= total {
             return Ok(ScanProgress {
                 next_page: None,
@@ -250,12 +322,43 @@ impl StorageAccess for ReadView<'_> {
             });
         }
         let end = first_page.saturating_add(max_pages).min(total);
-        let mut segments = 0u64;
+        let (mut skipped, mut segments, mut visited) = (0u32, 0u64, 0u64);
         let mut scratch: Row = Vec::new();
+        // The columnar image only beats direct row decode when the mask
+        // skips *interior* columns: segment decode then avoids walking the
+        // skipped columns' bytes entirely, where the row codec must parse
+        // past them. A dense scan (no mask, or every prefix column
+        // referenced — trailing columns are free to skip in row form too)
+        // decodes rows in place with no intermediate column vectors. An
+        // image has no rids to check visibility by, so a dirty table never
+        // uses one. `segments_decoded` follows the same formula both paths.
+        let sparse = !dirty && spec.mask.as_deref().is_some_and(|m| m.iter().any(|b| !*b));
         for page_no in first_page..end.min(real) {
+            // Zone-map pruning (sound on dirty tables too: module doc). Only
+            // reached when the caller supplied bounds, i.e. the whole filter
+            // is error-free; an unconditional scan visits every page.
+            if !spec.bounds.is_empty()
+                && storage.zones.page(page_no).is_some_and(|zone| zone.refutes(&spec.bounds))
+            {
+                skipped += 1;
+                continue;
+            }
+            visited += 1;
+            if sparse {
+                if let Some(cp) = column_image(storage, page_no, real)? {
+                    segments +=
+                        cp.emit_rows(spec.prefix, spec.mask.as_deref(), &mut *on_row)? as u64;
+                    continue;
+                }
+            }
+            // Row path: decode only the referenced columns. The per-page
+            // segment count uses the same formula as the columnar path —
+            // referenced columns within the page's row arity, counted
+            // once per page with a row served — so the counter is identical
+            // whichever representation served the page.
             let (mut rows_on_page, mut referenced) = (0u64, 0u64);
             storage.heap.page_visit_rows_rid(page_no, &mut |rid, bytes| {
-                if !self.rid_visible(storage, overlay, rid) {
+                if dirty && !self.rid_visible(storage, overlay, rid) {
                     return Ok(());
                 }
                 decode_row_cols_into(&mut scratch, bytes, spec.prefix, spec.mask.as_deref())?;
@@ -272,34 +375,29 @@ impl StorageAccess for ReadView<'_> {
                 segments += referenced;
             }
         }
-        if end == total {
-            // The virtual page serves pre-materialized rows; it decodes
-            // no segments, identically at any parallelism.
+        if dirty && end == total {
+            // The virtual page serves pre-materialized rows; it is never
+            // pruned and decodes no segments, identically at any parallelism.
             for v in self.virtual_rows(storage, overlay).filter(|v| v.readable) {
                 on_row(&v.row[..spec.prefix.min(v.row.len())])?;
             }
         }
-        let real_visited = end.min(real).saturating_sub(first_page.min(real));
-        if real_visited > 0 {
-            self.inner.scan_pages.fetch_add(u64::from(real_visited), Ordering::Relaxed);
-        }
+        self.inner.scan_pages.fetch_add(visited, Ordering::Relaxed);
+        self.inner.scan_pages_skipped.fetch_add(u64::from(skipped), Ordering::Relaxed);
         Ok(ScanProgress {
-            next_page: if end < total { Some(end) } else { None },
+            next_page: (end < total).then_some(end),
             pages_read: end - first_page,
-            pages_skipped: 0,
+            pages_skipped: skipped,
             segments_decoded: segments,
         })
     }
 
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>> {
-        if !self.dirty(table_id) {
-            return self.inner.fetch_rids(table_id, rids);
-        }
-        Ok(self.located(table_id, rids, false)?.into_iter().map(|(_, row)| row).collect())
+        self.located(table_id, rids, false, |_, row| row)
     }
 
     fn btree_eq(&self, table_id: u32, column: &str, key: &Datum) -> DbResult<Vec<Rid>> {
-        let rids = self.inner.btree_eq(table_id, column, key)?;
+        let rids = self.btree(table_id, column)?.get(key);
         self.with_virtual_candidates(table_id, column, rids, |k| k == key)
     }
 
@@ -310,10 +408,13 @@ impl StorageAccess for ReadView<'_> {
         lo: Bound<&Datum>,
         hi: Bound<&Datum>,
     ) -> DbResult<Vec<Rid>> {
-        let rids = self.inner.btree_range(table_id, column, lo, hi)?;
+        let index = self.btree(table_id, column)?;
+        let rids = index.range(lo, hi).into_iter().map(|(_, rid)| rid).collect();
         self.with_virtual_candidates(table_id, column, rids, |k| (lo, hi).contains(k))
     }
 
+    /// Only planned on a clean table ([`ReadView::udi_selectivity`]), where
+    /// the access method's rids are exactly the view's.
     fn udi_probe(
         &self,
         table_id: u32,
@@ -321,41 +422,19 @@ impl StorageAccess for ReadView<'_> {
         func: &str,
         args: &[Datum],
     ) -> DbResult<Vec<Rid>> {
-        self.inner.udi_probe(table_id, column, func, args)
+        let udi = self
+            .storage(table_id)?
+            .udis
+            .get(column)
+            .ok_or_else(|| DbError::Internal(format!("no access method on {column}")))?;
+        udi.probe(func, args)
+            .ok_or_else(|| DbError::Internal(format!("{} cannot answer {func}", udi.name())))
     }
 }
 
-impl RowSource for ReadView<'_> {
-    fn rows_at(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<(Prov, Row)>> {
-        if !self.dirty(table_id) {
-            return self.inner.rows_at(table_id, rids);
-        }
-        self.located(table_id, rids, true)
-    }
-
-    fn for_each_row(
-        &self,
-        table_id: u32,
-        visit: &mut dyn FnMut(Prov, Row) -> DbResult<()>,
-    ) -> DbResult<()> {
-        if !self.dirty(table_id) {
-            return self.inner.for_each_row(table_id, visit);
-        }
-        let storage = self.storage(table_id)?;
-        let overlay = self.overlay(table_id);
-        storage.for_each_row(&mut |rid, row| {
-            if self.rid_visible(storage, overlay, rid) {
-                visit(Prov::Committed(rid), row)?;
-            }
-            Ok(())
-        })?;
-        for v in self.virtual_rows(storage, overlay) {
-            visit(v.prov, v.row.clone())?;
-        }
-        Ok(())
-    }
-}
-
+/// Costing inputs come from the latest state whatever the snapshot: they
+/// rank access paths and order joins and filters, and the latest row counts,
+/// sketches and samples are close enough for that.
 impl PlannerContext for ReadView<'_> {
     fn catalog(&self) -> &Catalog {
         &self.inner.catalog
@@ -368,28 +447,25 @@ impl PlannerContext for ReadView<'_> {
     fn btree_columns(&self, table_id: u32) -> Vec<(String, usize)> {
         // Dirty or not: probes on a dirty table re-check their candidates
         // against the snapshot, so the index stays usable.
-        self.inner.btree_columns(table_id)
+        self.inner.tables.get(&table_id).map_or_else(Vec::new, |t| {
+            t.btrees.iter().map(|(c, i)| (c.clone(), i.distinct_keys())).collect()
+        })
     }
 
     fn row_count(&self, table_id: u32) -> u64 {
-        // A cardinality estimate for costing; latest count is close enough.
-        self.inner.row_count(table_id)
+        self.inner.tables.get(&table_id).map_or(0, |t| t.heap.len())
     }
 
     fn column_ndv(&self, table_id: u32, column: &str) -> Option<u64> {
-        // NDV only steers build-side choice and join order; like
-        // `row_count`, the latest sketch is close enough for a snapshot.
-        self.inner.column_ndv(table_id, column)
+        self.inner.catalog.column_ndv(table_id, self.column_pos(table_id, column)?)
     }
 
     fn column_histogram(&self, table_id: u32, column: &str) -> Option<EquiDepthHistogram> {
-        // Histograms only rank access paths and order filters; the
-        // latest sample is close enough for a snapshot.
-        self.inner.column_histogram(table_id, column)
+        self.inner.catalog.column_histogram(table_id, self.column_pos(table_id, column)?)
     }
 
     fn column_null_frac(&self, table_id: u32, column: &str) -> Option<f64> {
-        self.inner.column_null_frac(table_id, column)
+        self.inner.catalog.column_null_frac(table_id, self.column_pos(table_id, column)?)
     }
 
     fn udi_selectivity(
@@ -399,9 +475,12 @@ impl PlannerContext for ReadView<'_> {
         func: &str,
         args: &[Datum],
     ) -> Option<f64> {
+        // A virtual row would need the UDF re-evaluated against it; until
+        // then an access method answers for clean tables only.
         if self.dirty(table_id) {
             return None;
         }
-        self.inner.udi_selectivity(table_id, column, func, args)
+        let udi = self.inner.tables.get(&table_id)?.udis.get(column)?;
+        udi.supports(func).then(|| udi.selectivity(func, args).unwrap_or(0.1))
     }
 }

@@ -611,6 +611,42 @@ fn version_gc_prunes_churn_under_long_lived_reader() {
     assert_eq!(ints(&db, "SELECT k, v FROM t"), vec![(1, 199), (2, 0)]);
 }
 
+/// A statement that panics inside a transaction (a user-defined function
+/// unwinding) must hand the transaction back: left checked out, it could
+/// never be rolled back or reaped, and its snapshot would pin version chains
+/// for the life of the process.
+#[test]
+fn a_panicking_statement_leaves_the_transaction_rollbackable() {
+    let db = fresh_kv();
+    db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+    db.register_scalar("boom", Arc::new(|_| panic!("boom() always panics"))).unwrap();
+
+    let id = db.txn_begin();
+    db.txn_execute(id, "UPDATE t SET v = 11 WHERE k = 1").unwrap();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        db.txn_execute(id, "SELECT boom() FROM t")
+    }));
+    assert!(unwound.is_err(), "boom() unwinds out of the statement");
+
+    // What the statement did to the write-set is unknown: the transaction
+    // can only be rolled back, and says so.
+    let err = db.txn_execute(id, "SELECT k, v FROM t").unwrap_err();
+    assert!(matches!(err, DbError::Conflict(_)), "got {err:?}");
+    db.txn_rollback(id).expect("a transaction whose statement panicked rolls back");
+    assert!(!db.txn_is_active(id));
+    let stats = db.txn_stats();
+    assert_eq!(stats.begun, stats.committed + stats.aborted);
+    assert_eq!(stats.conflicts, 0, "a panic is not a serialization conflict");
+
+    // No snapshot is left pinned: churn records no versions to prune, where
+    // a wedged snapshot would have every UPDATE push (and GC prune) one.
+    for i in 0..50 {
+        db.execute(&format!("UPDATE t SET v = {i} WHERE k = 1")).unwrap();
+    }
+    assert_eq!(db.txn_stats().versions_pruned, stats.versions_pruned);
+    assert_eq!(ints(&db, "SELECT k, v FROM t"), vec![(1, 49)]);
+}
+
 // -- index on == index off -------------------------------------------------
 
 /// One step of a visibility shape, run after the transaction has begun.

@@ -637,6 +637,47 @@ mod tests {
         assert_eq!(stat_value(&stats, "txn_aborted"), Some(1));
     }
 
+    /// Reads and writes are told apart by the statement's first keyword
+    /// after comments, not by the first word of its text: a comment-led
+    /// `SELECT` is a read a public session may run and the caches serve,
+    /// and a `SHOW` with a trailing comment is still a `SHOW`.
+    #[test]
+    fn comment_led_reads_are_reads() {
+        let server = seeded_server(&ServerConfig::default());
+        let client = server.client();
+        let public = client.open(SessionKind::Public);
+        let sql = "-- note\nSELECT name FROM public.genes WHERE id = 1";
+        for _ in 0..2 {
+            let rs = client.query(public, sql).unwrap();
+            assert_eq!(rs.rows, vec![vec![Datum::Text("lacZ".into())]]);
+        }
+        let stats = client.query(public, "SHOW STATS -- x").unwrap();
+        assert_eq!(stat_value(&stats, "cache_result_hits"), Some(1), "the repeat is a hit");
+        assert_eq!(stat_value(&stats, "query_read_latency_count"), Some(2));
+
+        let maintainer = client.open(SessionKind::Maintainer);
+        client.query(maintainer, "  -- a\n-- b\n select count(*) FROM public.genes").unwrap();
+        let stats = client.query(maintainer, "-- x\nshow stats;").unwrap();
+        assert_eq!(stat_value(&stats, "cache_result_misses"), Some(2));
+        assert_eq!(stat_value(&stats, "query_read_latency_count"), Some(3));
+        assert_eq!(stat_value(&stats, "query_write_latency_count"), Some(0));
+        // A write behind a comment is still a write.
+        let err = client.query(public, "-- SELECT\nDELETE FROM public.genes").unwrap_err();
+        assert!(matches!(err, ServerError::ReadOnly(_)), "got {err:?}");
+
+        // An apostrophe in a comment must not fold the case of a literal
+        // into a shared cache key, wherever the comment stands.
+        for sql in [
+            "-- user's query\nSELECT id FROM public.genes WHERE name = '{}'",
+            "SELECT id -- user's query\nFROM public.genes WHERE name = '{}'",
+        ] {
+            let found = client.query(public, &sql.replace("{}", "lacZ")).unwrap();
+            assert_eq!(found.rows, vec![vec![Datum::Int(1)]]);
+            let none = client.query(public, &sql.replace("{}", "LACZ")).unwrap();
+            assert!(none.rows.is_empty(), "{sql:?} served {:?}", none.rows);
+        }
+    }
+
     /// A statement that panics inside a session's transaction is contained
     /// by admission — and must leave the transaction where `ROLLBACK`, a
     /// closing session and the reaper can still end it.

@@ -8,7 +8,8 @@
 //! 3. intercepts the observability statements — `SHOW STATS`,
 //!    `SHOW METRICS` (Prometheus text), `SHOW SLOW QUERIES`, `SHOW TRACE`;
 //! 4. keeps transactions per session: `BEGIN`/`COMMIT`/`ROLLBACK` are
-//!    recognised from the parsed statement, whatever its comments or case;
+//!    recognised by [`unidb::sql::statement_kind`], whatever their comments or
+//!    case — the same classifier that tells reads from writes;
 //! 5. routes an autocommit `SELECT` through the plan + result caches and every
 //!    other statement through [`Database::execute_in`] with the session's
 //!    transaction passed explicitly — never through an entry that consults
@@ -32,7 +33,8 @@ use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unidb::sql::{transaction_control, Stmt};
+use unidb::sql::lexer::{lex, Token};
+use unidb::sql::{statement_kind, StmtKind};
 use unidb::{Database, Datum, DbError, ResultSet};
 
 /// Distinct query shapes the workload registry tracks before overflowing.
@@ -515,19 +517,28 @@ impl QueryService {
                     .map_err(|e| ServerError::Bql(e.to_string()))?
             }
         };
-        let normalized = normalize_sql(&sql);
-        match normalized.as_str() {
-            "show stats" => return Ok(self.stats_result()),
-            "show metrics" => return Ok(self.metrics_result()),
-            "show slow queries" => return Ok(self.slow_queries_result()),
-            "show trace" => return Ok(self.trace_result()),
-            "show workload" => return Ok(self.workload_result()),
-            "show plan changes" => return Ok(self.plan_changes_result()),
-            _ => {}
+        let (stmt, head) = statement_kind(&sql);
+        if stmt == StmtKind::Show {
+            let show = show_words(&sql);
+            match show.as_str() {
+                "show stats" => return Ok(self.stats_result()),
+                "show metrics" => return Ok(self.metrics_result()),
+                "show slow queries" => return Ok(self.slow_queries_result()),
+                "show trace" => return Ok(self.trace_result()),
+                "show workload" => return Ok(self.workload_result()),
+                "show plan changes" => return Ok(self.plan_changes_result()),
+                _ => {}
+            }
+            if let Some(rest) = show.strip_prefix("show history") {
+                return self.history_result(rest.trim());
+            }
         }
-        if let Some(rest) = normalized.strip_prefix("show history") {
-            return self.history_result(rest.trim());
-        }
+        // `normalize_sql` does not know comments: an apostrophe in one opens
+        // a string it would not case-fold past. So the key starts after the
+        // leading comments, and a statement with a comment further on is
+        // never cached.
+        let normalized = normalize_sql(head);
+        let cacheable = stmt == StmtKind::Select && self.caches_enabled && !head.contains("--");
         // The speaking session's reaping stays lazy and inline: the
         // deadline is checked when it next speaks. An expired transaction
         // is rolled back and the statement that found it fails, so the
@@ -544,32 +555,32 @@ impl QueryService {
                 ))));
             }
         }
-        let is_read = normalized.starts_with("select") || normalized.starts_with("explain");
+        let is_read = stmt.is_read();
         if !is_read && !kind.can_write() {
             return Err(ServerError::ReadOnly(
                 "public sessions may only run SELECT / EXPLAIN / SHOW STATS".into(),
             ));
         }
         let role = kind.role();
-        match transaction_control(&sql) {
-            Some(Stmt::Begin) => {
+        match stmt {
+            StmtKind::Begin => {
                 if self.sessions.txn(session).is_some() {
                     return Err(DbError::Txn("nested transactions are not supported".into()).into());
                 }
                 self.sessions.set_txn(session, self.db.txn_begin());
                 return Ok(empty_result());
             }
-            Some(end) => {
-                let verb = if end == Stmt::Commit { "COMMIT" } else { "ROLLBACK" };
+            StmtKind::Commit | StmtKind::Rollback => {
+                let verb = if stmt == StmtKind::Commit { "COMMIT" } else { "ROLLBACK" };
                 let open = self.sessions.clear_txn(session);
                 let txn = open.ok_or_else(|| DbError::Txn(format!("{verb} without BEGIN")))?;
-                match end {
-                    Stmt::Commit => self.db.txn_commit(txn.id)?,
+                match stmt {
+                    StmtKind::Commit => self.db.txn_commit(txn.id)?,
                     _ => self.db.txn_rollback(txn.id)?,
                 }
                 return Ok(empty_result());
             }
-            None => {}
+            _ => {}
         }
         let mut span = tracer.span("server.query");
         span.field("read", is_read);
@@ -581,11 +592,12 @@ impl QueryService {
         let pages_before = (self.db.scan_pages_read(), self.db.scan_pages_skipped());
         let start = Instant::now();
         let txn = self.sessions.txn(session).map(|txn| txn.id);
-        let result = if txn.is_none() && is_read {
-            self.execute_read(&sql, normalized.clone(), &role, &mut path, span.id())
+        let result = if txn.is_none() && cacheable {
+            self.execute_cached(&sql, normalized.clone(), &role, &mut path, span.id())
         } else {
-            // A write, or a statement inside the session's transaction (where a
-            // cached latest-state result would violate snapshot isolation).
+            // A write, EXPLAIN, an uncacheable read, or a statement inside
+            // the session's transaction (where a cached latest-state result
+            // would violate snapshot isolation).
             let _exec = tracer.span_with_parent("server.execute", span.id());
             let outcome = self.db.execute_in(txn, &sql, &role).map_err(ServerError::Db);
             if txn.is_some() {
@@ -626,7 +638,8 @@ impl QueryService {
         result
     }
 
-    fn execute_read(
+    /// An autocommit `SELECT`, through the result and plan caches.
+    fn execute_cached(
         &self,
         sql: &str,
         normalized: String,
@@ -635,11 +648,6 @@ impl QueryService {
         parent: u64,
     ) -> ServerResult<ResultSet> {
         let tracer = genalg_obs::tracer();
-        // EXPLAIN and other non-SELECT reads bypass the caches entirely.
-        if !normalized.starts_with("select") || !self.caches_enabled {
-            let _exec = tracer.span_with_parent("server.execute", parent);
-            return self.db.execute_in(None, sql, role).map_err(ServerError::Db);
-        }
         let key = StatementKey { normalized_sql: normalized, space: role.default_space().into() };
         let catalog_gen = self.db.catalog_generation();
         let lookup = tracer.span_with_parent("server.cache_lookup", parent);
@@ -963,6 +971,14 @@ impl QueryService {
 
 pub(crate) fn empty_result() -> ResultSet {
     ResultSet { columns: Vec::new(), rows: Vec::new(), affected: 0, explain: None }
+}
+
+/// A `SHOW` statement's words, lower-cased and space-separated, with
+/// comments and semicolons dropped; empty when the text does not lex.
+fn show_words(sql: &str) -> String {
+    let tokens = lex(sql).unwrap_or_default();
+    let words = tokens.iter().filter(|t| **t != Token::Semicolon).map(|t| t.to_string());
+    words.collect::<Vec<_>>().join(" ").to_lowercase()
 }
 
 /// Coarse statement tag for slow-log entries that never reach the planner

@@ -12,7 +12,7 @@ use crate::error::{DbError, DbResult};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Rendering hook an adapter registers for an opaque type's payloads.
 pub type DisplayHook = Arc<dyn Fn(&[u8]) -> String + Send + Sync>;
@@ -146,19 +146,21 @@ impl ReservoirSample {
         }
     }
 
-    fn observe(&mut self, d: &Datum) {
+    /// Observe one value; returns whether it entered the sample.
+    fn observe(&mut self, d: &Datum) -> bool {
         self.seen += 1;
         if self.values.len() < SAMPLE_CAP {
             self.values.push(d.clone());
-            return;
+            return true;
         }
         self.rng ^= self.rng << 13;
         self.rng ^= self.rng >> 7;
         self.rng ^= self.rng << 17;
-        let j = self.rng % self.seen;
-        if (j as usize) < SAMPLE_CAP {
-            self.values[j as usize] = d.clone();
+        let j = (self.rng % self.seen) as usize;
+        if j < SAMPLE_CAP {
+            self.values[j] = d.clone();
         }
+        j < SAMPLE_CAP
     }
 }
 
@@ -169,11 +171,19 @@ pub struct ColumnStats {
     ndv: NdvSketch,
     sample: ReservoirSample,
     nulls: u64,
+    /// The histogram of `sample`, built by the first plan that asks after
+    /// the sample last changed and lent to every plan until it changes again.
+    histogram: OnceLock<Option<EquiDepthHistogram>>,
 }
 
 impl ColumnStats {
     fn new(column: usize) -> Self {
-        ColumnStats { ndv: NdvSketch::default(), sample: ReservoirSample::new(column), nulls: 0 }
+        ColumnStats {
+            ndv: NdvSketch::default(),
+            sample: ReservoirSample::new(column),
+            nulls: 0,
+            histogram: OnceLock::new(),
+        }
     }
 }
 
@@ -419,7 +429,9 @@ impl Catalog {
                 col.nulls += 1;
             } else {
                 col.ndv.observe(crate::fxhash::hash_one(datum));
-                col.sample.observe(datum);
+                if col.sample.observe(datum) {
+                    col.histogram.take();
+                }
             }
         }
     }
@@ -463,12 +475,12 @@ impl Catalog {
     }
 
     /// Equi-depth histogram over a column's sampled non-NULL values, or
-    /// `None` when the sample is empty. Built on demand — the sample is
-    /// at most `SAMPLE_CAP` values, so the sort is cheap relative to
-    /// planning.
-    pub fn column_histogram(&self, table_id: u32, column: usize) -> Option<EquiDepthHistogram> {
+    /// `None` when the sample is empty. Sorting the sample costs more than
+    /// planning a point lookup, so it is built once per change of the
+    /// sample and lent by reference to every plan in between.
+    pub fn column_histogram(&self, table_id: u32, column: usize) -> Option<&EquiDepthHistogram> {
         let col = self.stats.get(&table_id)?.columns.get(column)?;
-        EquiDepthHistogram::from_sample(&col.sample.values)
+        col.histogram.get_or_init(|| EquiDepthHistogram::from_sample(&col.sample.values)).as_ref()
     }
 
     /// Order-sensitive fingerprint of a table's statistics: sketches,
@@ -739,6 +751,45 @@ mod tests {
         assert!(c.column_histogram(id, 1).is_none());
         let nf = c.column_null_frac(id, 1).unwrap();
         assert!((nf - 1.0).abs() < f64::EPSILON);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The histogram a plan borrows is always the one `from_sample`
+        /// builds from the column's current sample — through the sample
+        /// filling up, reservoir replacements, NULLs, deletes and resets —
+        /// and two reads with no write between them lend the same object.
+        #[test]
+        fn lent_histogram_tracks_the_sample(
+            ops in proptest::collection::vec((0u8..8, 0i64..40), 1..600),
+        ) {
+            let mut c = Catalog::new();
+            let id = c.create_table("public", "t", cols()).unwrap().id;
+            for (op, v) in ops {
+                match op {
+                    0 => {
+                        c.observe_delete(id);
+                    }
+                    1 if v < 2 => c.reset_stats(id),
+                    _ => {
+                        let name =
+                            if v % 3 == 0 { Datum::Null } else { Datum::Text(format!("g{v}")) };
+                        c.observe_row(id, &[Datum::Int(v), name]);
+                    }
+                }
+                for col in 0..3 {
+                    let sample = c.stats.get(&id).and_then(|s| s.columns.get(col));
+                    let expected =
+                        sample.and_then(|s| EquiDepthHistogram::from_sample(&s.sample.values));
+                    let lent = c.column_histogram(id, col);
+                    proptest::prop_assert_eq!(lent, expected.as_ref());
+                    if let (Some(a), Some(b)) = (lent, c.column_histogram(id, col)) {
+                        proptest::prop_assert!(std::ptr::eq(a, b));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,8 @@ pub struct BTreeIndex {
     nodes: Vec<Node>,
     root: u32,
     entries: usize,
+    /// Keys with a non-empty posting list, kept by `insert_rec` and `remove`.
+    distinct: usize,
     unique: bool,
 }
 
@@ -37,6 +39,7 @@ impl BTreeIndex {
             nodes: vec![Node::Leaf { keys: Vec::new(), postings: Vec::new(), next: None }],
             root: 0,
             entries: 0,
+            distinct: 0,
             unique,
         }
     }
@@ -84,6 +87,7 @@ impl BTreeIndex {
         if list.is_empty() {
             keys.remove(pos);
             postings.remove(pos);
+            self.distinct -= 1;
         }
         self.entries -= 1;
         true
@@ -148,18 +152,7 @@ impl BTreeIndex {
 
     /// Number of distinct keys (used for selectivity estimation).
     pub fn distinct_keys(&self) -> usize {
-        let mut count = 0;
-        let mut leaf = self.leftmost_leaf();
-        loop {
-            let Node::Leaf { keys, next, .. } = &self.nodes[leaf as usize] else {
-                unreachable!("leaf chain only contains leaves")
-            };
-            count += keys.len();
-            match next {
-                Some(n) => leaf = *n,
-                None => return count,
-            }
-        }
+        self.distinct
     }
 
     /// Height of the tree (1 = just a root leaf).
@@ -229,6 +222,7 @@ impl BTreeIndex {
                     Err(pos) => {
                         keys.insert(pos, key);
                         postings.insert(pos, vec![rid]);
+                        self.distinct += 1;
                         keys.len() > MAX_KEYS
                     }
                 };

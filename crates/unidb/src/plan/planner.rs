@@ -10,31 +10,28 @@ use crate::sql::ast::{BinOp, Expr, JoinKind, Projection, SelectStmt};
 use std::collections::HashSet;
 use std::ops::Bound;
 
-/// What the planner needs to know about the database. Implemented by the
-/// engine; a test double drives the planner tests.
+/// What the planner needs to know about the database, implemented by the
+/// engine's read view. Every statistic is read, not computed: the engine
+/// keeps them current as rows are written.
 pub trait PlannerContext {
     fn catalog(&self) -> &Catalog;
     fn funcs(&self) -> &FunctionRegistry;
-    /// `(column, distinct_keys)` for every B-tree-indexed column.
-    fn btree_columns(&self, table_id: u32) -> Vec<(String, usize)>;
+    /// Distinct keys in the B-tree on a named column, `None` when the column
+    /// has no B-tree.
+    fn btree_distinct_keys(&self, table_id: u32, column: &str) -> Option<usize>;
     /// Live row count of a table.
     fn row_count(&self, table_id: u32) -> u64;
     /// Estimated count of distinct non-NULL values in a named column, when
-    /// the catalog has statistics for it. `None` (the default) makes the
-    /// planner fall back to the row count.
-    fn column_ndv(&self, _table_id: u32, _column: &str) -> Option<u64> {
-        None
-    }
+    /// the catalog has statistics for it. `None` makes the planner fall
+    /// back to the row count.
+    fn column_ndv(&self, table_id: u32, column: &str) -> Option<u64>;
     /// Equi-depth histogram over a named column's non-NULL values, when
-    /// the catalog has sampled statistics for it. `None` (the default)
-    /// makes the planner fall back to fixed per-conjunct selectivities.
-    fn column_histogram(&self, _table_id: u32, _column: &str) -> Option<EquiDepthHistogram> {
-        None
-    }
+    /// the catalog has sampled statistics for it; borrowed, never rebuilt
+    /// per plan. `None` makes the planner fall back to fixed per-conjunct
+    /// selectivities.
+    fn column_histogram(&self, table_id: u32, column: &str) -> Option<&EquiDepthHistogram>;
     /// Fraction of a column's observed values that are NULL.
-    fn column_null_frac(&self, _table_id: u32, _column: &str) -> Option<f64> {
-        None
-    }
+    fn column_null_frac(&self, table_id: u32, column: &str) -> Option<f64>;
     /// Selectivity if a UDI on `(table, column)` can answer `func(args)`.
     fn udi_selectivity(
         &self,
@@ -420,9 +417,6 @@ fn order_residual(ctx: &dyn PlannerContext, table_id: u32, parts: Vec<Expr>) -> 
 
 /// Choose the cheapest access path for one table given its pushed conjuncts.
 fn build_scan(ctx: &dyn PlannerContext, t: &TableInfo, conjuncts: Vec<Expr>) -> PhysicalPlan {
-    let btrees = ctx.btree_columns(t.table_id);
-    let rows = ctx.row_count(t.table_id).max(1) as f64;
-
     #[derive(Debug)]
     enum Path {
         Eq { column: String, key: Datum },
@@ -454,11 +448,11 @@ fn build_scan(ctx: &dyn PlannerContext, t: &TableInfo, conjuncts: Vec<Expr>) -> 
                 if matches!(d, Datum::Null) {
                     continue;
                 }
-                if let Some((_, distinct)) = btrees.iter().find(|(c, _)| *c == name) {
+                if let Some(distinct) = ctx.btree_distinct_keys(t.table_id, &name) {
                     let hist = histogram_selectivity(ctx, t.table_id, c);
                     match op {
                         BinOp::Eq => {
-                            let sel = hist.unwrap_or(1.0 / (*distinct).max(1) as f64);
+                            let sel = hist.unwrap_or(1.0 / distinct.max(1) as f64);
                             if hist.is_none() || sel < INDEX_WORTHWHILE {
                                 consider(
                                     (i, sel, Path::Eq { column: name, key: d.clone() }, true),
@@ -506,7 +500,7 @@ fn build_scan(ctx: &dyn PlannerContext, t: &TableInfo, conjuncts: Vec<Expr>) -> 
                 if matches!(lo, Datum::Null) || matches!(hi, Datum::Null) {
                     continue;
                 }
-                if btrees.iter().any(|(c, _)| *c == name) {
+                if ctx.btree_distinct_keys(t.table_id, &name).is_some() {
                     let hist = histogram_selectivity(ctx, t.table_id, c);
                     let sel = hist.unwrap_or(0.25);
                     if hist.is_none() || sel < INDEX_WORTHWHILE {
@@ -562,7 +556,6 @@ fn build_scan(ctx: &dyn PlannerContext, t: &TableInfo, conjuncts: Vec<Expr>) -> 
         }
     }
 
-    let _ = rows; // row count reserved for future join-order costing
     match best {
         None => PhysicalPlan::SeqScan {
             table_id: t.table_id,

@@ -64,21 +64,36 @@ impl fmt::Display for Token {
     }
 }
 
+/// The first byte at or after `i` that is neither whitespace nor part of a
+/// `--` line comment: where the next token starts.
+pub(crate) fn skip_trivia(bytes: &[u8], mut i: usize) -> usize {
+    loop {
+        match bytes.get(i) {
+            Some(&b) if (b as char).is_whitespace() => i += 1,
+            Some(b'-') if bytes.get(i + 1) == Some(&b'-') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
+                }
+            }
+            _ => return i,
+        }
+    }
+}
+
+/// Length of the identifier-or-keyword characters `bytes` starts with.
+pub(crate) fn word_len(bytes: &[u8]) -> usize {
+    bytes.iter().take_while(|b| b.is_ascii_alphanumeric() || **b == b'_').count()
+}
+
 /// Tokenize SQL text. String literals use single quotes with `''` escaping;
 /// `--` starts a line comment.
 pub fn lex(input: &str) -> DbResult<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
-    let mut i = 0;
+    let mut i = skip_trivia(bytes, 0);
     while i < bytes.len() {
         let c = bytes[i] as char;
         match c {
-            c if c.is_whitespace() => i += 1,
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
             ',' => {
                 tokens.push(Token::Comma);
                 i += 1;
@@ -214,19 +229,13 @@ pub fn lex(input: &str) -> DbResult<Vec<Token>> {
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() {
-                    let c = bytes[i] as char;
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token::Word(input[start..i].to_string()));
+                let len = word_len(&bytes[i..]);
+                tokens.push(Token::Word(input[i..i + len].to_string()));
+                i += len;
             }
             other => return Err(DbError::Parse(format!("unexpected character {other:?}"))),
         }
+        i = skip_trivia(bytes, i);
     }
     Ok(tokens)
 }
@@ -259,6 +268,9 @@ mod tests {
     fn comments_and_whitespace() {
         let toks = lex("SELECT -- the projection\n  1").unwrap();
         assert_eq!(toks, vec![Token::Word("SELECT".into()), Token::Int(1)]);
+        // A comment ends a token with no space before it; a lone `-` does not.
+        let toks = lex("-- lead\nx--tail\n- 1").unwrap();
+        assert_eq!(toks, vec![Token::Word("x".into()), Token::Minus, Token::Int(1)]);
     }
 
     #[test]
@@ -287,6 +299,7 @@ mod tests {
     fn errors() {
         assert!(lex("'unterminated").is_err());
         assert!(lex("@").is_err());
+        assert!(lex("a ! b").is_err());
         assert!(lex("99999999999999999999999").is_err());
     }
 

@@ -12,4 +12,4 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{Expr, FromClause, Join, JoinKind, Projection, SelectStmt, Stmt, TableRef};
-pub use parser::{parse, transaction_control};
+pub use parser::{parse, statement_kind, StmtKind};

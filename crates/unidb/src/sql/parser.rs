@@ -20,7 +20,7 @@
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
 use crate::sql::ast::*;
-use crate::sql::lexer::{lex, Token};
+use crate::sql::lexer::{lex, skip_trivia, word_len, Token};
 
 /// Words that terminate expressions/aliases and may not be identifiers.
 const RESERVED: &[&str] = &[
@@ -57,19 +57,47 @@ pub fn parse_many(sql: &str) -> DbResult<Vec<Stmt>> {
     }
 }
 
-/// The statement `sql` is, when that is `BEGIN`, `COMMIT` or `ROLLBACK` —
-/// keyword case, comments and trailing semicolons ignored, because the
-/// answer comes from the parsed statement, not its text. Front ends that
-/// keep transactions per session route on this. Anything else answers
-/// `None` without being parsed: a transaction-control statement starts with
-/// its keyword or with a comment.
-pub fn transaction_control(sql: &str) -> Option<Stmt> {
-    let head = sql.trim_start();
-    let starts = |p: &str| head.get(..p.len()).is_some_and(|h| h.eq_ignore_ascii_case(p));
-    if !["BEGIN", "COMMIT", "ROLLBACK", "--"].into_iter().any(starts) {
-        return None;
+/// What a statement is, as a front end routes it before parsing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StmtKind {
+    Select,
+    Explain,
+    /// Anything else the engine runs: DML, DDL, and text that will not parse.
+    Write,
+    Begin,
+    Commit,
+    Rollback,
+    /// The `SHOW` family, which a server answers itself.
+    Show,
+}
+
+impl StmtKind {
+    /// `SELECT` and `EXPLAIN` only read.
+    pub fn is_read(self) -> bool {
+        matches!(self, StmtKind::Select | StmtKind::Explain)
     }
-    parse(sql).ok().filter(|s| matches!(s, Stmt::Begin | Stmt::Commit | Stmt::Rollback))
+}
+
+/// Classify `sql` by its first word, found by skipping whitespace and `--`
+/// comments exactly as the lexer does; keyword case is ignored. `BEGIN`,
+/// `COMMIT` and `ROLLBACK` count only as the whole statement (trailing
+/// semicolons and comments allowed) — followed by anything else they are a
+/// `Write` the parser will reject. Also returns the text from that first
+/// word on: the statement without its leading comments.
+pub fn statement_kind(sql: &str) -> (StmtKind, &str) {
+    let head = &sql[skip_trivia(sql.as_bytes(), 0)..];
+    let (word, rest) = head.split_at(word_len(head.as_bytes()));
+    let alone = || lex(rest).is_ok_and(|t| t.iter().all(|t| *t == Token::Semicolon));
+    let kind = match word.to_ascii_uppercase().as_str() {
+        "SELECT" => StmtKind::Select,
+        "EXPLAIN" => StmtKind::Explain,
+        "SHOW" => StmtKind::Show,
+        "BEGIN" if alone() => StmtKind::Begin,
+        "COMMIT" if alone() => StmtKind::Commit,
+        "ROLLBACK" if alone() => StmtKind::Rollback,
+        _ => StmtKind::Write,
+    };
+    (kind, head)
 }
 
 struct Parser {
@@ -717,12 +745,28 @@ mod tests {
         assert_eq!(parse("BEGIN").unwrap(), Stmt::Begin);
         assert_eq!(parse("COMMIT;").unwrap(), Stmt::Commit);
         assert_eq!(parse("ROLLBACK").unwrap(), Stmt::Rollback);
-        assert_eq!(transaction_control("BEGIN -- x"), Some(Stmt::Begin));
-        assert_eq!(transaction_control("-- y\n  commit ;;"), Some(Stmt::Commit));
-        assert_eq!(transaction_control(" RollBack;"), Some(Stmt::Rollback));
-        for not_control in ["SELECT 1", "-- begin\nSELECT 1", "BEGIN x", "beginning", ""] {
-            assert_eq!(transaction_control(not_control), None, "{not_control:?}");
+        for (sql, kind) in [
+            ("BEGIN -- x", StmtKind::Begin),
+            ("-- y\n  commit ;;", StmtKind::Commit),
+            (" RollBack;", StmtKind::Rollback),
+            ("-- begin\nSELECT 1", StmtKind::Select),
+            ("select*from t", StmtKind::Select),
+            ("\t-- a\n-- b\n explain SELECT 1", StmtKind::Explain),
+            ("SHOW STATS -- x", StmtKind::Show),
+            ("BEGIN x", StmtKind::Write),
+            ("COMMIT @", StmtKind::Write),
+            ("beginning", StmtKind::Write),
+            ("selected", StmtKind::Write),
+            ("-- SELECT\nDELETE FROM t", StmtKind::Write),
+            ("", StmtKind::Write),
+            ("-- only a comment", StmtKind::Write),
+        ] {
+            assert_eq!(statement_kind(sql).0, kind, "{sql:?}");
         }
+        let sql = " -- user's query\n SELECT 'x' -- y";
+        assert_eq!(statement_kind(sql), (StmtKind::Select, "SELECT 'x' -- y"));
+        assert_eq!(statement_kind("-- only").1, "");
+        assert!(StmtKind::Explain.is_read() && !StmtKind::Show.is_read());
         let s = parse("EXPLAIN SELECT 1").unwrap();
         assert!(matches!(s, Stmt::Explain { analyze: false, .. }));
         let s = parse("EXPLAIN ANALYZE SELECT 1").unwrap();

@@ -444,12 +444,10 @@ impl PlannerContext for ReadView<'_> {
         &self.inner.funcs
     }
 
-    fn btree_columns(&self, table_id: u32) -> Vec<(String, usize)> {
+    fn btree_distinct_keys(&self, table_id: u32, column: &str) -> Option<usize> {
         // Dirty or not: probes on a dirty table re-check their candidates
         // against the snapshot, so the index stays usable.
-        self.inner.tables.get(&table_id).map_or_else(Vec::new, |t| {
-            t.btrees.iter().map(|(c, i)| (c.clone(), i.distinct_keys())).collect()
-        })
+        Some(self.inner.tables.get(&table_id)?.btrees.get(column)?.distinct_keys())
     }
 
     fn row_count(&self, table_id: u32) -> u64 {
@@ -460,7 +458,7 @@ impl PlannerContext for ReadView<'_> {
         self.inner.catalog.column_ndv(table_id, self.column_pos(table_id, column)?)
     }
 
-    fn column_histogram(&self, table_id: u32, column: &str) -> Option<EquiDepthHistogram> {
+    fn column_histogram(&self, table_id: u32, column: &str) -> Option<&EquiDepthHistogram> {
         self.inner.catalog.column_histogram(table_id, self.column_pos(table_id, column)?)
     }
 

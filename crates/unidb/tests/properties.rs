@@ -192,6 +192,48 @@ proptest! {
         }
     }
 
+    /// The distinct-key count the planner reads is kept at write time; it
+    /// must always equal a count over the leaves. A narrow key range makes
+    /// keys empty out and come back, and removals name absent entries as
+    /// often as present ones.
+    #[test]
+    fn btree_distinct_keys_is_maintained(
+        unique in any::<bool>(),
+        ops in proptest::collection::vec((0u8..3, -12i64..12, 0u32..6), 1..400),
+    ) {
+        let mut tree = BTreeIndex::new(unique);
+        let mut live: Vec<(i64, Rid)> = Vec::new();
+        for (op, key, ridn) in ops {
+            let rid = Rid { page: ridn, slot: 0 };
+            match op {
+                // A unique index refuses a second rid; the count must not move.
+                0 => {
+                    if tree.insert(Datum::Int(key), rid).is_ok() {
+                        live.push((key, rid));
+                    }
+                }
+                // Remove an entry that exists, when there is one.
+                1 if !live.is_empty() => {
+                    let (k, r) = live.swap_remove(ridn as usize % live.len());
+                    prop_assert!(tree.remove(&Datum::Int(k), r));
+                }
+                // Remove whatever (key, rid) was drawn, present or not.
+                _ => {
+                    let existed = tree.remove(&Datum::Int(key), rid);
+                    if let Some(at) = live.iter().position(|e| *e == (key, rid)) {
+                        prop_assert!(existed);
+                        live.swap_remove(at);
+                    } else {
+                        prop_assert!(!existed);
+                    }
+                }
+            }
+            let mut keys: Vec<Datum> = tree.iter_all().into_iter().map(|(k, _)| k).collect();
+            keys.dedup();
+            prop_assert_eq!(tree.distinct_keys(), keys.len());
+        }
+    }
+
     #[test]
     fn btree_range_equals_filtered_scan(
         keys in proptest::collection::vec(-100i64..100, 0..200),

@@ -1,14 +1,23 @@
 //! Plan execution: a pull-based, batched, morsel-parallel engine.
 //!
 //! Every operator implements `BatchIter` and pulls ~[`BATCH_ROWS`]-row
-//! batches from its input, so Scan→Filter→Project pipelines stream without
-//! materializing intermediate `Vec<Row>`s and `LIMIT` stops pulling as
-//! soon as its window is full (unless a fallible expression downstream
-//! means early exit could change which queries error — then it drains).
+//! batches from its input, so Scan→Filter→Project pipelines stream and
+//! `LIMIT` stops pulling as soon as its window is full (unless a fallible
+//! expression downstream means early exit could change which queries
+//! error — then it drains). A batch is one allocation ([`Batch`]): `width`
+//! datums per row, row after row, read as `&[Datum]`. Scans move decoded
+//! values straight into it, filters compact it in place, projections and
+//! joins append to one buffer, and `Vec<Row>` is built once, at the root.
 //! Pipeline breakers (Sort, TopN, Aggregate, the join build sides) still
 //! buffer what they must, and nothing more: `Sort+LIMIT` arrives here
 //! pre-fused into [`PhysicalPlan::TopN`], whose bounded heap never holds
 //! more than `offset + n` rows.
+//!
+//! Scans decode only the columns the plan reads. [`build_iter`] hands each
+//! operator the output positions that it or its consumers read (its
+//! *need*), and a SeqScan turns its need plus its residual's columns into a
+//! [`ScanSpec`]. Unread positions stay `Datum::Null` placeholders, so rows
+//! keep their binding width and every downstream position is unchanged.
 //!
 //! All expressions are lowered to [`CompiledExpr`] when the operator tree
 //! is built — before the first row flows — so per-row evaluation does no
@@ -36,7 +45,7 @@ use crate::storage::heap::Rid;
 use crate::tuple::Row;
 use stats::{stats_tree, OpStats, OpStatsSnapshot};
 use std::cmp::Ordering;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -58,18 +67,19 @@ pub trait StorageAccess: Sync {
     /// `first_page` into `on_row`, returning the page to continue from and
     /// how many pages the range covered. Page ranges past the end visit
     /// nothing, so parallel morsels can race ahead safely. The [`ScanSpec`]
-    /// says which columns the caller reads (so trailing or masked-out
-    /// columns aren't even deserialized) and carries the predicate bounds a
-    /// page-level zone map may refute without reading the page. Rows are
-    /// borrowed from a reused decode scratch — `on_row` must copy anything
-    /// it keeps.
+    /// says which columns the caller reads (fields past `prefix` are not
+    /// deserialized, masked-out ones arrive as `Datum::Null`) and carries
+    /// the predicate bounds a page-level zone map may refute without
+    /// reading the page. Each row arrives in a reused decode scratch that
+    /// `on_row` may move values out of: the scan refills it for the next
+    /// row, so a kept row is never cloned.
     fn scan_batches(
         &self,
         table_id: u32,
         first_page: u32,
         max_pages: u32,
         spec: &ScanSpec,
-        on_row: &mut dyn FnMut(&[Datum]) -> DbResult<()>,
+        on_row: &mut dyn FnMut(&mut Row) -> DbResult<()>,
     ) -> DbResult<ScanProgress>;
     /// Fetch specific rows (missing rids are skipped).
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>>;
@@ -121,35 +131,64 @@ impl Drop for Executing<'_> {
     }
 }
 
-/// What a scan reads of each row, built once per scan iterator from the
-/// compiled fused expressions.
+/// What a scan reads of each row, built once per scan iterator by
+/// [`scan_spec`] from the columns its consumers and residual read.
 #[derive(Debug, Clone, Default)]
 pub struct ScanSpec {
-    /// Columns `0..prefix` are decoded (`usize::MAX` for all): the highest
-    /// position the fused expressions read, plus one.
+    /// Columns `0..prefix` are decoded: the highest position read, plus
+    /// one.
     pub prefix: usize,
     /// Within the prefix, which columns are actually referenced. `None`
     /// means all of them; with a mask, unreferenced positions are skipped
     /// during decode and surface as `Datum::Null` placeholders.
     pub mask: Option<Vec<bool>>,
-    /// Per-column bounds extracted from the fused filter for zone-map
+    /// Per-column bounds extracted from the residual filter for zone-map
     /// pruning. Empty unless the *whole* filter is error-free: skipping a
     /// page must never skip an evaluation error the engine mandates.
     pub bounds: Vec<ColBound>,
 }
 
-/// The outcome of one [`StorageAccess::scan_batches`] call.
-/// Zone-map bounds for a fused scan filter. Pruning is only sound when
-/// the *whole* filter is guaranteed error-free: a skipped page must not
-/// swallow a runtime error (division by zero, type mismatch) the engine
-/// is required to raise, so any filter that can error yields no bounds.
-fn scan_bounds(filter: &Option<CompiledExpr>) -> Vec<ColBound> {
-    match filter {
-        Some(f) if f.error_free() => f.zone_bounds(),
-        _ => Vec::new(),
-    }
+/// Output positions of an operator that it or its consumers read.
+type Need = BTreeSet<usize>;
+
+/// Every output position of `plan`: what the root and `DISTINCT` read.
+fn all_columns(plan: &PhysicalPlan) -> Need {
+    (0..plan.bindings().len()).collect()
 }
 
+/// `need` plus every position `exprs` read.
+fn reading<'e>(mut need: Need, exprs: impl IntoIterator<Item = &'e CompiledExpr>) -> Need {
+    for e in exprs {
+        e.collect_columns(&mut need);
+    }
+    need
+}
+
+/// A join's need, split at the left input's width into each side's own
+/// positions.
+fn split_need(need: &Need, left_width: usize) -> (Need, Need) {
+    let left = need.range(..left_width).copied().collect();
+    (left, need.range(left_width..).map(|c| c - left_width).collect())
+}
+
+/// The scan spec for a SeqScan whose consumers and residual read `need`.
+fn scan_spec(need: &Need, filter: &Option<CompiledExpr>) -> ScanSpec {
+    let prefix = need.last().map_or(0, |m| m + 1);
+    // A mask that keeps every prefix column is just a prefix decode; leave
+    // it off so the scan takes the branch-free dense loop.
+    // `segments_decoded` counts the same either way.
+    let mask = (need.len() < prefix).then(|| (0..prefix).map(|c| need.contains(&c)).collect());
+    // Pruning is only sound when the *whole* filter is guaranteed
+    // error-free: a skipped page must not swallow a runtime error
+    // (division by zero, type mismatch) the engine is required to raise.
+    let bounds = match filter {
+        Some(f) if f.error_free() => f.zone_bounds(),
+        _ => Vec::new(),
+    };
+    ScanSpec { prefix, mask, bounds }
+}
+
+/// The outcome of one [`StorageAccess::scan_batches`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanProgress {
     /// Page to continue from; `None` once the heap is exhausted.
@@ -174,12 +213,8 @@ pub fn execute_plan(
 ) -> DbResult<Vec<Row>> {
     let mut query_span = genalg_obs::tracer().span("exec.query");
     let (_executing, width) = Executing::enter(storage, parallelism);
-    let mut it = build_iter(storage, funcs, plan, width, None, query_span.id())?;
-    let mut out = Vec::new();
-    while let Some(batch) = it.next_batch()? {
-        out.extend(batch);
-    }
-    drop(it);
+    let it = build_iter(storage, funcs, plan, all_columns(plan), width, None, query_span.id())?;
+    let out = collect_rows(it)?;
     query_span.field("rows", out.len());
     Ok(out)
 }
@@ -196,27 +231,126 @@ pub fn execute_plan_with_stats(
     let mut query_span = genalg_obs::tracer().span("exec.query");
     let root = stats_tree(plan);
     let (_executing, width) = Executing::enter(storage, parallelism);
-    let mut it = build_iter(storage, funcs, plan, width, Some(&root), query_span.id())?;
-    let mut out = Vec::new();
-    while let Some(batch) = it.next_batch()? {
-        out.extend(batch);
-    }
-    drop(it);
+    let need = all_columns(plan);
+    let it = build_iter(storage, funcs, plan, need, width, Some(&root), query_span.id())?;
+    let out = collect_rows(it)?;
     query_span.field("rows", out.len());
     Ok((out, root.snapshot()))
+}
+
+/// Run the root operator to exhaustion: the one place rows become
+/// `Vec<Row>`s. The operator tree is dropped (recording its spans) before
+/// this returns.
+fn collect_rows(mut it: BoxIter<'_>) -> DbResult<Vec<Row>> {
+    let mut out = Vec::new();
+    while let Some(batch) = it.next_batch()? {
+        out.extend(batch.into_rows());
+    }
+    Ok(out)
+}
+
+/// Rows in one allocation: `width` datums per row, row after row. The row
+/// count is kept beside the data because a zero-width row (the one
+/// [`PhysicalPlan::Nothing`] emits) occupies no datums.
+#[derive(Default)]
+struct Batch {
+    data: Vec<Datum>,
+    width: usize,
+    rows: usize,
+}
+
+impl Batch {
+    fn with_capacity(width: usize, rows: usize) -> Batch {
+        Batch { data: Vec::with_capacity(width * rows), width, rows: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.rows
+    }
+
+    fn row(&self, i: usize) -> &[Datum] {
+        &self.data[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Datum]> {
+        (0..self.rows).map(|i| self.row(i))
+    }
+
+    /// Close the row just appended to `data`, padding it to the width with
+    /// NULLs: the positions a scan did not decode, the null side of an
+    /// outer join.
+    fn end_row(&mut self) {
+        self.rows += 1;
+        debug_assert!(self.data.len() <= self.rows * self.width, "row wider than its batch");
+        self.data.resize(self.rows * self.width, Datum::Null);
+    }
+
+    fn truncate(&mut self, rows: usize) {
+        self.rows = self.rows.min(rows);
+        self.data.truncate(self.rows * self.width);
+    }
+
+    /// Drop the first `rows` rows.
+    fn skip(&mut self, rows: usize) {
+        let rows = rows.min(self.rows);
+        self.data.drain(..rows * self.width);
+        self.rows -= rows;
+    }
+
+    fn append(&mut self, mut other: Batch) {
+        self.data.append(&mut other.data);
+        self.rows += other.rows;
+    }
+
+    /// Keep the rows `keep` accepts, compacting them in place.
+    fn retain(&mut self, mut keep: impl FnMut(&[Datum]) -> DbResult<bool>) -> DbResult<()> {
+        let w = self.width;
+        let mut kept = 0;
+        for i in 0..self.rows {
+            if keep(self.row(i))? {
+                if kept < i {
+                    let (head, tail) = self.data.split_at_mut(i * w);
+                    head[kept * w..(kept + 1) * w].swap_with_slice(&mut tail[..w]);
+                }
+                kept += 1;
+            }
+        }
+        self.truncate(kept);
+        Ok(())
+    }
+
+    /// Move row `i`'s values out, leaving NULLs behind.
+    fn take_row(&mut self, i: usize) -> impl Iterator<Item = Datum> + '_ {
+        let row = &mut self.data[i * self.width..(i + 1) * self.width];
+        row.iter_mut().map(|d| std::mem::replace(d, Datum::Null))
+    }
+
+    fn into_rows(self) -> impl Iterator<Item = Row> {
+        let (width, mut data) = (self.width, self.data.into_iter());
+        (0..self.rows).map(move |_| data.by_ref().take(width).collect())
+    }
 }
 
 /// A pull-based operator. `next_batch` returns `Ok(None)` when exhausted;
 /// an `Ok(Some(batch))` may be empty (e.g. a filter rejected a whole
 /// input batch) — callers keep pulling until `None`.
 trait BatchIter {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>>;
+    fn next_batch(&mut self) -> DbResult<Option<Batch>>;
 }
 
 type BoxIter<'a> = Box<dyn BatchIter + 'a>;
 
 /// Lower a plan into its operator tree, compiling every expression. All
 /// name-resolution errors surface here, before any row is read.
+///
+/// `need` is the set of this operator's output positions that it or its
+/// consumers read. Each operator passes its input what it reads of it:
+/// a Project its expressions, an Aggregate its group keys and arguments,
+/// Filter, Sort and TopN `need` plus their predicate or keys, Limit
+/// `need`, a join `need` split at the left width plus each side's keys or
+/// `on` columns, `DISTINCT` (like the root) every column. A SeqScan
+/// decodes exactly that plus its residual's columns; index scans fetch
+/// whole rows.
 ///
 /// When `stats` is given (`EXPLAIN ANALYZE`), each operator is wrapped in
 /// a [`StatIter`] attributing rows/batches/time to the matching node of
@@ -230,21 +364,26 @@ fn build_iter<'a>(
     storage: &'a dyn StorageAccess,
     funcs: &'a FunctionRegistry,
     plan: &PhysicalPlan,
+    need: Need,
     par: usize,
     stats: Option<&Arc<OpStats>>,
     span_parent: u64,
 ) -> DbResult<BoxIter<'a>> {
     let child = |i: usize| stats.map(|s| &s.children[i]);
+    let build = |input: &PhysicalPlan, need: Need, i: usize| {
+        build_iter(storage, funcs, input, need, par, child(i), span_parent)
+    };
     let it: BoxIter<'a> = match plan {
         PhysicalPlan::Nothing => Box::new(NothingIter { done: false }),
         PhysicalPlan::SeqScan { table_id, residual, columns, .. } => {
             let filter = compile_opt(residual.as_ref(), columns, funcs)?;
-            let spec = ScanSpec { prefix: usize::MAX, mask: None, bounds: scan_bounds(&filter) };
+            let spec = scan_spec(&reading(need, &filter), &filter);
             Box::new(SeqScanIter {
                 storage,
                 table_id: *table_id,
                 filter,
                 project: None,
+                width: columns.len(),
                 spec,
                 next_page: Some(0),
                 par,
@@ -252,8 +391,7 @@ fn build_iter<'a>(
             })
         }
         // Project directly over SeqScan fuses into the scan morsel, so
-        // filter + projection run inside the parallel workers — and only
-        // the column prefix the fused expressions actually read is decoded.
+        // filter + projection run inside the parallel workers.
         PhysicalPlan::Project { input, exprs, .. }
             if matches!(**input, PhysicalPlan::SeqScan { .. }) =>
         {
@@ -262,27 +400,7 @@ fn build_iter<'a>(
             };
             let filter = compile_opt(residual.as_ref(), columns, funcs)?;
             let project = compile_all(exprs, columns, funcs)?;
-            let prefix = project
-                .iter()
-                .chain(filter.iter())
-                .filter_map(CompiledExpr::max_column)
-                .max()
-                .map_or(0, |m| m + 1);
-            let mut referenced = std::collections::BTreeSet::new();
-            for e in project.iter().chain(filter.iter()) {
-                e.collect_columns(&mut referenced);
-            }
-            let mut mask = vec![false; prefix];
-            for c in referenced {
-                if c < prefix {
-                    mask[c] = true;
-                }
-            }
-            // An all-true mask is just a prefix decode; drop it so the scan
-            // takes the branch-free dense loop. `segments_decoded` counts
-            // min(prefix, arity) either way, so counters don't move.
-            let mask = if mask.iter().all(|b| *b) { None } else { Some(mask) };
-            let spec = ScanSpec { prefix, mask, bounds: scan_bounds(&filter) };
+            let spec = scan_spec(&reading(Need::new(), project.iter().chain(&filter)), &filter);
             // The fused operator reports through both plan nodes: the scan
             // child gets pages_read (inside SeqScanIter) plus rows/time via
             // its own StatIter; the Project gets the same via the outer
@@ -291,6 +409,7 @@ fn build_iter<'a>(
                 storage,
                 table_id: *table_id,
                 filter,
+                width: project.len(),
                 project: Some(project),
                 spec,
                 next_page: Some(0),
@@ -309,6 +428,7 @@ fn build_iter<'a>(
                 rids: storage.btree_eq(*table_id, column, key)?,
                 pos: 0,
                 filter: compile_opt(residual.as_ref(), columns, funcs)?,
+                width: columns.len(),
             })
         }
         PhysicalPlan::IndexRangeScan { table_id, column, lo, hi, residual, columns, .. } => {
@@ -318,6 +438,7 @@ fn build_iter<'a>(
                 rids: storage.btree_range(*table_id, column, as_ref_bound(lo), as_ref_bound(hi))?,
                 pos: 0,
                 filter: compile_opt(residual.as_ref(), columns, funcs)?,
+                width: columns.len(),
             })
         }
         PhysicalPlan::UdiScan { table_id, column, func, args, residual, columns, .. } => {
@@ -327,95 +448,105 @@ fn build_iter<'a>(
                 rids: storage.udi_probe(*table_id, column, func, args)?,
                 pos: 0,
                 filter: compile_opt(residual.as_ref(), columns, funcs)?,
+                width: columns.len(),
             })
         }
         PhysicalPlan::Filter { input, predicate } => {
             let pred = compile(predicate, &input.bindings(), funcs)?;
-            Box::new(FilterIter {
-                input: build_iter(storage, funcs, input, par, child(0), span_parent)?,
-                pred,
-            })
+            Box::new(FilterIter { input: build(input, reading(need, [&pred]), 0)?, pred })
         }
         PhysicalPlan::Project { input, exprs, .. } => {
             let exprs = compile_all(exprs, &input.bindings(), funcs)?;
-            Box::new(ProjectIter {
-                input: build_iter(storage, funcs, input, par, child(0), span_parent)?,
-                exprs,
-            })
+            Box::new(ProjectIter { input: build(input, reading(Need::new(), &exprs), 0)?, exprs })
         }
         PhysicalPlan::NestedLoopJoin { left, right, kind, on } => {
             let mut bindings = left.bindings();
-            let right_width = right.bindings().len();
+            let (left_width, right_width) = (bindings.len(), right.bindings().len());
             bindings.extend(right.bindings());
+            let on = compile_opt(on.as_ref(), &bindings, funcs)?;
+            let (left_need, right_need) = split_need(&reading(need, &on), left_width);
             Box::new(NlJoinIter {
-                left: build_iter(storage, funcs, left, par, child(0), span_parent)?,
-                right: Some(build_iter(storage, funcs, right, par, child(1), span_parent)?),
-                right_rows: Vec::new(),
+                left: build(left, left_need, 0)?,
+                right: Some(build(right, right_need, 1)?),
+                right_rows: Batch::default(),
                 kind: *kind,
-                on: compile_opt(on.as_ref(), &bindings, funcs)?,
+                on,
                 right_width,
             })
         }
         PhysicalPlan::HashJoin { left, right, left_key, right_key, build_left, kind } => {
-            // Children are built (and compiled) in plan order so build-time
-            // side effects — index probes, name-resolution errors — happen
-            // in the same order whichever side the executor builds on, and
+            let (left_bindings, right_bindings) = (left.bindings(), right.bindings());
+            let left_k = compile(left_key, &left_bindings, funcs)?;
+            let right_k = compile(right_key, &right_bindings, funcs)?;
+            let (left_need, right_need) = split_need(&need, left_bindings.len());
+            // Children are built in plan order so build-time side effects —
+            // index probes, name-resolution errors — happen in the same
+            // order whichever side the executor builds on, and
             // child(0)/child(1) stay attached to the plan's left/right
             // inputs regardless.
-            let left_it = build_iter(storage, funcs, left, par, child(0), span_parent)?;
-            let right_it = build_iter(storage, funcs, right, par, child(1), span_parent)?;
-            let left_k = compile(left_key, &left.bindings(), funcs)?;
-            let right_k = compile(right_key, &right.bindings(), funcs)?;
-            let (build_it, build_k, build_plan, probe_it, probe_k) = if *build_left {
-                (left_it, left_k, left, right_it, right_k)
+            let left_it = build(left, reading(left_need, [&left_k]), 0)?;
+            let right_it = build(right, reading(right_need, [&right_k]), 1)?;
+            let (build_it, build_k, build_width, probe_it, probe_k) = if *build_left {
+                (left_it, left_k, left_bindings.len(), right_it, right_k)
             } else {
-                (right_it, right_k, right, left_it, left_k)
+                (right_it, right_k, right_bindings.len(), left_it, left_k)
             };
             Box::new(HashJoinIter {
                 probe: probe_it,
                 build: Some(build_it),
-                build_rows: Vec::new(),
+                build_rows: Batch::default(),
                 parts: Vec::new(),
                 mask: 0,
                 probe_key: probe_k,
                 build_key: build_k,
                 build_is_left: *build_left,
                 left_outer: *kind == JoinKind::Left,
-                build_width: build_plan.bindings().len(),
+                build_width,
                 par,
                 stats: stats.map(Arc::clone),
             })
         }
         PhysicalPlan::Aggregate { input, group_by, calls } => {
             let in_bindings = input.bindings();
+            let group_by = compile_all(group_by, &in_bindings, funcs)?;
+            let args = calls
+                .iter()
+                .map(|c| compile_opt(c.arg.as_ref(), &in_bindings, funcs))
+                .collect::<DbResult<Vec<_>>>()?;
+            let need = reading(Need::new(), group_by.iter().chain(args.iter().flatten()));
             Box::new(AggregateIter {
-                input: Some(build_iter(storage, funcs, input, par, child(0), span_parent)?),
-                group_by: compile_all(group_by, &in_bindings, funcs)?,
-                args: calls
-                    .iter()
-                    .map(|c| compile_opt(c.arg.as_ref(), &in_bindings, funcs))
-                    .collect::<DbResult<Vec<_>>>()?,
+                input: Some(build(input, need, 0)?),
+                group_by,
+                args,
                 calls: calls.to_vec(),
                 funcs,
                 par,
                 stats: stats.map(Arc::clone),
             })
         }
-        PhysicalPlan::Sort { input, keys } => Box::new(SortIter {
-            input: Some(build_iter(storage, funcs, input, par, child(0), span_parent)?),
-            keys: compile_keys(keys, &input.bindings(), funcs)?,
-            dirs: keys.iter().map(|(_, asc)| *asc).collect(),
-            par,
-        }),
-        PhysicalPlan::TopN { input, keys, n, offset } => Box::new(TopNIter {
-            input: Some(build_iter(storage, funcs, input, par, child(0), span_parent)?),
-            keys: compile_keys(keys, &input.bindings(), funcs)?,
-            dirs: Arc::new(keys.iter().map(|(_, asc)| *asc).collect()),
-            n: *n,
-            offset: *offset,
-        }),
+        PhysicalPlan::Sort { input, keys: sort_keys } => {
+            let keys = compile_keys(sort_keys, &input.bindings(), funcs)?;
+            Box::new(SortIter {
+                input: Some(build(input, reading(need, &keys), 0)?),
+                keys,
+                dirs: sort_keys.iter().map(|(_, asc)| *asc).collect(),
+                par,
+            })
+        }
+        PhysicalPlan::TopN { input, keys: sort_keys, n, offset } => {
+            let bindings = input.bindings();
+            let keys = compile_keys(sort_keys, &bindings, funcs)?;
+            Box::new(TopNIter {
+                input: Some(build(input, reading(need, &keys), 0)?),
+                keys,
+                dirs: Arc::new(sort_keys.iter().map(|(_, asc)| *asc).collect()),
+                n: *n,
+                offset: *offset,
+                width: bindings.len(),
+            })
+        }
         PhysicalPlan::Distinct { input } => Box::new(DistinctIter {
-            input: build_iter(storage, funcs, input, par, child(0), span_parent)?,
+            input: build(input, all_columns(input), 0)?,
             seen: HashSet::new(),
         }),
         PhysicalPlan::Limit { input, n, offset } => Box::new(LimitIter {
@@ -423,7 +554,7 @@ fn build_iter<'a>(
             // exit could skip the evaluation that would have raised it and
             // change the query's outcome — drain the input instead.
             eager: plan_fallible(input),
-            input: build_iter(storage, funcs, input, par, child(0), span_parent)?,
+            input: build(input, need, 0)?,
             n: *n,
             offset: *offset,
             emitted: 0,
@@ -547,28 +678,34 @@ fn as_ref_bound(b: &Bound<Datum>) -> Bound<&Datum> {
 // Parallel helpers
 // ---------------------------------------------------------------------------
 
-/// Map `f` over `rows`, fanning out over up to `par` scoped threads when
-/// the input is large enough to pay for them. Results come back in row
-/// order; the returned error (if any) is the one the earliest-ordered row
-/// produced, matching a serial run.
+/// Map `f` over the rows of `batch`, fanning out over up to `par` scoped
+/// threads when the input is large enough to pay for them. Results come
+/// back in row order; the returned error (if any) is the one the
+/// earliest-ordered row produced, matching a serial run.
 fn par_map<R: Send>(
-    rows: &[Row],
+    batch: &Batch,
     par: usize,
-    f: impl Fn(&Row) -> DbResult<R> + Sync,
+    f: impl Fn(&[Datum]) -> DbResult<R> + Sync,
 ) -> DbResult<Vec<R>> {
-    if par <= 1 || rows.len() < PAR_MIN_ROWS {
-        return rows.iter().map(f).collect();
+    let n = batch.len();
+    if par <= 1 || n < PAR_MIN_ROWS {
+        return batch.iter().map(f).collect();
     }
-    let chunk = rows.len().div_ceil(par);
+    let chunk = n.div_ceil(par);
     let mut results: Vec<DbResult<Vec<R>>> = Vec::new();
     std::thread::scope(|s| {
-        let handles: Vec<_> = rows
-            .chunks(chunk)
-            .map(|c| s.spawn(|| c.iter().map(&f).collect::<DbResult<Vec<R>>>()))
+        let f = &f;
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|lo| {
+                s.spawn(move || {
+                    (lo..n.min(lo + chunk)).map(|i| f(batch.row(i))).collect::<DbResult<Vec<R>>>()
+                })
+            })
             .collect();
         results = handles.into_iter().map(join_worker).collect();
     });
-    let mut flat = Vec::with_capacity(rows.len());
+    let mut flat = Vec::with_capacity(n);
     for r in results {
         flat.extend(r?);
     }
@@ -595,7 +732,7 @@ struct StatIter<'a> {
 }
 
 impl BatchIter for StatIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         use std::sync::atomic::Ordering as AtomicOrdering;
         let start = std::time::Instant::now();
         let result = self.input.next_batch();
@@ -625,7 +762,7 @@ struct SpanIter<'a> {
 }
 
 impl BatchIter for SpanIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let start = std::time::Instant::now();
         let result = self.input.next_batch();
         self.time_us += start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -656,12 +793,12 @@ struct NothingIter {
 }
 
 impl BatchIter for NothingIter {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         if self.done {
             return Ok(None);
         }
         self.done = true;
-        Ok(Some(vec![Vec::new()]))
+        Ok(Some(Batch { data: Vec::new(), width: 0, rows: 1 }))
     }
 }
 
@@ -674,10 +811,12 @@ struct SeqScanIter<'a> {
     table_id: u32,
     filter: Option<CompiledExpr>,
     project: Option<Vec<CompiledExpr>>,
-    /// What to decode (column prefix/mask) and which pages the zone maps
-    /// may refute (predicate bounds). The mask is only ever narrower than
-    /// the schema when projection is fused into the scan, so downstream
-    /// operators always see full rows.
+    /// Output row width: the projection's when fused, else the table's.
+    width: usize,
+    /// What to decode (the columns this scan's consumers and residual
+    /// read) and which pages the zone maps may refute (predicate bounds).
+    /// Undecoded positions are NULL-padded, so unfused rows always have
+    /// the table's width.
     spec: ScanSpec,
     next_page: Option<u32>,
     par: usize,
@@ -689,10 +828,11 @@ struct SeqScanIter<'a> {
 }
 
 impl SeqScanIter<'_> {
-    fn run_morsel(&self, first_page: u32) -> DbResult<(Vec<Row>, ScanProgress)> {
-        // Filter and projection run directly on the scan's borrowed decode
-        // scratch; only surviving (projected) rows are materialized.
-        let mut out = Vec::new();
+    fn run_morsel(&self, first_page: u32) -> DbResult<(Batch, ScanProgress)> {
+        // Filter and projection run on the scan's decode scratch; a kept
+        // row's values (or its projection) move into the batch, and a
+        // rejected row is never copied.
+        let mut out = Batch::with_capacity(self.width, 0);
         let progress = self.storage.scan_batches(
             self.table_id,
             first_page,
@@ -706,14 +846,13 @@ impl SeqScanIter<'_> {
                 }
                 match &self.project {
                     Some(exprs) => {
-                        let mut projected = Vec::with_capacity(exprs.len());
                         for e in exprs {
-                            projected.push(e.eval(row)?);
+                            out.data.push(e.eval(row)?);
                         }
-                        out.push(projected);
                     }
-                    None => out.push(row.to_vec()),
+                    None => out.data.append(row),
                 }
+                out.end_row();
                 Ok(())
             },
         )?;
@@ -730,7 +869,7 @@ impl SeqScanIter<'_> {
 }
 
 impl BatchIter for SeqScanIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let Some(start) = self.next_page else { return Ok(None) };
         if self.par <= 1 {
             let (rows, progress) = self.run_morsel(start)?;
@@ -744,7 +883,7 @@ impl BatchIter for SeqScanIter<'_> {
         }
         // One wave: morsel i covers pages [start + i*M, start + (i+1)*M).
         // The last morsel's continuation is the wave's continuation.
-        let mut results: Vec<DbResult<(Vec<Row>, ScanProgress)>> = Vec::new();
+        let mut results: Vec<DbResult<(Batch, ScanProgress)>> = Vec::new();
         let this: &SeqScanIter<'_> = self;
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..this.par as u32)
@@ -755,12 +894,12 @@ impl BatchIter for SeqScanIter<'_> {
                 .collect();
             results = handles.into_iter().map(join_worker).collect();
         });
-        let mut batch = Vec::new();
+        let mut batch = Batch::with_capacity(self.width, 0);
         let mut wave_next = None;
         let (mut wave_pages, mut wave_skipped, mut wave_segments) = (0u64, 0u64, 0u64);
         for r in results {
             let (rows, progress) = r?;
-            batch.extend(rows);
+            batch.append(rows);
             wave_pages += u64::from(progress.pages_read);
             wave_skipped += u64::from(progress.pages_skipped);
             wave_segments += progress.segments_decoded;
@@ -780,24 +919,26 @@ struct RidScanIter<'a> {
     rids: Vec<Rid>,
     pos: usize,
     filter: Option<CompiledExpr>,
+    width: usize,
 }
 
 impl BatchIter for RidScanIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         if self.pos >= self.rids.len() {
             return Ok(None);
         }
         let end = (self.pos + BATCH_ROWS).min(self.rids.len());
         let rows = self.storage.fetch_rids(self.table_id, &self.rids[self.pos..end])?;
         self.pos = end;
-        let mut out = Vec::with_capacity(rows.len());
+        let mut out = Batch::with_capacity(self.width, rows.len());
         for row in rows {
             if let Some(f) = &self.filter {
                 if !f.accepts(&row)? {
                     continue;
                 }
             }
-            out.push(row);
+            out.data.extend(row);
+            out.end_row();
         }
         Ok(Some(out))
     }
@@ -813,15 +954,10 @@ struct FilterIter<'a> {
 }
 
 impl BatchIter for FilterIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
-        let Some(batch) = self.input.next_batch()? else { return Ok(None) };
-        let mut out = Vec::with_capacity(batch.len());
-        for row in batch {
-            if self.pred.accepts(&row)? {
-                out.push(row);
-            }
-        }
-        Ok(Some(out))
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
+        let Some(mut batch) = self.input.next_batch()? else { return Ok(None) };
+        batch.retain(|row| self.pred.accepts(row))?;
+        Ok(Some(batch))
     }
 }
 
@@ -831,39 +967,33 @@ struct ProjectIter<'a> {
 }
 
 impl BatchIter for ProjectIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let Some(batch) = self.input.next_batch()? else { return Ok(None) };
-        let mut out = Vec::with_capacity(batch.len());
-        for row in batch {
-            let mut projected = Vec::with_capacity(self.exprs.len());
+        let mut out = Batch::with_capacity(self.exprs.len(), batch.len());
+        for row in batch.iter() {
             for e in &self.exprs {
-                projected.push(e.eval(&row)?);
+                out.data.push(e.eval(row)?);
             }
-            out.push(projected);
+            out.end_row();
         }
         Ok(Some(out))
     }
 }
 
-/// Each incoming row is kept exactly once: the seen-set owns the only
-/// retained copy, duplicates are dropped without ever being cloned, and
-/// the emitted row is the original moving on downstream.
+/// Each distinct row is copied exactly once, into the seen-set; duplicates
+/// are dropped without ever being copied, and the batch is compacted in
+/// place.
 struct DistinctIter<'a> {
     input: BoxIter<'a>,
     seen: HashSet<Row>,
 }
 
 impl BatchIter for DistinctIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
-        let Some(batch) = self.input.next_batch()? else { return Ok(None) };
-        let mut out = Vec::new();
-        for row in batch {
-            if !self.seen.contains(&row) {
-                self.seen.insert(row.clone());
-                out.push(row);
-            }
-        }
-        Ok(Some(out))
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
+        let Some(mut batch) = self.input.next_batch()? else { return Ok(None) };
+        let seen = &mut self.seen;
+        batch.retain(|row| Ok(!seen.contains(row) && seen.insert(row.to_vec())))?;
+        Ok(Some(batch))
     }
 }
 
@@ -877,7 +1007,7 @@ struct LimitIter<'a> {
 }
 
 impl BatchIter for LimitIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         if self.done {
             return Ok(None);
         }
@@ -887,7 +1017,7 @@ impl BatchIter for LimitIter<'_> {
         };
         if self.offset > 0 {
             let skip = (self.offset).min(batch.len() as u64);
-            batch.drain(..skip as usize);
+            batch.skip(skip as usize);
             self.offset -= skip;
         }
         if let Some(n) = self.n {
@@ -912,12 +1042,13 @@ impl BatchIter for LimitIter<'_> {
 // Pipeline breakers
 // ---------------------------------------------------------------------------
 
-fn drain(mut it: BoxIter<'_>) -> DbResult<Vec<Row>> {
-    let mut rows = Vec::new();
+/// Every remaining row of `it`, in one batch.
+fn drain(mut it: BoxIter<'_>) -> DbResult<Batch> {
+    let mut all = it.next_batch()?.unwrap_or_default();
     while let Some(batch) = it.next_batch()? {
-        rows.extend(batch);
+        all.append(batch);
     }
-    Ok(rows)
+    Ok(all)
 }
 
 struct SortIter<'a> {
@@ -928,9 +1059,9 @@ struct SortIter<'a> {
 }
 
 impl BatchIter for SortIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let Some(input) = self.input.take() else { return Ok(None) };
-        let rows = drain(input)?;
+        let mut rows = drain(input)?;
         let keyed = par_map(&rows, self.par, |row| {
             self.keys.iter().map(|k| k.eval(row)).collect::<DbResult<Vec<_>>>()
         })?;
@@ -938,8 +1069,12 @@ impl BatchIter for SortIter<'_> {
         // Stable, so ties on every key preserve input order — multi-key
         // sorts and LIMIT windows are deterministic.
         order.sort_by(|&a, &b| cmp_key_vecs(&keyed[a], &keyed[b], &self.dirs));
-        let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
-        Ok(Some(order.iter().map(|&i| slots[i].take().expect("each slot once")).collect()))
+        let mut out = Batch::with_capacity(rows.width, rows.len());
+        for i in order {
+            out.data.extend(rows.take_row(i));
+            out.end_row();
+        }
+        Ok(Some(out))
     }
 }
 
@@ -953,6 +1088,7 @@ struct TopNIter<'a> {
     dirs: Arc<Vec<bool>>,
     n: u64,
     offset: u64,
+    width: usize,
 }
 
 struct TopEntry {
@@ -980,18 +1116,21 @@ impl Ord for TopEntry {
 }
 
 impl BatchIter for TopNIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let Some(mut input) = self.input.take() else { return Ok(None) };
         let keep = usize::try_from(self.offset.saturating_add(self.n)).unwrap_or(usize::MAX);
         let mut heap: std::collections::BinaryHeap<TopEntry> =
             std::collections::BinaryHeap::with_capacity(keep.min(BATCH_ROWS) + 1);
         let mut seq = 0u64;
-        while let Some(batch) = input.next_batch()? {
-            for row in batch {
+        let mut key = Vec::with_capacity(self.keys.len());
+        while let Some(mut batch) = input.next_batch()? {
+            for i in 0..batch.len() {
                 // Key evaluation happens for every input row — exactly as
                 // the unfused Sort would — so error behavior is unchanged.
-                let key =
-                    self.keys.iter().map(|k| k.eval(&row)).collect::<DbResult<Vec<Datum>>>()?;
+                key.clear();
+                for k in &self.keys {
+                    key.push(k.eval(batch.row(i))?);
+                }
                 if keep == 0 {
                     continue;
                 }
@@ -1004,7 +1143,9 @@ impl BatchIter for TopNIter<'_> {
                         continue;
                     }
                 }
-                heap.push(TopEntry { key, seq, row, dirs: Arc::clone(&self.dirs) });
+                // Only a row entering the heap leaves the batch, moved.
+                let row = batch.take_row(i).collect();
+                heap.push(TopEntry { key: key.clone(), seq, row, dirs: Arc::clone(&self.dirs) });
                 seq += 1;
                 if heap.len() > keep {
                     heap.pop();
@@ -1013,44 +1154,50 @@ impl BatchIter for TopNIter<'_> {
         }
         let mut entries = heap.into_sorted_vec();
         let skip = (self.offset as usize).min(entries.len());
-        Ok(Some(entries.drain(skip..).map(|e| e.row).collect()))
+        let mut out = Batch::with_capacity(self.width, entries.len() - skip);
+        for e in entries.drain(skip..) {
+            out.data.extend(e.row);
+            out.end_row();
+        }
+        Ok(Some(out))
     }
 }
 
 struct NlJoinIter<'a> {
     left: BoxIter<'a>,
     right: Option<BoxIter<'a>>,
-    right_rows: Vec<Row>,
+    right_rows: Batch,
     kind: JoinKind,
     on: Option<CompiledExpr>,
     right_width: usize,
 }
 
 impl BatchIter for NlJoinIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         if let Some(right) = self.right.take() {
             self.right_rows = drain(right)?;
         }
         let Some(batch) = self.left.next_batch()? else { return Ok(None) };
-        let mut out = Vec::new();
-        for l in &batch {
+        let mut out = Batch::with_capacity(batch.width + self.right_width, 0);
+        for l in batch.iter() {
             let mut matched = false;
-            for r in &self.right_rows {
-                let mut combined = l.clone();
-                combined.extend(r.iter().cloned());
+            for r in self.right_rows.iter() {
+                out.data.extend_from_slice(l);
+                out.data.extend_from_slice(r);
+                out.end_row();
                 let keep = match &self.on {
                     None => true,
-                    Some(pred) => pred.accepts(&combined)?,
+                    Some(pred) => pred.accepts(out.row(out.len() - 1))?,
                 };
                 if keep {
                     matched = true;
-                    out.push(combined);
+                } else {
+                    out.truncate(out.len() - 1);
                 }
             }
             if self.kind == JoinKind::Left && !matched {
-                let mut padded = l.clone();
-                padded.extend(std::iter::repeat_n(Datum::Null, self.right_width));
-                out.push(padded);
+                out.data.extend_from_slice(l);
+                out.end_row();
             }
         }
         Ok(Some(out))
@@ -1079,12 +1226,12 @@ fn build_partition(bucket: Vec<(Datum, u32)>) -> FxHashMap<Datum, Vec<u32>> {
 }
 
 /// Hash join, radix-partitioned: the build side (chosen by the planner's
-/// statistics — `build=left|right` in `EXPLAIN`) is drained once, its
-/// keys evaluated across morsel threads, and its rows bucketed by key
-/// hash into cache-sized partitions, each with its own private table —
-/// partitions are independent, so parallel table builds share nothing.
-/// Probe batches then stream through; each probe key hashes to exactly
-/// one partition whose table stays cache-resident.
+/// statistics — `build=left|right` in `EXPLAIN`) is drained once into one
+/// flat batch, its keys evaluated across morsel threads, and its row
+/// indices bucketed by key hash into cache-sized partitions, each with its
+/// own private table — partitions are independent, so parallel table
+/// builds share nothing. Probe batches then stream through; each probe key
+/// hashes to exactly one partition whose table stays cache-resident.
 ///
 /// Emitted rows are always in `left ++ right` column order regardless of
 /// which side was built. For LEFT joins the build side is always the
@@ -1093,7 +1240,7 @@ fn build_partition(bucket: Vec<(Datum, u32)>) -> FxHashMap<Datum, Vec<u32>> {
 struct HashJoinIter<'a> {
     probe: BoxIter<'a>,
     build: Option<BoxIter<'a>>,
-    build_rows: Vec<Row>,
+    build_rows: Batch,
     parts: Vec<FxHashMap<Datum, Vec<u32>>>,
     mask: u64,
     probe_key: CompiledExpr,
@@ -1152,13 +1299,13 @@ impl HashJoinIter<'_> {
 }
 
 impl BatchIter for HashJoinIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         if let Some(build) = self.build.take() {
             self.build_table(build)?;
         }
         let Some(batch) = self.probe.next_batch()? else { return Ok(None) };
         let keys = par_map(&batch, self.par, |r| self.probe_key.eval(r))?;
-        let mut out = Vec::new();
+        let mut out = Batch::with_capacity(batch.width + self.build_width, 0);
         for (p, k) in batch.iter().zip(&keys) {
             let matches = if k.is_null() {
                 None // NULL never equals anything, including NULL (3VL).
@@ -1168,25 +1315,18 @@ impl BatchIter for HashJoinIter<'_> {
             match matches {
                 Some(idxs) => {
                     for &i in idxs {
-                        let b = &self.build_rows[i as usize];
-                        let (l, r) = if self.build_is_left {
-                            (b.as_slice(), &p[..])
-                        } else {
-                            (&p[..], b.as_slice())
-                        };
-                        let mut combined = Vec::with_capacity(l.len() + r.len());
-                        combined.extend_from_slice(l);
-                        combined.extend_from_slice(r);
-                        out.push(combined);
+                        let b = self.build_rows.row(i as usize);
+                        let (l, r) = if self.build_is_left { (b, p) } else { (p, b) };
+                        out.data.extend_from_slice(l);
+                        out.data.extend_from_slice(r);
+                        out.end_row();
                     }
                 }
                 // LEFT join: the probe row survives with the build side
                 // padded — also the path a NULL probe key takes.
                 None if self.left_outer => {
-                    let mut padded = Vec::with_capacity(p.len() + self.build_width);
-                    padded.extend_from_slice(p);
-                    padded.extend(std::iter::repeat_n(Datum::Null, self.build_width));
-                    out.push(padded);
+                    out.data.extend_from_slice(p);
+                    out.end_row();
                 }
                 None => {}
             }
@@ -1215,7 +1355,7 @@ struct AggregateIter<'a> {
 }
 
 impl BatchIter for AggregateIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Vec<Row>>> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let Some(mut input) = self.input.take() else { return Ok(None) };
 
         struct Group {
@@ -1294,6 +1434,13 @@ impl BatchIter for AggregateIter<'_> {
 
         let mask = AGG_PARTITIONS as u64 - 1;
         let mut parts: Vec<AggPart> = (0..AGG_PARTITIONS).map(|_| AggPart::default()).collect();
+        // A global aggregate (no GROUP BY) has exactly one group, even over
+        // zero rows, and every row folds straight into it: no key to hash,
+        // no table to probe.
+        let global = self.group_by.is_empty();
+        if global {
+            parts[0].groups.push(make_group(Vec::new(), 0)?);
+        }
         let mut seq = 0u64;
         let mut key_scratch: Vec<Datum> = Vec::with_capacity(self.group_by.len());
         // The fold into the accumulators is sequential per partition —
@@ -1320,6 +1467,15 @@ impl BatchIter for AggregateIter<'_> {
                     Ok((key, vals))
                 })?;
                 drop(batch);
+                if global {
+                    let group = &mut parts[0].groups[0];
+                    for (_, vals) in evaluated {
+                        for (ci, (call, value)) in calls.iter().zip(vals).enumerate() {
+                            apply(call, group, ci, value)?;
+                        }
+                    }
+                    continue;
+                }
                 let mut buckets: Vec<Vec<KeyedRow>> =
                     (0..AGG_PARTITIONS).map(|_| Vec::new()).collect();
                 for (key, vals) in evaluated {
@@ -1352,22 +1508,26 @@ impl BatchIter for AggregateIter<'_> {
                     return Err(err);
                 }
             } else {
-                for row in &batch {
-                    key_scratch.clear();
-                    for g in &self.group_by {
-                        key_scratch.push(g.eval(row)?);
-                    }
-                    let part = &mut parts[(hash_one(key_scratch.as_slice()) & mask) as usize];
-                    let gi = match part.lookup.get(key_scratch.as_slice()) {
-                        Some(&i) => i as usize,
-                        None => {
-                            let key = key_scratch.clone();
-                            part.groups.push(make_group(key.clone(), seq)?);
-                            part.lookup.insert(key, (part.groups.len() - 1) as u32);
-                            part.groups.len() - 1
+                for row in batch.iter() {
+                    let group = if global {
+                        &mut parts[0].groups[0]
+                    } else {
+                        key_scratch.clear();
+                        for g in &self.group_by {
+                            key_scratch.push(g.eval(row)?);
                         }
+                        let part = &mut parts[(hash_one(key_scratch.as_slice()) & mask) as usize];
+                        let gi = match part.lookup.get(key_scratch.as_slice()) {
+                            Some(&i) => i as usize,
+                            None => {
+                                let key = key_scratch.clone();
+                                part.groups.push(make_group(key.clone(), seq)?);
+                                part.lookup.insert(key, (part.groups.len() - 1) as u32);
+                                part.groups.len() - 1
+                            }
+                        };
+                        &mut part.groups[gi]
                     };
-                    let group = &mut part.groups[gi];
                     for (ci, call) in calls.iter().enumerate() {
                         let value = match &self.args[ci] {
                             None => Datum::Int(1), // count(*): a non-null marker per row
@@ -1384,20 +1544,13 @@ impl BatchIter for AggregateIter<'_> {
             stats.partitions.store(AGG_PARTITIONS as u64, std::sync::atomic::Ordering::Relaxed);
         }
 
-        // A global aggregate over zero rows still produces one row.
-        if self.group_by.is_empty() && parts.iter().all(|p| p.groups.is_empty()) {
-            parts[0].groups.push(make_group(Vec::new(), 0)?);
-        }
-
         let mut groups: Vec<Group> = parts.into_iter().flat_map(|p| p.groups).collect();
         groups.sort_by_key(|g| g.first_seen);
-        let mut out = Vec::with_capacity(groups.len());
+        let mut out = Batch::with_capacity(self.group_by.len() + calls.len(), groups.len());
         for g in groups {
-            let mut row = g.key;
-            for acc in &g.accs {
-                row.push(acc.finish());
-            }
-            out.push(row);
+            out.data.extend(g.key);
+            out.data.extend(g.accs.iter().map(|acc| acc.finish()));
+            out.end_row();
         }
         Ok(Some(out))
     }

@@ -283,42 +283,8 @@ impl CompiledExpr {
         Ok(self.eval(row)? == Datum::Bool(true))
     }
 
-    /// Highest column position this expression reads, if any. A fused scan
-    /// decodes only positions `0..=max` across its expressions, skipping
-    /// trailing columns no expression touches.
-    pub fn max_column(&self) -> Option<usize> {
-        fn opt_max(a: Option<usize>, b: Option<usize>) -> Option<usize> {
-            match (a, b) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (x, None) | (None, x) => x,
-            }
-        }
-        match self {
-            CompiledExpr::Literal(_) => None,
-            CompiledExpr::Column(i) => Some(*i),
-            CompiledExpr::Unary { expr, .. }
-            | CompiledExpr::IsNull { expr, .. }
-            | CompiledExpr::LikePre { expr, .. } => expr.max_column(),
-            CompiledExpr::Binary { left, right, .. } => {
-                opt_max(left.max_column(), right.max_column())
-            }
-            CompiledExpr::Func { args, .. } | CompiledExpr::BoundFunc { args, .. } => {
-                args.iter().fold(None, |m, a| opt_max(m, a.max_column()))
-            }
-            CompiledExpr::InList { expr, list, .. } => {
-                list.iter().fold(expr.max_column(), |m, e| opt_max(m, e.max_column()))
-            }
-            CompiledExpr::Between { expr, low, high, .. } => {
-                opt_max(expr.max_column(), opt_max(low.max_column(), high.max_column()))
-            }
-            CompiledExpr::LikeDyn { expr, pattern, .. } => {
-                opt_max(expr.max_column(), pattern.max_column())
-            }
-        }
-    }
-
     /// Record every column position this expression reads into `out`
-    /// (sparse scans decode exactly these positions).
+    /// (scans decode exactly the positions their plan reads).
     pub fn collect_columns(&self, out: &mut std::collections::BTreeSet<usize>) {
         match self {
             CompiledExpr::Literal(_) => {}
@@ -751,7 +717,9 @@ mod tests {
         let run = |sql: &str| compile(&expr(sql), &b, &funcs).unwrap().eval(&row).unwrap();
 
         let prog = compile(&expr("tagged('yes', name, 7, g.id + 1)"), &b, &funcs).unwrap();
-        assert_eq!(prog.max_column(), Some(1));
+        let mut cols = std::collections::BTreeSet::new();
+        prog.collect_columns(&mut cols);
+        assert_eq!(cols.into_iter().collect::<Vec<_>>(), vec![0, 1]);
         assert!(!prog.error_free());
         for _ in 0..3 {
             assert_eq!(

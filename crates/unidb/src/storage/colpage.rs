@@ -420,36 +420,31 @@ impl ColumnPage {
     /// Materialize rows, decoding only the columns `mask` marks as
     /// referenced (all of the first `prefix` columns when `mask` is
     /// `None`); unreferenced positions hold `Datum::Null` placeholders.
+    /// Each row is built in one reused buffer by moving values out of the
+    /// decoded columns, never cloning them; `on_row` may move them on.
     /// Returns the number of segments decoded.
     pub fn emit_rows(
         &self,
         prefix: usize,
         mask: Option<&[bool]>,
-        mut on_row: impl FnMut(&[Datum]) -> DbResult<()>,
+        mut on_row: impl FnMut(&mut Row) -> DbResult<()>,
     ) -> DbResult<usize> {
         let width = self.segs.len().min(prefix);
-        let mut cols: Vec<Option<Vec<Datum>>> = Vec::with_capacity(width);
-        let mut decoded = 0usize;
+        let mut cols = Vec::with_capacity(width);
         for c in 0..width {
             let wanted = mask.is_none_or(|m| m.get(c).copied().unwrap_or(false));
-            if wanted {
-                cols.push(Some(self.decode_col(c)?));
-                decoded += 1;
-            } else {
-                cols.push(None);
-            }
+            cols.push(if wanted { Some(self.decode_col(c)?.into_iter()) } else { None });
         }
-        let mut row: Row = vec![Datum::Null; width];
-        for r in 0..self.n_rows as usize {
-            for (c, col) in cols.iter().enumerate() {
-                row[c] = match col {
-                    Some(v) => v[r].clone(),
-                    None => Datum::Null,
-                };
-            }
-            on_row(&row)?;
+        let mut row: Row = Vec::with_capacity(width);
+        for _ in 0..self.n_rows {
+            row.clear();
+            row.extend(
+                cols.iter_mut()
+                    .map(|col| col.as_mut().and_then(Iterator::next).unwrap_or(Datum::Null)),
+            );
+            on_row(&mut row)?;
         }
-        Ok(decoded)
+        Ok(cols.iter().flatten().count())
     }
 
     /// Serialize into a page image. `None` when the encoded form does

@@ -174,9 +174,9 @@ pub fn decode_row_cols_into(
     }
     let take = n.min(max_fields);
     row.reserve(take);
-    // The dense loop is kept free of the per-field mask test: full-row
-    // decode is the hot path for every pipeline-breaker scan, and the
-    // branch (plus the bounds lookup behind it) costs real throughput.
+    // The dense loop is kept free of the per-field mask test: a scan whose
+    // plan reads every column of its prefix takes it, and the branch (plus
+    // the bounds lookup behind it) costs real throughput.
     match mask {
         None => {
             for _ in 0..take {

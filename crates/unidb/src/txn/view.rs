@@ -301,7 +301,7 @@ impl StorageAccess for ReadView<'_> {
         first_page: u32,
         max_pages: u32,
         spec: &ScanSpec,
-        on_row: &mut dyn FnMut(&[Datum]) -> DbResult<()>,
+        on_row: &mut dyn FnMut(&mut Row) -> DbResult<()>,
     ) -> DbResult<ScanProgress> {
         let storage = self.storage(table_id)?;
         let overlay = self.overlay(table_id);
@@ -369,7 +369,7 @@ impl StorageAccess for ReadView<'_> {
                     };
                 }
                 rows_on_page += 1;
-                on_row(&scratch)
+                on_row(&mut scratch)
             })?;
             if rows_on_page > 0 {
                 segments += referenced;
@@ -379,7 +379,9 @@ impl StorageAccess for ReadView<'_> {
             // The virtual page serves pre-materialized rows; it is never
             // pruned and decodes no segments, identically at any parallelism.
             for v in self.virtual_rows(storage, overlay).filter(|v| v.readable) {
-                on_row(&v.row[..spec.prefix.min(v.row.len())])?;
+                scratch.clear();
+                scratch.extend_from_slice(&v.row[..spec.prefix.min(v.row.len())]);
+                on_row(&mut scratch)?;
             }
         }
         self.inner.scan_pages.fetch_add(visited, Ordering::Relaxed);

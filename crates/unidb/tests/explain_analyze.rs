@@ -7,7 +7,7 @@
 //! them.
 
 use unidb::exec::stats::OpStatsSnapshot;
-use unidb::Database;
+use unidb::{Database, Datum};
 
 /// Enough rows that a parallel scan actually splits into several morsels
 /// (PAR_MIN_ROWS is 4096 and a morsel is 32 pages).
@@ -109,6 +109,26 @@ fn partition_counters_are_deterministic_and_stats_driven() {
         "aggregation uses its fixed partition fan-out:\n{}",
         a1.render_counters()
     );
+
+    // A global aggregate folds into its single group without partitioning
+    // rows, yet reports the same fan-out, and still answers one row over
+    // zero rows.
+    for (sql, expect) in [
+        (
+            "SELECT count(*), min(score) FROM reads",
+            vec![Datum::Int(BIG_ROWS as i64), Datum::Int(0)],
+        ),
+        ("SELECT count(*), min(score) FROM reads WHERE id < 0", vec![Datum::Int(0), Datum::Null]),
+    ] {
+        d.set_parallelism(1);
+        let (r1, g1) = d.explain_analyze(sql).unwrap();
+        d.set_parallelism(4);
+        let (r4, g4) = d.explain_analyze(sql).unwrap();
+        assert_eq!(r1.rows, vec![expect], "{sql}");
+        assert_eq!(r1.rows, r4.rows, "{sql}");
+        assert_eq!(g1.render_counters(), g4.render_counters());
+        assert!(g1.render_counters().contains("partitions=16"), "{}", g1.render_counters());
+    }
 }
 
 #[test]
@@ -265,4 +285,175 @@ fn a_scan_fans_out_only_over_cores_no_other_statement_occupies() {
     // Width 1 is one morsel per batch; width 2 paired them up.
     assert!(beside == 2 * alone || beside + 1 == 2 * alone, "{alone} alone, {beside} beside");
     assert_eq!(scan_batches(&d), alone, "the width comes back once the other statement is done");
+}
+
+/// Rows of the column-pruning fixture's fact table.
+const FACT_ROWS: i64 = 12_000;
+
+/// `f` has its TEXT column in the middle, so a scan reading the two INT
+/// columns must skip an interior field; `d` is a 4-row dimension whose
+/// `fid` 99999 matches no fact row.
+fn pruning_fixture() -> Database {
+    let d = Database::in_memory();
+    d.execute_script(
+        "CREATE TABLE f (id INT NOT NULL, label TEXT, score INT);
+         CREATE TABLE d (fid INT NOT NULL, note TEXT, weight INT);",
+    )
+    .unwrap();
+    let values: Vec<String> =
+        (0..FACT_ROWS).map(|i| format!("({i}, 'L{}', {})", i % 5, (i * 37) % 1000)).collect();
+    for chunk in values.chunks(2000) {
+        d.execute(&format!("INSERT INTO f VALUES {}", chunk.join(","))).unwrap();
+    }
+    d.execute("INSERT INTO d VALUES (0, 'n0', 1000), (1, 'n1', 1001), (2, 'n2', 1002), (99999, 'n3', 1003)")
+        .unwrap();
+    d
+}
+
+fn score(id: i64) -> i64 {
+    (id * 37) % 1000
+}
+
+fn ints(rows: &[Vec<Datum>]) -> Vec<Vec<Option<i64>>> {
+    rows.iter().map(|r| r.iter().map(|v| v.as_int()).collect()).collect()
+}
+
+/// Run `sql` at parallelism 1 and 4, require identical rows and
+/// deterministic counters, and check each scan decoded exactly `per_page`
+/// segments on every page it visited: `(table, segments per page)`.
+fn check_decode(d: &Database, sql: &str, per_page: &[(&str, u64)]) -> Vec<Vec<Datum>> {
+    d.set_parallelism(1);
+    let (r1, s1) = d.explain_analyze(sql).unwrap();
+    d.set_parallelism(4);
+    let (r4, s4) = d.explain_analyze(sql).unwrap();
+    let golden = s1.render_counters();
+    assert_eq!(r1.rows, r4.rows, "{sql}: results must not depend on parallelism");
+    assert_eq!(golden, s4.render_counters(), "{sql}: counters must not depend on parallelism");
+    fn scans<'s>(s: &'s OpStatsSnapshot, out: &mut Vec<&'s OpStatsSnapshot>) {
+        if s.is_scan {
+            out.push(s);
+        }
+        s.children.iter().for_each(|c| scans(c, out));
+    }
+    let mut found = Vec::new();
+    scans(&s1, &mut found);
+    assert_eq!(found.len(), per_page.len(), "{sql}: scans\n{golden}");
+    for (scan, &(table, k)) in found.iter().zip(per_page) {
+        let name = scan.label.split_whitespace().nth(1).unwrap();
+        assert_eq!(name, format!("user.{table}"), "{sql}: scan order\n{golden}");
+        let visited = scan.pages_read - scan.pages_skipped;
+        assert!(visited > 0, "{sql}: {table} visits pages\n{golden}");
+        assert_eq!(scan.segments_decoded, visited * k, "{sql}: {table} decodes {k}/page\n{golden}");
+    }
+    r1.rows
+}
+
+/// Every plan shape decodes only the columns some operator above its scan
+/// reads: the per-page segment count is the size of that set, whatever
+/// sits between the scan and the root.
+#[test]
+fn scans_decode_exactly_the_columns_the_plan_reads() {
+    let d = pruning_fixture();
+    let all: Vec<i64> = (0..FACT_ROWS).collect();
+    let int = |v: i64| Some(v);
+
+    // Aggregates: a global one reads `score` only, a grouped one `label` too.
+    let rows = check_decode(&d, "SELECT sum(score), count(*) FROM f", &[("f", 1)]);
+    assert_eq!(ints(&rows), vec![vec![int(all.iter().map(|&i| score(i)).sum()), int(FACT_ROWS)]]);
+    let rows = check_decode(&d, "SELECT label, sum(score) FROM f GROUP BY label", &[("f", 2)]);
+    let expect: Vec<Vec<Datum>> = (0..5)
+        .map(|g| {
+            let sum = all.iter().filter(|&&i| i % 5 == g).map(|&i| score(i)).sum();
+            vec![Datum::Text(format!("L{g}")), Datum::Int(sum)]
+        })
+        .collect();
+    assert_eq!(rows, expect);
+    // A Filter over the aggregate (HAVING) reads the aggregate's output,
+    // not the scan's: still the grouping column alone.
+    let rows = check_decode(
+        &d,
+        "SELECT label, count(*) FROM f GROUP BY label HAVING count(*) > 0",
+        &[("f", 1)],
+    );
+    assert_eq!(rows.len(), 5);
+
+    // Top-N and Sort read their keys plus what the projection keeps.
+    let mut by_score = all.clone();
+    by_score.sort_by_key(|&i| (std::cmp::Reverse(score(i)), i));
+    let top = check_decode(&d, "SELECT id FROM f ORDER BY score DESC, id LIMIT 5", &[("f", 2)]);
+    assert_eq!(ints(&top), by_score[..5].iter().map(|&i| vec![int(i)]).collect::<Vec<_>>());
+    let sorted = check_decode(&d, "SELECT id FROM f ORDER BY score DESC, id", &[("f", 2)]);
+    assert_eq!(ints(&sorted), by_score.iter().map(|&i| vec![int(i)]).collect::<Vec<_>>());
+
+    // A residual filter's column is decoded beside the projected one.
+    let rows = check_decode(&d, "SELECT id FROM f WHERE score > 990", &[("f", 2)]);
+    let expect: Vec<_> = all.iter().filter(|&&i| score(i) > 990).map(|&i| vec![int(i)]).collect();
+    assert_eq!(ints(&rows), expect);
+    // A Filter over a join reads a column from each side.
+    let rows = check_decode(
+        &d,
+        "SELECT f.id FROM f JOIN d ON f.id = d.fid WHERE f.score + d.weight > 1010",
+        &[("f", 2), ("d", 2)],
+    );
+    assert_eq!(ints(&rows), vec![vec![int(1)], vec![int(2)]]);
+
+    // Hash joins, built on either side and LEFT: the fact side decodes its
+    // key, the dimension side its key and `weight`.
+    let matched = vec![vec![int(0), int(1000)], vec![int(1), int(1001)], vec![int(2), int(1002)]];
+    let q = "SELECT f.id, d.weight FROM f JOIN d ON f.id = d.fid";
+    assert_eq!(ints(&check_decode(&d, q, &[("f", 1), ("d", 2)])), matched);
+    let q = "SELECT f.id, d.weight FROM d JOIN f ON d.fid = f.id";
+    assert_eq!(ints(&check_decode(&d, q, &[("d", 2), ("f", 1)])), matched);
+    let q = "SELECT f.id, d.weight FROM f LEFT JOIN d ON f.id = d.fid";
+    let expect: Vec<_> = all.iter().map(|&i| vec![int(i), (i < 3).then_some(1000 + i)]).collect();
+    assert_eq!(ints(&check_decode(&d, q, &[("f", 1), ("d", 2)])), expect);
+
+    // A nested-loop join reads the `on` columns of each side.
+    let q = "SELECT f.id, d.weight FROM f JOIN d ON f.id < d.fid";
+    let rows = check_decode(&d, q, &[("f", 1), ("d", 2)]);
+    let fids = [(0, 1000), (1, 1001), (2, 1002), (99999, 1003)];
+    let expect: Vec<_> = all
+        .iter()
+        .flat_map(|&i| fids.iter().filter(move |(fid, _)| i < *fid).map(move |&(_, w)| (i, w)))
+        .map(|(i, w)| vec![int(i), int(w)])
+        .collect();
+    assert_eq!(ints(&rows), expect);
+
+    // DISTINCT reads every column, and so does `SELECT *`.
+    let everything: Vec<Vec<Datum>> = all
+        .iter()
+        .map(|&i| vec![Datum::Int(i), Datum::Text(format!("L{}", i % 5)), Datum::Int(score(i))])
+        .collect();
+    assert_eq!(check_decode(&d, "SELECT DISTINCT * FROM f", &[("f", 3)]), everything);
+    assert_eq!(check_decode(&d, "SELECT * FROM f", &[("f", 3)]), everything);
+}
+
+/// A join whose left scan decodes only its key prefix still emits rows of
+/// the left input's full width, so the right side's columns land where the
+/// plan's bindings put them.
+#[test]
+fn a_prefix_decoded_join_side_keeps_its_width() {
+    let d = pruning_fixture();
+    let expect = vec![
+        vec![Datum::Int(1000), Datum::Int(0)],
+        vec![Datum::Int(1001), Datum::Int(1)],
+        vec![Datum::Int(1002), Datum::Int(2)],
+    ];
+    for sql in [
+        "SELECT d.weight, f.id FROM f JOIN d ON f.id = d.fid",
+        "SELECT d.weight, f.id FROM f JOIN d ON f.id = d.fid ORDER BY f.id",
+        "SELECT d.weight, f.id FROM f JOIN d ON f.id <= d.fid AND d.fid <= f.id",
+    ] {
+        assert_eq!(check_decode(&d, sql, &[("f", 1), ("d", 2)]), expect, "{sql}");
+    }
+    let rows = check_decode(
+        &d,
+        "SELECT d.weight, f.id, d.note FROM f LEFT JOIN d ON f.id = d.fid WHERE f.id < 4",
+        &[("f", 1), ("d", 3)],
+    );
+    let mut expect: Vec<Vec<Datum>> = (0..3)
+        .map(|i| vec![Datum::Int(1000 + i), Datum::Int(i), Datum::Text(format!("n{i}"))])
+        .collect();
+    expect.push(vec![Datum::Null, Datum::Int(3), Datum::Null]);
+    assert_eq!(rows, expect);
 }

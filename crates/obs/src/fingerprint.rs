@@ -1,13 +1,14 @@
 //! Query fingerprints: per-shape workload statistics and a plan-change
 //! audit log.
 //!
-//! A *fingerprint* is normalized statement text with every literal
+//! A *fingerprint* is a statement's shape: its text with every literal
 //! replaced by `?`, so `select v from hot where k = 17` and
 //! `select v from hot where k = 903` collapse into one workload entry.
-//! The registry keeps, per fingerprint: execution and error counts, a
-//! latency histogram, which cache tier answered, and cumulative resource
-//! attribution (rows out, pages read/skipped, queue wait). The server
-//! feeds it from the execute path and renders it as `SHOW WORKLOAD`.
+//! The server renders the shape from the statement's tokens; the registry
+//! keys on the text it is given and knows no SQL. It keeps, per
+//! fingerprint: execution and error counts, a latency histogram, which
+//! cache tier answered, and cumulative resource attribution (rows out,
+//! pages read/skipped, queue wait), and is rendered as `SHOW WORKLOAD`.
 //!
 //! The registry is deliberately *first-come bounded*: once `capacity`
 //! distinct fingerprints are registered, later ones only bump an overflow
@@ -28,73 +29,6 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Replace literals in already-normalized SQL (lowercased outside strings,
-/// single-spaced) with `?`: quoted strings wholesale, and any numeric
-/// literal not glued to an identifier (`org0` keeps its digit, `= 17`
-/// loses it). The result is the workload key.
-pub fn fingerprint_text(normalized: &str) -> String {
-    let bytes = normalized.as_bytes();
-    let mut out = String::with_capacity(normalized.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b == b'\'' {
-            // String literal: consume to the closing quote ('' escapes).
-            i += 1;
-            while i < bytes.len() {
-                if bytes[i] == b'\'' {
-                    if bytes.get(i + 1) == Some(&b'\'') {
-                        i += 2;
-                        continue;
-                    }
-                    i += 1;
-                    break;
-                }
-                i += 1;
-            }
-            out.push('?');
-            continue;
-        }
-        let prev_wordy = out.ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_');
-        if b.is_ascii_digit() && !prev_wordy {
-            // Numeric literal: digits, one dot, optional exponent.
-            i += 1;
-            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-                i += 1;
-            }
-            if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-                let mut j = i + 1;
-                if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-                    j += 1;
-                }
-                if j < bytes.len() && bytes[j].is_ascii_digit() {
-                    i = j;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-            }
-            out.push('?');
-            continue;
-        }
-        // Safe: normalized text is ASCII-spaced but may hold multi-byte
-        // chars inside identifiers; copy whole chars.
-        let ch_len = utf8_len(b);
-        out.push_str(&normalized[i..i + ch_len]);
-        i += ch_len;
-    }
-    out
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        b if b < 0x80 => 1,
-        b if b >= 0xF0 => 4,
-        b if b >= 0xE0 => 3,
-        _ => 2,
-    }
-}
 
 /// Stable 64-bit FNV-1a of the fingerprint text, rendered as 16 hex
 /// digits — the short id `SHOW WORKLOAD` and Prometheus labels carry.
@@ -149,7 +83,8 @@ impl CacheTier {
 /// One statement execution, as reported to [`FingerprintRegistry::record`].
 #[derive(Debug, Clone)]
 pub struct Execution<'a> {
-    /// Normalized statement text (the registry fingerprints it).
+    /// The statement's shape, literals already replaced; the registry keys
+    /// on it as given.
     pub normalized: &'a str,
     /// End-to-end service latency in microseconds.
     pub latency_us: u64,
@@ -265,16 +200,16 @@ impl FingerprintRegistry {
         }
     }
 
-    /// Fingerprint `normalized` and return the entry, registering it if
-    /// there is room. `None` means the registry is full and this shape is
-    /// unregistered (the overflow counter was bumped).
-    fn entry(&self, fp: &str) -> Option<Arc<Entry>> {
+    /// The entry for `fp`, registering it if there is room. `None` means
+    /// the registry is full and this shape is unregistered; an execution
+    /// (`counted`) that finds it so bumps the overflow counter.
+    fn entry(&self, fp: &str, counted: bool) -> Option<Arc<Entry>> {
         let mut entries = self.entries.lock();
         if let Some(e) = entries.get(fp) {
             return Some(Arc::clone(e));
         }
         if entries.len() >= self.capacity {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
+            self.overflow.fetch_add(u64::from(counted), Ordering::Relaxed);
             return None;
         }
         let e = Arc::new(Entry::default());
@@ -285,8 +220,7 @@ impl FingerprintRegistry {
     /// Record one execution. The map lock is held only to resolve the
     /// entry; all accumulation is atomic.
     pub fn record(&self, exec: &Execution<'_>) {
-        let fp = fingerprint_text(exec.normalized);
-        let Some(e) = self.entry(&fp) else { return };
+        let Some(e) = self.entry(exec.normalized, true) else { return };
         e.executions.fetch_add(1, Ordering::Relaxed);
         if !exec.ok {
             e.errors.fetch_add(1, Ordering::Relaxed);
@@ -306,22 +240,23 @@ impl FingerprintRegistry {
         e.queue_wait_us.fetch_add(exec.queue_wait_us, Ordering::Relaxed);
     }
 
-    /// Observe the plan chosen for `normalized` on this execution. The
-    /// first observation just seeds the entry; a later observation whose
+    /// Observe the plan chosen for shape `fp` on this execution. The first
+    /// observation just seeds the entry; a later observation whose
     /// `plan_hash` differs records a [`PlanChange`] carrying both sides
-    /// and the stats/catalog generations that triggered the rebuild.
+    /// and the stats/catalog generations that triggered the rebuild. Only
+    /// [`FingerprintRegistry::record`] counts overflow, so each execution
+    /// counts once.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_plan(
         &self,
-        normalized: &str,
+        fp: &str,
         plan_hash: u64,
         plan_label: &str,
         est_rows: u64,
         stats_generation: u64,
         catalog_generation: u64,
     ) {
-        let fp = fingerprint_text(normalized);
-        let Some(e) = self.entry(&fp) else { return };
+        let Some(e) = self.entry(fp, false) else { return };
         let prev = e.plan_hash.swap(plan_hash, Ordering::AcqRel);
         let prev_est = e.plan_est_rows.swap(est_rows, Ordering::AcqRel);
         e.plan_stats_gen.store(stats_generation, Ordering::Relaxed);
@@ -335,8 +270,8 @@ impl FingerprintRegistry {
         let seq = self.plan_changes.fetch_add(1, Ordering::Relaxed) + 1;
         let change = PlanChange {
             seq,
-            fingerprint: fingerprint_id(&fp),
-            text: fp,
+            fingerprint: fingerprint_id(fp),
+            text: fp.to_string(),
             before_hash: prev,
             after_hash: plan_hash,
             before_est_rows: prev_est,
@@ -424,32 +359,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn literals_collapse_but_identifiers_survive() {
-        assert_eq!(
-            fingerprint_text("select v from hot where k = 17"),
-            "select v from hot where k = ?"
-        );
-        assert_eq!(
-            fingerprint_text("select v from hot where k = 903"),
-            fingerprint_text("select v from hot where k = 17"),
-        );
-        // Digits glued to identifiers are part of the name, not a literal.
-        assert_eq!(
-            fingerprint_text("select c1 from t2 where c1 = 5"),
-            "select c1 from t2 where c1 = ?"
-        );
-        // Strings (with '' escapes), floats, and exponents all collapse.
-        assert_eq!(
-            fingerprint_text("select * from t where name = 'o''brien' and x > 1.5e-3"),
-            "select * from t where name = ? and x > ?"
-        );
-        assert_eq!(
-            fingerprint_text("insert into t values (1, 'a'), (2, 'b')"),
-            "insert into t values (?, ?), (?, ?)"
-        );
-    }
-
-    #[test]
     fn fingerprint_id_is_stable_and_hex() {
         let a = fingerprint_id("select ?");
         assert_eq!(a, fingerprint_id("select ?"));
@@ -462,9 +371,8 @@ mod tests {
     fn registry_accumulates_per_fingerprint() {
         let reg = FingerprintRegistry::new(8, 8);
         for k in [1, 2, 3] {
-            let sql = format!("select v from hot where k = {k}");
             reg.record(&Execution {
-                normalized: &sql,
+                normalized: "select v from hot where k = ?",
                 latency_us: 100 * k,
                 ok: k != 3,
                 tier: if k == 1 { CacheTier::Miss } else { CacheTier::Result },
@@ -502,6 +410,8 @@ mod tests {
     fn full_registry_counts_overflow_instead_of_evicting() {
         let reg = FingerprintRegistry::new(2, 8);
         for sql in ["select a", "select b", "select c", "select c"] {
+            // Observing a plan is part of the same execution: not counted.
+            reg.observe_plan(sql, 1, "SeqScan(t)", 1, 0, 1);
             reg.record(&Execution {
                 normalized: sql,
                 latency_us: 1,

@@ -34,8 +34,7 @@ pub mod span;
 pub mod timeseries;
 
 pub use fingerprint::{
-    fingerprint_id, fingerprint_text, CacheTier, Execution, FingerprintRegistry, FingerprintStats,
-    PlanChange,
+    fingerprint_id, CacheTier, Execution, FingerprintRegistry, FingerprintStats, PlanChange,
 };
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use recorder::{incident_dir, IncidentBundle, IncidentRecorder};

@@ -1,249 +1,172 @@
-//! Prepared-plan and result caches.
+//! The statement cache: one LRU entry per statement, holding its prepared
+//! plan and, while it is valid, its result.
 //!
-//! Both caches key on *normalized* statement text (case-folded outside
-//! string literals, whitespace collapsed) plus the session's default space,
-//! so `SELECT * FROM t` and `select  *  from t` share an entry while the
-//! same text from sessions resolving different spaces does not.
+//! Entries key on the statement's rendered tokens ([`unidb::sql::render`]:
+//! words case-folded, whitespace and comments gone, literals kept with
+//! their type) plus the session's default space, so `SELECT * FROM t` and
+//! `select  *  from t -- again` share an entry, `k = 1` and `k = '1'` do
+//! not, and the same text from sessions resolving different spaces does
+//! not either.
 //!
 //! Invalidation is generation-based, piggybacking on counters the engine
 //! already maintains:
 //!
-//! * a **plan** is valid while the catalog generation it was built under is
-//!   current — any DDL bumps it and the entry is re-prepared on next use;
-//! * a **result** is valid while every base table the plan read still has
-//!   the version counter observed *before* execution — any DML on one of
-//!   those tables makes the entry unreachable. Snapshotting versions before
-//!   execution errs toward spurious misses, never stale hits.
+//! * an entry's **plan** is valid while the catalog generation it was built
+//!   under is current — any DDL bumps it and the whole entry is dropped on
+//!   next use;
+//! * its **result** is valid while every base table the plan reads still
+//!   has the version counter observed *before* execution — any DML on one
+//!   of those tables drops the result and keeps the plan. Snapshotting
+//!   versions before execution errs toward spurious misses, never stale
+//!   hits.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::Arc;
+use unidb::sql::{lex, render};
 use unidb::{Datum, Prepared, ResultSet};
 
-/// Normalize SQL/BQL text for cache keying: collapse runs of whitespace to
-/// one space, lowercase everything outside single-quoted literals, strip a
-/// trailing semicolon.
+/// Statements the cache holds before it evicts the least recently used.
+pub(crate) const CACHE_CAPACITY: usize = 256;
+
+/// A statement's cache key text: its rendered tokens, or the text itself
+/// when it does not lex.
 pub fn normalize_sql(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut in_string = false;
-    let mut pending_space = false;
-    for ch in text.chars() {
-        if in_string {
-            out.push(ch);
-            if ch == '\'' {
-                in_string = false;
-            }
-            continue;
-        }
-        if ch.is_whitespace() {
-            pending_space = !out.is_empty();
-            continue;
-        }
-        if pending_space {
-            out.push(' ');
-            pending_space = false;
-        }
-        if ch == '\'' {
-            in_string = true;
-            out.push(ch);
-        } else {
-            out.extend(ch.to_lowercase());
-        }
-    }
-    while out.ends_with(';') || out.ends_with(' ') {
-        out.pop();
-    }
-    out
+    lex(text).map_or_else(|_| text.to_string(), |tokens| render(&tokens).0)
 }
 
-/// A small LRU map: capacity-bounded, least-recently-*used* eviction via a
-/// logical clock (same scheme as the storage buffer pool). Each entry
-/// carries an approximate byte size so the caches can report their heap
-/// footprint, not just their entry count.
-struct Lru<K, V> {
-    map: HashMap<K, (V, u64, usize)>,
-    capacity: usize,
-    clock: u64,
-    bytes: usize,
-}
-
-impl<K: Eq + Hash + Clone, V> Lru<K, V> {
-    fn new(capacity: usize) -> Self {
-        Lru { map: HashMap::new(), capacity: capacity.max(1), clock: 0, bytes: 0 }
-    }
-
-    fn get(&mut self, k: &K) -> Option<&V> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(k).map(|(v, used, _)| {
-            *used = clock;
-            &*v
-        })
-    }
-
-    fn insert(&mut self, k: K, v: V, size: usize) {
-        if !self.map.contains_key(&k) && self.map.len() >= self.capacity {
-            if let Some(victim) =
-                self.map.iter().min_by_key(|(_, (_, used, _))| *used).map(|(k, _)| k.clone())
-            {
-                self.remove(&victim);
-            }
-        }
-        self.clock += 1;
-        if let Some((_, _, old)) = self.map.insert(k, (v, self.clock, size)) {
-            self.bytes -= old;
-        }
-        self.bytes += size;
-    }
-
-    fn remove(&mut self, k: &K) {
-        if let Some((_, _, size)) = self.map.remove(k) {
-            self.bytes -= size;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-/// Cache key: normalized statement text + the space unqualified names
-/// resolve under.
+/// Cache key: rendered statement + the space unqualified names resolve
+/// under.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StatementKey {
     pub normalized_sql: String,
     pub space: String,
 }
 
-/// LRU cache of prepared SELECT plans.
-pub struct PlanCache {
-    entries: Mutex<Lru<StatementKey, Arc<Prepared>>>,
+/// A small LRU map: capacity-bounded, least-recently-*used* eviction via a
+/// logical clock (same scheme as the storage buffer pool).
+struct Lru<K, V> {
+    map: HashMap<K, (V, u64)>,
+    capacity: usize,
+    clock: u64,
 }
 
-impl PlanCache {
-    pub fn new(capacity: usize) -> Self {
-        PlanCache { entries: Mutex::new(Lru::new(capacity)) }
+impl<K: Eq + std::hash::Hash + Clone, V> Lru<K, V> {
+    fn new(capacity: usize) -> Self {
+        Lru { map: HashMap::new(), capacity: capacity.max(1), clock: 0 }
     }
 
-    /// A cached plan still valid under `catalog_gen`, bumping its recency.
-    /// A stale entry (planned under an older catalog) is dropped.
-    pub fn get(&self, key: &StatementKey, catalog_gen: u64) -> Option<Arc<Prepared>> {
-        let mut entries = self.entries.lock();
-        let cached = entries.get(key).map(Arc::clone)?;
-        if cached.catalog_generation() == catalog_gen {
-            Some(cached)
-        } else {
-            entries.remove(key);
-            None
+    fn get(&mut self, k: &K) -> Option<&mut V> {
+        self.clock += 1;
+        let clock = self.clock;
+        self.map.get_mut(k).map(|(v, used)| {
+            *used = clock;
+            v
+        })
+    }
+
+    fn insert(&mut self, k: K, v: V) {
+        if !self.map.contains_key(&k) && self.map.len() >= self.capacity {
+            if let Some(victim) =
+                self.map.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| k.clone())
+            {
+                self.map.remove(&victim);
+            }
         }
-    }
-
-    pub fn insert(&self, key: StatementKey, plan: Arc<Prepared>) {
-        let size = key_bytes(&key) + plan.approx_bytes();
-        self.entries.lock().insert(key, plan, size);
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate heap bytes held by cached plans (keys included).
-    pub fn bytes(&self) -> usize {
-        self.entries.lock().bytes()
+        self.clock += 1;
+        self.map.insert(k, (v, self.clock));
     }
 }
 
-/// One cached query result plus the versions it is valid for.
+/// One statement's cached state.
+struct Entry {
+    plan: Arc<Prepared>,
+    result: Option<CachedResult>,
+}
+
+/// A result and the versions of the plan's tables it was computed at.
 struct CachedResult {
-    result: Arc<ResultSet>,
-    table_ids: Vec<u32>,
-    /// Version of each table in `table_ids`, snapshotted before execution.
-    table_versions: Vec<u64>,
-    catalog_gen: u64,
+    rows: Arc<ResultSet>,
+    versions: Vec<u64>,
+    bytes: usize,
 }
 
-/// LRU cache of SELECT results, invalidated by table-generation counters.
-pub struct ResultCache {
-    entries: Mutex<Lru<StatementKey, CachedResult>>,
+/// What one probe found.
+pub(crate) enum Lookup {
+    /// A result whose tables are all unchanged.
+    Result(Arc<ResultSet>),
+    /// A plan still valid for the catalog; its result is missing or stale.
+    Plan(Arc<Prepared>),
+    Miss,
 }
 
-impl ResultCache {
-    pub fn new(capacity: usize) -> Self {
-        ResultCache { entries: Mutex::new(Lru::new(capacity)) }
+/// The plan-and-result cache.
+pub(crate) struct StatementCache {
+    entries: Mutex<Lru<StatementKey, Entry>>,
+}
+
+impl StatementCache {
+    pub(crate) fn new(capacity: usize) -> Self {
+        StatementCache { entries: Mutex::new(Lru::new(capacity)) }
     }
 
-    /// A cached result whose tables are all unchanged. `current_versions`
-    /// must come from `db.table_versions(entry.table_ids)` — the closure
-    /// receives the entry's table ids and returns their current versions.
-    pub fn get(
+    /// Probe `key` once under one lock. An entry planned under another
+    /// catalog generation is dropped; a result whose tables moved on is
+    /// dropped and its plan returned. `current_versions` receives the
+    /// plan's table ids and returns their versions now.
+    pub(crate) fn lookup(
         &self,
         key: &StatementKey,
         catalog_gen: u64,
         current_versions: impl FnOnce(&[u32]) -> Vec<u64>,
-    ) -> Option<Arc<ResultSet>> {
+    ) -> Lookup {
         let mut entries = self.entries.lock();
-        let (result, ids, versions, entry_gen) = {
-            let entry = entries.get(key)?;
-            (
-                Arc::clone(&entry.result),
-                entry.table_ids.clone(),
-                entry.table_versions.clone(),
-                entry.catalog_gen,
-            )
-        };
-        // Version check runs inside the cache lock, so a concurrent writer
-        // cannot swap the entry underneath us.
-        if entry_gen == catalog_gen && current_versions(&ids) == versions {
-            Some(result)
-        } else {
-            entries.remove(key);
-            None
+        let Some(entry) = entries.get(key) else { return Lookup::Miss };
+        if entry.plan.catalog_generation() != catalog_gen {
+            entries.map.remove(key);
+            return Lookup::Miss;
         }
+        if let Some(cached) = &entry.result {
+            // Versions are compared inside the cache lock, so a concurrent
+            // fill cannot swap the entry underneath us.
+            if current_versions(entry.plan.table_ids()) == cached.versions {
+                return Lookup::Result(Arc::clone(&cached.rows));
+            }
+            entry.result = None;
+        }
+        Lookup::Plan(Arc::clone(&entry.plan))
     }
 
-    pub fn insert(
+    /// Store `plan` under `key`, with the result it produced from tables at
+    /// `versions` (snapshotted before execution), if it produced one.
+    pub(crate) fn store(
         &self,
         key: StatementKey,
-        result: Arc<ResultSet>,
-        table_ids: Vec<u32>,
-        table_versions: Vec<u64>,
-        catalog_gen: u64,
+        plan: Arc<Prepared>,
+        result: Option<(Arc<ResultSet>, Vec<u64>)>,
     ) {
-        let size = key_bytes(&key)
-            + approx_result_bytes(&result)
-            + (table_ids.len() + table_versions.len()) * std::mem::size_of::<u64>();
-        self.entries.lock().insert(
-            key,
-            CachedResult { result, table_ids, table_versions, catalog_gen },
-            size,
-        );
+        let result = result.map(|(rows, versions)| CachedResult {
+            bytes: approx_result_bytes(&rows) + versions.len() * std::mem::size_of::<u64>(),
+            rows,
+            versions,
+        });
+        self.entries.lock().insert(key, Entry { plan, result });
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
+    /// `(entries, entries holding a result, plan bytes, result bytes)`;
+    /// plan bytes include the keys.
+    pub(crate) fn sizes(&self) -> (usize, usize, usize, usize) {
+        let entries = self.entries.lock();
+        let mut sizes = (entries.map.len(), 0, 0, 0);
+        for (key, (entry, _)) in &entries.map {
+            sizes.2 += key.normalized_sql.len() + key.space.len() + entry.plan.approx_bytes();
+            if let Some(result) = &entry.result {
+                sizes.1 += 1;
+                sizes.3 += result.bytes;
+            }
+        }
+        sizes
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate heap bytes held by cached results (keys included).
-    pub fn bytes(&self) -> usize {
-        self.entries.lock().bytes()
-    }
-}
-
-fn key_bytes(key: &StatementKey) -> usize {
-    key.normalized_sql.len() + key.space.len()
 }
 
 /// Approximate heap footprint of a result set: per-row/per-cell overhead
@@ -268,6 +191,7 @@ fn approx_result_bytes(rs: &ResultSet) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unidb::{Database, Role};
 
     #[test]
     fn normalization_folds_case_and_space() {
@@ -275,50 +199,58 @@ mod tests {
             normalize_sql("SELECT  *\n FROM   T  WHERE name = 'MiXeD Case';"),
             "select * from t where name = 'MiXeD Case'"
         );
-        assert_eq!(normalize_sql("select 1"), normalize_sql("  SELECT    1 ; "));
+        assert_eq!(normalize_sql("select 1"), normalize_sql("  SELECT    1 ; -- it's one"));
+        assert_ne!(normalize_sql("select 1"), normalize_sql("select 1.0"));
+        // Text that does not lex is its own key.
+        assert_eq!(normalize_sql("SELECT 'oops"), "SELECT 'oops");
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut lru: Lru<u32, u32> = Lru::new(2);
-        lru.insert(1, 10, 100);
-        lru.insert(2, 20, 50);
-        assert_eq!(lru.bytes(), 150);
-        assert_eq!(lru.get(&1), Some(&10)); // 2 becomes LRU
-        lru.insert(3, 30, 25);
+        lru.insert(1, 10);
+        lru.insert(2, 20);
+        assert_eq!(lru.get(&1).copied(), Some(10)); // 2 becomes LRU
+        lru.insert(3, 30);
         assert_eq!(lru.get(&2), None);
-        assert_eq!(lru.get(&1), Some(&10));
-        assert_eq!(lru.get(&3), Some(&30));
-        // Byte accounting followed the eviction of entry 2.
-        assert_eq!(lru.bytes(), 125);
-        // Re-inserting a live key replaces its size, not accumulates it.
-        lru.insert(1, 11, 10);
-        assert_eq!(lru.bytes(), 35);
+        assert_eq!(lru.get(&1).copied(), Some(10));
+        assert_eq!(lru.get(&3).copied(), Some(30));
+        // Re-inserting a live key replaces it without evicting.
+        lru.insert(1, 11);
+        assert_eq!(lru.map.len(), 2);
+        assert_eq!(lru.get(&1).copied(), Some(11));
     }
 
     #[test]
     fn result_cache_invalidated_by_table_version() {
-        let cache = ResultCache::new(4);
-        let key = StatementKey { normalized_sql: "select 1".into(), space: "public".into() };
+        let db = Database::in_memory();
+        db.execute_as("CREATE TABLE t (x INT)", &Role::Maintainer).unwrap();
+        let plan = Arc::new(db.prepare_as("SELECT x FROM t", &Role::Maintainer).unwrap());
+        let gen = plan.catalog_generation();
+        let cache = StatementCache::new(4);
+        let key = StatementKey { normalized_sql: "select x from t".into(), space: "public".into() };
         let rs = Arc::new(ResultSet {
             columns: vec!["x".into()],
             rows: vec![],
             affected: 0,
             explain: None,
         });
-        cache.insert(key.clone(), Arc::clone(&rs), vec![7], vec![3], 1);
-        // Same versions: hit.
-        assert!(cache
-            .get(&key, 1, |ids| {
-                assert_eq!(ids, [7]);
-                vec![3]
-            })
-            .is_some());
-        // Bumped table version: miss, entry dropped.
-        assert!(cache.get(&key, 1, |_| vec![4]).is_none());
-        assert!(cache.is_empty());
-        // Catalog generation moved: miss too.
-        cache.insert(key.clone(), rs, vec![7], vec![3], 1);
-        assert!(cache.get(&key, 2, |_| vec![3]).is_none());
+        assert!(matches!(cache.lookup(&key, gen, |_| vec![3]), Lookup::Miss));
+        cache.store(key.clone(), Arc::clone(&plan), Some((Arc::clone(&rs), vec![3])));
+        // Same versions: a result hit, probed with the plan's table ids.
+        let probe = cache.lookup(&key, gen, |ids| {
+            assert_eq!(ids, plan.table_ids());
+            vec![3]
+        });
+        assert!(matches!(probe, Lookup::Result(_)));
+        // Bumped table version: the result goes, the plan stays.
+        assert!(matches!(cache.lookup(&key, gen, |_| vec![4]), Lookup::Plan(_)));
+        let (entries, results, plan_bytes, result_bytes) = cache.sizes();
+        assert_eq!((entries, results, result_bytes), (1, 0, 0));
+        assert!(plan_bytes > 0);
+        // Catalog generation moved: the whole entry goes.
+        cache.store(key.clone(), plan, Some((rs, vec![3])));
+        assert!(matches!(cache.lookup(&key, gen + 1, |_| vec![3]), Lookup::Miss));
+        assert_eq!(cache.sizes(), (0, 0, 0, 0));
     }
 }

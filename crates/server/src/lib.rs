@@ -14,10 +14,10 @@
 //!   number of callers may wait their turn, and a saturated server rejects
 //!   with a structured [`ServerError::Busy`] carrying a retry hint instead
 //!   of queueing unboundedly;
-//! * **plan and result caches** ([`PlanCache`], [`ResultCache`]) keyed on
-//!   normalized statement text and invalidated by the engine's catalog /
-//!   table generation counters — repeated public-space queries (the
-//!   warehouse's dominant workload) skip parse, plan, and execution;
+//! * **a statement cache** ([`cache`]): one LRU entry per lexed statement
+//!   holds its plan and result, invalidated by the engine's catalog / table
+//!   generation counters — repeated public-space queries (the warehouse's
+//!   dominant workload) skip parse, plan, and execution;
 //! * a **wire protocol** ([`protocol`]) of length-prefixed binary frames
 //!   carrying SQL or BQL text out and tuple-encoded rows back, served over
 //!   TCP ([`Server::listen`]) or in process ([`Server::client`]);
@@ -63,7 +63,7 @@ pub mod service;
 pub mod session;
 
 pub use admission::{Admission, Permit};
-pub use cache::{normalize_sql, PlanCache, ResultCache, StatementKey};
+pub use cache::{normalize_sql, StatementKey};
 pub use error::{ServerError, ServerResult};
 pub use metrics::{Histogram, Metrics};
 pub use protocol::{Lang, Request, Response};

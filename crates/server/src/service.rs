@@ -7,20 +7,23 @@
 //! 2. compiles BQL to the extended SQL of the Unifying Database (§6.4);
 //! 3. intercepts the observability statements — `SHOW STATS`,
 //!    `SHOW METRICS` (Prometheus text), `SHOW SLOW QUERIES`, `SHOW TRACE`;
-//! 4. keeps transactions per session: `BEGIN`/`COMMIT`/`ROLLBACK` are
-//!    recognised by [`unidb::sql::statement_kind`], whatever their comments or
-//!    case — the same classifier that tells reads from writes;
-//! 5. routes an autocommit `SELECT` through the plan + result caches and every
-//!    other statement through [`Database::execute_in`] with the session's
-//!    transaction passed explicitly — never through an entry that consults
-//!    the engine's database-wide ambient transaction. The engine's generation
-//!    counters invalidate cached state.
+//! 4. lexes the text once; the tokens route the statement
+//!    ([`unidb::sql::statement_kind`]: reads, writes, `SHOW`,
+//!    `BEGIN`/`COMMIT`/`ROLLBACK`, whatever their comments or case), render
+//!    its cache key and fingerprint ([`unidb::sql::render`]) and feed the
+//!    parser. Text that does not lex fails with `Parse` before any check;
+//! 5. keeps transactions per session, and routes an autocommit `SELECT`
+//!    through the statement cache and every other statement through
+//!    [`Database::run_stmt`] with the session's transaction passed explicitly
+//!    — never through an entry that consults the engine's database-wide
+//!    ambient transaction. The engine's generation counters invalidate
+//!    cached state.
 //!
 //! Both `SHOW STATS` and `SHOW METRICS` render the same
 //! [`genalg_obs::Snapshot`], built in one place ([`QueryService::snapshot`]); the
 //! two surfaces can never disagree about a value.
 
-use crate::cache::{normalize_sql, PlanCache, ResultCache, StatementKey};
+use crate::cache::{Lookup, StatementCache, StatementKey, CACHE_CAPACITY};
 use crate::error::{ServerError, ServerResult};
 use crate::metrics::Metrics;
 use crate::protocol::Lang;
@@ -30,12 +33,12 @@ use genalg_obs::{
     MetricRing, Snapshot, DEFAULT_HISTORY_SLOTS,
 };
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unidb::sql::lexer::{lex, Token};
-use unidb::sql::{statement_kind, StmtKind};
-use unidb::{Database, Datum, DbError, ResultSet};
+use unidb::sql::{lex, parse_tokens, render, statement_kind, StmtKind, Token};
+use unidb::{Database, Datum, DbError, Prepared, ResultSet};
 
 /// Distinct query shapes the workload registry tracks before overflowing.
 const FINGERPRINT_CAPACITY: usize = 256;
@@ -55,11 +58,8 @@ pub struct ServerConfig {
     /// Callers allowed to wait for a permit; the caller after that bounces
     /// with `Busy`. `workers + queue_capacity` bounds statements in flight.
     pub queue_capacity: usize,
-    /// Prepared-plan LRU capacity.
-    pub plan_cache_size: usize,
-    /// Result LRU capacity.
-    pub result_cache_size: usize,
-    /// Master switch for both caches (off = every query plans + executes).
+    /// Master switch for the statement cache (off = every query plans +
+    /// executes).
     pub caches_enabled: bool,
     /// Statements at or above this latency land in the slow-query log.
     pub slow_query_threshold_us: u64,
@@ -83,8 +83,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 8,
             queue_capacity: 64,
-            plan_cache_size: 256,
-            result_cache_size: 256,
             caches_enabled: true,
             slow_query_threshold_us: 100_000,
             slow_query_capacity: 32,
@@ -110,8 +108,6 @@ impl ServerConfig {
     /// |---|---|
     /// | `GENALG_WORKERS` | `workers` (min 1) |
     /// | `GENALG_QUEUE_CAPACITY` | `queue_capacity` (min 1) |
-    /// | `GENALG_PLAN_CACHE_SIZE` | `plan_cache_size` |
-    /// | `GENALG_RESULT_CACHE_SIZE` | `result_cache_size` |
     /// | `GENALG_CACHES` | `caches_enabled` (`0` disables) |
     /// | `GENALG_SLOW_QUERY_US` | `slow_query_threshold_us` |
     /// | `GENALG_SLOW_QUERY_CAPACITY` | `slow_query_capacity` |
@@ -129,12 +125,6 @@ impl ServerConfig {
         }
         if let Some(v) = env::<usize>("GENALG_QUEUE_CAPACITY") {
             self.queue_capacity = v.max(1);
-        }
-        if let Some(v) = env("GENALG_PLAN_CACHE_SIZE") {
-            self.plan_cache_size = v;
-        }
-        if let Some(v) = env("GENALG_RESULT_CACHE_SIZE") {
-            self.result_cache_size = v;
         }
         if let Some(v) = env::<u8>("GENALG_CACHES") {
             self.caches_enabled = v != 0;
@@ -158,8 +148,8 @@ impl ServerConfig {
 /// One statement captured by the slow-query log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowQuery {
-    /// Normalized statement text (lowercased, whitespace-collapsed) — the
-    /// cache key, so repeats of the same shape are recognizable.
+    /// The statement's cache key (rendered tokens: lowercased,
+    /// single-spaced, comments dropped), so repeats are recognizable.
     pub sql: String,
     /// End-to-end service latency (admission excluded), microseconds.
     pub latency_us: u64,
@@ -202,7 +192,7 @@ impl SlowQueryLog {
 struct QueryPath {
     /// The plan a cached read executed; its label is rendered only if the
     /// statement turns out slow.
-    plan: Option<Arc<unidb::Prepared>>,
+    plan: Option<Arc<Prepared>>,
     cache: CacheTier,
 }
 
@@ -210,8 +200,7 @@ struct QueryPath {
 pub struct QueryService {
     db: Arc<Database>,
     sessions: SessionManager,
-    plan_cache: PlanCache,
-    result_cache: ResultCache,
+    cache: StatementCache,
     metrics: Arc<Metrics>,
     caches_enabled: bool,
     slow_threshold_us: u64,
@@ -237,8 +226,7 @@ impl QueryService {
         QueryService {
             db,
             sessions: SessionManager::new(Arc::clone(&metrics)),
-            plan_cache: PlanCache::new(config.plan_cache_size),
-            result_cache: ResultCache::new(config.result_cache_size),
+            cache: StatementCache::new(CACHE_CAPACITY),
             metrics,
             caches_enabled: config.caches_enabled,
             slow_threshold_us: config.slow_query_threshold_us,
@@ -509,18 +497,37 @@ impl QueryService {
         self.maybe_reap(session);
         let tracer = genalg_obs::tracer();
         let sql = match lang {
-            Lang::Sql => text.to_string(),
+            Lang::Sql => Cow::Borrowed(text),
             Lang::Bql => {
                 let _span = tracer.span("server.parse_bql");
-                genalg_bql::parse(text)
-                    .and_then(|q| q.to_sql())
-                    .map_err(|e| ServerError::Bql(e.to_string()))?
+                let sql = genalg_bql::parse(text).and_then(|q| q.to_sql());
+                Cow::Owned(sql.map_err(|e| ServerError::Bql(e.to_string()))?)
             }
         };
-        let (stmt, head) = statement_kind(&sql);
+        // The statement's one lex: routing, cache key, fingerprint and
+        // parse all read these tokens.
+        let tokens = match lex(&sql) {
+            Ok(tokens) => tokens,
+            Err(e) => {
+                // Still a statement on the query path: counted once, as an
+                // error, under its raw text.
+                self.fingerprints.record(&Execution {
+                    normalized: &sql,
+                    latency_us: 0,
+                    ok: false,
+                    tier: CacheTier::Bypass,
+                    rows_out: 0,
+                    pages_read: 0,
+                    pages_skipped: 0,
+                    queue_wait_us,
+                });
+                return Err(e.into());
+            }
+        };
+        let stmt = statement_kind(&tokens);
+        let (key, fingerprint) = render(&tokens);
         if stmt == StmtKind::Show {
-            let show = show_words(&sql);
-            match show.as_str() {
+            match key.as_str() {
                 "show stats" => return Ok(self.stats_result()),
                 "show metrics" => return Ok(self.metrics_result()),
                 "show slow queries" => return Ok(self.slow_queries_result()),
@@ -529,16 +536,10 @@ impl QueryService {
                 "show plan changes" => return Ok(self.plan_changes_result()),
                 _ => {}
             }
-            if let Some(rest) = show.strip_prefix("show history") {
-                return self.history_result(rest.trim());
+            if let Some(metric) = key.strip_prefix("show history") {
+                return self.history_result(metric.trim());
             }
         }
-        // `normalize_sql` does not know comments: an apostrophe in one opens
-        // a string it would not case-fold past. So the key starts after the
-        // leading comments, and a statement with a comment further on is
-        // never cached.
-        let normalized = normalize_sql(head);
-        let cacheable = stmt == StmtKind::Select && self.caches_enabled && !head.contains("--");
         // The speaking session's reaping stays lazy and inline: the
         // deadline is checked when it next speaks. An expired transaction
         // is rolled back and the statement that found it fails, so the
@@ -592,19 +593,22 @@ impl QueryService {
         let pages_before = (self.db.scan_pages_read(), self.db.scan_pages_skipped());
         let start = Instant::now();
         let txn = self.sessions.txn(session).map(|txn| txn.id);
-        let result = if txn.is_none() && cacheable {
-            self.execute_cached(&sql, normalized.clone(), &role, &mut path, span.id())
+        let result = if txn.is_none() && stmt == StmtKind::Select && self.caches_enabled {
+            let key =
+                StatementKey { normalized_sql: key.clone(), space: role.default_space().into() };
+            self.execute_cached(tokens, key, &fingerprint, &role, &mut path, span.id())
         } else {
-            // A write, EXPLAIN, an uncacheable read, or a statement inside
-            // the session's transaction (where a cached latest-state result
-            // would violate snapshot isolation).
+            // A write, EXPLAIN, a read with the cache off, or a statement
+            // inside the session's transaction (where a cached latest-state
+            // result would violate snapshot isolation).
             let _exec = tracer.span_with_parent("server.execute", span.id());
-            let outcome = self.db.execute_in(txn, &sql, &role).map_err(ServerError::Db);
+            let outcome =
+                parse_tokens(tokens).and_then(|parsed| self.db.run_stmt(txn, parsed, &role));
             if txn.is_some() {
                 path.cache = CacheTier::Txn;
                 self.sessions.touch_txn(session);
             }
-            outcome
+            outcome.map_err(ServerError::Db)
         };
         let elapsed = start.elapsed();
         let hist = if is_read { &self.metrics.read_latency } else { &self.metrics.write_latency };
@@ -617,7 +621,7 @@ impl QueryService {
             Err(_) => 0,
         };
         self.fingerprints.record(&Execution {
-            normalized: &normalized,
+            normalized: &fingerprint,
             latency_us,
             ok: result.is_ok(),
             tier: path.cache,
@@ -628,8 +632,8 @@ impl QueryService {
         });
         if result.is_ok() && latency_us >= self.slow_threshold_us {
             self.slow_log.record(SlowQuery {
-                plan: path.plan.map_or_else(|| statement_tag(&normalized), |p| p.root_label()),
-                sql: normalized,
+                plan: path.plan.map_or_else(|| statement_tag(&key), |p| p.root_label()),
+                sql: key,
                 latency_us,
                 role: kind_label(&kind),
                 cache: path.cache.label(),
@@ -638,48 +642,51 @@ impl QueryService {
         result
     }
 
-    /// An autocommit `SELECT`, through the result and plan caches.
+    /// An autocommit `SELECT`, through the statement cache: one probe, and a
+    /// parse only when a plan must be built.
     fn execute_cached(
         &self,
-        sql: &str,
-        normalized: String,
+        tokens: Vec<Token>,
+        key: StatementKey,
+        fingerprint: &str,
         role: &unidb::Role,
         path: &mut QueryPath,
         parent: u64,
     ) -> ServerResult<ResultSet> {
         let tracer = genalg_obs::tracer();
-        let key = StatementKey { normalized_sql: normalized, space: role.default_space().into() };
-        let catalog_gen = self.db.catalog_generation();
-        let lookup = tracer.span_with_parent("server.cache_lookup", parent);
-        if let Some(cached) =
-            self.result_cache.get(&key, catalog_gen, |ids| self.db.table_versions(ids))
-        {
-            self.metrics.result_cache_hits.fetch_add(1, Ordering::Relaxed);
-            path.cache = CacheTier::Result;
-            return Ok((*cached).clone());
-        }
-        drop(lookup);
+        let lookup = {
+            let _span = tracer.span_with_parent("server.cache_lookup", parent);
+            let catalog_gen = self.db.catalog_generation();
+            self.cache.lookup(&key, catalog_gen, |ids| self.db.table_versions(ids))
+        };
+        let mut cached_plan = match lookup {
+            Lookup::Result(rs) => {
+                self.metrics.result_cache_hits.fetch_add(1, Ordering::Relaxed);
+                path.cache = CacheTier::Result;
+                return Ok((*rs).clone());
+            }
+            Lookup::Plan(plan) => {
+                self.metrics.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+                path.cache = CacheTier::Plan;
+                Some(plan)
+            }
+            Lookup::Miss => None,
+        };
         self.metrics.result_cache_misses.fetch_add(1, Ordering::Relaxed);
-
+        let (mut tokens, mut stmt) = (Some(tokens), None);
         // Two attempts: a plan can go stale between lookup and execution if
         // DDL slips in; re-prepare once and retry before giving up.
         for attempt in 0..2 {
-            let catalog_gen = self.db.catalog_generation();
-            let plan = match self.plan_cache.get(&key, catalog_gen) {
-                Some(plan) => {
-                    self.metrics.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    path.cache = CacheTier::Plan;
-                    plan
-                }
+            let plan = match cached_plan.take() {
+                Some(plan) => plan,
                 None => {
                     self.metrics.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
                     path.cache = CacheTier::Miss;
-                    let plan = {
-                        let _span = tracer.span_with_parent("server.plan", parent);
-                        Arc::new(self.db.prepare_as(sql, role)?)
-                    };
-                    self.plan_cache.insert(key.clone(), Arc::clone(&plan));
-                    plan
+                    let _span = tracer.span_with_parent("server.plan", parent);
+                    if let Some(tokens) = tokens.take() {
+                        stmt = Some(parse_tokens(tokens)?);
+                    }
+                    Arc::new(self.db.prepare_stmt(stmt.as_ref().expect("parsed above"), role)?)
                 }
             };
             path.plan = Some(Arc::clone(&plan));
@@ -688,7 +695,7 @@ impl QueryService {
             // carries the access path, not the root label — an index
             // swapping in under an unchanged root is the interesting case.
             self.fingerprints.observe_plan(
-                &key.normalized_sql,
+                fingerprint,
                 plan.plan_hash(),
                 &plan.access_label(),
                 plan.estimated_rows(),
@@ -705,17 +712,15 @@ impl QueryService {
             match outcome {
                 Ok(rs) => {
                     let _span = tracer.span_with_parent("server.cache_fill", parent);
-                    self.result_cache.insert(
-                        key,
-                        Arc::new(rs.clone()),
-                        plan.table_ids().to_vec(),
-                        versions,
-                        plan.catalog_generation(),
-                    );
+                    self.cache.store(key, plan, Some((Arc::new(rs.clone()), versions)));
                     return Ok(rs);
                 }
                 Err(DbError::Stale(_)) if attempt == 0 => continue,
-                Err(e) => return Err(ServerError::Db(e)),
+                Err(e) => {
+                    // The plan stands even when its execution failed.
+                    self.cache.store(key, plan, None);
+                    return Err(ServerError::Db(e));
+                }
             }
         }
         unreachable!("second attempt either returns or errors")
@@ -733,10 +738,11 @@ impl QueryService {
         s.counter("pool_hits", pool_hits);
         s.counter("pool_misses", pool_misses);
         s.counter("pool_evictions", pool_evictions);
-        s.gauge("cache_plan_entries", self.plan_cache.len() as u64);
-        s.gauge("cache_plan_bytes", self.plan_cache.bytes() as u64);
-        s.gauge("cache_result_entries", self.result_cache.len() as u64);
-        s.gauge("cache_result_bytes", self.result_cache.bytes() as u64);
+        let (entries, results, plan_bytes, result_bytes) = self.cache.sizes();
+        s.gauge("cache_plan_entries", entries as u64);
+        s.gauge("cache_plan_bytes", plan_bytes as u64);
+        s.gauge("cache_result_entries", results as u64);
+        s.gauge("cache_result_bytes", result_bytes as u64);
         s.gauge("exec_parallelism", self.db.parallelism() as u64);
         s.counter("exec_scan_pages_read", self.db.scan_pages_read());
         s.counter("exec_scan_pages_skipped", self.db.scan_pages_skipped());
@@ -971,14 +977,6 @@ impl QueryService {
 
 pub(crate) fn empty_result() -> ResultSet {
     ResultSet { columns: Vec::new(), rows: Vec::new(), affected: 0, explain: None }
-}
-
-/// A `SHOW` statement's words, lower-cased and space-separated, with
-/// comments and semicolons dropped; empty when the text does not lex.
-fn show_words(sql: &str) -> String {
-    let tokens = lex(sql).unwrap_or_default();
-    let words = tokens.iter().filter(|t| **t != Token::Semicolon).map(|t| t.to_string());
-    words.collect::<Vec<_>>().join(" ").to_lowercase()
 }
 
 /// Coarse statement tag for slow-log entries that never reach the planner

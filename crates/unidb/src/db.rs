@@ -442,21 +442,10 @@ impl Database {
     ///
     /// `BEGIN` opens the ambient transaction; until `COMMIT` or `ROLLBACK`,
     /// statements through this entry run inside it. Anything but transaction
-    /// control is [`Database::execute_in`] with the ambient transaction, if
+    /// control is [`Database::run_stmt`] with the ambient transaction, if
     /// one is open.
     pub fn execute_as(&self, sql: &str, role: &Role) -> DbResult<ResultSet> {
         self.dispatch_stmt(parse(sql)?, role)
-    }
-
-    /// Execute one statement inside transaction `txn`, or — `None` — as a
-    /// transaction of its own (autocommit). This is the entry for callers
-    /// that own their transactions (the server's sessions,
-    /// [`crate::txn::Transaction`] handles): the ambient slot is never
-    /// consulted, and `BEGIN`/`COMMIT`/`ROLLBACK` are rejected with
-    /// [`DbError::Txn`] — those callers use [`Database::txn_begin`],
-    /// [`Database::txn_commit`] and [`Database::txn_rollback`].
-    pub fn execute_in(&self, txn: Option<u64>, sql: &str, role: &Role) -> DbResult<ResultSet> {
-        self.run_stmt(txn, parse(sql)?, role)
     }
 
     /// Transaction control drives the ambient slot; every other statement
@@ -496,8 +485,13 @@ impl Database {
         }
     }
 
-    /// The one statement routine. Every statement runs in a transaction,
-    /// through [`run_txn_stmt`] against a [`ReadView`]: in `txn`, or — `None`,
+    /// The one statement routine, and the entry for callers that own their
+    /// transactions (the server's sessions, [`crate::txn::Transaction`]
+    /// handles): the ambient slot is never consulted, and
+    /// `BEGIN`/`COMMIT`/`ROLLBACK` are rejected with [`DbError::Txn`] — those
+    /// callers use [`Database::txn_begin`], [`Database::txn_commit`] and
+    /// [`Database::txn_rollback`]. Every statement runs in a transaction,
+    /// through `run_txn_stmt` against a `ReadView`: in `txn`, or — `None`,
     /// autocommit — in one of its own, pinned at the newest commit and
     /// committed on the spot if it wrote. An autocommit transaction is never
     /// registered with the transaction manager: it cannot conflict, and the
@@ -510,12 +504,7 @@ impl Database {
     /// versions) beneath it and a statement that fails has written nothing,
     /// to the heap or to the WAL buffer. DDL holds the write lock and is
     /// autocommit only.
-    pub(crate) fn run_stmt(
-        &self,
-        txn: Option<u64>,
-        stmt: Stmt,
-        role: &Role,
-    ) -> DbResult<ResultSet> {
+    pub fn run_stmt(&self, txn: Option<u64>, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
         match (stmt, txn) {
             (Stmt::Begin | Stmt::Commit | Stmt::Rollback, _) => Err(DbError::Txn(
                 "BEGIN/COMMIT/ROLLBACK go through the session or handle that owns the \
@@ -558,13 +547,17 @@ impl Database {
     /// [`Database::prepare`] with an explicit role (the role determines the
     /// default space used to resolve unqualified table names).
     pub fn prepare_as(&self, sql: &str, role: &Role) -> DbResult<Prepared> {
-        let stmt = parse(sql)?;
+        self.prepare_stmt(&parse(sql)?, role)
+    }
+
+    /// [`Database::prepare_as`] for a statement already parsed.
+    pub fn prepare_stmt(&self, stmt: &Stmt, role: &Role) -> DbResult<Prepared> {
         let Stmt::Select(s) = stmt else {
             return Err(DbError::Unsupported("only SELECT can be prepared".into()));
         };
         let inner = self.inner.read();
         let view = inner.latest();
-        let (plan, columns) = plan_select(&view, role.default_space(), &s)?;
+        let (plan, columns) = plan_select(&view, role.default_space(), s)?;
         let table_ids = plan.table_ids();
         // One rendering of the literal-elided tree serves the hash, the
         // access label (its deepest line) and the size estimate.

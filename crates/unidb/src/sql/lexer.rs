@@ -1,7 +1,7 @@
 //! SQL tokenizer.
 
 use crate::error::{DbError, DbResult};
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,6 +35,29 @@ impl Token {
     pub fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Word(w) if w.eq_ignore_ascii_case(kw))
     }
+
+    /// A punctuation token's text; empty for words and literals.
+    fn symbol(&self) -> &'static str {
+        match self {
+            Token::Word(_) | Token::Int(_) | Token::Float(_) | Token::Str(_) => "",
+            Token::Comma => ",",
+            Token::LParen => "(",
+            Token::RParen => ")",
+            Token::Dot => ".",
+            Token::Star => "*",
+            Token::Semicolon => ";",
+            Token::Eq => "=",
+            Token::NotEq => "<>",
+            Token::Lt => "<",
+            Token::LtEq => "<=",
+            Token::Gt => ">",
+            Token::GtEq => ">=",
+            Token::Plus => "+",
+            Token::Minus => "-",
+            Token::Slash => "/",
+            Token::Percent => "%",
+        }
+    }
 }
 
 impl fmt::Display for Token {
@@ -44,29 +67,84 @@ impl fmt::Display for Token {
             Token::Int(i) => write!(f, "{i}"),
             Token::Float(x) => write!(f, "{x}"),
             Token::Str(s) => write!(f, "'{s}'"),
-            Token::Comma => f.write_str(","),
-            Token::LParen => f.write_str("("),
-            Token::RParen => f.write_str(")"),
-            Token::Dot => f.write_str("."),
-            Token::Star => f.write_str("*"),
-            Token::Semicolon => f.write_str(";"),
-            Token::Eq => f.write_str("="),
-            Token::NotEq => f.write_str("<>"),
-            Token::Lt => f.write_str("<"),
-            Token::LtEq => f.write_str("<="),
-            Token::Gt => f.write_str(">"),
-            Token::GtEq => f.write_str(">="),
-            Token::Plus => f.write_str("+"),
-            Token::Minus => f.write_str("-"),
-            Token::Slash => f.write_str("/"),
-            Token::Percent => f.write_str("%"),
+            punct => f.write_str(punct.symbol()),
         }
     }
 }
 
+/// Words that terminate expressions/aliases and may not be identifiers.
+const RESERVED: &[&str] = &[
+    "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT", "OFFSET", "AS", "JOIN",
+    "INNER", "LEFT", "OUTER", "CROSS", "ON", "AND", "OR", "NOT", "SET", "VALUES", "ASC", "DESC",
+    "IS", "IN", "BETWEEN", "LIKE", "ESCAPE", "DISTINCT", "INSERT", "INTO", "UPDATE", "DELETE",
+    "CREATE", "DROP", "TABLE", "INDEX", "UNIQUE", "SPACE", "NULL", "TRUE", "FALSE", "BEGIN",
+    "COMMIT", "ROLLBACK", "EXPLAIN",
+];
+
+pub(crate) fn is_reserved(word: &str) -> bool {
+    RESERVED.iter().any(|r| word.eq_ignore_ascii_case(r))
+}
+
+/// Render a statement's tokens twice in one walk: as its cache key, and as
+/// its fingerprint (the key with every literal replaced by `?`). Words are
+/// lower-cased, trailing semicolons dropped, and tokens single-spaced except
+/// around `.`, inside parentheses, before `,` and between a function name
+/// and its `(` — so `SELECT  Name FROM public.genes WHERE id=2;` renders
+/// `select name from public.genes where id = 2`. Literals keep their type in
+/// the key (`1`, `1.0` and `'1'` differ) and lexing a key gives back its
+/// tokens, so two token streams never share a key.
+pub fn render(tokens: &[Token]) -> (String, String) {
+    let end = tokens.iter().rposition(|t| *t != Token::Semicolon).map_or(0, |i| i + 1);
+    let mut key = String::with_capacity(8 * end);
+    let mut fingerprint = String::with_capacity(8 * end);
+    let numeric = |t: &Token| matches!(t, Token::Int(_) | Token::Float(_));
+    for (i, tok) in tokens[..end].iter().enumerate() {
+        let glued = i == 0 || {
+            let prev = &tokens[i - 1];
+            matches!(tok, Token::Comma | Token::RParen)
+                || *prev == Token::LParen
+                || (*prev == Token::Dot && !numeric(tok))
+                || (*tok == Token::Dot && !numeric(prev))
+                || (*tok == Token::LParen && matches!(prev, Token::Word(w) if !is_reserved(w)))
+        };
+        if !glued {
+            key.push(' ');
+            fingerprint.push(' ');
+        }
+        let start = key.len();
+        match tok {
+            Token::Word(w) => {
+                key.push_str(w);
+                key[start..].make_ascii_lowercase();
+            }
+            Token::Int(i) => {
+                let _ = write!(key, "{i}");
+            }
+            // `{:?}` keeps the point or exponent; an overflowed literal would
+            // print as `inf`, which lexes as a word.
+            Token::Float(x) if x.is_finite() => {
+                let _ = write!(key, "{x:?}");
+            }
+            Token::Float(_) => key.push_str("1e999"),
+            Token::Str(s) => {
+                key.push('\'');
+                for (i, part) in s.split('\'').enumerate() {
+                    key.push_str(if i == 0 { "" } else { "''" });
+                    key.push_str(part);
+                }
+                key.push('\'');
+            }
+            punct => key.push_str(punct.symbol()),
+        }
+        let literal = matches!(tok, Token::Int(_) | Token::Float(_) | Token::Str(_));
+        fingerprint.push_str(if literal { "?" } else { &key[start..] });
+    }
+    (key, fingerprint)
+}
+
 /// The first byte at or after `i` that is neither whitespace nor part of a
 /// `--` line comment: where the next token starts.
-pub(crate) fn skip_trivia(bytes: &[u8], mut i: usize) -> usize {
+fn skip_trivia(bytes: &[u8], mut i: usize) -> usize {
     loop {
         match bytes.get(i) {
             Some(&b) if (b as char).is_whitespace() => i += 1,
@@ -78,11 +156,6 @@ pub(crate) fn skip_trivia(bytes: &[u8], mut i: usize) -> usize {
             _ => return i,
         }
     }
-}
-
-/// Length of the identifier-or-keyword characters `bytes` starts with.
-pub(crate) fn word_len(bytes: &[u8]) -> usize {
-    bytes.iter().take_while(|b| b.is_ascii_alphanumeric() || **b == b'_').count()
 }
 
 /// Tokenize SQL text. String literals use single quotes with `''` escaping;
@@ -229,7 +302,10 @@ pub fn lex(input: &str) -> DbResult<Vec<Token>> {
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let len = word_len(&bytes[i..]);
+                let len = bytes[i..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+                    .count();
                 tokens.push(Token::Word(input[i..i + len].to_string()));
                 i += len;
             }
@@ -316,5 +392,54 @@ mod tests {
         let toks = lex("select").unwrap();
         assert!(toks[0].is_kw("SELECT"));
         assert!(!toks[0].is_kw("FROM"));
+    }
+
+    fn fingerprint(sql: &str) -> String {
+        render(&lex(sql).unwrap()).1
+    }
+
+    #[test]
+    fn literals_collapse_but_identifiers_survive() {
+        assert_eq!(fingerprint("select v from hot where k = 17"), "select v from hot where k = ?");
+        assert_eq!(fingerprint("SELECT v FROM hot WHERE k=903;"), "select v from hot where k = ?");
+        // Digits glued to identifiers are part of the name, not a literal.
+        assert_eq!(fingerprint("select c1 from t2 where c1 = 5"), "select c1 from t2 where c1 = ?");
+        // Strings (with '' escapes), floats, and exponents all collapse.
+        assert_eq!(
+            fingerprint("select * from t where name = 'o''brien' and x > 1.5e-3"),
+            "select * from t where name = ? and x > ?"
+        );
+        assert_eq!(
+            fingerprint("INSERT INTO t VALUES (1,'a') ,(2, 'b')"),
+            "insert into t values (?, ?), (?, ?)"
+        );
+        assert_eq!(
+            fingerprint("select count ( * ), contains(s, 'AC') from public . t -- it's hot"),
+            "select count(*), contains(s, ?) from public.t"
+        );
+    }
+
+    #[test]
+    fn keys_keep_literal_types_and_lex_back_to_their_tokens() {
+        let key = |sql: &str| render(&lex(sql).unwrap()).0;
+        let twins = ["k = 1", "k = 1.0", "k = '1'", "k = NULL", "k = 'it''s'", "k = 'it'' s'"];
+        let keys: Vec<String> = twins.iter().map(|t| key(t)).collect();
+        for (i, a) in keys.iter().enumerate() {
+            assert!(keys[i + 1..].iter().all(|b| a != b), "{a} is shared");
+        }
+        assert_eq!(key("SELECT 'MiXeD' -- it's\n ;;"), "select 'MiXeD'");
+        for sql in [
+            "SELECT a.b, f(1) , - -2, 1 . 5, 1.5, t.*, 'x''y' 'z' FROM t WHERE a <= 3e300 + 1e999",
+            "select (1), x(y), in (1), a.1, 1.a, 7 . 8.5e-3 ; ; select",
+        ] {
+            let tokens = lex(sql).unwrap();
+            let end = tokens.iter().rposition(|t| *t != Token::Semicolon).unwrap() + 1;
+            let lower = |t: &Token| match t {
+                Token::Word(w) => Token::Word(w.to_ascii_lowercase()),
+                other => other.clone(),
+            };
+            let relexed = lex(&render(&tokens).0).unwrap();
+            assert_eq!(relexed, tokens[..end].iter().map(lower).collect::<Vec<_>>(), "{sql}");
+        }
     }
 }

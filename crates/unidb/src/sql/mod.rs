@@ -12,4 +12,5 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{Expr, FromClause, Join, JoinKind, Projection, SelectStmt, Stmt, TableRef};
-pub use parser::{parse, statement_kind, StmtKind};
+pub use lexer::{lex, render, Token};
+pub use parser::{parse, parse_tokens, statement_kind, StmtKind};

@@ -20,20 +20,15 @@
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
 use crate::sql::ast::*;
-use crate::sql::lexer::{lex, skip_trivia, word_len, Token};
-
-/// Words that terminate expressions/aliases and may not be identifiers.
-const RESERVED: &[&str] = &[
-    "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT", "OFFSET", "AS", "JOIN",
-    "INNER", "LEFT", "OUTER", "CROSS", "ON", "AND", "OR", "NOT", "SET", "VALUES", "ASC", "DESC",
-    "IS", "IN", "BETWEEN", "LIKE", "ESCAPE", "DISTINCT", "INSERT", "INTO", "UPDATE", "DELETE",
-    "CREATE", "DROP", "TABLE", "INDEX", "UNIQUE", "SPACE", "NULL", "TRUE", "FALSE", "BEGIN",
-    "COMMIT", "ROLLBACK", "EXPLAIN",
-];
+use crate::sql::lexer::{is_reserved, lex, Token};
 
 /// Parse a single SQL statement.
 pub fn parse(sql: &str) -> DbResult<Stmt> {
-    let tokens = lex(sql)?;
+    parse_tokens(lex(sql)?)
+}
+
+/// Parse a single statement from tokens [`lex`] already produced.
+pub fn parse_tokens(tokens: Vec<Token>) -> DbResult<Stmt> {
     let mut p = Parser { tokens, pos: 0 };
     let stmt = p.parse_stmt()?;
     p.eat_semicolons();
@@ -78,26 +73,22 @@ impl StmtKind {
     }
 }
 
-/// Classify `sql` by its first word, found by skipping whitespace and `--`
-/// comments exactly as the lexer does; keyword case is ignored. `BEGIN`,
-/// `COMMIT` and `ROLLBACK` count only as the whole statement (trailing
-/// semicolons and comments allowed) — followed by anything else they are a
-/// `Write` the parser will reject. Also returns the text from that first
-/// word on: the statement without its leading comments.
-pub fn statement_kind(sql: &str) -> (StmtKind, &str) {
-    let head = &sql[skip_trivia(sql.as_bytes(), 0)..];
-    let (word, rest) = head.split_at(word_len(head.as_bytes()));
-    let alone = || lex(rest).is_ok_and(|t| t.iter().all(|t| *t == Token::Semicolon));
-    let kind = match word.to_ascii_uppercase().as_str() {
+/// Classify a statement by its first token; keyword case is ignored.
+/// `BEGIN`, `COMMIT` and `ROLLBACK` count only when nothing but semicolons
+/// follows them — followed by anything else they are a `Write` the parser
+/// will reject.
+pub fn statement_kind(tokens: &[Token]) -> StmtKind {
+    let Some((Token::Word(word), rest)) = tokens.split_first() else { return StmtKind::Write };
+    let alone = rest.iter().all(|t| *t == Token::Semicolon);
+    match word.to_ascii_uppercase().as_str() {
         "SELECT" => StmtKind::Select,
         "EXPLAIN" => StmtKind::Explain,
         "SHOW" => StmtKind::Show,
-        "BEGIN" if alone() => StmtKind::Begin,
-        "COMMIT" if alone() => StmtKind::Commit,
-        "ROLLBACK" if alone() => StmtKind::Rollback,
+        "BEGIN" if alone => StmtKind::Begin,
+        "COMMIT" if alone => StmtKind::Commit,
+        "ROLLBACK" if alone => StmtKind::Rollback,
         _ => StmtKind::Write,
-    };
-    (kind, head)
+    }
 }
 
 struct Parser {
@@ -167,7 +158,7 @@ impl Parser {
     /// A non-reserved identifier.
     fn ident(&mut self) -> DbResult<String> {
         match self.peek() {
-            Some(Token::Word(w)) if !RESERVED.iter().any(|r| w.eq_ignore_ascii_case(r)) => {
+            Some(Token::Word(w)) if !is_reserved(w) => {
                 let w = w.clone();
                 self.pos += 1;
                 Ok(w)
@@ -382,8 +373,8 @@ impl Parser {
             return Ok(Projection::Star);
         }
         let expr = self.parse_expr()?;
-        let aliasable = self.eat_kw("AS")
-            || matches!(self.peek(), Some(Token::Word(w)) if !RESERVED.iter().any(|r| w.eq_ignore_ascii_case(r)));
+        let aliasable =
+            self.eat_kw("AS") || matches!(self.peek(), Some(Token::Word(w)) if !is_reserved(w));
         let alias = if aliasable { Some(self.ident()?) } else { None };
         Ok(Projection::Expr { expr, alias })
     }
@@ -430,8 +421,8 @@ impl Parser {
 
     fn parse_table_ref(&mut self) -> DbResult<TableRef> {
         let name = self.table_name()?;
-        let aliasable = self.eat_kw("AS")
-            || matches!(self.peek(), Some(Token::Word(w)) if !RESERVED.iter().any(|r| w.eq_ignore_ascii_case(r)));
+        let aliasable =
+            self.eat_kw("AS") || matches!(self.peek(), Some(Token::Word(w)) if !is_reserved(w));
         let alias = if aliasable { Some(self.ident()?) } else { None };
         Ok(TableRef { name, alias })
     }
@@ -612,7 +603,7 @@ impl Parser {
                     self.pos += 1;
                     return Ok(Expr::Literal(Datum::Bool(false)));
                 }
-                if RESERVED.iter().any(|r| w.eq_ignore_ascii_case(r)) {
+                if is_reserved(&w) {
                     return Err(DbError::Parse(format!("unexpected keyword {w}")));
                 }
                 self.pos += 1;
@@ -754,18 +745,17 @@ mod tests {
             ("\t-- a\n-- b\n explain SELECT 1", StmtKind::Explain),
             ("SHOW STATS -- x", StmtKind::Show),
             ("BEGIN x", StmtKind::Write),
-            ("COMMIT @", StmtKind::Write),
+            ("COMMIT; ROLLBACK", StmtKind::Write),
             ("beginning", StmtKind::Write),
             ("selected", StmtKind::Write),
             ("-- SELECT\nDELETE FROM t", StmtKind::Write),
             ("", StmtKind::Write),
             ("-- only a comment", StmtKind::Write),
+            ("(SELECT 1)", StmtKind::Write),
+            (" -- user's query\n SELECT 'x' -- y", StmtKind::Select),
         ] {
-            assert_eq!(statement_kind(sql).0, kind, "{sql:?}");
+            assert_eq!(statement_kind(&lex(sql).unwrap()), kind, "{sql:?}");
         }
-        let sql = " -- user's query\n SELECT 'x' -- y";
-        assert_eq!(statement_kind(sql), (StmtKind::Select, "SELECT 'x' -- y"));
-        assert_eq!(statement_kind("-- only").1, "");
         assert!(StmtKind::Explain.is_read() && !StmtKind::Show.is_read());
         let s = parse("EXPLAIN SELECT 1").unwrap();
         assert!(matches!(s, Stmt::Explain { analyze: false, .. }));

@@ -411,7 +411,7 @@ impl Database {
     /// writes buffer in the write-set. DDL and transaction control are
     /// rejected with [`DbError::Txn`].
     pub fn txn_execute_as(&self, id: u64, sql: &str, role: &Role) -> DbResult<ResultSet> {
-        self.execute_in(Some(id), sql, role)
+        self.run_stmt(Some(id), crate::sql::parse(sql)?, role)
     }
 
     /// Run `apply` under the exclusive lock, the way every commit point and

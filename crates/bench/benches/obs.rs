@@ -101,8 +101,8 @@ fn main() {
     let sql = format!("SELECT a, a + b FROM t WHERE b < {}", rows / 2);
     let tracer = genalg_obs::tracer();
 
-    // Warm the buffer pool and caches so mode ordering doesn't bias the
-    // comparison (the first measured mode would otherwise pay cold pages).
+    // Warm the caches so mode ordering doesn't bias the comparison (the
+    // first measured mode would otherwise pay cold caches).
     for _ in 0..2 {
         std::hint::black_box(db.execute(&sql).unwrap());
     }

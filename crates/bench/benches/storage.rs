@@ -9,9 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genalg::core::compact::Compact;
 use genalg::prelude::*;
 use genalg::unidb::index::btree::BTreeIndex;
-use genalg::unidb::storage::buffer::BufferPool;
 use genalg::unidb::storage::heap::HeapFile;
-use genalg::unidb::storage::store::MemStore;
 use genalg::unidb::{Database, Datum, FaultVfs};
 use std::path::Path;
 use std::sync::Arc;
@@ -71,7 +69,7 @@ fn bench_heap(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("insert_1000_small", |b| {
         b.iter(|| {
-            let mut heap = HeapFile::new(BufferPool::new(Box::new(MemStore::new()), 64));
+            let mut heap = HeapFile::default();
             for i in 0..1000u32 {
                 heap.insert(&i.to_le_bytes()).unwrap();
             }
@@ -81,7 +79,7 @@ fn bench_heap(c: &mut Criterion) {
     group.bench_function("insert_20_overflow_100kb", |b| {
         let payload = vec![7u8; 100_000];
         b.iter(|| {
-            let mut heap = HeapFile::new(BufferPool::new(Box::new(MemStore::new()), 64));
+            let mut heap = HeapFile::default();
             for _ in 0..20 {
                 heap.insert(&payload).unwrap();
             }
@@ -89,7 +87,7 @@ fn bench_heap(c: &mut Criterion) {
         })
     });
     // Scan over a prebuilt heap.
-    let mut heap = HeapFile::new(BufferPool::new(Box::new(MemStore::new()), 256));
+    let mut heap = HeapFile::default();
     for i in 0..5000u32 {
         heap.insert(&i.to_le_bytes()).unwrap();
     }

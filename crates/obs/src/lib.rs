@@ -50,8 +50,8 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
 static TRACER: OnceLock<Tracer> = OnceLock::new();
 
-/// The process-global tracer. Engine internals (WAL sync, buffer pool,
-/// planner, ETL monitors) record here without any handle plumbing; the
+/// The process-global tracer. Engine internals (WAL sync, planner, ETL
+/// monitors) record here without any handle plumbing; the
 /// server enables it via config and drains it for `SHOW TRACE`.
 ///
 /// Starts disabled unless the `GENALG_TRACE` environment variable is set

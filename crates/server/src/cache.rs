@@ -44,7 +44,7 @@ pub struct StatementKey {
 }
 
 /// A small LRU map: capacity-bounded, least-recently-*used* eviction via a
-/// logical clock (same scheme as the storage buffer pool).
+/// logical clock.
 struct Lru<K, V> {
     map: HashMap<K, (V, u64)>,
     capacity: usize,

@@ -394,9 +394,6 @@ mod tests {
             "obs_spans_dropped",
             "obs_spans_recorded",
             "obs_tracing_enabled",
-            "pool_evictions",
-            "pool_hits",
-            "pool_misses",
             "query_err",
             "query_ok",
             "query_queue_wait_count",

@@ -78,7 +78,7 @@ impl Metrics {
 
     /// Fold every counter and histogram into `snap` under its exposition
     /// name. The service layer adds engine- and process-level families
-    /// (`pool_*`, `exec_*`, `wal_*`, `etl_*`, `obs_*`) on top.
+    /// (`exec_*`, `wal_*`, `etl_*`, `obs_*`) on top.
     pub fn collect_into(&self, snap: &mut Snapshot) {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         snap.counter("query_ok", g(&self.queries_ok));

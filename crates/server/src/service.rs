@@ -727,17 +727,13 @@ impl QueryService {
     }
 
     /// The one snapshot both `SHOW STATS` and `SHOW METRICS` render: the
-    /// server's own registry plus the engine-level (`pool_*`, `exec_*`,
-    /// `wal_*`, `cache_*_entries`) and process-level (`etl_*`, `obs_*`)
+    /// server's own registry plus the engine-level (`exec_*`, `wal_*`,
+    /// `cache_*_entries`) and process-level (`etl_*`, `obs_*`)
     /// families. Public so harnesses can take phase baselines and diff
     /// them with [`Snapshot::delta_since`].
     pub fn snapshot(&self) -> Snapshot {
         let mut s = Snapshot::new();
         self.metrics.collect_into(&mut s);
-        let (pool_hits, pool_misses, pool_evictions) = self.db.pool_stats();
-        s.counter("pool_hits", pool_hits);
-        s.counter("pool_misses", pool_misses);
-        s.counter("pool_evictions", pool_evictions);
         let (entries, results, plan_bytes, result_bytes) = self.cache.sizes();
         s.gauge("cache_plan_entries", entries as u64);
         s.gauge("cache_plan_bytes", plan_bytes as u64);

@@ -44,7 +44,7 @@ fn io_faults_degrade_to_structured_errors_not_dead_workers() {
     assert!(io_errors > 0, "fault config injected nothing; test proves nothing");
 
     // A different session still gets answers while the disk is bad — reads
-    // are served from the buffer pool and caches.
+    // are served from the in-memory heaps and caches.
     let rs = client.query(reader, "SELECT count(*) FROM public.genes").unwrap();
     assert!(rs.rows[0][0].as_int().unwrap() >= 1);
 

@@ -22,10 +22,8 @@ use crate::plan::planner::{estimate_rows, plan_select, upper_bound_rows, Planner
 use crate::plan::PhysicalPlan;
 use crate::sql::ast::{Expr, Stmt};
 use crate::sql::parser::{parse, parse_many};
-use crate::storage::buffer::BufferPool;
 use crate::storage::colpage::{ColumnPage, PageZone, ZoneMaps};
 use crate::storage::heap::{HeapFile, Rid};
-use crate::storage::store::MemStore;
 use crate::storage::vfs::{StdVfs, Vfs};
 use crate::storage::wal::{read_log_prefix, WalRecord, WalWriter};
 use crate::tuple::{encode_row, Row};
@@ -86,6 +84,7 @@ pub struct WalStats {
     pub sync_failures: u64,
 }
 
+#[derive(Default)]
 pub(crate) struct TableStorage {
     pub(crate) heap: HeapFile,
     pub(crate) btrees: HashMap<String, BTreeIndex>,
@@ -122,20 +121,6 @@ pub(crate) struct OldVersion {
     pub(crate) died: u64,
 }
 
-impl TableStorage {
-    fn new(buffer_capacity: usize) -> Self {
-        TableStorage {
-            heap: HeapFile::new(BufferPool::new(Box::new(MemStore::new()), buffer_capacity)),
-            btrees: HashMap::new(),
-            udis: HashMap::new(),
-            born: HashMap::new(),
-            old_versions: Vec::new(),
-            zones: ZoneMaps::default(),
-            col_cache: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
 pub(crate) struct Inner {
     pub(crate) catalog: Catalog,
     pub(crate) tables: HashMap<u32, TableStorage>,
@@ -149,7 +134,6 @@ pub(crate) struct Inner {
     /// [`WalRecord::Epoch`]; mismatch marks a stale pre-checkpoint log.
     epoch: u64,
     replaying: bool,
-    buffer_capacity: usize,
     /// Per-table version stamp: the commit timestamp of the last statement
     /// or transaction that changed the table. Cache layers (e.g. the
     /// server's result cache) compare snapshots of these to decide whether
@@ -281,9 +265,9 @@ impl Prepared {
 ///
 /// Reads run concurrently: SELECT/EXPLAIN, and every statement inside a
 /// transaction, take a shared (read) lock on the engine, so any number of
-/// sessions can scan and join at once — page-level synchronization happens
-/// inside each table's buffer pool. Autocommit DML, DDL and `COMMIT` take
-/// the exclusive (write) lock.
+/// sessions can scan and join at once, borrowing heap pages directly with
+/// no page latch. Autocommit DML, DDL and `COMMIT` take the exclusive
+/// (write) lock.
 pub struct Database {
     pub(crate) inner: RwLock<Inner>,
     /// Transaction manager: ids, snapshots, write-sets, counters. Lives
@@ -309,7 +293,6 @@ impl Database {
                 vfs: Arc::new(StdVfs),
                 epoch: 0,
                 replaying: false,
-                buffer_capacity: 256,
                 table_gens: HashMap::new(),
                 catalog_gen: 0,
                 parallelism: default_parallelism(),
@@ -733,20 +716,6 @@ impl Database {
         })
     }
 
-    /// Aggregated buffer-pool counters `(hits, misses, evictions)` across
-    /// every table's pool.
-    pub fn pool_stats(&self) -> (u64, u64, u64) {
-        let inner = self.inner.read();
-        let mut total = (0, 0, 0);
-        for t in inner.tables.values() {
-            let (h, m, e) = t.heap.pool_stats();
-            total.0 += h;
-            total.1 += m;
-            total.2 += e;
-        }
-        total
-    }
-
     /// Execute a semicolon-separated script, returning each statement's result.
     pub fn execute_script(&self, sql: &str) -> DbResult<Vec<ResultSet>> {
         self.execute_script_as(sql, &Role::User("user".into()))
@@ -1013,7 +982,7 @@ impl Inner {
             });
         }
         let id = self.catalog.create_table(&space, &name, defs.clone())?.id;
-        self.tables.insert(id, TableStorage::new(self.buffer_capacity));
+        self.tables.insert(id, TableStorage::default());
         self.bump_catalog();
         self.log(WalRecord::CreateTable {
             space: space.clone(),
@@ -1295,7 +1264,7 @@ impl Inner {
                     .map(|(n, ty, nullable)| ColumnDef { name: n, ty, nullable })
                     .collect();
                 let id = self.catalog.create_table(&space, &name, defs)?.id;
-                self.tables.insert(id, TableStorage::new(self.buffer_capacity));
+                self.tables.insert(id, TableStorage::default());
                 self.bump_catalog();
                 Ok(())
             }

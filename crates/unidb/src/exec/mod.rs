@@ -4,7 +4,7 @@
 //! batches from its input, so Scan→Filter→Project pipelines stream and
 //! `LIMIT` stops pulling as soon as its window is full (unless a fallible
 //! expression downstream means early exit could change which queries
-//! error — then it drains). A batch is one allocation ([`Batch`]): `width`
+//! error — then it drains). A batch is one allocation (`Batch`): `width`
 //! datums per row, row after row, read as `&[Datum]`. Scans move decoded
 //! values straight into it, filters compact it in place, projections and
 //! joins append to one buffer, and `Vec<Row>` is built once, at the root.
@@ -13,7 +13,7 @@
 //! pre-fused into [`PhysicalPlan::TopN`], whose bounded heap never holds
 //! more than `offset + n` rows.
 //!
-//! Scans decode only the columns the plan reads. [`build_iter`] hands each
+//! Scans decode only the columns the plan reads. `build_iter` hands each
 //! operator the output positions that it or its consumers read (its
 //! *need*), and a SeqScan turns its need plus its residual's columns into a
 //! [`ScanSpec`]. Unread positions stay `Datum::Null` placeholders, so rows
@@ -132,7 +132,7 @@ impl Drop for Executing<'_> {
 }
 
 /// What a scan reads of each row, built once per scan iterator by
-/// [`scan_spec`] from the columns its consumers and residual read.
+/// `scan_spec` from the columns its consumers and residual read.
 #[derive(Debug, Clone, Default)]
 pub struct ScanSpec {
     /// Columns `0..prefix` are decoded: the highest position read, plus

@@ -17,9 +17,9 @@
 //! * **Public / user space separation** — the integrated (read-only)
 //!   schema versus updatable per-user schemas (§5.1).
 //!
-//! Architecturally it is a classical single-node engine: slotted pages, a
-//! buffer pool with LRU eviction, a write-ahead log with redo recovery,
-//! heap files, B+-tree secondary indexes, a recursive-descent SQL parser, a
+//! Architecturally it is a classical single-node engine: in-memory heap
+//! files of slotted pages, a write-ahead log with redo recovery,
+//! B+-tree secondary indexes, a recursive-descent SQL parser, a
 //! rule-plus-cost optimizer, and a batched pull-based executor that compiles
 //! expressions at plan time, fuses `ORDER BY + LIMIT` into a bounded Top-N,
 //! and parallelizes scans morsel-by-morsel across worker threads.

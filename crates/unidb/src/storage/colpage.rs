@@ -1,21 +1,11 @@
 //! Columnar (column-group) pages and per-page zone maps.
 //!
-//! A columnar page is a second on-page layout next to the slotted row
-//! page: the live rows of one heap page transposed into per-column
-//! *segments*, each independently encoded as PLAIN (the row codec's
-//! tagged datums), RLE (run-length, for sorted/repetitive runs) or DICT
-//! (distinct values + 1-byte codes, for low-NDV columns). The first two
-//! bytes of the page image carry the marker `0xFFFF`, a slot count no
-//! slotted page can reach (`n_slots <= (PAGE_SIZE - 4) / 4 = 2047`), so
-//! the two kinds coexist in one page store.
-//!
-//! ```text
-//! 0..2   0xFFFF    columnar page marker (impossible slotted n_slots)
-//! 2..4   reserved  (zero)
-//! 4..    varint n_rows, varint n_cols,
-//!        then per column: tag u8 (0=PLAIN 1=RLE 2=DICT),
-//!                         varint seg_len, seg_len segment bytes
-//! ```
+//! A columnar page is a decoded alternative to the slotted row page: the
+//! live rows of one heap page transposed into per-column *segments*, each
+//! independently encoded as PLAIN (the row codec's tagged datums), RLE
+//! (run-length, for sorted/repetitive runs) or DICT (distinct values +
+//! 1-byte codes, for low-NDV columns). It exists only in memory, built on
+//! demand from a heap page and never written back.
 //!
 //! Segment bodies:
 //! - PLAIN: `n_rows` tagged datums, concatenated.
@@ -39,8 +29,7 @@
 
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
-use crate::storage::page::{Page, PAGE_SIZE};
-use crate::tuple::{put_datum, put_varint, take_datum, take_slice, take_u8, take_varint, Row};
+use crate::tuple::{put_datum, put_varint, take_datum, take_u8, take_varint, Row};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -48,16 +37,6 @@ use std::collections::HashMap;
 /// tables keep exact zones for the leading columns and simply cannot
 /// prune on the tail.
 pub const ZONE_COLS: usize = 16;
-
-/// Marker in the first two bytes of a columnar page image.
-pub const COLUMNAR_MARKER: u16 = 0xFFFF;
-
-const TAG_PLAIN: u8 = 0;
-const TAG_RLE: u8 = 1;
-const TAG_DICT: u8 = 2;
-
-/// Payload starts after the 2-byte marker + 2 reserved bytes.
-const COL_HEADER: usize = 4;
 
 // ---------------------------------------------------------------------------
 // Zone maps
@@ -446,57 +425,6 @@ impl ColumnPage {
         }
         Ok(cols.iter().flatten().count())
     }
-
-    /// Serialize into a page image. `None` when the encoded form does
-    /// not fit in [`PAGE_SIZE`] (the caller keeps the row layout).
-    pub fn to_page(&self) -> Option<Page> {
-        let mut buf = Vec::with_capacity(PAGE_SIZE);
-        buf.extend_from_slice(&COLUMNAR_MARKER.to_le_bytes());
-        buf.extend_from_slice(&[0, 0]);
-        put_varint(&mut buf, self.n_rows as u64);
-        put_varint(&mut buf, self.segs.len() as u64);
-        for seg in &self.segs {
-            buf.push(match seg.enc {
-                Encoding::Plain => TAG_PLAIN,
-                Encoding::Rle => TAG_RLE,
-                Encoding::Dict => TAG_DICT,
-            });
-            put_varint(&mut buf, seg.bytes.len() as u64);
-            buf.extend_from_slice(&seg.bytes);
-        }
-        if buf.len() > PAGE_SIZE {
-            return None;
-        }
-        buf.resize(PAGE_SIZE, 0);
-        Some(Page::from_bytes(&buf))
-    }
-
-    /// Deserialize a page image; `Ok(None)` when the page is not
-    /// columnar (a slotted row page).
-    pub fn from_page(page: &Page) -> DbResult<Option<ColumnPage>> {
-        if !page.is_columnar() {
-            return Ok(None);
-        }
-        let mut buf = &page.as_bytes()[COL_HEADER..];
-        let n_rows = take_varint(&mut buf)? as u32;
-        let n_cols = take_varint(&mut buf)? as usize;
-        if n_cols > PAGE_SIZE {
-            return Err(DbError::Storage(format!("columnar page claims {n_cols} columns")));
-        }
-        let mut segs = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            let enc = match take_u8(&mut buf)? {
-                TAG_PLAIN => Encoding::Plain,
-                TAG_RLE => Encoding::Rle,
-                TAG_DICT => Encoding::Dict,
-                other => return Err(DbError::Storage(format!("unknown segment encoding {other}"))),
-            };
-            let len = take_varint(&mut buf)? as usize;
-            let bytes = take_slice(&mut buf, len)?.to_vec();
-            segs.push(ColSegment { enc, bytes });
-        }
-        Ok(Some(ColumnPage { n_rows, segs }))
-    }
 }
 
 /// Pick the smallest of PLAIN / RLE / DICT for one column. Run and
@@ -697,27 +625,6 @@ mod tests {
                 assert_eq!(format!("{d:?}"), format!("{:?}", row[c]));
             }
         }
-    }
-
-    #[test]
-    fn page_roundtrip_and_marker_disjointness() {
-        let rs: Vec<Row> = (0..50)
-            .map(|i| vec![Datum::Int(i), Datum::Text(format!("n{}", i % 3)), Datum::Null])
-            .collect();
-        let cp = ColumnPage::build(&rs).unwrap();
-        let page = cp.to_page().unwrap();
-        assert!(page.is_columnar());
-        let back = ColumnPage::from_page(&page).unwrap().unwrap();
-        assert_eq!(back.n_rows(), 50);
-        assert_eq!(back.n_cols(), 3);
-        for c in 0..3 {
-            assert_eq!(back.decode_col(c).unwrap(), cp.decode_col(c).unwrap());
-        }
-        // A slotted page is never mistaken for columnar and vice versa.
-        let mut slotted = Page::new();
-        slotted.insert(b"row").unwrap();
-        assert!(!slotted.is_columnar());
-        assert!(ColumnPage::from_page(&slotted).unwrap().is_none());
     }
 
     #[test]

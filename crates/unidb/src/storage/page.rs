@@ -20,7 +20,6 @@ const HEADER: usize = 4;
 const SLOT: usize = 4;
 
 /// A fixed-size slotted page.
-#[derive(Clone)]
 pub struct Page {
     data: Box<[u8; PAGE_SIZE]>,
 }
@@ -37,27 +36,6 @@ impl Page {
         let mut p = Page { data: Box::new([0u8; PAGE_SIZE]) };
         p.set_free_end(PAGE_SIZE as u16);
         p
-    }
-
-    /// Reconstruct from raw bytes (e.g. read from disk).
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        assert_eq!(bytes.len(), PAGE_SIZE);
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        data.copy_from_slice(bytes);
-        Page { data }
-    }
-
-    /// The raw page image.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.data[..]
-    }
-
-    /// True when the image carries the columnar-page marker (`0xFFFF`
-    /// where a slotted page keeps its slot count — unreachable for
-    /// slotted pages, whose slot count tops out at
-    /// `(PAGE_SIZE - HEADER) / SLOT = 2047`). See `colpage`.
-    pub fn is_columnar(&self) -> bool {
-        self.data[0] == 0xFF && self.data[1] == 0xFF
     }
 
     fn n_slots(&self) -> u16 {
@@ -93,11 +71,6 @@ impl Page {
     /// Bytes available for a new record (including its slot entry).
     pub fn free_space(&self) -> usize {
         self.free_end() as usize - (HEADER + self.n_slots() as usize * SLOT)
-    }
-
-    /// Largest record this page can currently accept.
-    pub fn max_insert(&self) -> usize {
-        self.free_space().saturating_sub(SLOT)
     }
 
     /// Largest record an *empty* page can hold.
@@ -243,14 +216,6 @@ mod tests {
         assert!(!p.update_in_place(9, b"x"));
         p.delete(s);
         assert!(!p.update_in_place(s, b"x"));
-    }
-
-    #[test]
-    fn byte_roundtrip() {
-        let mut p = Page::new();
-        p.insert(b"persist me").unwrap();
-        let copy = Page::from_bytes(p.as_bytes());
-        assert_eq!(copy.get(0), Some(&b"persist me"[..]));
     }
 
     #[test]

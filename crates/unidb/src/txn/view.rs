@@ -281,7 +281,7 @@ fn column_image(
     if let Some(cp) = storage.col_cache.lock().get(&page_no) {
         return Ok(Some(Arc::clone(cp)));
     }
-    if !storage.heap.page_all_inline(page_no)? {
+    if !storage.heap.page_all_inline(page_no) {
         return Ok(None);
     }
     let Some(cp) = ColumnPage::build(&storage.page_rows(page_no)?) else { return Ok(None) };

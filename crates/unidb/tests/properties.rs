@@ -5,10 +5,8 @@ use std::collections::HashMap;
 use unidb::datum::Datum;
 use unidb::expr::eval::like_match;
 use unidb::index::btree::BTreeIndex;
-use unidb::storage::buffer::BufferPool;
 use unidb::storage::heap::{HeapFile, Rid};
 use unidb::storage::page::Page;
-use unidb::storage::store::MemStore;
 use unidb::storage::wal::{crc32, WalRecord};
 use unidb::tuple::{decode_row, encode_row};
 
@@ -108,7 +106,7 @@ proptest! {
     fn heap_model(ops in proptest::collection::vec(
         (0u8..3, proptest::collection::vec(any::<u8>(), 0..2000)), 1..60)
     ) {
-        let mut heap = HeapFile::new(BufferPool::new(Box::new(MemStore::new()), 16));
+        let mut heap = HeapFile::default();
         let mut model: HashMap<Rid, Vec<u8>> = HashMap::new();
         let mut live: Vec<Rid> = Vec::new();
         for (op, payload) in ops {

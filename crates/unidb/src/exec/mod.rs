@@ -24,10 +24,15 @@
 //! name resolution, and unknown/ambiguous column errors surface at plan
 //! time.
 //!
+//! Expressions read columns and literals in place ([`CompiledExpr::eval`]
+//! borrows them), so a filter, a join key or an aggregate argument copies
+//! nothing it only looks at.
+//!
 //! With `parallelism > 1`, SeqScan fans page-range morsels out over scoped
-//! std threads (filter and projection run inside the morsel when fused),
-//! and the pipeline breakers evaluate their keys across row chunks the
-//! same way. Workers write results back in morsel order, so the output —
+//! std threads (filter and projection run inside the morsel when fused), and
+//! Sort and the hash-join build evaluate their keys across row chunks the
+//! same way. Aggregate folds its (morsel-parallel) input on the pulling
+//! thread. Workers write results back in morsel order, so the output —
 //! including tie order everywhere — is byte-identical to a serial run; the
 //! qdiff sweep pins this by running the same seeds at parallelism 1 and 4.
 
@@ -44,6 +49,7 @@ use crate::storage::colpage::ColBound;
 use crate::storage::heap::Rid;
 use crate::tuple::Row;
 use stats::{stats_tree, OpStats, OpStatsSnapshot};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashSet};
 use std::ops::Bound;
@@ -81,6 +87,9 @@ pub trait StorageAccess: Sync {
         spec: &ScanSpec,
         on_row: &mut dyn FnMut(&mut Row) -> DbResult<()>,
     ) -> DbResult<ScanProgress>;
+    /// Pages a scan of `table_id` covers: the last page number
+    /// [`StorageAccess::scan_batches`] serves, plus one.
+    fn scan_pages(&self, table_id: u32) -> DbResult<u32>;
     /// Fetch specific rows (missing rids are skipped).
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>>;
     /// Rids with `column == key` from the B-tree index.
@@ -199,8 +208,9 @@ pub struct ScanProgress {
     pub pages_read: u32,
     /// Pages within the range the zone map refuted without reading.
     pub pages_skipped: u32,
-    /// Column segments decoded: referenced columns × pages with at least
-    /// one live row, identical on the row and columnar decode paths.
+    /// Columns read: referenced columns × pages with at least one live
+    /// row — decoded on the row path, served on the column-image path —
+    /// identical on both.
     pub segments_decoded: u64,
 }
 
@@ -297,7 +307,13 @@ impl Batch {
         self.rows -= rows;
     }
 
+    /// Add `other`'s rows after these; onto an empty batch that is a move,
+    /// not a copy.
     fn append(&mut self, mut other: Batch) {
+        if self.rows == 0 {
+            *self = other;
+            return;
+        }
         self.data.append(&mut other.data);
         self.rows += other.rows;
     }
@@ -385,6 +401,7 @@ fn build_iter<'a>(
                 project: None,
                 width: columns.len(),
                 spec,
+                pages: storage.scan_pages(*table_id)?,
                 next_page: Some(0),
                 par,
                 stats: stats.map(Arc::clone),
@@ -412,6 +429,7 @@ fn build_iter<'a>(
                 width: project.len(),
                 project: Some(project),
                 spec,
+                pages: storage.scan_pages(*table_id)?,
                 next_page: Some(0),
                 par,
                 stats: child(0).map(Arc::clone),
@@ -520,7 +538,6 @@ fn build_iter<'a>(
                 args,
                 calls: calls.to_vec(),
                 funcs,
-                par,
                 stats: stats.map(Arc::clone),
             })
         }
@@ -803,9 +820,9 @@ impl BatchIter for NothingIter {
 }
 
 /// Streaming heap scan with optional fused filter and projection. Each
-/// `next_batch` reads one morsel (serial) or one wave of `par` morsels on
-/// scoped threads, reassembled in morsel order so the row order is
-/// identical to a serial scan.
+/// `next_batch` reads one wave of up to `par` morsels, the first on the
+/// pulling thread and the rest on scoped threads, reassembled in morsel
+/// order so the row order is identical to a serial scan.
 struct SeqScanIter<'a> {
     storage: &'a dyn StorageAccess,
     table_id: u32,
@@ -818,6 +835,9 @@ struct SeqScanIter<'a> {
     /// Undecoded positions are NULL-padded, so unfused rows always have
     /// the table's width.
     spec: ScanSpec,
+    /// Pages the scan covers ([`StorageAccess::scan_pages`]): a wave runs
+    /// no morsel that would start past them.
+    pages: u32,
     next_page: Option<u32>,
     par: usize,
     /// `EXPLAIN ANALYZE` node to attribute `pages_read`, `pages_skipped`
@@ -847,7 +867,7 @@ impl SeqScanIter<'_> {
                 match &self.project {
                     Some(exprs) => {
                         for e in exprs {
-                            out.data.push(e.eval(row)?);
+                            out.data.push(e.eval(row)?.into_owned());
                         }
                     }
                     None => out.data.append(row),
@@ -871,28 +891,17 @@ impl SeqScanIter<'_> {
 impl BatchIter for SeqScanIter<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let Some(start) = self.next_page else { return Ok(None) };
-        if self.par <= 1 {
-            let (rows, progress) = self.run_morsel(start)?;
-            self.record_progress(
-                u64::from(progress.pages_read),
-                u64::from(progress.pages_skipped),
-                progress.segments_decoded,
-            );
-            self.next_page = progress.next_page;
-            return Ok(Some(rows));
-        }
         // One wave: morsel i covers pages [start + i*M, start + (i+1)*M).
         // The last morsel's continuation is the wave's continuation.
-        let mut results: Vec<DbResult<(Batch, ScanProgress)>> = Vec::new();
         let this: &SeqScanIter<'_> = self;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..this.par as u32)
-                .map(|i| {
-                    let first = start.saturating_add(i * MORSEL_PAGES);
-                    s.spawn(move || this.run_morsel(first))
-                })
+        let results = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..this.par as u32)
+                .map(|i| start.saturating_add(i.saturating_mul(MORSEL_PAGES)))
+                .take_while(|&first| first < this.pages)
+                .map(|first| s.spawn(move || this.run_morsel(first)))
                 .collect();
-            results = handles.into_iter().map(join_worker).collect();
+            let head = this.run_morsel(start);
+            std::iter::once(head).chain(handles.into_iter().map(join_worker)).collect::<Vec<_>>()
         });
         let mut batch = Batch::with_capacity(self.width, 0);
         let mut wave_next = None;
@@ -972,7 +981,7 @@ impl BatchIter for ProjectIter<'_> {
         let mut out = Batch::with_capacity(self.exprs.len(), batch.len());
         for row in batch.iter() {
             for e in &self.exprs {
-                out.data.push(e.eval(row)?);
+                out.data.push(e.eval(row)?.into_owned());
             }
             out.end_row();
         }
@@ -1063,7 +1072,7 @@ impl BatchIter for SortIter<'_> {
         let Some(input) = self.input.take() else { return Ok(None) };
         let mut rows = drain(input)?;
         let keyed = par_map(&rows, self.par, |row| {
-            self.keys.iter().map(|k| k.eval(row)).collect::<DbResult<Vec<_>>>()
+            self.keys.iter().map(|k| k.eval(row).map(Cow::into_owned)).collect::<DbResult<Vec<_>>>()
         })?;
         let mut order: Vec<usize> = (0..rows.len()).collect();
         // Stable, so ties on every key preserve input order — multi-key
@@ -1129,7 +1138,7 @@ impl BatchIter for TopNIter<'_> {
                 // the unfused Sort would — so error behavior is unchanged.
                 key.clear();
                 for k in &self.keys {
-                    key.push(k.eval(batch.row(i))?);
+                    key.push(k.eval(batch.row(i))?.into_owned());
                 }
                 if keep == 0 {
                     continue;
@@ -1258,7 +1267,8 @@ struct HashJoinIter<'a> {
 impl HashJoinIter<'_> {
     fn build_table(&mut self, build: BoxIter<'_>) -> DbResult<()> {
         self.build_rows = drain(build)?;
-        let keys = par_map(&self.build_rows, self.par, |r| self.build_key.eval(r))?;
+        let keys =
+            par_map(&self.build_rows, self.par, |r| self.build_key.eval(r).map(Cow::into_owned))?;
         let npart = join_partitions(self.build_rows.len());
         self.mask = npart as u64 - 1;
         let mut buckets: Vec<Vec<(Datum, u32)>> = vec![Vec::new(); npart];
@@ -1304,7 +1314,7 @@ impl BatchIter for HashJoinIter<'_> {
             self.build_table(build)?;
         }
         let Some(batch) = self.probe.next_batch()? else { return Ok(None) };
-        let keys = par_map(&batch, self.par, |r| self.probe_key.eval(r))?;
+        let keys = par_map(&batch, self.par, |r| self.probe_key.eval(r).map(Cow::into_owned))?;
         let mut out = Batch::with_capacity(batch.width + self.build_width, 0);
         for (p, k) in batch.iter().zip(&keys) {
             let matches = if k.is_null() {
@@ -1349,10 +1359,12 @@ struct AggregateIter<'a> {
     args: Vec<Option<CompiledExpr>>,
     calls: Vec<AggCall>,
     funcs: &'a FunctionRegistry,
-    par: usize,
     /// `EXPLAIN ANALYZE` node for `partitions`.
     stats: Option<Arc<OpStats>>,
 }
+
+/// What `count(*)` folds per row: a non-null marker.
+static ROW_MARKER: Datum = Datum::Int(1);
 
 impl BatchIter for AggregateIter<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
@@ -1362,15 +1374,10 @@ impl BatchIter for AggregateIter<'_> {
             key: Vec<Datum>,
             accs: Vec<Box<dyn crate::expr::func::Accumulator>>,
             distinct_seen: Vec<HashSet<Datum>>,
-            /// Global input sequence of the row that created the group;
-            /// emission sorts on it, reproducing single-table insertion
-            /// order exactly at any parallelism.
+            /// Input sequence of the row that created the group; emission
+            /// sorts on it, reproducing single-table insertion order.
             first_seen: u64,
         }
-
-        /// An evaluated input row: group key, aggregate arguments, and the
-        /// global sequence number that pins emission order.
-        type KeyedRow = (Vec<Datum>, Vec<Datum>, u64);
 
         /// One radix partition: a private table over its share of the key
         /// space. Keys are looked up by slice before being cloned, so the
@@ -1394,42 +1401,18 @@ impl BatchIter for AggregateIter<'_> {
             Ok(Group { key, accs, distinct_seen: vec![HashSet::new(); calls.len()], first_seen })
         };
 
-        fn apply(call: &AggCall, group: &mut Group, ci: usize, value: Datum) -> DbResult<()> {
-            if call.distinct && (value.is_null() || !group.distinct_seen[ci].insert(value.clone()))
-            {
-                return Ok(());
+        fn apply(call: &AggCall, group: &mut Group, ci: usize, value: &Datum) -> DbResult<()> {
+            if call.distinct {
+                let seen = &mut group.distinct_seen[ci];
+                if value.is_null() || seen.contains(value) {
+                    return Ok(());
+                }
+                seen.insert(value.clone());
             }
-            group.accs[ci].update(&value).map_err(|e| match e {
+            group.accs[ci].update(value).map_err(|e| match e {
                 DbError::TypeMismatch(m) => DbError::TypeMismatch(format!("{}(): {m}", call.func)),
                 other => other,
             })
-        }
-
-        /// Fold one partition's bucketed rows into its table. Rows arrive
-        /// in global sequence order; an error is tagged with the failing
-        /// row's sequence so the caller can report the earliest one — the
-        /// same error a serial fold would have raised.
-        fn fold_part(
-            part: &mut AggPart,
-            rows: Vec<KeyedRow>,
-            calls: &[AggCall],
-            make_group: &impl Fn(Vec<Datum>, u64) -> DbResult<Group>,
-        ) -> Result<(), (u64, DbError)> {
-            for (key, vals, seq) in rows {
-                let gi = match part.lookup.get(key.as_slice()) {
-                    Some(&i) => i as usize,
-                    None => {
-                        part.groups.push(make_group(key.clone(), seq).map_err(|e| (seq, e))?);
-                        part.lookup.insert(key, (part.groups.len() - 1) as u32);
-                        part.groups.len() - 1
-                    }
-                };
-                let group = &mut part.groups[gi];
-                for (ci, (call, value)) in calls.iter().zip(vals).enumerate() {
-                    apply(call, group, ci, value).map_err(|e| (seq, e))?;
-                }
-            }
-            Ok(())
         }
 
         let mask = AGG_PARTITIONS as u64 - 1;
@@ -1443,100 +1426,51 @@ impl BatchIter for AggregateIter<'_> {
         }
         let mut seq = 0u64;
         let mut key_scratch: Vec<Datum> = Vec::with_capacity(self.group_by.len());
-        // The fold into the accumulators is sequential per partition —
-        // [`crate::expr::func::Accumulator`] is an open extension trait
-        // with no merge operation — but partitions are disjoint by key,
-        // so big batches fan both expression evaluation and the partition
-        // folds out across worker threads. Streaming batch by batch means
-        // the input is never fully materialized here.
+        // The fold into the accumulators is sequential —
+        // [`crate::expr::func::Accumulator`] is an open extension trait with
+        // no merge operation — and reads each key and argument where it lies
+        // in the input batch. Streaming batch by batch means the input is
+        // never fully materialized here.
         while let Some(batch) = input.next_batch()? {
-            if self.par > 1 && batch.len() >= PAR_MIN_ROWS {
-                let evaluated: Vec<(Vec<Datum>, Vec<Datum>)> = par_map(&batch, self.par, |row| {
-                    let key = self
-                        .group_by
-                        .iter()
-                        .map(|g| g.eval(row))
-                        .collect::<DbResult<Vec<Datum>>>()?;
-                    let mut vals = Vec::with_capacity(self.args.len());
-                    for a in &self.args {
-                        vals.push(match a {
-                            None => Datum::Int(1), // count(*): a non-null marker per row
-                            Some(e) => e.eval(row)?,
-                        });
-                    }
-                    Ok((key, vals))
-                })?;
-                drop(batch);
-                if global {
-                    let group = &mut parts[0].groups[0];
-                    for (_, vals) in evaluated {
-                        for (ci, (call, value)) in calls.iter().zip(vals).enumerate() {
-                            apply(call, group, ci, value)?;
+            for row in batch.iter() {
+                let group = if global {
+                    &mut parts[0].groups[0]
+                } else {
+                    // One key is looked up where it lies; several are
+                    // gathered into a reused scratch.
+                    let single;
+                    let key: &[Datum] = match self.group_by.as_slice() {
+                        [g] => {
+                            single = g.eval(row)?;
+                            std::slice::from_ref(&*single)
                         }
-                    }
-                    continue;
-                }
-                let mut buckets: Vec<Vec<KeyedRow>> =
-                    (0..AGG_PARTITIONS).map(|_| Vec::new()).collect();
-                for (key, vals) in evaluated {
-                    buckets[(hash_one(key.as_slice()) & mask) as usize].push((key, vals, seq));
-                    seq += 1;
-                }
-                let mut work: Vec<(&mut AggPart, Vec<KeyedRow>)> =
-                    parts.iter_mut().zip(buckets).collect();
-                let chunk = work.len().div_ceil(self.par);
-                let mut failures: Vec<(u64, DbError)> = Vec::new();
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = work
-                        .chunks_mut(chunk)
-                        .map(|group| {
-                            s.spawn(move || {
-                                for (part, rows) in group.iter_mut() {
-                                    fold_part(part, std::mem::take(rows), calls, &make_group)?;
-                                }
-                                Ok(())
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        if let Err(e) = join_worker(h) {
-                            failures.push(e);
-                        }
-                    }
-                });
-                if let Some((_, err)) = failures.into_iter().min_by_key(|(at, _)| *at) {
-                    return Err(err);
-                }
-            } else {
-                for row in batch.iter() {
-                    let group = if global {
-                        &mut parts[0].groups[0]
-                    } else {
-                        key_scratch.clear();
-                        for g in &self.group_by {
-                            key_scratch.push(g.eval(row)?);
-                        }
-                        let part = &mut parts[(hash_one(key_scratch.as_slice()) & mask) as usize];
-                        let gi = match part.lookup.get(key_scratch.as_slice()) {
-                            Some(&i) => i as usize,
-                            None => {
-                                let key = key_scratch.clone();
-                                part.groups.push(make_group(key.clone(), seq)?);
-                                part.lookup.insert(key, (part.groups.len() - 1) as u32);
-                                part.groups.len() - 1
+                        keys => {
+                            key_scratch.clear();
+                            for g in keys {
+                                key_scratch.push(g.eval(row)?.into_owned());
                             }
-                        };
-                        &mut part.groups[gi]
+                            &key_scratch
+                        }
                     };
-                    for (ci, call) in calls.iter().enumerate() {
-                        let value = match &self.args[ci] {
-                            None => Datum::Int(1), // count(*): a non-null marker per row
-                            Some(e) => e.eval(row)?,
-                        };
-                        apply(call, group, ci, value)?;
-                    }
-                    seq += 1;
+                    let part = &mut parts[(hash_one(key) & mask) as usize];
+                    let gi = match part.lookup.get(key) {
+                        Some(&i) => i as usize,
+                        None => {
+                            part.groups.push(make_group(key.to_vec(), seq)?);
+                            part.lookup.insert(key.to_vec(), (part.groups.len() - 1) as u32);
+                            part.groups.len() - 1
+                        }
+                    };
+                    &mut part.groups[gi]
+                };
+                for (ci, (call, arg)) in calls.iter().zip(&self.args).enumerate() {
+                    let value = match arg {
+                        None => Cow::Borrowed(&ROW_MARKER),
+                        Some(e) => e.eval(row)?,
+                    };
+                    apply(call, group, ci, &value)?;
                 }
+                seq += 1;
             }
         }
 

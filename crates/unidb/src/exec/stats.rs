@@ -44,7 +44,8 @@ pub struct OpStats {
     /// function of the stored data and the predicate, so it belongs to
     /// the deterministic rendering.
     pub pages_skipped: AtomicU64,
-    /// Column segments decoded across visited pages (scans only).
+    /// Columns read across visited pages (scans only): decoded from the
+    /// row form or served from a column image.
     /// Counted identically on the row and columnar paths — referenced
     /// columns × non-empty pages visited — so it too is
     /// parallelism-stable.
@@ -124,7 +125,8 @@ pub struct OpStatsSnapshot {
     pub pages_read: u64,
     /// Pages the zone map refuted before reading (scans only).
     pub pages_skipped: u64,
-    /// Column segments decoded across visited pages (scans only).
+    /// Columns read across visited pages (scans only): decoded from the
+    /// row form or served from a column image.
     pub segments_decoded: u64,
     /// Radix partition count (partitioned operators only).
     pub partitions: u64,

@@ -22,6 +22,7 @@ use crate::expr::eval::{ColumnBinding, EvalContext, LikePattern};
 use crate::expr::func::{BoundScalarFn, FunctionRegistry, ScalarFn};
 use crate::sql::ast::{BinOp, Expr, UnaryOp};
 use crate::storage::colpage::ColBound;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
@@ -170,77 +171,74 @@ pub fn compile(
 impl CompiledExpr {
     /// Evaluate against one row. Matches the interpreter's semantics
     /// (three-valued logic, checked arithmetic) exactly — the qdiff oracle
-    /// pins the two against each other.
-    pub fn eval(&self, row: &[Datum]) -> DbResult<Datum> {
+    /// pins the two against each other. A column or literal is returned
+    /// borrowed, where it lies in the row or the program, so comparisons,
+    /// connectives and function arguments read their operands in place;
+    /// only computed values are owned. The leaves are answered inline so an
+    /// operand costs no call of its own.
+    #[inline]
+    pub fn eval<'a>(&'a self, row: &'a [Datum]) -> DbResult<Cow<'a, Datum>> {
         match self {
-            CompiledExpr::Literal(d) => Ok(d.clone()),
-            CompiledExpr::Column(i) => Ok(row[*i].clone()),
+            CompiledExpr::Literal(d) => Ok(Cow::Borrowed(d)),
+            CompiledExpr::Column(i) => Ok(Cow::Borrowed(&row[*i])),
+            _ => self.eval_computed(row),
+        }
+    }
+
+    fn eval_computed<'a>(&'a self, row: &'a [Datum]) -> DbResult<Cow<'a, Datum>> {
+        let owned = |d: Datum| Ok(Cow::Owned(d));
+        match self {
+            CompiledExpr::Literal(_) | CompiledExpr::Column(_) => self.eval(row),
             CompiledExpr::Unary { op, expr } => {
                 let v = expr.eval(row)?;
-                match op {
-                    UnaryOp::Not => match v {
-                        Datum::Null => Ok(Datum::Null),
-                        Datum::Bool(b) => Ok(Datum::Bool(!b)),
-                        other => {
-                            Err(DbError::TypeMismatch(format!("NOT expects BOOL, got {other}")))
-                        }
-                    },
-                    UnaryOp::Neg => match v {
-                        Datum::Null => Ok(Datum::Null),
-                        Datum::Int(i) => i
-                            .checked_neg()
-                            .map(Datum::Int)
-                            .ok_or_else(|| DbError::TypeMismatch("integer overflow".into())),
-                        Datum::Float(f) => Ok(Datum::Float(-f)),
-                        other => {
-                            Err(DbError::TypeMismatch(format!("- expects a number, got {other}")))
-                        }
-                    },
+                match (op, &*v) {
+                    (_, Datum::Null) => owned(Datum::Null),
+                    (UnaryOp::Not, Datum::Bool(b)) => owned(Datum::Bool(!b)),
+                    (UnaryOp::Not, other) => {
+                        Err(DbError::TypeMismatch(format!("NOT expects BOOL, got {other}")))
+                    }
+                    (UnaryOp::Neg, Datum::Int(i)) => i
+                        .checked_neg()
+                        .map(|i| Cow::Owned(Datum::Int(i)))
+                        .ok_or_else(|| DbError::TypeMismatch("integer overflow".into())),
+                    (UnaryOp::Neg, Datum::Float(f)) => owned(Datum::Float(-f)),
+                    (UnaryOp::Neg, other) => {
+                        Err(DbError::TypeMismatch(format!("- expects a number, got {other}")))
+                    }
                 }
             }
             CompiledExpr::Binary { op, left, right } => eval_binary(*op, left, right, row),
             CompiledExpr::Func { f, args } => {
                 let mut values = Vec::with_capacity(args.len());
                 for a in args {
-                    values.push(a.eval(row)?);
+                    values.push(a.eval(row)?.into_owned());
                 }
-                f(&values)
+                f(&values).map(Cow::Owned)
             }
             CompiledExpr::BoundFunc { f, args } => match args.as_slice() {
-                // A column is handed over where it lies in the row.
-                [CompiledExpr::Column(i)] => f(&[&row[*i]]),
-                [a] => f(&[&a.eval(row)?]),
+                [a] => f(&[&*a.eval(row)?]).map(Cow::Owned),
                 _ => {
-                    let mut values = Vec::with_capacity(args.len());
-                    for a in args {
-                        values.push(a.eval(row)?);
-                    }
-                    f(&values.iter().collect::<Vec<_>>())
+                    let values = args.iter().map(|a| a.eval(row)).collect::<DbResult<Vec<_>>>()?;
+                    f(&values.iter().map(|v| &**v).collect::<Vec<_>>()).map(Cow::Owned)
                 }
             },
             CompiledExpr::IsNull { expr, negated } => {
-                let v = expr.eval(row)?;
-                Ok(Datum::Bool(v.is_null() != *negated))
+                owned(Datum::Bool(expr.eval(row)?.is_null() != *negated))
             }
             CompiledExpr::InList { expr, list, negated } => {
                 let v = expr.eval(row)?;
                 if v.is_null() {
-                    return Ok(Datum::Null);
+                    return owned(Datum::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let w = item.eval(row)?;
-                    match v.sql_eq(&w) {
-                        Some(true) => return Ok(Datum::Bool(!*negated)),
+                    match v.sql_eq(&*item.eval(row)?) {
+                        Some(true) => return owned(Datum::Bool(!*negated)),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
-                if saw_null {
-                    Ok(Datum::Null)
-                } else {
-                    Ok(Datum::Bool(*negated))
-                }
+                owned(if saw_null { Datum::Null } else { Datum::Bool(*negated) })
             }
             CompiledExpr::Between { expr, low, high, negated } => {
                 let v = expr.eval(row)?;
@@ -256,20 +254,20 @@ impl CompiledExpr {
                     (Some(true), Some(true)) => Some(true),
                     _ => None,
                 };
-                Ok(inside.map_or(Datum::Null, |b| Datum::Bool(b != *negated)))
+                owned(inside.map_or(Datum::Null, |b| Datum::Bool(b != *negated)))
             }
-            CompiledExpr::LikePre { expr, pattern, negated } => match expr.eval(row)? {
-                Datum::Null => Ok(Datum::Null),
-                Datum::Text(s) => Ok(Datum::Bool(pattern.matches(&s) != *negated)),
+            CompiledExpr::LikePre { expr, pattern, negated } => match &*expr.eval(row)? {
+                Datum::Null => owned(Datum::Null),
+                Datum::Text(s) => owned(Datum::Bool(pattern.matches(s) != *negated)),
                 _ => Err(DbError::TypeMismatch("LIKE expects TEXT operands".into())),
             },
             CompiledExpr::LikeDyn { expr, pattern, negated, escape } => {
                 let v = expr.eval(row)?;
                 let p = pattern.eval(row)?;
-                match (v, p) {
-                    (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
-                    (Datum::Text(s), Datum::Text(pat)) => Ok(Datum::Bool(
-                        LikePattern::compile(&pat, *escape)?.matches(&s) != *negated,
+                match (&*v, &*p) {
+                    (Datum::Null, _) | (_, Datum::Null) => owned(Datum::Null),
+                    (Datum::Text(s), Datum::Text(pat)) => owned(Datum::Bool(
+                        LikePattern::compile(pat, *escape)?.matches(s) != *negated,
                     )),
                     _ => Err(DbError::TypeMismatch("LIKE expects TEXT operands".into())),
                 }
@@ -280,7 +278,7 @@ impl CompiledExpr {
     /// True when the predicate accepts the row (NULL and FALSE both
     /// reject, per SQL WHERE semantics).
     pub fn accepts(&self, row: &[Datum]) -> DbResult<bool> {
-        Ok(self.eval(row)? == Datum::Bool(true))
+        Ok(matches!(*self.eval(row)?, Datum::Bool(true)))
     }
 
     /// Record every column position this expression reads into `out`
@@ -501,22 +499,22 @@ impl CompiledExpr {
     }
 }
 
-fn eval_binary(
+fn eval_binary<'a>(
     op: BinOp,
-    left: &CompiledExpr,
-    right: &CompiledExpr,
-    row: &[Datum],
-) -> DbResult<Datum> {
+    left: &'a CompiledExpr,
+    right: &'a CompiledExpr,
+    row: &'a [Datum],
+) -> DbResult<Cow<'a, Datum>> {
     // AND/OR need lazy NULL handling.
     if matches!(op, BinOp::And | BinOp::Or) {
-        let l = to_bool3(left.eval(row)?)?;
+        let l = to_bool3(&*left.eval(row)?)?;
         // Short-circuit where the result is already determined.
         match (op, l) {
-            (BinOp::And, Some(false)) => return Ok(Datum::Bool(false)),
-            (BinOp::Or, Some(true)) => return Ok(Datum::Bool(true)),
+            (BinOp::And, Some(false)) => return Ok(Cow::Owned(Datum::Bool(false))),
+            (BinOp::Or, Some(true)) => return Ok(Cow::Owned(Datum::Bool(true))),
             _ => {}
         }
-        let r = to_bool3(right.eval(row)?)?;
+        let r = to_bool3(&*right.eval(row)?)?;
         let result = match op {
             BinOp::And => match (l, r) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
@@ -530,32 +528,33 @@ fn eval_binary(
             },
             _ => unreachable!("only AND/OR here"),
         };
-        return Ok(result.map_or(Datum::Null, Datum::Bool));
+        return Ok(Cow::Owned(result.map_or(Datum::Null, Datum::Bool)));
     }
 
     let l = left.eval(row)?;
     let r = right.eval(row)?;
     if l.is_null() || r.is_null() {
-        return Ok(Datum::Null);
+        return Ok(Cow::Owned(Datum::Null));
     }
-    match op {
-        BinOp::Eq => Ok(Datum::Bool(l.sql_eq(&r).expect("nulls handled"))),
-        BinOp::NotEq => Ok(Datum::Bool(!l.sql_eq(&r).expect("nulls handled"))),
-        BinOp::Lt => Ok(Datum::Bool(l.total_cmp(&r) == Ordering::Less)),
-        BinOp::LtEq => Ok(Datum::Bool(l.total_cmp(&r) != Ordering::Greater)),
-        BinOp::Gt => Ok(Datum::Bool(l.total_cmp(&r) == Ordering::Greater)),
-        BinOp::GtEq => Ok(Datum::Bool(l.total_cmp(&r) != Ordering::Less)),
+    let (l, r) = (&*l, &*r);
+    Ok(Cow::Owned(match op {
+        BinOp::Eq => Datum::Bool(l.sql_eq(r).expect("nulls handled")),
+        BinOp::NotEq => Datum::Bool(!l.sql_eq(r).expect("nulls handled")),
+        BinOp::Lt => Datum::Bool(l.total_cmp(r) == Ordering::Less),
+        BinOp::LtEq => Datum::Bool(l.total_cmp(r) != Ordering::Greater),
+        BinOp::Gt => Datum::Bool(l.total_cmp(r) == Ordering::Greater),
+        BinOp::GtEq => Datum::Bool(l.total_cmp(r) != Ordering::Less),
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            crate::expr::eval::arith(op, &l, &r)
+            crate::expr::eval::arith(op, l, r)?
         }
         BinOp::And | BinOp::Or => unreachable!("handled above"),
-    }
+    }))
 }
 
-fn to_bool3(d: Datum) -> DbResult<Option<bool>> {
+fn to_bool3(d: &Datum) -> DbResult<Option<bool>> {
     match d {
         Datum::Null => Ok(None),
-        Datum::Bool(b) => Ok(Some(b)),
+        Datum::Bool(b) => Ok(Some(*b)),
         other => Err(DbError::TypeMismatch(format!("expected BOOL, got {other}"))),
     }
 }
@@ -610,7 +609,7 @@ mod tests {
     fn run(sql: &str, row: &[Datum]) -> DbResult<Datum> {
         let funcs = FunctionRegistry::with_builtins();
         let prog = compile(&expr(sql), &bindings(), &funcs)?;
-        prog.eval(row)
+        prog.eval(row).map(Cow::into_owned)
     }
 
     #[test]
@@ -676,7 +675,7 @@ mod tests {
                 let interp = crate::expr::eval::eval(&e, &ctx);
                 let compiled = prog.eval(row);
                 match (interp, compiled) {
-                    (Ok(a), Ok(c)) => assert_eq!(a, c, "{sql} over {row:?}"),
+                    (Ok(a), Ok(c)) => assert_eq!(a, *c, "{sql} over {row:?}"),
                     (Err(_), Err(_)) => {}
                     (a, c) => panic!("{sql} over {row:?}: interp {a:?} vs compiled {c:?}"),
                 }
@@ -714,7 +713,8 @@ mod tests {
             .unwrap();
         let b = bindings();
         let row = vec![Datum::Int(1), Datum::Text("tp53".into()), Datum::Int(9)];
-        let run = |sql: &str| compile(&expr(sql), &b, &funcs).unwrap().eval(&row).unwrap();
+        let run =
+            |sql: &str| compile(&expr(sql), &b, &funcs).unwrap().eval(&row).unwrap().into_owned();
 
         let prog = compile(&expr("tagged('yes', name, 7, g.id + 1)"), &b, &funcs).unwrap();
         let mut cols = std::collections::BTreeSet::new();
@@ -723,7 +723,7 @@ mod tests {
         assert!(!prog.error_free());
         for _ in 0..3 {
             assert_eq!(
-                prog.eval(&row).unwrap(),
+                *prog.eval(&row).unwrap(),
                 Datum::Text(
                     "bound [Some(Text(\"yes\")), None, Some(Int(7)), None] \
                      [Text(\"tp53\"), Int(2)]"

@@ -1,23 +1,19 @@
 //! Columnar (column-group) pages and per-page zone maps.
 //!
-//! A columnar page is a decoded alternative to the slotted row page: the
-//! live rows of one heap page transposed into per-column *segments*, each
-//! independently encoded as PLAIN (the row codec's tagged datums), RLE
-//! (run-length, for sorted/repetitive runs) or DICT (distinct values +
-//! 1-byte codes, for low-NDV columns). It exists only in memory, built on
-//! demand from a heap page and never written back.
+//! A columnar page is an in-memory image of one heap page's live rows,
+//! transposed into one vector of decoded values per column. It is built on
+//! demand by moving the values of a decoded page into their columns and is
+//! never written back. A scan served from an image decodes nothing: it
+//! clones the values its plan references into each row it emits, which for
+//! an opaque payload is an `Arc` increment, so the payload is shared with
+//! the image rather than copied.
 //!
-//! Segment bodies:
-//! - PLAIN: `n_rows` tagged datums, concatenated.
-//! - RLE:   varint n_runs, then per run varint count + tagged datum.
-//! - DICT:  varint n_values, the distinct tagged datums in first-seen
-//!   order, then `n_rows` 1-byte codes.
-//!
-//! At runtime the executor keeps decoded [`ColumnPage`]s in a per-table
-//! cache so selective scans decode only the column segments a query
-//! references. The *zone map* ([`PageZone`]) is the pruning side: per
-//! page and per column (first [`ZONE_COLS`]) the min/max over non-NULL
-//! values and the NULL count, consulted before a page is read at all.
+//! At runtime the executor keeps [`ColumnPage`]s in a per-table cache,
+//! dropped page by page on any write, so selective scans touch only the
+//! columns a query references. The *zone map* ([`PageZone`]) is the pruning
+//! side: per page and per column (first [`ZONE_COLS`]) the min/max over
+//! non-NULL values and the NULL count, consulted before a page is read at
+//! all.
 //!
 //! Zone-map soundness leans on two engine invariants: comparison
 //! operators evaluate through [`Datum::total_cmp`], and `sql_eq(a, b)`
@@ -28,10 +24,9 @@
 //! the null-count side of the zone.
 
 use crate::datum::Datum;
-use crate::error::{DbError, DbResult};
-use crate::tuple::{put_datum, put_varint, take_datum, take_u8, take_varint, Row};
+use crate::error::DbResult;
+use crate::tuple::Row;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Zone maps cover the first `ZONE_COLS` columns of a table; wider
 /// tables keep exact zones for the leading columns and simply cannot
@@ -317,238 +312,63 @@ impl ZoneMaps {
 // Columnar pages
 // ---------------------------------------------------------------------------
 
-/// Encoding of one column segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Encoding {
-    Plain,
-    Rle,
-    Dict,
-}
-
-/// One encoded column segment.
-#[derive(Debug, Clone)]
-pub struct ColSegment {
-    enc: Encoding,
-    bytes: Vec<u8>,
-}
-
-impl ColSegment {
-    pub fn encoding(&self) -> Encoding {
-        self.enc
-    }
-
-    /// Encoded size in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-}
-
-/// A heap page's live rows in columnar form: one [`ColSegment`] per
-/// column, rows in slot order. Built only for pages whose rows all share
+/// A heap page's live rows in columnar form: one vector of decoded values
+/// per column, rows in slot order. Built only for pages whose rows all share
 /// one arity (the invariant every table page satisfies); [`None`] from
 /// [`ColumnPage::build`] means "keep the row layout for this page".
 #[derive(Debug, Clone)]
 pub struct ColumnPage {
-    n_rows: u32,
-    segs: Vec<ColSegment>,
+    n_rows: usize,
+    cols: Vec<Vec<Datum>>,
 }
 
 impl ColumnPage {
-    /// Transpose and encode `rows`. Returns `None` when the rows do not
-    /// share one arity or there is nothing to encode.
-    pub fn build(rows: &[Row]) -> Option<ColumnPage> {
-        let first = rows.first()?;
-        let arity = first.len();
+    /// Transpose `rows`, moving every value into its column. Returns `None`
+    /// when the rows do not share one arity or there is nothing to hold.
+    pub fn build(rows: Vec<Row>) -> Option<ColumnPage> {
+        let arity = rows.first()?.len();
         if arity == 0 || rows.iter().any(|r| r.len() != arity) {
             return None;
         }
-        let mut segs = Vec::with_capacity(arity);
-        for c in 0..arity {
-            let col: Vec<&Datum> = rows.iter().map(|r| &r[c]).collect();
-            segs.push(encode_segment(&col));
+        let n_rows = rows.len();
+        let mut cols: Vec<Vec<Datum>> = (0..arity).map(|_| Vec::with_capacity(n_rows)).collect();
+        for row in rows {
+            for (col, d) in cols.iter_mut().zip(row) {
+                col.push(d);
+            }
         }
-        Some(ColumnPage { n_rows: rows.len() as u32, segs })
+        Some(ColumnPage { n_rows, cols })
     }
 
-    pub fn n_rows(&self) -> u32 {
-        self.n_rows
-    }
-
-    pub fn n_cols(&self) -> usize {
-        self.segs.len()
-    }
-
-    /// The raw segment for column `c` (for size/encoding introspection).
-    pub fn segment(&self, c: usize) -> Option<&ColSegment> {
-        self.segs.get(c)
-    }
-
-    /// Decode column `c` into `n_rows` datums.
-    pub fn decode_col(&self, c: usize) -> DbResult<Vec<Datum>> {
-        let seg = self
-            .segs
-            .get(c)
-            .ok_or_else(|| DbError::Storage(format!("columnar page has no column {c}")))?;
-        decode_segment(seg, self.n_rows as usize)
-    }
-
-    /// Materialize rows, decoding only the columns `mask` marks as
-    /// referenced (all of the first `prefix` columns when `mask` is
-    /// `None`); unreferenced positions hold `Datum::Null` placeholders.
-    /// Each row is built in one reused buffer by moving values out of the
-    /// decoded columns, never cloning them; `on_row` may move them on.
-    /// Returns the number of segments decoded.
+    /// Materialize rows holding only the columns `mask` marks as referenced
+    /// (all of the first `prefix` columns when `mask` is `None`);
+    /// unreferenced positions hold `Datum::Null` placeholders. Each row is
+    /// built in one reused buffer from clones of the image's values — a
+    /// copy for scalars, an `Arc` increment that shares the payload for
+    /// opaque values — and `on_row` may move them on. Returns the number
+    /// of columns served.
     pub fn emit_rows(
         &self,
         prefix: usize,
         mask: Option<&[bool]>,
         mut on_row: impl FnMut(&mut Row) -> DbResult<()>,
     ) -> DbResult<usize> {
-        let width = self.segs.len().min(prefix);
-        let mut cols = Vec::with_capacity(width);
-        for c in 0..width {
-            let wanted = mask.is_none_or(|m| m.get(c).copied().unwrap_or(false));
-            cols.push(if wanted { Some(self.decode_col(c)?.into_iter()) } else { None });
-        }
+        let width = self.cols.len().min(prefix);
+        let cols: Vec<Option<&[Datum]>> = self.cols[..width]
+            .iter()
+            .enumerate()
+            .map(|(c, col)| {
+                mask.is_none_or(|m| m.get(c).copied().unwrap_or(false)).then_some(&col[..])
+            })
+            .collect();
         let mut row: Row = Vec::with_capacity(width);
-        for _ in 0..self.n_rows {
+        for r in 0..self.n_rows {
             row.clear();
-            row.extend(
-                cols.iter_mut()
-                    .map(|col| col.as_mut().and_then(Iterator::next).unwrap_or(Datum::Null)),
-            );
+            row.extend(cols.iter().map(|col| col.map_or(Datum::Null, |col| col[r].clone())));
             on_row(&mut row)?;
         }
         Ok(cols.iter().flatten().count())
     }
-}
-
-/// Pick the smallest of PLAIN / RLE / DICT for one column. Run and
-/// dictionary identity use the *encoded bytes* of each value, so
-/// representation fidelity survives (e.g. `Int(3)` and `Float(3.0)`
-/// compare SQL-equal but stay distinct dictionary entries).
-fn encode_segment(col: &[&Datum]) -> ColSegment {
-    let encoded: Vec<Vec<u8>> = col
-        .iter()
-        .map(|d| {
-            let mut b = Vec::new();
-            put_datum(&mut b, d);
-            b
-        })
-        .collect();
-    let plain_size: usize = encoded.iter().map(Vec::len).sum();
-
-    // Run-length candidate.
-    let mut runs: Vec<(usize, u32)> = Vec::new(); // (index of representative, count)
-    for (i, e) in encoded.iter().enumerate() {
-        match runs.last_mut() {
-            Some((rep, count)) if encoded[*rep] == *e => *count += 1,
-            _ => runs.push((i, 1)),
-        }
-    }
-    let mut rle_size = varint_len(runs.len() as u64);
-    for (rep, count) in &runs {
-        rle_size += varint_len(u64::from(*count)) + encoded[*rep].len();
-    }
-
-    // Dictionary candidate (≤ 255 distinct values → 1-byte codes).
-    let mut dict: Vec<usize> = Vec::new(); // representatives, first-seen order
-    let mut codes: Vec<u8> = Vec::with_capacity(encoded.len());
-    let mut index: HashMap<&[u8], u8> = HashMap::new();
-    let mut dict_ok = true;
-    for (i, e) in encoded.iter().enumerate() {
-        match index.get(e.as_slice()) {
-            Some(&code) => codes.push(code),
-            None => {
-                if dict.len() >= 255 {
-                    dict_ok = false;
-                    break;
-                }
-                let code = dict.len() as u8;
-                index.insert(e.as_slice(), code);
-                dict.push(i);
-                codes.push(code);
-            }
-        }
-    }
-    let dict_size = if dict_ok {
-        varint_len(dict.len() as u64)
-            + dict.iter().map(|&i| encoded[i].len()).sum::<usize>()
-            + encoded.len()
-    } else {
-        usize::MAX
-    };
-
-    if rle_size < plain_size && rle_size <= dict_size {
-        let mut bytes = Vec::with_capacity(rle_size);
-        put_varint(&mut bytes, runs.len() as u64);
-        for (rep, count) in &runs {
-            put_varint(&mut bytes, u64::from(*count));
-            bytes.extend_from_slice(&encoded[*rep]);
-        }
-        ColSegment { enc: Encoding::Rle, bytes }
-    } else if dict_size < plain_size {
-        let mut bytes = Vec::with_capacity(dict_size);
-        put_varint(&mut bytes, dict.len() as u64);
-        for &i in &dict {
-            bytes.extend_from_slice(&encoded[i]);
-        }
-        bytes.extend_from_slice(&codes);
-        ColSegment { enc: Encoding::Dict, bytes }
-    } else {
-        ColSegment { enc: Encoding::Plain, bytes: encoded.concat() }
-    }
-}
-
-fn decode_segment(seg: &ColSegment, n_rows: usize) -> DbResult<Vec<Datum>> {
-    let mut buf = seg.bytes.as_slice();
-    let mut out = Vec::with_capacity(n_rows);
-    match seg.enc {
-        Encoding::Plain => {
-            for _ in 0..n_rows {
-                out.push(take_datum(&mut buf)?);
-            }
-        }
-        Encoding::Rle => {
-            let n_runs = take_varint(&mut buf)? as usize;
-            for _ in 0..n_runs {
-                let count = take_varint(&mut buf)? as usize;
-                let v = take_datum(&mut buf)?;
-                for _ in 0..count {
-                    out.push(v.clone());
-                }
-            }
-        }
-        Encoding::Dict => {
-            let n_values = take_varint(&mut buf)? as usize;
-            let mut values = Vec::with_capacity(n_values);
-            for _ in 0..n_values {
-                values.push(take_datum(&mut buf)?);
-            }
-            for _ in 0..n_rows {
-                let code = take_u8(&mut buf)? as usize;
-                let v = values.get(code).ok_or_else(|| {
-                    DbError::Storage(format!("dictionary code {code} out of range"))
-                })?;
-                out.push(v.clone());
-            }
-        }
-    }
-    if out.len() != n_rows {
-        return Err(DbError::Storage(format!(
-            "segment decoded {} rows, expected {n_rows}",
-            out.len()
-        )));
-    }
-    Ok(out)
-}
-
-fn varint_len(v: u64) -> usize {
-    (64 - v.max(1).leading_zeros() as usize).div_ceil(7).max(1)
 }
 
 #[cfg(test)]
@@ -604,27 +424,26 @@ mod tests {
     }
 
     #[test]
-    fn encoding_choice_matches_data_shape() {
-        // Low-NDV text → DICT; long runs → RLE; distinct ints → PLAIN.
-        let rs: Vec<Row> = (0..200)
-            .map(|i| {
-                vec![
-                    Datum::Int(i),                                                // distinct
-                    Datum::Text(if i % 2 == 0 { "chr1" } else { "chr2" }.into()), // low NDV
-                    Datum::Int(i / 100),                                          // two long runs
-                ]
-            })
+    fn opaque_payloads_are_shared_with_the_image() {
+        use std::sync::Arc;
+        let rs: Vec<Row> = (0..50u8)
+            .map(|i| vec![Datum::Int(i.into()), Datum::Opaque(7, Arc::new(vec![i; 40]))])
             .collect();
-        let cp = ColumnPage::build(&rs).unwrap();
-        assert_eq!(cp.segment(0).unwrap().encoding(), Encoding::Plain);
-        assert_eq!(cp.segment(1).unwrap().encoding(), Encoding::Dict);
-        assert_eq!(cp.segment(2).unwrap().encoding(), Encoding::Rle);
-        for c in 0..3 {
-            let col = cp.decode_col(c).unwrap();
-            for (row, d) in rs.iter().zip(&col) {
-                assert_eq!(format!("{d:?}"), format!("{:?}", row[c]));
-            }
-        }
+        let cp = ColumnPage::build(rs.clone()).unwrap();
+        let mut emitted = 0;
+        cp.emit_rows(2, Some(&[false, true]), |row| {
+            let (Datum::Opaque(_, served), Datum::Opaque(_, held)) =
+                (&row[1], &cp.cols[1][emitted])
+            else {
+                panic!("opaque column served as {:?}", row[1]);
+            };
+            assert!(Arc::ptr_eq(served, held), "row {emitted}: payload copied");
+            assert_eq!(row[1], rs[emitted][1]);
+            emitted += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(emitted, 50);
     }
 
     #[test]
@@ -632,7 +451,7 @@ mod tests {
         let rs: Vec<Row> = (0..20)
             .map(|i| vec![Datum::Int(i), Datum::Text("x".into()), Datum::Int(i * 2)])
             .collect();
-        let cp = ColumnPage::build(&rs).unwrap();
+        let cp = ColumnPage::build(rs).unwrap();
         let mask = [false, false, true];
         let mut seen = Vec::new();
         let decoded = cp
@@ -647,16 +466,17 @@ mod tests {
             assert!(row[0].is_null() && row[1].is_null());
             assert_eq!(row[2], Datum::Int(i as i64 * 2));
         }
-        // Prefix-only (no mask) decodes every segment in the prefix.
+        // Prefix-only (no mask) serves every column in the prefix.
         let decoded = cp.emit_rows(2, None, |_| Ok(())).unwrap();
         assert_eq!(decoded, 2);
     }
 
     #[test]
     fn mixed_arity_and_empty_fall_back() {
-        assert!(ColumnPage::build(&[]).is_none());
-        assert!(ColumnPage::build(&rows(&[&[Datum::Int(1)], &[Datum::Int(1), Datum::Int(2)]]))
-            .is_none());
+        assert!(ColumnPage::build(Vec::new()).is_none());
+        assert!(
+            ColumnPage::build(rows(&[&[Datum::Int(1)], &[Datum::Int(1), Datum::Int(2)]])).is_none()
+        );
     }
 
     #[test]

@@ -27,9 +27,9 @@ pub fn encode_row(row: &[Datum]) -> Vec<u8> {
     buf
 }
 
-/// Append one tagged datum to `buf` — the same per-field encoding
-/// [`encode_row`] uses, exposed so columnar segments share the codec.
-pub(crate) fn put_datum(buf: &mut Vec<u8>, d: &Datum) {
+/// Append one tagged datum to `buf`: the per-field encoding of
+/// [`encode_row`].
+fn put_datum(buf: &mut Vec<u8>, d: &Datum) {
     match d {
         Datum::Null => buf.push(T_NULL),
         Datum::Bool(false) => buf.push(T_BOOL_FALSE),
@@ -63,7 +63,7 @@ pub(crate) fn put_datum(buf: &mut Vec<u8>, d: &Datum) {
 
 /// Decode one tagged datum from the front of `buf`.
 #[inline]
-pub(crate) fn take_datum(buf: &mut &[u8]) -> DbResult<Datum> {
+fn take_datum(buf: &mut &[u8]) -> DbResult<Datum> {
     let tag = take_u8(buf)?;
     Ok(match tag {
         T_NULL => Datum::Null,
@@ -100,7 +100,7 @@ pub(crate) fn take_datum(buf: &mut &[u8]) -> DbResult<Datum> {
 /// Advance `buf` past one tagged datum without materializing it — the
 /// sparse-decode fast path for columns no expression references.
 #[inline]
-pub(crate) fn skip_datum(buf: &mut &[u8]) -> DbResult<()> {
+fn skip_datum(buf: &mut &[u8]) -> DbResult<()> {
     let tag = take_u8(buf)?;
     match tag {
         T_NULL | T_BOOL_FALSE | T_BOOL_TRUE => {}
@@ -153,9 +153,7 @@ pub fn decode_row_prefix_into(row: &mut Row, buf: &[u8], max_fields: usize) -> D
 /// keeps positional references below `max_fields` valid. Fields at or
 /// beyond `mask.len()` count as unreferenced.
 ///
-/// This is the fix for the old behavior where a query touching only a
-/// late column still paid full decode for every earlier column: the scan
-/// now decodes exactly the referenced column segments.
+/// A scan therefore decodes exactly the columns its plan references.
 pub fn decode_row_cols_into(
     row: &mut Row,
     mut buf: &[u8],

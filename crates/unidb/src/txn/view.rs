@@ -18,7 +18,7 @@
 //! is first checked for visibility by rid. A dirty table then serves one
 //! *virtual page* past the real heap: (a) prior images visible to the
 //! snapshot but already superseded in the heap and (b) the transaction's own
-//! updated/inserted rows. Columnar decode and user-defined indexes are off
+//! updated/inserted rows. Column images and user-defined indexes are off
 //! on dirty tables.
 //!
 //! **Zone pruning on dirty tables is sound.** A zone map describes the
@@ -268,8 +268,7 @@ fn virtual_index(real_pages: u32, rid: Rid) -> Option<usize> {
 
 /// The cached (or freshly built) columnar image of a heap page, or `None`
 /// when the page is not a candidate: the append-target tail page is still
-/// changing, and pages with overflow stubs hold rows the column segments
-/// could not represent inline.
+/// changing, and pages with overflow stubs are left to the row path.
 fn column_image(
     storage: &TableStorage,
     page_no: u32,
@@ -284,7 +283,7 @@ fn column_image(
     if !storage.heap.page_all_inline(page_no) {
         return Ok(None);
     }
-    let Some(cp) = ColumnPage::build(&storage.page_rows(page_no)?) else { return Ok(None) };
+    let Some(cp) = ColumnPage::build(storage.page_rows(page_no)?) else { return Ok(None) };
     let cp = Arc::new(cp);
     storage.col_cache.lock().insert(page_no, Arc::clone(&cp));
     Ok(Some(cp))
@@ -309,10 +308,7 @@ impl StorageAccess for ReadView<'_> {
         // parallelism, so the counters stay deterministic.
         let dirty = self.dirty(table_id);
         let real = storage.heap.num_pages();
-        // A dirty table has one virtual page past the heap carrying prior
-        // images and the overlay, so morsel-parallel scans pick it up like
-        // any other page.
-        let total = real.saturating_add(u32::from(dirty));
+        let total = self.scan_pages(table_id)?;
         if first_page >= total {
             return Ok(ScanProgress {
                 next_page: None,
@@ -324,14 +320,17 @@ impl StorageAccess for ReadView<'_> {
         let end = first_page.saturating_add(max_pages).min(total);
         let (mut skipped, mut segments, mut visited) = (0u32, 0u64, 0u64);
         let mut scratch: Row = Vec::new();
-        // The columnar image only beats direct row decode when the mask
-        // skips *interior* columns: segment decode then avoids walking the
-        // skipped columns' bytes entirely, where the row codec must parse
-        // past them. A dense scan (no mask, or every prefix column
-        // referenced — trailing columns are free to skip in row form too)
-        // decodes rows in place with no intermediate column vectors. An
-        // image has no rids to check visibility by, so a dirty table never
-        // uses one. `segments_decoded` follows the same formula both paths.
+        // A columnar image serves a row by cloning the referenced values it
+        // already holds (an `Arc` increment for an opaque payload), with no
+        // decode; the row codec must parse past every column before the
+        // last one read. Images are kept for scans whose mask skips interior
+        // columns. A dense scan (no mask, or every prefix column referenced —
+        // trailing columns are free to skip in row form too) decodes rows in
+        // place and builds none, so a full-table scan does not leave the
+        // whole table decoded in the cache at ~32 bytes per value. An image
+        // has no rids to check visibility by, so a dirty table never uses
+        // one. `segments_decoded` counts the columns each visited page
+        // serves, with the same formula on both paths.
         let sparse = !dirty && spec.mask.as_deref().is_some_and(|m| m.iter().any(|b| !*b));
         for page_no in first_page..end.min(real) {
             // Zone-map pruning (sound on dirty tables too: module doc). Only
@@ -392,6 +391,14 @@ impl StorageAccess for ReadView<'_> {
             pages_skipped: skipped,
             segments_decoded: segments,
         })
+    }
+
+    fn scan_pages(&self, table_id: u32) -> DbResult<u32> {
+        // A dirty table has one virtual page past the heap carrying prior
+        // images and the overlay, so morsel-parallel scans pick it up like
+        // any other page.
+        let real = self.storage(table_id)?.heap.num_pages();
+        Ok(real.saturating_add(u32::from(self.dirty(table_id))))
     }
 
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>> {

@@ -1266,3 +1266,172 @@ fn replay_locates_rows_with_and_without_indexes_and_with_duplicates() {
     drop(d);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Runs `sql` at parallelism 1 and 4 and returns the one outcome both give:
+/// the rows, or the error's text.
+fn at_both_widths(d: &Database, sql: &str) -> Result<Vec<Vec<Datum>>, String> {
+    let [one, four] = [1, 4].map(|par| {
+        d.set_parallelism(par);
+        d.execute(sql).map(|rs| rs.rows).map_err(|e| e.to_string())
+    });
+    assert_eq!(one, four, "{sql}: parallelism 1 vs 4");
+    one
+}
+
+/// Four rows of interest — a NULL in each operand column, Int/Float pairs
+/// that tie and that differ — ahead of enough filler that a width-4 scan
+/// runs several morsels and serves the leading pages from column images
+/// (`pad` is never read, so every plan's column mask is sparse).
+fn operand_fixture() -> Database {
+    let d = db();
+    d.execute_script(
+        "CREATE TABLE t (id INT, pad INT, i INT, f FLOAT, s TEXT);
+         INSERT INTO t VALUES (1, 0, 3, 3.0, 'x'), (2, 0, NULL, 2.5, NULL),
+                              (3, 0, 0, NULL, 'y'), (4, 0, 5, 4.5, 'é');",
+    )
+    .unwrap();
+    let filler: Vec<String> =
+        (100..FILLER_ROWS + 100).map(|id| format!("({id}, 0, 1000, 1000.5, 'zz')")).collect();
+    for chunk in filler.chunks(1000) {
+        d.execute(&format!("INSERT INTO t VALUES {}", chunk.join(","))).unwrap();
+    }
+    d
+}
+
+const FILLER_ROWS: i64 = 12_000;
+
+fn count_where(d: &Database, pred: &str) -> i64 {
+    let rows = at_both_widths(d, &format!("SELECT count(*) FROM t WHERE {pred}")).unwrap();
+    rows[0][0].as_int().unwrap()
+}
+
+/// The value of `expr` on rows 1–4, in row order.
+fn values_of(d: &Database, expr: &str) -> Vec<Datum> {
+    let rows = at_both_widths(d, &format!("SELECT id, {expr} FROM t WHERE id < 10")).unwrap();
+    assert_eq!(
+        rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>(),
+        (1..=4).map(Datum::Int).collect::<Vec<_>>()
+    );
+    rows.into_iter().map(|r| r[1].clone()).collect()
+}
+
+#[test]
+fn comparisons_with_a_null_operand_are_unknown_at_every_width() {
+    let d = operand_fixture();
+    let (t, f, n) = (Datum::Bool(true), Datum::Bool(false), Datum::Null);
+    for (op, holds) in [
+        ("=", (|a, b| a == b) as fn(i64, i64) -> bool),
+        ("<>", |a, b| a != b),
+        ("<", |a, b| a < b),
+        ("<=", |a, b| a <= b),
+        (">", |a, b| a > b),
+        (">=", |a, b| a >= b),
+    ] {
+        // A NULL literal on either side, against every column type: unknown
+        // for every row, so neither the predicate nor its negation passes.
+        for pred in [
+            format!("i {op} NULL"),
+            format!("NULL {op} i"),
+            format!("f {op} NULL"),
+            format!("NULL {op} s"),
+        ] {
+            assert_eq!(count_where(&d, &pred), 0, "{pred}");
+            assert_eq!(count_where(&d, &format!("NOT ({pred})")), 0, "NOT ({pred})");
+            assert_eq!(values_of(&d, &pred), vec![n.clone(); 4], "{pred}");
+        }
+        // A NULL column on either side: unknown on row 2 only.
+        let expect = |swap: bool| -> Vec<Datum> {
+            [Some(3), None, Some(0), Some(5)]
+                .map(|i| {
+                    i.map_or(n.clone(), |i| {
+                        Datum::Bool(if swap { holds(3, i) } else { holds(i, 3) })
+                    })
+                })
+                .to_vec()
+        };
+        assert_eq!(values_of(&d, &format!("i {op} 3")), expect(false), "i {op} 3");
+        assert_eq!(values_of(&d, &format!("3 {op} i")), expect(true), "3 {op} i");
+        let passing = expect(false).iter().filter(|v| **v == t).count() as i64;
+        let filler = if holds(1000, 3) { FILLER_ROWS } else { 0 };
+        assert_eq!(count_where(&d, &format!("i {op} 3")), passing + filler, "i {op} 3");
+    }
+    // BETWEEN is `v >= lo AND v <= hi`, IN an OR of equalities, both
+    // three-valued: a NULL bound or list item leaves the row unknown unless
+    // the other side already decides it.
+    for (expr, expect) in [
+        ("i BETWEEN NULL AND 4", [n.clone(), n.clone(), n.clone(), f.clone()]),
+        ("i NOT BETWEEN NULL AND 4", [n.clone(), n.clone(), n.clone(), t.clone()]),
+        ("i BETWEEN 1 AND NULL", [n.clone(), n.clone(), f.clone(), n.clone()]),
+        ("NULL BETWEEN 1 AND 5", [n.clone(), n.clone(), n.clone(), n.clone()]),
+        ("f BETWEEN 2.5 AND 4", [t.clone(), t.clone(), n.clone(), f.clone()]),
+        ("i IN (3, NULL)", [t.clone(), n.clone(), n.clone(), n.clone()]),
+        ("i NOT IN (3, NULL)", [f.clone(), n.clone(), n.clone(), n.clone()]),
+        ("NULL IN (1, 2)", [n.clone(), n.clone(), n.clone(), n.clone()]),
+        ("i IN (0, 5)", [f.clone(), n.clone(), t.clone(), t.clone()]),
+        ("s IN ('é', NULL)", [n.clone(), n.clone(), n.clone(), t.clone()]),
+        ("i IS NULL", [f.clone(), t.clone(), f.clone(), f.clone()]),
+    ] {
+        assert_eq!(values_of(&d, expr), expect.to_vec(), "{expr}");
+        let passing = expect.iter().filter(|v| **v == t).count() as i64;
+        let filler = count_where(&d, &format!("({expr}) AND id >= 100"));
+        assert_eq!(count_where(&d, expr), passing + filler, "{expr}");
+    }
+}
+
+#[test]
+fn int_and_float_compare_by_value_at_every_width() {
+    let d = operand_fixture();
+    // Row 1 ties (3 = 3.0), row 4 differs (5 > 4.5), filler has i < f.
+    assert_eq!(count_where(&d, "i = f"), 1);
+    assert_eq!(count_where(&d, "f = i"), 1);
+    assert_eq!(count_where(&d, "i <> f"), 1 + FILLER_ROWS);
+    assert_eq!(count_where(&d, "i > f"), 1);
+    assert_eq!(count_where(&d, "i < f"), FILLER_ROWS);
+    assert_eq!(count_where(&d, "i <= f"), 1 + FILLER_ROWS);
+    assert_eq!(count_where(&d, "f >= 3"), 2 + FILLER_ROWS);
+    assert_eq!(count_where(&d, "f = 3"), 1);
+    assert_eq!(count_where(&d, "i = 3.0"), 1);
+    assert_eq!(count_where(&d, "i BETWEEN 2.5 AND 3.5"), 1);
+    assert_eq!(count_where(&d, "i IN (2.5, 5.0)"), 1);
+    assert_eq!(count_where(&d, "f IN (3, 4)"), 1);
+    assert_eq!(
+        values_of(&d, "i = f"),
+        vec![Datum::Bool(true), Datum::Null, Datum::Null, Datum::Bool(false)]
+    );
+}
+
+#[test]
+fn a_where_clause_that_is_not_bool_keeps_its_outcome_at_every_width() {
+    let d = operand_fixture();
+    // A non-BOOL value is not TRUE: every row is rejected, silently.
+    for pred in ["i", "f", "s", "1", "'a'", "NULL", "i + 1"] {
+        assert_eq!(count_where(&d, pred), 0, "WHERE {pred}");
+    }
+    // An operator that needs a BOOL rejects the statement instead.
+    assert_eq!(
+        at_both_widths(&d, "SELECT id FROM t WHERE NOT i"),
+        Err("type mismatch: NOT expects BOOL, got 3".to_string())
+    );
+    assert_eq!(
+        at_both_widths(&d, "SELECT id FROM t WHERE i = 3 OR s"),
+        Err("type mismatch: expected BOOL, got y".to_string())
+    );
+}
+
+#[test]
+fn an_argument_error_and_an_accumulator_error_report_the_same_text_at_every_width() {
+    let d = operand_fixture();
+    // Row 1 makes `sum(s)` reject its value; row 3 makes `10 / i` fail to
+    // evaluate. Rows fold in order, each call's argument evaluated just
+    // before its accumulator takes it, so the earlier row's error wins
+    // however wide the scan feeding the aggregate is.
+    let sum_error = Err("type mismatch: sum(): sum() expects numbers, got x".to_string());
+    let div_error = Err("type mismatch: division by zero".to_string());
+    assert_eq!(at_both_widths(&d, "SELECT sum(s), sum(10 / i) FROM t"), sum_error);
+    assert_eq!(
+        at_both_widths(&d, "SELECT pad, sum(s), sum(10 / i) FROM t GROUP BY pad"),
+        sum_error
+    );
+    assert_eq!(at_both_widths(&d, "SELECT sum(10 / i), sum(s) FROM t WHERE id >= 3"), div_error);
+    assert_eq!(at_both_widths(&d, "SELECT sum(10 / i), sum(s) FROM t"), sum_error);
+}

@@ -131,6 +131,44 @@ fn partition_counters_are_deterministic_and_stats_driven() {
     }
 }
 
+/// Grouped and global aggregates over a scan big enough that a width-4 wave
+/// hands the aggregate one batch of every row: the same rows in the same
+/// (first-seen) group order, the same counters and `partitions=16` at
+/// parallelism 1 and 4, whatever the key's shape.
+#[test]
+fn aggregates_fold_the_same_rows_at_every_width() {
+    let d = seeded();
+    d.execute("INSERT INTO reads VALUES (6000, NULL, 5), (6001, NULL, 7)").unwrap();
+    let quarter = Datum::Int(BIG_ROWS as i64 / 4);
+    let mut by_chrom = None;
+    for sql in [
+        "SELECT chrom, count(*), sum(score), min(id) FROM reads GROUP BY chrom",
+        "SELECT id % 7, count(*), max(score) FROM reads GROUP BY id % 7",
+        "SELECT chrom, id % 3, count(*), sum(id) FROM reads GROUP BY chrom, id % 3",
+        "SELECT chrom, count(DISTINCT score % 10), count(chrom) FROM reads GROUP BY chrom",
+        "SELECT count(*), sum(score), count(DISTINCT chrom), min(chrom) FROM reads",
+        "SELECT count(*), sum(score) FROM reads WHERE id < 0",
+    ] {
+        d.set_parallelism(1);
+        let (r1, s1) = d.explain_analyze(sql).unwrap();
+        d.set_parallelism(4);
+        let (r4, s4) = d.explain_analyze(sql).unwrap();
+        assert_eq!(r1.rows, r4.rows, "{sql}");
+        assert_eq!(s1.render_counters(), s4.render_counters(), "{sql}");
+        assert!(s1.render_counters().contains("partitions=16"), "{sql}:\n{}", s1.render_counters());
+        by_chrom.get_or_insert(r1.rows);
+    }
+    let keys: Vec<Datum> = by_chrom.unwrap().into_iter().map(|r| r[0].clone()).collect();
+    assert_eq!(
+        keys,
+        [0, 1, 2, 3].map(Datum::Int).into_iter().chain([Datum::Null]).collect::<Vec<_>>()
+    );
+    d.set_parallelism(4);
+    let rows = d.execute("SELECT chrom, count(*) FROM reads GROUP BY chrom").unwrap().rows;
+    assert!(rows[..4].iter().all(|r| r[1] == quarter), "{rows:?}");
+    assert_eq!(rows[4], vec![Datum::Null, Datum::Int(2)]);
+}
+
 #[test]
 fn explain_analyze_statement_reports_all_counters() {
     let d = seeded();

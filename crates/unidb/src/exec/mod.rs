@@ -13,11 +13,16 @@
 //! pre-fused into [`PhysicalPlan::TopN`], whose bounded heap never holds
 //! more than `offset + n` rows.
 //!
-//! Scans decode only the columns the plan reads. `build_iter` hands each
-//! operator the output positions that it or its consumers read (its
-//! *need*), and a SeqScan turns its need plus its residual's columns into a
-//! [`ScanSpec`]. Unread positions stay `Datum::Null` placeholders, so rows
-//! keep their binding width and every downstream position is unchanged.
+//! Rows carry only the columns someone reads. `build_iter` hands each
+//! operator the binding positions that it or its consumers read (its
+//! *need*) and gets back, with the operator, its *layout*: the ascending
+//! binding positions its rows hold. A SeqScan decodes its need plus its
+//! residual's columns (its [`ScanSpec`]), filters on the decode scratch
+//! and emits only its need; Filter, Sort, TopN, Limit and Distinct pass
+//! their input's layout on; a join concatenates its inputs' layouts; every
+//! other operator emits all of its bindings. A parent compiles against the
+//! full bindings — resolution errors are the plan's — and remaps the
+//! column positions through its input's layout ([`CompiledExpr::remap`]).
 //!
 //! All expressions are lowered to [`CompiledExpr`] when the operator tree
 //! is built — before the first row flows — so per-row evaluation does no
@@ -30,9 +35,10 @@
 //!
 //! With `parallelism > 1`, SeqScan fans page-range morsels out over scoped
 //! std threads (filter and projection run inside the morsel when fused), and
-//! Sort and the hash-join build evaluate their keys across row chunks the
-//! same way. Aggregate folds its (morsel-parallel) input on the pulling
-//! thread. Workers write results back in morsel order, so the output —
+//! Sort evaluates its keys across row chunks the same way. The hash join
+//! builds one chained table and probes it, and Aggregate folds its
+//! (morsel-parallel) input, on the pulling thread. Workers write results
+//! back in morsel order, so the output —
 //! including tie order everywhere — is byte-identical to a serial run; the
 //! qdiff sweep pins this by running the same seeds at parallelism 1 and 4.
 
@@ -42,7 +48,7 @@ use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
 use crate::expr::compile::{compile, infallible, CompiledExpr};
 use crate::expr::func::FunctionRegistry;
-use crate::fxhash::{hash_one, FxBuildHasher, FxHashMap};
+use crate::fxhash::{hash_one, FxHashMap};
 use crate::plan::{AggCall, PhysicalPlan};
 use crate::sql::ast::{Expr, JoinKind};
 use crate::storage::colpage::ColBound;
@@ -157,12 +163,23 @@ pub struct ScanSpec {
     pub bounds: Vec<ColBound>,
 }
 
-/// Output positions of an operator that it or its consumers read.
+/// Binding positions of an operator that it or its consumers read.
 type Need = BTreeSet<usize>;
 
-/// Every output position of `plan`: what the root and `DISTINCT` read.
+/// The binding positions an operator's rows hold, ascending: row value `i`
+/// is binding `layout[i]`. It always covers the operator's need.
+type Layout = Vec<usize>;
+
+/// Every binding position of `plan`: what the root and `DISTINCT` read.
 fn all_columns(plan: &PhysicalPlan) -> Need {
     (0..plan.bindings().len()).collect()
+}
+
+/// A join's layout: the left input's, then the right input's past the left
+/// bindings.
+fn concat(mut left: Layout, right: Layout, left_width: usize) -> Layout {
+    left.extend(right.into_iter().map(|c| c + left_width));
+    left
 }
 
 /// `need` plus every position `exprs` read.
@@ -223,7 +240,8 @@ pub fn execute_plan(
 ) -> DbResult<Vec<Row>> {
     let mut query_span = genalg_obs::tracer().span("exec.query");
     let (_executing, width) = Executing::enter(storage, parallelism);
-    let it = build_iter(storage, funcs, plan, all_columns(plan), width, None, query_span.id())?;
+    let (it, _) =
+        build_iter(storage, funcs, plan, all_columns(plan), width, None, query_span.id())?;
     let out = collect_rows(it)?;
     query_span.field("rows", out.len());
     Ok(out)
@@ -242,7 +260,7 @@ pub fn execute_plan_with_stats(
     let root = stats_tree(plan);
     let (_executing, width) = Executing::enter(storage, parallelism);
     let need = all_columns(plan);
-    let it = build_iter(storage, funcs, plan, need, width, Some(&root), query_span.id())?;
+    let (it, _) = build_iter(storage, funcs, plan, need, width, Some(&root), query_span.id())?;
     let out = collect_rows(it)?;
     query_span.field("rows", out.len());
     Ok((out, root.snapshot()))
@@ -287,8 +305,7 @@ impl Batch {
     }
 
     /// Close the row just appended to `data`, padding it to the width with
-    /// NULLs: the positions a scan did not decode, the null side of an
-    /// outer join.
+    /// NULLs: the null side of a LEFT join's unmatched row.
     fn end_row(&mut self) {
         self.rows += 1;
         debug_assert!(self.data.len() <= self.rows * self.width, "row wider than its batch");
@@ -357,16 +374,17 @@ trait BatchIter {
 type BoxIter<'a> = Box<dyn BatchIter + 'a>;
 
 /// Lower a plan into its operator tree, compiling every expression. All
-/// name-resolution errors surface here, before any row is read.
+/// name-resolution errors surface here, before any row is read. Returns
+/// the operator with its [`Layout`].
 ///
-/// `need` is the set of this operator's output positions that it or its
+/// `need` is the set of this operator's binding positions that it or its
 /// consumers read. Each operator passes its input what it reads of it:
 /// a Project its expressions, an Aggregate its group keys and arguments,
 /// Filter, Sort and TopN `need` plus their predicate or keys, Limit
 /// `need`, a join `need` split at the left width plus each side's keys or
 /// `on` columns, `DISTINCT` (like the root) every column. A SeqScan
-/// decodes exactly that plus its residual's columns; index scans fetch
-/// whole rows.
+/// decodes exactly that plus its residual's columns and emits `need`;
+/// index scans fetch and emit whole rows.
 ///
 /// When `stats` is given (`EXPLAIN ANALYZE`), each operator is wrapped in
 /// a [`StatIter`] attributing rows/batches/time to the matching node of
@@ -384,28 +402,30 @@ fn build_iter<'a>(
     par: usize,
     stats: Option<&Arc<OpStats>>,
     span_parent: u64,
-) -> DbResult<BoxIter<'a>> {
+) -> DbResult<(BoxIter<'a>, Layout)> {
     let child = |i: usize| stats.map(|s| &s.children[i]);
     let build = |input: &PhysicalPlan, need: Need, i: usize| {
         build_iter(storage, funcs, input, need, par, child(i), span_parent)
     };
-    let it: BoxIter<'a> = match plan {
-        PhysicalPlan::Nothing => Box::new(NothingIter { done: false }),
+    let (it, layout): (BoxIter<'a>, Layout) = match plan {
+        PhysicalPlan::Nothing => (Box::new(NothingIter { done: false }), Layout::new()),
         PhysicalPlan::SeqScan { table_id, residual, columns, .. } => {
             let filter = compile_opt(residual.as_ref(), columns, funcs)?;
-            let spec = scan_spec(&reading(need, &filter), &filter);
-            Box::new(SeqScanIter {
+            let spec = scan_spec(&reading(need.clone(), &filter), &filter);
+            let layout: Layout = need.into_iter().collect();
+            let scan = SeqScanIter {
                 storage,
                 table_id: *table_id,
                 filter,
-                project: None,
-                width: columns.len(),
+                width: layout.len(),
+                emit: Emit::Columns(layout.clone()),
                 spec,
                 pages: storage.scan_pages(*table_id)?,
                 next_page: Some(0),
                 par,
                 stats: stats.map(Arc::clone),
-            })
+            };
+            (Box::new(scan), layout)
         }
         // Project directly over SeqScan fuses into the scan morsel, so
         // filter + projection run inside the parallel workers.
@@ -427,163 +447,162 @@ fn build_iter<'a>(
                 table_id: *table_id,
                 filter,
                 width: project.len(),
-                project: Some(project),
+                emit: Emit::Exprs(project),
                 spec,
                 pages: storage.scan_pages(*table_id)?,
                 next_page: Some(0),
                 par,
                 stats: child(0).map(Arc::clone),
             });
-            match child(0) {
+            let scan = match child(0) {
                 Some(s) => Box::new(StatIter { input: scan, stats: Arc::clone(s) }),
                 None => scan,
-            }
+            };
+            (scan, identity(exprs.len()))
         }
         PhysicalPlan::IndexEqScan { table_id, column, key, residual, columns, .. } => {
-            Box::new(RidScanIter {
-                storage,
-                table_id: *table_id,
-                rids: storage.btree_eq(*table_id, column, key)?,
-                pos: 0,
-                filter: compile_opt(residual.as_ref(), columns, funcs)?,
-                width: columns.len(),
-            })
+            let rids = storage.btree_eq(*table_id, column, key)?;
+            rid_scan(storage, *table_id, rids, residual.as_ref(), columns, funcs)?
         }
         PhysicalPlan::IndexRangeScan { table_id, column, lo, hi, residual, columns, .. } => {
-            Box::new(RidScanIter {
-                storage,
-                table_id: *table_id,
-                rids: storage.btree_range(*table_id, column, as_ref_bound(lo), as_ref_bound(hi))?,
-                pos: 0,
-                filter: compile_opt(residual.as_ref(), columns, funcs)?,
-                width: columns.len(),
-            })
+            let rids = storage.btree_range(*table_id, column, lo.as_ref(), hi.as_ref())?;
+            rid_scan(storage, *table_id, rids, residual.as_ref(), columns, funcs)?
         }
         PhysicalPlan::UdiScan { table_id, column, func, args, residual, columns, .. } => {
-            Box::new(RidScanIter {
-                storage,
-                table_id: *table_id,
-                rids: storage.udi_probe(*table_id, column, func, args)?,
-                pos: 0,
-                filter: compile_opt(residual.as_ref(), columns, funcs)?,
-                width: columns.len(),
-            })
+            let rids = storage.udi_probe(*table_id, column, func, args)?;
+            rid_scan(storage, *table_id, rids, residual.as_ref(), columns, funcs)?
         }
         PhysicalPlan::Filter { input, predicate } => {
-            let pred = compile(predicate, &input.bindings(), funcs)?;
-            Box::new(FilterIter { input: build(input, reading(need, [&pred]), 0)?, pred })
+            let mut pred = compile(predicate, &input.bindings(), funcs)?;
+            let (input, layout) = build(input, reading(need, [&pred]), 0)?;
+            pred.remap(&layout);
+            (Box::new(FilterIter { input, pred }), layout)
         }
         PhysicalPlan::Project { input, exprs, .. } => {
-            let exprs = compile_all(exprs, &input.bindings(), funcs)?;
-            Box::new(ProjectIter { input: build(input, reading(Need::new(), &exprs), 0)?, exprs })
+            let mut exprs = compile_all(exprs, &input.bindings(), funcs)?;
+            let (input, layout) = build(input, reading(Need::new(), &exprs), 0)?;
+            exprs.iter_mut().for_each(|e| e.remap(&layout));
+            let width = exprs.len();
+            (Box::new(ProjectIter { input, exprs }), identity(width))
         }
         PhysicalPlan::NestedLoopJoin { left, right, kind, on } => {
             let mut bindings = left.bindings();
-            let (left_width, right_width) = (bindings.len(), right.bindings().len());
+            let left_width = bindings.len();
             bindings.extend(right.bindings());
-            let on = compile_opt(on.as_ref(), &bindings, funcs)?;
+            let mut on = compile_opt(on.as_ref(), &bindings, funcs)?;
             let (left_need, right_need) = split_need(&reading(need, &on), left_width);
-            Box::new(NlJoinIter {
-                left: build(left, left_need, 0)?,
-                right: Some(build(right, right_need, 1)?),
+            let (left, left_layout) = build(left, left_need, 0)?;
+            let (right, right_layout) = build(right, right_need, 1)?;
+            let right_width = right_layout.len();
+            let layout = concat(left_layout, right_layout, left_width);
+            on.iter_mut().for_each(|e| e.remap(&layout));
+            let join = NlJoinIter {
+                left,
+                right: Some(right),
                 right_rows: Batch::default(),
                 kind: *kind,
                 on,
                 right_width,
-            })
+            };
+            (Box::new(join), layout)
         }
         PhysicalPlan::HashJoin { left, right, left_key, right_key, build_left, kind } => {
             let (left_bindings, right_bindings) = (left.bindings(), right.bindings());
-            let left_k = compile(left_key, &left_bindings, funcs)?;
-            let right_k = compile(right_key, &right_bindings, funcs)?;
+            let mut left_k = compile(left_key, &left_bindings, funcs)?;
+            let mut right_k = compile(right_key, &right_bindings, funcs)?;
             let (left_need, right_need) = split_need(&need, left_bindings.len());
             // Children are built in plan order so build-time side effects —
             // index probes, name-resolution errors — happen in the same
             // order whichever side the executor builds on, and
             // child(0)/child(1) stay attached to the plan's left/right
             // inputs regardless.
-            let left_it = build(left, reading(left_need, [&left_k]), 0)?;
-            let right_it = build(right, reading(right_need, [&right_k]), 1)?;
-            let (build_it, build_k, build_width, probe_it, probe_k) = if *build_left {
-                (left_it, left_k, left_bindings.len(), right_it, right_k)
+            let (left_it, left_layout) = build(left, reading(left_need, [&left_k]), 0)?;
+            let (right_it, right_layout) = build(right, reading(right_need, [&right_k]), 1)?;
+            left_k.remap(&left_layout);
+            right_k.remap(&right_layout);
+            let (build_it, build_key, build_width, probe, probe_key) = if *build_left {
+                (left_it, left_k, left_layout.len(), right_it, right_k)
             } else {
-                (right_it, right_k, right_bindings.len(), left_it, left_k)
+                (right_it, right_k, right_layout.len(), left_it, left_k)
             };
-            Box::new(HashJoinIter {
-                probe: probe_it,
+            let join = HashJoinIter {
+                probe,
                 build: Some(build_it),
                 build_rows: Batch::default(),
-                parts: Vec::new(),
-                mask: 0,
-                probe_key: probe_k,
-                build_key: build_k,
+                build_keys: Vec::new(),
+                heads: Vec::new(),
+                next: Vec::new(),
+                probe_key,
+                build_key,
                 build_is_left: *build_left,
                 left_outer: *kind == JoinKind::Left,
                 build_width,
-                par,
                 stats: stats.map(Arc::clone),
-            })
+            };
+            (Box::new(join), concat(left_layout, right_layout, left_bindings.len()))
         }
         PhysicalPlan::Aggregate { input, group_by, calls } => {
             let in_bindings = input.bindings();
-            let group_by = compile_all(group_by, &in_bindings, funcs)?;
-            let args = calls
+            let mut group_by = compile_all(group_by, &in_bindings, funcs)?;
+            let mut args = calls
                 .iter()
                 .map(|c| compile_opt(c.arg.as_ref(), &in_bindings, funcs))
                 .collect::<DbResult<Vec<_>>>()?;
             let need = reading(Need::new(), group_by.iter().chain(args.iter().flatten()));
-            Box::new(AggregateIter {
-                input: Some(build(input, need, 0)?),
+            let (input, layout) = build(input, need, 0)?;
+            group_by.iter_mut().chain(args.iter_mut().flatten()).for_each(|e| e.remap(&layout));
+            let width = group_by.len() + calls.len();
+            let agg = AggregateIter {
+                input: Some(input),
                 group_by,
                 args,
                 calls: calls.to_vec(),
                 funcs,
                 stats: stats.map(Arc::clone),
-            })
+            };
+            (Box::new(agg), identity(width))
         }
         PhysicalPlan::Sort { input, keys: sort_keys } => {
-            let keys = compile_keys(sort_keys, &input.bindings(), funcs)?;
-            Box::new(SortIter {
-                input: Some(build(input, reading(need, &keys), 0)?),
-                keys,
-                dirs: sort_keys.iter().map(|(_, asc)| *asc).collect(),
-                par,
-            })
+            let mut keys = compile_keys(sort_keys, &input.bindings(), funcs)?;
+            let (input, layout) = build(input, reading(need, &keys), 0)?;
+            keys.iter_mut().for_each(|k| k.remap(&layout));
+            let dirs = sort_keys.iter().map(|(_, asc)| *asc).collect();
+            (Box::new(SortIter { input: Some(input), keys, dirs, par }), layout)
         }
         PhysicalPlan::TopN { input, keys: sort_keys, n, offset } => {
-            let bindings = input.bindings();
-            let keys = compile_keys(sort_keys, &bindings, funcs)?;
-            Box::new(TopNIter {
-                input: Some(build(input, reading(need, &keys), 0)?),
+            let mut keys = compile_keys(sort_keys, &input.bindings(), funcs)?;
+            let (input, layout) = build(input, reading(need, &keys), 0)?;
+            keys.iter_mut().for_each(|k| k.remap(&layout));
+            let top = TopNIter {
+                input: Some(input),
                 keys,
                 dirs: Arc::new(sort_keys.iter().map(|(_, asc)| *asc).collect()),
                 n: *n,
                 offset: *offset,
-                width: bindings.len(),
-            })
+                width: layout.len(),
+            };
+            (Box::new(top), layout)
         }
-        PhysicalPlan::Distinct { input } => Box::new(DistinctIter {
-            input: build(input, all_columns(input), 0)?,
-            seen: HashSet::new(),
-        }),
-        PhysicalPlan::Limit { input, n, offset } => Box::new(LimitIter {
+        PhysicalPlan::Distinct { input } => {
+            let (input, layout) = build(input, all_columns(input), 0)?;
+            (Box::new(DistinctIter { input, seen: HashSet::new() }), layout)
+        }
+        PhysicalPlan::Limit { input, n, offset } => {
             // When any expression under this operator can error, an early
             // exit could skip the evaluation that would have raised it and
             // change the query's outcome — drain the input instead.
-            eager: plan_fallible(input),
-            input: build(input, need, 0)?,
-            n: *n,
-            offset: *offset,
-            emitted: 0,
-            done: false,
-        }),
+            let eager = plan_fallible(input);
+            let (input, layout) = build(input, need, 0)?;
+            let limit = LimitIter { eager, input, n: *n, offset: *offset, emitted: 0, done: false };
+            (Box::new(limit), layout)
+        }
     };
     let it = match stats {
         Some(s) => Box::new(StatIter { input: it, stats: Arc::clone(s) }),
         None => it,
     };
     let tracer = genalg_obs::tracer();
-    Ok(if tracer.enabled() {
+    let it = if tracer.enabled() {
         Box::new(SpanIter {
             input: it,
             tracer,
@@ -595,7 +614,27 @@ fn build_iter<'a>(
         })
     } else {
         it
-    })
+    };
+    Ok((it, layout))
+}
+
+/// Every position of a `width`-column row, in order.
+fn identity(width: usize) -> Layout {
+    (0..width).collect()
+}
+
+/// An index or UDI scan fetching `rids`: whole rows, so an identity layout.
+fn rid_scan<'a>(
+    storage: &'a dyn StorageAccess,
+    table_id: u32,
+    rids: Vec<Rid>,
+    residual: Option<&Expr>,
+    columns: &[crate::expr::eval::ColumnBinding],
+    funcs: &FunctionRegistry,
+) -> DbResult<(BoxIter<'a>, Layout)> {
+    let filter = compile_opt(residual, columns, funcs)?;
+    let width = columns.len();
+    Ok((Box::new(RidScanIter { storage, table_id, rids, pos: 0, filter, width }), identity(width)))
 }
 
 fn compile_opt(
@@ -681,14 +720,6 @@ fn cmp_key_vecs(a: &[Datum], b: &[Datum], dirs: &[bool]) -> Ordering {
         }
     }
     Ordering::Equal
-}
-
-fn as_ref_bound(b: &Bound<Datum>) -> Bound<&Datum> {
-    match b {
-        Bound::Included(d) => Bound::Included(d),
-        Bound::Excluded(d) => Bound::Excluded(d),
-        Bound::Unbounded => Bound::Unbounded,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -822,18 +853,18 @@ impl BatchIter for NothingIter {
 /// Streaming heap scan with optional fused filter and projection. Each
 /// `next_batch` reads one wave of up to `par` morsels, the first on the
 /// pulling thread and the rest on scoped threads, reassembled in morsel
-/// order so the row order is identical to a serial scan.
+/// order so the row order is identical to a serial scan. The residual
+/// runs on the decode scratch, which holds table positions; a kept row
+/// leaves it as its [`Emit`] says.
 struct SeqScanIter<'a> {
     storage: &'a dyn StorageAccess,
     table_id: u32,
     filter: Option<CompiledExpr>,
-    project: Option<Vec<CompiledExpr>>,
-    /// Output row width: the projection's when fused, else the table's.
+    emit: Emit,
+    /// Output row width: the projection's when fused, else the layout's.
     width: usize,
     /// What to decode (the columns this scan's consumers and residual
     /// read) and which pages the zone maps may refute (predicate bounds).
-    /// Undecoded positions are NULL-padded, so unfused rows always have
-    /// the table's width.
     spec: ScanSpec,
     /// Pages the scan covers ([`StorageAccess::scan_pages`]): a wave runs
     /// no morsel that would start past them.
@@ -845,6 +876,14 @@ struct SeqScanIter<'a> {
     /// pulling thread after the wave joins, so the totals are
     /// deterministic at any parallelism.
     stats: Option<Arc<OpStats>>,
+}
+
+/// What a SeqScan emits of each row it keeps.
+enum Emit {
+    /// These table positions (the scan's layout), moved out of the scratch.
+    Columns(Layout),
+    /// A fused projection's values.
+    Exprs(Vec<CompiledExpr>),
 }
 
 impl SeqScanIter<'_> {
@@ -864,13 +903,17 @@ impl SeqScanIter<'_> {
                         return Ok(());
                     }
                 }
-                match &self.project {
-                    Some(exprs) => {
+                match &self.emit {
+                    Emit::Exprs(exprs) => {
                         for e in exprs {
                             out.data.push(e.eval(row)?.into_owned());
                         }
                     }
-                    None => out.data.append(row),
+                    // A stored row shorter than the prefix reads NULL past
+                    // its end, as the decode would have padded it.
+                    Emit::Columns(layout) => out.data.extend(layout.iter().map(|&c| {
+                        row.get_mut(c).map_or(Datum::Null, |d| std::mem::replace(d, Datum::Null))
+                    })),
                 }
                 out.end_row();
                 Ok(())
@@ -1213,36 +1256,20 @@ impl BatchIter for NlJoinIter<'_> {
     }
 }
 
-/// Radix partition count for a hash-join build side of `rows` rows: one
-/// partition per ~4k rows keeps each partition's table cache-sized, as a
-/// power of two so `hash & mask` selects it. A pure function of the data
-/// (never of the parallelism level), because `EXPLAIN ANALYZE` renders it
-/// in the deterministic counter subset.
-fn join_partitions(rows: usize) -> usize {
-    (rows / 4096).next_power_of_two().clamp(1, 256)
-}
+/// The end of a hash-join chain.
+const NIL: u32 = u32::MAX;
 
-/// Build one partition's table from its bucketed `(key, build-row index)`
-/// pairs. Indices arrive in build order, so match lists — and therefore
-/// emitted row order — are identical however partitions are built.
-fn build_partition(bucket: Vec<(Datum, u32)>) -> FxHashMap<Datum, Vec<u32>> {
-    let mut table: FxHashMap<Datum, Vec<u32>> =
-        FxHashMap::with_capacity_and_hasher(bucket.len(), FxBuildHasher);
-    for (key, i) in bucket {
-        table.entry(key).or_default().push(i);
-    }
-    table
-}
-
-/// Hash join, radix-partitioned: the build side (chosen by the planner's
-/// statistics — `build=left|right` in `EXPLAIN`) is drained once into one
-/// flat batch, its keys evaluated across morsel threads, and its row
-/// indices bucketed by key hash into cache-sized partitions, each with its
-/// own private table — partitions are independent, so parallel table
-/// builds share nothing. Probe batches then stream through; each probe key
-/// hashes to exactly one partition whose table stays cache-resident.
+/// Hash join over one chained table: the build side (chosen by the
+/// planner's statistics — `build=left|right` in `EXPLAIN`) is drained once
+/// into one flat batch and its keys evaluated once. `heads` has a power of
+/// two ≥ 2 × build rows buckets, each the first build row whose key hashes
+/// there; `next` links every row to the next one in its bucket. Rows are
+/// linked in reverse build order, so a chain walks in build order and
+/// duplicate keys match in build order; NULL keys are never linked. A
+/// probe row reads its key in place, hashes it to one bucket and walks
+/// that chain.
 ///
-/// Emitted rows are always in `left ++ right` column order regardless of
+/// Emitted rows are always in `left ++ right` layout order regardless of
 /// which side was built. For LEFT joins the build side is always the
 /// right (padded) side; unmatched probe rows — including rows whose key
 /// is NULL, which never joins anything — are padded with NULLs.
@@ -1250,16 +1277,21 @@ struct HashJoinIter<'a> {
     probe: BoxIter<'a>,
     build: Option<BoxIter<'a>>,
     build_rows: Batch,
-    parts: Vec<FxHashMap<Datum, Vec<u32>>>,
-    mask: u64,
+    /// Build row `i`'s key.
+    build_keys: Vec<Datum>,
+    /// Bucket → first build row in its chain, or [`NIL`].
+    heads: Vec<u32>,
+    /// Build row → next build row in its chain, or [`NIL`].
+    next: Vec<u32>,
     probe_key: CompiledExpr,
     build_key: CompiledExpr,
     /// The build side is the plan's *left* input: emit build ++ probe.
     build_is_left: bool,
     /// LEFT OUTER join (probe side preserved, build side padded).
     left_outer: bool,
+    /// Values per build row (its layout's width), what an unmatched probe
+    /// row is padded by.
     build_width: usize,
-    par: usize,
     /// `EXPLAIN ANALYZE` node for `partitions` / `build_rows`.
     stats: Option<Arc<OpStats>>,
 }
@@ -1267,42 +1299,28 @@ struct HashJoinIter<'a> {
 impl HashJoinIter<'_> {
     fn build_table(&mut self, build: BoxIter<'_>) -> DbResult<()> {
         self.build_rows = drain(build)?;
-        let keys =
-            par_map(&self.build_rows, self.par, |r| self.build_key.eval(r).map(Cow::into_owned))?;
-        let npart = join_partitions(self.build_rows.len());
-        self.mask = npart as u64 - 1;
-        let mut buckets: Vec<Vec<(Datum, u32)>> = vec![Vec::new(); npart];
-        for (i, k) in keys.into_iter().enumerate() {
-            // NULL keys never join; they are dropped at bucket time.
-            if !k.is_null() {
-                buckets[(hash_one(&k) & self.mask) as usize].push((k, i as u32));
-            }
+        let rows = &self.build_rows;
+        if rows.len() >= NIL as usize {
+            return Err(DbError::Unsupported("a hash join builds fewer than 2^32 - 1 rows".into()));
         }
-        if self.par > 1 && npart > 1 && self.build_rows.len() >= PAR_MIN_ROWS {
-            let chunk = npart.div_ceil(self.par);
-            let mut groups: Vec<Vec<Vec<(Datum, u32)>>> = Vec::new();
-            while !buckets.is_empty() {
-                let take = chunk.min(buckets.len());
-                groups.push(buckets.drain(..take).collect());
+        self.build_keys = rows
+            .iter()
+            .map(|r| self.build_key.eval(r).map(Cow::into_owned))
+            .collect::<DbResult<_>>()?;
+        let mask = (2 * rows.len()).next_power_of_two() as u64 - 1;
+        self.heads = vec![NIL; mask as usize + 1];
+        self.next = vec![NIL; rows.len()];
+        for (i, k) in self.build_keys.iter().enumerate().rev() {
+            // NULL never equals anything, including NULL (3VL).
+            if !k.is_null() {
+                let head = &mut self.heads[(hash_one(k) & mask) as usize];
+                self.next[i] = *head;
+                *head = i as u32;
             }
-            std::thread::scope(|s| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|g| {
-                        s.spawn(move || g.into_iter().map(build_partition).collect::<Vec<_>>())
-                    })
-                    .collect();
-                for h in handles {
-                    self.parts.extend(join_worker(h));
-                }
-            });
-        } else {
-            self.parts = buckets.into_iter().map(build_partition).collect();
         }
         if let Some(stats) = &self.stats {
-            use std::sync::atomic::Ordering as AtomicOrdering;
-            stats.partitions.store(npart as u64, AtomicOrdering::Relaxed);
-            stats.build_rows.store(self.build_rows.len() as u64, AtomicOrdering::Relaxed);
+            stats.partitions.store(1, AtomicOrdering::Relaxed);
+            stats.build_rows.store(rows.len() as u64, AtomicOrdering::Relaxed);
         }
         Ok(())
     }
@@ -1314,43 +1332,35 @@ impl BatchIter for HashJoinIter<'_> {
             self.build_table(build)?;
         }
         let Some(batch) = self.probe.next_batch()? else { return Ok(None) };
-        let keys = par_map(&batch, self.par, |r| self.probe_key.eval(r).map(Cow::into_owned))?;
-        let mut out = Batch::with_capacity(batch.width + self.build_width, 0);
-        for (p, k) in batch.iter().zip(&keys) {
-            let matches = if k.is_null() {
-                None // NULL never equals anything, including NULL (3VL).
-            } else {
-                self.parts[(hash_one(k) & self.mask) as usize].get(k)
-            };
-            match matches {
-                Some(idxs) => {
-                    for &i in idxs {
-                        let b = self.build_rows.row(i as usize);
-                        let (l, r) = if self.build_is_left { (b, p) } else { (p, b) };
-                        out.data.extend_from_slice(l);
-                        out.data.extend_from_slice(r);
-                        out.end_row();
-                    }
-                }
-                // LEFT join: the probe row survives with the build side
-                // padded — also the path a NULL probe key takes.
-                None if self.left_outer => {
-                    out.data.extend_from_slice(p);
+        let mask = self.heads.len() as u64 - 1;
+        let mut out = Batch::with_capacity(batch.width + self.build_width, batch.len());
+        for p in batch.iter() {
+            let key = self.probe_key.eval(p)?;
+            // A NULL key walks a chain too, and matches nothing in it: no
+            // NULL is linked, and NULL equals no other key.
+            let mut i = self.heads[(hash_one(&*key) & mask) as usize];
+            let mut matched = false;
+            while i != NIL {
+                if self.build_keys[i as usize] == *key {
+                    let b = self.build_rows.row(i as usize);
+                    let (l, r) = if self.build_is_left { (b, p) } else { (p, b) };
+                    out.data.extend_from_slice(l);
+                    out.data.extend_from_slice(r);
                     out.end_row();
+                    matched = true;
                 }
-                None => {}
+                i = self.next[i as usize];
+            }
+            // LEFT join: the probe row survives with the build side
+            // padded — also the path a NULL probe key takes.
+            if !matched && self.left_outer {
+                out.data.extend_from_slice(p);
+                out.end_row();
             }
         }
         Ok(Some(out))
     }
 }
-
-/// Radix fan-out for partitioned aggregation. Aggregation streams its
-/// input, so the partition count can't be sized from a known row count
-/// the way the join build side is — a fixed fan-out keeps the
-/// `EXPLAIN ANALYZE` counter a constant of the operator, independent of
-/// both data size and parallelism.
-const AGG_PARTITIONS: usize = 16;
 
 struct AggregateIter<'a> {
     input: Option<BoxIter<'a>>,
@@ -1374,23 +1384,11 @@ impl BatchIter for AggregateIter<'_> {
             key: Vec<Datum>,
             accs: Vec<Box<dyn crate::expr::func::Accumulator>>,
             distinct_seen: Vec<HashSet<Datum>>,
-            /// Input sequence of the row that created the group; emission
-            /// sorts on it, reproducing single-table insertion order.
-            first_seen: u64,
-        }
-
-        /// One radix partition: a private table over its share of the key
-        /// space. Keys are looked up by slice before being cloned, so the
-        /// common case (existing group) allocates nothing.
-        #[derive(Default)]
-        struct AggPart {
-            lookup: FxHashMap<Vec<Datum>, u32>,
-            groups: Vec<Group>,
         }
 
         let calls = self.calls.as_slice();
         let funcs = self.funcs;
-        let make_group = move |key: Vec<Datum>, first_seen: u64| -> DbResult<Group> {
+        let make_group = move |key: Vec<Datum>| -> DbResult<Group> {
             let mut accs = Vec::with_capacity(calls.len());
             for c in calls {
                 let factory = funcs
@@ -1398,7 +1396,7 @@ impl BatchIter for AggregateIter<'_> {
                     .ok_or(DbError::NotFound { kind: "aggregate", name: c.func.clone() })?;
                 accs.push(factory());
             }
-            Ok(Group { key, accs, distinct_seen: vec![HashSet::new(); calls.len()], first_seen })
+            Ok(Group { key, accs, distinct_seen: vec![HashSet::new(); calls.len()] })
         };
 
         fn apply(call: &AggCall, group: &mut Group, ci: usize, value: &Datum) -> DbResult<()> {
@@ -1415,16 +1413,18 @@ impl BatchIter for AggregateIter<'_> {
             })
         }
 
-        let mask = AGG_PARTITIONS as u64 - 1;
-        let mut parts: Vec<AggPart> = (0..AGG_PARTITIONS).map(|_| AggPart::default()).collect();
+        // Groups in first-seen order, which is the emission order; keys are
+        // looked up by slice before being cloned, so the common case (an
+        // existing group) allocates nothing.
+        let mut groups: Vec<Group> = Vec::new();
+        let mut lookup: FxHashMap<Vec<Datum>, u32> = FxHashMap::default();
         // A global aggregate (no GROUP BY) has exactly one group, even over
         // zero rows, and every row folds straight into it: no key to hash,
         // no table to probe.
         let global = self.group_by.is_empty();
         if global {
-            parts[0].groups.push(make_group(Vec::new(), 0)?);
+            groups.push(make_group(Vec::new())?);
         }
-        let mut seq = 0u64;
         let mut key_scratch: Vec<Datum> = Vec::with_capacity(self.group_by.len());
         // The fold into the accumulators is sequential —
         // [`crate::expr::func::Accumulator`] is an open extension trait with
@@ -1434,7 +1434,7 @@ impl BatchIter for AggregateIter<'_> {
         while let Some(batch) = input.next_batch()? {
             for row in batch.iter() {
                 let group = if global {
-                    &mut parts[0].groups[0]
+                    &mut groups[0]
                 } else {
                     // One key is looked up where it lies; several are
                     // gathered into a reused scratch.
@@ -1452,16 +1452,15 @@ impl BatchIter for AggregateIter<'_> {
                             &key_scratch
                         }
                     };
-                    let part = &mut parts[(hash_one(key) & mask) as usize];
-                    let gi = match part.lookup.get(key) {
+                    let gi = match lookup.get(key) {
                         Some(&i) => i as usize,
                         None => {
-                            part.groups.push(make_group(key.to_vec(), seq)?);
-                            part.lookup.insert(key.to_vec(), (part.groups.len() - 1) as u32);
-                            part.groups.len() - 1
+                            groups.push(make_group(key.to_vec())?);
+                            lookup.insert(key.to_vec(), (groups.len() - 1) as u32);
+                            groups.len() - 1
                         }
                     };
-                    &mut part.groups[gi]
+                    &mut groups[gi]
                 };
                 for (ci, (call, arg)) in calls.iter().zip(&self.args).enumerate() {
                     let value = match arg {
@@ -1470,16 +1469,13 @@ impl BatchIter for AggregateIter<'_> {
                     };
                     apply(call, group, ci, &value)?;
                 }
-                seq += 1;
             }
         }
 
         if let Some(stats) = &self.stats {
-            stats.partitions.store(AGG_PARTITIONS as u64, std::sync::atomic::Ordering::Relaxed);
+            stats.partitions.store(1, AtomicOrdering::Relaxed);
         }
 
-        let mut groups: Vec<Group> = parts.into_iter().flat_map(|p| p.groups).collect();
-        groups.sort_by_key(|g| g.first_seen);
         let mut out = Batch::with_capacity(self.group_by.len() + calls.len(), groups.len());
         for g in groups {
             out.data.extend(g.key);

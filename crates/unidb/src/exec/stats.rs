@@ -26,8 +26,8 @@ pub struct OpStats {
     /// True for heap-scanning operators (`SeqScan`), whose rendering
     /// includes `pages_read`.
     pub is_scan: bool,
-    /// True for radix-partitioned operators (`HashJoin`, `Aggregate`),
-    /// whose rendering includes `partitions`.
+    /// True for hash-table operators (`HashJoin`, `Aggregate`), whose
+    /// rendering includes `partitions`.
     pub has_partitions: bool,
     /// True for build/probe operators (`HashJoin`), whose rendering
     /// includes `build_rows`.
@@ -50,10 +50,9 @@ pub struct OpStats {
     /// columns × non-empty pages visited — so it too is
     /// parallelism-stable.
     pub segments_decoded: AtomicU64,
-    /// Radix partition count (partitioned operators only). A pure
-    /// function of the data — build-side row count for joins, a fixed
-    /// fan-out for aggregation — never of the parallelism level, so it
-    /// belongs to the deterministic rendering.
+    /// Hash tables the operator built (hash-table operators only): one —
+    /// the join's chained table, the aggregate's group table — at any
+    /// parallelism, so it belongs to the deterministic rendering.
     pub partitions: AtomicU64,
     /// Rows materialized on the build side (hash joins only).
     pub build_rows: AtomicU64,
@@ -111,7 +110,7 @@ pub struct OpStatsSnapshot {
     pub label: String,
     /// True for heap-scanning operators.
     pub is_scan: bool,
-    /// True for radix-partitioned operators.
+    /// True for hash-table operators.
     pub has_partitions: bool,
     /// True for build/probe operators.
     pub has_build: bool,
@@ -128,7 +127,7 @@ pub struct OpStatsSnapshot {
     /// Columns read across visited pages (scans only): decoded from the
     /// row form or served from a column image.
     pub segments_decoded: u64,
-    /// Radix partition count (partitioned operators only).
+    /// Hash tables the operator built (hash-table operators only).
     pub partitions: u64,
     /// Rows materialized on the build side (hash joins only).
     pub build_rows: u64,
@@ -146,7 +145,7 @@ impl OpStatsSnapshot {
     }
 
     /// The deterministic subset (`rows_out`, plus `pages_read` on scans
-    /// and `partitions`/`build_rows` on partitioned operators): identical
+    /// and `partitions`/`build_rows` on hash-table operators): identical
     /// across runs and across parallelism levels for plans that drain
     /// their input. Golden tests compare this rendering.
     pub fn render_counters(&self) -> String {

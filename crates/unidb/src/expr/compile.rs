@@ -319,6 +319,41 @@ impl CompiledExpr {
         }
     }
 
+    /// Rewrite binding positions into positions of a row that holds only
+    /// the bindings `layout` lists, ascending: column `c` becomes the index
+    /// of `c` in `layout`. Every column this expression reads must be
+    /// there — the executor compiles against the full bindings, so
+    /// resolution errors are those of the plan, then remaps through the
+    /// layout of the rows its input actually emits.
+    pub fn remap(&mut self, layout: &[usize]) {
+        match self {
+            CompiledExpr::Literal(_) => {}
+            CompiledExpr::Column(i) => {
+                *i = layout.binary_search(i).expect("the layout holds every column read");
+            }
+            CompiledExpr::Unary { expr, .. }
+            | CompiledExpr::IsNull { expr, .. }
+            | CompiledExpr::LikePre { expr, .. } => expr.remap(layout),
+            CompiledExpr::Binary { left: a, right: b, .. }
+            | CompiledExpr::LikeDyn { expr: a, pattern: b, .. } => {
+                a.remap(layout);
+                b.remap(layout);
+            }
+            CompiledExpr::Func { args, .. } | CompiledExpr::BoundFunc { args, .. } => {
+                args.iter_mut().for_each(|a| a.remap(layout));
+            }
+            CompiledExpr::InList { expr, list, .. } => {
+                expr.remap(layout);
+                list.iter_mut().for_each(|e| e.remap(layout));
+            }
+            CompiledExpr::Between { expr, low, high, .. } => {
+                expr.remap(layout);
+                low.remap(layout);
+                high.remap(layout);
+            }
+        }
+    }
+
     /// Can [`CompiledExpr::eval`] *never* return an error for this
     /// expression, whatever datums the row holds? This is the gate for
     /// zone-map page skipping and for reordering AND conjuncts: an
@@ -781,6 +816,18 @@ mod tests {
         let mut cols = std::collections::BTreeSet::new();
         prog.collect_columns(&mut cols);
         assert_eq!(cols.into_iter().collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    /// A row holding only bindings 0 and 2 reads `p.id` at index 1.
+    #[test]
+    fn remap_reads_through_the_layout() {
+        let funcs = FunctionRegistry::with_builtins();
+        let mut prog = compile(&expr("g.id + p.id IN (10, p.id)"), &bindings(), &funcs).unwrap();
+        prog.remap(&[0, 2]);
+        let mut cols = std::collections::BTreeSet::new();
+        prog.collect_columns(&mut cols);
+        assert_eq!(cols.into_iter().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(*prog.eval(&[Datum::Int(1), Datum::Int(9)]).unwrap(), Datum::Bool(true));
     }
 
     #[test]

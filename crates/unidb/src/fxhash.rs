@@ -7,9 +7,8 @@
 //! every inserted datum. This is the classic "Fx" multiply-rotate hash
 //! used by rustc: one rotate, one xor, one multiply per word. It is
 //! deterministic across runs and platforms (inputs are folded
-//! little-endian), which the executor relies on — partition assignment
-//! must be a pure function of the data so `EXPLAIN ANALYZE` counters
-//! are byte-identical at any parallelism.
+//! little-endian), so a hash join's chain table is laid out identically
+//! on every run and at any parallelism.
 //!
 //! Hashing a [`crate::datum::Datum`] goes through its ordinary `Hash`
 //! impl, so the engine-wide invariant that `Int(3)` and `Float(3.0)`
@@ -36,8 +35,8 @@ impl FxHasher {
 impl Hasher for FxHasher {
     /// Finalize with an xor-shift-multiply avalanche. The Fx multiply
     /// only propagates entropy *upward*, so raw state has weak low bits —
-    /// fatal here, because both the executor's radix partition mask and
-    /// hashbrown's bucket index use the low bits, and `Datum` hashes
+    /// fatal here, because both the hash join's chain-table bucket mask
+    /// and hashbrown's bucket index use the low bits, and `Datum` hashes
     /// numbers as f64 bit patterns whose low mantissa bits are all zero
     /// for small integers (the common join-key case).
     #[inline]

@@ -1267,13 +1267,14 @@ fn replay_locates_rows_with_and_without_indexes_and_with_duplicates() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Runs `sql` at parallelism 1 and 4 and returns the one outcome both give:
-/// the rows, or the error's text.
-fn at_both_widths(d: &Database, sql: &str) -> Result<Vec<Vec<Datum>>, String> {
-    let [one, four] = [1, 4].map(|par| {
+/// Runs `sql` at parallelism 1, 2 and 4 and returns the one outcome all
+/// give: the rows, or the error's text.
+fn at_every_width(d: &Database, sql: &str) -> Result<Vec<Vec<Datum>>, String> {
+    let [one, two, four] = [1, 2, 4].map(|par| {
         d.set_parallelism(par);
         d.execute(sql).map(|rs| rs.rows).map_err(|e| e.to_string())
     });
+    assert_eq!(one, two, "{sql}: parallelism 1 vs 2");
     assert_eq!(one, four, "{sql}: parallelism 1 vs 4");
     one
 }
@@ -1301,13 +1302,13 @@ fn operand_fixture() -> Database {
 const FILLER_ROWS: i64 = 12_000;
 
 fn count_where(d: &Database, pred: &str) -> i64 {
-    let rows = at_both_widths(d, &format!("SELECT count(*) FROM t WHERE {pred}")).unwrap();
+    let rows = at_every_width(d, &format!("SELECT count(*) FROM t WHERE {pred}")).unwrap();
     rows[0][0].as_int().unwrap()
 }
 
 /// The value of `expr` on rows 1–4, in row order.
 fn values_of(d: &Database, expr: &str) -> Vec<Datum> {
-    let rows = at_both_widths(d, &format!("SELECT id, {expr} FROM t WHERE id < 10")).unwrap();
+    let rows = at_every_width(d, &format!("SELECT id, {expr} FROM t WHERE id < 10")).unwrap();
     assert_eq!(
         rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>(),
         (1..=4).map(Datum::Int).collect::<Vec<_>>()
@@ -1409,11 +1410,11 @@ fn a_where_clause_that_is_not_bool_keeps_its_outcome_at_every_width() {
     }
     // An operator that needs a BOOL rejects the statement instead.
     assert_eq!(
-        at_both_widths(&d, "SELECT id FROM t WHERE NOT i"),
+        at_every_width(&d, "SELECT id FROM t WHERE NOT i"),
         Err("type mismatch: NOT expects BOOL, got 3".to_string())
     );
     assert_eq!(
-        at_both_widths(&d, "SELECT id FROM t WHERE i = 3 OR s"),
+        at_every_width(&d, "SELECT id FROM t WHERE i = 3 OR s"),
         Err("type mismatch: expected BOOL, got y".to_string())
     );
 }
@@ -1427,11 +1428,169 @@ fn an_argument_error_and_an_accumulator_error_report_the_same_text_at_every_widt
     // however wide the scan feeding the aggregate is.
     let sum_error = Err("type mismatch: sum(): sum() expects numbers, got x".to_string());
     let div_error = Err("type mismatch: division by zero".to_string());
-    assert_eq!(at_both_widths(&d, "SELECT sum(s), sum(10 / i) FROM t"), sum_error);
+    assert_eq!(at_every_width(&d, "SELECT sum(s), sum(10 / i) FROM t"), sum_error);
     assert_eq!(
-        at_both_widths(&d, "SELECT pad, sum(s), sum(10 / i) FROM t GROUP BY pad"),
+        at_every_width(&d, "SELECT pad, sum(s), sum(10 / i) FROM t GROUP BY pad"),
         sum_error
     );
-    assert_eq!(at_both_widths(&d, "SELECT sum(10 / i), sum(s) FROM t WHERE id >= 3"), div_error);
-    assert_eq!(at_both_widths(&d, "SELECT sum(10 / i), sum(s) FROM t"), sum_error);
+    assert_eq!(at_every_width(&d, "SELECT sum(10 / i), sum(s) FROM t WHERE id >= 3"), div_error);
+    assert_eq!(at_every_width(&d, "SELECT sum(10 / i), sum(s) FROM t"), sum_error);
+}
+
+/// Five build rows — a duplicated key, a NULL key, `1.0` against the probe's
+/// `1`, a key (2.5) no probe row has — and a probe table of five rows of
+/// interest (a NULL key, a key (2) no build row has) ahead of enough
+/// unmatched filler that a width-4 scan runs several morsels. `pad` and
+/// `note` are never needed by some statements, so the scans under them
+/// emit narrower rows than the table.
+fn join_fixture() -> Database {
+    let d = db();
+    d.execute_script(
+        "CREATE TABLE build (k FLOAT, tag TEXT, w INT);
+         CREATE TABLE probe (id INT, k INT, pad INT, note TEXT);
+         INSERT INTO build VALUES (1.0, 'b1', 10), (2.5, 'b2', 20), (NULL, 'bn', 30),
+                                  (1.0, 'b3', 40), (3.0, 'b4', 50);
+         INSERT INTO probe VALUES (1, 1, 0, 'p1'), (2, NULL, 0, 'p2'), (3, 3, 0, 'p3'),
+                                  (4, 2, 0, 'p4'), (5, 1, 0, 'p5');",
+    )
+    .unwrap();
+    let filler: Vec<String> =
+        (100..FILLER_ROWS + 100).map(|id| format!("({id}, {id}, 0, 'f')")).collect();
+    for chunk in filler.chunks(1000) {
+        d.execute(&format!("INSERT INTO probe VALUES {}", chunk.join(","))).unwrap();
+    }
+    d
+}
+
+/// Rows from a compact spelling: integers, floats, text, and `None` as NULL.
+fn rows_of(rows: &[&[Option<&str>]]) -> Vec<Vec<Datum>> {
+    let datum = |v: &Option<&str>| match v {
+        None => Datum::Null,
+        Some(v) if v.contains('.') => Datum::Float(v.parse().unwrap()),
+        Some(v) => v.parse().map(Datum::Int).unwrap_or_else(|_| Datum::Text(v.to_string())),
+    };
+    rows.iter().map(|r| r.iter().map(datum).collect()).collect()
+}
+
+#[test]
+fn inner_hash_joins_match_in_build_order_at_every_width() {
+    let d = join_fixture();
+    let plan = |sql: &str| d.execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
+    let small_right = "FROM probe JOIN build ON probe.k = build.k";
+    let small_left = "FROM build JOIN probe ON build.k = probe.k";
+    assert!(plan(&format!("SELECT * {small_right}")).contains("build=right"));
+    assert!(plan(&format!("SELECT * {small_left}")).contains("build=left"));
+    // Probe rows in scan order; each one's matches in build order (b1 before
+    // b3); `1` joins `1.0`; NULL joins nothing, not even NULL.
+    let o = Some;
+    let (b1, b3, b4) = (["1.0", "b1", "10"], ["1.0", "b3", "40"], ["3.0", "b4", "50"]);
+    let (p1, p3, p5) = (["1", "1", "0", "p1"], ["3", "3", "0", "p3"], ["5", "1", "0", "p5"]);
+    let pairs = [(p1, b1), (p1, b3), (p3, b4), (p5, b1), (p5, b3)];
+    let star = |build_first: bool| -> Vec<Vec<Datum>> {
+        let rows: Vec<Vec<Option<&str>>> = pairs
+            .iter()
+            .map(|(p, b)| {
+                let (p, b) = (p.map(o), b.map(o));
+                if build_first {
+                    [&b[..], &p[..]].concat()
+                } else {
+                    [&p[..], &b[..]].concat()
+                }
+            })
+            .collect();
+        rows_of(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>())
+    };
+    for (sql, expect) in [
+        (format!("SELECT * {small_right}"), star(false)),
+        (format!("SELECT * {small_left}"), star(true)),
+        (format!("SELECT count(*) {small_right}"), rows_of(&[&[o("5")]])),
+        (format!("SELECT count(*) {small_left}"), rows_of(&[&[o("5")]])),
+        (
+            format!("SELECT build.tag {small_right}"),
+            rows_of(&[&[o("b1")], &[o("b3")], &[o("b4")], &[o("b1")], &[o("b3")]]),
+        ),
+        (
+            format!("SELECT probe.note {small_left}"),
+            rows_of(&[&[o("p1")], &[o("p1")], &[o("p3")], &[o("p5")], &[o("p5")]]),
+        ),
+        (
+            format!("SELECT build.w, probe.id {small_left}"),
+            rows_of(&[
+                &[o("10"), o("1")],
+                &[o("40"), o("1")],
+                &[o("50"), o("3")],
+                &[o("10"), o("5")],
+                &[o("40"), o("5")],
+            ]),
+        ),
+        (
+            format!("SELECT probe.id, build.w {small_right} WHERE probe.id + build.w > 40"),
+            rows_of(&[&[o("1"), o("40")], &[o("3"), o("50")], &[o("5"), o("40")]]),
+        ),
+    ] {
+        assert_eq!(at_every_width(&d, &sql), Ok(expect), "{sql}");
+    }
+}
+
+#[test]
+fn left_hash_joins_pad_the_build_side_at_every_width() {
+    let d = join_fixture();
+    let (o, n) = (Some, None);
+    // The small table preserved: the big probe table builds, its duplicate
+    // key 1 matching p1 then p5; 2.5 and NULL are padded.
+    let small = "FROM build LEFT JOIN probe ON build.k = probe.k";
+    let plan = d.execute(&format!("EXPLAIN SELECT * {small}")).unwrap().explain.unwrap();
+    assert!(plan.contains("build=right"), "{plan}");
+    // The big table preserved, read only below id 10.
+    let big = "FROM probe LEFT JOIN build ON probe.k = build.k WHERE probe.id < 10";
+    for (sql, expect) in [
+        (
+            format!("SELECT build.tag, probe.id {small}"),
+            rows_of(&[
+                &[o("b1"), o("1")],
+                &[o("b1"), o("5")],
+                &[o("b2"), n],
+                &[o("bn"), n],
+                &[o("b3"), o("1")],
+                &[o("b3"), o("5")],
+                &[o("b4"), o("3")],
+            ]),
+        ),
+        (format!("SELECT count(*) {small}"), rows_of(&[&[o("7")]])),
+        (
+            format!("SELECT * {big}"),
+            rows_of(&[
+                &[o("1"), o("1"), o("0"), o("p1"), o("1.0"), o("b1"), o("10")],
+                &[o("1"), o("1"), o("0"), o("p1"), o("1.0"), o("b3"), o("40")],
+                &[o("2"), n, o("0"), o("p2"), n, n, n],
+                &[o("3"), o("3"), o("0"), o("p3"), o("3.0"), o("b4"), o("50")],
+                &[o("4"), o("2"), o("0"), o("p4"), n, n, n],
+                &[o("5"), o("1"), o("0"), o("p5"), o("1.0"), o("b1"), o("10")],
+                &[o("5"), o("1"), o("0"), o("p5"), o("1.0"), o("b3"), o("40")],
+            ]),
+        ),
+        (
+            format!("SELECT probe.id, build.tag {big}"),
+            rows_of(&[
+                &[o("1"), o("b1")],
+                &[o("1"), o("b3")],
+                &[o("2"), n],
+                &[o("3"), o("b4")],
+                &[o("4"), n],
+                &[o("5"), o("b1")],
+                &[o("5"), o("b3")],
+            ]),
+        ),
+        (
+            format!("SELECT build.w {big}"),
+            rows_of(&[&[o("10")], &[o("40")], &[n], &[o("50")], &[n], &[o("10")], &[o("40")]]),
+        ),
+        (format!("SELECT count(*) {big}"), rows_of(&[&[o("7")]])),
+        (
+            "SELECT count(*) FROM probe LEFT JOIN build ON probe.k = build.k".to_string(),
+            vec![vec![Datum::Int(7 + FILLER_ROWS)]],
+        ),
+    ] {
+        assert_eq!(at_every_width(&d, &sql), Ok(expect), "{sql}");
+    }
 }

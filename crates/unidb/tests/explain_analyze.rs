@@ -90,13 +90,13 @@ fn partition_counters_are_deterministic_and_stats_driven() {
     let (_, s4) = analyze_at(&d, 4);
     let golden = s1.render_counters();
     assert_eq!(golden, s4.render_counters(), "partition counters must not depend on parallelism");
-    // Stats pick the 4-row chroms table as build side; partition count is a
-    // pure function of the build rows (4 rows -> a single partition).
+    // Stats pick the 4-row chroms table as build side, hashed into one
+    // chained table.
     assert!(golden.contains("build=right"), "small side should build:\n{golden}");
-    assert!(golden.contains("partitions=1"), "tiny build fits one partition:\n{golden}");
+    assert!(golden.contains("partitions=1"), "the join builds one table:\n{golden}");
     assert!(golden.contains("build_rows=4"), "build side is 4-row chroms:\n{golden}");
 
-    // Aggregation partitions the same way at any parallelism.
+    // Aggregation keeps one group table at any parallelism.
     let agg = "SELECT chrom, count(*), min(score) FROM reads GROUP BY chrom";
     d.set_parallelism(1);
     let (r1, a1) = d.explain_analyze(agg).unwrap();
@@ -105,14 +105,13 @@ fn partition_counters_are_deterministic_and_stats_driven() {
     assert_eq!(r1.rows, r4.rows, "aggregate results must not depend on parallelism");
     assert_eq!(a1.render_counters(), a4.render_counters());
     assert!(
-        a1.render_counters().contains("partitions=16"),
-        "aggregation uses its fixed partition fan-out:\n{}",
+        a1.render_counters().contains("partitions=1"),
+        "aggregation keeps one group table:\n{}",
         a1.render_counters()
     );
 
-    // A global aggregate folds into its single group without partitioning
-    // rows, yet reports the same fan-out, and still answers one row over
-    // zero rows.
+    // A global aggregate folds into its single group, reports the same one
+    // table, and still answers one row over zero rows.
     for (sql, expect) in [
         (
             "SELECT count(*), min(score) FROM reads",
@@ -127,13 +126,13 @@ fn partition_counters_are_deterministic_and_stats_driven() {
         assert_eq!(r1.rows, vec![expect], "{sql}");
         assert_eq!(r1.rows, r4.rows, "{sql}");
         assert_eq!(g1.render_counters(), g4.render_counters());
-        assert!(g1.render_counters().contains("partitions=16"), "{}", g1.render_counters());
+        assert!(g1.render_counters().contains("partitions=1"), "{}", g1.render_counters());
     }
 }
 
 /// Grouped and global aggregates over a scan big enough that a width-4 wave
 /// hands the aggregate one batch of every row: the same rows in the same
-/// (first-seen) group order, the same counters and `partitions=16` at
+/// (first-seen) group order, the same counters and `partitions=1` at
 /// parallelism 1 and 4, whatever the key's shape.
 #[test]
 fn aggregates_fold_the_same_rows_at_every_width() {
@@ -155,7 +154,7 @@ fn aggregates_fold_the_same_rows_at_every_width() {
         let (r4, s4) = d.explain_analyze(sql).unwrap();
         assert_eq!(r1.rows, r4.rows, "{sql}");
         assert_eq!(s1.render_counters(), s4.render_counters(), "{sql}");
-        assert!(s1.render_counters().contains("partitions=16"), "{sql}:\n{}", s1.render_counters());
+        assert!(s1.render_counters().contains("partitions=1"), "{sql}:\n{}", s1.render_counters());
         by_chrom.get_or_insert(r1.rows);
     }
     let keys: Vec<Datum> = by_chrom.unwrap().into_iter().map(|r| r[0].clone()).collect();
@@ -466,9 +465,10 @@ fn scans_decode_exactly_the_columns_the_plan_reads() {
     assert_eq!(check_decode(&d, "SELECT * FROM f", &[("f", 3)]), everything);
 }
 
-/// A join whose left scan decodes only its key prefix still emits rows of
-/// the left input's full width, so the right side's columns land where the
-/// plan's bindings put them.
+/// A join whose left scan decodes only its key prefix emits only the
+/// columns read above it; the join's consumers still find the right side's
+/// columns, because they read through the join's layout, not by binding
+/// position.
 #[test]
 fn a_prefix_decoded_join_side_keeps_its_width() {
     let d = pruning_fixture();

@@ -10,6 +10,7 @@ use unidb::storage::heap::{HeapFile, Rid};
 use unidb::storage::page::Page;
 use unidb::storage::wal::{crc32, WalRecord};
 use unidb::tuple::{decode_row, decode_row_cols_into, encode_row};
+use unidb::Database;
 
 fn arb_datum() -> impl Strategy<Value = Datum> {
     prop_oneof![
@@ -54,6 +55,50 @@ fn arb_image_scan() -> impl Strategy<Value = (Vec<Vec<Datum>>, usize, Option<Vec
             ],
         )
     })
+}
+
+/// One join-table row's keys: an INT and a FLOAT from a small domain, so
+/// keys repeat, are NULL, and meet across types (`1` = `1.0`; `1.5` meets
+/// no INT).
+fn arb_join_keys() -> impl Strategy<Value = (Option<i64>, Option<f64>)> {
+    (
+        prop_oneof![Just(None), (0i64..4).prop_map(Some)],
+        prop_oneof![Just(None), (0i64..4).prop_map(|i| Some(i as f64)), Just(Some(1.5))],
+    )
+}
+
+/// A join table `name (id INT, ki INT, kf FLOAT, tag TEXT)` with one row
+/// per key pair, ids from 1; returns its rows as the engine reads them.
+fn join_table(d: &Database, name: &str, keys: &[(Option<i64>, Option<f64>)]) -> Vec<Vec<Datum>> {
+    d.execute(&format!("CREATE TABLE {name} (id INT, ki INT, kf FLOAT, tag TEXT)")).unwrap();
+    let rows: Vec<Vec<Datum>> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, (ki, kf))| {
+            vec![
+                Datum::Int(i as i64 + 1),
+                ki.map_or(Datum::Null, Datum::Int),
+                kf.map_or(Datum::Null, Datum::Float),
+                Datum::Text(format!("{name}{}", i + 1)),
+            ]
+        })
+        .collect();
+    for r in &rows {
+        let lit = |v: &Datum| match v {
+            Datum::Null => "NULL".to_string(),
+            Datum::Float(f) => format!("{f:.1}"),
+            Datum::Text(t) => format!("'{t}'"),
+            other => other.to_string(),
+        };
+        let values: Vec<String> = r.iter().map(lit).collect();
+        d.execute(&format!("INSERT INTO {name} VALUES ({})", values.join(", "))).unwrap();
+    }
+    rows
+}
+
+fn sorted(mut rows: Vec<Vec<Datum>>) -> Vec<Vec<Datum>> {
+    rows.sort();
+    rows
 }
 
 proptest! {
@@ -406,5 +451,81 @@ proptest! {
         let mut corrupted = payload.clone();
         corrupted[bit / 8] ^= 1 << (bit % 8);
         prop_assert_ne!(crc32(&payload), crc32(&corrupted));
+    }
+
+    // --- joins -----------------------------------------------------------------
+
+    /// Inner and LEFT joins — hash joins on either build side and a
+    /// nested-loop join — return the rows of a nested-loop reference, and
+    /// every projection of a join (no column, one side, both sides, through
+    /// a filter or a sort) is the projection of its `SELECT *` rows, in the
+    /// same order: what the executor's column layouts must preserve.
+    #[test]
+    fn joins_match_a_nested_loop_reference_under_every_projection(
+        l_keys in proptest::collection::vec(arb_join_keys(), 0..24),
+        r_keys in proptest::collection::vec(arb_join_keys(), 0..24),
+        par in prop_oneof![Just(1usize), Just(4usize)],
+    ) {
+        let d = Database::in_memory();
+        d.set_parallelism(par);
+        let l = join_table(&d, "l", &l_keys);
+        let r = join_table(&d, "r", &r_keys);
+        for (on, lk, rk) in [
+            ("l.ki = r.kf", 1, 2),
+            ("l.kf = r.ki", 2, 1),
+            ("l.ki = r.ki", 1, 1),
+            ("l.kf <= r.kf AND r.kf <= l.kf", 2, 2),
+        ] {
+            for left_join in [false, true] {
+                let from = format!("FROM l {} JOIN r ON {on}", if left_join { "LEFT" } else { "INNER" });
+                let mut expect = Vec::new();
+                for a in &l {
+                    let matches: Vec<&Vec<Datum>> =
+                        r.iter().filter(|b| a[lk].sql_eq(&b[rk]) == Some(true)).collect();
+                    for b in &matches {
+                        expect.push([&a[..], &b[..]].concat());
+                    }
+                    if left_join && matches.is_empty() {
+                        expect.push([&a[..], &[Datum::Null, Datum::Null, Datum::Null, Datum::Null]].concat());
+                    }
+                }
+                let star = d.execute(&format!("SELECT * {from}")).unwrap().rows;
+                prop_assert_eq!(sorted(star.clone()), sorted(expect), "{}", from);
+                let project = |cols: &[usize], rows: &[Vec<Datum>]| -> Vec<Vec<Datum>> {
+                    rows.iter().map(|row| cols.iter().map(|&c| row[c].clone()).collect()).collect()
+                };
+                let run = |sql: String| d.execute(&sql).unwrap().rows;
+                prop_assert_eq!(
+                    run(format!("SELECT count(*) {from}")),
+                    vec![vec![Datum::Int(star.len() as i64)]]
+                );
+                prop_assert_eq!(run(format!("SELECT l.tag {from}")), project(&[3], &star));
+                prop_assert_eq!(run(format!("SELECT r.kf, r.id {from}")), project(&[6, 4], &star));
+                prop_assert_eq!(
+                    run(format!("SELECT r.tag, l.id, l.kf, r.ki {from}")),
+                    project(&[7, 0, 2, 5], &star)
+                );
+                let crossing: Vec<Vec<Datum>> = star
+                    .iter()
+                    .filter(|row| matches!((&row[0], &row[4]), (Datum::Int(a), Datum::Int(b)) if a < b))
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(
+                    run(format!("SELECT r.tag {from} WHERE l.id < r.id")),
+                    project(&[7], &crossing)
+                );
+                // Ids are unique per table, so (r.id, l.id) orders the rows
+                // totally; a padded r.id (NULL) sorts last.
+                let mut by_ids = star.clone();
+                by_ids.sort_by(|a, b| {
+                    let r_id = |row: &Vec<Datum>| row[4].as_int().unwrap_or(i64::MAX);
+                    r_id(a).cmp(&r_id(b)).then(a[0].total_cmp(&b[0]))
+                });
+                prop_assert_eq!(
+                    run(format!("SELECT l.tag, r.tag {from} ORDER BY r.id, l.id")),
+                    project(&[3, 7], &by_ids)
+                );
+            }
+        }
     }
 }

@@ -142,7 +142,6 @@ fn main() {
             .collect();
         db.execute(&format!("INSERT INTO frags VALUES {}", values.join(","))).expect("insert");
     }
-    db.set_parallelism(1);
     let count = |sql: &str| db.execute(sql).expect("runs").rows[0][0].as_int().expect("a count");
     let (kernel_ns, a) =
         best_ns(|| count("SELECT count(*) FROM frags WHERE contains(seq, 'GATTACA')") as usize);

@@ -2,13 +2,13 @@
 //! analytical load — scan-filter-project, a zone-map-pruned selective
 //! scan, a narrow projection over a wide table, hash join, grouped
 //! aggregation, and ORDER BY + LIMIT (Top-N) — at each requested table
-//! size, serial vs parallel.
+//! size.
 //!
 //! Emits one JSON document on stdout:
 //!
 //! ```json
 //! {"bench":"exec","results":[
-//!   {"query":"scan_filter_project","rows":100000,"parallelism":1,
+//!   {"query":"scan_filter_project","rows":100000,
 //!    "elapsed_ms":120.0,"rows_per_sec":833333.3,"pages_skipped":0}]}
 //! ```
 //!
@@ -20,7 +20,6 @@
 //!
 //! * `BENCH_EXEC_ROWS` — comma-separated table sizes (default
 //!   `100000,1000000`); CI smoke uses a small value to catch bit-rot.
-//! * `BENCH_EXEC_PAR` — comma-separated parallelism levels (default `1,4`).
 //!
 //! Run with `cargo bench -p genalg-bench --bench exec`.
 
@@ -113,7 +112,6 @@ fn time_query(db: &Database, sql: &str, iters: u32) -> f64 {
 
 fn main() {
     let sizes = env_list("BENCH_EXEC_ROWS", "100000,1000000");
-    let pars = env_list("BENCH_EXEC_PAR", "1,4");
     let mut results = Vec::new();
     for &rows in &sizes {
         let db = build_db(rows);
@@ -130,26 +128,22 @@ fn main() {
             ("group_agg", "SELECT g, count(*), sum(b) FROM t GROUP BY g".to_string(), rows),
             ("order_by_limit", "SELECT a, b FROM t ORDER BY b LIMIT 100".to_string(), rows),
         ];
-        for &par in &pars {
-            db.set_parallelism(par as usize);
-            for (name, sql, table_rows) in &queries {
-                const ITERS: u32 = 3;
-                let skipped_before = db.scan_pages_skipped();
-                let ms = time_query(&db, sql, ITERS);
-                let skipped = (db.scan_pages_skipped() - skipped_before) / u64::from(ITERS);
-                results.push(format!(
-                    concat!(
-                        "{{\"query\":\"{}\",\"rows\":{},\"parallelism\":{},",
-                        "\"elapsed_ms\":{:.1},\"rows_per_sec\":{:.0},\"pages_skipped\":{}}}"
-                    ),
-                    name,
-                    table_rows,
-                    par,
-                    ms,
-                    *table_rows as f64 / (ms / 1e3),
-                    skipped,
-                ));
-            }
+        for (name, sql, table_rows) in &queries {
+            const ITERS: u32 = 3;
+            let skipped_before = db.scan_pages_skipped();
+            let ms = time_query(&db, sql, ITERS);
+            let skipped = (db.scan_pages_skipped() - skipped_before) / u64::from(ITERS);
+            results.push(format!(
+                concat!(
+                    "{{\"query\":\"{}\",\"rows\":{},",
+                    "\"elapsed_ms\":{:.1},\"rows_per_sec\":{:.0},\"pages_skipped\":{}}}"
+                ),
+                name,
+                table_rows,
+                ms,
+                *table_rows as f64 / (ms / 1e3),
+                skipped,
+            ));
         }
     }
     println!("{{\"bench\":\"exec\",\"results\":[{}]}}", results.join(","));

@@ -14,7 +14,7 @@
 //! distinct fingerprints are registered, later ones only bump an overflow
 //! counter instead of evicting. Eviction order would depend on arrival
 //! interleaving, and the fingerprint set must be a pure function of the
-//! statement stream — that determinism is what the parallelism-1 vs -4
+//! statement stream — that determinism is what the repeated-run
 //! differential test pins.
 //!
 //! The plan-audit half answers "did the planner change its mind, and

@@ -56,27 +56,8 @@ pub fn datum_to_val(d: &Datum) -> Result<Val, String> {
 
 /// Execute the scenario on a fresh in-memory database and on the oracle,
 /// statement by statement. Returns the first divergence, if any.
-///
-/// The engine's parallelism defaults from the environment
-/// (`UNIDB_PARALLELISM`), so CI shards can sweep the same seeds serial and
-/// parallel; [`check_scenario_with_parallelism`] pins it explicitly.
 pub fn check_scenario(sc: &Scenario) -> Option<Divergence> {
-    check_inner(sc, None)
-}
-
-/// [`check_scenario`] with the engine's worker-thread count pinned. The
-/// oracle is always scalar and single-threaded; running the same scenario
-/// at parallelism 1 and >1 against it is what proves morsel-parallel
-/// execution is observationally identical to serial.
-pub fn check_scenario_with_parallelism(sc: &Scenario, parallelism: usize) -> Option<Divergence> {
-    check_inner(sc, Some(parallelism))
-}
-
-fn check_inner(sc: &Scenario, parallelism: Option<usize>) -> Option<Divergence> {
     let db = Database::in_memory();
-    if let Some(n) = parallelism {
-        db.set_parallelism(n);
-    }
     for (i, ddl) in sc.setup_sql().iter().enumerate() {
         if let Err(e) = db.execute(ddl) {
             return Some(Divergence {
@@ -114,7 +95,7 @@ fn check_inner(sc: &Scenario, parallelism: Option<usize>) -> Option<Divergence> 
                     Err(e) => Some(e),
                     Ok(engine_rows) => compare_query(q, &engine_rows, &oracle_rows)
                         .err()
-                        .or_else(|| analyze_crosscheck(&db, &sql, engine_rows.len(), q)),
+                        .or_else(|| analyze_crosscheck(&db, &sql, engine_rows.len())),
                 }
             }
         };
@@ -129,55 +110,30 @@ fn check_inner(sc: &Scenario, parallelism: Option<usize>) -> Option<Divergence> 
 /// `EXPLAIN ANALYZE` and cross-check the runtime counters themselves:
 ///
 /// * the root operator's `rows_out` must equal the result's row count;
-/// * for non-windowed queries (no LIMIT/OFFSET — those may legitimately
-///   stop scanning early, at a point that depends on morsel scheduling),
-///   the planner's `upper_bound_rows` must dominate both the observed row
-///   count and its own `estimate_rows` (the estimate-vs-observed check),
-///   and the deterministic counter rendering must be byte-identical at
-///   parallelism 1 and 4.
-fn analyze_crosscheck(db: &Database, sql: &str, row_count: usize, q: &Query) -> Option<String> {
-    let saved = db.parallelism();
-    let outcome = (|| {
-        let (_, stats) =
-            db.explain_analyze(sql).map_err(|e| format!("EXPLAIN ANALYZE failed: {e}"))?;
-        if stats.rows_out as usize != row_count {
-            return Err(format!(
-                "ANALYZE root rows_out {} vs result row count {row_count}",
-                stats.rows_out
-            ));
-        }
-        if q.limit.is_none() && q.offset.is_none() {
-            let (estimate, upper) =
-                db.plan_estimate(sql).map_err(|e| format!("plan_estimate failed: {e}"))?;
-            if row_count as f64 > upper + 0.5 {
-                return Err(format!(
-                    "observed {row_count} rows exceeds planner upper bound {upper}"
-                ));
-            }
-            if estimate > upper * 1.0001 + 1.0 {
-                return Err(format!(
-                    "planner estimate {estimate} exceeds its own upper bound {upper}"
-                ));
-            }
-            db.set_parallelism(1);
-            let (_, s1) = db
-                .explain_analyze(sql)
-                .map_err(|e| format!("EXPLAIN ANALYZE (parallelism 1) failed: {e}"))?;
-            db.set_parallelism(4);
-            let (_, s4) = db
-                .explain_analyze(sql)
-                .map_err(|e| format!("EXPLAIN ANALYZE (parallelism 4) failed: {e}"))?;
-            let (c1, c4) = (s1.render_counters(), s4.render_counters());
-            if c1 != c4 {
-                return Err(format!(
-                    "ANALYZE counters diverge at parallelism 1 vs 4:\n{c1}vs\n{c4}"
-                ));
-            }
-        }
-        Ok(())
-    })();
-    db.set_parallelism(saved);
-    outcome.err()
+/// * the planner's `upper_bound_rows` must dominate both the observed row
+///   count and its own `estimate_rows` (the estimate-vs-observed check).
+fn analyze_crosscheck(db: &Database, sql: &str, row_count: usize) -> Option<String> {
+    let (_, stats) = match db.explain_analyze(sql) {
+        Ok(analyzed) => analyzed,
+        Err(e) => return Some(format!("EXPLAIN ANALYZE failed: {e}")),
+    };
+    if stats.rows_out as usize != row_count {
+        return Some(format!(
+            "ANALYZE root rows_out {} vs result row count {row_count}",
+            stats.rows_out
+        ));
+    }
+    let (estimate, upper) = match db.plan_estimate(sql) {
+        Ok(bounds) => bounds,
+        Err(e) => return Some(format!("plan_estimate failed: {e}")),
+    };
+    if row_count as f64 > upper + 0.5 {
+        return Some(format!("observed {row_count} rows exceeds planner upper bound {upper}"));
+    }
+    if estimate > upper * 1.0001 + 1.0 {
+        return Some(format!("planner estimate {estimate} exceeds its own upper bound {upper}"));
+    }
+    None
 }
 
 /// Compare a query's engine rows against the oracle's full (pre-window)

@@ -38,7 +38,7 @@ pub mod oracle;
 pub mod shrink;
 pub mod txn;
 
-pub use diff::{check_scenario, check_scenario_with_parallelism, Divergence};
+pub use diff::{check_scenario, Divergence};
 pub use gen::{gen_scenario, gen_scenario_with_profile, Profile};
 pub use shrink::shrink;
 pub use txn::{check_txn_scenario, gen_txn_scenario, shrink_txn, TxnDivergence, TxnScenario};

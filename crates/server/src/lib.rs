@@ -382,7 +382,6 @@ mod tests {
             "etl_retries",
             "etl_source_failures",
             "etl_upserts",
-            "exec_parallelism",
             "exec_scan_pages_read",
             "exec_scan_pages_skipped",
             "exec_stats_rebuilt",

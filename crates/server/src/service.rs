@@ -739,7 +739,6 @@ impl QueryService {
         s.gauge("cache_plan_bytes", plan_bytes as u64);
         s.gauge("cache_result_entries", results as u64);
         s.gauge("cache_result_bytes", result_bytes as u64);
-        s.gauge("exec_parallelism", self.db.parallelism() as u64);
         s.counter("exec_scan_pages_read", self.db.scan_pages_read());
         s.counter("exec_scan_pages_skipped", self.db.scan_pages_skipped());
         s.counter("exec_stats_rebuilt", self.db.stats_rebuilt());

@@ -1,12 +1,11 @@
-//! Fingerprint determinism under intra-query parallelism.
+//! Fingerprint determinism.
 //!
 //! The workload registry is first-come bounded (no eviction), fingerprints
 //! are a pure function of statement text, and plan hashes are FxHash over
 //! deterministic `EXPLAIN` trees — so running the *same* seeded qdiff
-//! statement stream against engines at parallelism 1 and parallelism 4
-//! must produce identical fingerprint sets and identical per-fingerprint
-//! plan hashes. Divergence would mean some part of the observatory keyed
-//! on execution scheduling instead of the statement stream.
+//! statement stream twice must produce identical fingerprint sets and
+//! identical per-fingerprint plan hashes. Divergence would mean some part
+//! of the observatory keyed on something other than the statement stream.
 
 use genalg_server::{Lang, QueryService, ServerConfig, SessionKind};
 use qdiff::gen_scenario;
@@ -14,11 +13,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use unidb::Database;
 
-/// Drive one scenario through a fresh service whose engine runs at the
-/// given parallelism; return `fingerprint id -> (text, plan_hash)`.
-fn run_stream(seed: u64, parallelism: usize) -> BTreeMap<String, (String, u64)> {
+/// Drive one scenario through a fresh service; return
+/// `fingerprint id -> (text, plan_hash)`.
+fn run_stream(seed: u64) -> BTreeMap<String, (String, u64)> {
     let db = Arc::new(Database::in_memory());
-    db.set_parallelism(parallelism);
     let svc = QueryService::new(db, &ServerConfig::default());
     let s = svc.open_session(SessionKind::Maintainer);
     let sc = gen_scenario(seed);
@@ -27,37 +25,20 @@ fn run_stream(seed: u64, parallelism: usize) -> BTreeMap<String, (String, u64)> 
     }
     for op in &sc.ops {
         // Errors are part of the stream too: a failing statement still
-        // registers its fingerprint, identically on both sides.
+        // registers its fingerprint, identically on every run.
         let _ = svc.execute(s, Lang::Sql, &sc.op_sql(op));
     }
     svc.fingerprints().snapshot().into_iter().map(|fp| (fp.id, (fp.text, fp.plan_hash))).collect()
 }
 
 #[test]
-fn fingerprints_and_plan_hashes_ignore_parallelism() {
-    for seed in 0..8u64 {
-        let serial = run_stream(seed, 1);
-        let parallel = run_stream(seed, 4);
-        assert!(!serial.is_empty(), "seed {seed}: scenario registered no fingerprints");
-        assert_eq!(
-            serial.keys().collect::<Vec<_>>(),
-            parallel.keys().collect::<Vec<_>>(),
-            "seed {seed}: fingerprint sets diverged across parallelism"
-        );
-        for (id, (text, hash)) in &serial {
-            let (ptext, phash) = &parallel[id];
-            assert_eq!(text, ptext, "seed {seed}: fingerprint {id} text diverged");
-            assert_eq!(hash, phash, "seed {seed}: fingerprint {id} plan hash diverged: {text}");
-        }
-    }
-}
-
-#[test]
 fn repeated_runs_are_identical() {
-    // Same stream, same parallelism, twice: byte-for-byte identical
-    // registry contents (guards against any ambient nondeterminism —
-    // time, hashing, iteration order — leaking into the observatory).
-    let a = run_stream(3, 4);
-    let b = run_stream(3, 4);
-    assert_eq!(a, b);
+    // Same stream twice: byte-for-byte identical registry contents (guards
+    // against any ambient nondeterminism — time, hashing, iteration order —
+    // leaking into the observatory).
+    for seed in 0..8u64 {
+        let a = run_stream(seed);
+        assert!(!a.is_empty(), "seed {seed}: scenario registered no fingerprints");
+        assert_eq!(a, run_stream(seed), "seed {seed}");
+    }
 }

@@ -32,7 +32,7 @@ use crate::txn::{ReadView, TxnManager, TxnState};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The result of executing one statement.
@@ -144,12 +144,6 @@ pub(crate) struct Inner {
     /// Catalog version, bumped on DDL. Prepared statements carry the value
     /// they were planned under and refuse to run once it moves.
     catalog_gen: u64,
-    /// Worker threads per query (1 = serial). Morsel-driven scans and the
-    /// executor's pipeline breakers fan out to this many scoped threads,
-    /// less one per other statement [`Inner::executing`] at the time.
-    pub(crate) parallelism: usize,
-    /// Statements inside the executor right now.
-    pub(crate) executing: AtomicUsize,
     /// Heap pages read by `scan_batches` since open — an observability
     /// counter (SHOW STATS, tests asserting LIMIT short-circuits). Counts
     /// only pages actually visited; zone-map-refuted pages land in
@@ -167,18 +161,6 @@ pub(crate) struct Inner {
     /// active snapshot the bookkeeping would be garbage-collected
     /// immediately, so it is skipped at the source.
     pub(crate) track_versions: bool,
-}
-
-/// Default query parallelism: `UNIDB_PARALLELISM` if set (min 1), else the
-/// machine's available parallelism capped at 8 (diminishing returns for
-/// the morsel sizes this engine uses).
-fn default_parallelism() -> usize {
-    if let Ok(v) = std::env::var("UNIDB_PARALLELISM") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
 /// A planned SELECT, reusable across executions without re-parsing or
@@ -295,8 +277,6 @@ impl Database {
                 replaying: false,
                 table_gens: HashMap::new(),
                 catalog_gen: 0,
-                parallelism: default_parallelism(),
-                executing: AtomicUsize::new(0),
                 scan_pages: AtomicU64::new(0),
                 scan_pages_skipped: AtomicU64::new(0),
                 stats_rebuilt: AtomicU64::new(0),
@@ -585,7 +565,7 @@ impl Database {
                 prepared.catalog_gen, inner.catalog_gen
             )));
         }
-        let rows = execute_plan(&inner.latest(), &inner.funcs, &prepared.plan, inner.parallelism)?;
+        let rows = execute_plan(&inner.latest(), &inner.funcs, &prepared.plan)?;
         Ok(ResultSet { columns: prepared.columns.clone(), rows, affected: 0, explain: None })
     }
 
@@ -601,17 +581,6 @@ impl Database {
     pub fn table_versions(&self, table_ids: &[u32]) -> Vec<u64> {
         let inner = self.inner.read();
         table_ids.iter().map(|id| inner.table_gens.get(id).copied().unwrap_or(0)).collect()
-    }
-
-    /// Set the per-query worker thread count (clamped to at least 1).
-    /// 1 disables all intra-query parallelism.
-    pub fn set_parallelism(&self, n: usize) {
-        self.inner.write().parallelism = n.max(1);
-    }
-
-    /// Current per-query worker thread count.
-    pub fn parallelism(&self) -> usize {
-        self.inner.read().parallelism
     }
 
     /// Total heap pages read by sequential scans since open. The delta
@@ -685,7 +654,7 @@ impl Database {
         let inner = self.inner.read();
         let view = inner.latest();
         let (plan, columns) = plan_select(&view, role.default_space(), &s)?;
-        let (rows, stats) = execute_plan_with_stats(&view, &inner.funcs, &plan, inner.parallelism)?;
+        let (rows, stats) = execute_plan_with_stats(&view, &inner.funcs, &plan)?;
         Ok((ResultSet { columns, rows, affected: 0, explain: None }, stats))
     }
 
@@ -1390,14 +1359,13 @@ pub(crate) fn check_row(def: &TableDef, mut row: Row) -> DbResult<Row> {
 /// Read-only statements (SELECT / EXPLAIN) against a transaction's view of
 /// the engine.
 pub(crate) fn run_read(src: &ReadView, stmt: Stmt, role: &Role) -> DbResult<ResultSet> {
-    let parallelism = src.inner.parallelism;
     let explained = |text: String| Ok(ResultSet { explain: Some(text), ..ResultSet::empty() });
     match stmt {
         Stmt::Select(s) => {
             let plan_span = genalg_obs::tracer().span("unidb.plan");
             let (plan, columns) = plan_select(src, role.default_space(), &s)?;
             drop(plan_span);
-            let rows = execute_plan(src, src.funcs(), &plan, parallelism)?;
+            let rows = execute_plan(src, src.funcs(), &plan)?;
             Ok(ResultSet { columns, rows, affected: 0, explain: None })
         }
         Stmt::Explain { stmt: inner_stmt, analyze } => match *inner_stmt {
@@ -1406,7 +1374,7 @@ pub(crate) fn run_read(src: &ReadView, stmt: Stmt, role: &Role) -> DbResult<Resu
                 if analyze {
                     // ANALYZE executes the query (discarding rows) and
                     // renders the plan annotated with live counters.
-                    let (_, stats) = execute_plan_with_stats(src, src.funcs(), &plan, parallelism)?;
+                    let (_, stats) = execute_plan_with_stats(src, src.funcs(), &plan)?;
                     explained(stats.render())
                 } else {
                     explained(plan.explain())

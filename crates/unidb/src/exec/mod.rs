@@ -1,4 +1,4 @@
-//! Plan execution: a pull-based, batched, morsel-parallel engine.
+//! Plan execution: a pull-based, batched engine.
 //!
 //! Every operator implements `BatchIter` and pulls ~[`BATCH_ROWS`]-row
 //! batches from its input, so Scan→Filter→Project pipelines stream and
@@ -33,14 +33,11 @@
 //! borrows them), so a filter, a join key or an aggregate argument copies
 //! nothing it only looks at.
 //!
-//! With `parallelism > 1`, SeqScan fans page-range morsels out over scoped
-//! std threads (filter and projection run inside the morsel when fused), and
-//! Sort evaluates its keys across row chunks the same way. The hash join
-//! builds one chained table and probes it, and Aggregate folds its
-//! (morsel-parallel) input, on the pulling thread. Workers write results
-//! back in morsel order, so the output —
-//! including tie order everywhere — is byte-identical to a serial run; the
-//! qdiff sweep pins this by running the same seeds at parallelism 1 and 4.
+//! A statement runs entirely on the thread that calls [`execute_plan`]:
+//! each SeqScan `next_batch` reads one [`MORSEL_PAGES`] range (filter and
+//! projection run inside it when fused), and every other operator works on
+//! the batches it pulls. Concurrency is between statements — the server
+//! bounds how many run at once — not within one.
 
 pub mod stats;
 
@@ -59,26 +56,20 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashSet};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 
 /// Target rows per batch pulled through the operator tree.
 pub const BATCH_ROWS: usize = 1024;
-/// Heap pages per scan morsel (the unit of scan parallelism).
-const MORSEL_PAGES: u32 = 32;
-/// Below this many rows a pipeline breaker evaluates serially: scoped
-/// thread spawns would cost more than they save.
-const PAR_MIN_ROWS: usize = 4096;
+/// Heap pages a SeqScan reads per batch.
+pub const MORSEL_PAGES: u32 = 32;
 
 /// The storage operations the executor needs; implemented by the engine.
-/// `Sync` because morsel workers share one handle across scoped threads —
-/// the same way concurrent reader sessions already share the engine under
-/// its read lock.
-pub trait StorageAccess: Sync {
+pub trait StorageAccess {
     /// Stream the decoded rows of up to `max_pages` heap pages starting at
     /// `first_page` into `on_row`, returning the page to continue from and
-    /// how many pages the range covered. Page ranges past the end visit
-    /// nothing, so parallel morsels can race ahead safely. The [`ScanSpec`]
+    /// how many pages the range covered. A range past the end visits
+    /// nothing and reports no next page. The [`ScanSpec`]
     /// says which columns the caller reads (fields past `prefix` are not
     /// deserialized, masked-out ones arrive as `Datum::Null`) and carries
     /// the predicate bounds a page-level zone map may refute without
@@ -93,9 +84,6 @@ pub trait StorageAccess: Sync {
         spec: &ScanSpec,
         on_row: &mut dyn FnMut(&mut Row) -> DbResult<()>,
     ) -> DbResult<ScanProgress>;
-    /// Pages a scan of `table_id` covers: the last page number
-    /// [`StorageAccess::scan_batches`] serves, plus one.
-    fn scan_pages(&self, table_id: u32) -> DbResult<u32>;
     /// Fetch specific rows (missing rids are skipped).
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>>;
     /// Rids with `column == key` from the B-tree index.
@@ -116,34 +104,6 @@ pub trait StorageAccess: Sync {
         func: &str,
         args: &[Datum],
     ) -> DbResult<Vec<Rid>>;
-    /// How many statements are executing against this database right now;
-    /// kept by [`execute_plan`] and [`execute_plan_with_stats`].
-    fn executing(&self) -> &AtomicUsize;
-}
-
-/// One executing statement, counted from construction to drop.
-struct Executing<'a>(&'a AtomicUsize);
-
-impl<'a> Executing<'a> {
-    /// Count this statement in and say how many workers its operators may
-    /// fan out to. Intra-query parallelism is for cores nothing else is
-    /// using: every statement already executing occupies one, so a new one
-    /// gets the configured `parallelism` less those, and at least itself.
-    /// Two clients on two cores therefore run two serial scans, not four
-    /// threads taking turns. Results do not depend on the width (morsels
-    /// are reassembled in order), so this changes timing only.
-    fn enter(storage: &'a dyn StorageAccess, parallelism: usize) -> (Self, usize) {
-        let counter = storage.executing();
-        // Relaxed: the count steers a performance choice and publishes nothing.
-        let others = counter.fetch_add(1, AtomicOrdering::Relaxed);
-        (Executing(counter), parallelism.saturating_sub(others).max(1))
-    }
-}
-
-impl Drop for Executing<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, AtomicOrdering::Relaxed);
-    }
 }
 
 /// What a scan reads of each row, built once per scan iterator by
@@ -236,12 +196,9 @@ pub fn execute_plan(
     storage: &dyn StorageAccess,
     funcs: &FunctionRegistry,
     plan: &PhysicalPlan,
-    parallelism: usize,
 ) -> DbResult<Vec<Row>> {
     let mut query_span = genalg_obs::tracer().span("exec.query");
-    let (_executing, width) = Executing::enter(storage, parallelism);
-    let (it, _) =
-        build_iter(storage, funcs, plan, all_columns(plan), width, None, query_span.id())?;
+    let (it, _) = build_iter(storage, funcs, plan, all_columns(plan), None, query_span.id())?;
     let out = collect_rows(it)?;
     query_span.field("rows", out.len());
     Ok(out)
@@ -254,13 +211,11 @@ pub fn execute_plan_with_stats(
     storage: &dyn StorageAccess,
     funcs: &FunctionRegistry,
     plan: &PhysicalPlan,
-    parallelism: usize,
 ) -> DbResult<(Vec<Row>, OpStatsSnapshot)> {
     let mut query_span = genalg_obs::tracer().span("exec.query");
     let root = stats_tree(plan);
-    let (_executing, width) = Executing::enter(storage, parallelism);
     let need = all_columns(plan);
-    let (it, _) = build_iter(storage, funcs, plan, need, width, Some(&root), query_span.id())?;
+    let (it, _) = build_iter(storage, funcs, plan, need, Some(&root), query_span.id())?;
     let out = collect_rows(it)?;
     query_span.field("rows", out.len());
     Ok((out, root.snapshot()))
@@ -399,13 +354,12 @@ fn build_iter<'a>(
     funcs: &'a FunctionRegistry,
     plan: &PhysicalPlan,
     need: Need,
-    par: usize,
     stats: Option<&Arc<OpStats>>,
     span_parent: u64,
 ) -> DbResult<(BoxIter<'a>, Layout)> {
     let child = |i: usize| stats.map(|s| &s.children[i]);
     let build = |input: &PhysicalPlan, need: Need, i: usize| {
-        build_iter(storage, funcs, input, need, par, child(i), span_parent)
+        build_iter(storage, funcs, input, need, child(i), span_parent)
     };
     let (it, layout): (BoxIter<'a>, Layout) = match plan {
         PhysicalPlan::Nothing => (Box::new(NothingIter { done: false }), Layout::new()),
@@ -420,15 +374,13 @@ fn build_iter<'a>(
                 width: layout.len(),
                 emit: Emit::Columns(layout.clone()),
                 spec,
-                pages: storage.scan_pages(*table_id)?,
                 next_page: Some(0),
-                par,
                 stats: stats.map(Arc::clone),
             };
             (Box::new(scan), layout)
         }
-        // Project directly over SeqScan fuses into the scan morsel, so
-        // filter + projection run inside the parallel workers.
+        // Project directly over SeqScan fuses into the scan, so filter and
+        // projection run on the decode scratch.
         PhysicalPlan::Project { input, exprs, .. }
             if matches!(**input, PhysicalPlan::SeqScan { .. }) =>
         {
@@ -449,9 +401,7 @@ fn build_iter<'a>(
                 width: project.len(),
                 emit: Emit::Exprs(project),
                 spec,
-                pages: storage.scan_pages(*table_id)?,
                 next_page: Some(0),
-                par,
                 stats: child(0).map(Arc::clone),
             });
             let scan = match child(0) {
@@ -567,7 +517,7 @@ fn build_iter<'a>(
             let (input, layout) = build(input, reading(need, &keys), 0)?;
             keys.iter_mut().for_each(|k| k.remap(&layout));
             let dirs = sort_keys.iter().map(|(_, asc)| *asc).collect();
-            (Box::new(SortIter { input: Some(input), keys, dirs, par }), layout)
+            (Box::new(SortIter { input: Some(input), keys, dirs }), layout)
         }
         PhysicalPlan::TopN { input, keys: sort_keys, n, offset } => {
             let mut keys = compile_keys(sort_keys, &input.bindings(), funcs)?;
@@ -722,54 +672,6 @@ fn cmp_key_vecs(a: &[Datum], b: &[Datum], dirs: &[bool]) -> Ordering {
     Ordering::Equal
 }
 
-// ---------------------------------------------------------------------------
-// Parallel helpers
-// ---------------------------------------------------------------------------
-
-/// Map `f` over the rows of `batch`, fanning out over up to `par` scoped
-/// threads when the input is large enough to pay for them. Results come
-/// back in row order; the returned error (if any) is the one the
-/// earliest-ordered row produced, matching a serial run.
-fn par_map<R: Send>(
-    batch: &Batch,
-    par: usize,
-    f: impl Fn(&[Datum]) -> DbResult<R> + Sync,
-) -> DbResult<Vec<R>> {
-    let n = batch.len();
-    if par <= 1 || n < PAR_MIN_ROWS {
-        return batch.iter().map(f).collect();
-    }
-    let chunk = n.div_ceil(par);
-    let mut results: Vec<DbResult<Vec<R>>> = Vec::new();
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|lo| {
-                s.spawn(move || {
-                    (lo..n.min(lo + chunk)).map(|i| f(batch.row(i))).collect::<DbResult<Vec<R>>>()
-                })
-            })
-            .collect();
-        results = handles.into_iter().map(join_worker).collect();
-    });
-    let mut flat = Vec::with_capacity(n);
-    for r in results {
-        flat.extend(r?);
-    }
-    Ok(flat)
-}
-
-/// Propagate worker panics onto the pulling thread so a panic stays a
-/// panic (the qdiff harness treats panics as divergences; swallowing one
-/// into an error would mask it).
-fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match h.join() {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
 /// `EXPLAIN ANALYZE` wrapper: forwards `next_batch` while attributing
 /// rows, batches, and inclusive wall time to one stats node. Only present
 /// in the operator tree when a stats tree was requested, so ordinary
@@ -781,7 +683,6 @@ struct StatIter<'a> {
 
 impl BatchIter for StatIter<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        use std::sync::atomic::Ordering as AtomicOrdering;
         let start = std::time::Instant::now();
         let result = self.input.next_batch();
         let elapsed = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -851,9 +752,7 @@ impl BatchIter for NothingIter {
 }
 
 /// Streaming heap scan with optional fused filter and projection. Each
-/// `next_batch` reads one wave of up to `par` morsels, the first on the
-/// pulling thread and the rest on scoped threads, reassembled in morsel
-/// order so the row order is identical to a serial scan. The residual
+/// `next_batch` reads one [`MORSEL_PAGES`] range. The residual
 /// runs on the decode scratch, which holds table positions; a kept row
 /// leaves it as its [`Emit`] says.
 struct SeqScanIter<'a> {
@@ -866,15 +765,9 @@ struct SeqScanIter<'a> {
     /// What to decode (the columns this scan's consumers and residual
     /// read) and which pages the zone maps may refute (predicate bounds).
     spec: ScanSpec,
-    /// Pages the scan covers ([`StorageAccess::scan_pages`]): a wave runs
-    /// no morsel that would start past them.
-    pages: u32,
     next_page: Option<u32>,
-    par: usize,
     /// `EXPLAIN ANALYZE` node to attribute `pages_read`, `pages_skipped`
-    /// and `segments_decoded` to. Per-morsel counts are summed on the
-    /// pulling thread after the wave joins, so the totals are
-    /// deterministic at any parallelism.
+    /// and `segments_decoded` to.
     stats: Option<Arc<OpStats>>,
 }
 
@@ -886,8 +779,9 @@ enum Emit {
     Exprs(Vec<CompiledExpr>),
 }
 
-impl SeqScanIter<'_> {
-    fn run_morsel(&self, first_page: u32) -> DbResult<(Batch, ScanProgress)> {
+impl BatchIter for SeqScanIter<'_> {
+    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
+        let Some(first_page) = self.next_page else { return Ok(None) };
         // Filter and projection run on the scan's decode scratch; a kept
         // row's values (or its projection) move into the batch, and a
         // rejected row is never copied.
@@ -919,47 +813,15 @@ impl SeqScanIter<'_> {
                 Ok(())
             },
         )?;
-        Ok((out, progress))
-    }
-
-    fn record_progress(&self, pages: u64, skipped: u64, segments: u64) {
         if let Some(stats) = &self.stats {
-            stats.pages_read.fetch_add(pages, std::sync::atomic::Ordering::Relaxed);
-            stats.pages_skipped.fetch_add(skipped, std::sync::atomic::Ordering::Relaxed);
-            stats.segments_decoded.fetch_add(segments, std::sync::atomic::Ordering::Relaxed);
+            stats.pages_read.fetch_add(u64::from(progress.pages_read), AtomicOrdering::Relaxed);
+            stats
+                .pages_skipped
+                .fetch_add(u64::from(progress.pages_skipped), AtomicOrdering::Relaxed);
+            stats.segments_decoded.fetch_add(progress.segments_decoded, AtomicOrdering::Relaxed);
         }
-    }
-}
-
-impl BatchIter for SeqScanIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        let Some(start) = self.next_page else { return Ok(None) };
-        // One wave: morsel i covers pages [start + i*M, start + (i+1)*M).
-        // The last morsel's continuation is the wave's continuation.
-        let this: &SeqScanIter<'_> = self;
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (1..this.par as u32)
-                .map(|i| start.saturating_add(i.saturating_mul(MORSEL_PAGES)))
-                .take_while(|&first| first < this.pages)
-                .map(|first| s.spawn(move || this.run_morsel(first)))
-                .collect();
-            let head = this.run_morsel(start);
-            std::iter::once(head).chain(handles.into_iter().map(join_worker)).collect::<Vec<_>>()
-        });
-        let mut batch = Batch::with_capacity(self.width, 0);
-        let mut wave_next = None;
-        let (mut wave_pages, mut wave_skipped, mut wave_segments) = (0u64, 0u64, 0u64);
-        for r in results {
-            let (rows, progress) = r?;
-            batch.append(rows);
-            wave_pages += u64::from(progress.pages_read);
-            wave_skipped += u64::from(progress.pages_skipped);
-            wave_segments += progress.segments_decoded;
-            wave_next = progress.next_page;
-        }
-        self.record_progress(wave_pages, wave_skipped, wave_segments);
-        self.next_page = wave_next;
-        Ok(Some(batch))
+        self.next_page = progress.next_page;
+        Ok(Some(out))
     }
 }
 
@@ -1107,16 +969,21 @@ struct SortIter<'a> {
     input: Option<BoxIter<'a>>,
     keys: Vec<CompiledExpr>,
     dirs: Vec<bool>,
-    par: usize,
 }
 
 impl BatchIter for SortIter<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let Some(input) = self.input.take() else { return Ok(None) };
         let mut rows = drain(input)?;
-        let keyed = par_map(&rows, self.par, |row| {
-            self.keys.iter().map(|k| k.eval(row).map(Cow::into_owned)).collect::<DbResult<Vec<_>>>()
-        })?;
+        let keyed = rows
+            .iter()
+            .map(|row| {
+                self.keys
+                    .iter()
+                    .map(|k| k.eval(row).map(Cow::into_owned))
+                    .collect::<DbResult<Vec<_>>>()
+            })
+            .collect::<DbResult<Vec<_>>>()?;
         let mut order: Vec<usize> = (0..rows.len()).collect();
         // Stable, so ties on every key preserve input order — multi-key
         // sorts and LIMIT windows are deterministic.
@@ -1133,7 +1000,7 @@ impl BatchIter for SortIter<'_> {
 /// Bounded Top-N: a max-heap (in sort order) of the best `offset + n`
 /// rows seen so far. A sequence number per row makes the heap order a
 /// total order that exactly reproduces stable-sort-then-limit, so results
-/// are deterministic under any parallelism.
+/// are deterministic.
 struct TopNIter<'a> {
     input: Option<BoxIter<'a>>,
     keys: Vec<CompiledExpr>,

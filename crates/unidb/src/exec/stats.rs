@@ -1,16 +1,13 @@
 //! Per-operator runtime counters for `EXPLAIN ANALYZE`.
 //!
 //! A stats tree mirrors the [`PhysicalPlan`] shape one node per operator.
-//! Counters are `AtomicU64` so morsel workers can attribute work (e.g.
-//! pages read) without synchronization beyond the adds themselves; every
-//! add is a plain sum, so totals are deterministic regardless of thread
-//! interleaving — `rows_out` and `pages_read` are byte-identical at any
-//! parallelism for plans that drain their input (the qdiff harness pins
-//! this at parallelism 1 vs 4).
+//! Each counter is an `AtomicU64` the operator holding its node adds to;
+//! `rows_out`, `pages_read` and the other counters are pure functions of
+//! the plan and the data for plans that drain their input.
 //!
-//! `time_us` and `batches` are *not* parallelism-stable by design: a
-//! serial scan emits one morsel per batch while a parallel scan emits one
-//! wave of `par` morsels per batch. [`OpStatsSnapshot::render_counters`]
+//! `time_us` varies run to run, and `batches` follows the executor's
+//! batching rather than the query (a SeqScan emits one batch per
+//! `MORSEL_PAGES` page range). [`OpStatsSnapshot::render_counters`]
 //! therefore exposes only the stable subset, and the golden tests compare
 //! that rendering.
 
@@ -47,12 +44,11 @@ pub struct OpStats {
     /// Columns read across visited pages (scans only): decoded from the
     /// row form or served from a column image.
     /// Counted identically on the row and columnar paths — referenced
-    /// columns × non-empty pages visited — so it too is
-    /// parallelism-stable.
+    /// columns × non-empty pages visited — so it too is deterministic.
     pub segments_decoded: AtomicU64,
     /// Hash tables the operator built (hash-table operators only): one —
-    /// the join's chained table, the aggregate's group table — at any
-    /// parallelism, so it belongs to the deterministic rendering.
+    /// the join's chained table, the aggregate's group table — so it
+    /// belongs to the deterministic rendering.
     pub partitions: AtomicU64,
     /// Rows materialized on the build side (hash joins only).
     pub build_rows: AtomicU64,
@@ -146,8 +142,8 @@ impl OpStatsSnapshot {
 
     /// The deterministic subset (`rows_out`, plus `pages_read` on scans
     /// and `partitions`/`build_rows` on hash-table operators): identical
-    /// across runs and across parallelism levels for plans that drain
-    /// their input. Golden tests compare this rendering.
+    /// across runs for plans that drain their input. Golden tests compare
+    /// this rendering.
     pub fn render_counters(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0, false);

@@ -11,10 +11,6 @@
 //! first row flows. Resolution errors (unknown or ambiguous columns,
 //! unknown functions, aggregates in scalar position) surface at plan time
 //! instead of on the first evaluated row.
-//!
-//! Compiled programs are `Send + Sync` (they hold only data and `Arc`'d
-//! function handles), so morsel workers can share one program across
-//! threads.
 
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};

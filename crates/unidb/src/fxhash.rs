@@ -8,7 +8,7 @@
 //! used by rustc: one rotate, one xor, one multiply per word. It is
 //! deterministic across runs and platforms (inputs are folded
 //! little-endian), so a hash join's chain table is laid out identically
-//! on every run and at any parallelism.
+//! on every run.
 //!
 //! Hashing a [`crate::datum::Datum`] goes through its ordinary `Hash`
 //! impl, so the engine-wide invariant that `Int(3)` and `Float(3.0)`

@@ -21,8 +21,8 @@
 //! files of slotted pages, a write-ahead log with redo recovery,
 //! B+-tree secondary indexes, a recursive-descent SQL parser, a
 //! rule-plus-cost optimizer, and a batched pull-based executor that compiles
-//! expressions at plan time, fuses `ORDER BY + LIMIT` into a bounded Top-N,
-//! and parallelizes scans morsel-by-morsel across worker threads.
+//! expressions at plan time and fuses `ORDER BY + LIMIT` into a bounded
+//! Top-N; each statement runs on the thread that issues it.
 //!
 //! ```
 //! use unidb::Database;

@@ -58,7 +58,7 @@ use crate::storage::heap::Rid;
 use crate::tuple::{decode_row_cols_into, Row};
 use crate::txn::{TableWrites, WriteSet};
 use std::ops::{Bound, RangeBounds};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub(crate) struct ReadView<'a> {
@@ -88,6 +88,13 @@ impl<'a> ReadView<'a> {
 
     fn storage(&self, table_id: u32) -> DbResult<&'a TableStorage> {
         self.inner.storage(table_id)
+    }
+
+    /// Pages a scan of `table_id` covers: the heap's, plus the virtual page
+    /// a dirty table carries past them with prior images and the overlay.
+    fn page_count(&self, table_id: u32) -> DbResult<u32> {
+        let real = self.storage(table_id)?.heap.num_pages();
+        Ok(real.saturating_add(u32::from(self.dirty(table_id))))
     }
 
     fn btree(&self, table_id: u32, column: &str) -> DbResult<&'a BTreeIndex> {
@@ -290,10 +297,6 @@ fn column_image(
 }
 
 impl StorageAccess for ReadView<'_> {
-    fn executing(&self) -> &AtomicUsize {
-        &self.inner.executing
-    }
-
     fn scan_batches(
         &self,
         table_id: u32,
@@ -304,11 +307,11 @@ impl StorageAccess for ReadView<'_> {
     ) -> DbResult<ScanProgress> {
         let storage = self.storage(table_id)?;
         let overlay = self.overlay(table_id);
-        // Every choice below depends on table state and the spec, never on
-        // parallelism, so the counters stay deterministic.
+        // Every choice below depends on table state and the spec alone, so
+        // the counters stay deterministic.
         let dirty = self.dirty(table_id);
         let real = storage.heap.num_pages();
-        let total = self.scan_pages(table_id)?;
+        let total = self.page_count(table_id)?;
         if first_page >= total {
             return Ok(ScanProgress {
                 next_page: None,
@@ -376,7 +379,7 @@ impl StorageAccess for ReadView<'_> {
         }
         if dirty && end == total {
             // The virtual page serves pre-materialized rows; it is never
-            // pruned and decodes no segments, identically at any parallelism.
+            // pruned and decodes no segments.
             for v in self.virtual_rows(storage, overlay).filter(|v| v.readable) {
                 scratch.clear();
                 scratch.extend_from_slice(&v.row[..spec.prefix.min(v.row.len())]);
@@ -391,14 +394,6 @@ impl StorageAccess for ReadView<'_> {
             pages_skipped: skipped,
             segments_decoded: segments,
         })
-    }
-
-    fn scan_pages(&self, table_id: u32) -> DbResult<u32> {
-        // A dirty table has one virtual page past the heap carrying prior
-        // images and the overlay, so morsel-parallel scans pick it up like
-        // any other page.
-        let real = self.storage(table_id)?.heap.num_pages();
-        Ok(real.saturating_add(u32::from(self.dirty(table_id))))
     }
 
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>> {

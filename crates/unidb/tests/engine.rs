@@ -934,8 +934,6 @@ fn limit_short_circuits_the_scan() {
         let values: Vec<String> = chunk.iter().map(|i| format!("({i}, {})", i * 3)).collect();
         d.execute(&format!("INSERT INTO big VALUES {}", values.join(", "))).unwrap();
     }
-    d.set_parallelism(1);
-
     let before_full = d.scan_pages_read();
     d.execute("SELECT count(*) FROM big").unwrap();
     let full_scan_pages = d.scan_pages_read() - before_full;
@@ -951,8 +949,8 @@ fn limit_short_circuits_the_scan() {
     );
 }
 
-/// Serial and 4-way parallel execution are row-for-row identical across
-/// operator types (morsel reassembly keeps the scan order).
+/// Every operator type returns exactly its reference rows, in order, and
+/// the same rows on every run.
 #[test]
 fn parallel_execution_is_deterministic() {
     let d = db();
@@ -970,21 +968,91 @@ fn parallel_execution_is_deterministic() {
     }
     d.execute("COMMIT").unwrap();
 
-    let queries = [
-        "SELECT a, a + b FROM t WHERE b < 300",
-        "SELECT g, count(*), sum(b) FROM t GROUP BY g ORDER BY g",
-        "SELECT a FROM t ORDER BY b, a LIMIT 50",
-        "SELECT t.a, dim.name FROM t JOIN dim ON t.g = dim.id WHERE t.a < 100 ORDER BY t.a",
-        "SELECT DISTINCT g FROM t ORDER BY g",
+    let a: Vec<i64> = (0..10_000).collect();
+    let b = |i: i64| (i * 37) % 1000;
+    let int = Datum::Int;
+    let mut by_b = a.clone();
+    by_b.sort_by_key(|&i| (b(i), i));
+    let cases: [(&str, Vec<Vec<Datum>>); 5] = [
+        (
+            "SELECT a, a + b FROM t WHERE b < 300",
+            a.iter().filter(|&&i| b(i) < 300).map(|&i| vec![int(i), int(i + b(i))]).collect(),
+        ),
+        (
+            "SELECT g, count(*), sum(b) FROM t GROUP BY g ORDER BY g",
+            (0..13)
+                .map(|g| {
+                    let rows: Vec<i64> = a.iter().copied().filter(|i| i % 13 == g).collect();
+                    vec![int(g), int(rows.len() as i64), int(rows.iter().map(|&i| b(i)).sum())]
+                })
+                .collect(),
+        ),
+        (
+            "SELECT a FROM t ORDER BY b, a LIMIT 50",
+            by_b[..50].iter().map(|&i| vec![int(i)]).collect(),
+        ),
+        (
+            "SELECT t.a, dim.name FROM t JOIN dim ON t.g = dim.id WHERE t.a < 100 ORDER BY t.a",
+            (0..100).map(|i| vec![int(i), Datum::Text(format!("g{}", i % 13))]).collect(),
+        ),
+        ("SELECT DISTINCT g FROM t ORDER BY g", (0..13).map(|g| vec![int(g)]).collect()),
     ];
-    for q in queries {
-        d.set_parallelism(1);
-        let serial = d.execute(q).unwrap();
-        d.set_parallelism(4);
-        assert_eq!(d.parallelism(), 4);
-        let parallel = d.execute(q).unwrap();
-        assert_eq!(serial.rows, parallel.rows, "parallel run diverged for {q}");
+    for (q, expect) in cases {
+        assert_eq!(d.execute(q).unwrap().rows, expect, "{q}");
+        assert_eq!(d.execute(q).unwrap().rows, expect, "{q}: second run");
     }
+}
+
+/// A statement runs entirely on the thread that issues it: a UDF in a
+/// filter fused into a scan of many morsels, and one in the key of a sort
+/// over thousands of rows, are only ever called from the caller's thread.
+#[test]
+fn a_statement_runs_on_the_calling_thread() {
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    let d = db();
+    d.execute("CREATE TABLE t (id INT, pad TEXT)").unwrap();
+    let pad = "x".repeat(100);
+    for chunk in 0..10 {
+        let values: Vec<String> =
+            (0..1000).map(|i| format!("({}, '{pad}')", chunk * 1000 + i)).collect();
+        d.execute(&format!("INSERT INTO t VALUES {}", values.join(","))).unwrap();
+    }
+    let threads: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+    let seen = Arc::clone(&threads);
+    d.register_scalar(
+        "thread_tag",
+        Arc::new(move |args| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            Ok(args[0].clone())
+        }),
+    )
+    .unwrap();
+
+    let fused = "SELECT id FROM t WHERE thread_tag(id) >= 0";
+    let plan = d.execute(&format!("EXPLAIN {fused}")).unwrap().explain.unwrap();
+    assert!(plan.contains("SeqScan") && !plan.contains("Filter"), "filter fuses:\n{plan}");
+    let (rs, stats) = d.explain_analyze(fused).unwrap();
+    assert_eq!(rs.rows.len(), 10_000);
+    fn scan(s: &unidb::exec::stats::OpStatsSnapshot) -> &unidb::exec::stats::OpStatsSnapshot {
+        if s.is_scan {
+            return s;
+        }
+        s.children.iter().map(scan).next().expect("the plan scans")
+    }
+    let pages = scan(&stats).pages_read;
+    assert!(pages > 4 * u64::from(unidb::exec::MORSEL_PAGES), "several morsels: {pages} pages");
+    let caller = HashSet::from([std::thread::current().id()]);
+    assert_eq!(std::mem::take(&mut *threads.lock().unwrap()), caller, "fused filter");
+
+    let sorted = d.execute("SELECT id FROM t ORDER BY thread_tag(id) DESC").unwrap();
+    assert_eq!(sorted.rows.len(), 10_000);
+    assert_eq!(sorted.rows[0], vec![Datum::Int(9_999)]);
+    let plan = d.execute("EXPLAIN SELECT id FROM t ORDER BY thread_tag(id) DESC").unwrap();
+    assert!(plan.explain.unwrap().contains("Sort"), "an unbounded ORDER BY sorts");
+    assert_eq!(*threads.lock().unwrap(), caller, "sort keys");
 }
 
 /// An unqualified column matching two join sides is its own error kind,
@@ -1267,21 +1335,14 @@ fn replay_locates_rows_with_and_without_indexes_and_with_duplicates() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Runs `sql` at parallelism 1, 2 and 4 and returns the one outcome all
-/// give: the rows, or the error's text.
-fn at_every_width(d: &Database, sql: &str) -> Result<Vec<Vec<Datum>>, String> {
-    let [one, two, four] = [1, 2, 4].map(|par| {
-        d.set_parallelism(par);
-        d.execute(sql).map(|rs| rs.rows).map_err(|e| e.to_string())
-    });
-    assert_eq!(one, two, "{sql}: parallelism 1 vs 2");
-    assert_eq!(one, four, "{sql}: parallelism 1 vs 4");
-    one
+/// Runs `sql` and returns its outcome: the rows, or the error's text.
+fn outcome(d: &Database, sql: &str) -> Result<Vec<Vec<Datum>>, String> {
+    d.execute(sql).map(|rs| rs.rows).map_err(|e| e.to_string())
 }
 
 /// Four rows of interest — a NULL in each operand column, Int/Float pairs
-/// that tie and that differ — ahead of enough filler that a width-4 scan
-/// runs several morsels and serves the leading pages from column images
+/// that tie and that differ — ahead of enough filler that a scan runs
+/// several morsels and serves the leading pages from column images
 /// (`pad` is never read, so every plan's column mask is sparse).
 fn operand_fixture() -> Database {
     let d = db();
@@ -1302,13 +1363,13 @@ fn operand_fixture() -> Database {
 const FILLER_ROWS: i64 = 12_000;
 
 fn count_where(d: &Database, pred: &str) -> i64 {
-    let rows = at_every_width(d, &format!("SELECT count(*) FROM t WHERE {pred}")).unwrap();
+    let rows = outcome(d, &format!("SELECT count(*) FROM t WHERE {pred}")).unwrap();
     rows[0][0].as_int().unwrap()
 }
 
 /// The value of `expr` on rows 1–4, in row order.
 fn values_of(d: &Database, expr: &str) -> Vec<Datum> {
-    let rows = at_every_width(d, &format!("SELECT id, {expr} FROM t WHERE id < 10")).unwrap();
+    let rows = outcome(d, &format!("SELECT id, {expr} FROM t WHERE id < 10")).unwrap();
     assert_eq!(
         rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>(),
         (1..=4).map(Datum::Int).collect::<Vec<_>>()
@@ -1410,11 +1471,11 @@ fn a_where_clause_that_is_not_bool_keeps_its_outcome_at_every_width() {
     }
     // An operator that needs a BOOL rejects the statement instead.
     assert_eq!(
-        at_every_width(&d, "SELECT id FROM t WHERE NOT i"),
+        outcome(&d, "SELECT id FROM t WHERE NOT i"),
         Err("type mismatch: NOT expects BOOL, got 3".to_string())
     );
     assert_eq!(
-        at_every_width(&d, "SELECT id FROM t WHERE i = 3 OR s"),
+        outcome(&d, "SELECT id FROM t WHERE i = 3 OR s"),
         Err("type mismatch: expected BOOL, got y".to_string())
     );
 }
@@ -1428,19 +1489,16 @@ fn an_argument_error_and_an_accumulator_error_report_the_same_text_at_every_widt
     // however wide the scan feeding the aggregate is.
     let sum_error = Err("type mismatch: sum(): sum() expects numbers, got x".to_string());
     let div_error = Err("type mismatch: division by zero".to_string());
-    assert_eq!(at_every_width(&d, "SELECT sum(s), sum(10 / i) FROM t"), sum_error);
-    assert_eq!(
-        at_every_width(&d, "SELECT pad, sum(s), sum(10 / i) FROM t GROUP BY pad"),
-        sum_error
-    );
-    assert_eq!(at_every_width(&d, "SELECT sum(10 / i), sum(s) FROM t WHERE id >= 3"), div_error);
-    assert_eq!(at_every_width(&d, "SELECT sum(10 / i), sum(s) FROM t"), sum_error);
+    assert_eq!(outcome(&d, "SELECT sum(s), sum(10 / i) FROM t"), sum_error);
+    assert_eq!(outcome(&d, "SELECT pad, sum(s), sum(10 / i) FROM t GROUP BY pad"), sum_error);
+    assert_eq!(outcome(&d, "SELECT sum(10 / i), sum(s) FROM t WHERE id >= 3"), div_error);
+    assert_eq!(outcome(&d, "SELECT sum(10 / i), sum(s) FROM t"), sum_error);
 }
 
 /// Five build rows — a duplicated key, a NULL key, `1.0` against the probe's
 /// `1`, a key (2.5) no probe row has — and a probe table of five rows of
 /// interest (a NULL key, a key (2) no build row has) ahead of enough
-/// unmatched filler that a width-4 scan runs several morsels. `pad` and
+/// unmatched filler that a scan runs several morsels. `pad` and
 /// `note` are never needed by some statements, so the scans under them
 /// emit narrower rows than the table.
 fn join_fixture() -> Database {
@@ -1528,7 +1586,7 @@ fn inner_hash_joins_match_in_build_order_at_every_width() {
             rows_of(&[&[o("1"), o("40")], &[o("3"), o("50")], &[o("5"), o("40")]]),
         ),
     ] {
-        assert_eq!(at_every_width(&d, &sql), Ok(expect), "{sql}");
+        assert_eq!(outcome(&d, &sql), Ok(expect), "{sql}");
     }
 }
 
@@ -1591,6 +1649,6 @@ fn left_hash_joins_pad_the_build_side_at_every_width() {
             vec![vec![Datum::Int(7 + FILLER_ROWS)]],
         ),
     ] {
-        assert_eq!(at_every_width(&d, &sql), Ok(expect), "{sql}");
+        assert_eq!(outcome(&d, &sql), Ok(expect), "{sql}");
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! The acceptance bar: on a scan -> join -> TopN plan, the deterministic
 //! counter rendering (`rows_out`, plus `pages_read` on scans) is
-//! byte-identical at parallelism 1 and 4. `time_us` and `batches` vary
-//! run to run and across parallelism, so only the full rendering shows
-//! them.
+//! byte-identical from run to run. `time_us` varies run to run and
+//! `batches` follows the executor's batching, so only the full rendering
+//! shows them.
 
 use unidb::exec::stats::OpStatsSnapshot;
 use unidb::{Database, Datum};
 
-/// Enough rows that a parallel scan actually splits into several morsels
-/// (PAR_MIN_ROWS is 4096 and a morsel is 32 pages).
+/// Enough rows that a scan spans several morsels and a sort sorts
+/// thousands of rows.
 const BIG_ROWS: usize = 6000;
 
 fn seeded() -> Database {
@@ -45,22 +45,21 @@ fn seeded() -> Database {
 const QUERY: &str = "SELECT r.id, c.name FROM reads r JOIN chroms c ON r.chrom = c.chrom \
                      ORDER BY r.score DESC LIMIT 10";
 
-fn analyze_at(d: &Database, par: usize) -> (unidb::ResultSet, OpStatsSnapshot) {
-    d.set_parallelism(par);
+fn analyze(d: &Database) -> (unidb::ResultSet, OpStatsSnapshot) {
     d.explain_analyze(QUERY).unwrap()
 }
 
 #[test]
 fn counters_are_byte_identical_across_parallelism() {
     let d = seeded();
-    let (rs1, s1) = analyze_at(&d, 1);
-    let (rs4, s4) = analyze_at(&d, 4);
+    let (rs1, s1) = analyze(&d);
+    let (rs2, s2) = analyze(&d);
 
-    assert_eq!(rs1.rows, rs4.rows, "results must not depend on parallelism");
+    assert_eq!(rs1.rows, rs2.rows, "results must not depend on the run");
     assert_eq!(
         s1.render_counters(),
-        s4.render_counters(),
-        "deterministic counters must match at parallelism 1 vs 4"
+        s2.render_counters(),
+        "deterministic counters must match from run to run"
     );
 
     // The golden shape: TopN at the root fed by a hash join over two scans.
@@ -86,24 +85,18 @@ fn counters_are_byte_identical_across_parallelism() {
 #[test]
 fn partition_counters_are_deterministic_and_stats_driven() {
     let d = seeded();
-    let (_, s1) = analyze_at(&d, 1);
-    let (_, s4) = analyze_at(&d, 4);
+    let (_, s1) = analyze(&d);
     let golden = s1.render_counters();
-    assert_eq!(golden, s4.render_counters(), "partition counters must not depend on parallelism");
     // Stats pick the 4-row chroms table as build side, hashed into one
     // chained table.
     assert!(golden.contains("build=right"), "small side should build:\n{golden}");
     assert!(golden.contains("partitions=1"), "the join builds one table:\n{golden}");
     assert!(golden.contains("build_rows=4"), "build side is 4-row chroms:\n{golden}");
 
-    // Aggregation keeps one group table at any parallelism.
+    // Aggregation keeps one group table.
     let agg = "SELECT chrom, count(*), min(score) FROM reads GROUP BY chrom";
-    d.set_parallelism(1);
     let (r1, a1) = d.explain_analyze(agg).unwrap();
-    d.set_parallelism(4);
-    let (r4, a4) = d.explain_analyze(agg).unwrap();
-    assert_eq!(r1.rows, r4.rows, "aggregate results must not depend on parallelism");
-    assert_eq!(a1.render_counters(), a4.render_counters());
+    assert_eq!(r1.rows.len(), 4, "one row per chrom");
     assert!(
         a1.render_counters().contains("partitions=1"),
         "aggregation keeps one group table:\n{}",
@@ -119,21 +112,14 @@ fn partition_counters_are_deterministic_and_stats_driven() {
         ),
         ("SELECT count(*), min(score) FROM reads WHERE id < 0", vec![Datum::Int(0), Datum::Null]),
     ] {
-        d.set_parallelism(1);
         let (r1, g1) = d.explain_analyze(sql).unwrap();
-        d.set_parallelism(4);
-        let (r4, g4) = d.explain_analyze(sql).unwrap();
         assert_eq!(r1.rows, vec![expect], "{sql}");
-        assert_eq!(r1.rows, r4.rows, "{sql}");
-        assert_eq!(g1.render_counters(), g4.render_counters());
         assert!(g1.render_counters().contains("partitions=1"), "{}", g1.render_counters());
     }
 }
 
-/// Grouped and global aggregates over a scan big enough that a width-4 wave
-/// hands the aggregate one batch of every row: the same rows in the same
-/// (first-seen) group order, the same counters and `partitions=1` at
-/// parallelism 1 and 4, whatever the key's shape.
+/// Grouped and global aggregates over a scan of several morsels: rows in
+/// first-seen group order and `partitions=1`, whatever the key's shape.
 #[test]
 fn aggregates_fold_the_same_rows_at_every_width() {
     let d = seeded();
@@ -148,12 +134,7 @@ fn aggregates_fold_the_same_rows_at_every_width() {
         "SELECT count(*), sum(score), count(DISTINCT chrom), min(chrom) FROM reads",
         "SELECT count(*), sum(score) FROM reads WHERE id < 0",
     ] {
-        d.set_parallelism(1);
         let (r1, s1) = d.explain_analyze(sql).unwrap();
-        d.set_parallelism(4);
-        let (r4, s4) = d.explain_analyze(sql).unwrap();
-        assert_eq!(r1.rows, r4.rows, "{sql}");
-        assert_eq!(s1.render_counters(), s4.render_counters(), "{sql}");
         assert!(s1.render_counters().contains("partitions=1"), "{sql}:\n{}", s1.render_counters());
         by_chrom.get_or_insert(r1.rows);
     }
@@ -162,7 +143,6 @@ fn aggregates_fold_the_same_rows_at_every_width() {
         keys,
         [0, 1, 2, 3].map(Datum::Int).into_iter().chain([Datum::Null]).collect::<Vec<_>>()
     );
-    d.set_parallelism(4);
     let rows = d.execute("SELECT chrom, count(*) FROM reads GROUP BY chrom").unwrap().rows;
     assert!(rows[..4].iter().all(|r| r[1] == quarter), "{rows:?}");
     assert_eq!(rows[4], vec![Datum::Null, Datum::Int(2)]);
@@ -186,8 +166,8 @@ fn explain_analyze_statement_reports_all_counters() {
 
 /// Satellite: the golden pruning contract. On a table whose filter
 /// column is clustered (page-ordered), a selective predicate skips most
-/// pages via zone maps, the skip counters render byte-identically at
-/// parallelism 1 and 4, and pruning never changes results.
+/// pages via zone maps, the skip counters render byte-identically from run
+/// to run, and pruning never changes results.
 #[test]
 fn zone_map_pruning_skips_pages_and_stays_deterministic() {
     let d = seeded();
@@ -196,13 +176,11 @@ fn zone_map_pruning_skips_pages_and_stays_deterministic() {
     let cutoff = BIG_ROWS - BIG_ROWS / 100;
     let pruned = format!("SELECT id, score FROM reads WHERE id >= {cutoff}");
 
-    d.set_parallelism(1);
     let (r1, s1) = d.explain_analyze(&pruned).unwrap();
-    d.set_parallelism(4);
-    let (r4, s4) = d.explain_analyze(&pruned).unwrap();
-    assert_eq!(r1.rows, r4.rows, "pruned results must not depend on parallelism");
+    let (r2, s2) = d.explain_analyze(&pruned).unwrap();
+    assert_eq!(r1.rows, r2.rows, "pruned results must not depend on the run");
     let golden = s1.render_counters();
-    assert_eq!(golden, s4.render_counters(), "skip counters must match at parallelism 1 vs 4");
+    assert_eq!(golden, s2.render_counters(), "skip counters must match from run to run");
 
     fn scan_of(s: &OpStatsSnapshot) -> Option<&OpStatsSnapshot> {
         if s.is_scan {
@@ -268,14 +246,11 @@ fn explain_analyze_rejects_writes() {
     assert_eq!(rs.rows[0][0].as_int().unwrap(), 4);
 }
 
-/// Intra-query parallelism is for idle cores: a scan that starts while
-/// another statement is executing fans out over one worker fewer. A scan
-/// emits one batch per wave of morsels, so the width shows in `batches`.
+/// A SeqScan reads one `MORSEL_PAGES` range per batch, so its `batches`
+/// counter is the number of ranges the table's pages make up.
 #[test]
-fn a_scan_fans_out_only_over_cores_no_other_statement_occupies() {
-    use std::sync::{Arc, Barrier};
-
-    let d = Arc::new(Database::in_memory());
+fn a_scan_emits_one_batch_per_morsel() {
+    let d = Database::in_memory();
     d.execute("CREATE TABLE wide (id INT, pad TEXT)").unwrap();
     let pad = "x".repeat(200);
     for chunk in 0..12 {
@@ -283,45 +258,19 @@ fn a_scan_fans_out_only_over_cores_no_other_statement_occupies() {
             (0..500).map(|i| format!("({}, '{pad}')", chunk * 500 + i)).collect();
         d.execute(&format!("INSERT INTO wide VALUES {}", values.join(","))).unwrap();
     }
-    d.set_parallelism(2);
-    let scan_batches = |d: &Database| {
-        let (rs, stats) = d.explain_analyze("SELECT id FROM wide WHERE id >= 0").unwrap();
-        assert_eq!(rs.rows.len(), 6000);
+    for sql in ["SELECT id FROM wide WHERE id >= 0", "SELECT count(*) FROM wide"] {
+        let (_, stats) = d.explain_analyze(sql).unwrap();
         fn scan(s: &OpStatsSnapshot) -> Option<&OpStatsSnapshot> {
             if s.is_scan {
                 return Some(s);
             }
             s.children.iter().find_map(scan)
         }
-        scan(&stats).expect("the plan scans").batches
-    };
-    let alone = scan_batches(&d);
-    assert!(alone >= 2, "the table must span several waves, got {alone}");
-
-    // A statement that stays inside the executor until released.
-    let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
-    let (e, r) = (Arc::clone(&entered), Arc::clone(&release));
-    d.register_scalar(
-        "hold",
-        Arc::new(move |_| {
-            e.wait();
-            r.wait();
-            Ok(unidb::Datum::Int(1))
-        }),
-    )
-    .unwrap();
-    let holder = {
-        let d = Arc::clone(&d);
-        std::thread::spawn(move || d.execute("SELECT hold()").unwrap())
-    };
-    entered.wait();
-    let beside = scan_batches(&d);
-    release.wait();
-    holder.join().unwrap();
-
-    // Width 1 is one morsel per batch; width 2 paired them up.
-    assert!(beside == 2 * alone || beside + 1 == 2 * alone, "{alone} alone, {beside} beside");
-    assert_eq!(scan_batches(&d), alone, "the width comes back once the other statement is done");
+        let scan = scan(&stats).expect("the plan scans");
+        let morsels = scan.pages_read.div_ceil(u64::from(unidb::exec::MORSEL_PAGES));
+        assert!(morsels >= 4, "{sql}: the table must span several morsels, got {morsels}");
+        assert_eq!(scan.batches, morsels, "{sql}: {} pages", scan.pages_read);
+    }
 }
 
 /// Rows of the column-pruning fixture's fact table.
@@ -355,17 +304,11 @@ fn ints(rows: &[Vec<Datum>]) -> Vec<Vec<Option<i64>>> {
     rows.iter().map(|r| r.iter().map(|v| v.as_int()).collect()).collect()
 }
 
-/// Run `sql` at parallelism 1 and 4, require identical rows and
-/// deterministic counters, and check each scan decoded exactly `per_page`
-/// segments on every page it visited: `(table, segments per page)`.
+/// Run `sql` and check each scan decoded exactly `per_page` segments on
+/// every page it visited: `(table, segments per page)`.
 fn check_decode(d: &Database, sql: &str, per_page: &[(&str, u64)]) -> Vec<Vec<Datum>> {
-    d.set_parallelism(1);
     let (r1, s1) = d.explain_analyze(sql).unwrap();
-    d.set_parallelism(4);
-    let (r4, s4) = d.explain_analyze(sql).unwrap();
     let golden = s1.render_counters();
-    assert_eq!(r1.rows, r4.rows, "{sql}: results must not depend on parallelism");
-    assert_eq!(golden, s4.render_counters(), "{sql}: counters must not depend on parallelism");
     fn scans<'s>(s: &'s OpStatsSnapshot, out: &mut Vec<&'s OpStatsSnapshot>) {
         if s.is_scan {
             out.push(s);

@@ -7,8 +7,8 @@
 
 use unidb::Database;
 
-/// Rows in the big table: enough pages that a parallel scan splits into
-/// several morsels and a narrow range leaves most pages refutable.
+/// Rows in the big table: enough pages that a scan spans several morsels
+/// and a narrow range leaves most pages refutable.
 const ROWS: i64 = 6000;
 
 /// `reads(id, pos, grp, score)`: `id` and `pos` both follow insertion order
@@ -52,12 +52,6 @@ fn deterministic(explain: &str) -> String {
     out
 }
 
-fn sorted(rows: &[Vec<unidb::Datum>]) -> Vec<String> {
-    let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
-    rows.sort_unstable();
-    rows
-}
-
 #[test]
 fn every_entry_runs_the_same_statement() {
     let db = seeded(None);
@@ -69,34 +63,25 @@ fn every_entry_runs_the_same_statement() {
         ("SELECT grp, count(*), min(score) FROM reads GROUP BY grp", "SeqScan", false),
     ];
     for (sql, access, prunes) in statements {
-        let mut at_width = Vec::new();
-        for width in [1, 4] {
-            db.set_parallelism(width);
-            let (auto, stats) = db.explain_analyze(sql).unwrap();
-            let counters = stats.render_counters();
-            assert!(counters.contains(access), "{sql}: expected {access} in\n{counters}");
-            if prunes {
-                assert!(
-                    !counters.contains("pages_skipped=0 "),
-                    "{sql}: nothing pruned\n{counters}"
-                );
-            }
-            assert_eq!(db.execute(sql).unwrap().rows, auto.rows, "{sql}: execute");
-            let text = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap().explain.unwrap();
-            assert_eq!(deterministic(&text), counters, "{sql}: autocommit EXPLAIN ANALYZE");
-
-            let txn = db.txn_begin();
-            assert_eq!(db.txn_execute(txn, sql).unwrap().rows, auto.rows, "{sql}: in a txn");
-            let text = db.txn_execute(txn, &format!("EXPLAIN ANALYZE {sql}")).unwrap();
-            assert_eq!(deterministic(&text.explain.unwrap()), counters, "{sql}: txn counters");
-            db.txn_commit(txn).unwrap();
-
-            let prepared = db.prepare(sql).unwrap();
-            assert!(prepared.access_label().starts_with(access), "{sql}: prepared path");
-            assert_eq!(db.execute_prepared(&prepared).unwrap().rows, auto.rows, "{sql}: prepared");
-            at_width.push((sorted(&auto.rows), counters));
+        let (auto, stats) = db.explain_analyze(sql).unwrap();
+        let counters = stats.render_counters();
+        assert!(counters.contains(access), "{sql}: expected {access} in\n{counters}");
+        if prunes {
+            assert!(!counters.contains("pages_skipped=0 "), "{sql}: nothing pruned\n{counters}");
         }
-        assert_eq!(at_width[0], at_width[1], "{sql}: parallelism 1 vs 4");
+        assert_eq!(db.execute(sql).unwrap().rows, auto.rows, "{sql}: execute");
+        let text = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap().explain.unwrap();
+        assert_eq!(deterministic(&text), counters, "{sql}: autocommit EXPLAIN ANALYZE");
+
+        let txn = db.txn_begin();
+        assert_eq!(db.txn_execute(txn, sql).unwrap().rows, auto.rows, "{sql}: in a txn");
+        let text = db.txn_execute(txn, &format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        assert_eq!(deterministic(&text.explain.unwrap()), counters, "{sql}: txn counters");
+        db.txn_commit(txn).unwrap();
+
+        let prepared = db.prepare(sql).unwrap();
+        assert!(prepared.access_label().starts_with(access), "{sql}: prepared path");
+        assert_eq!(db.execute_prepared(&prepared).unwrap().rows, auto.rows, "{sql}: prepared");
     }
 }
 
@@ -142,22 +127,16 @@ fn a_dirty_table_is_zone_pruned_and_still_exact() {
     want.extend([(10, 3001), (77777, 3003)]);
     want.sort_unstable();
 
-    let mut counters = Vec::new();
-    for width in [1, 4] {
-        db.set_parallelism(width);
-        assert_eq!(read(range), want, "parallelism {width}");
-        let text = db.txn_execute(txn, &format!("EXPLAIN ANALYZE {range}")).unwrap();
-        let text = deterministic(&text.explain.unwrap());
-        assert!(text.contains("SeqScan"), "{text}");
-        let skipped: u64 = text
-            .split("pages_skipped=")
-            .nth(1)
-            .and_then(|rest| rest.split(' ').next())
-            .and_then(|n| n.parse().ok())
-            .expect("a scan reports pages_skipped");
-        assert!(skipped > 0, "a dirty table must still be zone-pruned:\n{text}");
-        counters.push(text);
-    }
-    assert_eq!(counters[0], counters[1], "counters at parallelism 1 vs 4");
+    assert_eq!(read(range), want);
+    let text = db.txn_execute(txn, &format!("EXPLAIN ANALYZE {range}")).unwrap();
+    let text = deterministic(&text.explain.unwrap());
+    assert!(text.contains("SeqScan"), "{text}");
+    let skipped: u64 = text
+        .split("pages_skipped=")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .expect("a scan reports pages_skipped");
+    assert!(skipped > 0, "a dirty table must still be zone-pruned:\n{text}");
     db.txn_rollback(txn).unwrap();
 }

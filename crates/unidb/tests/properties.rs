@@ -464,10 +464,8 @@ proptest! {
     fn joins_match_a_nested_loop_reference_under_every_projection(
         l_keys in proptest::collection::vec(arb_join_keys(), 0..24),
         r_keys in proptest::collection::vec(arb_join_keys(), 0..24),
-        par in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let d = Database::in_memory();
-        d.set_parallelism(par);
         let l = join_table(&d, "l", &l_keys);
         let r = join_table(&d, "r", &r_keys);
         for (on, lk, rk) in [

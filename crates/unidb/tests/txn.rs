@@ -180,44 +180,41 @@ fn contended_increment_with_retries_is_exact() {
 // -- snapshot isolation ----------------------------------------------------
 
 /// A snapshot reader never sees rows a concurrent transaction commits
-/// after the snapshot was pinned — at serial and parallel scan settings.
+/// after the snapshot was pinned.
 #[test]
 fn snapshot_reader_never_sees_concurrent_commit() {
-    for parallelism in [1usize, 4] {
-        let db = fresh_kv();
-        db.set_parallelism(parallelism);
-        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+    let db = fresh_kv();
+    db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
 
-        let reader = db.txn_begin();
-        assert_eq!(txn_ints(&db, reader, "SELECT k, v FROM t"), vec![(1, 10), (2, 20)]);
+    let reader = db.txn_begin();
+    assert_eq!(txn_ints(&db, reader, "SELECT k, v FROM t"), vec![(1, 10), (2, 20)]);
 
-        let writer = db.txn_begin();
-        db.txn_execute(writer, "INSERT INTO t VALUES (3, 30)").unwrap();
-        db.txn_execute(writer, "UPDATE t SET v = 11 WHERE k = 1").unwrap();
-        db.txn_execute(writer, "DELETE FROM t WHERE k = 2").unwrap();
-        db.txn_commit(writer).unwrap();
+    let writer = db.txn_begin();
+    db.txn_execute(writer, "INSERT INTO t VALUES (3, 30)").unwrap();
+    db.txn_execute(writer, "UPDATE t SET v = 11 WHERE k = 1").unwrap();
+    db.txn_execute(writer, "DELETE FROM t WHERE k = 2").unwrap();
+    db.txn_commit(writer).unwrap();
 
-        // Latest state moved; the reader's snapshot has not.
-        assert_eq!(ints(&db, "SELECT k, v FROM t"), vec![(1, 11), (3, 30)]);
-        for _ in 0..3 {
-            assert_eq!(
-                txn_ints(&db, reader, "SELECT k, v FROM t"),
-                vec![(1, 10), (2, 20)],
-                "snapshot leaked at parallelism {parallelism}"
-            );
-        }
-        // Aggregates and filters see the same frozen state.
-        let rs = db.txn_execute(reader, "SELECT count(*) FROM t").unwrap();
-        assert_eq!(rs.scalar(), Some(&Datum::Int(2)));
-        let rs = db.txn_execute(reader, "SELECT v FROM t WHERE k = 1").unwrap();
-        assert_eq!(rs.scalar(), Some(&Datum::Int(10)));
-        db.txn_commit(reader).unwrap();
-
-        // Snapshot released: a fresh transaction sees latest.
-        let fresh = db.txn_begin();
-        assert_eq!(txn_ints(&db, fresh, "SELECT k, v FROM t"), vec![(1, 11), (3, 30)]);
-        db.txn_rollback(fresh).unwrap();
+    // Latest state moved; the reader's snapshot has not.
+    assert_eq!(ints(&db, "SELECT k, v FROM t"), vec![(1, 11), (3, 30)]);
+    for _ in 0..3 {
+        assert_eq!(
+            txn_ints(&db, reader, "SELECT k, v FROM t"),
+            vec![(1, 10), (2, 20)],
+            "snapshot leaked"
+        );
     }
+    // Aggregates and filters see the same frozen state.
+    let rs = db.txn_execute(reader, "SELECT count(*) FROM t").unwrap();
+    assert_eq!(rs.scalar(), Some(&Datum::Int(2)));
+    let rs = db.txn_execute(reader, "SELECT v FROM t WHERE k = 1").unwrap();
+    assert_eq!(rs.scalar(), Some(&Datum::Int(10)));
+    db.txn_commit(reader).unwrap();
+
+    // Snapshot released: a fresh transaction sees latest.
+    let fresh = db.txn_begin();
+    assert_eq!(txn_ints(&db, fresh, "SELECT k, v FROM t"), vec![(1, 11), (3, 30)]);
+    db.txn_rollback(fresh).unwrap();
 }
 
 /// A transaction reads its own uncommitted writes; nobody else does until
@@ -664,9 +661,8 @@ const INDEXES: [Option<&str>; 3] =
     [None, Some("CREATE INDEX ON t (k)"), Some("CREATE UNIQUE INDEX ON t (k)")];
 
 /// Keys 1..=20 without 5 (so a shape can insert it), `v = 10 * k`.
-fn shape_db(index: Option<&str>, parallelism: usize) -> Database {
+fn shape_db(index: Option<&str>) -> Database {
     let db = Database::in_memory();
-    db.set_parallelism(parallelism);
     db.execute("CREATE TABLE t (k INT, v INT)").unwrap();
     if let Some(ddl) = index {
         db.execute(ddl).unwrap();
@@ -727,8 +723,7 @@ fn run_shape(db: &Database, shape: &[Step], probes: &[&str]) -> Vec<String> {
 /// Point and range SELECT, UPDATE and DELETE return the same rows,
 /// `affected` counts, conflicts and final contents whether `k` carries no
 /// index, a B-tree or a unique B-tree — under every way a row can differ
-/// between the snapshot, the latest heap and the write-set, and at
-/// parallelism 1 and 4. The indexed runs are checked (via EXPLAIN inside
+/// between the snapshot, the latest heap and the write-set. The indexed runs are checked (via EXPLAIN inside
 /// the transaction, after the shape dirtied the table) to have really
 /// planned the index.
 #[test]
@@ -782,15 +777,10 @@ fn index_on_equals_index_off_under_every_visibility_shape() {
     ];
     for (name, shape) in shapes {
         for probes in probe_sets {
-            let reference = run_shape(&shape_db(None, 1), shape, probes);
+            let reference = run_shape(&shape_db(None), shape, probes);
             for index in INDEXES {
-                for parallelism in [1, 4] {
-                    let got = run_shape(&shape_db(index, parallelism), shape, probes);
-                    assert_eq!(
-                        got, reference,
-                        "shape {name:?}, probes {probes:?}, index {index:?}, par {parallelism}"
-                    );
-                }
+                let got = run_shape(&shape_db(index), shape, probes);
+                assert_eq!(got, reference, "shape {name:?}, probes {probes:?}, index {index:?}");
             }
         }
     }
@@ -803,7 +793,7 @@ fn index_on_equals_index_off_under_every_visibility_shape() {
 #[test]
 fn explain_shows_the_index_on_a_dirty_table() {
     for index in INDEXES {
-        let db = shape_db(index, 1);
+        let db = shape_db(index);
         let id = db.txn_begin();
         db.execute("UPDATE t SET v = 999 WHERE k = 4").unwrap();
         db.txn_execute(id, "UPDATE t SET v = 1 WHERE k = 7").unwrap();

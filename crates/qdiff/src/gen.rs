@@ -19,8 +19,10 @@ use rand::{Rng, SeedableRng};
 /// Sentinel-ish large ints that exercise overflow and i128/f64 widening.
 const BIG_INTS: [i64; 4] = [i64::MAX, i64::MAX - 1, i64::MIN + 1, 1 << 62];
 
-/// Exact-in-f64 float pool: no accumulation surprises, no NaN.
-const FLOATS: [f64; 10] = [-2.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.5, 3.5, 10.0, 1e15];
+/// Exact-in-f64 float pool: no accumulation surprises, no NaN. `-0.0`
+/// sorts and compares below `0.0` under `total_cmp`, in the oracle and in
+/// the scan kernels alike.
+const FLOATS: [f64; 11] = [-2.5, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.5, 3.5, 10.0, 1e15];
 
 const TEXT_CHARS: [char; 6] = ['a', 'b', 'c', '%', '_', 'é'];
 
@@ -373,8 +375,7 @@ impl Gen<'_> {
 
     fn gen_agg_proj(&mut self, env: &[EnvCol]) -> Proj {
         // Group keys: 0–2 non-float columns (float grouping works but adds
-        // nothing; -0.0 vs 0.0 is the only interesting case and the value
-        // pool avoids it anyway).
+        // nothing; -0.0 vs 0.0 is the only interesting case).
         let groupable: Vec<&EnvCol> = env.iter().filter(|c| c.ty != ColTy::Float).collect();
         let n_group = self.rng.gen_range(0..=2usize.min(groupable.len()));
         let mut picks: Vec<usize> = (0..groupable.len()).collect();

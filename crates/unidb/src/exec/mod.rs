@@ -5,24 +5,27 @@
 //! `LIMIT` stops pulling as soon as its window is full (unless a fallible
 //! expression downstream means early exit could change which queries
 //! error — then it drains). A batch is one allocation (`Batch`): `width`
-//! datums per row, row after row, read as `&[Datum]`. Scans move decoded
-//! values straight into it, filters compact it in place, projections and
-//! joins append to one buffer, and `Vec<Row>` is built once, at the root.
-//! Pipeline breakers (Sort, TopN, Aggregate, the join build sides) still
-//! buffer what they must, and nothing more: `Sort+LIMIT` arrives here
-//! pre-fused into [`PhysicalPlan::TopN`], whose bounded heap never holds
-//! more than `offset + n` rows.
+//! datums per row, row after row, read as `&[Datum]`. Scans write only
+//! their filter's survivors straight into it, filters compact it in place,
+//! projections and joins append to one buffer, and `Vec<Row>` is built
+//! once, at the root. Pipeline breakers (Sort, TopN, Aggregate, the join
+//! build sides) still buffer what they must, and nothing more:
+//! `Sort+LIMIT` arrives here pre-fused into [`PhysicalPlan::TopN`], whose
+//! bounded heap never holds more than `offset + n` rows.
 //!
 //! Rows carry only the columns someone reads. `build_iter` hands each
 //! operator the binding positions that it or its consumers read (its
 //! *need*) and gets back, with the operator, its *layout*: the ascending
-//! binding positions its rows hold. A SeqScan decodes its need plus its
-//! residual's columns (its [`ScanSpec`]), filters on the decode scratch
-//! and emits only its need; Filter, Sort, TopN, Limit and Distinct pass
-//! their input's layout on; a join concatenates its inputs' layouts; every
-//! other operator emits all of its bindings. A parent compiles against the
-//! full bindings — resolution errors are the plan's — and remaps the
-//! column positions through its input's layout ([`CompiledExpr::remap`]).
+//! binding positions its rows hold. A SeqScan reads its need plus its
+//! filter's columns (its [`ScanSpec`]), applies the whole filter inside
+//! [`StorageAccess::scan_batches`] — kernel leaves a column at a time over
+//! column images, per row elsewhere — and emits only its need; a Project
+//! over it is an ordinary Project over that layout. Filter, Sort, TopN,
+//! Limit and Distinct pass their input's layout on; a join concatenates
+//! its inputs' layouts; every other operator emits all of its bindings. A
+//! parent compiles against the full bindings — resolution errors are the
+//! plan's — and remaps the column positions through its input's layout
+//! ([`CompiledExpr::remap`]).
 //!
 //! All expressions are lowered to [`CompiledExpr`] when the operator tree
 //! is built — before the first row flows — so per-row evaluation does no
@@ -34,16 +37,16 @@
 //! nothing it only looks at.
 //!
 //! A statement runs entirely on the thread that calls [`execute_plan`]:
-//! each SeqScan `next_batch` reads one [`MORSEL_PAGES`] range (filter and
-//! projection run inside it when fused), and every other operator works on
-//! the batches it pulls. Concurrency is between statements — the server
-//! bounds how many run at once — not within one.
+//! each SeqScan `next_batch` reads and filters one [`MORSEL_PAGES`] range,
+//! and every other operator works on the batches it pulls. Concurrency is
+//! between statements — the server bounds how many run at once — not
+//! within one.
 
 pub mod stats;
 
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
-use crate::expr::compile::{compile, infallible, CompiledExpr};
+use crate::expr::compile::{compile, infallible, CompiledExpr, ScanFilter};
 use crate::expr::func::FunctionRegistry;
 use crate::fxhash::{hash_one, FxHashMap};
 use crate::plan::{AggCall, PhysicalPlan};
@@ -66,23 +69,25 @@ pub const MORSEL_PAGES: u32 = 32;
 
 /// The storage operations the executor needs; implemented by the engine.
 pub trait StorageAccess {
-    /// Stream the decoded rows of up to `max_pages` heap pages starting at
-    /// `first_page` into `on_row`, returning the page to continue from and
-    /// how many pages the range covered. A range past the end visits
-    /// nothing and reports no next page. The [`ScanSpec`]
-    /// says which columns the caller reads (fields past `prefix` are not
-    /// deserialized, masked-out ones arrive as `Datum::Null`) and carries
-    /// the predicate bounds a page-level zone map may refute without
-    /// reading the page. Each row arrives in a reused decode scratch that
-    /// `on_row` may move values out of: the scan refills it for the next
-    /// row, so a kept row is never cloned.
+    /// Scan up to `max_pages` heap pages starting at `first_page`: apply
+    /// the [`ScanSpec`]'s whole filter and append the [`ScanSpec::emit`]
+    /// values of every surviving row to `out`, row after row in heap
+    /// order. Returns the page to continue from, how many pages the range
+    /// covered and how many rows it appended; a range past the end visits
+    /// nothing and reports no next page. Pages the spec's bounds let a zone
+    /// map refute are skipped unread. A page served from a column image
+    /// runs the filter's kernel leaves a column at a time and evaluates the
+    /// residual only on their survivors; any other page — a dirty table's,
+    /// the tail, one with overflow rows, the virtual page — decodes the
+    /// referenced columns of each row and runs the filter on it. Either way
+    /// only survivors' values are written.
     fn scan_batches(
         &self,
         table_id: u32,
         first_page: u32,
         max_pages: u32,
         spec: &ScanSpec,
-        on_row: &mut dyn FnMut(&mut Row) -> DbResult<()>,
+        out: &mut Vec<Datum>,
     ) -> DbResult<ScanProgress>;
     /// Fetch specific rows (missing rids are skipped).
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>>;
@@ -106,20 +111,29 @@ pub trait StorageAccess {
     ) -> DbResult<Vec<Rid>>;
 }
 
-/// What a scan reads of each row, built once per scan iterator by
-/// `scan_spec` from the columns its consumers and residual read.
-#[derive(Debug, Clone, Default)]
+/// What a SeqScan reads, tests and keeps of each row, built once per scan
+/// iterator by `scan_spec` from its filter and the columns its consumers
+/// read.
 pub struct ScanSpec {
-    /// Columns `0..prefix` are decoded: the highest position read, plus
-    /// one.
+    /// Columns `0..prefix` are decoded on the row path: the highest
+    /// position the filter or a consumer reads, plus one.
     pub prefix: usize,
     /// Within the prefix, which columns are actually referenced. `None`
     /// means all of them; with a mask, unreferenced positions are skipped
     /// during decode and surface as `Datum::Null` placeholders.
     pub mask: Option<Vec<bool>>,
-    /// Per-column bounds extracted from the residual filter for zone-map
-    /// pruning. Empty unless the *whole* filter is error-free: skipping a
-    /// page must never skip an evaluation error the engine mandates.
+    /// The table positions a surviving row carries into the batch,
+    /// ascending: the scan's layout, what its consumers read.
+    pub emit: Vec<usize>,
+    /// The scan's filter, split into kernel leaves and a per-row residual
+    /// ([`CompiledExpr::split`]).
+    pub filter: ScanFilter,
+    /// The positions the residual reads: what a column image fills in for
+    /// each row the leaves keep.
+    pub residual_cols: Vec<usize>,
+    /// Zone-map bounds implied by the kernel leaves, so empty unless the
+    /// *whole* filter is error-free: skipping a page must never skip an
+    /// evaluation error the engine mandates.
     pub bounds: Vec<ColBound>,
 }
 
@@ -157,21 +171,22 @@ fn split_need(need: &Need, left_width: usize) -> (Need, Need) {
     (left, need.range(left_width..).map(|c| c - left_width).collect())
 }
 
-/// The scan spec for a SeqScan whose consumers and residual read `need`.
-fn scan_spec(need: &Need, filter: &Option<CompiledExpr>) -> ScanSpec {
-    let prefix = need.last().map_or(0, |m| m + 1);
+/// The scan spec for a SeqScan whose consumers read `need` (its layout),
+/// filtered by `filter`.
+fn scan_spec(need: Need, filter: Option<CompiledExpr>) -> ScanSpec {
+    let reads = reading(need.clone(), &filter);
+    let prefix = reads.last().map_or(0, |m| m + 1);
     // A mask that keeps every prefix column is just a prefix decode; leave
     // it off so the scan takes the branch-free dense loop.
     // `segments_decoded` counts the same either way.
-    let mask = (need.len() < prefix).then(|| (0..prefix).map(|c| need.contains(&c)).collect());
-    // Pruning is only sound when the *whole* filter is guaranteed
-    // error-free: a skipped page must not swallow a runtime error
-    // (division by zero, type mismatch) the engine is required to raise.
-    let bounds = match filter {
-        Some(f) if f.error_free() => f.zone_bounds(),
-        _ => Vec::new(),
-    };
-    ScanSpec { prefix, mask, bounds }
+    let mask = (reads.len() < prefix).then(|| (0..prefix).map(|c| reads.contains(&c)).collect());
+    // Only an error-free filter is split into leaves, and only leaves give
+    // bounds: a skipped page must not swallow a runtime error (division by
+    // zero, type mismatch) the engine is required to raise.
+    let filter = filter.map_or_else(ScanFilter::default, CompiledExpr::split);
+    let residual_cols = reading(Need::new(), &filter.residual).into_iter().collect();
+    let bounds = filter.bounds();
+    ScanSpec { prefix, mask, emit: need.into_iter().collect(), filter, residual_cols, bounds }
 }
 
 /// The outcome of one [`StorageAccess::scan_batches`] call.
@@ -185,6 +200,8 @@ pub struct ScanProgress {
     pub pages_read: u32,
     /// Pages within the range the zone map refuted without reading.
     pub pages_skipped: u32,
+    /// Rows the call appended: the survivors of the filter.
+    pub rows: usize,
     /// Columns read: referenced columns × pages with at least one live
     /// row — decoded on the row path, served on the column-image path —
     /// identical on both.
@@ -365,50 +382,16 @@ fn build_iter<'a>(
         PhysicalPlan::Nothing => (Box::new(NothingIter { done: false }), Layout::new()),
         PhysicalPlan::SeqScan { table_id, residual, columns, .. } => {
             let filter = compile_opt(residual.as_ref(), columns, funcs)?;
-            let spec = scan_spec(&reading(need.clone(), &filter), &filter);
-            let layout: Layout = need.into_iter().collect();
+            let spec = scan_spec(need, filter);
+            let layout = spec.emit.clone();
             let scan = SeqScanIter {
                 storage,
                 table_id: *table_id,
-                filter,
-                width: layout.len(),
-                emit: Emit::Columns(layout.clone()),
                 spec,
                 next_page: Some(0),
                 stats: stats.map(Arc::clone),
             };
             (Box::new(scan), layout)
-        }
-        // Project directly over SeqScan fuses into the scan, so filter and
-        // projection run on the decode scratch.
-        PhysicalPlan::Project { input, exprs, .. }
-            if matches!(**input, PhysicalPlan::SeqScan { .. }) =>
-        {
-            let PhysicalPlan::SeqScan { table_id, residual, columns, .. } = &**input else {
-                unreachable!()
-            };
-            let filter = compile_opt(residual.as_ref(), columns, funcs)?;
-            let project = compile_all(exprs, columns, funcs)?;
-            let spec = scan_spec(&reading(Need::new(), project.iter().chain(&filter)), &filter);
-            // The fused operator reports through both plan nodes: the scan
-            // child gets pages_read (inside SeqScanIter) plus rows/time via
-            // its own StatIter; the Project gets the same via the outer
-            // wrap below. Their row counts are identical by construction.
-            let scan: BoxIter<'a> = Box::new(SeqScanIter {
-                storage,
-                table_id: *table_id,
-                filter,
-                width: project.len(),
-                emit: Emit::Exprs(project),
-                spec,
-                next_page: Some(0),
-                stats: child(0).map(Arc::clone),
-            });
-            let scan = match child(0) {
-                Some(s) => Box::new(StatIter { input: scan, stats: Arc::clone(s) }),
-                None => scan,
-            };
-            (scan, identity(exprs.len()))
         }
         PhysicalPlan::IndexEqScan { table_id, column, key, residual, columns, .. } => {
             let rids = storage.btree_eq(*table_id, column, key)?;
@@ -751,19 +734,16 @@ impl BatchIter for NothingIter {
     }
 }
 
-/// Streaming heap scan with optional fused filter and projection. Each
-/// `next_batch` reads one [`MORSEL_PAGES`] range. The residual
-/// runs on the decode scratch, which holds table positions; a kept row
-/// leaves it as its [`Emit`] says.
+/// Streaming heap scan. Each `next_batch` reads one [`MORSEL_PAGES`]
+/// range, and [`StorageAccess::scan_batches`] writes only the rows that
+/// pass the whole filter — its kernel leaves a column at a time on pages a
+/// column image serves, per row elsewhere — and only their layout columns,
+/// straight into the batch.
 struct SeqScanIter<'a> {
     storage: &'a dyn StorageAccess,
     table_id: u32,
-    filter: Option<CompiledExpr>,
-    emit: Emit,
-    /// Output row width: the projection's when fused, else the layout's.
-    width: usize,
-    /// What to decode (the columns this scan's consumers and residual
-    /// read) and which pages the zone maps may refute (predicate bounds).
+    /// What to decode, the filter, what to emit (the layout) and which
+    /// pages the zone maps may refute.
     spec: ScanSpec,
     next_page: Option<u32>,
     /// `EXPLAIN ANALYZE` node to attribute `pages_read`, `pages_skipped`
@@ -771,48 +751,18 @@ struct SeqScanIter<'a> {
     stats: Option<Arc<OpStats>>,
 }
 
-/// What a SeqScan emits of each row it keeps.
-enum Emit {
-    /// These table positions (the scan's layout), moved out of the scratch.
-    Columns(Layout),
-    /// A fused projection's values.
-    Exprs(Vec<CompiledExpr>),
-}
-
 impl BatchIter for SeqScanIter<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let Some(first_page) = self.next_page else { return Ok(None) };
-        // Filter and projection run on the scan's decode scratch; a kept
-        // row's values (or its projection) move into the batch, and a
-        // rejected row is never copied.
-        let mut out = Batch::with_capacity(self.width, 0);
+        let mut out = Batch::with_capacity(self.spec.emit.len(), 0);
         let progress = self.storage.scan_batches(
             self.table_id,
             first_page,
             MORSEL_PAGES,
             &self.spec,
-            &mut |row| {
-                if let Some(f) = &self.filter {
-                    if !f.accepts(row)? {
-                        return Ok(());
-                    }
-                }
-                match &self.emit {
-                    Emit::Exprs(exprs) => {
-                        for e in exprs {
-                            out.data.push(e.eval(row)?.into_owned());
-                        }
-                    }
-                    // A stored row shorter than the prefix reads NULL past
-                    // its end, as the decode would have padded it.
-                    Emit::Columns(layout) => out.data.extend(layout.iter().map(|&c| {
-                        row.get_mut(c).map_or(Datum::Null, |d| std::mem::replace(d, Datum::Null))
-                    })),
-                }
-                out.end_row();
-                Ok(())
-            },
+            &mut out.data,
         )?;
+        out.rows = progress.rows;
         if let Some(stats) = &self.stats {
             stats.pages_read.fetch_add(u64::from(progress.pages_read), AtomicOrdering::Relaxed);
             stats

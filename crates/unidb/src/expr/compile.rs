@@ -17,10 +17,9 @@ use crate::error::{DbError, DbResult};
 use crate::expr::eval::{ColumnBinding, EvalContext, LikePattern};
 use crate::expr::func::{BoundScalarFn, FunctionRegistry, ScalarFn};
 use crate::sql::ast::{BinOp, Expr, UnaryOp};
-use crate::storage::colpage::ColBound;
+use crate::storage::colpage::{zone_bounds, CmpOp, ColBound, ColPred, ColTest};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// An executable expression with all names resolved.
 pub enum CompiledExpr {
@@ -352,7 +351,8 @@ impl CompiledExpr {
 
     /// Can [`CompiledExpr::eval`] *never* return an error for this
     /// expression, whatever datums the row holds? This is the gate for
-    /// zone-map page skipping and for reordering AND conjuncts: an
+    /// splitting a scan filter into kernel leaves ([`CompiledExpr::split`]),
+    /// for zone-map page skipping and for reordering AND conjuncts: an
     /// expression that can error must be evaluated on every row it would
     /// have seen, or the engine would stop raising errors it owes the
     /// caller (and the qdiff oracle would flag the divergence).
@@ -421,112 +421,125 @@ impl CompiledExpr {
         }
     }
 
-    /// Extract per-column zone-map bounds from the top-level AND
-    /// conjuncts of a filter. Only leaves of the shape
-    /// `column <op> literal` (either orientation), `column BETWEEN
-    /// literal AND literal`, `column IN (literals)` and
-    /// `column IS [NOT] NULL` contribute; everything else is ignored
-    /// (conservative — never refutes what it cannot prove).
-    ///
-    /// Callers must gate page skipping on [`CompiledExpr::error_free`]:
-    /// the bounds alone say nothing about whether *other* conjuncts
-    /// could raise errors on the skipped rows.
-    pub fn zone_bounds(&self) -> Vec<ColBound> {
-        let mut by_col: BTreeMap<usize, ColBound> = BTreeMap::new();
-        self.gather_bounds(&mut by_col);
-        by_col.into_values().collect()
+    /// Split a scan filter for column-at-a-time evaluation (see
+    /// [`ScanFilter`]): the top-level AND conjuncts that are kernel leaves
+    /// become [`ColPred`]s, in written order, and the others, ANDed in
+    /// written order, the residual. A filter that is not
+    /// [`error_free`](CompiledExpr::error_free) is not split: all of it is
+    /// the residual.
+    pub fn split(self) -> ScanFilter {
+        if !self.error_free() {
+            return ScanFilter { leaves: Vec::new(), residual: Some(self) };
+        }
+        let (mut leaves, mut rest) = (Vec::new(), Vec::new());
+        self.split_conjuncts(&mut leaves, &mut rest);
+        let residual = rest.into_iter().reduce(|left, right| CompiledExpr::Binary {
+            op: BinOp::And,
+            left: Box::new(left),
+            right: Box::new(right),
+        });
+        ScanFilter { leaves, residual }
     }
 
-    fn gather_bounds(&self, by_col: &mut BTreeMap<usize, ColBound>) {
+    fn split_conjuncts(self, leaves: &mut Vec<ColPred>, rest: &mut Vec<CompiledExpr>) {
         match self {
             CompiledExpr::Binary { op: BinOp::And, left, right } => {
-                left.gather_bounds(by_col);
-                right.gather_bounds(by_col);
+                left.split_conjuncts(leaves, rest);
+                right.split_conjuncts(leaves, rest);
             }
+            other => match other.as_leaves() {
+                Some(found) => leaves.extend(found),
+                None => rest.push(other),
+            },
+        }
+    }
+
+    /// This conjunct as kernel leaves: `column <cmp> literal` (either way
+    /// round), `column BETWEEN literal AND literal` (TRUE exactly when
+    /// `>= low` and `<= high` both are), `column IN (literals)` and
+    /// `column IS [NOT] NULL`.
+    fn as_leaves(&self) -> Option<Vec<ColPred>> {
+        use CompiledExpr::{Column, Literal};
+        let leaf = |col: &usize, test| ColPred { col: *col, test };
+        match self {
             CompiledExpr::Binary { op, left, right } => {
-                // Normalize to column-on-the-left; a NULL literal makes
-                // the comparison unknown for every row, which zone maps
-                // do not model — skip it.
-                let (col, lit, op) = match (left.as_ref(), right.as_ref()) {
-                    (CompiledExpr::Column(c), CompiledExpr::Literal(v)) => (*c, v, *op),
-                    (CompiledExpr::Literal(v), CompiledExpr::Column(c)) => {
-                        let flipped = match op {
-                            BinOp::Lt => BinOp::Gt,
-                            BinOp::LtEq => BinOp::GtEq,
-                            BinOp::Gt => BinOp::Lt,
-                            BinOp::GtEq => BinOp::LtEq,
-                            other => *other,
-                        };
-                        (*c, v, flipped)
-                    }
-                    _ => return,
+                let op = match op {
+                    BinOp::Eq => CmpOp::Eq,
+                    BinOp::NotEq => CmpOp::NotEq,
+                    BinOp::Lt => CmpOp::Lt,
+                    BinOp::LtEq => CmpOp::LtEq,
+                    BinOp::Gt => CmpOp::Gt,
+                    BinOp::GtEq => CmpOp::GtEq,
+                    _ => return None,
                 };
-                if lit.is_null() {
-                    return;
-                }
-                let b = by_col.entry(col).or_insert_with(|| ColBound::new(col));
-                match op {
-                    BinOp::Eq => {
-                        b.add_lo(lit.clone(), true);
-                        b.add_hi(lit.clone(), true);
+                match (left.as_ref(), right.as_ref()) {
+                    (Column(c), Literal(v)) => Some(vec![leaf(c, ColTest::Cmp(op, v.clone()))]),
+                    (Literal(v), Column(c)) => {
+                        Some(vec![leaf(c, ColTest::Cmp(op.flipped(), v.clone()))])
                     }
-                    BinOp::Lt => b.add_hi(lit.clone(), false),
-                    BinOp::LtEq => b.add_hi(lit.clone(), true),
-                    BinOp::Gt => b.add_lo(lit.clone(), false),
-                    BinOp::GtEq => b.add_lo(lit.clone(), true),
-                    _ => {}
+                    _ => None,
                 }
             }
             CompiledExpr::Between { expr, low, high, negated: false } => {
-                if let (
-                    CompiledExpr::Column(c),
-                    CompiledExpr::Literal(lo),
-                    CompiledExpr::Literal(hi),
-                ) = (expr.as_ref(), low.as_ref(), high.as_ref())
-                {
-                    let b = by_col.entry(*c).or_insert_with(|| ColBound::new(*c));
-                    if !lo.is_null() {
-                        b.add_lo(lo.clone(), true);
-                    }
-                    if !hi.is_null() {
-                        b.add_hi(hi.clone(), true);
-                    }
+                match (expr.as_ref(), low.as_ref(), high.as_ref()) {
+                    (Column(c), Literal(lo), Literal(hi)) => Some(vec![
+                        leaf(c, ColTest::Cmp(CmpOp::GtEq, lo.clone())),
+                        leaf(c, ColTest::Cmp(CmpOp::LtEq, hi.clone())),
+                    ]),
+                    _ => None,
                 }
             }
             CompiledExpr::InList { expr, list, negated: false } => {
-                // TRUE requires equality with some non-NULL list value,
-                // so [min, max] over the non-NULL literals bounds it.
-                let CompiledExpr::Column(c) = expr.as_ref() else { return };
-                let mut values: Vec<&Datum> = Vec::with_capacity(list.len());
-                for item in list {
-                    match item {
-                        CompiledExpr::Literal(v) if v.is_null() => {}
-                        CompiledExpr::Literal(v) => values.push(v),
-                        _ => return,
-                    }
-                }
-                let (Some(min), Some(max)) = (
-                    values.iter().min_by(|a, b| a.total_cmp(b)),
-                    values.iter().max_by(|a, b| a.total_cmp(b)),
-                ) else {
-                    return;
-                };
-                let b = by_col.entry(*c).or_insert_with(|| ColBound::new(*c));
-                b.add_lo((*min).clone(), true);
-                b.add_hi((*max).clone(), true);
+                let Column(c) = expr.as_ref() else { return None };
+                let values = list.iter().map(|item| match item {
+                    Literal(v) => Some(v.clone()),
+                    _ => None,
+                });
+                Some(vec![leaf(c, ColTest::In(values.collect::<Option<_>>()?))])
             }
-            CompiledExpr::IsNull { expr, negated } => {
-                if let CompiledExpr::Column(c) = expr.as_ref() {
-                    let b = by_col.entry(*c).or_insert_with(|| ColBound::new(*c));
-                    if *negated {
-                        b.require_non_null = true;
-                    } else {
-                        b.require_null = true;
-                    }
-                }
-            }
-            _ => {}
+            CompiledExpr::IsNull { expr, negated } => match expr.as_ref() {
+                Column(c) => Some(vec![leaf(c, ColTest::IsNull { negated: *negated })]),
+                _ => None,
+            },
+            _ => None,
         }
+    }
+
+    /// The zone-map bounds of this filter's kernel leaves.
+    #[cfg(test)]
+    fn zone_bounds(self) -> Vec<ColBound> {
+        self.split().bounds()
+    }
+}
+
+/// A scan filter split by [`CompiledExpr::split`]: kernel leaves, which a
+/// scan over a column image runs a column at a time into a selection
+/// vector, and a residual evaluated per row on the leaves' survivors. A
+/// row passes when every leaf and the residual are TRUE. Splitting is only
+/// done for an error-free filter, whose conjuncts can neither raise nor
+/// depend on one another, so neither the order they run in nor the rows
+/// the residual skips can change a statement's outcome. The default
+/// accepts every row.
+#[derive(Default)]
+pub struct ScanFilter {
+    pub leaves: Vec<ColPred>,
+    pub residual: Option<CompiledExpr>,
+}
+
+impl ScanFilter {
+    /// Does a row (table positions) pass? The per-row form of the filter,
+    /// for pages no image serves.
+    pub fn accepts(&self, row: &[Datum]) -> DbResult<bool> {
+        let pass = |p: &ColPred| p.test.passes(row.get(p.col).unwrap_or(&Datum::Null));
+        if !self.leaves.iter().all(pass) {
+            return Ok(false);
+        }
+        self.residual.as_ref().map_or(Ok(true), |r| r.accepts(row))
+    }
+
+    /// Zone-map bounds implied by the leaves (see [`zone_bounds`]).
+    pub fn bounds(&self) -> Vec<ColBound> {
+        zone_bounds(&self.leaves)
     }
 }
 

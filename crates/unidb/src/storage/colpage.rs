@@ -1,19 +1,29 @@
-//! Columnar (column-group) pages and per-page zone maps.
+//! Columnar (column-group) pages, scan kernels and per-page zone maps.
 //!
 //! A columnar page is an in-memory image of one heap page's live rows,
-//! transposed into one vector of decoded values per column. It is built on
-//! demand by moving the values of a decoded page into their columns and is
-//! never written back. A scan served from an image decodes nothing: it
-//! clones the values its plan references into each row it emits, which for
-//! an opaque payload is an `Arc` increment, so the payload is shared with
-//! the image rather than copied.
+//! transposed into one vector per column: INT and FLOAT columns as typed
+//! `i64`/`f64` vectors with a NULL bitmap (8 bytes and a bit per value),
+//! every other column — and a number column holding a value of another
+//! type — as decoded values. It is built on demand from a decoded page and
+//! never written back.
+//!
+//! A scan served from an image decodes nothing and filters a column at a
+//! time: each *kernel leaf* of its filter ([`ColPred`]: a column compared
+//! with a literal, `IN` literals, `IS [NOT] NULL`) narrows a selection
+//! vector over one column ([`ColumnPage::select`]), and only the surviving
+//! rows' referenced values are then written out ([`ColumnPage::append`]) —
+//! a copy for a number, an `Arc` increment that shares the payload for an
+//! opaque value. The kernels reproduce [`ColTest::passes`], the per-row
+//! definition other pages use, exactly: they compare as
+//! [`Datum::total_cmp`] does (two INTs as `i64`, anything involving a
+//! FLOAT as `f64`, so `-0.0 < 0.0` and an INT above 2^53 compares as it
+//! rounds), and NULL never passes a comparison.
 //!
 //! At runtime the executor keeps [`ColumnPage`]s in a per-table cache,
-//! dropped page by page on any write, so selective scans touch only the
-//! columns a query references. The *zone map* ([`PageZone`]) is the pruning
-//! side: per page and per column (first [`ZONE_COLS`]) the min/max over
-//! non-NULL values and the NULL count, consulted before a page is read at
-//! all.
+//! dropped page by page on any write. The *zone map* ([`PageZone`]) is the
+//! pruning side: per page and per column (first [`ZONE_COLS`]) the min/max
+//! over non-NULL values and the NULL count, consulted before a page is
+//! read at all, against bounds the kernel leaves imply ([`zone_bounds`]).
 //!
 //! Zone-map soundness leans on two engine invariants: comparison
 //! operators evaluate through [`Datum::total_cmp`], and `sql_eq(a, b)`
@@ -24,9 +34,9 @@
 //! the null-count side of the zone.
 
 use crate::datum::Datum;
-use crate::error::DbResult;
 use crate::tuple::Row;
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// Zone maps cover the first `ZONE_COLS` columns of a table; wider
 /// tables keep exact zones for the leading columns and simply cannot
@@ -309,17 +319,275 @@ impl ZoneMaps {
 }
 
 // ---------------------------------------------------------------------------
+// Kernel leaves
+// ---------------------------------------------------------------------------
+
+/// The comparison of a kernel leaf, column on the left.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    Eq,
+    NotEq,
+    Lt,
+    LtEq,
+    Gt,
+    GtEq,
+}
+
+impl CmpOp {
+    /// Does `column.total_cmp(literal) == ord` satisfy the comparison?
+    #[inline]
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::NotEq => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::LtEq => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::GtEq => ord.is_ge(),
+        }
+    }
+
+    /// The same comparison with its operands swapped: `lit < col` is
+    /// `col > lit`.
+    pub fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::LtEq => CmpOp::GtEq,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::GtEq => CmpOp::LtEq,
+            eq_or_ne => eq_or_ne,
+        }
+    }
+}
+
+/// One kernel leaf of a scan filter: a test of one table column against
+/// literals, which a scan evaluates a column at a time over an image
+/// ([`ColumnPage::select`]) or per row ([`ColTest::passes`]). A row passes
+/// a leaf only when the leaf is TRUE; NULL and FALSE both reject.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColPred {
+    pub col: usize,
+    pub test: ColTest,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+pub enum ColTest {
+    /// `column <op> literal` under [`Datum::total_cmp`]; NULL on either
+    /// side never passes.
+    Cmp(CmpOp, Datum),
+    /// `column IS NULL`, or `IS NOT NULL` when negated.
+    IsNull { negated: bool },
+    /// `column IN (literals)`: equal to one of the non-NULL literals.
+    In(Vec<Datum>),
+}
+
+impl ColTest {
+    /// Is the leaf TRUE for a row whose column holds `d`? The definition
+    /// every kernel in [`ColumnPage::select`] reproduces.
+    pub fn passes(&self, d: &Datum) -> bool {
+        match self {
+            ColTest::Cmp(op, lit) => !d.is_null() && !lit.is_null() && op.holds(d.total_cmp(lit)),
+            ColTest::IsNull { negated } => d.is_null() != *negated,
+            ColTest::In(list) => list.iter().any(|l| d.sql_eq(l) == Some(true)),
+        }
+    }
+}
+
+/// The zone-map bounds kernel leaves imply, one [`ColBound`] per column
+/// they constrain. A comparison with NULL, `<>` and an `IN` list of NULLs
+/// add none: conservative, never refuting what they cannot prove.
+pub fn zone_bounds(preds: &[ColPred]) -> Vec<ColBound> {
+    let mut by_col: BTreeMap<usize, ColBound> = BTreeMap::new();
+    for p in preds {
+        let new = || ColBound::new(p.col);
+        match &p.test {
+            ColTest::Cmp(_, lit) if lit.is_null() => {}
+            ColTest::Cmp(op, lit) => {
+                let b = by_col.entry(p.col).or_insert_with(new);
+                match op {
+                    CmpOp::Eq => {
+                        b.add_lo(lit.clone(), true);
+                        b.add_hi(lit.clone(), true);
+                    }
+                    CmpOp::Lt | CmpOp::LtEq => b.add_hi(lit.clone(), *op == CmpOp::LtEq),
+                    CmpOp::Gt | CmpOp::GtEq => b.add_lo(lit.clone(), *op == CmpOp::GtEq),
+                    CmpOp::NotEq => {}
+                }
+            }
+            ColTest::IsNull { negated } => {
+                let b = by_col.entry(p.col).or_insert_with(new);
+                if *negated {
+                    b.require_non_null = true;
+                } else {
+                    b.require_null = true;
+                }
+            }
+            // TRUE requires equality with some non-NULL literal, so
+            // [min, max] over them bounds the column.
+            ColTest::In(list) => {
+                let values = list.iter().filter(|v| !v.is_null());
+                let (Some(min), Some(max)) = (
+                    values.clone().min_by(|a, b| a.total_cmp(b)),
+                    values.max_by(|a, b| a.total_cmp(b)),
+                ) else {
+                    continue;
+                };
+                let b = by_col.entry(p.col).or_insert_with(new);
+                b.add_lo(min.clone(), true);
+                b.add_hi(max.clone(), true);
+            }
+        }
+    }
+    by_col.into_values().collect()
+}
+
+// ---------------------------------------------------------------------------
 // Columnar pages
 // ---------------------------------------------------------------------------
 
-/// A heap page's live rows in columnar form: one vector of decoded values
-/// per column, rows in slot order. Built only for pages whose rows all share
-/// one arity (the invariant every table page satisfies); [`None`] from
+/// One bit per row, set where the row's value is NULL.
+#[derive(Debug, Clone)]
+struct Nulls(Vec<u64>);
+
+impl Nulls {
+    fn with_rows(rows: usize) -> Nulls {
+        Nulls(vec![0; rows.div_ceil(64)])
+    }
+
+    fn set(&mut self, row: usize) {
+        self.0[row / 64] |= 1 << (row % 64);
+    }
+
+    #[inline]
+    fn get(&self, row: usize) -> bool {
+        self.0[row / 64] >> (row % 64) & 1 == 1
+    }
+}
+
+/// One column of an image. A column whose every value is INT or NULL is
+/// held as `i64`s, one whose every value is FLOAT or NULL as `f64`s, each
+/// with a NULL bitmap (a NULL's slot holds 0). Any other column — BOOL,
+/// TEXT, BLOB, opaque, or numbers of both types — keeps its decoded values.
+#[derive(Debug, Clone)]
+enum Column {
+    Int(Vec<i64>, Nulls),
+    Float(Vec<f64>, Nulls),
+    Datums(Vec<Datum>),
+}
+
+impl Column {
+    fn build(values: Vec<Datum>) -> Column {
+        fn typed<T: Default>(
+            values: &[Datum],
+            get: impl Fn(&Datum) -> Option<T>,
+        ) -> (Vec<T>, Nulls) {
+            let mut nulls = Nulls::with_rows(values.len());
+            let vals = values
+                .iter()
+                .enumerate()
+                .map(|(r, d)| {
+                    get(d).unwrap_or_else(|| {
+                        nulls.set(r);
+                        T::default()
+                    })
+                })
+                .collect();
+            (vals, nulls)
+        }
+        let all = |ty: fn(&Datum) -> bool| values.iter().all(|d| d.is_null() || ty(d));
+        if all(|d| matches!(d, Datum::Int(_))) {
+            let (vals, nulls) =
+                typed(&values, |d| if let Datum::Int(v) = d { Some(*v) } else { None });
+            Column::Int(vals, nulls)
+        } else if all(|d| matches!(d, Datum::Float(_))) {
+            let (vals, nulls) =
+                typed(&values, |d| if let Datum::Float(v) = d { Some(*v) } else { None });
+            Column::Float(vals, nulls)
+        } else {
+            Column::Datums(values)
+        }
+    }
+
+    /// Row `row`'s value: a copy for a number, a clone for a decoded
+    /// value (an `Arc` increment that shares an opaque payload).
+    #[inline]
+    fn value(&self, row: usize) -> Datum {
+        match self {
+            Column::Int(_, nulls) | Column::Float(_, nulls) if nulls.get(row) => Datum::Null,
+            Column::Int(vals, _) => Datum::Int(vals[row]),
+            Column::Float(vals, _) => Datum::Float(vals[row]),
+            Column::Datums(vals) => vals[row].clone(),
+        }
+    }
+
+    /// Narrow `sel` to the rows whose value passes `test`, in order. The
+    /// typed kernels compare exactly as [`Datum::total_cmp`] does: two
+    /// INTs as `i64`s, anything involving a FLOAT as `f64`s.
+    fn retain(&self, sel: &mut Vec<u32>, test: &ColTest) {
+        fn keep(sel: &mut Vec<u32>, nulls: &Nulls, pass: impl Fn(usize) -> bool) {
+            sel.retain(|&r| !nulls.get(r as usize) && pass(r as usize));
+        }
+        match (self, test) {
+            (Column::Int(vals, nulls), ColTest::Cmp(op, Datum::Int(lit))) => {
+                keep(sel, nulls, |r| op.holds(vals[r].cmp(lit)))
+            }
+            (Column::Int(vals, nulls), ColTest::Cmp(op, Datum::Float(lit))) => {
+                keep(sel, nulls, |r| op.holds((vals[r] as f64).total_cmp(lit)))
+            }
+            (Column::Float(vals, nulls), ColTest::Cmp(op, Datum::Float(lit))) => {
+                keep(sel, nulls, |r| op.holds(vals[r].total_cmp(lit)))
+            }
+            (Column::Float(vals, nulls), ColTest::Cmp(op, Datum::Int(lit))) => {
+                let lit = *lit as f64;
+                keep(sel, nulls, |r| op.holds(vals[r].total_cmp(&lit)))
+            }
+            (Column::Int(_, nulls) | Column::Float(_, nulls), ColTest::IsNull { negated }) => {
+                sel.retain(|&r| nulls.get(r as usize) != *negated)
+            }
+            (Column::Datums(vals), _) => sel.retain(|&r| test.passes(&vals[r as usize])),
+            // A number column against a non-numeric or NULL literal, or IN.
+            _ => sel.retain(|&r| test.passes(&self.value(r as usize))),
+        }
+    }
+
+    /// Bytes the column holds: its values, its bitmap, and what decoded
+    /// values own on the heap.
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        match self {
+            Column::Int(vals, nulls) => vals.capacity() * size_of::<i64>() + nulls.0.capacity() * 8,
+            Column::Float(vals, nulls) => {
+                vals.capacity() * size_of::<f64>() + nulls.0.capacity() * 8
+            }
+            Column::Datums(vals) => {
+                vals.capacity() * size_of::<Datum>()
+                    + vals
+                        .iter()
+                        .map(|d| match d {
+                            Datum::Text(s) => s.capacity(),
+                            Datum::Blob(b) => b.capacity(),
+                            Datum::Opaque(_, p) => p.capacity(),
+                            _ => 0,
+                        })
+                        .sum::<usize>()
+            }
+        }
+    }
+}
+
+/// A heap page's live rows in columnar form, rows in slot order: INT and
+/// FLOAT columns as typed vectors with a NULL bitmap, every other column
+/// as decoded values. Built only for pages whose rows all share one arity
+/// (the invariant every table page satisfies); [`None`] from
 /// [`ColumnPage::build`] means "keep the row layout for this page".
+///
+/// A scan filters an image a column at a time: [`ColumnPage::select`]
+/// runs each kernel leaf over its column into a selection vector, and
+/// [`ColumnPage::append`] writes only the survivors' referenced values.
 #[derive(Debug, Clone)]
 pub struct ColumnPage {
     n_rows: usize,
-    cols: Vec<Vec<Datum>>,
+    cols: Vec<Column>,
 }
 
 impl ColumnPage {
@@ -337,37 +605,48 @@ impl ColumnPage {
                 col.push(d);
             }
         }
-        Some(ColumnPage { n_rows, cols })
+        Some(ColumnPage { n_rows, cols: cols.into_iter().map(Column::build).collect() })
     }
 
-    /// Materialize rows holding only the columns `mask` marks as referenced
-    /// (all of the first `prefix` columns when `mask` is `None`);
-    /// unreferenced positions hold `Datum::Null` placeholders. Each row is
-    /// built in one reused buffer from clones of the image's values — a
-    /// copy for scalars, an `Arc` increment that shares the payload for
-    /// opaque values — and `on_row` may move them on. Returns the number
-    /// of columns served.
-    pub fn emit_rows(
-        &self,
-        prefix: usize,
-        mask: Option<&[bool]>,
-        mut on_row: impl FnMut(&mut Row) -> DbResult<()>,
-    ) -> DbResult<usize> {
-        let width = self.cols.len().min(prefix);
-        let cols: Vec<Option<&[Datum]>> = self.cols[..width]
-            .iter()
-            .enumerate()
-            .map(|(c, col)| {
-                mask.is_none_or(|m| m.get(c).copied().unwrap_or(false)).then_some(&col[..])
-            })
-            .collect();
-        let mut row: Row = Vec::with_capacity(width);
-        for r in 0..self.n_rows {
-            row.clear();
-            row.extend(cols.iter().map(|col| col.map_or(Datum::Null, |col| col[r].clone())));
-            on_row(&mut row)?;
+    /// Columns per row.
+    pub fn arity(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The rows that pass every leaf in `preds`, ascending, into `sel`. A
+    /// leaf on a column past the arity reads NULL.
+    pub fn select(&self, preds: &[ColPred], sel: &mut Vec<u32>) {
+        sel.clear();
+        sel.extend(0..self.n_rows as u32);
+        for p in preds {
+            match self.cols.get(p.col) {
+                Some(col) => col.retain(sel, &p.test),
+                None if p.test.passes(&Datum::Null) => {}
+                None => sel.clear(),
+            }
         }
-        Ok(cols.iter().flatten().count())
+    }
+
+    /// Row `row`'s value of column `col` (NULL past the arity).
+    pub fn value(&self, col: usize, row: usize) -> Datum {
+        self.cols.get(col).map_or(Datum::Null, |c| c.value(row))
+    }
+
+    /// Append the values of `cols` (table positions, NULL past the arity)
+    /// of each row in `sel`, row after row.
+    pub fn append(&self, sel: &[u32], cols: &[usize], out: &mut Vec<Datum>) {
+        let cols: Vec<Option<&Column>> = cols.iter().map(|&c| self.cols.get(c)).collect();
+        out.reserve(sel.len() * cols.len());
+        for &r in sel {
+            out.extend(cols.iter().map(|c| c.map_or(Datum::Null, |c| c.value(r as usize))));
+        }
+    }
+
+    /// Bytes the image holds, its own struct included.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<ColumnPage>()
+            + self.cols.capacity() * std::mem::size_of::<Column>()
+            + self.cols.iter().map(Column::approx_bytes).sum::<usize>()
     }
 }
 
@@ -430,20 +709,17 @@ mod tests {
             .map(|i| vec![Datum::Int(i.into()), Datum::Opaque(7, Arc::new(vec![i; 40]))])
             .collect();
         let cp = ColumnPage::build(rs.clone()).unwrap();
-        let mut emitted = 0;
-        cp.emit_rows(2, Some(&[false, true]), |row| {
-            let (Datum::Opaque(_, served), Datum::Opaque(_, held)) =
-                (&row[1], &cp.cols[1][emitted])
-            else {
-                panic!("opaque column served as {:?}", row[1]);
+        let Column::Datums(held) = &cp.cols[1] else { panic!("opaque column typed") };
+        let mut served = Vec::new();
+        cp.append(&(0..50).collect::<Vec<_>>(), &[1], &mut served);
+        assert_eq!(served.len(), 50);
+        for (i, (served, held)) in served.iter().zip(held).enumerate() {
+            let (Datum::Opaque(_, served), Datum::Opaque(_, held)) = (served, held) else {
+                panic!("opaque column served as {served:?}");
             };
-            assert!(Arc::ptr_eq(served, held), "row {emitted}: payload copied");
-            assert_eq!(row[1], rs[emitted][1]);
-            emitted += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(emitted, 50);
+            assert!(Arc::ptr_eq(served, held), "row {i}: payload copied");
+            assert_eq!(Datum::Opaque(7, Arc::clone(served)), rs[i][1]);
+        }
     }
 
     #[test]
@@ -452,23 +728,92 @@ mod tests {
             .map(|i| vec![Datum::Int(i), Datum::Text("x".into()), Datum::Int(i * 2)])
             .collect();
         let cp = ColumnPage::build(rs).unwrap();
-        let mask = [false, false, true];
-        let mut seen = Vec::new();
-        let decoded = cp
-            .emit_rows(3, Some(&mask), |row| {
-                seen.push(row.to_vec());
-                Ok(())
+        // Only the survivors' requested columns are written, in row order.
+        let mut sel = Vec::new();
+        cp.select(&[ColPred { col: 0, test: ColTest::Cmp(CmpOp::GtEq, Datum::Int(15)) }], &mut sel);
+        assert_eq!(sel, [15, 16, 17, 18, 19]);
+        let mut out = Vec::new();
+        cp.append(&sel, &[2], &mut out);
+        assert_eq!(out, (15..20).map(|i| Datum::Int(i * 2)).collect::<Vec<_>>());
+        // A position past the arity reads NULL; no leaf keeps every row.
+        out.clear();
+        cp.select(&[], &mut sel);
+        assert_eq!(sel.len(), 20);
+        cp.append(&sel[..2], &[1, 5], &mut out);
+        assert_eq!(
+            out,
+            [Datum::Text("x".into()), Datum::Null, Datum::Text("x".into()), Datum::Null]
+        );
+    }
+
+    /// INT and FLOAT columns are typed unless a value of another type
+    /// shares the column; NULLs round-trip through the bitmap.
+    #[test]
+    fn columns_take_their_values_type() {
+        let rs: Vec<Row> = (0..70)
+            .map(|i| {
+                let null_or = |d: Datum| if i % 3 == 0 { Datum::Null } else { d };
+                vec![
+                    null_or(Datum::Int(i)),
+                    null_or(Datum::Float(i as f64 - 0.5)),
+                    if i == 9 { Datum::Float(9.0) } else { Datum::Int(i) },
+                    Datum::Null,
+                    Datum::Bool(i % 2 == 0),
+                ]
             })
-            .unwrap();
-        assert_eq!(decoded, 1);
-        assert_eq!(seen.len(), 20);
-        for (i, row) in seen.iter().enumerate() {
-            assert!(row[0].is_null() && row[1].is_null());
-            assert_eq!(row[2], Datum::Int(i as i64 * 2));
+            .collect();
+        let cp = ColumnPage::build(rs.clone()).unwrap();
+        assert!(matches!(cp.cols[0], Column::Int(..)));
+        assert!(matches!(cp.cols[1], Column::Float(..)));
+        assert!(matches!(cp.cols[2], Column::Datums(_)), "INT with one FLOAT falls back");
+        assert!(matches!(cp.cols[3], Column::Int(..)), "an all-NULL column is typed");
+        assert!(matches!(cp.cols[4], Column::Datums(_)));
+        for (r, row) in rs.iter().enumerate() {
+            for (c, d) in row.iter().enumerate() {
+                assert_eq!(format!("{:?}", cp.value(c, r)), format!("{d:?}"), "row {r} col {c}");
+            }
         }
-        // Prefix-only (no mask) serves every column in the prefix.
-        let decoded = cp.emit_rows(2, None, |_| Ok(())).unwrap();
-        assert_eq!(decoded, 2);
+    }
+
+    /// An all-INT image costs 8 bytes per value plus its bitmap (1 bit per
+    /// value) and a fixed overhead per column and per page — a quarter of
+    /// the 32-byte decoded value it replaces.
+    #[test]
+    fn an_int_image_costs_at_most_nine_bytes_per_value() {
+        let (rows, cols) = (300usize, 5usize);
+        let rs: Vec<Row> = (0..rows as i64)
+            .map(|i| (0..cols as i64).map(|c| Datum::Int(i * c)).collect())
+            .collect();
+        let bytes = ColumnPage::build(rs).unwrap().approx_bytes();
+        let per_column = 64;
+        assert!(
+            bytes <= 9 * rows * cols + per_column * cols + std::mem::size_of::<ColumnPage>(),
+            "{bytes} bytes for {} values",
+            rows * cols
+        );
+        assert!(bytes >= 8 * rows * cols);
+    }
+
+    #[test]
+    fn zone_bounds_come_from_the_leaves() {
+        let leaf = |col, test| ColPred { col, test };
+        let bs = zone_bounds(&[
+            leaf(1, ColTest::Cmp(CmpOp::Lt, Datum::Int(9))),
+            leaf(0, ColTest::Cmp(CmpOp::GtEq, Datum::Int(2))),
+            leaf(0, ColTest::Cmp(CmpOp::Gt, Datum::Int(2))),
+            leaf(2, ColTest::Cmp(CmpOp::NotEq, Datum::Int(2))),
+            leaf(3, ColTest::Cmp(CmpOp::Eq, Datum::Null)),
+            leaf(4, ColTest::In(vec![Datum::Int(7), Datum::Null, Datum::Int(3)])),
+            leaf(5, ColTest::IsNull { negated: true }),
+        ]);
+        let cols: Vec<usize> = bs.iter().map(|b| b.col).collect();
+        assert_eq!(cols, [0, 1, 2, 4, 5], "NULL literals add no entry");
+        assert_eq!((&bs[0].lo, &bs[0].hi), (&Some((Datum::Int(2), false)), &None));
+        assert_eq!((&bs[1].lo, &bs[1].hi), (&None, &Some((Datum::Int(9), false))));
+        assert_eq!(bs[2], ColBound::new(2), "<> bounds nothing");
+        assert_eq!(bs[3].lo, Some((Datum::Int(3), true)));
+        assert_eq!(bs[3].hi, Some((Datum::Int(7), true)));
+        assert!(bs[4].require_non_null && !bs[4].require_null);
     }
 
     #[test]

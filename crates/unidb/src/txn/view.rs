@@ -12,14 +12,17 @@
 //! **Scans.** A table is *dirty* for a view when something committed to it
 //! after the snapshot or the transaction has buffered writes against it.
 //! Every scan visits its pages the same way: a page whose zone map refutes
-//! the filter's bounds is skipped; otherwise its rows are decoded — from the
-//! cached columnar image when the column mask is sparse and the table is
-//! clean, from the row form otherwise — and on a dirty table each heap row
-//! is first checked for visibility by rid. A dirty table then serves one
-//! *virtual page* past the real heap: (a) prior images visible to the
-//! snapshot but already superseded in the heap and (b) the transaction's own
-//! updated/inserted rows. Column images and user-defined indexes are off
-//! on dirty tables.
+//! the filter's bounds is skipped; otherwise the page is filtered and only
+//! its surviving rows are written out, in slot order. On a clean table a
+//! page is served from its cached columnar image when the scan's column
+//! mask is sparse or its filter has kernel leaves: the leaves run a column
+//! at a time, the residual per row on their survivors. Every other page is
+//! decoded row by row and filtered per row, and on a dirty table each heap
+//! row is first checked for visibility by rid. A dirty table then serves
+//! one *virtual page* past the real heap: (a) prior images visible to the
+//! snapshot but already superseded in the heap and (b) the transaction's
+//! own updated/inserted rows. Column images and user-defined indexes are
+//! off on dirty tables.
 //!
 //! **Zone pruning on dirty tables is sound.** A zone map describes the
 //! *current* content of its page, exactly. Every heap row a view serves is
@@ -296,6 +299,38 @@ fn column_image(
     Ok(Some(cp))
 }
 
+/// Scan one page's image: the kernel leaves narrow a selection vector a
+/// column at a time, the residual runs per row on their survivors (with
+/// only its own columns filled in the scratch), and the survivors' emitted
+/// columns are appended in slot order. Returns the rows appended.
+fn image_survivors(
+    cp: &ColumnPage,
+    spec: &ScanSpec,
+    sel: &mut Vec<u32>,
+    scratch: &mut Row,
+    out: &mut Vec<Datum>,
+) -> DbResult<usize> {
+    cp.select(&spec.filter.leaves, sel);
+    if let Some(residual) = &spec.filter.residual {
+        scratch.clear();
+        scratch.resize(spec.prefix, Datum::Null);
+        let mut kept = 0;
+        for i in 0..sel.len() {
+            let r = sel[i];
+            for &c in &spec.residual_cols {
+                scratch[c] = cp.value(c, r as usize);
+            }
+            if residual.accepts(scratch)? {
+                sel[kept] = r;
+                kept += 1;
+            }
+        }
+        sel.truncate(kept);
+    }
+    cp.append(sel, &spec.emit, out);
+    Ok(sel.len())
+}
+
 impl StorageAccess for ReadView<'_> {
     fn scan_batches(
         &self,
@@ -303,7 +338,7 @@ impl StorageAccess for ReadView<'_> {
         first_page: u32,
         max_pages: u32,
         spec: &ScanSpec,
-        on_row: &mut dyn FnMut(&mut Row) -> DbResult<()>,
+        out: &mut Vec<Datum>,
     ) -> DbResult<ScanProgress> {
         let storage = self.storage(table_id)?;
         let overlay = self.overlay(table_id);
@@ -318,27 +353,35 @@ impl StorageAccess for ReadView<'_> {
                 pages_read: 0,
                 pages_skipped: 0,
                 segments_decoded: 0,
+                rows: 0,
             });
         }
         let end = first_page.saturating_add(max_pages).min(total);
-        let (mut skipped, mut segments, mut visited) = (0u32, 0u64, 0u64);
+        let (mut skipped, mut segments, mut visited, mut rows) = (0u32, 0u64, 0u64, 0usize);
         let mut scratch: Row = Vec::new();
-        // A columnar image serves a row by cloning the referenced values it
-        // already holds (an `Arc` increment for an opaque payload), with no
-        // decode; the row codec must parse past every column before the
-        // last one read. Images are kept for scans whose mask skips interior
-        // columns. A dense scan (no mask, or every prefix column referenced —
-        // trailing columns are free to skip in row form too) decodes rows in
-        // place and builds none, so a full-table scan does not leave the
-        // whole table decoded in the cache at ~32 bytes per value. An image
-        // has no rids to check visibility by, so a dirty table never uses
-        // one. `segments_decoded` counts the columns each visited page
+        let mut sel: Vec<u32> = Vec::new();
+        // A column image holds INT and FLOAT columns as typed vectors and
+        // everything else decoded, so a scan served from one runs its
+        // kernel leaves a column at a time and decodes nothing; the row
+        // codec must parse past every column before the last one read.
+        // Images serve scans whose mask skips interior columns and scans
+        // with kernel leaves. A dense scan without leaves (no mask, or
+        // every prefix column referenced — trailing columns are free to
+        // skip in row form too) decodes rows in place and builds none. An
+        // image has no rids to check visibility by, so a dirty table never
+        // uses one. `segments_decoded` counts the columns each visited page
         // serves, with the same formula on both paths.
-        let sparse = !dirty && spec.mask.as_deref().is_some_and(|m| m.iter().any(|b| !*b));
+        let images = !dirty
+            && (!spec.filter.leaves.is_empty()
+                || spec.mask.as_deref().is_some_and(|m| m.iter().any(|b| !*b)));
+        let referenced = |width: usize| match spec.mask.as_deref() {
+            Some(m) => m.iter().take(width).filter(|b| **b).count() as u64,
+            None => width as u64,
+        };
         for page_no in first_page..end.min(real) {
             // Zone-map pruning (sound on dirty tables too: module doc). Only
-            // reached when the caller supplied bounds, i.e. the whole filter
-            // is error-free; an unconditional scan visits every page.
+            // reached when the filter has kernel leaves, i.e. the whole
+            // filter is error-free; an unconditional scan visits every page.
             if !spec.bounds.is_empty()
                 && storage.zones.page(page_no).is_some_and(|zone| zone.refutes(&spec.bounds))
             {
@@ -346,44 +389,54 @@ impl StorageAccess for ReadView<'_> {
                 continue;
             }
             visited += 1;
-            if sparse {
+            if images {
                 if let Some(cp) = column_image(storage, page_no, real)? {
-                    segments +=
-                        cp.emit_rows(spec.prefix, spec.mask.as_deref(), &mut *on_row)? as u64;
+                    segments += referenced(cp.arity().min(spec.prefix));
+                    rows += image_survivors(&cp, spec, &mut sel, &mut scratch, out)?;
                     continue;
                 }
             }
-            // Row path: decode only the referenced columns. The per-page
-            // segment count uses the same formula as the columnar path —
-            // referenced columns within the page's row arity, counted
-            // once per page with a row served — so the counter is identical
-            // whichever representation served the page.
-            let (mut rows_on_page, mut referenced) = (0u64, 0u64);
+            // Row path: decode only the referenced columns, run the whole
+            // filter on the scratch, and move a survivor's layout columns
+            // out. The per-page segment count uses the same formula as the
+            // image path — referenced columns within the page's row arity,
+            // counted once per page with a row served — so the counter is
+            // identical whichever representation served the page.
+            let (mut rows_on_page, mut width) = (0u64, 0usize);
             storage.heap.page_visit_rows_rid(page_no, &mut |rid, bytes| {
                 if dirty && !self.rid_visible(storage, overlay, rid) {
                     return Ok(());
                 }
                 decode_row_cols_into(&mut scratch, bytes, spec.prefix, spec.mask.as_deref())?;
-                if rows_on_page == 0 {
-                    referenced = match spec.mask.as_deref() {
-                        Some(m) => m.iter().take(scratch.len()).filter(|b| **b).count() as u64,
-                        None => scratch.len() as u64,
-                    };
-                }
+                width = scratch.len();
                 rows_on_page += 1;
-                on_row(&mut scratch)
+                if spec.filter.accepts(&scratch)? {
+                    // A stored row shorter than the prefix reads NULL past
+                    // its end.
+                    out.extend(spec.emit.iter().map(|&c| {
+                        scratch
+                            .get_mut(c)
+                            .map_or(Datum::Null, |d| std::mem::replace(d, Datum::Null))
+                    }));
+                    rows += 1;
+                }
+                Ok(())
             })?;
             if rows_on_page > 0 {
-                segments += referenced;
+                segments += referenced(width);
             }
         }
         if dirty && end == total {
             // The virtual page serves pre-materialized rows; it is never
             // pruned and decodes no segments.
             for v in self.virtual_rows(storage, overlay).filter(|v| v.readable) {
-                scratch.clear();
-                scratch.extend_from_slice(&v.row[..spec.prefix.min(v.row.len())]);
-                on_row(&mut scratch)?;
+                let row = &v.row[..spec.prefix.min(v.row.len())];
+                if spec.filter.accepts(row)? {
+                    out.extend(
+                        spec.emit.iter().map(|&c| row.get(c).cloned().unwrap_or(Datum::Null)),
+                    );
+                    rows += 1;
+                }
             }
         }
         self.inner.scan_pages.fetch_add(visited, Ordering::Relaxed);
@@ -393,6 +446,7 @@ impl StorageAccess for ReadView<'_> {
             pages_read: end - first_page,
             pages_skipped: skipped,
             segments_decoded: segments,
+            rows,
         })
     }
 

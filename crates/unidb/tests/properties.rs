@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use unidb::datum::Datum;
 use unidb::expr::eval::like_match;
 use unidb::index::btree::BTreeIndex;
-use unidb::storage::colpage::ColumnPage;
+use unidb::storage::colpage::{CmpOp, ColPred, ColTest, ColumnPage};
 use unidb::storage::heap::{HeapFile, Rid};
 use unidb::storage::page::Page;
 use unidb::storage::wal::{crc32, WalRecord};
@@ -96,6 +96,78 @@ fn join_table(d: &Database, name: &str, keys: &[(Option<i64>, Option<f64>)]) -> 
     rows
 }
 
+/// A value for a kernel's column: NULL-rich, INT and FLOAT around the
+/// edges a typed comparison could get wrong (`-0.0`, NaN, 2^53 + 1, the
+/// extremes), and now and then a value of another type, which makes the
+/// column fall back to decoded values.
+fn arb_kernel_datum() -> impl Strategy<Value = Datum> {
+    let ints =
+        prop_oneof![-3i64..4, Just(1 << 53), Just((1 << 53) + 1), Just(i64::MAX), Just(i64::MIN)];
+    let floats = prop_oneof![
+        Just(-0.0),
+        Just(0.0),
+        Just(0.5),
+        Just(-1.5),
+        Just(3.0),
+        Just((1u64 << 53) as f64),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(-1e300)
+    ];
+    (ints, floats, 0u8..20).prop_map(|(i, f, pick)| match pick {
+        0..=5 => Datum::Null,
+        6..=12 => Datum::Int(i),
+        13..=18 => Datum::Float(f),
+        _ => Datum::Text("x".into()),
+    })
+}
+
+/// A kernel leaf over one of four columns: every comparison against INT,
+/// FLOAT, NULL and TEXT literals, `IS [NOT] NULL` and `IN` lists.
+fn arb_leaf() -> impl Strategy<Value = ColPred> {
+    let op = prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::NotEq),
+        Just(CmpOp::Lt),
+        Just(CmpOp::LtEq),
+        Just(CmpOp::Gt),
+        Just(CmpOp::GtEq)
+    ];
+    let list = proptest::collection::vec(arb_kernel_datum(), 0..4);
+    let test =
+        (0u8..8, op, arb_kernel_datum(), list).prop_map(|(pick, op, lit, list)| match pick {
+            0 => ColTest::IsNull { negated: false },
+            1 => ColTest::IsNull { negated: true },
+            2 => ColTest::In(list),
+            _ => ColTest::Cmp(op, lit),
+        });
+    (0usize..5, test).prop_map(|(col, test)| ColPred { col, test })
+}
+
+/// A page for the kernels: four columns, each all-INT, all-FLOAT or mixed
+/// (with NULLs throughout), so images hold every column representation.
+fn arb_kernel_page() -> impl Strategy<Value = Vec<Vec<Datum>>> {
+    let column = |n: usize| {
+        (0u8..3, proptest::collection::vec(arb_kernel_datum(), n)).prop_map(|(kind, values)| {
+            values
+                .into_iter()
+                .map(|d| match (kind, d) {
+                    (0, Datum::Float(_) | Datum::Text(_)) => Datum::Null,
+                    (1, Datum::Int(_) | Datum::Text(_)) => Datum::Null,
+                    (_, d) => d,
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    (1usize..150).prop_flat_map(move |n| {
+        (column(n), column(n), column(n), column(n)).prop_map(|(a, b, c, d)| {
+            (0..a.len())
+                .map(|r| vec![a[r].clone(), b[r].clone(), c[r].clone(), d[r].clone()])
+                .collect()
+        })
+    })
+}
+
 fn sorted(mut rows: Vec<Vec<Datum>>) -> Vec<Vec<Datum>> {
     rows.sort();
     rows
@@ -118,33 +190,26 @@ proptest! {
         let _ = decode_row(&bytes);
     }
 
-    /// A page served from its column image yields exactly the rows the row
-    /// codec decodes from the same page, for any prefix and mask, and
-    /// reports the columns it served.
+    /// A page served from its column image yields exactly the values the
+    /// row codec decodes from the same page, for any prefix and mask: every
+    /// referenced column of every row, in slot order.
     #[test]
     fn image_rows_equal_row_decode(case in arb_image_scan()) {
         let (rows, prefix, mask) = case;
         let image = ColumnPage::build(rows.clone()).unwrap();
-        let mut served_rows = Vec::new();
-        let served = image
-            .emit_rows(prefix, mask.as_deref(), |row| {
-                served_rows.push(format!("{row:?}"));
-                Ok(())
-            })
-            .unwrap();
-        let mut decoded_rows = Vec::new();
+        let cols: Vec<usize> =
+            (0..prefix).filter(|&c| mask.as_deref().is_none_or(|m| m.get(c) == Some(&true))).collect();
+        let mut sel = Vec::new();
+        image.select(&[], &mut sel);
+        let mut served = Vec::new();
+        image.append(&sel, &cols, &mut served);
+        let mut decoded = Vec::new();
         let mut scratch = Vec::new();
         for row in &rows {
             decode_row_cols_into(&mut scratch, &encode_row(row), prefix, mask.as_deref()).unwrap();
-            decoded_rows.push(format!("{scratch:?}"));
+            decoded.extend(cols.iter().map(|&c| scratch.get(c).cloned().unwrap_or(Datum::Null)));
         }
-        prop_assert_eq!(served_rows, decoded_rows);
-        let width = rows[0].len().min(prefix);
-        let referenced = match mask.as_deref() {
-            Some(m) => (0..width).filter(|&c| m.get(c) == Some(&true)).count(),
-            None => width,
-        };
-        prop_assert_eq!(served, referenced);
+        prop_assert_eq!(format!("{served:?}"), format!("{decoded:?}"));
     }
 
     // --- datum ordering ----------------------------------------------------------
@@ -525,5 +590,36 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    // Cheap cases, and a kernel bug can hide in one operator × one column
+    // type × one literal type: many cases.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The kernels select exactly the rows the per-row definition of their
+    /// leaves accepts, in order, whatever representation each column took
+    /// (a leaf on column 4 reads past the arity, i.e. NULL).
+    #[test]
+    fn image_kernels_select_what_per_row_tests_accept(
+        rows in arb_kernel_page(),
+        leaves in proptest::collection::vec(arb_leaf(), 1..4),
+    ) {
+        let image = ColumnPage::build(rows.clone()).unwrap();
+        let mut sel = Vec::new();
+        image.select(&leaves, &mut sel);
+        let expected: Vec<u32> = (0..rows.len() as u32)
+            .filter(|&r| {
+                leaves.iter().all(|l| {
+                    l.test.passes(rows[r as usize].get(l.col).unwrap_or(&Datum::Null))
+                })
+            })
+            .collect();
+        prop_assert_eq!(sel, expected, "{:?}", leaves);
+        // Survivors' values come back as they went in, NULLs included.
+        let mut out = Vec::new();
+        image.append(&(0..rows.len() as u32).collect::<Vec<_>>(), &[0, 1, 2, 3], &mut out);
+        prop_assert_eq!(format!("{out:?}"), format!("{:?}", rows.concat()));
     }
 }

@@ -21,10 +21,11 @@
 //! [`StorageAccess::scan_batches`] — kernel leaves a column at a time over
 //! column images, per row elsewhere — and emits only its need; a Project
 //! over it is an ordinary Project over that layout. Filter, Sort, TopN,
-//! Limit and Distinct pass their input's layout on; a join concatenates
-//! its inputs' layouts; every other operator emits all of its bindings. A
-//! parent compiles against the full bindings — resolution errors are the
-//! plan's — and remaps the column positions through its input's layout
+//! Limit and Distinct pass their input's layout on; a hash join emits
+//! exactly its need, a nested-loop join concatenates its inputs' layouts;
+//! every other operator emits all of its bindings. A parent compiles
+//! against the full bindings — resolution errors are the plan's — and
+//! remaps the column positions through its input's layout
 //! ([`CompiledExpr::remap`]).
 //!
 //! All expressions are lowered to [`CompiledExpr`] when the operator tree
@@ -33,8 +34,9 @@
 //! time.
 //!
 //! Expressions read columns and literals in place ([`CompiledExpr::eval`]
-//! borrows them), so a filter, a join key or an aggregate argument copies
-//! nothing it only looks at.
+//! borrows them), so a filter copies nothing it only looks at; join keys,
+//! group keys and aggregate arguments are plain references
+//! ([`CompiledExpr::read`]), found through one `KeyTable`.
 //!
 //! A statement runs entirely on the thread that calls [`execute_plan`]:
 //! each SeqScan `next_batch` reads and filters one [`MORSEL_PAGES`] range,
@@ -48,7 +50,7 @@ use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
 use crate::expr::compile::{compile, infallible, CompiledExpr, ScanFilter};
 use crate::expr::func::FunctionRegistry;
-use crate::fxhash::{hash_one, FxHashMap};
+use crate::fxhash::hash_one;
 use crate::plan::{AggCall, PhysicalPlan};
 use crate::sql::ast::{Expr, JoinKind};
 use crate::storage::colpage::ColBound;
@@ -449,30 +451,35 @@ fn build_iter<'a>(
             // order whichever side the executor builds on, and
             // child(0)/child(1) stay attached to the plan's left/right
             // inputs regardless.
-            let (left_it, left_layout) = build(left, reading(left_need, [&left_k]), 0)?;
-            let (right_it, right_layout) = build(right, reading(right_need, [&right_k]), 1)?;
+            let (left_it, left_layout) = build(left, reading(left_need.clone(), [&left_k]), 0)?;
+            let (right_it, right_layout) =
+                build(right, reading(right_need.clone(), [&right_k]), 1)?;
             left_k.remap(&left_layout);
             right_k.remap(&right_layout);
-            let (build_it, build_key, build_width, probe, probe_key) = if *build_left {
-                (left_it, left_k, left_layout.len(), right_it, right_k)
-            } else {
-                (right_it, right_k, right_layout.len(), left_it, left_k)
+            // Where each side's need lies in its rows.
+            let at = |need: Need, layout: Layout| -> Vec<usize> {
+                need.iter()
+                    .map(|c| layout.binary_search(c).expect("a layout covers its need"))
+                    .collect()
             };
+            let left = (left_it, left_k, at(left_need, left_layout));
+            let right = (right_it, right_k, at(right_need, right_layout));
+            let ((build_it, build_key, build_pick), (probe, probe_key, probe_pick)) =
+                if *build_left { (left, right) } else { (right, left) };
             let join = HashJoinIter {
                 probe,
                 build: Some(build_it),
                 build_rows: Batch::default(),
-                build_keys: Vec::new(),
-                heads: Vec::new(),
-                next: Vec::new(),
+                table: KeyTable::with_capacity(0),
                 probe_key,
                 build_key,
+                probe_pick,
+                build_pick,
                 build_is_left: *build_left,
                 left_outer: *kind == JoinKind::Left,
-                build_width,
                 stats: stats.map(Arc::clone),
             };
-            (Box::new(join), concat(left_layout, right_layout, left_bindings.len()))
+            (Box::new(join), need.into_iter().collect())
         }
         PhysicalPlan::Aggregate { input, group_by, calls } => {
             let in_bindings = input.bindings();
@@ -496,14 +503,14 @@ fn build_iter<'a>(
             (Box::new(agg), identity(width))
         }
         PhysicalPlan::Sort { input, keys: sort_keys } => {
-            let mut keys = compile_keys(sort_keys, &input.bindings(), funcs)?;
+            let mut keys = compile_all(sort_keys.iter().map(|(e, _)| e), &input.bindings(), funcs)?;
             let (input, layout) = build(input, reading(need, &keys), 0)?;
             keys.iter_mut().for_each(|k| k.remap(&layout));
             let dirs = sort_keys.iter().map(|(_, asc)| *asc).collect();
             (Box::new(SortIter { input: Some(input), keys, dirs }), layout)
         }
         PhysicalPlan::TopN { input, keys: sort_keys, n, offset } => {
-            let mut keys = compile_keys(sort_keys, &input.bindings(), funcs)?;
+            let mut keys = compile_all(sort_keys.iter().map(|(e, _)| e), &input.bindings(), funcs)?;
             let (input, layout) = build(input, reading(need, &keys), 0)?;
             keys.iter_mut().for_each(|k| k.remap(&layout));
             let top = TopNIter {
@@ -518,7 +525,8 @@ fn build_iter<'a>(
         }
         PhysicalPlan::Distinct { input } => {
             let (input, layout) = build(input, all_columns(input), 0)?;
-            (Box::new(DistinctIter { input, seen: HashSet::new() }), layout)
+            let seen = Batch::with_capacity(layout.len(), 0);
+            (Box::new(DistinctIter { input, table: KeyTable::with_capacity(0), seen }), layout)
         }
         PhysicalPlan::Limit { input, n, offset } => {
             // When any expression under this operator can error, an early
@@ -578,20 +586,12 @@ fn compile_opt(
     expr.map(|e| compile(e, bindings, funcs)).transpose()
 }
 
-fn compile_all(
-    exprs: &[Expr],
+fn compile_all<'e>(
+    exprs: impl IntoIterator<Item = &'e Expr>,
     bindings: &[crate::expr::eval::ColumnBinding],
     funcs: &FunctionRegistry,
 ) -> DbResult<Vec<CompiledExpr>> {
-    exprs.iter().map(|e| compile(e, bindings, funcs)).collect()
-}
-
-fn compile_keys(
-    keys: &[(Expr, bool)],
-    bindings: &[crate::expr::eval::ColumnBinding],
-    funcs: &FunctionRegistry,
-) -> DbResult<Vec<CompiledExpr>> {
-    keys.iter().map(|(e, _)| compile(e, bindings, funcs)).collect()
+    exprs.into_iter().map(|e| compile(e, bindings, funcs)).collect()
 }
 
 /// Could executing this subtree raise an expression-evaluation error?
@@ -844,19 +844,30 @@ impl BatchIter for ProjectIter<'_> {
     }
 }
 
-/// Each distinct row is copied exactly once, into the seen-set; duplicates
-/// are dropped without ever being copied, and the batch is compacted in
-/// place.
+/// Each distinct row is copied exactly once, into `seen`, and found again
+/// through the key table; duplicates are dropped without ever being
+/// copied, and the batch is compacted in place.
 struct DistinctIter<'a> {
     input: BoxIter<'a>,
-    seen: HashSet<Row>,
+    table: KeyTable,
+    /// Every distinct row so far, in first-seen order: key table entry `i`.
+    seen: Batch,
 }
 
 impl BatchIter for DistinctIter<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         let Some(mut batch) = self.input.next_batch()? else { return Ok(None) };
-        let seen = &mut self.seen;
-        batch.retain(|row| Ok(!seen.contains(row) && seen.insert(row.to_vec())))?;
+        let (table, seen) = (&mut self.table, &mut self.seen);
+        batch.retain(|row| {
+            let hash = hash_one(row);
+            if table.find(hash, |i| seen.row(i) == row).is_some() {
+                return Ok(false);
+            }
+            table.insert(hash)?;
+            seen.data.extend_from_slice(row);
+            seen.end_row();
+            Ok(true)
+        })?;
         Ok(Some(batch))
     }
 }
@@ -1073,66 +1084,116 @@ impl BatchIter for NlJoinIter<'_> {
     }
 }
 
-/// The end of a hash-join chain.
+/// The end of a key-table chain.
 const NIL: u32 = u32::MAX;
 
-/// Hash join over one chained table: the build side (chosen by the
-/// planner's statistics — `build=left|right` in `EXPLAIN`) is drained once
-/// into one flat batch and its keys evaluated once. `heads` has a power of
-/// two ≥ 2 × build rows buckets, each the first build row whose key hashes
-/// there; `next` links every row to the next one in its bucket. Rows are
-/// linked in reverse build order, so a chain walks in build order and
-/// duplicate keys match in build order; NULL keys are never linked. A
-/// probe row reads its key in place, hashes it to one bucket and walks
-/// that chain.
+/// One chained hash table over keys its owner keeps: entry `i` is the
+/// owner's `i`th key, of which the table holds only the hash. `heads` has a
+/// power of two ≥ 2 × entries buckets, each the newest entry hashing there;
+/// `next` links every entry to the next older one in its bucket. A chain
+/// compares a key only where the stored hash matches, and growing relinks
+/// from the stored hashes without hashing a key again.
+struct KeyTable {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    hashes: Vec<u64>,
+}
+
+impl KeyTable {
+    fn with_capacity(entries: usize) -> KeyTable {
+        let heads = vec![NIL; (2 * entries).next_power_of_two()];
+        KeyTable { heads, next: Vec::with_capacity(entries), hashes: Vec::with_capacity(entries) }
+    }
+
+    /// The entries whose stored hash is `hash`, newest first.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut i = self.heads[hash as usize & (self.heads.len() - 1)];
+        std::iter::from_fn(move || {
+            while i != NIL {
+                let e = i as usize;
+                i = self.next[e];
+                if self.hashes[e] == hash {
+                    return Some(e);
+                }
+            }
+            None
+        })
+    }
+
+    /// The newest entry hashing to `hash` whose key `eq` accepts.
+    fn find(&self, hash: u64, mut eq: impl FnMut(usize) -> bool) -> Option<usize> {
+        self.chain(hash).find(|&e| eq(e))
+    }
+
+    /// Add the next entry, hashing to `hash`, at the head of its chain.
+    fn insert(&mut self, hash: u64) -> DbResult<usize> {
+        let e = self.hashes.len();
+        if e >= NIL as usize {
+            return Err(DbError::Unsupported("a hash table holds fewer than 2^32 - 1 keys".into()));
+        }
+        self.hashes.push(hash);
+        self.next.push(NIL);
+        // Doubling keeps heads ≥ 2 × entries; it relinks every entry,
+        // oldest first, so chains stay newest first.
+        let grow = self.heads.len() < 2 * self.hashes.len();
+        if grow {
+            self.heads = vec![NIL; 2 * self.heads.len()];
+        }
+        for e in if grow { 0 } else { e }..=e {
+            let bucket = self.hashes[e] as usize & (self.heads.len() - 1);
+            self.next[e] = std::mem::replace(&mut self.heads[bucket], e as u32);
+        }
+        Ok(e)
+    }
+}
+
+/// Hash join over one [`KeyTable`]. The build side (chosen by the planner's
+/// statistics — `build=left|right` in `EXPLAIN`) is drained once and its
+/// keys read once, in build order; each row with a non-NULL key is kept as
+/// its key followed by the build side's needed values, inserted in reverse
+/// build order so that a chain walks in build order and duplicate keys
+/// match in build order.
 ///
-/// Emitted rows are always in `left ++ right` layout order regardless of
-/// which side was built. For LEFT joins the build side is always the
-/// right (padded) side; unmatched probe rows — including rows whose key
-/// is NULL, which never joins anything — are padded with NULLs.
+/// Emitted rows are the join's need: the left side's needed values, then
+/// the right side's, whichever side was built. For LEFT joins the build
+/// side is always the right (padded) side; unmatched probe rows — including
+/// rows whose key is NULL, which never joins anything — are padded with
+/// NULLs.
 struct HashJoinIter<'a> {
     probe: BoxIter<'a>,
     build: Option<BoxIter<'a>>,
+    /// Key table entry `i`: its key, then the build side's needed values.
     build_rows: Batch,
-    /// Build row `i`'s key.
-    build_keys: Vec<Datum>,
-    /// Bucket → first build row in its chain, or [`NIL`].
-    heads: Vec<u32>,
-    /// Build row → next build row in its chain, or [`NIL`].
-    next: Vec<u32>,
+    table: KeyTable,
     probe_key: CompiledExpr,
     build_key: CompiledExpr,
+    /// Where each side's needed values lie in its input's rows.
+    probe_pick: Vec<usize>,
+    build_pick: Vec<usize>,
     /// The build side is the plan's *left* input: emit build ++ probe.
     build_is_left: bool,
     /// LEFT OUTER join (probe side preserved, build side padded).
     left_outer: bool,
-    /// Values per build row (its layout's width), what an unmatched probe
-    /// row is padded by.
-    build_width: usize,
     /// `EXPLAIN ANALYZE` node for `partitions` / `build_rows`.
     stats: Option<Arc<OpStats>>,
 }
 
 impl HashJoinIter<'_> {
     fn build_table(&mut self, build: BoxIter<'_>) -> DbResult<()> {
-        self.build_rows = drain(build)?;
-        let rows = &self.build_rows;
-        if rows.len() >= NIL as usize {
-            return Err(DbError::Unsupported("a hash join builds fewer than 2^32 - 1 rows".into()));
-        }
-        self.build_keys = rows
+        let rows = drain(build)?;
+        let keys = rows
             .iter()
-            .map(|r| self.build_key.eval(r).map(Cow::into_owned))
-            .collect::<DbResult<_>>()?;
-        let mask = (2 * rows.len()).next_power_of_two() as u64 - 1;
-        self.heads = vec![NIL; mask as usize + 1];
-        self.next = vec![NIL; rows.len()];
-        for (i, k) in self.build_keys.iter().enumerate().rev() {
+            .map(|r| self.build_key.read(r, &mut None).cloned())
+            .collect::<DbResult<Vec<_>>>()?;
+        self.table = KeyTable::with_capacity(rows.len());
+        self.build_rows = Batch::with_capacity(1 + self.build_pick.len(), rows.len());
+        for (i, key) in keys.into_iter().enumerate().rev() {
             // NULL never equals anything, including NULL (3VL).
-            if !k.is_null() {
-                let head = &mut self.heads[(hash_one(k) & mask) as usize];
-                self.next[i] = *head;
-                *head = i as u32;
+            if !key.is_null() {
+                self.table.insert(hash_one(&key))?;
+                self.build_rows.data.push(key);
+                pick(&mut self.build_rows, rows.row(i), &self.build_pick);
+                self.build_rows.end_row();
             }
         }
         if let Some(stats) = &self.stats {
@@ -1143,35 +1204,42 @@ impl HashJoinIter<'_> {
     }
 }
 
+/// Append `row`'s values at `positions` to the row `out` is writing.
+fn pick(out: &mut Batch, row: &[Datum], positions: &[usize]) {
+    out.data.extend(positions.iter().map(|&c| row[c].clone()));
+}
+
 impl BatchIter for HashJoinIter<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         if let Some(build) = self.build.take() {
             self.build_table(build)?;
         }
         let Some(batch) = self.probe.next_batch()? else { return Ok(None) };
-        let mask = self.heads.len() as u64 - 1;
-        let mut out = Batch::with_capacity(batch.width + self.build_width, batch.len());
+        let width = self.probe_pick.len() + self.build_pick.len();
+        let mut out = Batch::with_capacity(width, batch.len());
         for p in batch.iter() {
-            let key = self.probe_key.eval(p)?;
+            let mut slot = None;
+            let key = self.probe_key.read(p, &mut slot)?;
             // A NULL key walks a chain too, and matches nothing in it: no
-            // NULL is linked, and NULL equals no other key.
-            let mut i = self.heads[(hash_one(&*key) & mask) as usize];
+            // NULL is linked.
             let mut matched = false;
-            while i != NIL {
-                if self.build_keys[i as usize] == *key {
-                    let b = self.build_rows.row(i as usize);
-                    let (l, r) = if self.build_is_left { (b, p) } else { (p, b) };
-                    out.data.extend_from_slice(l);
-                    out.data.extend_from_slice(r);
+            for e in self.table.chain(hash_one(key)) {
+                let b = self.build_rows.row(e);
+                if b[0] == *key {
+                    let at = out.data.len();
+                    pick(&mut out, p, &self.probe_pick);
+                    out.data.extend_from_slice(&b[1..]);
+                    if self.build_is_left {
+                        out.data[at..].rotate_left(self.probe_pick.len());
+                    }
                     out.end_row();
                     matched = true;
                 }
-                i = self.next[i as usize];
             }
             // LEFT join: the probe row survives with the build side
             // padded — also the path a NULL probe key takes.
             if !matched && self.left_outer {
-                out.data.extend_from_slice(p);
+                pick(&mut out, p, &self.probe_pick);
                 out.end_row();
             }
         }
@@ -1198,14 +1266,13 @@ impl BatchIter for AggregateIter<'_> {
         let Some(mut input) = self.input.take() else { return Ok(None) };
 
         struct Group {
-            key: Vec<Datum>,
             accs: Vec<Box<dyn crate::expr::func::Accumulator>>,
             distinct_seen: Vec<HashSet<Datum>>,
         }
 
         let calls = self.calls.as_slice();
         let funcs = self.funcs;
-        let make_group = move |key: Vec<Datum>| -> DbResult<Group> {
+        let make_group = move || -> DbResult<Group> {
             let mut accs = Vec::with_capacity(calls.len());
             for c in calls {
                 let factory = funcs
@@ -1213,7 +1280,7 @@ impl BatchIter for AggregateIter<'_> {
                     .ok_or(DbError::NotFound { kind: "aggregate", name: c.func.clone() })?;
                 accs.push(factory());
             }
-            Ok(Group { key, accs, distinct_seen: vec![HashSet::new(); calls.len()] })
+            Ok(Group { accs, distinct_seen: vec![HashSet::new(); calls.len()] })
         };
 
         fn apply(call: &AggCall, group: &mut Group, ci: usize, value: &Datum) -> DbResult<()> {
@@ -1230,61 +1297,53 @@ impl BatchIter for AggregateIter<'_> {
             })
         }
 
-        // Groups in first-seen order, which is the emission order; keys are
-        // looked up by slice before being cloned, so the common case (an
-        // existing group) allocates nothing.
-        let mut groups: Vec<Group> = Vec::new();
-        let mut lookup: FxHashMap<Vec<Datum>, u32> = FxHashMap::default();
-        // A global aggregate (no GROUP BY) has exactly one group, even over
+        // Groups in first-seen order, which is the emission order; group
+        // `g`'s key is `keys[g * n..][..n]`, copied once, when it is new. A
+        // global aggregate (no GROUP BY) has exactly one group, even over
         // zero rows, and every row folds straight into it: no key to hash,
         // no table to probe.
-        let global = self.group_by.is_empty();
-        if global {
-            groups.push(make_group(Vec::new())?);
-        }
-        let mut key_scratch: Vec<Datum> = Vec::with_capacity(self.group_by.len());
+        let n = self.group_by.len();
+        let mut groups: Vec<Group> = if n == 0 { vec![make_group()?] } else { Vec::new() };
+        let (mut keys, mut table) = (Vec::new(), KeyTable::with_capacity(0));
         // The fold into the accumulators is sequential —
         // [`crate::expr::func::Accumulator`] is an open extension trait with
         // no merge operation — and reads each key and argument where it lies
         // in the input batch. Streaming batch by batch means the input is
         // never fully materialized here.
+        let mut scratch = Vec::with_capacity(n);
         while let Some(batch) = input.next_batch()? {
             for row in batch.iter() {
-                let group = if global {
-                    &mut groups[0]
+                let gi = if n == 0 {
+                    0
                 } else {
-                    // One key is looked up where it lies; several are
-                    // gathered into a reused scratch.
-                    let single;
+                    // One key is read where it lies and hashes as a `Datum`;
+                    // several are copied into a scratch, hashed as a slice.
+                    let mut slot = None;
                     let key: &[Datum] = match self.group_by.as_slice() {
-                        [g] => {
-                            single = g.eval(row)?;
-                            std::slice::from_ref(&*single)
-                        }
-                        keys => {
-                            key_scratch.clear();
-                            for g in keys {
-                                key_scratch.push(g.eval(row)?.into_owned());
+                        [g] => std::slice::from_ref(g.read(row, &mut slot)?),
+                        gs => {
+                            scratch.clear();
+                            for g in gs {
+                                scratch.push(g.read(row, &mut None)?.clone());
                             }
-                            &key_scratch
+                            &scratch
                         }
                     };
-                    let gi = match lookup.get(key) {
-                        Some(&i) => i as usize,
+                    let hash = if let [k] = key { hash_one(k) } else { hash_one(key) };
+                    match table.find(hash, |g| keys[g * n..][..n] == *key) {
+                        Some(g) => g,
                         None => {
-                            groups.push(make_group(key.to_vec())?);
-                            lookup.insert(key.to_vec(), (groups.len() - 1) as u32);
-                            groups.len() - 1
+                            keys.extend_from_slice(key);
+                            groups.push(make_group()?);
+                            table.insert(hash)?
                         }
-                    };
-                    &mut groups[gi]
+                    }
                 };
+                let group = &mut groups[gi];
                 for (ci, (call, arg)) in calls.iter().zip(&self.args).enumerate() {
-                    let value = match arg {
-                        None => Cow::Borrowed(&ROW_MARKER),
-                        Some(e) => e.eval(row)?,
-                    };
-                    apply(call, group, ci, &value)?;
+                    let mut slot = None;
+                    let value = arg.as_ref().map_or(Ok(&ROW_MARKER), |e| e.read(row, &mut slot))?;
+                    apply(call, group, ci, value)?;
                 }
             }
         }
@@ -1293,9 +1352,10 @@ impl BatchIter for AggregateIter<'_> {
             stats.partitions.store(1, AtomicOrdering::Relaxed);
         }
 
-        let mut out = Batch::with_capacity(self.group_by.len() + calls.len(), groups.len());
+        let mut out = Batch::with_capacity(n + calls.len(), groups.len());
+        let mut keys = keys.into_iter();
         for g in groups {
-            out.data.extend(g.key);
+            out.data.extend(keys.by_ref().take(n));
             out.data.extend(g.accs.iter().map(|acc| acc.finish()));
             out.end_row();
         }

@@ -47,8 +47,7 @@ pub struct OpStats {
     /// columns × non-empty pages visited — so it too is deterministic.
     pub segments_decoded: AtomicU64,
     /// Hash tables the operator built (hash-table operators only): one —
-    /// the join's chained table, the aggregate's group table — so it
-    /// belongs to the deterministic rendering.
+    /// its key table — so it belongs to the deterministic rendering.
     pub partitions: AtomicU64,
     /// Rows materialized on the build side (hash joins only).
     pub build_rows: AtomicU64,

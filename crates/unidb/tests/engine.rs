@@ -1652,3 +1652,97 @@ fn left_hash_joins_pad_the_build_side_at_every_width() {
         assert_eq!(outcome(&d, &sql), Ok(expect), "{sql}");
     }
 }
+
+/// Six fact rows (a NULL key among them) and four dimension rows, so a
+/// join builds on the dimension and probes facts in insert order.
+fn operand_paths_fixture() -> Database {
+    let d = db();
+    d.execute_script(
+        "CREATE TABLE f (id INT, a INT, b TEXT);
+         CREATE TABLE dm (id INT, name TEXT);
+         INSERT INTO f VALUES (1, 0, 'x'), (2, 1, 'y'), (3, 2, 'x'), (4, NULL, 'y'),
+                              (5, 4, 'x'), (6, 1, NULL);
+         INSERT INTO dm VALUES (1, 'one'), (2, 'two'), (3, 'three'), (5, 'five');",
+    )
+    .unwrap();
+    d
+}
+
+#[test]
+fn join_keys_are_read_in_place_or_computed() {
+    let d = operand_paths_fixture();
+    let (o, n) = (Some, None);
+    let computed = "FROM f JOIN dm ON f.a + 1 = dm.id";
+    let plan = d.execute(&format!("EXPLAIN SELECT * {computed}")).unwrap().explain.unwrap();
+    assert!(plan.contains("build=right"), "{plan}");
+    for (sql, expect) in [
+        // A computed probe key: NULL + 1 joins nothing.
+        (
+            format!("SELECT f.id, dm.name {computed}"),
+            rows_of(&[
+                &[o("1"), o("one")],
+                &[o("2"), o("two")],
+                &[o("3"), o("three")],
+                &[o("5"), o("five")],
+                &[o("6"), o("two")],
+            ]),
+        ),
+        (format!("SELECT count(*) {computed}"), rows_of(&[&[o("5")]])),
+        // Key columns read by the join and by nothing above it.
+        (
+            "SELECT f.b, dm.name FROM f JOIN dm ON f.a = dm.id".to_string(),
+            rows_of(&[&[o("y"), o("one")], &[o("x"), o("two")], &[n, o("one")]]),
+        ),
+        (
+            "SELECT dm.name, f.b FROM f LEFT JOIN dm ON f.a = dm.id".to_string(),
+            rows_of(&[
+                &[n, o("x")],
+                &[o("one"), o("y")],
+                &[o("two"), o("x")],
+                &[n, o("y")],
+                &[n, o("x")],
+                &[o("one"), n],
+            ]),
+        ),
+    ] {
+        assert_eq!(outcome(&d, &sql), Ok(expect), "{sql}");
+    }
+}
+
+#[test]
+fn group_keys_are_read_in_place_or_computed() {
+    let d = operand_paths_fixture();
+    let (o, n) = (Some, None);
+    for (sql, expect) in [
+        // Groups in first-seen order; NULL is a group of its own.
+        (
+            "SELECT a % 3, count(*), sum(id) FROM f GROUP BY a % 3",
+            rows_of(&[
+                &[o("0"), o("1"), o("1")],
+                &[o("1"), o("3"), o("13")],
+                &[o("2"), o("1"), o("3")],
+                &[n, o("1"), o("4")],
+            ]),
+        ),
+        (
+            "SELECT b, a % 2, count(*), max(id) FROM f GROUP BY b, a % 2",
+            rows_of(&[
+                &[o("x"), o("0"), o("3"), o("5")],
+                &[o("y"), o("1"), o("1"), o("2")],
+                &[o("y"), n, o("1"), o("4")],
+                &[n, o("1"), o("1"), o("6")],
+            ]),
+        ),
+        (
+            "SELECT b, a, count(*) FROM f WHERE a < 2 OR b = 'y' GROUP BY b, a",
+            rows_of(&[
+                &[o("x"), o("0"), o("1")],
+                &[o("y"), o("1"), o("1")],
+                &[o("y"), n, o("1")],
+                &[n, o("1"), o("1")],
+            ]),
+        ),
+    ] {
+        assert_eq!(outcome(&d, sql), Ok(expect), "{sql}");
+    }
+}

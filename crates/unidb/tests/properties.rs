@@ -57,14 +57,85 @@ fn arb_image_scan() -> impl Strategy<Value = (Vec<Vec<Datum>>, usize, Option<Vec
     })
 }
 
-/// One join-table row's keys: an INT and a FLOAT from a small domain, so
-/// keys repeat, are NULL, and meet across types (`1` = `1.0`; `1.5` meets
-/// no INT).
+/// One join-table row's keys: an INT and a FLOAT, mostly from a small
+/// domain, so keys repeat, are NULL, and meet across types (`1` = `1.0`;
+/// `1.5` meets no INT); and now and then a value where equality is subtle:
+/// INT 2^53 and 2^53 + 1 are unequal but both equal FLOAT 2^53 (and hash
+/// alike), the INT extremes, `-0.0` (unequal to `0.0` and to `0`), NaN
+/// (equal to itself).
 fn arb_join_keys() -> impl Strategy<Value = (Option<i64>, Option<f64>)> {
+    let edge_ints =
+        prop_oneof![Just(1i64 << 53), Just((1 << 53) + 1), Just(i64::MAX), Just(i64::MIN)];
+    let edge_floats = prop_oneof![Just(-0.0), Just(0.0), Just((1u64 << 53) as f64), Just(f64::NAN)];
     (
-        prop_oneof![Just(None), (0i64..4).prop_map(Some)],
-        prop_oneof![Just(None), (0i64..4).prop_map(|i| Some(i as f64)), Just(Some(1.5))],
+        prop_oneof![
+            Just(None),
+            (0i64..4).prop_map(Some),
+            (0i64..4).prop_map(Some),
+            edge_ints.prop_map(Some)
+        ],
+        prop_oneof![
+            Just(None),
+            (0i64..4).prop_map(|i| Some(i as f64)),
+            Just(Some(1.5)),
+            edge_floats.prop_map(Some)
+        ],
     )
+}
+
+/// `v` as a SQL expression that evaluates to exactly `v` (NaN through the
+/// `nan()` function [`with_nan`] registers).
+fn sql_literal(v: &Datum) -> String {
+    match v {
+        Datum::Null => "NULL".to_string(),
+        Datum::Int(i64::MIN) => "(-9223372036854775807 - 1)".to_string(),
+        Datum::Float(f) if f.is_nan() => "nan()".to_string(),
+        Datum::Float(f) => format!("{f:?}"),
+        Datum::Text(t) => format!("'{t}'"),
+        other => other.to_string(),
+    }
+}
+
+/// A database with a scalar `nan()`, since no SQL literal spells NaN.
+fn with_nan() -> Database {
+    let d = Database::in_memory();
+    d.register_scalar("nan", std::sync::Arc::new(|_| Ok(Datum::Float(f64::NAN)))).unwrap();
+    d
+}
+
+/// Insert `rows` into `name` through SQL, checking the engine reads back
+/// exactly these values (representation and all).
+fn insert_exactly(d: &Database, name: &str, rows: &[Vec<Datum>]) {
+    for r in rows {
+        let values: Vec<String> = r.iter().map(sql_literal).collect();
+        d.execute(&format!("INSERT INTO {name} VALUES ({})", values.join(", "))).unwrap();
+    }
+    let back = d.execute(&format!("SELECT * FROM {name}")).unwrap().rows;
+    assert_eq!(format!("{back:?}"), format!("{rows:?}"), "{name} holds other values");
+}
+
+/// A row of `g (ki INT, kf FLOAT, kt TEXT, v INT)`: keys from small,
+/// NULL-rich domains where `Datum ==` is transitive — `0` meets `0.0` and
+/// `1` meets `1.0`, while `-0.0` and NaN each meet only themselves. INT
+/// 2^53 and 2^53 + 1 hash alike but differ (no FLOAT 2^53 joins them), so
+/// a key table must compare keys, not only hashes.
+fn arb_group_row() -> impl Strategy<Value = Vec<Datum>> {
+    let ki = prop_oneof![
+        Just(Datum::Null),
+        (0i64..4).prop_map(Datum::Int),
+        Just(Datum::Int(1 << 53)),
+        Just(Datum::Int((1 << 53) + 1))
+    ];
+    let kf = prop_oneof![
+        Just(Datum::Null),
+        (0i64..3).prop_map(|i| Datum::Float(i as f64)),
+        Just(Datum::Float(1.5)),
+        Just(Datum::Float(-0.0)),
+        Just(Datum::Float(f64::NAN))
+    ];
+    let kt = prop_oneof![Just(Datum::Null), "[ab]{0,1}".prop_map(Datum::Text)];
+    let v = prop_oneof![Just(Datum::Null), (-5i64..6).prop_map(Datum::Int)];
+    (ki, kf, kt, v).prop_map(|(ki, kf, kt, v)| vec![ki, kf, kt, v])
 }
 
 /// A join table `name (id INT, ki INT, kf FLOAT, tag TEXT)` with one row
@@ -83,16 +154,7 @@ fn join_table(d: &Database, name: &str, keys: &[(Option<i64>, Option<f64>)]) -> 
             ]
         })
         .collect();
-    for r in &rows {
-        let lit = |v: &Datum| match v {
-            Datum::Null => "NULL".to_string(),
-            Datum::Float(f) => format!("{f:.1}"),
-            Datum::Text(t) => format!("'{t}'"),
-            other => other.to_string(),
-        };
-        let values: Vec<String> = r.iter().map(lit).collect();
-        d.execute(&format!("INSERT INTO {name} VALUES ({})", values.join(", "))).unwrap();
-    }
+    insert_exactly(d, name, &rows);
     rows
 }
 
@@ -530,7 +592,7 @@ proptest! {
         l_keys in proptest::collection::vec(arb_join_keys(), 0..24),
         r_keys in proptest::collection::vec(arb_join_keys(), 0..24),
     ) {
-        let d = Database::in_memory();
+        let d = with_nan();
         let l = join_table(&d, "l", &l_keys);
         let r = join_table(&d, "r", &r_keys);
         for (on, lk, rk) in [
@@ -589,6 +651,74 @@ proptest! {
                     project(&[3, 7], &by_ids)
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    /// GROUP BY over one or two keys — plain columns and computed ones over
+    /// INT, FLOAT, TEXT and NULL — returns the groups of a reference
+    /// grouping under `Datum ==`: in first-seen order, each keyed by its
+    /// first-seen value, with count(*), count, sum, min, max and avg.
+    #[test]
+    fn group_by_matches_a_reference_grouping(
+        rows in proptest::collection::vec(arb_group_row(), 0..40),
+    ) {
+        let d = with_nan();
+        d.execute("CREATE TABLE g (ki INT, kf FLOAT, kt TEXT, v INT)").unwrap();
+        insert_exactly(&d, "g", &rows);
+        type KeyOf = fn(&Vec<Datum>) -> Datum;
+        let (ki, kf, kt): (KeyOf, KeyOf, KeyOf) =
+            (|r| r[0].clone(), |r| r[1].clone(), |r| r[2].clone());
+        let either: KeyOf = |r| if r[0].is_null() { r[1].clone() } else { r[0].clone() };
+        let parity: KeyOf = |r| r[0].as_int().map_or(Datum::Null, |i| Datum::Int(i % 2));
+        let cases: [(&str, Vec<KeyOf>); 7] = [
+            ("ki", vec![ki]),
+            ("kf", vec![kf]),
+            ("kt", vec![kt]),
+            ("coalesce(ki, kf)", vec![either]),
+            ("kt, ki", vec![kt, ki]),
+            ("kf, kt", vec![kf, kt]),
+            ("ki % 2, coalesce(ki, kf)", vec![parity, either]),
+        ];
+        for (group_by, key_of) in cases {
+            let mut groups: Vec<(Vec<Datum>, Vec<i64>, usize)> = Vec::new();
+            for r in &rows {
+                let key: Vec<Datum> = key_of.iter().map(|k| k(r)).collect();
+                let at = match groups.iter().position(|(k, _, _)| *k == key) {
+                    Some(at) => at,
+                    None => {
+                        groups.push((key, Vec::new(), 0));
+                        groups.len() - 1
+                    }
+                };
+                groups[at].1.extend(r[3].as_int());
+                groups[at].2 += 1;
+            }
+            let expect: Vec<Vec<Datum>> = groups
+                .into_iter()
+                .map(|(key, vs, n)| {
+                    let sum: i64 = vs.iter().sum();
+                    let some = |d: Option<Datum>| d.unwrap_or(Datum::Null);
+                    let numbers = [
+                        Datum::Int(n as i64),
+                        Datum::Int(vs.len() as i64),
+                        some((!vs.is_empty()).then_some(Datum::Int(sum))),
+                        some(vs.iter().min().map(|&m| Datum::Int(m))),
+                        some(vs.iter().max().map(|&m| Datum::Int(m))),
+                        some((!vs.is_empty()).then(|| Datum::Float(sum as f64 / vs.len() as f64))),
+                    ];
+                    key.into_iter().chain(numbers).collect()
+                })
+                .collect();
+            let got = d
+                .execute(&format!(
+                    "SELECT {group_by}, count(*), count(v), sum(v), min(v), max(v), avg(v) \
+                     FROM g GROUP BY {group_by}"
+                ))
+                .unwrap()
+                .rows;
+            prop_assert_eq!(format!("{got:?}"), format!("{expect:?}"), "GROUP BY {}", group_by);
         }
     }
 }

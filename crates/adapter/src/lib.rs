@@ -23,10 +23,10 @@
 //! `genalg-core` nor `unidb` references the other.
 
 use genalg_core::algebra::{BindArg, BoundOp, CallArg, KernelAlgebra, SortId, Value};
-use genalg_core::compact::{value_from_bytes, value_to_bytes};
+use genalg_core::compact::{dna_view, value_from_bytes, value_to_bytes};
 use genalg_core::error::GenAlgError;
 use genalg_core::index::KmerIndex;
-use genalg_core::seq::DnaSeq;
+use genalg_core::seq::{DnaSeq, DnaView};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 use unidb::storage::heap::Rid;
@@ -199,6 +199,16 @@ impl Adapter {
                 return Err(DbError::External("BLOB values have no algebra sort".into()))
             }
         })
+    }
+
+    /// The sequence of a well-formed payload of the `dna` type, borrowed
+    /// from the datum; `None` for anything else, including a payload that
+    /// would not decode (which [`Adapter::to_value`] words as an error).
+    fn dna_payload<'a>(&self, d: &'a Datum) -> Option<DnaView<'a>> {
+        match d {
+            Datum::Opaque(id, bytes) if *id == self.types.dna() => dna_view(bytes).ok(),
+            _ => None,
+        }
     }
 
     /// Bridge one SQL call into the algebra with nothing known in advance:
@@ -396,17 +406,10 @@ struct KmerAccessMethod {
 }
 
 impl KmerAccessMethod {
-    fn decode(&self, value: &Datum) -> Option<DnaSeq> {
-        match self.adapter.to_value(value).ok()? {
-            Value::Dna(d) => Some(d),
-            _ => None,
-        }
-    }
-
     fn pattern(&self, args: &[Datum]) -> Option<DnaSeq> {
         match args.first()? {
             Datum::Text(s) => DnaSeq::from_text(s).ok(),
-            other => self.decode(other),
+            other => self.adapter.dna_payload(other).map(|v| v.to_seq()),
         }
     }
 }
@@ -418,15 +421,16 @@ impl AccessMethod for KmerAccessMethod {
 
     fn on_insert(&mut self, rid: Rid, value: &Datum) {
         self.all.insert(rid);
-        if let Some(seq) = self.decode(value) {
-            self.index.add(rid_key(rid), &seq);
+        // The stored payload is indexed where it lies.
+        if let Some(seq) = self.adapter.dna_payload(value) {
+            self.index.add(rid_key(rid), seq);
         }
     }
 
     fn on_delete(&mut self, rid: Rid, value: &Datum) {
         self.all.remove(&rid);
-        if let Some(seq) = self.decode(value) {
-            self.index.remove(rid_key(rid), &seq);
+        if let Some(seq) = self.adapter.dna_payload(value) {
+            self.index.remove(rid_key(rid), seq);
         }
     }
 
@@ -440,11 +444,8 @@ impl AccessMethod for KmerAccessMethod {
         }
         let pattern = self.pattern(args)?;
         match self.index.candidates(&pattern) {
-            Some(keys) => {
-                let mut rids: Vec<Rid> = keys.into_iter().map(key_rid).collect();
-                rids.sort();
-                Some(rids)
-            }
+            // Keys ascend, and so do the rids they encode.
+            Some(keys) => Some(keys.into_iter().map(key_rid).collect()),
             // Unfilterable pattern (short or ambiguous): every row is a
             // candidate; the residual predicate does the work.
             None => Some(self.all.iter().copied().collect()),
@@ -474,7 +475,27 @@ impl unidb::expr::func::Accumulator for LongestSeq {
         if value.is_null() {
             return Ok(());
         }
-        let len = match self.adapter.to_value(value)? {
+        // A stored `dna` value's length is in its header.
+        let len = match self.adapter.dna_payload(value) {
+            Some(seq) => seq.len(),
+            None => self.generic_len(value)?,
+        };
+        if self.best.as_ref().is_none_or(|(l, _)| len > *l) {
+            self.best = Some((len, value.clone()));
+        }
+        Ok(())
+    }
+
+    fn finish(&self) -> Datum {
+        self.best.as_ref().map_or(Datum::Null, |(_, d)| d.clone())
+    }
+}
+
+impl LongestSeq {
+    /// The length of any other value, decoded; this also words the error
+    /// for a value that is no sequence or does not decode.
+    fn generic_len(&self, value: &Datum) -> DbResult<usize> {
+        Ok(match self.adapter.to_value(value)? {
             Value::Dna(d) => d.len(),
             Value::Rna(r) => r.len(),
             Value::ProteinSeq(p) => p.len(),
@@ -485,15 +506,7 @@ impl unidb::expr::func::Accumulator for LongestSeq {
                     other.sort()
                 )))
             }
-        };
-        if self.best.as_ref().is_none_or(|(l, _)| len > *l) {
-            self.best = Some((len, value.clone()));
-        }
-        Ok(())
-    }
-
-    fn finish(&self) -> Datum {
-        self.best.as_ref().map_or(Datum::Null, |(_, d)| d.clone())
+        })
     }
 }
 
@@ -1051,5 +1064,120 @@ mod tests {
             assert_eq!(length(&[&Datum::Null]).unwrap(), Datum::Null);
             assert!(length(&[&Datum::Bool(true)]).is_err());
         }
+    }
+
+    /// Rows rewritten in place keep their rid, so their keys re-enter the
+    /// index below keys already there. Through the index, `contains` must
+    /// still return what a scan returns, in the same (heap) order.
+    #[test]
+    fn reused_rids_come_back_from_the_index_in_scan_order() {
+        let frags = fragments(600);
+        let (indexed, adapter) = setup();
+        let (plain, _) = setup();
+        load_fragments(&indexed, &frags);
+        load_fragments(&plain, &frags);
+        adapter.attach_kmer_index(&indexed, "frags", "s", 8).unwrap();
+        let planted = "ACGTTGCAAGGCATTGCCATAGGCTTACGATCGGATCCAAGCTTGCATGCCTGCAGGTCG";
+        let shorter = "TTGCCATAGGCAAGCTTGCA";
+        for db in [&indexed, &plain] {
+            db.execute("DELETE FROM frags WHERE id % 3 = 0").unwrap();
+            // Same length and shorter: rewritten in place, on early pages.
+            db.execute(&format!("UPDATE frags SET s = dna('{planted}') WHERE id % 7 = 1")).unwrap();
+            db.execute(&format!("UPDATE frags SET s = dna('{shorter}') WHERE id % 11 = 2"))
+                .unwrap();
+            db.execute(&format!("INSERT INTO frags VALUES (900, dna('GG{shorter}CC'))")).unwrap();
+        }
+        let mut compared = 0;
+        for pattern in ["ATTGCCATAGGC", "TTGCCATAGGCAAG", "GCATGCCTGCAGG", "ACGTACGTACGT"] {
+            let sql = format!("SELECT id FROM frags WHERE contains(s, '{pattern}')");
+            let plan = |db: &Database| db.execute(&format!("EXPLAIN {sql}")).unwrap().explain;
+            let (through, past) = (plan(&indexed).unwrap(), plan(&plain).unwrap());
+            assert!(through.contains("UdiScan"), "{through}");
+            assert!(past.contains("SeqScan") && !past.contains("UdiScan"), "{past}");
+            let rows = |db: &Database| db.execute(&sql).unwrap().rows;
+            assert_eq!(rows(&indexed), rows(&plain), "{pattern}");
+            compared += rows(&plain).len();
+        }
+        assert!(compared > 100, "only {compared} rows compared");
+    }
+
+    /// `longest_seq` reads a `dna` value's length from its header and
+    /// decodes everything else; which of the two ran must not show. Each
+    /// value alone and all of them in one group give what decoding every
+    /// value gives: the same longest value or the same error text.
+    #[test]
+    fn longest_seq_reads_dna_in_place_with_the_same_results_and_errors() {
+        let (_db, adapter) = setup();
+        let d = |v: Value| adapter.to_datum(&v).unwrap();
+        let dna = d(Value::Dna(DnaSeq::from_text("ACGTNACGTA").unwrap()));
+        let short = d(Value::Dna(DnaSeq::from_text("ACG").unwrap()));
+        let rna = d(Value::Rna(genalg_core::seq::RnaSeq::from_text("ACGUACGUACGUA").unwrap()));
+        let protein_seq = d(Value::ProteinSeq(ProteinSeq::from_text("MAFKW").unwrap()));
+        let gene = d(Value::Gene(Box::new(
+            Gene::builder("g1").sequence(DnaSeq::from_text("ATGGCC").unwrap()).build().unwrap(),
+        )));
+        let (dna_id, dna_bytes) = dna.as_opaque().unwrap();
+        let (rna_id, _) = rna.as_opaque().unwrap();
+        let (_, protein_bytes) = protein_seq.as_opaque().unwrap();
+        let values = [
+            Datum::Null,
+            dna.clone(),
+            short,
+            rna,
+            protein_seq.clone(),
+            Datum::Text("ACGTACGTACGTACGT".into()),
+            Datum::Int(7),
+            Datum::Blob(vec![1, 2]),
+            gene,
+            // Mistyped and corrupt payloads under the dna type, a dna
+            // payload under another type, and an unregistered type.
+            Datum::opaque(dna_id, protein_bytes.to_vec()),
+            Datum::opaque(dna_id, dna_bytes[..dna_bytes.len() - 2].to_vec()),
+            Datum::opaque(dna_id, vec![1, 200, 0x21, 0x43]),
+            Datum::opaque(dna_id, vec![]),
+            Datum::opaque(rna_id, dna_bytes.to_vec()),
+            Datum::opaque(9_999, dna_bytes.to_vec()),
+        ];
+        // The accumulator as it was: every value decoded.
+        let decoded = |group: &[Datum]| -> Result<Datum, String> {
+            let mut best: Option<(usize, Datum)> = None;
+            for value in group.iter().filter(|v| !v.is_null()) {
+                let len = match adapter.to_value(value).map_err(|e| e.to_string())? {
+                    Value::Dna(d) => d.len(),
+                    Value::Rna(r) => r.len(),
+                    Value::ProteinSeq(p) => p.len(),
+                    Value::Str(s) => s.len(),
+                    other => {
+                        return Err(DbError::External(format!(
+                            "longest_seq() expects a sequence, got sort {}",
+                            other.sort()
+                        ))
+                        .to_string())
+                    }
+                };
+                if best.as_ref().is_none_or(|(l, _)| len > *l) {
+                    best = Some((len, value.clone()));
+                }
+            }
+            Ok(best.map_or(Datum::Null, |(_, d)| d))
+        };
+        let accumulated = |group: &[Datum]| -> Result<Datum, String> {
+            use unidb::expr::func::Accumulator;
+            let mut acc = LongestSeq { adapter: adapter.clone(), best: None };
+            for value in group {
+                acc.update(value).map_err(|e| e.to_string())?;
+            }
+            Ok(acc.finish())
+        };
+        for value in &values {
+            let group = [dna.clone(), value.clone(), protein_seq.clone()];
+            for group in [std::slice::from_ref(value), &group[..]] {
+                assert_eq!(accumulated(group), decoded(group), "{value:?}");
+            }
+        }
+        let sequences = &values[..6];
+        assert_eq!(accumulated(sequences), decoded(sequences));
+        assert_eq!(accumulated(sequences).unwrap(), values[5]);
+        assert!(accumulated(&values).is_err());
     }
 }

@@ -11,6 +11,7 @@
 //! fragments, for CI).
 
 use genalg::core::align::ResemblesQuery;
+use genalg::core::index::KmerIndex;
 use genalg::core::seq::ops::kmers;
 use genalg::core::seq::Pattern;
 use genalg::prelude::*;
@@ -80,6 +81,44 @@ fn main() {
         what: "shift-and search, pattern compiled once, vs per-symbol compare at every start",
         nucleotides: total * patterns.len(),
         kernel_ns,
+        reference_ns,
+    });
+
+    // The k-mer index's filter: 12- to 24-mers cut from fragments, each
+    // answered by intersecting posting lists, against checking every
+    // fragment for every k-mer of the pattern. Building the index is not
+    // timed. The index side takes microseconds, so it is timed over
+    // `ROUNDS` passes and divided.
+    const ROUNDS: usize = 100;
+    let mut index = KmerIndex::new(8);
+    for (i, f) in frags.iter().enumerate() {
+        index.add(i as u64, f);
+    }
+    let probes: Vec<DnaSeq> = (0..10)
+        .map(|i| frags[(i * 1_999 + 7) % n].subseq(30, 42 + i).expect("long enough"))
+        .collect();
+    let (kernel_ns, _) = best_ns(|| {
+        let rounds = (0..ROUNDS).map(|_| {
+            probes
+                .iter()
+                .map(|p| index.candidates(p).expect("strict, long enough").len())
+                .sum::<usize>()
+        });
+        rounds.sum::<usize>() / ROUNDS
+    });
+    let got: Vec<Option<Vec<u64>>> = probes.iter().map(|p| index.candidates(p)).collect();
+    let want: Vec<Option<Vec<u64>>> =
+        probes.iter().map(|p| reference::kmer_candidates(&frags, p, 8)).collect();
+    assert_eq!(got, want, "kmer index disagrees with its reference");
+    let (reference_ns, _) = best_ns(|| {
+        probes.iter().map(|p| reference::kmer_candidates(&frags, p, 8).expect("covers").len()).sum()
+    });
+    entries.push(Entry {
+        name: "kmer_probe",
+        what:
+            "sorted posting lists intersected rarest-first vs every fragment's k-mers per pattern",
+        nucleotides: total * probes.len(),
+        kernel_ns: kernel_ns / ROUNDS as f64,
         reference_ns,
     });
 

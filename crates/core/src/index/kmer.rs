@@ -1,32 +1,91 @@
 //! Inverted k-mer index over a collection of sequences.
 
-use crate::seq::ops::kmers;
-use crate::seq::DnaSeq;
-use std::collections::{HashMap, HashSet};
+use crate::seq::DnaView;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// An inverted index mapping every k-mer to the sequences (and positions)
-/// it occurs in.
+/// Hashes a packed k-mer with one 64×64→128-bit multiply, folding the high
+/// half into the low so that every input bit reaches the bucket bits. A
+/// k-mer is already a uniformly spread integer; SipHash's keyed rounds buy
+/// nothing here and cost most of a probe.
+#[derive(Debug, Clone, Copy, Default)]
+struct KmerHasher(u64);
+
+/// Odd multiplier (2^64 / φ).
+const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for KmerHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * u128::from(MULTIPLIER);
+        self.0 = (product >> 64) as u64 ^ product as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KmerMap<V> = HashMap<u64, V, BuildHasherDefault<KmerHasher>>;
+
+/// An inverted index mapping every k-mer to the sequences it occurs in.
 ///
 /// Sequences are registered under caller-chosen `u64` keys (the adapter
-/// uses row ids). The index is *sound* as a filter: for a strict pattern of
-/// length ≥ k, every sequence containing the pattern is returned by
+/// uses row ids). Each k-mer has one posting list holding the keys of the
+/// sequences that contain it, ascending and without duplicates; where in a
+/// sequence the k-mer occurs is not kept, since the filter never asks. The
+/// index is *sound* as a filter: for a strict pattern of length ≥ k, every
+/// sequence containing the pattern is returned by
 /// [`KmerIndex::candidates`]; verification against the actual sequence
 /// removes false positives.
 #[derive(Debug, Clone)]
 pub struct KmerIndex {
     k: usize,
-    map: HashMap<u64, Vec<(u64, u32)>>,
+    map: KmerMap<Vec<u64>>,
+    /// Keys of registered sequences that yield no k-mer (shorter than `k`
+    /// or ambiguous throughout), ascending: no posting list records them.
+    bare: Vec<u64>,
     /// Number of indexed sequences, used for selectivity estimation.
     sequences: usize,
-    /// Total indexed positions.
+    /// Total k-mer windows of the indexed sequences, repeats included.
     positions: usize,
+}
+
+/// Insert `key` into an ascending list unless it is there. Keys mostly
+/// arrive in order, so the tail is checked before searching.
+fn insert_sorted(list: &mut Vec<u64>, key: u64) {
+    match list.last() {
+        Some(&last) if last == key => {}
+        Some(&last) if last > key => {
+            if let Err(at) = list.binary_search(&key) {
+                list.insert(at, key);
+            }
+        }
+        _ => list.push(key),
+    }
+}
+
+/// Remove `key` from an ascending list; true if it was there.
+fn remove_sorted(list: &mut Vec<u64>, key: u64) -> bool {
+    let found = list.binary_search(&key);
+    if let Ok(at) = found {
+        list.remove(at);
+    }
+    found.is_ok()
 }
 
 impl KmerIndex {
     /// An empty index with word size `k` (1–31).
     pub fn new(k: usize) -> Self {
         assert!((1..=31).contains(&k), "k must be in 1..=31");
-        KmerIndex { k, map: HashMap::new(), sequences: 0, positions: 0 }
+        KmerIndex { k, map: KmerMap::default(), bare: Vec::new(), sequences: 0, positions: 0 }
     }
 
     /// Word size.
@@ -44,7 +103,8 @@ impl KmerIndex {
         self.sequences == 0
     }
 
-    /// Total number of indexed k-mer positions.
+    /// Total number of k-mer windows of the indexed sequences, counting a
+    /// k-mer that repeats within a sequence once per window.
     pub fn indexed_positions(&self) -> usize {
         self.positions
     }
@@ -54,89 +114,114 @@ impl KmerIndex {
         self.map.len()
     }
 
-    /// Index `seq` under `key`. Re-adding a key indexes it again; call
-    /// [`KmerIndex::remove`] first when replacing.
-    pub fn add(&mut self, key: u64, seq: &DnaSeq) {
-        seq.view().for_each_kmer(self.k, |pos, km| {
-            self.map.entry(km).or_default().push((key, pos as u32));
-            self.positions += 1;
+    /// Index `seq` under `key`, which must not be indexed already; call
+    /// [`KmerIndex::remove`] first when replacing. Keys may arrive in any
+    /// order, but ascending keys are the cheap case.
+    pub fn add<'a>(&mut self, key: u64, seq: impl Into<DnaView<'a>>) {
+        let (k, map) = (self.k, &mut self.map);
+        let mut windows = 0;
+        seq.into().for_each_kmer(k, |_, km| {
+            windows += 1;
+            insert_sorted(map.entry(km).or_default(), key);
         });
-        // A sequence that yields no k-mers (too short or all ambiguous) is
-        // still registered; it simply can never be a candidate.
+        // A sequence that yields no k-mers is still registered; it simply
+        // can never be a candidate.
+        if windows == 0 {
+            insert_sorted(&mut self.bare, key);
+        }
+        self.positions += windows;
         self.sequences += 1;
     }
 
     /// Remove the postings of `seq` under `key`. The sequence must be the
     /// one the key was added with: only its own k-mers' posting lists are
-    /// visited, so the cost does not grow with the index.
-    pub fn remove(&mut self, key: u64, seq: &DnaSeq) {
-        let mut own: Vec<u64> = kmers(seq, self.k).into_iter().map(|(_, km)| km).collect();
-        own.sort_unstable();
-        own.dedup();
-        for km in own {
-            let Some(postings) = self.map.get_mut(&km) else { continue };
-            let before = postings.len();
-            postings.retain(|(k, _)| *k != key);
-            self.positions -= before - postings.len();
-            if postings.is_empty() {
-                self.map.remove(&km);
+    /// visited, so the cost does not grow with the index. Removing a key
+    /// that is not indexed changes nothing.
+    pub fn remove<'a>(&mut self, key: u64, seq: impl Into<DnaView<'a>>) {
+        let mut own = Vec::new();
+        seq.into().for_each_kmer(self.k, |_, km| own.push(km));
+        let windows = own.len();
+        let present = if own.is_empty() {
+            remove_sorted(&mut self.bare, key)
+        } else {
+            own.sort_unstable();
+            own.dedup();
+            let mut present = false;
+            for km in own {
+                let Some(list) = self.map.get_mut(&km) else { continue };
+                if remove_sorted(list, key) {
+                    present = true;
+                    if list.is_empty() {
+                        self.map.remove(&km);
+                    }
+                }
             }
+            present
+        };
+        if present {
+            self.sequences = self.sequences.saturating_sub(1);
+            self.positions = self.positions.saturating_sub(windows);
         }
-        self.sequences = self.sequences.saturating_sub(1);
     }
 
-    /// The pattern's k-mers if they cover it completely — the condition for
-    /// the index to filter soundly. `kmers` skips windows holding an
-    /// ambiguity code, so a pattern shorter than `k` or with any ambiguous
-    /// symbol has fewer than one k-mer per window.
-    fn covering_kmers(&self, pattern: &DnaSeq) -> Option<Vec<(usize, u64)>> {
-        let pattern_kmers = kmers(pattern, self.k);
-        (pattern.len() >= self.k && pattern_kmers.len() == pattern.len() - self.k + 1)
-            .then_some(pattern_kmers)
+    /// The posting lists of the pattern's k-mers if those cover it
+    /// completely — the condition for the index to filter soundly — with
+    /// an empty list for a k-mer no sequence has. `for_each_kmer` skips
+    /// windows holding an ambiguity code, so a pattern shorter than `k` or
+    /// with any ambiguous symbol has fewer than one k-mer per window.
+    fn covering_lists<'s>(&'s self, pattern: DnaView<'_>) -> Option<Vec<&'s [u64]>> {
+        let mut own = Vec::with_capacity((pattern.len() + 1).saturating_sub(self.k));
+        pattern.for_each_kmer(self.k, |_, km| own.push(km));
+        if pattern.len() < self.k || own.len() != pattern.len() - self.k + 1 {
+            return None;
+        }
+        own.sort_unstable();
+        own.dedup();
+        Some(own.iter().map(|km| self.map.get(km).map_or(&[][..], Vec::as_slice)).collect())
     }
 
     /// Keys of sequences that share *every* k-mer of `pattern` (a superset
     /// of those containing `pattern` when the pattern is strict and at
-    /// least `k` long). Returns `None` when the pattern is too short or too
-    /// ambiguous to filter, in which case the caller must scan.
-    pub fn candidates(&self, pattern: &DnaSeq) -> Option<HashSet<u64>> {
-        let mut result: Option<HashSet<u64>> = None;
-        for (_, km) in self.covering_kmers(pattern)? {
-            let keys: HashSet<u64> = match self.map.get(&km) {
-                Some(postings) => postings.iter().map(|(k, _)| *k).collect(),
-                None => return Some(HashSet::new()),
-            };
-            result = Some(match result {
-                None => keys,
-                Some(acc) => acc.intersection(&keys).copied().collect(),
-            });
-            if result.as_ref().is_some_and(HashSet::is_empty) {
+    /// least `k` long), ascending. Returns `None` when the pattern is too
+    /// short or too ambiguous to filter, in which case the caller must
+    /// scan.
+    pub fn candidates<'a>(&self, pattern: impl Into<DnaView<'a>>) -> Option<Vec<u64>> {
+        let mut lists = self.covering_lists(pattern.into())?;
+        // Rarest first: the running result only ever shrinks, and each
+        // further list is searched, not walked.
+        lists.sort_unstable_by_key(|list| list.len());
+        let (rarest, rest) = lists.split_first()?;
+        let mut result = rarest.to_vec();
+        for list in rest {
+            if result.is_empty() {
                 break;
             }
+            // Both sides ascend, so each search starts where the last ended.
+            let mut from = 0;
+            result.retain(|key| match list[from..].binary_search(key) {
+                Ok(at) => {
+                    from += at + 1;
+                    true
+                }
+                Err(at) => {
+                    from += at;
+                    false
+                }
+            });
         }
-        result.or_else(|| Some(HashSet::new()))
+        Some(result)
     }
 
     /// Estimated fraction of sequences matching a `contains(pattern)`
-    /// predicate, based on the rarest k-mer of the pattern; 1 for a pattern
-    /// [`KmerIndex::candidates`] cannot filter. Used by the optimizer's
-    /// selectivity hook (§6.5).
-    pub fn estimate_selectivity(&self, pattern: &DnaSeq) -> f64 {
+    /// predicate: the length of the pattern's rarest posting list over the
+    /// number of sequences; 1 for a pattern [`KmerIndex::candidates`]
+    /// cannot filter. Used by the optimizer's selectivity hook (§6.5).
+    pub fn estimate_selectivity<'a>(&self, pattern: impl Into<DnaView<'a>>) -> f64 {
         if self.sequences == 0 {
             return 0.0;
         }
-        let Some(pattern_kmers) = self.covering_kmers(pattern) else { return 1.0 };
-        // A sequence's postings for one k-mer are adjacent (one `add` wrote
-        // them), so distinct sequences are runs of equal keys.
-        let rarest = pattern_kmers
-            .iter()
-            .map(|(_, km)| {
-                self.map.get(km).map_or(0, |p| {
-                    p.len().min(1) + p.windows(2).filter(|w| w[0].0 != w[1].0).count()
-                })
-            })
-            .min()
-            .unwrap_or(0);
+        let Some(lists) = self.covering_lists(pattern.into()) else { return 1.0 };
+        let rarest = lists.iter().map(|list| list.len()).min().unwrap_or(0);
         (rarest as f64 / self.sequences as f64).min(1.0)
     }
 }
@@ -144,6 +229,7 @@ impl KmerIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::DnaSeq;
 
     fn dna(s: &str) -> DnaSeq {
         DnaSeq::from_text(s).unwrap()
@@ -160,10 +246,7 @@ mod tests {
     #[test]
     fn candidates_superset_of_matches() {
         let idx = sample_index();
-        let cands = idx.candidates(&dna("ATGGCC")).unwrap();
-        assert!(cands.contains(&1));
-        assert!(cands.contains(&3));
-        assert!(!cands.contains(&2));
+        assert_eq!(idx.candidates(&dna("ATGGCC")).unwrap(), vec![1, 3]);
     }
 
     #[test]
@@ -214,7 +297,7 @@ mod tests {
     #[test]
     fn selectivity_counts_sequences_not_positions() {
         let mut idx = KmerIndex::new(4);
-        idx.add(1, &dna("AAAAAAAAAAAA")); // nine postings of one k-mer
+        idx.add(1, &dna("AAAAAAAAAAAA")); // nine windows of one k-mer
         idx.add(2, &dna("CCCCCCCCAAAA"));
         idx.add(3, &dna("GGGGGGGGGGGG"));
         assert_eq!(idx.estimate_selectivity(&dna("AAAA")), 2.0 / 3.0);
@@ -227,7 +310,7 @@ mod tests {
     fn counts_and_stats() {
         let idx = sample_index();
         assert_eq!(idx.len(), 3);
-        assert!(idx.indexed_positions() > 0);
+        assert_eq!(idx.indexed_positions(), 27);
         assert!(idx.distinct_kmers() > 0);
         assert_eq!(idx.k(), 4);
         assert!(!idx.is_empty());

@@ -4,11 +4,11 @@
 //! or substructure search on nucleotide sequences" and for a DBMS mechanism
 //! to integrate such user-defined index structures. Two indexes live here:
 //!
-//! * [`KmerIndex`] — an inverted index from k-mers to (sequence, position)
-//!   pairs over a *collection* of sequences. It answers "which sequences
-//!   could contain this pattern" with no false negatives for strict
-//!   patterns of length ≥ k, which is exactly the filter step the
-//!   `contains`/`resembles` predicates need.
+//! * [`KmerIndex`] — an inverted index from each k-mer to the ascending
+//!   keys of the sequences it occurs in, over a *collection* of sequences.
+//!   It answers "which sequences could contain this pattern" with no
+//!   false negatives for strict patterns of length ≥ k, which is exactly
+//!   the filter step the `contains`/`resembles` predicates need.
 //! * [`SuffixArray`] — a suffix array over a single long sequence for exact
 //!   substring location in `O(m log n)`.
 //!

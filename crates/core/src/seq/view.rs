@@ -134,6 +134,12 @@ pub struct DnaView<'a> {
     bytes: &'a [u8],
 }
 
+impl<'a> From<&'a DnaSeq> for DnaView<'a> {
+    fn from(seq: &'a DnaSeq) -> Self {
+        seq.view()
+    }
+}
+
 impl<'a> DnaView<'a> {
     /// View `len` symbols packed in `bytes`. The byte count must be exactly
     /// what `len` symbols need, so a payload that lies about its length is
@@ -318,8 +324,9 @@ impl<'a> DnaView<'a> {
     }
 }
 
-/// Symbols a shift-and state word covers.
-const WORD: usize = 64;
+/// Symbols of the pattern's head, the part the shift-and state word
+/// tracks. The word's top bit is left free for the byte step's carry.
+const HEAD: usize = 63;
 
 /// A search pattern compiled for shift-and (bitap) matching under IUPAC
 /// *compatibility*: pattern symbol `p` matches text symbol `t` when their
@@ -330,17 +337,28 @@ const WORD: usize = 64;
 /// Bit `j` of the state says "the last `j + 1` text symbols match the
 /// pattern's first `j + 1`"; one text symbol advances every prefix at once:
 /// `state = ((state << 1) | 1) & masks[t]`. The alphabet has 16 codes, so
-/// the whole transition table is 16 words — built once per pattern, then
-/// about one shift, one OR and one AND per nucleotide.
+/// the symbol table is 16 words. A packed byte holds two symbols, and two
+/// steps compose into one: `state = ((state << 2) | 3) & bytes[b]` with
+/// `bytes[b] = ((masks[lo] << 1) | 1) & masks[hi]`. Every mask also
+/// carries bit `head`, one past the accepting bit, so an occurrence that
+/// ends on the low symbol survives the high one's step there. A hit is
+/// then `state & (3 << (head - 1))`: bit `head` for the low symbol, bit
+/// `head - 1` for the high. The 256-word byte table is built once per
+/// pattern; after that each byte of text costs one load, one shift, one
+/// OR and one AND. A text position that starts or ends in the middle of
+/// a byte takes the one-symbol step.
 ///
-/// A pattern longer than the 64-symbol word is searched by its first 64
-/// symbols; each hit is confirmed by comparing the remaining symbols in
-/// place. Which of the two runs depends on the pattern's length only.
+/// A pattern longer than the 63-symbol head is searched by its head; each
+/// hit is confirmed by comparing the remaining symbols in place. Which of
+/// the two runs depends on the pattern's length only.
 #[derive(Debug, Clone)]
 pub struct Pattern {
     len: usize,
-    /// For each text code, the head positions it is compatible with.
+    /// For each text code, the head positions it is compatible with, plus
+    /// the carry bit `head`.
     masks: [u64; 16],
+    /// For each text byte, its two symbols' steps composed.
+    bytes: [u64; 256],
     /// The bit of the last head position (0 for the empty pattern).
     accept: u64,
     /// Codes of the symbols past the head, one per byte.
@@ -350,8 +368,9 @@ pub struct Pattern {
 impl Pattern {
     /// Compile `pattern`.
     pub fn new(pattern: DnaView<'_>) -> Self {
-        let head = pattern.len.min(WORD);
-        let mut masks = [0u64; 16];
+        let head = pattern.len.min(HEAD);
+        let accept = if head == 0 { 0 } else { 1 << (head - 1) };
+        let mut masks = [accept << 1; 16];
         for (j, p) in pattern.codes().take(head).enumerate() {
             let p = norm(p);
             for (t, mask) in masks.iter_mut().enumerate().skip(1) {
@@ -361,11 +380,16 @@ impl Pattern {
             }
         }
         masks[0] = masks[15];
+        let mut bytes = [0u64; 256];
+        for (b, step) in bytes.iter_mut().enumerate() {
+            *step = ((masks[b & 15] << 1) | 1) & masks[b >> 4];
+        }
         Pattern {
             len: pattern.len,
             masks,
-            accept: if head == 0 { 0 } else { 1 << (head - 1) },
-            tail: pattern.codes().skip(WORD).map(norm).collect(),
+            bytes,
+            accept,
+            tail: pattern.codes().skip(HEAD).map(norm).collect(),
         }
     }
 
@@ -387,40 +411,55 @@ impl Pattern {
         if m > n || from > n - m {
             return;
         }
-        let head = m.min(WORD);
         // Only symbols the head of a fitting occurrence can end on are fed.
-        let end = n - m + head;
+        let end = n - m + m.min(HEAD);
         let mut state = 0u64;
-        let mut step = |code: u8, i: usize| -> bool {
-            state = ((state << 1) | 1) & self.masks[code as usize];
-            if state & self.accept == 0 {
-                return true;
-            }
-            let start = i + 1 - head;
-            let tail_ok = self
-                .tail
-                .iter()
-                .enumerate()
-                .all(|(j, &p)| norm(text.code(start + head + j)) & p != 0);
-            !tail_ok || on_match(start)
-        };
-        let mut i = from;
-        if i % 2 == 1 {
-            if !step(text.bytes[i / 2] >> 4, i) {
+        if from % 2 == 1 {
+            state = 1 & self.masks[(text.bytes[from / 2] >> 4) as usize];
+            if state & self.accept != 0 && !self.confirm(text, from, &mut on_match) {
                 return;
             }
-            i += 1;
         }
-        while i + 1 < end {
-            let b = text.bytes[i / 2];
-            if !step(b & 15, i) || !step(b >> 4, i + 1) {
-                return;
+        // Whole bytes, both of whose symbols are fed.
+        let first = from.div_ceil(2);
+        let hits = self.accept | (self.accept << 1);
+        for (j, &b) in text.bytes[first..end / 2].iter().enumerate() {
+            state = ((state << 2) | 3) & self.bytes[b as usize];
+            if state & hits != 0 {
+                let low = 2 * (first + j);
+                // The occurrence ending on the low symbol starts first.
+                if state & (self.accept << 1) != 0 && !self.confirm(text, low, &mut on_match) {
+                    return;
+                }
+                if state & self.accept != 0 && !self.confirm(text, low + 1, &mut on_match) {
+                    return;
+                }
             }
-            i += 2;
         }
-        if i < end {
-            step(text.bytes[i / 2] & 15, i);
+        if end % 2 == 1 {
+            state = ((state << 1) | 1) & self.masks[(text.bytes[end / 2] & 15) as usize];
+            if state & self.accept != 0 {
+                self.confirm(text, end - 1, &mut on_match);
+            }
         }
+    }
+
+    /// The head matches with its last symbol on `last`: if the tail agrees
+    /// too, report the occurrence. False once `on_match` says stop. Kept
+    /// out of line so that the scan loop holds its state in registers.
+    #[cold]
+    #[inline(never)]
+    fn confirm(
+        &self,
+        text: DnaView<'_>,
+        last: usize,
+        on_match: &mut impl FnMut(usize) -> bool,
+    ) -> bool {
+        let head = self.len.min(HEAD);
+        let start = last + 1 - head;
+        let tail_ok =
+            self.tail.iter().enumerate().all(|(j, &p)| norm(text.code(start + head + j)) & p != 0);
+        !tail_ok || on_match(start)
     }
 
     /// First occurrence in `text` at or after `from`. The empty pattern

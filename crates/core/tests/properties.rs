@@ -298,7 +298,9 @@ proptest! {
         for (i, s) in parsed.iter().enumerate() {
             index.add(i as u64, s);
         }
-        if let Some(candidates) = index.candidates(&pattern) {
+        let candidates = index.candidates(&pattern);
+        prop_assert_eq!(&candidates, &reference::kmer_candidates(&parsed, &pattern, 5));
+        if let Some(candidates) = candidates {
             for (i, s) in parsed.iter().enumerate() {
                 if s.contains(&pattern) {
                     prop_assert!(
@@ -307,6 +309,84 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn kmer_index_matches_a_naive_model(
+        k in 2usize..6,
+        ops in proptest::collection::vec(
+            (0u8..3, 0u64..16, proptest::collection::vec(
+                proptest::sample::select(vec!['A', 'C', 'G', 'T', 'A', 'N']), 0..24,
+            )),
+            1..40,
+        ),
+        patterns in proptest::collection::vec(
+            proptest::collection::vec(proptest::sample::select(vec!['A', 'C', 'G', 'T', 'N']), 1..9),
+            1..6,
+        ),
+    ) {
+        // Keys come out of order, are reused after removal, and are removed
+        // when absent; the model keeps each present key's sequence.
+        let windows = |s: &DnaSeq| kmers(s, k).into_iter().map(|(_, km)| km);
+        let mut index = KmerIndex::new(k);
+        let mut model: std::collections::BTreeMap<u64, DnaSeq> = Default::default();
+        for (op, key, text) in ops {
+            let seq = DnaSeq::from_text(&text.into_iter().collect::<String>()).unwrap();
+            match (op, model.get(&key).cloned()) {
+                (0, Some(old)) => {
+                    // Replacing: remove, then add under the same key.
+                    index.remove(key, &old);
+                    index.add(key, &seq);
+                    model.insert(key, seq);
+                }
+                (0, None) | (1, None) => {
+                    index.add(key, &seq);
+                    model.insert(key, seq);
+                }
+                (_, Some(old)) => {
+                    index.remove(key, &old);
+                    model.remove(&key);
+                }
+                (_, None) => {
+                    let before = (index.len(), index.indexed_positions(), index.distinct_kmers());
+                    index.remove(key, &seq);
+                    prop_assert_eq!(
+                        (index.len(), index.indexed_positions(), index.distinct_kmers()),
+                        before,
+                        "removing absent key {} changed the index", key
+                    );
+                }
+            }
+            prop_assert_eq!(index.len(), model.len());
+            prop_assert_eq!(index.indexed_positions(), model.values().map(|s| kmers(s, k).len()).sum::<usize>());
+            let distinct: std::collections::BTreeSet<u64> = model.values().flat_map(windows).collect();
+            prop_assert_eq!(index.distinct_kmers(), distinct.len());
+        }
+        for text in patterns {
+            let pattern = DnaSeq::from_text(&text.into_iter().collect::<String>()).unwrap();
+            let own: Vec<u64> = windows(&pattern).collect();
+            let covered = pattern.len() >= k && own.len() == pattern.len() - k + 1;
+            let holders = |km: u64| -> Vec<u64> {
+                model.iter().filter(|(_, s)| windows(s).any(|w| w == km)).map(|(key, _)| *key).collect()
+            };
+            let want: Option<Vec<u64>> = covered.then(|| {
+                model
+                    .iter()
+                    .filter(|(_, s)| own.iter().all(|km| windows(s).any(|w| w == *km)))
+                    .map(|(key, _)| *key)
+                    .collect()
+            });
+            prop_assert_eq!(index.candidates(&pattern), want, "pattern {}", pattern.to_text());
+            let selectivity = if model.is_empty() {
+                0.0
+            } else if !covered {
+                1.0
+            } else {
+                let rarest = own.iter().map(|&km| holders(km).len()).min().unwrap_or(0);
+                rarest as f64 / model.len() as f64
+            };
+            prop_assert_eq!(index.estimate_selectivity(&pattern), selectivity);
         }
     }
 
@@ -449,8 +529,8 @@ proptest! {
 
 /// The cases the issue names, spelled out: empty pattern, a match at the
 /// very last position, `from` past the end, odd and even lengths, and
-/// patterns of 1, 64, 65 and 200 symbols — on either side of the 64-symbol
-/// state word — with ambiguity codes on both sides.
+/// patterns of 1, 62–65 and 200 symbols — on either side of the 63-symbol
+/// head the state word tracks — with ambiguity codes on both sides.
 #[test]
 fn search_kernel_edge_cases() {
     // A fixed pseudo-random IUPAC text, mostly concrete.
@@ -462,9 +542,9 @@ fn search_kernel_edge_cases() {
     let alphabet: Vec<char> = "AAAACCCCGGGGTTTTRYSWKMBDHVN".chars().collect();
     let text: String = (0..451).map(|_| alphabet[next() % alphabet.len()]).collect();
 
-    for n in [0usize, 1, 2, 63, 64, 65, 128, 129, 200, 201, 450, 451] {
+    for n in [0usize, 1, 2, 62, 63, 64, 65, 128, 129, 200, 201, 450, 451] {
         let t = DnaSeq::from_text(&text[..n]).unwrap();
-        for m in [0usize, 1, 2, 7, 63, 64, 65, 66, 127, 128, 129, 200] {
+        for m in [0usize, 1, 2, 7, 62, 63, 64, 65, 66, 127, 128, 129, 200] {
             if m > n + 3 {
                 continue;
             }

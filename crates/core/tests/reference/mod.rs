@@ -110,6 +110,22 @@ pub fn kmers(seq: &DnaSeq, k: usize) -> Vec<(usize, u64)> {
     out
 }
 
+/// The k-mer filter with no index: the positions of the fragments that
+/// hold every k-mer of `pattern`, each fragment's k-mers listed afresh, or
+/// `None` when the pattern's k-mers do not cover it (shorter than `k`, or
+/// a window with an ambiguity code).
+pub fn kmer_candidates(frags: &[DnaSeq], pattern: &DnaSeq, k: usize) -> Option<Vec<u64>> {
+    let own: Vec<u64> = kmers(pattern, k).into_iter().map(|(_, km)| km).collect();
+    if pattern.len() < k || own.len() != pattern.len() - k + 1 {
+        return None;
+    }
+    let holds_all = |frag: &DnaSeq| {
+        let held = kmers(frag, k);
+        own.iter().all(|km| held.iter().any(|(_, w)| w == km))
+    };
+    Some((0..frags.len()).filter(|&i| holds_all(&frags[i])).map(|i| i as u64).collect())
+}
+
 pub fn to_text(seq: &DnaSeq) -> String {
     symbols(seq).map(IupacDna::to_char).collect()
 }

@@ -854,6 +854,47 @@ mod tests {
         assert_eq!(db.execute_prepared(&prepared).unwrap().rows, auto.rows);
     }
 
+    /// A table the transaction wrote, or that another session committed to
+    /// after the snapshot, is dirty for the transaction. The k-mer index does
+    /// not answer there yet, so `contains` scans and checks each row against
+    /// the snapshot and the transaction's own writes: its own insert is in,
+    /// its own delete is out, the concurrent commit is invisible. After
+    /// COMMIT the table is clean again and the index answers.
+    #[test]
+    fn contains_on_a_dirty_table_scans_inside_the_transaction_and_probes_after() {
+        let (db, adapter) = setup();
+        let frags = fragments(300);
+        load_fragments(&db, &frags);
+        adapter.attach_kmer_index(&db, "frags", "s", 8).unwrap();
+        let motif = DnaSeq::from_text("ATTGCCATAGGC").unwrap();
+        let sql = "SELECT id FROM frags WHERE contains(s, 'ATTGCCATAGGC')";
+        let explain = format!("EXPLAIN {sql}");
+        let loaded: Vec<i64> =
+            (0..frags.len()).filter(|&i| frags[i].contains(&motif)).map(|i| i as i64).collect();
+        assert!(loaded.len() >= 30 && loaded.contains(&10), "{loaded:?}");
+
+        let txn = db.txn_begin();
+        db.txn_execute(txn, "INSERT INTO frags VALUES (1000, dna('GGGGATTGCCATAGGCGGGG'))")
+            .unwrap();
+        db.txn_execute(txn, "DELETE FROM frags WHERE id = 10").unwrap();
+        db.execute("INSERT INTO frags VALUES (2000, dna('CCATTGCCATAGGCCC'))").unwrap();
+
+        let mut want: Vec<i64> = loaded.iter().copied().filter(|&id| id != 10).collect();
+        want.push(1000);
+        let mut inside: Vec<i64> =
+            db.txn_execute(txn, sql).unwrap().rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+        inside.sort_unstable();
+        assert_eq!(inside, want);
+        let plan = db.txn_execute(txn, &explain).unwrap().explain.unwrap();
+        assert!(plan.contains("SeqScan") && !plan.contains("UdiScan"), "{plan}");
+        db.txn_commit(txn).unwrap();
+
+        let plan = db.execute(&explain).unwrap().explain.unwrap();
+        assert!(plan.contains("UdiScan"), "{plan}");
+        want.push(2000);
+        assert_eq!(ids(&db, sql), want);
+    }
+
     /// Index maintenance costs what the deleted sequence's own k-mers cost,
     /// so deleting half of a table is no longer quadratic in its size — and
     /// what is left answers exactly as a scan does.

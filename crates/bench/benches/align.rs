@@ -52,7 +52,13 @@ fn main() {
         max_len: 400,
         ..Default::default()
     });
-    let frags: Vec<DnaSeq> = generator.records(n).into_iter().map(|r| r.sequence).collect();
+    // Copy the sequences out back to back while the records still hold
+    // theirs: left where the generator put them, they are scattered among
+    // each record's other allocations, and a kernel streaming through them
+    // would be timed on that layout (about 2x) rather than on its work.
+    let records = generator.records(n);
+    let frags: Vec<DnaSeq> = records.iter().map(|r| r.sequence.clone()).collect();
+    drop(records);
     let total: usize = frags.iter().map(DnaSeq::len).sum();
     let mut entries = Vec::new();
 

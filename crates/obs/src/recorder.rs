@@ -6,8 +6,7 @@
 //! whatever the caller assembles), rendered with `== section ==` headers
 //! so a human can read it raw and a test can assert sections exist. The
 //! server writes one on worker panics and conflict storms (from the
-//! sampler tick); the load harness writes one for every SLO violation, so
-//! a failing CI run ships its own diagnosis.
+//! sampler tick), so a failing run ships its own diagnosis.
 //!
 //! [`IncidentRecorder`] adds rate limiting: a storm of triggers produces
 //! one bundle per interval, not thousands of identical files.

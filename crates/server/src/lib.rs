@@ -182,21 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn caches_can_be_disabled() {
-        let config = ServerConfig { caches_enabled: false, ..ServerConfig::default() };
-        let server = seeded_server(&config);
-        let client = server.client();
-        let s = client.open(SessionKind::Public);
-        let sql = "SELECT id FROM public.genes";
-        client.query(s, sql).unwrap();
-        client.query(s, sql).unwrap();
-        let stats = client.query(s, "SHOW STATS").unwrap();
-        assert_eq!(stat_value(&stats, "cache_result_hits"), Some(0));
-        assert_eq!(stat_value(&stats, "cache_result_misses"), Some(0));
-        assert_eq!(stat_value(&stats, "cache_plan_entries"), Some(0));
-    }
-
-    #[test]
     fn tcp_round_trip() {
         let server = seeded_server(&ServerConfig::default());
         let handle = server.listen("127.0.0.1:0").unwrap();

@@ -58,9 +58,6 @@ pub struct ServerConfig {
     /// Callers allowed to wait for a permit; the caller after that bounces
     /// with `Busy`. `workers + queue_capacity` bounds statements in flight.
     pub queue_capacity: usize,
-    /// Master switch for the statement cache (off = every query plans +
-    /// executes).
-    pub caches_enabled: bool,
     /// Statements at or above this latency land in the slow-query log.
     pub slow_query_threshold_us: u64,
     /// How many slowest statements `SHOW SLOW QUERIES` retains (0 = off).
@@ -83,65 +80,12 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 8,
             queue_capacity: 64,
-            caches_enabled: true,
             slow_query_threshold_us: 100_000,
             slow_query_capacity: 32,
             tracing: false,
             txn_timeout_ms: 30_000,
             sampler_interval_ms: 1_000,
         }
-    }
-}
-
-impl ServerConfig {
-    /// The default config with every `GENALG_*` environment override
-    /// applied — the entry point operators (and the load harness) use to
-    /// tune a server without recompiling.
-    pub fn from_env() -> Self {
-        Self::default().with_env_overrides()
-    }
-
-    /// Apply environment overrides on top of `self` (programmatic defaults
-    /// lose to the environment, so a deployed knob always wins):
-    ///
-    /// | variable | field |
-    /// |---|---|
-    /// | `GENALG_WORKERS` | `workers` (min 1) |
-    /// | `GENALG_QUEUE_CAPACITY` | `queue_capacity` (min 1) |
-    /// | `GENALG_CACHES` | `caches_enabled` (`0` disables) |
-    /// | `GENALG_SLOW_QUERY_US` | `slow_query_threshold_us` |
-    /// | `GENALG_SLOW_QUERY_CAPACITY` | `slow_query_capacity` |
-    /// | `GENALG_TXN_TIMEOUT_MS` | `txn_timeout_ms` |
-    /// | `GENALG_SAMPLER_MS` | `sampler_interval_ms` (0 disables) |
-    ///
-    /// (`GENALG_TRACE` already enables tracing process-wide via
-    /// [`genalg_obs::tracer`]; there is no config override for it here.)
-    pub fn with_env_overrides(mut self) -> Self {
-        fn env<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-        }
-        if let Some(v) = env::<usize>("GENALG_WORKERS") {
-            self.workers = v.max(1);
-        }
-        if let Some(v) = env::<usize>("GENALG_QUEUE_CAPACITY") {
-            self.queue_capacity = v.max(1);
-        }
-        if let Some(v) = env::<u8>("GENALG_CACHES") {
-            self.caches_enabled = v != 0;
-        }
-        if let Some(v) = env("GENALG_SLOW_QUERY_US") {
-            self.slow_query_threshold_us = v;
-        }
-        if let Some(v) = env("GENALG_SLOW_QUERY_CAPACITY") {
-            self.slow_query_capacity = v;
-        }
-        if let Some(v) = env("GENALG_TXN_TIMEOUT_MS") {
-            self.txn_timeout_ms = v;
-        }
-        if let Some(v) = env("GENALG_SAMPLER_MS") {
-            self.sampler_interval_ms = v;
-        }
-        self
     }
 }
 
@@ -202,7 +146,6 @@ pub struct QueryService {
     sessions: SessionManager,
     cache: StatementCache,
     metrics: Arc<Metrics>,
-    caches_enabled: bool,
     slow_threshold_us: u64,
     slow_log: SlowQueryLog,
     fingerprints: FingerprintRegistry,
@@ -228,7 +171,6 @@ impl QueryService {
             sessions: SessionManager::new(Arc::clone(&metrics)),
             cache: StatementCache::new(CACHE_CAPACITY),
             metrics,
-            caches_enabled: config.caches_enabled,
             slow_threshold_us: config.slow_query_threshold_us,
             slow_log: SlowQueryLog::new(config.slow_query_capacity),
             fingerprints: FingerprintRegistry::new(FINGERPRINT_CAPACITY, PLAN_AUDIT_CAPACITY),
@@ -593,14 +535,14 @@ impl QueryService {
         let pages_before = (self.db.scan_pages_read(), self.db.scan_pages_skipped());
         let start = Instant::now();
         let txn = self.sessions.txn(session).map(|txn| txn.id);
-        let result = if txn.is_none() && stmt == StmtKind::Select && self.caches_enabled {
+        let result = if txn.is_none() && stmt == StmtKind::Select {
             let key =
                 StatementKey { normalized_sql: key.clone(), space: role.default_space().into() };
             self.execute_cached(tokens, key, &fingerprint, &role, &mut path, span.id())
         } else {
-            // A write, EXPLAIN, a read with the cache off, or a statement
-            // inside the session's transaction (where a cached latest-state
-            // result would violate snapshot isolation).
+            // A write, EXPLAIN, or a statement inside the session's
+            // transaction (where a cached latest-state result would violate
+            // snapshot isolation).
             let _exec = tracer.span_with_parent("server.execute", span.id());
             let outcome =
                 parse_tokens(tokens).and_then(|parsed| self.db.run_stmt(txn, parsed, &role));

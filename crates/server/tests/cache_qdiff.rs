@@ -1,9 +1,9 @@
 //! qdiff-driven result-cache correctness.
 //!
-//! Two [`QueryService`]s over the *same* database: one with caches on, one
-//! with caches off (ground truth — every query replans and re-executes).
-//! We drive generated scenarios through the cached service and, after every
-//! DML statement, replay every SELECT seen so far on both services. If the
+//! A [`QueryService`] and its database: ground truth runs each statement
+//! through the engine directly (every query plans and executes, no cache).
+//! We drive generated scenarios through the service and, after every DML
+//! statement, replay every SELECT seen so far on both. If the
 //! generation-counter invalidation ever serves a stale cached result, the
 //! two sides disagree and the seed pinpoints the statement interleaving.
 //!
@@ -18,17 +18,14 @@ use qdiff::{gen_scenario, Op};
 use std::collections::HashSet;
 use std::sync::Arc;
 use unidb::sql::{lex, Token};
-use unidb::{Database, ResultSet};
+use unidb::{Database, DbResult, ResultSet, Role};
 
-fn services() -> (QueryService, QueryService) {
+/// The cached service and, for ground truth, the engine it runs on: a
+/// maintainer session's statements run as the maintainer role.
+fn services() -> (QueryService, impl Fn(&str) -> DbResult<ResultSet>) {
     let db = Arc::new(Database::in_memory());
-    let cached = QueryService::new(
-        Arc::clone(&db),
-        &ServerConfig { caches_enabled: true, ..ServerConfig::default() },
-    );
-    let uncached =
-        QueryService::new(db, &ServerConfig { caches_enabled: false, ..ServerConfig::default() });
-    (cached, uncached)
+    let cached = QueryService::new(Arc::clone(&db), &ServerConfig::default());
+    (cached, move |sql: &str| db.execute_as(sql, &Role::Maintainer))
 }
 
 #[test]
@@ -36,9 +33,8 @@ fn cached_selects_never_go_stale_under_fuzzed_dml() {
     let seeds = std::env::var("QDIFF_CACHE_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(24);
     for seed in 0..seeds {
         let sc = gen_scenario(seed);
-        let (cached, uncached) = services();
+        let (cached, truth) = services();
         let cs = cached.open_session(SessionKind::Maintainer);
-        let us = uncached.open_session(SessionKind::Maintainer);
 
         for ddl in sc.setup_sql() {
             cached.execute(cs, Lang::Sql, &ddl).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -51,22 +47,22 @@ fn cached_selects_never_go_stale_under_fuzzed_dml() {
             let sql = sc.op_sql(op);
             if let Op::Query(_) = op {
                 // Run it twice through the cached side so the second run is
-                // a cache hit, then once uncached; all three must agree.
+                // a cache hit, then once on the engine; all three must agree.
                 let first = cached.execute(cs, Lang::Sql, &sql);
                 let hit = cached.execute(cs, Lang::Sql, &sql);
-                let truth = uncached.execute(us, Lang::Sql, &sql);
-                match (&first, &hit, &truth) {
+                let want = truth(&sql);
+                match (&first, &hit, &want) {
                     (Ok(a), Ok(b), Ok(t)) => {
                         assert_eq!(a.rows, b.rows, "seed {seed}: cache hit differs: {sql}");
                         assert_eq!(
                             sorted(&a.rows),
                             sorted(&t.rows),
-                            "seed {seed}: cached vs uncached differ: {sql}"
+                            "seed {seed}: cached vs engine differ: {sql}"
                         );
                     }
                     (Err(_), Err(_), Err(_)) => {}
                     _ => panic!(
-                        "seed {seed}: error disagreement on {sql}: first={first:?} hit={hit:?} truth={truth:?}"
+                        "seed {seed}: error disagreement on {sql}: first={first:?} hit={hit:?} truth={want:?}"
                     ),
                 }
                 seen_tokens.insert(identity(&sql));
@@ -81,11 +77,11 @@ fn cached_selects_never_go_stale_under_fuzzed_dml() {
                     if seen_tokens.insert(identity(&twin)) {
                         assert_eq!(hits, 0, "seed {seed}: twin `{twin}` shared `{sql}`'s entry");
                     }
-                    match (&got, &uncached.execute(us, Lang::Sql, &twin)) {
+                    match (&got, &truth(&twin)) {
                         (Ok(c), Ok(t)) => assert_eq!(
                             sorted(&c.rows),
                             sorted(&t.rows),
-                            "seed {seed}: cached vs uncached differ: {twin}"
+                            "seed {seed}: cached vs engine differ: {twin}"
                         ),
                         (Err(_), Err(_)) => {}
                         (c, t) => panic!("seed {seed}: error disagreement on {twin}: {c:?} {t:?}"),
@@ -104,7 +100,7 @@ fn cached_selects_never_go_stale_under_fuzzed_dml() {
                 }
                 for sel in &seen_selects {
                     let c = cached.execute(cs, Lang::Sql, sel);
-                    let t = uncached.execute(us, Lang::Sql, sel);
+                    let t = truth(sel);
                     match (&c, &t) {
                         (Ok(c), Ok(t)) => assert_eq!(
                             sorted(&c.rows),

@@ -132,8 +132,7 @@ fn mixed_workload_under_contention() {
 #[test]
 fn sixteen_concurrent_readonly_sessions_complete() {
     // 16 read-only sessions each running a scan-heavy query repeatedly;
-    // exercises the shared read lock end to end. (Speedup vs sequential is
-    // measured by the server bench; here we only require correctness.)
+    // exercises the shared read lock end to end.
     let db = Arc::new(Database::in_memory());
     db.execute_as("CREATE TABLE public.seqs (id INT, gc FLOAT)", &Role::Maintainer).unwrap();
     for chunk in 0..4 {
@@ -149,27 +148,28 @@ fn sixteen_concurrent_readonly_sessions_complete() {
         )
         .unwrap();
     }
-    let config = ServerConfig {
-        workers: 16,
-        queue_capacity: 64,
-        caches_enabled: false, // force every query through the engine
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig { workers: 16, queue_capacity: 64, ..ServerConfig::default() };
     let server = Server::new(db, &config);
     let client = server.client();
     let handles: Vec<_> = (0..16)
-        .map(|_| {
+        .map(|t| {
             let client = client.clone();
             std::thread::spawn(move || {
                 let s = client.open(SessionKind::Public);
-                for _ in 0..20 {
+                for i in 0..20 {
+                    // A distinct bound per statement: every one misses the
+                    // statement cache and runs through the engine.
+                    let bound = t * 20 + i;
                     let rs = retrying(|| {
                         client.query(
                             s,
-                            "SELECT count(*) FROM public.seqs WHERE gc > 0.25 AND id < 200",
+                            &format!(
+                                "SELECT count(*) FROM public.seqs WHERE gc > 0.25 AND id < {bound}"
+                            ),
                         )
                     });
-                    assert_eq!(rs.rows.len(), 1);
+                    let want = (0..bound.min(256)).filter(|id| id % 100 > 25).count();
+                    assert_eq!(rs.rows, vec![vec![Datum::Int(want as i64)]], "id < {bound}");
                 }
                 client.close(s);
             })
@@ -178,4 +178,7 @@ fn sixteen_concurrent_readonly_sessions_complete() {
     for h in handles {
         h.join().unwrap();
     }
+    let s = client.open(SessionKind::Public);
+    let stats = retrying(|| client.query(s, "SHOW STATS"));
+    assert_eq!(stat_value(&stats, "cache_result_hits"), Some(0));
 }

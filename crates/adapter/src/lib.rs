@@ -27,7 +27,7 @@ use genalg_core::compact::{dna_view, value_from_bytes, value_to_bytes};
 use genalg_core::error::GenAlgError;
 use genalg_core::index::KmerIndex;
 use genalg_core::seq::{DnaSeq, DnaView};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use unidb::storage::heap::Rid;
 use unidb::{
@@ -253,11 +253,7 @@ impl Adapter {
         column: &str,
         k: usize,
     ) -> DbResult<()> {
-        let method = KmerAccessMethod {
-            adapter: self.clone(),
-            index: KmerIndex::new(k),
-            all: BTreeSet::new(),
-        };
+        let method = KmerAccessMethod { adapter: self.clone(), index: KmerIndex::new(k) };
         db.register_access_method(table, column, Box::new(method))
     }
 }
@@ -397,12 +393,11 @@ fn key_rid(key: u64) -> Rid {
 
 /// The genomic index of §6.5, wrapped as a `unidb` access method. Answers
 /// `contains(column, pattern)` with a candidate superset (no false
-/// negatives); the executor re-checks every candidate.
+/// negatives); the executor re-checks every candidate. A pattern the index
+/// cannot filter estimates 1, so the planner never probes for it.
 struct KmerAccessMethod {
     adapter: Adapter,
     index: KmerIndex,
-    /// Every indexed rid, for unfilterable patterns.
-    all: BTreeSet<Rid>,
 }
 
 impl KmerAccessMethod {
@@ -420,7 +415,6 @@ impl AccessMethod for KmerAccessMethod {
     }
 
     fn on_insert(&mut self, rid: Rid, value: &Datum) {
-        self.all.insert(rid);
         // The stored payload is indexed where it lies.
         if let Some(seq) = self.adapter.dna_payload(value) {
             self.index.add(rid_key(rid), seq);
@@ -428,7 +422,6 @@ impl AccessMethod for KmerAccessMethod {
     }
 
     fn on_delete(&mut self, rid: Rid, value: &Datum) {
-        self.all.remove(&rid);
         if let Some(seq) = self.adapter.dna_payload(value) {
             self.index.remove(rid_key(rid), seq);
         }
@@ -442,22 +435,18 @@ impl AccessMethod for KmerAccessMethod {
         if func != "contains" {
             return None;
         }
-        let pattern = self.pattern(args)?;
-        match self.index.candidates(&pattern) {
-            // Keys ascend, and so do the rids they encode.
-            Some(keys) => Some(keys.into_iter().map(key_rid).collect()),
-            // Unfilterable pattern (short or ambiguous): every row is a
-            // candidate; the residual predicate does the work.
-            None => Some(self.all.iter().copied().collect()),
-        }
+        let keys = self.index.candidates(&self.pattern(args)?)?;
+        // Keys ascend, and so do the rids they encode.
+        Some(keys.into_iter().map(key_rid).collect())
     }
 
     fn selectivity(&self, func: &str, args: &[Datum]) -> Option<f64> {
         if func != "contains" {
             return None;
         }
-        let pattern = self.pattern(args)?;
-        Some(self.index.estimate_selectivity(&pattern))
+        // An argument that is no sequence (NULL, text that does not parse)
+        // is left to the scan, which words its outcome.
+        Some(self.pattern(args).map_or(1.0, |pattern| self.index.estimate_selectivity(&pattern)))
     }
 }
 
@@ -783,11 +772,12 @@ mod tests {
         ids
     }
 
-    /// A pattern shorter than the index's word size cannot be filtered; the
-    /// access method says so (selectivity 1) and the planner scans instead
-    /// of fetching every row through the index one rid at a time.
+    /// A strict pattern one or two symbols short of the index's word size is
+    /// answered from the k-mers it can lie inside; a shorter or ambiguous
+    /// one cannot be filtered, the access method says so (selectivity 1)
+    /// and the planner scans instead.
     #[test]
-    fn a_pattern_the_index_cannot_filter_is_planned_as_a_scan() {
+    fn patterns_down_to_two_below_k_probe_the_index_and_the_rest_scan() {
         let (db, adapter) = setup();
         let frags = fragments(300);
         load_fragments(&db, &frags);
@@ -798,15 +788,18 @@ mod tests {
                 .explain
                 .unwrap()
         };
-        let seven = plan("ATTGCCA");
-        assert!(seven.contains("SeqScan") && !seven.contains("UdiScan"), "{seven}");
-        // An ambiguity code breaks the pattern's k-mer cover just the same.
-        let blurred = plan("ATTGCCATNGGC");
-        assert!(blurred.contains("SeqScan") && !blurred.contains("UdiScan"), "{blurred}");
-        let twelve = plan("ATTGCCATAGGC");
-        assert!(twelve.contains("UdiScan"), "{twelve}");
+        for probed in ["ATTGCCA", "TTGCCA", "ATTGCCATAGGC"] {
+            let text = plan(probed);
+            assert!(text.contains("UdiScan"), "{probed}: {text}");
+        }
+        // Three short of k, and an ambiguity code that breaks the
+        // pattern's k-mer cover.
+        for scanned in ["ATTGC", "ATTGCCATNGGC"] {
+            let text = plan(scanned);
+            assert!(text.contains("SeqScan") && !text.contains("UdiScan"), "{scanned}: {text}");
+        }
 
-        for pattern in ["ATTGCCA", "ATTGCCATNGGC", "ATTGCCATAGGC"] {
+        for pattern in ["ATTGCCA", "TTGCCA", "ATTGC", "ATTGCCATNGGC", "ATTGCCATAGGC"] {
             let want: Vec<i64> = frags
                 .iter()
                 .enumerate()
@@ -816,6 +809,110 @@ mod tests {
             assert!(want.len() >= 30, "{pattern}");
             let sql = format!("SELECT id FROM frags WHERE contains(s, '{pattern}')");
             assert_eq!(ids(&db, &sql), want, "{pattern}");
+        }
+    }
+
+    /// Two databases with the same rows, the first with the k-mer index on
+    /// `frags.s`, the second without.
+    fn indexed_and_plain(frags: &[DnaSeq]) -> (Database, Database) {
+        let (indexed, adapter) = setup();
+        let (plain, _) = setup();
+        load_fragments(&indexed, frags);
+        load_fragments(&plain, frags);
+        adapter.attach_kmer_index(&indexed, "frags", "s", 8).unwrap();
+        (indexed, plain)
+    }
+
+    /// An ambiguity code in a stored sequence matches any pattern base, so
+    /// the sequence can contain a pattern none of its strict k-mers shows;
+    /// a sequence shorter than k has no k-mers at all. Through the index
+    /// they are still found, at, above and below the word size: a window
+    /// with an ambiguity code is indexed under the k-mers it stands for, and
+    /// a sequence too short or too ambiguous for that is a candidate for
+    /// every pattern.
+    #[test]
+    fn ambiguous_and_short_sequences_are_found_through_the_index() {
+        let mut frags = fragments(198);
+        frags.insert(1, DnaSeq::from_text("CCCCCCCCATGGCCNTTAAGGGGGGGGG").unwrap());
+        frags.push(DnaSeq::from_text("GATTACA").unwrap());
+        frags.push(DnaSeq::from_text("CCCCATGGCNNNTAAGCCCC").unwrap());
+        let (indexed, plain) = indexed_and_plain(&frags);
+        for pattern in ["ATGGCCATTAAG", "ATGGCCAT", "GCCATTA", "CATTAA", "GATTACA", "ATTGCCATAGGC"]
+        {
+            let sql = format!("SELECT id FROM frags WHERE contains(s, '{pattern}')");
+            let plan = indexed.execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
+            assert!(plan.contains("UdiScan"), "{pattern}: {plan}");
+            let rows = |db: &Database| db.execute(&sql).unwrap().rows;
+            assert_eq!(rows(&indexed), rows(&plain), "{pattern}");
+        }
+        let sql = "SELECT id FROM frags WHERE contains(s, 'ATGGCCATTAAG')";
+        assert_eq!(ids(&indexed, sql), vec![1, 200]);
+        assert!(ids(&indexed, "SELECT id FROM frags WHERE contains(s, 'GATTACA')").contains(&199));
+    }
+
+    /// UPDATE and DELETE find their rows through the same access path as a
+    /// SELECT: below the word size that is now the index, and the rows
+    /// touched are the ones a scan touches.
+    #[test]
+    fn dml_below_the_word_size_touches_the_rows_a_scan_touches() {
+        let (indexed, plain) = indexed_and_plain(&fragments(400));
+        let update = "UPDATE frags SET id = id + 1000 WHERE contains(s, 'TTGCCAT')";
+        let delete = "DELETE FROM frags WHERE contains(s, 'CATAGG')";
+        for sql in [update, delete] {
+            let plan = indexed.execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
+            assert!(plan.contains("UdiScan"), "{plan}");
+            let plan = plain.execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
+            assert!(!plan.contains("UdiScan"), "{plan}");
+            let (a, b) = (indexed.execute(sql).unwrap(), plain.execute(sql).unwrap());
+            assert_eq!(a.affected, b.affected, "{sql}");
+            assert!(a.affected >= 40, "{sql}: {}", a.affected);
+            let all = "SELECT id FROM frags";
+            assert_eq!(indexed.execute(all).unwrap().rows, plain.execute(all).unwrap().rows);
+        }
+        let sql = "SELECT id FROM frags WHERE contains(s, 'GCCATA')";
+        assert_eq!(indexed.execute(sql).unwrap().rows, plain.execute(sql).unwrap().rows);
+    }
+
+    /// On an empty table a pattern the index cannot filter is planned as a
+    /// scan, not a probe the index would have to answer with every row;
+    /// after inserts it still returns what a scan returns. A pattern
+    /// argument that is no sequence is left to the scan as well.
+    #[test]
+    fn an_unfilterable_pattern_on_an_empty_table_scans() {
+        let (indexed, plain) = indexed_and_plain(&[]);
+        let explain = |sql: &str| indexed.execute(&format!("EXPLAIN {sql}")).unwrap().explain;
+        let short = "SELECT id FROM frags WHERE contains(s, 'ACG')";
+        let plan = explain(short).unwrap();
+        assert!(plan.contains("SeqScan") && !plan.contains("UdiScan"), "{plan}");
+        assert!(indexed.execute(short).unwrap().rows.is_empty());
+        let seven = "SELECT id FROM frags WHERE contains(s, 'GCCATAG')";
+        assert!(explain(seven).unwrap().contains("UdiScan"));
+        assert!(indexed.execute(seven).unwrap().rows.is_empty());
+
+        let frags = fragments(200);
+        for db in [&indexed, &plain] {
+            for (id, f) in frags.iter().enumerate() {
+                db.execute(&format!("INSERT INTO frags VALUES ({id}, dna('{}'))", f.to_text()))
+                    .unwrap();
+            }
+        }
+        let want: Vec<i64> = (0..200)
+            .filter(|&i| frags[i].contains(&DnaSeq::from_text("ACG").unwrap()))
+            .map(|i| i as i64)
+            .collect();
+        assert!(!want.is_empty());
+        assert_eq!(ids(&indexed, short), want);
+        for sql in [short, seven] {
+            assert_eq!(ids(&indexed, sql), ids(&plain, sql), "{sql}");
+        }
+        for sql in [
+            "SELECT id FROM frags WHERE contains(s, NULL)",
+            "SELECT id FROM frags WHERE contains(s, 'XYZZY')",
+            "SELECT id FROM frags WHERE contains(s, 'gccatag')",
+        ] {
+            let outcome =
+                |db: &Database| db.execute(sql).map(|r| r.rows).map_err(|e| e.to_string());
+            assert_eq!(outcome(&indexed), outcome(&plain), "{sql}");
         }
     }
 

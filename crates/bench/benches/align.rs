@@ -62,8 +62,8 @@ fn main() {
     let total: usize = frags.iter().map(DnaSeq::len).sum();
     let mut entries = Vec::new();
 
-    // contains: a 7-mer (the scan path below the index's word size) and a
-    // 20-mer cut from a fragment.
+    // contains: a 7-mer and a 20-mer cut from a fragment, searched in every
+    // fragment as a table scan does.
     let patterns =
         [DnaSeq::from_text("GATTACA").unwrap(), frags[n / 2].subseq(40, 60).expect("long enough")];
     let (kernel_ns, hits) = best_ns(|| {
@@ -124,6 +124,38 @@ fn main() {
         what:
             "sorted posting lists intersected rarest-first vs every fragment's k-mers per pattern",
         nucleotides: total * probes.len(),
+        kernel_ns: kernel_ns / ROUNDS as f64,
+        reference_ns,
+    });
+
+    // Below the word size: 7-mers answered by the union of the lists of
+    // the 8-mers they can lie inside, against searching every fragment for
+    // the pattern. The fragments are strict and longer than k, so the
+    // candidates are exactly the fragments that contain the pattern.
+    let shorts: Vec<DnaSeq> = std::iter::once(DnaSeq::from_text("GATTACA").unwrap())
+        .chain((0..9).map(|i| frags[(i * 2_003 + 11) % n].subseq(50 + i, 57 + i).expect("long")))
+        .collect();
+    let (kernel_ns, _) = best_ns(|| {
+        let rounds = (0..ROUNDS).map(|_| {
+            shorts.iter().map(|p| index.candidates(p).expect("one short of k").len()).sum::<usize>()
+        });
+        rounds.sum::<usize>() / ROUNDS
+    });
+    let got: Vec<Vec<u64>> =
+        shorts.iter().map(|p| index.candidates(p).expect("one short of k")).collect();
+    let containing = |p: &DnaSeq| -> Vec<u64> {
+        (0..n)
+            .filter(|&i| reference::find_from(&frags[i], p, 0).is_some())
+            .map(|i| i as u64)
+            .collect()
+    };
+    let want: Vec<Vec<u64>> = shorts.iter().map(containing).collect();
+    assert_eq!(got, want, "7-mer candidates are not the fragments that contain the pattern");
+    let (reference_ns, _) = best_ns(|| shorts.iter().map(|p| containing(p).len()).sum());
+    entries.push(Entry {
+        name: "kmer_probe_short",
+        what: "7-mers: union of the covering 8-mers' lists vs per-symbol search of every fragment",
+        nucleotides: total * shorts.len(),
         kernel_ns: kernel_ns / ROUNDS as f64,
         reference_ns,
     });

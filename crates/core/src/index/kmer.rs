@@ -35,27 +35,58 @@ impl Hasher for KmerHasher {
 
 type KmerMap<V> = HashMap<u64, V, BuildHasherDefault<KmerHasher>>;
 
+/// How many symbols short of `k` a pattern may be and still be answered
+/// from the lists: a strict pattern `d` symbols short lies inside
+/// `(d + 1)·4^d` k-mers — 8 lists at `d = 1`, 48 at `d = 2`, 256 at
+/// `d = 3`, past which the union costs about what a scan does.
+const MAX_SHORTFALL: usize = 2;
+
+/// Most concrete k-mers one window holding ambiguity codes is indexed
+/// under: the bases its codes stand for, multiplied out. Two `N`s in one
+/// window (16) are expanded; a sequence with a window standing for more is
+/// left uncovered.
+const MAX_EXPANSION: usize = 16;
+
 /// An inverted index mapping every k-mer to the sequences it occurs in.
 ///
 /// Sequences are registered under caller-chosen `u64` keys (the adapter
 /// uses row ids). Each k-mer has one posting list holding the keys of the
 /// sequences that contain it, ascending and without duplicates; where in a
-/// sequence the k-mer occurs is not kept, since the filter never asks. The
-/// index is *sound* as a filter: for a strict pattern of length ≥ k, every
-/// sequence containing the pattern is returned by
-/// [`KmerIndex::candidates`]; verification against the actual sequence
-/// removes false positives.
+/// sequence the k-mer occurs is not kept, since the filter never asks.
+///
+/// An ambiguity code in a sequence matches every pattern base it stands
+/// for, so a window holding one is indexed under each concrete k-mer it is
+/// compatible with. A sequence is *covered* when every one of its windows
+/// is indexed that way: it is at least `k` long and no window stands for
+/// more than [`MAX_EXPANSION`] k-mers. The keys of the other sequences are
+/// kept in one ascending `uncovered` list. The index is *sound* as a
+/// filter: for a strict pattern of length ≥ `k − 2`, every sequence
+/// containing the pattern is returned by [`KmerIndex::candidates`] — a
+/// covered one through the lists, an uncovered one always; verification
+/// against the actual sequence removes false positives.
 #[derive(Debug, Clone)]
 pub struct KmerIndex {
     k: usize,
     map: KmerMap<Vec<u64>>,
-    /// Keys of registered sequences that yield no k-mer (shorter than `k`
-    /// or ambiguous throughout), ascending: no posting list records them.
-    bare: Vec<u64>,
+    /// Keys of registered sequences that are not covered (shorter than `k`,
+    /// or a window too ambiguous to expand), ascending: they are candidates
+    /// for every pattern.
+    uncovered: Vec<u64>,
     /// Number of indexed sequences, used for selectivity estimation.
     sequences: usize,
-    /// Total k-mer windows of the indexed sequences, repeats included.
+    /// Total strict k-mer windows of the indexed sequences, repeats
+    /// included.
     positions: usize,
+}
+
+/// The posting lists that decide a pattern's candidates.
+enum Cover<'s> {
+    /// The pattern's own k-mers (it is at least `k` long): a covered
+    /// sequence containing it holds every one.
+    Every(Vec<&'s [u64]>),
+    /// The k-mers a shorter pattern can lie inside: a covered sequence
+    /// containing it holds at least one.
+    Any(Vec<&'s [u64]>),
 }
 
 /// Insert `key` into an ascending list unless it is there. Keys mostly
@@ -85,7 +116,7 @@ impl KmerIndex {
     /// An empty index with word size `k` (1–31).
     pub fn new(k: usize) -> Self {
         assert!((1..=31).contains(&k), "k must be in 1..=31");
-        KmerIndex { k, map: KmerMap::default(), bare: Vec::new(), sequences: 0, positions: 0 }
+        KmerIndex { k, map: KmerMap::default(), uncovered: Vec::new(), sequences: 0, positions: 0 }
     }
 
     /// Word size.
@@ -103,31 +134,42 @@ impl KmerIndex {
         self.sequences == 0
     }
 
-    /// Total number of k-mer windows of the indexed sequences, counting a
-    /// k-mer that repeats within a sequence once per window.
+    /// Total number of strict k-mer windows of the indexed sequences,
+    /// counting a k-mer that repeats within a sequence once per window.
     pub fn indexed_positions(&self) -> usize {
         self.positions
     }
 
-    /// Number of distinct k-mers seen.
+    /// Number of distinct k-mers with a posting list.
     pub fn distinct_kmers(&self) -> usize {
         self.map.len()
+    }
+
+    /// True if a sequence of `len` symbols that yields `windows` k-mers has
+    /// one for every window. `for_each_kmer` skips windows holding an
+    /// ambiguity code, so this holds exactly for strict sequences at least
+    /// `k` long.
+    fn covers(&self, len: usize, windows: usize) -> bool {
+        len >= self.k && windows == len - self.k + 1
     }
 
     /// Index `seq` under `key`, which must not be indexed already; call
     /// [`KmerIndex::remove`] first when replacing. Keys may arrive in any
     /// order, but ascending keys are the cheap case.
     pub fn add<'a>(&mut self, key: u64, seq: impl Into<DnaView<'a>>) {
-        let (k, map) = (self.k, &mut self.map);
+        let (k, map, seq) = (self.k, &mut self.map, seq.into());
         let mut windows = 0;
-        seq.into().for_each_kmer(k, |_, km| {
+        seq.for_each_kmer(k, |_, km| {
             windows += 1;
             insert_sorted(map.entry(km).or_default(), key);
         });
-        // A sequence that yields no k-mers is still registered; it simply
-        // can never be a candidate.
-        if windows == 0 {
-            insert_sorted(&mut self.bare, key);
+        if !self.covers(seq.len(), windows) {
+            match self.expanded(seq) {
+                Some(extra) => extra
+                    .into_iter()
+                    .for_each(|km| insert_sorted(self.map.entry(km).or_default(), key)),
+                None => insert_sorted(&mut self.uncovered, key),
+            }
         }
         self.positions += windows;
         self.sequences += 1;
@@ -138,92 +180,175 @@ impl KmerIndex {
     /// visited, so the cost does not grow with the index. Removing a key
     /// that is not indexed changes nothing.
     pub fn remove<'a>(&mut self, key: u64, seq: impl Into<DnaView<'a>>) {
+        let seq = seq.into();
         let mut own = Vec::new();
-        seq.into().for_each_kmer(self.k, |_, km| own.push(km));
+        seq.for_each_kmer(self.k, |_, km| own.push(km));
         let windows = own.len();
-        let present = if own.is_empty() {
-            remove_sorted(&mut self.bare, key)
-        } else {
-            own.sort_unstable();
-            own.dedup();
-            let mut present = false;
-            for km in own {
-                let Some(list) = self.map.get_mut(&km) else { continue };
-                if remove_sorted(list, key) {
-                    present = true;
-                    if list.is_empty() {
-                        self.map.remove(&km);
-                    }
+        let mut present = false;
+        if !self.covers(seq.len(), windows) {
+            match self.expanded(seq) {
+                Some(extra) => own.extend(extra),
+                None => present = remove_sorted(&mut self.uncovered, key),
+            }
+        }
+        own.sort_unstable();
+        own.dedup();
+        for km in own {
+            let Some(list) = self.map.get_mut(&km) else { continue };
+            if remove_sorted(list, key) {
+                present = true;
+                if list.is_empty() {
+                    self.map.remove(&km);
                 }
             }
-            present
-        };
+        }
         if present {
             self.sequences = self.sequences.saturating_sub(1);
             self.positions = self.positions.saturating_sub(windows);
         }
     }
 
-    /// The posting lists of the pattern's k-mers if those cover it
-    /// completely — the condition for the index to filter soundly — with
-    /// an empty list for a k-mer no sequence has. `for_each_kmer` skips
-    /// windows holding an ambiguity code, so a pattern shorter than `k` or
-    /// with any ambiguous symbol has fewer than one k-mer per window.
-    fn covering_lists<'s>(&'s self, pattern: DnaView<'_>) -> Option<Vec<&'s [u64]>> {
-        let mut own = Vec::with_capacity((pattern.len() + 1).saturating_sub(self.k));
-        pattern.for_each_kmer(self.k, |_, km| own.push(km));
-        if pattern.len() < self.k || own.len() != pattern.len() - self.k + 1 {
+    /// The concrete k-mers of the windows of `seq` that hold an ambiguity
+    /// code — every k-mer such a window is compatible with — or `None` if
+    /// the sequence is shorter than `k` or a window stands for more than
+    /// [`MAX_EXPANSION`]. Empty for a strict sequence.
+    fn expanded(&self, seq: DnaView<'_>) -> Option<Vec<u64>> {
+        let k = self.k;
+        // Base sets as masks (A=1, C=2, G=4, T=8); a zero nibble reads as N.
+        let sets: Vec<u8> = seq.codes().map(|c| if c == 0 { 15 } else { c }).collect();
+        if sets.len() < k {
             return None;
         }
-        own.sort_unstable();
-        own.dedup();
-        Some(own.iter().map(|km| self.map.get(km).map_or(&[][..], Vec::as_slice)).collect())
+        let mut out = Vec::new();
+        let mut ambiguous = None; // the last ambiguity code's position so far
+        for (at, &set) in sets.iter().enumerate() {
+            if !set.is_power_of_two() {
+                ambiguous = Some(at);
+            }
+            // The window ending here, if it holds that code.
+            let Some(start) = at.checked_sub(k - 1) else { continue };
+            if ambiguous.is_none_or(|p| p < start) {
+                continue;
+            }
+            let mut window = vec![0u64];
+            for &set in &sets[start..=at] {
+                let bases = (0..4u64).filter(|b| set >> b & 1 == 1);
+                window =
+                    window.iter().flat_map(|&x| bases.clone().map(move |b| x << 2 | b)).collect();
+                if window.len() > MAX_EXPANSION {
+                    return None;
+                }
+            }
+            out.extend(window);
+        }
+        Some(out)
     }
 
-    /// Keys of sequences that share *every* k-mer of `pattern` (a superset
-    /// of those containing `pattern` when the pattern is strict and at
-    /// least `k` long), ascending. Returns `None` when the pattern is too
-    /// short or too ambiguous to filter, in which case the caller must
-    /// scan.
-    pub fn candidates<'a>(&self, pattern: impl Into<DnaView<'a>>) -> Option<Vec<u64>> {
-        let mut lists = self.covering_lists(pattern.into())?;
-        // Rarest first: the running result only ever shrinks, and each
-        // further list is searched, not walked.
-        lists.sort_unstable_by_key(|list| list.len());
-        let (rarest, rest) = lists.split_first()?;
-        let mut result = rarest.to_vec();
-        for list in rest {
-            if result.is_empty() {
-                break;
+    /// The posting list of `km`, empty for a k-mer no sequence has.
+    fn list(&self, km: u64) -> &[u64] {
+        self.map.get(&km).map_or(&[][..], Vec::as_slice)
+    }
+
+    /// The lists that decide `pattern`'s candidates among the covered
+    /// sequences, or `None` if they cannot: the pattern holds an ambiguity
+    /// code, is empty, or is more than [`MAX_SHORTFALL`] symbols short of
+    /// `k`.
+    fn cover<'s>(&'s self, pattern: DnaView<'_>) -> Option<Cover<'s>> {
+        let (k, m) = (self.k, pattern.len());
+        if m >= k {
+            let mut own = Vec::with_capacity(m - k + 1);
+            pattern.for_each_kmer(k, |_, km| own.push(km));
+            if !self.covers(m, own.len()) {
+                return None;
             }
-            // Both sides ascend, so each search starts where the last ended.
-            let mut from = 0;
-            result.retain(|key| match list[from..].binary_search(key) {
-                Ok(at) => {
-                    from += at + 1;
-                    true
-                }
-                Err(at) => {
-                    from += at;
-                    false
-                }
-            });
+            own.sort_unstable();
+            own.dedup();
+            return Some(Cover::Every(own.into_iter().map(|km| self.list(km)).collect()));
         }
-        Some(result)
+        let short = k - m;
+        if m == 0 || short > MAX_SHORTFALL {
+            return None;
+        }
+        let mut packed = None;
+        pattern.for_each_kmer(m, |_, km| packed = Some(km));
+        let packed = packed?;
+        // The pattern at offset `j` of a window: any `j` bases before it,
+        // any `short - j` after; first base highest.
+        let mut covering = Vec::with_capacity((short + 1) << (2 * short));
+        for j in 0..=short {
+            let after = short - j;
+            for before in 0..1u64 << (2 * j) {
+                let middle = ((before << (2 * m)) | packed) << (2 * after);
+                covering.extend((0..1u64 << (2 * after)).map(|tail| middle | tail));
+            }
+        }
+        covering.sort_unstable();
+        covering.dedup();
+        Some(Cover::Any(covering.into_iter().map(|km| self.list(km)).collect()))
+    }
+
+    /// Keys of the sequences that may contain `pattern`, ascending: for a
+    /// pattern at least `k` long, those sharing *every* one of its k-mers;
+    /// for a shorter one, those holding *any* k-mer it can lie inside; and
+    /// in both cases every uncovered sequence. A superset of the sequences
+    /// containing the pattern. Returns `None` when the pattern is too
+    /// short or ambiguous to filter, in which case the caller must scan.
+    pub fn candidates<'a>(&self, pattern: impl Into<DnaView<'a>>) -> Option<Vec<u64>> {
+        let mut keys = match self.cover(pattern.into())? {
+            Cover::Every(lists) => intersect(lists),
+            Cover::Any(lists) => lists.concat(),
+        };
+        keys.extend_from_slice(&self.uncovered);
+        keys.sort_unstable();
+        keys.dedup();
+        Some(keys)
     }
 
     /// Estimated fraction of sequences matching a `contains(pattern)`
-    /// predicate: the length of the pattern's rarest posting list over the
-    /// number of sequences; 1 for a pattern [`KmerIndex::candidates`]
-    /// cannot filter. Used by the optimizer's selectivity hook (§6.5).
+    /// predicate, from list lengths alone: the pattern's rarest list (at
+    /// least `k` long) or the sum of its covering lists (shorter), plus the
+    /// uncovered sequences, over the number of sequences and at most 1 —
+    /// a bound on the share [`KmerIndex::candidates`] returns. 1 for a
+    /// pattern `candidates` cannot filter, whatever the index holds. Used by
+    /// the optimizer's selectivity hook (§6.5).
     pub fn estimate_selectivity<'a>(&self, pattern: impl Into<DnaView<'a>>) -> f64 {
+        let Some(cover) = self.cover(pattern.into()) else { return 1.0 };
         if self.sequences == 0 {
             return 0.0;
         }
-        let Some(lists) = self.covering_lists(pattern.into()) else { return 1.0 };
-        let rarest = lists.iter().map(|list| list.len()).min().unwrap_or(0);
-        (rarest as f64 / self.sequences as f64).min(1.0)
+        let listed = match cover {
+            Cover::Every(lists) => lists.iter().map(|list| list.len()).min().unwrap_or(0),
+            Cover::Any(lists) => lists.iter().map(|list| list.len()).sum(),
+        };
+        ((listed + self.uncovered.len()) as f64 / self.sequences as f64).min(1.0)
     }
+}
+
+/// The keys on every list, ascending.
+fn intersect(mut lists: Vec<&[u64]>) -> Vec<u64> {
+    // Rarest first: the running result only ever shrinks, and each further
+    // list is searched, not walked.
+    lists.sort_unstable_by_key(|list| list.len());
+    let Some((rarest, rest)) = lists.split_first() else { return Vec::new() };
+    let mut result = rarest.to_vec();
+    for list in rest {
+        if result.is_empty() {
+            break;
+        }
+        // Both sides ascend, so each search starts where the last ended.
+        let mut from = 0;
+        result.retain(|key| match list[from..].binary_search(key) {
+            Ok(at) => {
+                from += at + 1;
+                true
+            }
+            Err(at) => {
+                from += at;
+                false
+            }
+        });
+    }
+    result
 }
 
 #[cfg(test)]
@@ -259,8 +384,60 @@ mod tests {
     #[test]
     fn short_or_ambiguous_patterns_fall_back() {
         let idx = sample_index();
-        assert!(idx.candidates(&dna("ATG")).is_none(), "shorter than k");
+        assert!(idx.candidates(&dna("A")).is_none(), "three short of k");
+        assert!(idx.candidates(&dna("")).is_none(), "empty");
         assert!(idx.candidates(&dna("ATGNCC")).is_none(), "ambiguity breaks coverage");
+        assert!(idx.candidates(&dna("ANG")).is_none(), "ambiguity below k too");
+    }
+
+    #[test]
+    fn patterns_below_k_answer_from_the_covering_kmers() {
+        let idx = sample_index();
+        // One and two symbols short: every window holding the pattern.
+        assert_eq!(idx.candidates(&dna("TGG")).unwrap(), vec![1, 3]);
+        assert_eq!(idx.candidates(&dna("AA")).unwrap(), vec![1, 2, 3]);
+        assert_eq!(idx.candidates(&dna("TTT")).unwrap(), vec![1]);
+        assert_eq!(idx.candidates(&dna("GT")).unwrap(), Vec::<u64>::new());
+        // At the start and at the end of a sequence.
+        assert_eq!(idx.candidates(&dna("CCC")).unwrap(), vec![2]);
+        assert_eq!(idx.candidates(&dna("AG")).unwrap(), vec![1]);
+    }
+
+    #[test]
+    fn ambiguous_windows_are_indexed_under_every_kmer_they_match() {
+        // An ambiguity code in the subject matches any base it stands for,
+        // so the sequence can contain a pattern none of its strict windows
+        // shows.
+        let mut idx = sample_index();
+        let blurred = dna("ATGGCCNTTAAG");
+        idx.add(9, &blurred);
+        assert!(blurred.contains(&dna("ATGGCCATTAAG")));
+        assert_eq!(idx.candidates(&dna("ATGGCCATTAAG")).unwrap(), vec![9]);
+        assert_eq!(idx.candidates(&dna("CCGT")).unwrap(), vec![9]);
+        assert_eq!(idx.candidates(&dna("GT")).unwrap(), vec![9]);
+        assert_eq!(idx.indexed_positions(), 27 + 5, "strict windows only");
+        idx.remove(9, &blurred);
+        assert_eq!(idx.candidates(&dna("CCGT")).unwrap(), Vec::<u64>::new());
+        assert_eq!(idx.distinct_kmers(), sample_index().distinct_kmers());
+    }
+
+    #[test]
+    fn uncovered_sequences_are_candidates_for_every_pattern() {
+        // Shorter than k, or a window standing for more than 16 k-mers
+        // (three Ns): listed once, returned for every pattern.
+        let mut idx = sample_index();
+        let (short, murky) = (dna("GT"), dna("ATGGCCNNNTTAAG"));
+        idx.add(8, &short);
+        idx.add(9, &murky);
+        assert_eq!(idx.candidates(&dna("ATGGCCATTAAG")).unwrap(), vec![8, 9]);
+        assert_eq!(idx.candidates(&dna("GT")).unwrap(), vec![8, 9]);
+        assert_eq!(idx.candidates(&dna("ATGGCC")).unwrap(), vec![1, 3, 8, 9]);
+        // Removing takes a key out of the lists and the uncovered list.
+        idx.remove(9, &murky);
+        assert_eq!(idx.candidates(&dna("ATGGCC")).unwrap(), vec![1, 3, 8]);
+        idx.remove(8, &short);
+        assert_eq!(idx.candidates(&dna("ATGGCC")).unwrap(), vec![1, 3]);
+        assert_eq!((idx.len(), idx.indexed_positions()), (3, 27));
     }
 
     #[test]
@@ -301,9 +478,16 @@ mod tests {
         idx.add(2, &dna("CCCCCCCCAAAA"));
         idx.add(3, &dna("GGGGGGGGGGGG"));
         assert_eq!(idx.estimate_selectivity(&dna("AAAA")), 2.0 / 3.0);
-        // What `candidates` cannot filter is estimated as a full scan.
+        // Below k: the distinct covering lists' lengths summed (GGGG is
+        // both xGGG and GGGx), capped at 1.
+        assert_eq!(idx.estimate_selectivity(&dna("GGG")), 1.0 / 3.0);
         assert_eq!(idx.estimate_selectivity(&dna("AAA")), 1.0);
+        // What `candidates` cannot filter is estimated as a full scan.
+        assert_eq!(idx.estimate_selectivity(&dna("A")), 1.0);
         assert_eq!(idx.estimate_selectivity(&dna("AAAANAAAA")), 1.0);
+        // Uncovered sequences are counted for every pattern.
+        idx.add(4, &dna("CCNNNCC"));
+        assert_eq!(idx.estimate_selectivity(&dna("GGGG")), 2.0 / 4.0);
     }
 
     #[test]
@@ -323,9 +507,11 @@ mod tests {
         assert!(s > 0.0 && s <= 1.0);
         // A pattern with an absent k-mer estimates zero.
         assert_eq!(idx.estimate_selectivity(&dna("TTTTGGGG")), 0.0);
-        // An unfilterable pattern estimates 1.
+        // An unfilterable pattern estimates 1, on an empty index too.
         assert_eq!(idx.estimate_selectivity(&dna("NNNNNN")), 1.0);
         assert_eq!(KmerIndex::new(4).estimate_selectivity(&dna("ATGC")), 0.0);
+        assert_eq!(KmerIndex::new(4).estimate_selectivity(&dna("AT")), 0.0);
+        assert_eq!(KmerIndex::new(4).estimate_selectivity(&dna("A")), 1.0);
     }
 
     #[test]

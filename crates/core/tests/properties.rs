@@ -286,27 +286,34 @@ proptest! {
         prop_assert_eq!(sa.contains(pat.as_bytes()), text.contains(&pat));
     }
 
+    /// Subjects mix strict and IUPAC text, so some are covered by their
+    /// k-mers and some are not; patterns run from far below `k` to past it.
     #[test]
     fn kmer_index_has_no_false_negatives(
-        seqs in proptest::collection::vec(dna_text(), 1..12),
-        pat in proptest::collection::vec(proptest::sample::select(vec!['A', 'C', 'G', 'T']), 6..12),
+        seqs in proptest::collection::vec(prop_oneof![dna_text(), iupac_text()], 1..12),
+        pat in proptest::collection::vec(proptest::sample::select(vec!['A', 'C', 'G', 'T']), 1..12),
     ) {
+        const K: usize = 5;
         let pat: String = pat.into_iter().collect();
         let pattern = DnaSeq::from_text(&pat).unwrap();
-        let mut index = KmerIndex::new(5);
+        let mut index = KmerIndex::new(K);
         let parsed: Vec<DnaSeq> = seqs.iter().map(|s| DnaSeq::from_text(s).unwrap()).collect();
         for (i, s) in parsed.iter().enumerate() {
             index.add(i as u64, s);
         }
         let candidates = index.candidates(&pattern);
-        prop_assert_eq!(&candidates, &reference::kmer_candidates(&parsed, &pattern, 5));
+        prop_assert_eq!(&candidates, &reference::kmer_candidates(&parsed, &pattern, K));
+        prop_assert_eq!(candidates.is_some(), pattern.len() + 2 >= K);
         if let Some(candidates) = candidates {
             for (i, s) in parsed.iter().enumerate() {
+                let found = candidates.contains(&(i as u64));
                 if s.contains(&pattern) {
-                    prop_assert!(
-                        candidates.contains(&(i as u64)),
-                        "false negative for sequence {i}"
-                    );
+                    prop_assert!(found, "false negative for sequence {}", i);
+                }
+                // Below k, a strict sequence at least k long is a candidate
+                // exactly when it contains the pattern.
+                if pattern.len() < K && s.len() >= K && s.is_strict() {
+                    prop_assert_eq!(found, s.contains(&pattern), "sequence {}", i);
                 }
             }
         }
@@ -327,22 +334,41 @@ proptest! {
         ),
     ) {
         // Keys come out of order, are reused after removal, and are removed
-        // when absent; the model keeps each present key's sequence.
+        // when absent. The model keeps each present key's sequence and what
+        // the index should hold for it: every concrete k-mer some window
+        // matches (an ambiguity code matches each base it stands for), or,
+        // for a sequence shorter than k or with a window standing for more
+        // than 16 k-mers, its strict windows and a place among the
+        // uncovered, which are candidates for every pattern.
         let windows = |s: &DnaSeq| kmers(s, k).into_iter().map(|(_, km)| km);
+        let kmer_seq = |km: u64| DnaSeq::from_bases(&unpack_kmer(km, k));
+        let all_kmers: Vec<(u64, DnaSeq)> = (0..1u64 << (2 * k)).map(|km| (km, kmer_seq(km))).collect();
+        let entry = |s: DnaSeq| -> (DnaSeq, std::collections::BTreeSet<u64>, bool) {
+            let fans = |w: &[IupacDna]| w.iter().map(|c| c.cardinality()).product::<u32>();
+            let symbols: Vec<IupacDna> = (0..s.len()).map(|i| s.get(i).unwrap()).collect();
+            let covered = s.len() >= k && symbols.windows(k).all(|w| fans(w) <= 16);
+            let held = if covered {
+                all_kmers.iter().filter(|(_, x)| s.contains(x)).map(|(km, _)| *km).collect()
+            } else {
+                windows(&s).collect()
+            };
+            (s, held, covered)
+        };
         let mut index = KmerIndex::new(k);
-        let mut model: std::collections::BTreeMap<u64, DnaSeq> = Default::default();
+        let mut model: std::collections::BTreeMap<u64, (DnaSeq, std::collections::BTreeSet<u64>, bool)> =
+            Default::default();
         for (op, key, text) in ops {
             let seq = DnaSeq::from_text(&text.into_iter().collect::<String>()).unwrap();
-            match (op, model.get(&key).cloned()) {
+            match (op, model.get(&key).map(|(old, ..)| old.clone())) {
                 (0, Some(old)) => {
                     // Replacing: remove, then add under the same key.
                     index.remove(key, &old);
                     index.add(key, &seq);
-                    model.insert(key, seq);
+                    model.insert(key, entry(seq));
                 }
                 (0, None) | (1, None) => {
                     index.add(key, &seq);
-                    model.insert(key, seq);
+                    model.insert(key, entry(seq));
                 }
                 (_, Some(old)) => {
                     index.remove(key, &old);
@@ -359,32 +385,54 @@ proptest! {
                 }
             }
             prop_assert_eq!(index.len(), model.len());
-            prop_assert_eq!(index.indexed_positions(), model.values().map(|s| kmers(s, k).len()).sum::<usize>());
-            let distinct: std::collections::BTreeSet<u64> = model.values().flat_map(windows).collect();
+            prop_assert_eq!(
+                index.indexed_positions(),
+                model.values().map(|(s, ..)| kmers(s, k).len()).sum::<usize>()
+            );
+            let distinct: std::collections::BTreeSet<u64> =
+                model.values().flat_map(|(_, held, _)| held.iter().copied()).collect();
             prop_assert_eq!(index.distinct_kmers(), distinct.len());
         }
+        // A covered sequence is a candidate if it holds every k-mer of a
+        // pattern at least k long, or, for a strict pattern at most two
+        // short, any of the k-mers the pattern occurs in; an uncovered one
+        // always is.
+        let holders = |km: u64| model.values().filter(|(_, held, _)| held.contains(&km)).count();
+        let loose = model.values().filter(|(.., covered)| !covered).count();
         for text in patterns {
             let pattern = DnaSeq::from_text(&text.into_iter().collect::<String>()).unwrap();
             let own: Vec<u64> = windows(&pattern).collect();
-            let covered = pattern.len() >= k && own.len() == pattern.len() - k + 1;
-            let holders = |km: u64| -> Vec<u64> {
-                model.iter().filter(|(_, s)| windows(s).any(|w| w == km)).map(|(key, _)| *key).collect()
+            let m = pattern.len();
+            let every = m >= k && own.len() == m - k + 1;
+            let covering: Vec<u64> = if m < k && m + 2 >= k && pattern.is_strict() {
+                all_kmers.iter().filter(|(_, x)| x.contains(&pattern)).map(|(km, _)| *km).collect()
+            } else {
+                Vec::new()
             };
-            let want: Option<Vec<u64>> = covered.then(|| {
+            let filterable = every || !covering.is_empty();
+            let want: Option<Vec<u64>> = filterable.then(|| {
                 model
                     .iter()
-                    .filter(|(_, s)| own.iter().all(|km| windows(s).any(|w| w == *km)))
+                    .filter(|(_, (_, held, covered))| {
+                        !covered
+                            || (every && own.iter().all(|km| held.contains(km)))
+                            || covering.iter().any(|km| held.contains(km))
+                    })
                     .map(|(key, _)| *key)
                     .collect()
             });
             prop_assert_eq!(index.candidates(&pattern), want, "pattern {}", pattern.to_text());
-            let selectivity = if model.is_empty() {
-                0.0
-            } else if !covered {
+            let selectivity = if !filterable {
                 1.0
+            } else if model.is_empty() {
+                0.0
             } else {
-                let rarest = own.iter().map(|&km| holders(km).len()).min().unwrap_or(0);
-                rarest as f64 / model.len() as f64
+                let listed = if every {
+                    own.iter().map(|&km| holders(km)).min().unwrap_or(0)
+                } else {
+                    covering.iter().map(|&km| holders(km)).sum()
+                };
+                ((listed + loose) as f64 / model.len() as f64).min(1.0)
             };
             prop_assert_eq!(index.estimate_selectivity(&pattern), selectivity);
         }

@@ -7,6 +7,7 @@
 
 use genalg_core::align::{local_align_dna, NucleotideScore};
 use genalg_core::alphabet::{DnaBase, IupacDna};
+use genalg_core::seq::ops::unpack_kmer;
 use genalg_core::seq::DnaSeq;
 
 fn symbols(seq: &DnaSeq) -> impl DoubleEndedIterator<Item = IupacDna> + '_ {
@@ -110,20 +111,62 @@ pub fn kmers(seq: &DnaSeq, k: usize) -> Vec<(usize, u64)> {
     out
 }
 
-/// The k-mer filter with no index: the positions of the fragments that
-/// hold every k-mer of `pattern`, each fragment's k-mers listed afresh, or
-/// `None` when the pattern's k-mers do not cover it (shorter than `k`, or
-/// a window with an ambiguity code).
+/// The concrete k-mers the k-windows of `frag` holding an ambiguity code
+/// stand for: each such window multiplied out over the bases its symbols
+/// are compatible with. `None` if `frag` is shorter than `k` or a window
+/// stands for more than 16.
+fn ambiguous_window_kmers(frag: &DnaSeq, k: usize) -> Option<Vec<u64>> {
+    let symbols: Vec<IupacDna> = symbols(frag).collect();
+    let mut out = Vec::new();
+    for window in symbols.windows(k).filter(|w| !w.iter().all(|s| s.is_unambiguous())) {
+        let mut expanded = vec![0u64];
+        for symbol in window {
+            let bases = DnaBase::ALL.iter().filter(|b| symbol.compatible(IupacDna::from_base(**b)));
+            expanded = expanded
+                .iter()
+                .flat_map(|&x| bases.clone().map(move |b| (x << 2) | u64::from(b.code())))
+                .collect();
+        }
+        if expanded.len() > 16 {
+            return None;
+        }
+        out.extend(expanded);
+    }
+    (symbols.len() >= k).then_some(out)
+}
+
+/// The k-mer filter with no index, each fragment's k-mers listed afresh:
+/// the positions of the fragments that may contain `pattern`. A fragment
+/// holds its strict windows' k-mers and the k-mers its ambiguous windows
+/// stand for. One shorter than `k`, or with a window standing for more
+/// than 16 k-mers, always may contain the pattern. Any other may if it
+/// holds every k-mer of a pattern at least `k` long, or a k-mer that a
+/// shorter pattern, at most two symbols short, occurs in. `None` when the
+/// pattern cannot be filtered: ambiguous, empty or further below `k`.
 pub fn kmer_candidates(frags: &[DnaSeq], pattern: &DnaSeq, k: usize) -> Option<Vec<u64>> {
-    let own: Vec<u64> = kmers(pattern, k).into_iter().map(|(_, km)| km).collect();
-    if pattern.len() < k || own.len() != pattern.len() - k + 1 {
+    let m = pattern.len();
+    if m == 0 || m + 2 < k || !is_strict(pattern) {
         return None;
     }
-    let holds_all = |frag: &DnaSeq| {
-        let held = kmers(frag, k);
-        own.iter().all(|km| held.iter().any(|(_, w)| w == km))
+    let own: Vec<u64> = kmers(pattern, k).into_iter().map(|(_, km)| km).collect();
+    let may_contain = |frag: &DnaSeq| {
+        let mut held: Vec<u64> = kmers(frag, k).into_iter().map(|(_, km)| km).collect();
+        if frag.len() < k || held.len() != frag.len() - k + 1 {
+            match ambiguous_window_kmers(frag, k) {
+                Some(extra) => held.extend(extra),
+                None => return true,
+            }
+        }
+        if m >= k {
+            own.iter().all(|km| held.contains(km))
+        } else {
+            held.iter().any(|&km| {
+                let bases = unpack_kmer(km, k);
+                find_from(&DnaSeq::from_bases(&bases), pattern, 0).is_some()
+            })
+        }
     };
-    Some((0..frags.len()).filter(|&i| holds_all(&frags[i])).map(|i| i as u64).collect())
+    Some((0..frags.len()).filter(|&i| may_contain(&frags[i])).map(|i| i as u64).collect())
 }
 
 pub fn to_text(seq: &DnaSeq) -> String {

@@ -244,8 +244,12 @@ impl Adapter {
         })
     }
 
-    /// Attach a k-mer access method to `table.column` (a `dna` column), so
-    /// `contains(column, pattern)` predicates probe the index.
+    /// Attach a k-mer access method with word size `k` to `table.column`,
+    /// so `contains(column, pattern)` predicates probe the index. The index
+    /// is built in bulk from the rows already there. Fails with
+    /// [`DbError::TypeMismatch`] unless the column is declared `dna`;
+    /// panics, as [`KmerIndex::new`] does, unless `k` is in
+    /// 1..=[`KmerIndex::MAX_K`].
     pub fn attach_kmer_index(
         &self,
         db: &Database,
@@ -412,6 +416,18 @@ impl KmerAccessMethod {
 impl AccessMethod for KmerAccessMethod {
     fn name(&self) -> &str {
         "kmer"
+    }
+
+    fn indexes(&self, ty: DataType) -> bool {
+        ty == DataType::Opaque(self.adapter.types.dna())
+    }
+
+    fn build(&mut self, rows: &[(Rid, Datum)]) {
+        // Every stored payload is indexed where it lies, as on insert.
+        let seqs = rows
+            .iter()
+            .filter_map(|(rid, value)| Some((rid_key(*rid), self.adapter.dna_payload(value)?)));
+        self.index = KmerIndex::build(self.index.k(), seqs);
     }
 
     fn on_insert(&mut self, rid: Rid, value: &Datum) {
@@ -1237,6 +1253,102 @@ mod tests {
             compared += rows(&plain).len();
         }
         assert!(compared > 100, "only {compared} rows compared");
+    }
+
+    /// The k-mer index reads `dna` payloads only, so attached to a column of
+    /// another type it would hold nothing and estimate 0: a query that
+    /// finds rows without it, or fails without it, would return no rows
+    /// with it. The attach is refused instead, and both queries answer as
+    /// before.
+    #[test]
+    fn attaching_the_kmer_index_to_a_text_column_fails_and_leaves_the_query_alone() {
+        let (db, adapter) = setup();
+        db.execute("CREATE TABLE t (id INT, s TEXT)").unwrap();
+        db.execute("CREATE TABLE u (id INT, s TEXT)").unwrap();
+        let frags = fragments(200);
+        let rows = |text: &dyn Fn(usize) -> String| -> String {
+            (0..frags.len()).map(|i| format!("({i}, '{}')", text(i))).collect::<Vec<_>>().join(",")
+        };
+        db.execute(&format!("INSERT INTO t VALUES {}", rows(&|i| frags[i].to_text()))).unwrap();
+        db.execute(&format!("INSERT INTO u VALUES {}", rows(&|i| format!("row {i}")))).unwrap();
+        let found = "SELECT id FROM t WHERE contains(s, 'ATTGCCATAGGC')";
+        let failing = "SELECT id FROM u WHERE contains(s, 'ATGGCCATTAAG')";
+        let outcome = |sql: &str| db.execute(sql).map(|r| r.rows).map_err(|e| e.to_string());
+        let before = (outcome(found), outcome(failing));
+        assert_eq!(before.0.as_ref().map(Vec::len), Ok(20));
+        let error = before.1.as_ref().unwrap_err();
+        assert!(error.contains("no overload accepts (string, string)"), "{error}");
+
+        for table in ["t", "u"] {
+            let refused = adapter.attach_kmer_index(&db, table, "s", 8).unwrap_err();
+            assert!(matches!(refused, DbError::TypeMismatch(_)), "{refused}");
+        }
+        assert_eq!((outcome(found), outcome(failing)), before);
+        let plan = db.execute(&format!("EXPLAIN {found}")).unwrap().explain.unwrap();
+        assert!(!plan.contains("UdiScan"), "{plan}");
+    }
+
+    /// The index built at attach time sees the heap as it is, not as it was
+    /// loaded: on a durable table with deleted rows, rows rewritten in
+    /// place, a checkpoint and a replayed WAL tail, `contains` answers
+    /// through the index exactly as the scan did before it was attached —
+    /// an ambiguous subject and one shorter than k included.
+    #[test]
+    fn an_index_attached_after_recovery_answers_as_the_scan_did() {
+        let dir = std::env::temp_dir()
+            .join(format!("genalg-adapter-kmer-recovered-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            let db = Database::open(&dir).unwrap();
+            let adapter = Adapter::install(&db).unwrap();
+            db.recover().unwrap();
+            (db, adapter)
+        };
+        let blurred = "CCCCCCCCATGGCCNTTAAGGGGGGGGG";
+        let planted = "ACGTTGCAAGGCATTGCCATAGGCTTACGATCGGATCCAAGCTTGCATGCCTGCAGGTCG";
+        {
+            let (db, _) = open();
+            let mut frags = fragments(400);
+            frags[3] = DnaSeq::from_text(blurred).unwrap();
+            load_fragments(&db, &frags);
+            db.execute("DELETE FROM frags WHERE id % 5 = 0").unwrap();
+            // Same length: rewritten in place, keeping its rid.
+            db.execute(&format!("UPDATE frags SET s = dna('{planted}') WHERE id % 7 = 1")).unwrap();
+            db.execute("INSERT INTO frags VALUES (500, dna('GATTACA')), (501, dna('GCCATTAA'))")
+                .unwrap();
+            db.checkpoint().unwrap();
+            // The WAL tail, replayed on top of the snapshot.
+            db.execute("DELETE FROM frags WHERE id % 5 = 1").unwrap();
+            db.execute("UPDATE frags SET s = dna('TTGCCATAGGCAAGCTTGCA') WHERE id % 11 = 2")
+                .unwrap();
+            db.execute(&format!("INSERT INTO frags VALUES (502, dna('{blurred}'))")).unwrap();
+        }
+        let (db, adapter) = open();
+        let patterns = ["ATGGCCATTAAG", "ATTGCCATAGGC", "GCCATTA", "GATTACA", "CATTAA"];
+        let sql = |pattern: &str| format!("SELECT id FROM frags WHERE contains(s, '{pattern}')");
+        let plan =
+            |pattern: &str| db.execute(&format!("EXPLAIN {}", sql(pattern))).unwrap().explain;
+        let scanned: Vec<_> = patterns
+            .iter()
+            .map(|p| {
+                assert!(!plan(p).unwrap().contains("UdiScan"));
+                db.execute(&sql(p)).unwrap().rows
+            })
+            .collect();
+        adapter.attach_kmer_index(&db, "frags", "s", 8).unwrap();
+        for (pattern, scanned) in patterns.iter().zip(&scanned) {
+            let text = plan(pattern).unwrap();
+            assert!(text.contains("UdiScan"), "{pattern}: {text}");
+            assert_eq!(&db.execute(&sql(pattern)).unwrap().rows, scanned, "{pattern}");
+        }
+        for pattern in ["ATGGCCATTAAG", "GCCATTA", "CATTAA"] {
+            let found = ids(&db, &sql(pattern));
+            assert!(found.contains(&3) && found.contains(&502), "{pattern}: {found:?}");
+        }
+        assert!(ids(&db, &sql("GATTACA")).contains(&500));
+        assert!(ids(&db, &sql("ATTGCCATAGGC")).len() >= 20);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `longest_seq` reads a `dna` value's length from its header and

@@ -3,7 +3,8 @@
 //! Prints one JSON line on stdout (the committed `BENCH_align.json`) and a
 //! human summary on stderr. Every entry times the kernel and the retained
 //! reference (`crates/core/tests/reference/mod.rs`, the code the kernels
-//! replaced) over the same 20 000 fragments in this process and reports
+//! replaced; for `kmer_build`, adding one fragment at a time) over the same
+//! 20 000 fragments in this process and reports
 //! nanoseconds per nucleotide for both; `ratio` — reference ÷ kernel — is
 //! the only figure meant to be compared across captures or gated.
 //!
@@ -90,19 +91,43 @@ fn main() {
         reference_ns,
     });
 
+    // Building the k-mer index: one counting pass, lists allocated at
+    // their length, keys appended in order — against adding the fragments
+    // one at a time. The probes below run on the built index; the added
+    // one must give them the same candidates.
+    let keyed = || frags.iter().enumerate().map(|(i, f)| (i as u64, f.view()));
+    let add_each = || {
+        let mut index = KmerIndex::new(8);
+        keyed().for_each(|(key, f)| index.add(key, f));
+        index
+    };
+    let (kernel_ns, built) = best_ns(|| KmerIndex::build(8, keyed()).indexed_positions());
+    let (reference_ns, added) = best_ns(|| add_each().indexed_positions());
+    assert_eq!(built, added, "the bulk build indexed other windows than adding did");
+    entries.push(Entry {
+        name: "kmer_build",
+        what: "two-pass counting sort into exact-size posting lists vs one add per fragment",
+        nucleotides: total,
+        kernel_ns,
+        reference_ns,
+    });
+    let (index, added) = (KmerIndex::build(8, keyed()), add_each());
+
     // The k-mer index's filter: 12- to 24-mers cut from fragments, each
     // answered by intersecting posting lists, against checking every
-    // fragment for every k-mer of the pattern. Building the index is not
-    // timed. The index side takes microseconds, so it is timed over
-    // `ROUNDS` passes and divided.
+    // fragment for every k-mer of the pattern. The index side takes
+    // microseconds, so it is timed over `ROUNDS` passes and divided.
     const ROUNDS: usize = 100;
-    let mut index = KmerIndex::new(8);
-    for (i, f) in frags.iter().enumerate() {
-        index.add(i as u64, f);
-    }
     let probes: Vec<DnaSeq> = (0..10)
         .map(|i| frags[(i * 1_999 + 7) % n].subseq(30, 42 + i).expect("long enough"))
         .collect();
+    let shorts: Vec<DnaSeq> = std::iter::once(DnaSeq::from_text("GATTACA").unwrap())
+        .chain((0..9).map(|i| frags[(i * 2_003 + 11) % n].subseq(50 + i, 57 + i).expect("long")))
+        .collect();
+    for p in probes.iter().chain(&shorts) {
+        assert_eq!(index.candidates(p), added.candidates(p), "built and added indexes disagree");
+    }
+    drop(added);
     let (kernel_ns, _) = best_ns(|| {
         let rounds = (0..ROUNDS).map(|_| {
             probes
@@ -132,9 +157,6 @@ fn main() {
     // the 8-mers they can lie inside, against searching every fragment for
     // the pattern. The fragments are strict and longer than k, so the
     // candidates are exactly the fragments that contain the pattern.
-    let shorts: Vec<DnaSeq> = std::iter::once(DnaSeq::from_text("GATTACA").unwrap())
-        .chain((0..9).map(|i| frags[(i * 2_003 + 11) % n].subseq(50 + i, 57 + i).expect("long")))
-        .collect();
     let (kernel_ns, _) = best_ns(|| {
         let rounds = (0..ROUNDS).map(|_| {
             shorts.iter().map(|p| index.candidates(p).expect("one short of k").len()).sum::<usize>()

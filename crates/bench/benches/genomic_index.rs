@@ -87,19 +87,11 @@ fn bench_index_primitives(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("genomic_index/primitives");
     group.sample_size(10);
+    let keyed = || seqs.iter().enumerate().map(|(i, s)| (i as u64, s.view()));
     group.bench_function("kmer_build_1000x250", |b| {
-        b.iter(|| {
-            let mut idx = KmerIndex::new(8);
-            for (i, s) in seqs.iter().enumerate() {
-                idx.add(i as u64, s);
-            }
-            idx.distinct_kmers()
-        })
+        b.iter(|| KmerIndex::build(8, keyed()).distinct_kmers())
     });
-    let mut idx = KmerIndex::new(8);
-    for (i, s) in seqs.iter().enumerate() {
-        idx.add(i as u64, s);
-    }
+    let idx = KmerIndex::build(8, keyed());
     group.bench_function("kmer_candidates", |b| {
         b.iter(|| idx.candidates(&pattern).map_or(0, |c| c.len()))
     });

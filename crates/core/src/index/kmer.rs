@@ -58,13 +58,17 @@ const MAX_EXPANSION: usize = 16;
 /// for, so a window holding one is indexed under each concrete k-mer it is
 /// compatible with. A sequence is *covered* when every one of its windows
 /// is indexed that way: it is at least `k` long and no window stands for
-/// more than [`MAX_EXPANSION`] k-mers. The keys of the other sequences are
+/// more than `MAX_EXPANSION` (16) k-mers. The keys of the other sequences are
 /// kept in one ascending `uncovered` list. The index is *sound* as a
 /// filter: for a strict pattern of length ≥ `k − 2`, every sequence
 /// containing the pattern is returned by [`KmerIndex::candidates`] — a
 /// covered one through the lists, an uncovered one always; verification
 /// against the actual sequence removes false positives.
-#[derive(Debug, Clone)]
+///
+/// [`KmerIndex::build`] indexes a collection in bulk; [`KmerIndex::add`]
+/// and [`KmerIndex::remove`] then maintain it one sequence at a time. Both
+/// routes give equal indexes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KmerIndex {
     k: usize,
     map: KmerMap<Vec<u64>>,
@@ -113,10 +117,63 @@ fn remove_sorted(list: &mut Vec<u64>, key: u64) -> bool {
 }
 
 impl KmerIndex {
-    /// An empty index with word size `k` (1–31).
+    /// Largest word size. [`KmerIndex::build`] counts into dense tables of
+    /// 4^k cells: 65 536 at `k = 8` (about 2 MB while it runs), a million
+    /// at `k = 10` (about 32 MB).
+    pub const MAX_K: usize = 10;
+
+    /// An empty index with word size `k` (1–[`KmerIndex::MAX_K`]).
     pub fn new(k: usize) -> Self {
-        assert!((1..=31).contains(&k), "k must be in 1..=31");
+        assert!((1..=Self::MAX_K).contains(&k), "k must be in 1..={}", Self::MAX_K);
         KmerIndex { k, map: KmerMap::default(), uncovered: Vec::new(), sequences: 0, positions: 0 }
+    }
+
+    /// An index with word size `k` over `seqs`, built in bulk: equal to
+    /// [`KmerIndex::new`] followed by [`KmerIndex::add`] for every `(key,
+    /// sequence)` pair. Keys must be distinct; ascending is the cheap case,
+    /// and any other order is sorted first.
+    ///
+    /// A two-pass counting sort over the 4^k k-mers. The first pass counts,
+    /// for each k-mer, the sequences holding it — a stamp remembers the
+    /// last one counted, so a repeat within a sequence counts once. Each
+    /// list is then allocated at exactly that length, and the second pass
+    /// appends the keys, which arrive ascending.
+    pub fn build<'a>(k: usize, seqs: impl IntoIterator<Item = (u64, DnaView<'a>)>) -> Self {
+        let mut index = KmerIndex::new(k);
+        let mut seqs: Vec<(u64, DnaView<'a>)> = seqs.into_iter().collect();
+        // Stable: a run already in order costs one pass.
+        seqs.sort_by_key(|&(key, _)| key);
+        let cells = 1usize << (2 * k);
+        let (mut counts, mut stamps) = (vec![0u32; cells], vec![0u32; cells]);
+        for (ordinal, &(key, seq)) in seqs.iter().enumerate() {
+            let stamp = u32::try_from(ordinal + 1).expect("fewer than 2^32 sequences");
+            let (windows, covered) = held(k, seq, |km| {
+                let cell = km as usize;
+                if stamps[cell] != stamp {
+                    stamps[cell] = stamp;
+                    counts[cell] += 1;
+                }
+            });
+            if !covered {
+                index.uncovered.push(key);
+            }
+            index.positions += windows;
+        }
+        index.sequences = seqs.len();
+        let mut lists: Vec<Vec<u64>> =
+            counts.into_iter().map(|n| Vec::with_capacity(n as usize)).collect();
+        for &(key, seq) in &seqs {
+            // A repeat within the sequence finds its key already at the tail.
+            held(k, seq, |km| {
+                let list = &mut lists[km as usize];
+                if list.last() != Some(&key) {
+                    list.push(key);
+                }
+            });
+        }
+        let listed = lists.into_iter().enumerate().filter(|(_, list)| !list.is_empty());
+        index.map = listed.map(|(km, list)| (km as u64, list)).collect();
+        index
     }
 
     /// Word size.
@@ -145,31 +202,14 @@ impl KmerIndex {
         self.map.len()
     }
 
-    /// True if a sequence of `len` symbols that yields `windows` k-mers has
-    /// one for every window. `for_each_kmer` skips windows holding an
-    /// ambiguity code, so this holds exactly for strict sequences at least
-    /// `k` long.
-    fn covers(&self, len: usize, windows: usize) -> bool {
-        len >= self.k && windows == len - self.k + 1
-    }
-
     /// Index `seq` under `key`, which must not be indexed already; call
     /// [`KmerIndex::remove`] first when replacing. Keys may arrive in any
     /// order, but ascending keys are the cheap case.
     pub fn add<'a>(&mut self, key: u64, seq: impl Into<DnaView<'a>>) {
-        let (k, map, seq) = (self.k, &mut self.map, seq.into());
-        let mut windows = 0;
-        seq.for_each_kmer(k, |_, km| {
-            windows += 1;
-            insert_sorted(map.entry(km).or_default(), key);
-        });
-        if !self.covers(seq.len(), windows) {
-            match self.expanded(seq) {
-                Some(extra) => extra
-                    .into_iter()
-                    .for_each(|km| insert_sorted(self.map.entry(km).or_default(), key)),
-                None => insert_sorted(&mut self.uncovered, key),
-            }
+        let (windows, covered) =
+            held(self.k, seq.into(), |km| insert_sorted(self.map.entry(km).or_default(), key));
+        if !covered {
+            insert_sorted(&mut self.uncovered, key);
         }
         self.positions += windows;
         self.sequences += 1;
@@ -180,17 +220,9 @@ impl KmerIndex {
     /// visited, so the cost does not grow with the index. Removing a key
     /// that is not indexed changes nothing.
     pub fn remove<'a>(&mut self, key: u64, seq: impl Into<DnaView<'a>>) {
-        let seq = seq.into();
         let mut own = Vec::new();
-        seq.for_each_kmer(self.k, |_, km| own.push(km));
-        let windows = own.len();
-        let mut present = false;
-        if !self.covers(seq.len(), windows) {
-            match self.expanded(seq) {
-                Some(extra) => own.extend(extra),
-                None => present = remove_sorted(&mut self.uncovered, key),
-            }
-        }
+        let (windows, covered) = held(self.k, seq.into(), |km| own.push(km));
+        let mut present = !covered && remove_sorted(&mut self.uncovered, key);
         own.sort_unstable();
         own.dedup();
         for km in own {
@@ -208,42 +240,6 @@ impl KmerIndex {
         }
     }
 
-    /// The concrete k-mers of the windows of `seq` that hold an ambiguity
-    /// code — every k-mer such a window is compatible with — or `None` if
-    /// the sequence is shorter than `k` or a window stands for more than
-    /// [`MAX_EXPANSION`]. Empty for a strict sequence.
-    fn expanded(&self, seq: DnaView<'_>) -> Option<Vec<u64>> {
-        let k = self.k;
-        // Base sets as masks (A=1, C=2, G=4, T=8); a zero nibble reads as N.
-        let sets: Vec<u8> = seq.codes().map(|c| if c == 0 { 15 } else { c }).collect();
-        if sets.len() < k {
-            return None;
-        }
-        let mut out = Vec::new();
-        let mut ambiguous = None; // the last ambiguity code's position so far
-        for (at, &set) in sets.iter().enumerate() {
-            if !set.is_power_of_two() {
-                ambiguous = Some(at);
-            }
-            // The window ending here, if it holds that code.
-            let Some(start) = at.checked_sub(k - 1) else { continue };
-            if ambiguous.is_none_or(|p| p < start) {
-                continue;
-            }
-            let mut window = vec![0u64];
-            for &set in &sets[start..=at] {
-                let bases = (0..4u64).filter(|b| set >> b & 1 == 1);
-                window =
-                    window.iter().flat_map(|&x| bases.clone().map(move |b| x << 2 | b)).collect();
-                if window.len() > MAX_EXPANSION {
-                    return None;
-                }
-            }
-            out.extend(window);
-        }
-        Some(out)
-    }
-
     /// The posting list of `km`, empty for a k-mer no sequence has.
     fn list(&self, km: u64) -> &[u64] {
         self.map.get(&km).map_or(&[][..], Vec::as_slice)
@@ -258,7 +254,7 @@ impl KmerIndex {
         if m >= k {
             let mut own = Vec::with_capacity(m - k + 1);
             pattern.for_each_kmer(k, |_, km| own.push(km));
-            if !self.covers(m, own.len()) {
+            if !covers(k, m, own.len()) {
                 return None;
             }
             own.sort_unstable();
@@ -322,6 +318,71 @@ impl KmerIndex {
         };
         ((listed + self.uncovered.len()) as f64 / self.sequences as f64).min(1.0)
     }
+}
+
+/// True if a sequence of `len` symbols that yields `windows` k-mers has
+/// one for every window. `for_each_kmer` skips windows holding an
+/// ambiguity code, so this holds exactly for strict sequences at least `k`
+/// long.
+fn covers(k: usize, len: usize, windows: usize) -> bool {
+    len >= k && windows == len - k + 1
+}
+
+/// Call `f` with every k-mer `seq` is indexed under, repeats included: its
+/// strict windows', then, if those leave a window out, every concrete
+/// k-mer its ambiguous windows stand for. Returns the number of strict
+/// windows and whether the sequence is covered; an uncovered one belongs
+/// on the `uncovered` list besides its strict windows' lists.
+fn held(k: usize, seq: DnaView<'_>, mut f: impl FnMut(u64)) -> (usize, bool) {
+    let mut windows = 0;
+    seq.for_each_kmer(k, |_, km| {
+        windows += 1;
+        f(km);
+    });
+    if covers(k, seq.len(), windows) {
+        return (windows, true);
+    }
+    match expanded(k, seq) {
+        Some(extra) => {
+            extra.into_iter().for_each(f);
+            (windows, true)
+        }
+        None => (windows, false),
+    }
+}
+
+/// The concrete k-mers of the windows of `seq` that hold an ambiguity code
+/// — every k-mer such a window is compatible with — or `None` if the
+/// sequence is shorter than `k` or a window stands for more than
+/// [`MAX_EXPANSION`]. Empty for a strict sequence.
+fn expanded(k: usize, seq: DnaView<'_>) -> Option<Vec<u64>> {
+    // Base sets as masks (A=1, C=2, G=4, T=8); a zero nibble reads as N.
+    let sets: Vec<u8> = seq.codes().map(|c| if c == 0 { 15 } else { c }).collect();
+    if sets.len() < k {
+        return None;
+    }
+    let mut out = Vec::new();
+    let mut ambiguous = None; // the last ambiguity code's position so far
+    for (at, &set) in sets.iter().enumerate() {
+        if !set.is_power_of_two() {
+            ambiguous = Some(at);
+        }
+        // The window ending here, if it holds that code.
+        let Some(start) = at.checked_sub(k - 1) else { continue };
+        if ambiguous.is_none_or(|p| p < start) {
+            continue;
+        }
+        let mut window = vec![0u64];
+        for &set in &sets[start..=at] {
+            let bases = (0..4u64).filter(|b| set >> b & 1 == 1);
+            window = window.iter().flat_map(|&x| bases.clone().map(move |b| x << 2 | b)).collect();
+            if window.len() > MAX_EXPANSION {
+                return None;
+            }
+        }
+        out.extend(window);
+    }
+    Some(out)
 }
 
 /// The keys on every list, ascending.
@@ -438,6 +499,27 @@ mod tests {
         idx.remove(8, &short);
         assert_eq!(idx.candidates(&dna("ATGGCC")).unwrap(), vec![1, 3]);
         assert_eq!((idx.len(), idx.indexed_positions()), (3, 27));
+    }
+
+    #[test]
+    fn building_in_bulk_equals_adding_one_at_a_time() {
+        // Keys out of order; strict, ambiguous, short and over-ambiguous
+        // sequences, and a k-mer repeated within one sequence.
+        let seqs = [
+            (7, dna("AAAAAAAAAAAA")),
+            (2, dna("ATGGCCNTTAAG")),
+            (5, dna("GT")),
+            (1, dna("ATGGCCTTTAAG")),
+            (9, dna("ATGGCCNNNTTAAG")),
+        ];
+        let built = KmerIndex::build(4, seqs.iter().map(|(key, s)| (*key, s.view())));
+        let mut added = KmerIndex::new(4);
+        for (key, s) in &seqs {
+            added.add(*key, s);
+        }
+        assert_eq!(built, added);
+        assert_eq!(built.candidates(&dna("ATGGCC")).unwrap(), vec![1, 2, 5, 9]);
+        assert_eq!(KmerIndex::build(4, []), KmerIndex::new(4));
     }
 
     #[test]

@@ -31,6 +31,19 @@ fn iupac_text() -> impl Strategy<Value = String> {
     .prop_map(|v| v.into_iter().collect())
 }
 
+/// Subjects for the k-mer index of every kind it tells apart: strict,
+/// IUPAC, shorter than any word size the tests use, and strict around a run
+/// of three `N`s (a window standing for more than 16 k-mers).
+fn kmer_subject() -> impl Strategy<Value = String> {
+    prop_oneof![
+        dna_text(),
+        iupac_text(),
+        proptest::collection::vec(proptest::sample::select(vec!['A', 'C', 'G', 'T']), 0..2)
+            .prop_map(|v| v.into_iter().collect::<String>()),
+        (dna_text(), dna_text()).prop_map(|(a, b)| format!("{a}NNN{b}")),
+    ]
+}
+
 fn rna_text() -> impl Strategy<Value = String> {
     proptest::collection::vec(proptest::sample::select(vec!['A', 'C', 'G', 'U']), 0..200)
         .prop_map(|v| v.into_iter().collect())
@@ -322,6 +335,12 @@ proptest! {
     #[test]
     fn kmer_index_matches_a_naive_model(
         k in 2usize..6,
+        start in proptest::collection::vec(
+            (0u64..16, proptest::collection::vec(
+                proptest::sample::select(vec!['A', 'C', 'G', 'T', 'A', 'N']), 0..24,
+            )),
+            0..12,
+        ),
         ops in proptest::collection::vec(
             (0u8..3, 0u64..16, proptest::collection::vec(
                 proptest::sample::select(vec!['A', 'C', 'G', 'T', 'A', 'N']), 0..24,
@@ -354,9 +373,20 @@ proptest! {
             };
             (s, held, covered)
         };
-        let mut index = KmerIndex::new(k);
         let mut model: std::collections::BTreeMap<u64, (DnaSeq, std::collections::BTreeSet<u64>, bool)> =
             Default::default();
+        // The starting state is built in bulk, from keys out of order; a
+        // key drawn twice keeps its first sequence.
+        let mut loaded: Vec<(u64, DnaSeq)> = Vec::new();
+        for (key, text) in start {
+            if model.contains_key(&key) {
+                continue;
+            }
+            let seq = DnaSeq::from_text(&text.into_iter().collect::<String>()).unwrap();
+            model.insert(key, entry(seq.clone()));
+            loaded.push((key, seq));
+        }
+        let mut index = KmerIndex::build(k, loaded.iter().map(|(key, s)| (*key, s.view())));
         for (op, key, text) in ops {
             let seq = DnaSeq::from_text(&text.into_iter().collect::<String>()).unwrap();
             match (op, model.get(&key).map(|(old, ..)| old.clone())) {
@@ -435,6 +465,68 @@ proptest! {
                 ((listed + loose) as f64 / model.len() as f64).min(1.0)
             };
             prop_assert_eq!(index.estimate_selectivity(&pattern), selectivity);
+        }
+    }
+
+    /// `KmerIndex::build` over keys in any order gives the index that adding
+    /// the same sequences one at a time gives, and the two stay equal
+    /// through a further run of adds, replacements and removes.
+    #[test]
+    fn kmer_index_built_in_bulk_equals_one_added_at_a_time(
+        k in 2usize..9,
+        seqs in proptest::collection::vec(kmer_subject(), 0..16),
+        scramble in any::<u64>(),
+        tail in proptest::collection::vec((any::<bool>(), 0u64..24, kmer_subject()), 0..16),
+        patterns in proptest::collection::vec(
+            proptest::collection::vec(proptest::sample::select(vec!['A', 'C', 'G', 'T']), 1..12),
+            1..8,
+        ),
+    ) {
+        // Slot `i`'s key: distinct for distinct slots, in no particular order.
+        let key = |slot: u64| slot.wrapping_mul(scramble | 1) ^ scramble.rotate_left(17);
+        let parsed = |text: &str| DnaSeq::from_text(text).unwrap();
+        let mut present: std::collections::BTreeMap<u64, DnaSeq> = (0u64..)
+            .zip(&seqs)
+            .map(|(slot, text)| (key(slot), parsed(text)))
+            .collect();
+        let mut built = KmerIndex::build(k, present.iter().rev().map(|(&key, s)| (key, s.view())));
+        let mut added = KmerIndex::new(k);
+        for (slot, text) in (0u64..).zip(&seqs) {
+            added.add(key(slot), &parsed(text));
+        }
+        let patterns: Vec<DnaSeq> =
+            patterns.into_iter().map(|p| parsed(&p.into_iter().collect::<String>())).collect();
+        let same = |built: &KmerIndex, added: &KmerIndex| {
+            assert_eq!(built, added);
+            assert_eq!(
+                (built.len(), built.indexed_positions(), built.distinct_kmers()),
+                (added.len(), added.indexed_positions(), added.distinct_kmers())
+            );
+            for pattern in &patterns {
+                assert_eq!(built.candidates(pattern), added.candidates(pattern));
+                assert_eq!(built.estimate_selectivity(pattern), added.estimate_selectivity(pattern));
+            }
+        };
+        same(&built, &added);
+        for (insert, slot, text) in tail {
+            let (key, seq) = (key(slot), parsed(&text));
+            for index in [&mut built, &mut added] {
+                match (insert, present.get(&key)) {
+                    (true, Some(old)) => {
+                        index.remove(key, old);
+                        index.add(key, &seq);
+                    }
+                    (true, None) => index.add(key, &seq),
+                    (false, Some(old)) => index.remove(key, old),
+                    (false, None) => index.remove(key, &seq),
+                }
+            }
+            if insert {
+                present.insert(key, seq);
+            } else {
+                present.remove(&key);
+            }
+            same(&built, &added);
         }
     }
 
@@ -573,6 +665,14 @@ proptest! {
             }
         }
     }
+}
+
+/// A word size past `KmerIndex::MAX_K` is refused: the bulk build counts
+/// into tables of 4^k cells.
+#[test]
+#[should_panic(expected = "k must be in 1..=10")]
+fn kmer_index_refuses_a_word_size_past_max_k() {
+    KmerIndex::new(KmerIndex::MAX_K + 1);
 }
 
 /// The cases the issue names, spelled out: empty pattern, a match at the

@@ -749,7 +749,9 @@ impl Database {
     }
 
     /// Attach a user-defined index access method to `table.column` (§6.5),
-    /// backfilling it from existing rows.
+    /// built from the column's existing rows by one [`AccessMethod::build`]
+    /// call, rids ascending. Fails with [`DbError::TypeMismatch`] if the
+    /// method does not index the column's declared type.
     pub fn register_access_method(
         &self,
         table: &str,
@@ -762,15 +764,24 @@ impl Database {
         let col_idx = def
             .column_index(column)
             .ok_or(DbError::NotFound { kind: "column", name: column.into() })?;
+        let ty = def.columns[col_idx].ty;
+        if !method.indexes(ty) {
+            return Err(DbError::TypeMismatch(format!(
+                "access method {} cannot index {table}.{column} of type {ty}",
+                method.name()
+            )));
+        }
         let column = column.to_ascii_lowercase();
         let storage = inner
             .tables
             .get_mut(&table_id)
             .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        storage.for_each_row(&mut |rid, row| {
-            method.on_insert(rid, &row[col_idx]);
+        let mut rows = Vec::new();
+        storage.for_each_row(&mut |rid, mut row| {
+            rows.push((rid, row.swap_remove(col_idx)));
             Ok(())
         })?;
+        method.build(&rows);
         storage.udis.insert(column, method);
         Ok(())
     }

@@ -3,16 +3,18 @@
 //! "As we add the ability to store genomic data, a need arises for indexing
 //! these data by using domain-specific indexing techniques. The DBMS must
 //! then offer a mechanism to integrate these user-defined index
-//! structures." This trait is that mechanism: an access method maintains
-//! itself on every insert/delete of the indexed column and may volunteer to
-//! answer a *function predicate* (e.g. `contains(seq, pattern)`) with a
-//! candidate rid list plus a selectivity estimate for the optimizer.
+//! structures." This trait is that mechanism: an access method is built
+//! in bulk from the indexed column's existing rows when it is attached,
+//! maintains itself on every insert/delete of the column after that, and
+//! may volunteer to answer a *function predicate* (e.g. `contains(seq,
+//! pattern)`) with a candidate rid list plus a selectivity estimate for the
+//! optimizer.
 //!
 //! The contract is filter-semantics: a probe may return false positives
 //! (the executor re-checks the predicate on each candidate row) but must
 //! never miss a true match.
 
-use crate::datum::Datum;
+use crate::datum::{DataType, Datum};
 use crate::storage::heap::Rid;
 
 /// A pluggable domain index over one column of one table.
@@ -22,6 +24,24 @@ use crate::storage::heap::Rid;
 pub trait AccessMethod: Send + Sync {
     /// Name for EXPLAIN output and diagnostics.
     fn name(&self) -> &str;
+
+    /// Can this method index a column declared with type `ty`? Asked once,
+    /// when the method is attached; a method that answers no is refused.
+    fn indexes(&self, ty: DataType) -> bool {
+        let _ = ty;
+        true
+    }
+
+    /// Fill the index from the indexed column's existing rows, `(rid,
+    /// value)` in ascending rid order. Called once, on a method that holds
+    /// nothing yet; it is the one way an attached method is built. The
+    /// default inserts the rows one at a time; a method that can build in
+    /// bulk overrides it.
+    fn build(&mut self, rows: &[(Rid, Datum)]) {
+        for (rid, value) in rows {
+            self.on_insert(*rid, value);
+        }
+    }
 
     /// Maintain the index on insert of a row (called with the indexed
     /// column's value).

@@ -15,9 +15,12 @@
 //!    site's literal arguments when it compiles the statement, the
 //!    operator is resolved and the literals prepared once, and each row
 //!    then reaches the algebra as the stored payload it is;
-//! 3. offers [`Adapter::attach_kmer_index`] to plug the k-mer index in as a
-//!    **user-defined access method** (§6.5) so `contains` predicates become
-//!    index probes instead of full scans.
+//! 3. registers the k-mer index as the **domain index kind** `kmer` (§6.5):
+//!    `CREATE INDEX ON t USING kmer (seq) WITH (k = 8)` (or
+//!    [`Adapter::attach_kmer_index`]) makes `contains` predicates index
+//!    probes instead of full scans. The engine catalogues, logs and
+//!    recovers the index like a B-tree, so a durable database reopened with
+//!    the adapter installed answers through it again.
 //!
 //! The adapter is the *only* component that knows both worlds; neither
 //! `genalg-core` nor `unidb` references the other.
@@ -29,9 +32,10 @@ use genalg_core::index::KmerIndex;
 use genalg_core::seq::{DnaSeq, DnaView};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+use unidb::sql::ast::Stmt;
 use unidb::storage::heap::Rid;
 use unidb::{
-    AccessMethod, BoundScalarFn, DataType, Database, Datum, DbError, DbResult, ScalarBinder,
+    AccessMethod, BoundScalarFn, DataType, Database, Datum, DbError, DbResult, Role, ScalarBinder,
 };
 
 /// Opaque type ids assigned by the engine, keyed by sort.
@@ -143,6 +147,14 @@ impl Adapter {
                 Arc::new(move || Box::new(LongestSeq { adapter: glue.clone(), best: None })),
             )?;
         }
+        let glue = adapter.clone();
+        db.register_index_kind(
+            "kmer",
+            Arc::new(move |params: &[(String, Datum)]| {
+                let index = KmerIndex::new(kmer_word_size(params)?);
+                Ok(Box::new(KmerAccessMethod { adapter: glue.clone(), index }) as Box<_>)
+            }),
+        )?;
         Ok(adapter)
     }
 
@@ -244,11 +256,12 @@ impl Adapter {
         })
     }
 
-    /// Attach a k-mer access method with word size `k` to `table.column`,
-    /// so `contains(column, pattern)` predicates probe the index. The index
-    /// is built in bulk from the rows already there. Fails with
-    /// [`DbError::TypeMismatch`] unless the column is declared `dna`;
-    /// panics, as [`KmerIndex::new`] does, unless `k` is in
+    /// `CREATE INDEX ON table USING kmer (column) WITH (k = k)`, run as the
+    /// maintainer: `contains(column, pattern)` predicates then probe the
+    /// index, built in bulk from the rows already there. An unqualified
+    /// `table` names the one table of that name in any space. Fails with
+    /// [`DbError::TypeMismatch`] unless the column is declared `dna`, and
+    /// with [`DbError::Constraint`] unless `k` is in
     /// 1..=[`KmerIndex::MAX_K`].
     pub fn attach_kmer_index(
         &self,
@@ -257,8 +270,34 @@ impl Adapter {
         column: &str,
         k: usize,
     ) -> DbResult<()> {
-        let method = KmerAccessMethod { adapter: self.clone(), index: KmerIndex::new(k) };
-        db.register_access_method(table, column, Box::new(method))
+        let suffix = format!(".{}", table.to_ascii_lowercase());
+        let mut spaces = db.table_names().into_iter().filter(|name| name.ends_with(&suffix));
+        let table = match (table.contains('.'), spaces.next(), spaces.next()) {
+            (false, Some(qualified), None) => qualified,
+            _ => table.to_string(),
+        };
+        let k = Datum::Int(i64::try_from(k).unwrap_or(i64::MAX));
+        let params = vec![("k".to_string(), k)];
+        let stmt = Stmt::CreateIndex { table, column: column.into(), kind: "kmer".into(), params };
+        db.run_stmt(None, stmt, &Role::Maintainer).map(|_| ())
+    }
+}
+
+/// The word size a `kmer` index is declared with: `WITH (k = n)`, `n` an
+/// integer in 1..=[`KmerIndex::MAX_K`].
+fn kmer_word_size(params: &[(String, Datum)]) -> DbResult<usize> {
+    let bound = format!("1..={}", KmerIndex::MAX_K);
+    match params {
+        [(name, Datum::Int(k))] if name == "k" => usize::try_from(*k)
+            .ok()
+            .filter(|k| (1..=KmerIndex::MAX_K).contains(k))
+            .ok_or_else(|| DbError::Constraint(format!("kmer index: k = {k} is outside {bound}"))),
+        [(name, other)] if name == "k" => Err(DbError::Constraint(format!(
+            "kmer index: k must be an integer in {bound}, got {other}"
+        ))),
+        _ => Err(DbError::Constraint(format!(
+            "kmer index takes one parameter, WITH (k = n) for n in {bound}"
+        ))),
     }
 }
 
@@ -968,13 +1007,13 @@ mod tests {
     }
 
     /// A table the transaction wrote, or that another session committed to
-    /// after the snapshot, is dirty for the transaction. The k-mer index does
-    /// not answer there yet, so `contains` scans and checks each row against
-    /// the snapshot and the transaction's own writes: its own insert is in,
-    /// its own delete is out, the concurrent commit is invisible. After
-    /// COMMIT the table is clean again and the index answers.
+    /// after the snapshot, is dirty for the transaction. The k-mer index
+    /// still answers there, as a B-tree does: its candidates are checked
+    /// against the snapshot and the transaction's own writes are added, so
+    /// its own insert is in, its own delete is out, the concurrent commit is
+    /// invisible. After COMMIT the index answers for everyone.
     #[test]
-    fn contains_on_a_dirty_table_scans_inside_the_transaction_and_probes_after() {
+    fn contains_on_a_dirty_table_probes_the_index_inside_the_transaction_and_after() {
         let (db, adapter) = setup();
         let frags = fragments(300);
         load_fragments(&db, &frags);
@@ -999,7 +1038,7 @@ mod tests {
         inside.sort_unstable();
         assert_eq!(inside, want);
         let plan = db.txn_execute(txn, &explain).unwrap().explain.unwrap();
-        assert!(plan.contains("SeqScan") && !plan.contains("UdiScan"), "{plan}");
+        assert!(plan.contains("UdiScan"), "{plan}");
         db.txn_commit(txn).unwrap();
 
         let plan = db.execute(&explain).unwrap().explain.unwrap();
@@ -1288,67 +1327,209 @@ mod tests {
         assert!(!plan.contains("UdiScan"), "{plan}");
     }
 
-    /// The index built at attach time sees the heap as it is, not as it was
-    /// loaded: on a durable table with deleted rows, rows rewritten in
-    /// place, a checkpoint and a replayed WAL tail, `contains` answers
-    /// through the index exactly as the scan did before it was attached —
-    /// an ambiguous subject and one shorter than k included.
+    /// The k-mer index is catalogued, logged and recovered like a B-tree. It
+    /// is attached right after a recovery, on load, and a durable table then
+    /// sees deleted rows, rows rewritten in place, a checkpoint and a WAL
+    /// tail. Reopened by `recover()` alone, the database answers `contains`
+    /// through the index exactly as a twin that never had the index answers
+    /// by scanning — an ambiguous subject and one shorter than k included —
+    /// whether the index comes back from the snapshot, from the WAL tail
+    /// (attached after the checkpoint) or from the WAL alone (no checkpoint).
     #[test]
     fn an_index_attached_after_recovery_answers_as_the_scan_did() {
-        let dir = std::env::temp_dir()
+        let root = std::env::temp_dir()
             .join(format!("genalg-adapter-kmer-recovered-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let open = || {
-            let db = Database::open(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        let open = |dir: &std::path::Path| {
+            let db = Database::open(dir).unwrap();
             let adapter = Adapter::install(&db).unwrap();
             db.recover().unwrap();
             (db, adapter)
         };
         let blurred = "CCCCCCCCATGGCCNTTAAGGGGGGGGG";
         let planted = "ACGTTGCAAGGCATTGCCATAGGCTTACGATCGGATCCAAGCTTGCATGCCTGCAGGTCG";
-        {
-            let (db, _) = open();
+        // (directory, attach before the checkpoint?, checkpoint at all?)
+        let twins = [
+            ("plain", None, true),
+            ("snapshot", Some(true), true),
+            ("tail", Some(false), true),
+            ("wal", Some(true), false),
+        ];
+        for (name, attach_first, checkpoint) in twins {
+            let (db, adapter) = open(&root.join(name));
             let mut frags = fragments(400);
             frags[3] = DnaSeq::from_text(blurred).unwrap();
             load_fragments(&db, &frags);
+            let attach = || adapter.attach_kmer_index(&db, "frags", "s", 8).unwrap();
+            if attach_first == Some(true) {
+                attach();
+            }
             db.execute("DELETE FROM frags WHERE id % 5 = 0").unwrap();
             // Same length: rewritten in place, keeping its rid.
             db.execute(&format!("UPDATE frags SET s = dna('{planted}') WHERE id % 7 = 1")).unwrap();
             db.execute("INSERT INTO frags VALUES (500, dna('GATTACA')), (501, dna('GCCATTAA'))")
                 .unwrap();
-            db.checkpoint().unwrap();
+            if checkpoint {
+                db.checkpoint().unwrap();
+            }
+            if attach_first == Some(false) {
+                attach();
+            }
             // The WAL tail, replayed on top of the snapshot.
             db.execute("DELETE FROM frags WHERE id % 5 = 1").unwrap();
             db.execute("UPDATE frags SET s = dna('TTGCCATAGGCAAGCTTGCA') WHERE id % 11 = 2")
                 .unwrap();
             db.execute(&format!("INSERT INTO frags VALUES (502, dna('{blurred}'))")).unwrap();
         }
-        let (db, adapter) = open();
         let patterns = ["ATGGCCATTAAG", "ATTGCCATAGGC", "GCCATTA", "GATTACA", "CATTAA"];
         let sql = |pattern: &str| format!("SELECT id FROM frags WHERE contains(s, '{pattern}')");
-        let plan =
-            |pattern: &str| db.execute(&format!("EXPLAIN {}", sql(pattern))).unwrap().explain;
-        let scanned: Vec<_> = patterns
-            .iter()
-            .map(|p| {
-                assert!(!plan(p).unwrap().contains("UdiScan"));
-                db.execute(&sql(p)).unwrap().rows
-            })
-            .collect();
-        adapter.attach_kmer_index(&db, "frags", "s", 8).unwrap();
-        for (pattern, scanned) in patterns.iter().zip(&scanned) {
-            let text = plan(pattern).unwrap();
-            assert!(text.contains("UdiScan"), "{pattern}: {text}");
-            assert_eq!(&db.execute(&sql(pattern)).unwrap().rows, scanned, "{pattern}");
+        let plan = |db: &Database, pattern: &str| {
+            db.execute(&format!("EXPLAIN {}", sql(pattern))).unwrap().explain.unwrap()
+        };
+        let (plain, _) = open(&root.join("plain"));
+        for (name, ..) in &twins[1..] {
+            let (db, _) = open(&root.join(name));
+            for pattern in patterns {
+                assert!(plan(&db, pattern).contains("UdiScan"), "{name} {pattern}");
+                assert!(!plan(&plain, pattern).contains("UdiScan"), "{pattern}");
+                let rows = |db: &Database| db.execute(&sql(pattern)).unwrap().rows;
+                assert_eq!(rows(&db), rows(&plain), "{name} {pattern}");
+            }
+            for pattern in ["ATGGCCATTAAG", "GCCATTA", "CATTAA"] {
+                let found = ids(&db, &sql(pattern));
+                assert!(found.contains(&3) && found.contains(&502), "{pattern}: {found:?}");
+            }
+            assert!(ids(&db, &sql("GATTACA")).contains(&500));
+            assert!(ids(&db, &sql("ATTGCCATAGGC")).len() >= 20);
         }
-        for pattern in ["ATGGCCATTAAG", "GCCATTA", "CATTAA"] {
-            let found = ids(&db, &sql(pattern));
-            assert!(found.contains(&3) && found.contains(&502), "{pattern}: {found:?}");
+        drop(plain);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Plan equivalence for `contains`: with the k-mer index and without it,
+    /// every probe returns the same rows in the same order — in autocommit,
+    /// inside a clean transaction, and inside a dirty one that wrote the
+    /// table itself while other sessions deleted rows after its snapshot and
+    /// reinserted into the freed rids. Subjects include ambiguous sequences
+    /// and ones shorter than k; patterns run from above the word size to
+    /// below what the index can filter. Divergences are collected, so a
+    /// broken probe reports how many answers it changed.
+    #[test]
+    fn contains_answers_alike_with_and_without_the_index_in_every_entry() {
+        let mut frags = fragments(300);
+        frags[1] = DnaSeq::from_text("CCCCCCCCATGGCCNTTAAGGGGGGGGG").unwrap();
+        frags[2] = DnaSeq::from_text("GATTACA").unwrap();
+        frags[4] = DnaSeq::from_text("CCCCATGGCNNNTAAGCCCC").unwrap();
+        let (indexed, plain) = indexed_and_plain(&frags);
+        let patterns = [
+            "ATTGCCATAGGC",
+            "ATGGCCATTAAG",
+            "TTGCCAT",
+            "GCCATTA",
+            "CATTAA",
+            "GATTACA",
+            "ATTGC",
+            "ATTGCCATNGGC",
+        ];
+        let sql = |pattern: &str| format!("SELECT id, s FROM frags WHERE contains(s, '{pattern}')");
+        let (mut divergences, mut probed) = (Vec::new(), Vec::new());
+        let dbs = [&indexed, &plain];
+        // Every pattern on both sides, in autocommit or in the transaction
+        // each side has open.
+        let mut compare = |entry: &str, txns: Option<[u64; 2]>| {
+            let run = |side: usize, sql: &str| match txns {
+                Some(ids) => dbs[side].txn_execute(ids[side], sql),
+                None => dbs[side].execute(sql),
+            };
+            // As multisets: a dirty table's virtual page lists prior images
+            // in the order a concurrent multi-row delete applied them, which
+            // differs between two databases given the same statements.
+            let rows = |side: usize, sql: &str| {
+                run(side, sql).map(|r| {
+                    let mut rows = r.rows;
+                    rows.sort();
+                    rows
+                })
+            };
+            for pattern in patterns {
+                let (a, b) = (rows(0, &sql(pattern)), rows(1, &sql(pattern)));
+                let plan = run(0, &format!("EXPLAIN {}", sql(pattern))).unwrap().explain;
+                if plan.unwrap().contains("UdiScan") {
+                    probed.push(format!("{entry} {pattern}"));
+                }
+                if a != b {
+                    divergences.push(format!("{entry} {pattern}"));
+                }
+            }
+        };
+        compare("autocommit", None);
+        let clean = dbs.map(Database::txn_begin);
+        compare("clean transaction", Some(clean));
+        let dirty = dbs.map(Database::txn_begin);
+        // Other sessions, after the snapshot: deletes, then inserts that
+        // take the freed rids.
+        for db in dbs {
+            db.execute("DELETE FROM frags WHERE id % 4 = 0").unwrap();
+            db.execute(
+                "INSERT INTO frags VALUES (600, dna('GGGGATTGCCATAGGCGGGG')), \
+                 (601, dna('GATTACA')), (602, dna('TTTTTTTTTTTTTTTTTT'))",
+            )
+            .unwrap();
         }
-        assert!(ids(&db, &sql("GATTACA")).contains(&500));
-        assert!(ids(&db, &sql("ATTGCCATAGGC")).len() >= 20);
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
+        // The transaction's own writes.
+        for (db, id) in dbs.into_iter().zip(dirty) {
+            for write in [
+                "INSERT INTO frags VALUES (700, dna('CCATTGCCATAGGCCC')), (701, dna('CATTAA'))",
+                "DELETE FROM frags WHERE id % 10 = 5",
+                "UPDATE frags SET s = dna('ATGGCCATTAAGTT') WHERE id % 9 = 2 AND id % 4 <> 0",
+            ] {
+                db.txn_execute(id, write).unwrap();
+            }
+        }
+        compare("dirty transaction", Some(dirty));
+        for (side, db) in dbs.into_iter().enumerate() {
+            db.txn_commit(clean[side]).unwrap();
+            db.txn_commit(dirty[side]).unwrap();
+        }
+        compare("after commit", None);
+        // Six patterns are filterable; the dirty transaction probes them all.
+        let dirty_probes = probed.iter().filter(|p| p.starts_with("dirty")).count();
+        assert!(dirty_probes == 6 && probed.len() >= 20, "{probed:?}");
+        assert!(divergences.is_empty(), "{} divergences: {divergences:?}", divergences.len());
+    }
+
+    /// `USING kmer` takes exactly `k`, an integer in 1..=MAX_K; anything
+    /// else is an error naming that bound, through SQL and through
+    /// `attach_kmer_index`, and leaves no index behind.
+    #[test]
+    fn bad_kmer_word_sizes_are_errors_naming_the_bound() {
+        let (db, adapter) = setup();
+        db.execute("CREATE TABLE frags (id INT, s dna)").unwrap();
+        let bound = format!("1..={}", KmerIndex::MAX_K);
+        let too_big = KmerIndex::MAX_K + 1;
+        for with in [
+            String::new(),
+            " WITH (w = 8)".into(),
+            " WITH (k = 8, w = 2)".into(),
+            " WITH (k = 'eight')".into(),
+            " WITH (k = 2.5)".into(),
+            " WITH (k = 0)".into(),
+            " WITH (k = -3)".into(),
+            format!(" WITH (k = {too_big})"),
+        ] {
+            let err =
+                db.execute(&format!("CREATE INDEX ON frags USING kmer (s){with}")).unwrap_err();
+            assert!(matches!(err, DbError::Constraint(_)), "{with}: {err}");
+            assert!(err.to_string().contains(&bound), "{with}: {err}");
+        }
+        for k in [0, too_big, usize::MAX] {
+            let err = adapter.attach_kmer_index(&db, "frags", "s", k).unwrap_err();
+            assert!(err.to_string().contains(&bound), "{k}: {err}");
+        }
+        let explain = "EXPLAIN SELECT id FROM frags WHERE contains(s, 'ATTGCCATAGGC')";
+        assert!(!db.execute(explain).unwrap().explain.unwrap().contains("UdiScan"));
+        db.execute("CREATE INDEX ON frags USING kmer (s) WITH (k = 8)").unwrap();
+        assert!(db.execute(explain).unwrap().explain.unwrap().contains("UdiScan"));
     }
 
     /// `longest_seq` reads a `dna` value's length from its header and

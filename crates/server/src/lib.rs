@@ -812,6 +812,46 @@ mod tests {
         assert_eq!(stat_value(&stats, "obs_plan_changes"), Some(1));
     }
 
+    /// Creating a domain index is DDL: it moves the catalog generation, so
+    /// a `contains` statement cached (result and plan) before the k-mer index
+    /// is attached is re-planned onto it, and the flip is audited.
+    #[test]
+    fn attaching_a_domain_index_replans_cached_statements() {
+        let db = Arc::new(Database::in_memory());
+        let adapter = genalg_adapter::Adapter::install(&db).unwrap();
+        db.execute_as("CREATE TABLE public.frags (id INT, s dna)", &unidb::Role::Maintainer)
+            .unwrap();
+        let rows: Vec<String> = (0..200)
+            .map(|i| {
+                let motif = if i % 10 == 0 { "ATTGCCATAGGC" } else { "CCCCCCCCCCCC" };
+                let filler = ["ACGTTGCA", "GGCATTCA", "TTAGCCGA", "CAGTACGT"][i % 4];
+                format!("({i}, dna('{filler}{motif}{filler}'))")
+            })
+            .collect();
+        let insert = format!("INSERT INTO public.frags VALUES {}", rows.join(","));
+        db.execute_as(&insert, &unidb::Role::Maintainer).unwrap();
+        let server = Server::new(Arc::clone(&db), &ServerConfig::default());
+        let client = server.client();
+        let m = client.open(SessionKind::Maintainer);
+        let sql = "SELECT id FROM public.frags WHERE contains(s, 'ATTGCCATAGGC')";
+        let scanned = client.query(m, sql).unwrap();
+        assert_eq!(scanned.rows.len(), 20);
+        assert_eq!(client.query(m, sql).unwrap().rows, scanned.rows, "served from the cache");
+        assert!(client.query(m, "SHOW PLAN CHANGES").unwrap().rows.is_empty());
+
+        adapter.attach_kmer_index(&db, "public.frags", "s", 8).unwrap();
+        assert_eq!(client.query(m, sql).unwrap().rows, scanned.rows);
+        let changes = client.query(m, "SHOW PLAN CHANGES").unwrap();
+        assert_eq!(changes.rows.len(), 1, "{changes:?}");
+        match (&changes.rows[0][3], &changes.rows[0][4]) {
+            (Datum::Text(before), Datum::Text(after)) => {
+                assert!(before.starts_with("SeqScan"), "{before}");
+                assert!(after.starts_with("UdiScan"), "{after}");
+            }
+            other => panic!("bad plan-change row: {other:?}"),
+        }
+    }
+
     /// Tentpole: `SHOW HISTORY <metric>` reads the sampler ring; an
     /// explicit tick makes the test deterministic (no background timing).
     #[test]

@@ -14,9 +14,8 @@ use crate::error::{DbError, DbResult};
 use crate::exec::stats::OpStatsSnapshot;
 use crate::exec::{execute_plan, execute_plan_with_stats};
 use crate::expr::eval::{eval, ColumnBinding, EvalContext};
-use crate::expr::func::{AggregateFn, FunctionRegistry, ScalarBinder, ScalarFn};
-use crate::index::btree::BTreeIndex;
-use crate::index::udi::AccessMethod;
+use crate::expr::func::{AggregateFn, FunctionRegistry, IndexKindFn, ScalarBinder, ScalarFn};
+use crate::index::{new_index, IndexParams, TableIndex};
 use crate::locate::explain_dml;
 use crate::plan::planner::{estimate_rows, plan_select, upper_bound_rows, PlannerContext};
 use crate::plan::PhysicalPlan;
@@ -87,8 +86,8 @@ pub struct WalStats {
 #[derive(Default)]
 pub(crate) struct TableStorage {
     pub(crate) heap: HeapFile,
-    pub(crate) btrees: HashMap<String, BTreeIndex>,
-    pub(crate) udis: HashMap<String, Box<dyn AccessMethod>>,
+    /// B-trees and domain indexes alike, in creation order.
+    pub(crate) indexes: Vec<TableIndex>,
     /// Commit timestamp of each live rid's current content. Absent means
     /// "ancient": committed before every snapshot still alive. Entries at
     /// or below the oldest active snapshot are pruned by
@@ -748,42 +747,11 @@ impl Database {
         self.inner.write().funcs.register_aggregate(name, f)
     }
 
-    /// Attach a user-defined index access method to `table.column` (§6.5),
-    /// built from the column's existing rows by one [`AccessMethod::build`]
-    /// call, rids ascending. Fails with [`DbError::TypeMismatch`] if the
-    /// method does not index the column's declared type.
-    pub fn register_access_method(
-        &self,
-        table: &str,
-        column: &str,
-        mut method: Box<dyn AccessMethod>,
-    ) -> DbResult<()> {
-        let mut inner = self.inner.write();
-        let def = inner.catalog.find_table(table)?;
-        let table_id = def.id;
-        let col_idx = def
-            .column_index(column)
-            .ok_or(DbError::NotFound { kind: "column", name: column.into() })?;
-        let ty = def.columns[col_idx].ty;
-        if !method.indexes(ty) {
-            return Err(DbError::TypeMismatch(format!(
-                "access method {} cannot index {table}.{column} of type {ty}",
-                method.name()
-            )));
-        }
-        let column = column.to_ascii_lowercase();
-        let storage = inner
-            .tables
-            .get_mut(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        let mut rows = Vec::new();
-        storage.for_each_row(&mut |rid, mut row| {
-            rows.push((rid, row.swap_remove(col_idx)));
-            Ok(())
-        })?;
-        method.build(&rows);
-        storage.udis.insert(column, method);
-        Ok(())
+    /// Register a domain index kind (§6.5) for `CREATE INDEX … USING name`.
+    /// Like functions, kinds are code: register them before
+    /// [`Database::recover`] replays an index of the kind.
+    pub fn register_index_kind(&self, name: &str, f: IndexKindFn) -> DbResult<()> {
+        self.inner.write().funcs.register_index_kind(name, f)
     }
 
     /// Render a result set as an aligned text table, using registered
@@ -861,8 +829,8 @@ impl Inner {
         match stmt {
             Stmt::CreateTable { table, columns } => self.create_table(&table, &columns, role),
             Stmt::DropTable { table } => self.drop_table(&table, role),
-            Stmt::CreateIndex { table, column, unique } => {
-                self.create_index(&table, &column, unique, role)
+            Stmt::CreateIndex { table, column, kind, params } => {
+                self.create_index(&table, &column, &kind, params, role)
             }
             Stmt::CreateSpace { name } => {
                 let owner = match role {
@@ -988,35 +956,42 @@ impl Inner {
         Ok(ResultSet::empty())
     }
 
+    /// `CREATE INDEX`, of any kind, and its replay: one build over the rows
+    /// already there, then the catalog bump and the log record.
     fn create_index(
         &mut self,
         table: &str,
         column: &str,
-        unique: bool,
+        kind: &str,
+        params: IndexParams,
         role: &Role,
     ) -> DbResult<ResultSet> {
         let def = self.catalog.resolve_table(role.default_space(), table)?;
-        let table_id = def.id;
         let qualified = def.qualified_name();
-        if !self.catalog.can_write(role, &def.space.clone()) {
+        if !self.catalog.can_write(role, &def.space) {
             return Err(DbError::AccessDenied(format!("cannot index tables in {qualified:?}")));
         }
-        let col_idx = def
+        let pos = def
             .column_index(column)
             .ok_or(DbError::NotFound { kind: "column", name: column.into() })?;
-        let column = column.to_ascii_lowercase();
-        let storage = self
-            .tables
-            .get_mut(&table_id)
-            .ok_or_else(|| DbError::Internal("missing table storage".into()))?;
-        if storage.btrees.contains_key(&column) {
-            return Err(DbError::AlreadyExists { kind: "index", name: column });
+        let ty = def.columns[pos].ty;
+        let mut index = new_index(&self.funcs, column.to_ascii_lowercase(), pos, ty, kind, params)?;
+        let (_, storage) = table_parts(&self.catalog, &mut self.tables, def.id)?;
+        if storage.indexes.iter().any(|i| i.column == index.column && i.kind == index.kind) {
+            let name = format!("{} on {qualified}.{}", index.kind, index.column);
+            return Err(DbError::AlreadyExists { kind: "index", name });
         }
-        let mut index = BTreeIndex::new(unique);
-        storage.for_each_row(&mut |rid, mut row| index.insert(row.swap_remove(col_idx), rid))?;
-        storage.btrees.insert(column.clone(), index);
+        let mut rows = Vec::new();
+        storage.for_each_row(&mut |rid, mut row| {
+            rows.push((rid, row.swap_remove(pos)));
+            Ok(())
+        })?;
+        index.build(rows)?;
+        let (column, kind, params) =
+            (index.column.clone(), index.kind.clone(), index.params.clone());
+        storage.indexes.push(index);
         self.bump_catalog();
-        self.log(WalRecord::CreateIndex { table: qualified, column, unique })?;
+        self.log(WalRecord::CreateIndex { table: qualified, column, kind, params })?;
         self.maybe_sync()?;
         Ok(ResultSet::empty())
     }
@@ -1046,18 +1021,6 @@ impl Inner {
         let ts = self.pending_ts();
         let track = self.track_versions && !self.replaying;
         let (def, storage) = table_parts(&self.catalog, &mut self.tables, table_id)?;
-        // Unique checks first so a violation cannot leave partial state.
-        for (col, idx) in &storage.btrees {
-            if idx.is_unique() {
-                let pos = def.column_index(col).expect("index column exists");
-                if !idx.get(&row[pos]).is_empty() {
-                    return Err(DbError::Constraint(format!(
-                        "duplicate key {} for unique index on {col}",
-                        row[pos]
-                    )));
-                }
-            }
-        }
         let rid = storage.heap.insert(&encode_row(&row))?;
         // Widen the target page's zone map and evict any stale columnar
         // image. Runs during WAL replay too, so recovery rebuilds zones
@@ -1067,13 +1030,8 @@ impl Inner {
         if track {
             storage.born.insert(rid, ts);
         }
-        for (col, idx) in storage.btrees.iter_mut() {
-            let pos = def.column_index(col).expect("index column exists");
-            idx.insert(row[pos].clone(), rid)?;
-        }
-        for (col, udi) in storage.udis.iter_mut() {
-            let pos = def.column_index(col).expect("indexed column exists");
-            udi.on_insert(rid, &row[pos]);
+        for index in &mut storage.indexes {
+            index.insert(rid, &row)?;
         }
         let table = def.qualified_name();
         // Feed the per-column statistics (NDV sketches, null counts,
@@ -1097,13 +1055,8 @@ impl Inner {
         } else {
             storage.born.remove(&rid);
         }
-        for (col, idx) in storage.btrees.iter_mut() {
-            let pos = def.column_index(col).expect("index column exists");
-            idx.remove(&row[pos], rid);
-        }
-        for (col, udi) in storage.udis.iter_mut() {
-            let pos = def.column_index(col).expect("indexed column exists");
-            udi.on_delete(rid, &row[pos]);
+        for index in &mut storage.indexes {
+            index.remove(rid, row);
         }
         refresh_page_zone(storage, rid.page, row, None)?;
         let table = def.qualified_name();
@@ -1129,18 +1082,6 @@ impl Inner {
         let ts = self.pending_ts();
         let track = self.track_versions && !self.replaying;
         let (def, storage) = table_parts(&self.catalog, &mut self.tables, table_id)?;
-        // Unique checks on changed keys.
-        for (col, idx) in &storage.btrees {
-            if idx.is_unique() {
-                let pos = def.column_index(col).expect("index column exists");
-                if old_row[pos] != new_row[pos] && !idx.get(&new_row[pos]).is_empty() {
-                    return Err(DbError::Constraint(format!(
-                        "duplicate key {} for unique index on {col}",
-                        new_row[pos]
-                    )));
-                }
-            }
-        }
         let new_rid = storage.heap.update(rid, &encode_row(&new_row))?;
         if track {
             let born = storage.born.remove(&rid).unwrap_or(0);
@@ -1149,18 +1090,12 @@ impl Inner {
         } else if rid != new_rid {
             storage.born.remove(&rid);
         }
-        for (col, idx) in storage.btrees.iter_mut() {
-            let pos = def.column_index(col).expect("index column exists");
+        for index in &mut storage.indexes {
             // An in-place update that keeps the key leaves the entry as it is.
-            if rid != new_rid || old_row[pos] != new_row[pos] {
-                idx.remove(&old_row[pos], rid);
-                idx.insert(new_row[pos].clone(), new_rid)?;
+            if rid != new_rid || old_row[index.pos] != new_row[index.pos] {
+                index.remove(rid, old_row);
+                index.insert(new_rid, &new_row)?;
             }
-        }
-        for (col, udi) in storage.udis.iter_mut() {
-            let pos = def.column_index(col).expect("indexed column exists");
-            udi.on_delete(rid, &old_row[pos]);
-            udi.on_insert(new_rid, &new_row[pos]);
         }
         if new_rid.page == rid.page {
             refresh_page_zone(storage, rid.page, old_row, Some(&new_row))?;
@@ -1239,6 +1174,8 @@ impl Inner {
                 Ok(())
             }
             WalRecord::CreateTable { space, name, columns } => {
+                // A user's own space is made, unlogged, by its first table.
+                self.catalog.ensure_user_space(&space);
                 let defs = columns
                     .into_iter()
                     .map(|(n, ty, nullable)| ColumnDef { name: n, ty, nullable })
@@ -1255,25 +1192,23 @@ impl Inner {
                 self.bump_catalog();
                 Ok(())
             }
-            WalRecord::CreateIndex { table, column, unique } => {
-                self.create_index(&table, &column, unique, &Role::Maintainer).map(|_| ())
+            WalRecord::CreateIndex { table, column, kind, params } => {
+                self.create_index(&table, &column, &kind, params, &Role::Maintainer).map(|_| ())
             }
             WalRecord::Insert { table, row } => {
                 let id = self.catalog.resolve_table("public", &table)?.id;
                 self.insert_row(id, row).map(|_| ())
             }
             WalRecord::Delete { table, row } => {
-                let def = self.catalog.resolve_table("public", &table)?;
-                let id = def.id;
-                if let Some(rid) = self.storage(id)?.find_row(def, &row)? {
+                let id = self.catalog.resolve_table("public", &table)?.id;
+                if let Some(rid) = self.storage(id)?.find_row(&row)? {
                     self.delete_row(id, rid, &row)?;
                 }
                 Ok(())
             }
             WalRecord::Update { table, old_row, new_row } => {
-                let def = self.catalog.resolve_table("public", &table)?;
-                let id = def.id;
-                if let Some(rid) = self.storage(id)?.find_row(def, &old_row)? {
+                let id = self.catalog.resolve_table("public", &table)?.id;
+                if let Some(rid) = self.storage(id)?.find_row(&old_row)? {
                     self.update_row(id, rid, &old_row, new_row)?;
                 }
                 Ok(())
@@ -1307,17 +1242,20 @@ impl Inner {
                 columns: t.columns.iter().map(|c| (c.name.clone(), c.ty, c.nullable)).collect(),
             });
         }
+        // Each table's rows before its indexes, so replay builds every index
+        // in one call over the rows rather than row by row.
         for t in &tables {
             let storage = self.storage(t.id)?;
-            let btree_meta: Vec<(String, bool)> =
-                storage.btrees.iter().map(|(c, i)| (c.clone(), i.is_unique())).collect();
-            for (column, unique) in btree_meta {
-                recs.push(WalRecord::CreateIndex { table: t.qualified_name(), column, unique });
-            }
             storage.for_each_row(&mut |_, row| {
                 recs.push(WalRecord::Insert { table: t.qualified_name(), row });
                 Ok(())
             })?;
+            recs.extend(storage.indexes.iter().map(|i| WalRecord::CreateIndex {
+                table: t.qualified_name(),
+                column: i.column.clone(),
+                kind: i.kind.clone(),
+                params: i.params.clone(),
+            }));
         }
         recs.push(WalRecord::Checkpoint);
         Ok(recs)

@@ -5,10 +5,14 @@
 //! specify and include user-defined operators as external functions …
 //! User-defined operators can be invoked anywhere built-in operators can be
 //! used." Registered names are resolved at planning time and evaluated
-//! wherever expressions occur.
+//! wherever expressions occur. Domain index kinds (§6.5) register here
+//! too: `CREATE INDEX … USING kind` finds its kind where a call finds its
+//! function, so recovery needs nothing registered beyond what the queries
+//! already need.
 
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
+use crate::index::udi::AccessMethod;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -47,11 +51,18 @@ pub trait Accumulator: Send {
 /// Factory producing a fresh accumulator per group.
 pub type AggregateFn = Arc<dyn Fn() -> Box<dyn Accumulator> + Send + Sync>;
 
-/// Registry of scalar functions and aggregates.
+/// Makes an empty domain index from the parameters of a `CREATE INDEX …
+/// USING kind (column) WITH (name = literal, …)`, names lower-cased, or
+/// says which parameter is wrong and what it must be.
+pub type IndexKindFn =
+    Arc<dyn Fn(&[(String, Datum)]) -> DbResult<Box<dyn AccessMethod>> + Send + Sync>;
+
+/// Registry of scalar functions, aggregates and domain index kinds.
 #[derive(Clone, Default)]
 pub struct FunctionRegistry {
     scalars: HashMap<String, Scalar>,
     aggregates: HashMap<String, AggregateFn>,
+    index_kinds: HashMap<String, IndexKindFn>,
 }
 
 impl FunctionRegistry {
@@ -95,6 +106,22 @@ impl FunctionRegistry {
         }
         self.aggregates.insert(key, f);
         Ok(())
+    }
+
+    /// Register a domain index kind; `btree` is built in, and a kind cannot
+    /// be registered twice.
+    pub fn register_index_kind(&mut self, name: &str, f: IndexKindFn) -> DbResult<()> {
+        let key = name.to_ascii_lowercase();
+        if key == crate::index::BTREE || self.index_kinds.contains_key(&key) {
+            return Err(DbError::AlreadyExists { kind: "index kind", name: key });
+        }
+        self.index_kinds.insert(key, f);
+        Ok(())
+    }
+
+    /// Look up a domain index kind.
+    pub fn index_kind(&self, name: &str) -> Option<&IndexKindFn> {
+        self.index_kinds.get(&name.to_ascii_lowercase())
     }
 
     /// Look up a scalar function.

@@ -3,16 +3,23 @@
 //! "As we add the ability to store genomic data, a need arises for indexing
 //! these data by using domain-specific indexing techniques. The DBMS must
 //! then offer a mechanism to integrate these user-defined index
-//! structures." This trait is that mechanism: an access method is built
-//! in bulk from the indexed column's existing rows when it is attached,
-//! maintains itself on every insert/delete of the column after that, and
-//! may volunteer to answer a *function predicate* (e.g. `contains(seq,
-//! pattern)`) with a candidate rid list plus a selectivity estimate for the
-//! optimizer.
+//! structures." This trait is that mechanism. A domain index is an index
+//! like a B-tree: its kind is registered by name
+//! ([`crate::Database::register_index_kind`]), `CREATE INDEX ON t USING
+//! kind (c) WITH (…)` makes one, and the engine catalogues it, logs it in
+//! the WAL and the snapshot, and rebuilds it on recovery. The method is
+//! built in bulk from the indexed column's existing rows, when it is
+//! created and when recovery replays its creation, maintains itself on
+//! every insert/delete of the column after that, and may volunteer to
+//! answer a *function predicate* (e.g. `contains(seq, pattern)`) with a
+//! candidate rid list plus a selectivity estimate for the optimizer — on a
+//! table a transaction has written as well as on a clean one.
 //!
 //! The contract is filter-semantics: a probe may return false positives
 //! (the executor re-checks the predicate on each candidate row) but must
-//! never miss a true match.
+//! never miss a true match. The rids describe the latest heap; the engine
+//! checks each against the reader's snapshot and adds what the snapshot
+//! sees elsewhere.
 
 use crate::datum::{DataType, Datum};
 use crate::storage::heap::Rid;
@@ -26,7 +33,7 @@ pub trait AccessMethod: Send + Sync {
     fn name(&self) -> &str;
 
     /// Can this method index a column declared with type `ty`? Asked once,
-    /// when the method is attached; a method that answers no is refused.
+    /// when the index is created; a method that answers no is refused.
     fn indexes(&self, ty: DataType) -> bool {
         let _ = ty;
         true
@@ -34,9 +41,9 @@ pub trait AccessMethod: Send + Sync {
 
     /// Fill the index from the indexed column's existing rows, `(rid,
     /// value)` in ascending rid order. Called once, on a method that holds
-    /// nothing yet; it is the one way an attached method is built. The
-    /// default inserts the rows one at a time; a method that can build in
-    /// bulk overrides it.
+    /// nothing yet; it is the one way an index is built, on `CREATE INDEX`
+    /// and on its replay. The default inserts the rows one at a time; a
+    /// method that can build in bulk overrides it.
     fn build(&mut self, rows: &[(Rid, Datum)]) {
         for (rid, value) in rows {
             self.on_insert(*rid, value);
@@ -47,7 +54,9 @@ pub trait AccessMethod: Send + Sync {
     /// column's value).
     fn on_insert(&mut self, rid: Rid, value: &Datum);
 
-    /// Maintain the index on delete of a row.
+    /// Maintain the index on delete of a row. An update is a delete of the
+    /// old value and an insert of the new one, or nothing at all when the
+    /// row keeps its rid and its indexed value.
     fn on_delete(&mut self, rid: Rid, value: &Datum);
 
     /// Can this method answer probes for the named function predicate?

@@ -13,7 +13,8 @@
 //!   `GROUP BY`, `ORDER BY`.
 //! * **User-defined index access methods** — domain indexes (k-mer,
 //!   suffix) pluggable into query plans, with selectivity hooks feeding the
-//!   optimizer.
+//!   optimizer. They are created, maintained, logged and recovered by the
+//!   same path as the built-in B-trees (`CREATE INDEX … USING kind`).
 //! * **Public / user space separation** — the integrated (read-only)
 //!   schema versus updatable per-user schemas (§5.1).
 //!
@@ -54,7 +55,9 @@ pub use catalog::{ColumnDef, OpaqueTypeDef, TableDef};
 pub use datum::{DataType, Datum};
 pub use db::{Database, Prepared, ResultSet};
 pub use error::{DbError, DbResult};
-pub use expr::func::{AggregateFn, BoundScalarFn, FunctionRegistry, ScalarBinder, ScalarFn};
+pub use expr::func::{
+    AggregateFn, BoundScalarFn, FunctionRegistry, IndexKindFn, ScalarBinder, ScalarFn,
+};
 pub use index::udi::AccessMethod;
 pub use storage::heap::Rid;
 pub use storage::vfs::{FaultConfig, FaultVfs, StdVfs, Vfs};

@@ -148,14 +148,14 @@ impl TableStorage {
 
     /// The lowest rid holding exactly `row` — the target of a replayed
     /// `Update`/`Delete` record, which logs the row image, not its rid.
-    /// Any B-tree narrows the search to the rows sharing one key with the
-    /// image (every full match is filed under that key in every index, so
-    /// which index is probed changes only how many candidates are
-    /// compared); a table without one is walked. Taking the lowest rid
-    /// keeps replay deterministic on tables with duplicate rows.
-    pub(crate) fn find_row(&self, def: &TableDef, row: &Row) -> DbResult<Option<Rid>> {
-        if let Some((column, index)) = self.btrees.iter().max_by_key(|(_, i)| i.is_unique()) {
-            let pos = def.column_index(column).expect("index column exists");
+    /// Any B-tree, a unique one first, narrows the search to the rows
+    /// sharing one key with the image (every full match is filed under that
+    /// key in every B-tree, so which one is probed changes only how many
+    /// candidates are compared); a table without one is walked. Taking the
+    /// lowest rid keeps replay deterministic on tables with duplicate rows.
+    pub(crate) fn find_row(&self, row: &Row) -> DbResult<Option<Rid>> {
+        let btrees = self.indexes.iter().filter_map(|i| Some((i.pos, i.btree()?)));
+        if let Some((pos, index)) = btrees.max_by_key(|(_, tree)| tree.is_unique()) {
             let mut rids = index.get(&row[pos]);
             rids.sort_unstable();
             for rid in rids {

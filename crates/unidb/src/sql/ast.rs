@@ -29,10 +29,14 @@ pub enum Stmt {
     DropTable {
         table: String,
     },
+    /// `CREATE [UNIQUE] INDEX ON t [USING kind] (column) [WITH (name =
+    /// literal, …)]`: kind `btree` unless `USING` names another, `UNIQUE`
+    /// is the parameter `unique = TRUE`.
     CreateIndex {
         table: String,
         column: String,
-        unique: bool,
+        kind: String,
+        params: Vec<(String, Datum)>,
     },
     CreateSpace {
         name: String,

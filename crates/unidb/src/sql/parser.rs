@@ -19,6 +19,7 @@
 
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
+use crate::index::BTREE;
 use crate::sql::ast::*;
 use crate::sql::lexer::{is_reserved, lex, Token};
 
@@ -252,14 +253,41 @@ impl Parser {
         if self.eat_kw("SPACE") {
             return Ok(Stmt::CreateSpace { name: self.ident()? });
         }
-        let unique = self.eat_kw("UNIQUE");
+        let mut params = Vec::new();
+        if self.eat_kw("UNIQUE") {
+            params.push(("unique".to_string(), Datum::Bool(true)));
+        }
         self.expect_kw("INDEX")?;
         self.expect_kw("ON")?;
         let table = self.table_name()?;
+        let kind = if self.eat_kw("USING") { self.ident()? } else { BTREE.to_string() };
         self.expect_tok(&Token::LParen)?;
         let column = self.ident()?;
         self.expect_tok(&Token::RParen)?;
-        Ok(Stmt::CreateIndex { table, column, unique })
+        if self.eat_kw("WITH") {
+            self.expect_tok(&Token::LParen)?;
+            loop {
+                let name = self.ident()?.to_ascii_lowercase();
+                self.expect_tok(&Token::Eq)?;
+                let not_literal =
+                    || DbError::Parse(format!("index parameter {name} is no literal"));
+                let value = match self.parse_unary()? {
+                    Expr::Literal(d) => d,
+                    Expr::Unary { op: UnaryOp::Neg, expr } => match *expr {
+                        Expr::Literal(Datum::Int(i)) => Datum::Int(i.wrapping_neg()),
+                        Expr::Literal(Datum::Float(x)) => Datum::Float(-x),
+                        _ => return Err(not_literal()),
+                    },
+                    _ => return Err(not_literal()),
+                };
+                params.push((name, value));
+                if !self.eat_tok(&Token::Comma) {
+                    break;
+                }
+            }
+            self.expect_tok(&Token::RParen)?;
+        }
+        Ok(Stmt::CreateIndex { table, column, kind, params })
     }
 
     fn parse_insert(&mut self) -> DbResult<Stmt> {
@@ -727,7 +755,23 @@ mod tests {
 
         assert!(matches!(parse("DROP TABLE t").unwrap(), Stmt::DropTable { .. }));
         let s = parse("CREATE UNIQUE INDEX ON t (id)").unwrap();
-        assert!(matches!(s, Stmt::CreateIndex { unique: true, .. }));
+        let unique = vec![("unique".to_string(), Datum::Bool(true))];
+        assert!(
+            matches!(&s, Stmt::CreateIndex { kind, params, .. } if kind == "btree" && *params == unique)
+        );
+        let s = parse("CREATE INDEX ON t USING kmer (seq) WITH (K = 8, note = 'x', shift = -2)")
+            .unwrap();
+        let Stmt::CreateIndex { table, column, kind, params } = s else { panic!() };
+        assert_eq!((table.as_str(), column.as_str(), kind.as_str()), ("t", "seq", "kmer"));
+        assert_eq!(
+            params,
+            vec![
+                ("k".to_string(), Datum::Int(8)),
+                ("note".to_string(), Datum::Text("x".into())),
+                ("shift".to_string(), Datum::Int(-2)),
+            ]
+        );
+        assert!(parse("CREATE INDEX ON t USING kmer (seq) WITH (k = seq)").is_err());
         assert!(matches!(parse("CREATE SPACE lab").unwrap(), Stmt::CreateSpace { .. }));
     }
 

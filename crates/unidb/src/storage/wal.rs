@@ -54,11 +54,15 @@ pub enum WalRecord {
     },
     /// Marks a completed checkpoint; replay may start after the last one.
     Checkpoint,
-    /// Secondary-index creation (indexes are rebuilt from rows on replay).
+    /// Index creation, B-tree or domain index alike: replay rebuilds the
+    /// index from the rows already there, so the kind must be registered
+    /// before recovery. A record written before indexes had kinds (op 8,
+    /// `unique` only) decodes as kind `btree`.
     CreateIndex {
         table: String,
         column: String,
-        unique: bool,
+        kind: String,
+        params: Vec<(String, Datum)>,
     },
     /// Opens an explicit transaction. Replay buffers subsequent records
     /// and applies them only when the matching [`WalRecord::TxnCommit`]
@@ -85,6 +89,9 @@ const OP_CREATE_INDEX: u8 = 8;
 const OP_TXN_BEGIN: u8 = 9;
 const OP_TXN_COMMIT: u8 = 10;
 const OP_EPOCH: u8 = 11;
+/// `CreateIndex` with a kind and parameters; [`OP_CREATE_INDEX`] stays
+/// readable as a B-tree.
+const OP_CREATE_INDEX_OF_KIND: u8 = 12;
 
 impl WalRecord {
     /// Serialize the record payload (without framing).
@@ -129,11 +136,17 @@ impl WalRecord {
                 put_bytes(&mut buf, &tuple::encode_row(new_row));
             }
             WalRecord::Checkpoint => buf.push(OP_CHECKPOINT),
-            WalRecord::CreateIndex { table, column, unique } => {
-                buf.push(OP_CREATE_INDEX);
+            WalRecord::CreateIndex { table, column, kind, params } => {
+                buf.push(OP_CREATE_INDEX_OF_KIND);
                 put_str(&mut buf, table);
                 put_str(&mut buf, column);
-                buf.push(u8::from(*unique));
+                put_str(&mut buf, kind);
+                put_varint(&mut buf, params.len() as u64);
+                for (name, _) in params {
+                    put_str(&mut buf, name);
+                }
+                let values: Vec<Datum> = params.iter().map(|(_, v)| v.clone()).collect();
+                put_bytes(&mut buf, &tuple::encode_row(&values));
             }
             WalRecord::TxnBegin => buf.push(OP_TXN_BEGIN),
             WalRecord::TxnCommit => buf.push(OP_TXN_COMMIT),
@@ -185,8 +198,22 @@ impl WalRecord {
             OP_CREATE_INDEX => WalRecord::CreateIndex {
                 table: take_str(&mut buf)?,
                 column: take_str(&mut buf)?,
-                unique: take_u8(&mut buf)? != 0,
+                kind: crate::index::BTREE.into(),
+                params: vec![("unique".into(), Datum::Bool(take_u8(&mut buf)? != 0))],
             },
+            OP_CREATE_INDEX_OF_KIND => {
+                let table = take_str(&mut buf)?;
+                let column = take_str(&mut buf)?;
+                let kind = take_str(&mut buf)?;
+                let n = take_varint(&mut buf)? as usize;
+                let names = (0..n).map(|_| take_str(&mut buf)).collect::<DbResult<Vec<_>>>()?;
+                let values = tuple::decode_row(&take_bytes(&mut buf)?)?;
+                if values.len() != n {
+                    return Err(DbError::Storage("index parameter count mismatch".into()));
+                }
+                let params = names.into_iter().zip(values).collect();
+                WalRecord::CreateIndex { table, column, kind, params }
+            }
             OP_TXN_BEGIN => WalRecord::TxnBegin,
             OP_TXN_COMMIT => WalRecord::TxnCommit,
             OP_EPOCH => WalRecord::Epoch(take_varint(&mut buf)?),
@@ -487,7 +514,14 @@ mod tests {
             WalRecord::CreateIndex {
                 table: "public.genes".into(),
                 column: "id".into(),
-                unique: true,
+                kind: "btree".into(),
+                params: vec![("unique".into(), Datum::Bool(true))],
+            },
+            WalRecord::CreateIndex {
+                table: "public.genes".into(),
+                column: "seq".into(),
+                kind: "kmer".into(),
+                params: vec![("k".into(), Datum::Int(8)), ("note".into(), Datum::Text("".into()))],
             },
             WalRecord::Checkpoint,
             WalRecord::TxnBegin,
@@ -501,6 +535,26 @@ mod tests {
         for rec in sample_records() {
             let enc = rec.encode();
             assert_eq!(WalRecord::decode(&enc).unwrap(), rec);
+        }
+    }
+
+    /// A record written before indexes had kinds: op 8, table, column and
+    /// the unique flag, byte for byte.
+    #[test]
+    fn old_create_index_records_decode_as_btrees() {
+        for unique in [false, true] {
+            let mut bytes = vec![OP_CREATE_INDEX, 8];
+            bytes.extend_from_slice(b"public.t");
+            bytes.push(2);
+            bytes.extend_from_slice(b"id");
+            bytes.push(u8::from(unique));
+            let expected = WalRecord::CreateIndex {
+                table: "public.t".into(),
+                column: "id".into(),
+                kind: "btree".into(),
+                params: vec![("unique".into(), Datum::Bool(unique))],
+            };
+            assert_eq!(WalRecord::decode(&bytes).unwrap(), expected);
         }
     }
 
@@ -521,7 +575,7 @@ mod tests {
                 w.append(&rec);
             }
             w.sync().unwrap();
-            assert_eq!(w.records_written(), 11);
+            assert_eq!(w.records_written(), 12);
         }
         let back = read_log(&vfs, &path).unwrap();
         assert_eq!(back, sample_records());

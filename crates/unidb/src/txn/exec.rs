@@ -96,15 +96,14 @@ fn conflict_stale_row() -> DbError {
 ///    so a batch costs time linear in its rows plus `held`.
 fn check_unique<'r>(
     storage: &TableStorage,
-    def: &TableDef,
     snapshot: u64,
     prior_images: &[OldVersion],
     replaced: impl Fn(Rid) -> bool,
     held: impl Iterator<Item = &'r Row> + Clone,
     batch: impl Iterator<Item = (Option<&'r Row>, &'r Row)> + Clone,
 ) -> DbResult<()> {
-    for (col, idx) in storage.btrees.iter().filter(|(_, idx)| idx.is_unique()) {
-        let pos = def.column_index(col).expect("index column exists");
+    for (index, idx) in storage.unique_btrees() {
+        let (col, pos) = (&index.column, index.pos);
         let duplicate = |key: &Datum| {
             DbError::Constraint(format!("duplicate key {key} for unique index on {col}"))
         };
@@ -160,7 +159,6 @@ fn txn_insert(
     let tw = state.writes.table(def.id).unwrap_or(&none);
     check_unique(
         storage,
-        &def,
         state.snapshot,
         &storage.old_versions,
         |rid| tw.replaces(rid),
@@ -223,7 +221,6 @@ fn txn_update(
         tw.inserted.iter().enumerate().filter(|(i, _)| !rewritten.contains(&Prov::OwnInsert(*i)));
     check_unique(
         storage,
-        &def,
         state.snapshot,
         &storage.old_versions,
         |rid| tw.replaces(rid) || rewritten.contains(&Prov::Committed(rid)),
@@ -299,7 +296,6 @@ pub(crate) fn validate_and_apply(inner: &mut Inner, state: TxnState) -> DbResult
             continue;
         }
         let dropped = || DbError::Conflict("table was dropped by a concurrent statement".into());
-        let def = inner.catalog.table_by_id(table_id).ok_or_else(dropped)?;
         let storage = inner.tables.get(&table_id).ok_or_else(dropped)?;
         // Every written rid must still be the version the snapshot saw.
         for rid in tw.updated.keys().chain(tw.deleted.iter()) {
@@ -313,7 +309,6 @@ pub(crate) fn validate_and_apply(inner: &mut Inner, state: TxnState) -> DbResult
         // each other, or with committed rows that survive phase 1.
         check_unique(
             storage,
-            def,
             snapshot,
             &[],
             |rid| tw.replaces(rid),
@@ -373,12 +368,5 @@ fn validated_row(inner: &Inner, table_id: u32, rid: Rid) -> DbResult<Row> {
 /// Does rewriting `old` as `new` leave every unique-indexed column of the
 /// table unchanged?
 fn keeps_unique_keys(inner: &Inner, table_id: u32, old: &Row, new: &Row) -> DbResult<bool> {
-    let def = inner
-        .catalog
-        .table_by_id(table_id)
-        .ok_or_else(|| DbError::Internal("unknown table id".into()))?;
-    Ok(inner.storage(table_id)?.btrees.iter().filter(|(_, idx)| idx.is_unique()).all(|(col, _)| {
-        let pos = def.column_index(col).expect("index column exists");
-        old[pos] == new[pos]
-    }))
+    Ok(inner.storage(table_id)?.unique_btrees().all(|(index, _)| old[index.pos] == new[index.pos]))
 }

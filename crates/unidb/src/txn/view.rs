@@ -21,8 +21,7 @@
 //! row is first checked for visibility by rid. A dirty table then serves
 //! one *virtual page* past the real heap: (a) prior images visible to the
 //! snapshot but already superseded in the heap and (b) the transaction's
-//! own updated/inserted rows. Column images and user-defined indexes are
-//! off on dirty tables.
+//! own updated/inserted rows. Column images are off on dirty tables.
 //!
 //! **Zone pruning on dirty tables is sound.** A zone map describes the
 //! *current* content of its page, exactly. Every heap row a view serves is
@@ -34,11 +33,15 @@
 //! never pruned. That includes a row whose prior image satisfies the bounds
 //! while its page's current zone refutes them.
 //!
-//! **Index probes on dirty tables: candidate re-check.** B-trees stay
-//! visible to the planner. An index describes the *latest* heap, so a probe
-//! returns (1) the index's rids, each re-checked against the snapshot when
-//! it is fetched, plus (2) the virtual-page rows whose key satisfies the
-//! probe's bound, addressed by synthetic rids past the last heap page.
+//! **Index probes on dirty tables: candidate re-check.** Indexes of every
+//! kind stay visible to the planner. An index describes the *latest* heap,
+//! so a probe returns (1) the index's rids, each re-checked against the
+//! snapshot when it is fetched, plus (2) the virtual-page rows that may
+//! satisfy the probe, addressed by synthetic rids past the last heap page:
+//! for a B-tree those whose key is inside the probe's bound, for a domain
+//! index all of them — its scan re-checks the predicate on every row it
+//! fetches anyway, so the virtual rows are tested by the same residual and
+//! no user-defined function runs twice on one row.
 //! This is sound because anything the snapshot sees is either still the
 //! heap's content at its rid — so the index files it under its key and the
 //! re-check keeps it — or was replaced/removed after the snapshot, which
@@ -53,7 +56,7 @@ use crate::db::{Inner, TableStorage};
 use crate::error::{DbError, DbResult};
 use crate::exec::{ScanProgress, ScanSpec, StorageAccess};
 use crate::expr::func::FunctionRegistry;
-use crate::index::btree::BTreeIndex;
+use crate::index::{AccessMethod, BTreeIndex};
 use crate::locate::Prov;
 use crate::plan::planner::PlannerContext;
 use crate::storage::colpage::ColumnPage;
@@ -101,8 +104,17 @@ impl<'a> ReadView<'a> {
     }
 
     fn btree(&self, table_id: u32, column: &str) -> DbResult<&'a BTreeIndex> {
-        let index = self.storage(table_id)?.btrees.get(column);
+        let index = self.storage(table_id)?.btree(column);
         index.ok_or_else(|| DbError::Internal(format!("no B-tree on {column}")))
+    }
+
+    fn domain_index(
+        &self,
+        table_id: u32,
+        column: &str,
+        func: &str,
+    ) -> Option<&'a dyn AccessMethod> {
+        self.inner.tables.get(&table_id)?.domain_index(column, func)
     }
 
     /// Position of a named column in its table.
@@ -471,8 +483,8 @@ impl StorageAccess for ReadView<'_> {
         self.with_virtual_candidates(table_id, column, rids, |k| (lo, hi).contains(k))
     }
 
-    /// Only planned on a clean table ([`ReadView::udi_selectivity`]), where
-    /// the access method's rids are exactly the view's.
+    /// Every row of the virtual page is a candidate: the UdiScan's residual
+    /// re-checks `func` on each fetched row.
     fn udi_probe(
         &self,
         table_id: u32,
@@ -481,12 +493,12 @@ impl StorageAccess for ReadView<'_> {
         args: &[Datum],
     ) -> DbResult<Vec<Rid>> {
         let udi = self
-            .storage(table_id)?
-            .udis
-            .get(column)
-            .ok_or_else(|| DbError::Internal(format!("no access method on {column}")))?;
-        udi.probe(func, args)
-            .ok_or_else(|| DbError::Internal(format!("{} cannot answer {func}", udi.name())))
+            .domain_index(table_id, column, func)
+            .ok_or_else(|| DbError::Internal(format!("no access method for {func} on {column}")))?;
+        let rids = udi
+            .probe(func, args)
+            .ok_or_else(|| DbError::Internal(format!("{} cannot answer {func}", udi.name())))?;
+        self.with_virtual_candidates(table_id, column, rids, |_| true)
     }
 }
 
@@ -505,7 +517,7 @@ impl PlannerContext for ReadView<'_> {
     fn btree_distinct_keys(&self, table_id: u32, column: &str) -> Option<usize> {
         // Dirty or not: probes on a dirty table re-check their candidates
         // against the snapshot, so the index stays usable.
-        Some(self.inner.tables.get(&table_id)?.btrees.get(column)?.distinct_keys())
+        Some(self.inner.tables.get(&table_id)?.btree(column)?.distinct_keys())
     }
 
     fn row_count(&self, table_id: u32) -> u64 {
@@ -531,12 +543,8 @@ impl PlannerContext for ReadView<'_> {
         func: &str,
         args: &[Datum],
     ) -> Option<f64> {
-        // A virtual row would need the UDF re-evaluated against it; until
-        // then an access method answers for clean tables only.
-        if self.dirty(table_id) {
-            return None;
-        }
-        let udi = self.inner.tables.get(&table_id)?.udis.get(column)?;
-        udi.supports(func).then(|| udi.selectivity(func, args).unwrap_or(0.1))
+        // Dirty or not, as for B-trees: the probe adds the virtual page.
+        let udi = self.domain_index(table_id, column, func)?;
+        Some(udi.selectivity(func, args).unwrap_or(0.1))
     }
 }

@@ -5,64 +5,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use unidb::catalog::Role;
-use unidb::{AccessMethod, Database, Datum, DbError, Rid};
+use unidb::{Database, Datum, DbError};
 
-/// Toy domain index from the engine tests: partitions integer keys by
-/// parity and answers `same_parity(col, n)` probes.
-struct ParityIndex {
-    even: Vec<Rid>,
-    odd: Vec<Rid>,
-}
-
-impl AccessMethod for ParityIndex {
-    fn name(&self) -> &str {
-        "parity"
-    }
-    fn on_insert(&mut self, rid: Rid, value: &Datum) {
-        if let Some(i) = value.as_int() {
-            let v = if i % 2 == 0 { &mut self.even } else { &mut self.odd };
-            v.push(rid);
-        }
-    }
-    fn on_delete(&mut self, rid: Rid, value: &Datum) {
-        if let Some(i) = value.as_int() {
-            let v = if i % 2 == 0 { &mut self.even } else { &mut self.odd };
-            v.retain(|r| *r != rid);
-        }
-    }
-    fn supports(&self, func: &str) -> bool {
-        func == "same_parity"
-    }
-    fn probe(&self, func: &str, args: &[Datum]) -> Option<Vec<Rid>> {
-        if func != "same_parity" {
-            return None;
-        }
-        let n = args.first()?.as_int()?;
-        Some(if n % 2 == 0 { self.even.clone() } else { self.odd.clone() })
-    }
-    fn selectivity(&self, _func: &str, _args: &[Datum]) -> Option<f64> {
-        // Understated (parity selects half) so the estimate stays under the
-        // planner's index-worthwhile cutoff and the probe path is the one
-        // this test exercises.
-        Some(0.3)
-    }
-}
-
-fn register_parity(db: &Database, table: &str) {
-    db.register_scalar(
-        "same_parity",
-        Arc::new(|args| {
-            let (a, b) = (args[0].as_int(), args[1].as_int());
-            Ok(match (a, b) {
-                (Some(a), Some(b)) => Datum::Bool(a % 2 == b % 2),
-                _ => Datum::Null,
-            })
-        }),
-    )
-    .unwrap();
-    db.register_access_method(table, "id", Box::new(ParityIndex { even: vec![], odd: vec![] }))
-        .unwrap();
-}
+mod parity;
+use parity::register_parity;
 
 #[test]
 fn concurrent_readers_and_a_writer_stay_consistent() {
@@ -117,41 +63,53 @@ fn concurrent_readers_and_a_writer_stay_consistent() {
 fn wal_replay_restores_secondary_and_domain_indexes() {
     let dir = std::env::temp_dir().join(format!("unidb-idx-recover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    {
+    // Extensions are code, not data: the index kind is registered before
+    // every recovery, and the index itself comes back from the log.
+    let open = || {
         let db = Database::open(&dir).unwrap();
-        db.recover().unwrap();
+        register_parity(&db);
+        db.recover().map(|()| db)
+    };
+    {
+        let db = open().unwrap();
         db.execute_script_as(
             "CREATE TABLE t (id INT, name TEXT);
              CREATE UNIQUE INDEX ON t (id);
              INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three'), (4, 'four');
+             CREATE INDEX ON t USING parity (id);
              DELETE FROM t WHERE id = 3;",
             &Role::Maintainer,
         )
         .unwrap();
     }
-    {
-        let db = Database::open(&dir).unwrap();
-        db.recover().unwrap();
-        // Extensions are code, not data: re-register after recovery; the
-        // backfill rebuilds the domain index from the replayed heap.
-        register_parity(&db, "t");
-
+    // From the WAL alone, then from a snapshot plus a WAL tail.
+    for round in 0..2 {
+        let db = open().unwrap();
         // Secondary index: the planner uses it and its *content* is intact —
         // the unique constraint still sees replayed keys...
         let plan = db.execute("EXPLAIN SELECT name FROM t WHERE id = 2").unwrap();
         assert!(plan.explain.unwrap().contains("IndexEqScan"));
         let err = db.execute_as("INSERT INTO t VALUES (2, 'dup')", &Role::Maintainer).unwrap_err();
         assert!(matches!(err, DbError::Constraint(_)), "got {err:?}");
-        // ...and the deleted key was removed from the index on replay.
-        db.execute_as("INSERT INTO t VALUES (3, 'resurrected')", &Role::Maintainer).unwrap();
 
         // Domain index: drives the plan and returns exactly the right rows.
         let plan = db.execute("EXPLAIN SELECT name FROM t WHERE same_parity(id, 2)").unwrap();
-        assert!(plan.explain.unwrap().contains("UdiScan"));
+        assert!(plan.explain.unwrap().contains("UdiScan"), "round {round}");
         let rs = db.execute("SELECT name FROM t WHERE same_parity(id, 2) ORDER BY id").unwrap();
         let names: Vec<_> = rs.rows.iter().map(|r| r[0].as_text().unwrap().to_string()).collect();
-        assert_eq!(names, vec!["two", "four"]);
+        assert_eq!(names, vec!["two", "four"], "round {round}");
+        if round == 0 {
+            db.checkpoint().unwrap();
+            // The deleted key was removed from the index on replay; the
+            // reinsert is the WAL tail the next round replays.
+            db.execute_as("INSERT INTO t VALUES (3, 'resurrected')", &Role::Maintainer).unwrap();
+            db.execute_as("DELETE FROM t WHERE id = 3", &Role::Maintainer).unwrap();
+        }
     }
+    // A kind nobody registered is an error that names it.
+    let db = Database::open(&dir).unwrap();
+    let err = db.recover().unwrap_err().to_string();
+    assert!(err.contains("index kind") && err.contains("parity"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

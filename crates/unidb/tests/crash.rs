@@ -7,7 +7,9 @@
 //! state after some prefix of the workload — at least every operation
 //! that returned `Ok` (autocommit syncs, so `Ok` means durable), with
 //! explicit transactions applied atomically and uncommitted work
-//! invisible. Secondary indexes must come back consistent with the heap.
+//! invisible. Secondary indexes must come back consistent with the heap,
+//! and a domain index must come back at all — from the snapshot or the WAL
+//! tail, with nothing but `recover()` — answering as a scan does.
 //!
 //! Every fault decision derives from a seed, so a failing (seed, crash
 //! point) pair from the CI fault matrix reproduces exactly. The sweep is
@@ -23,6 +25,9 @@ use std::sync::Arc;
 use unidb::catalog::Role;
 use unidb::storage::wal::{read_log, WalRecord};
 use unidb::{Database, DbError, FaultConfig, FaultVfs};
+
+mod parity;
+use parity::register_parity;
 
 const DB_DIR: &str = "/crashdb";
 const OPS_PER_WORKLOAD: usize = 40;
@@ -162,9 +167,11 @@ fn generate_workload(seed: u64, len: usize) -> Vec<Op> {
     ops
 }
 
-/// Open the database on `vfs` and run recovery.
+/// Open the database on `vfs`, register the `parity` index kind (and its
+/// function), and run recovery.
 fn open_db(vfs: &FaultVfs) -> Result<Database, DbError> {
     let db = Database::open_with_vfs(Path::new(DB_DIR), Arc::new(vfs.clone()))?;
+    register_parity(&db);
     db.recover()?;
     Ok(db)
 }
@@ -358,6 +365,114 @@ fn crash_points_recover_to_a_consistent_prefix() {
     );
     assert!(combos >= 8, "sweep ran no combinations");
     assert!(crashed * 2 >= combos, "too few combos actually crashed ({crashed}/{combos})");
+    assert!(failures.is_empty(), "{} failing combos:\n{}", failures.len(), failures.join("\n"));
+}
+
+/// A domain index after a crash answers as the scan. The `parity` index on
+/// `t.id` is created with a quarter of the workload applied, either before
+/// a checkpoint (recovery reads it from the snapshot, which logs the rows
+/// first and the index after) or after one (from the WAL tail); the rest of
+/// the workload then runs into a crash. After `recover()` alone the index
+/// is the plan for `same_parity`, and its answer equals the same
+/// predicate's on a table that never had the index, loaded with the
+/// recovered rows.
+#[test]
+fn a_domain_index_after_a_crash_answers_as_the_scan() {
+    let (start, count) = seed_range();
+    let crash_points: &[u64] = &[2, 5, 13, 34];
+    let (mut combos, mut crashed, mut rows_compared) = (0u64, 0u64, 0usize);
+    let mut failures = Vec::new();
+    let query = |n: i64| format!("SELECT id, val FROM public.t WHERE same_parity(id, {n})");
+    let sorted = |db: &Database, sql: &str| -> Result<Vec<Vec<unidb::Datum>>, String> {
+        let mut rows = db.execute_as(sql, &Role::Maintainer).map_err(|e| e.to_string())?.rows;
+        rows.sort_by_key(|r| r[0].as_int());
+        Ok(rows)
+    };
+    for seed in start..start + count {
+        let ops = generate_workload(seed ^ 0xD0_0D, OPS_PER_WORKLOAD);
+        let (first, rest) = ops.split_at(OPS_PER_WORKLOAD / 4);
+        for &point in crash_points {
+            for index_in_snapshot in [true, false] {
+                combos += 1;
+                let vfs =
+                    FaultVfs::new(FaultConfig::crash_at(seed ^ (point << 32) ^ 0xD0_0D, point));
+                let db = setup(&vfs);
+                run_workload(&db, &vfs, first); // disarmed: all Ok
+                let create = || {
+                    db.execute_as("CREATE INDEX ON public.t USING parity (id)", &Role::Maintainer)
+                };
+                if index_in_snapshot {
+                    create().expect("index before the checkpoint");
+                }
+                db.checkpoint().expect("disarmed checkpoint");
+                if !index_in_snapshot {
+                    create().expect("index after the checkpoint");
+                }
+                vfs.arm();
+                let outcome = run_workload(&db, &vfs, rest);
+                drop(db);
+                if outcome.crashed_at.is_none() {
+                    continue;
+                }
+                crashed += 1;
+                vfs.reset_after_crash();
+                let combo = format!("point={point} index_in_snapshot={index_in_snapshot}");
+                let db = match open_db(&vfs) {
+                    Ok(db) => db,
+                    Err(e) => {
+                        failures.push(report_failure(
+                            "udi",
+                            seed,
+                            &format!("{combo}: recovery failed: {e}"),
+                        ));
+                        continue;
+                    }
+                };
+                let plain = Database::in_memory();
+                register_parity(&plain);
+                plain
+                    .execute_as("CREATE TABLE public.t (id INT, val TEXT)", &Role::Maintainer)
+                    .unwrap();
+                for (id, val) in dump_table(&db) {
+                    plain
+                        .execute_as(
+                            &format!("INSERT INTO public.t VALUES ({id}, '{val}')"),
+                            &Role::Maintainer,
+                        )
+                        .unwrap();
+                }
+                for n in [0, 1] {
+                    let plan = db.execute_as(&format!("EXPLAIN {}", query(n)), &Role::Maintainer);
+                    let plan = plan
+                        .map(|r| r.explain.unwrap_or_default())
+                        .unwrap_or_else(|e| e.to_string());
+                    if !plan.contains("UdiScan") {
+                        failures.push(report_failure(
+                            "udi",
+                            seed,
+                            &format!("{combo}: not probed: {plan}"),
+                        ));
+                        continue;
+                    }
+                    let (probed, scanned) = (sorted(&db, &query(n)), sorted(&plain, &query(n)));
+                    if probed != scanned {
+                        failures.push(report_failure(
+                            "udi",
+                            seed,
+                            &format!("{combo} n={n}: index {probed:?} != scan {scanned:?}"),
+                        ));
+                    }
+                    rows_compared += scanned.map_or(0, |rows| rows.len());
+                }
+            }
+        }
+    }
+    println!(
+        "udi crash sweep: {combos} combinations, {crashed} crashed, {rows_compared} rows compared, {} failed",
+        failures.len()
+    );
+    assert!(crashed * 2 >= combos, "too few combos actually crashed ({crashed}/{combos})");
+    assert!(rows_compared >= crashed as usize, "recovered tables were nearly empty");
     assert!(failures.is_empty(), "{} failing combos:\n{}", failures.len(), failures.join("\n"));
 }
 

@@ -2,7 +2,10 @@
 
 use std::sync::Arc;
 use unidb::catalog::Role;
-use unidb::{AccessMethod, Database, Datum, DbError, Rid};
+use unidb::{Database, Datum, DbError};
+
+mod parity;
+use parity::register_parity;
 
 fn db() -> Database {
     Database::in_memory()
@@ -483,62 +486,10 @@ fn opaque_types_store_and_render() {
     assert!(d.execute("INSERT INTO frags VALUES (2, mk_protein(0))").is_err());
 }
 
-/// A toy UDI: indexes integer values by parity, answers `same_parity(col, n)`.
-struct ParityIndex {
-    even: Vec<Rid>,
-    odd: Vec<Rid>,
-    /// What the method tells the optimizer about itself.
-    selectivity: f64,
-}
-
-impl AccessMethod for ParityIndex {
-    fn name(&self) -> &str {
-        "parity"
-    }
-    fn on_insert(&mut self, rid: Rid, value: &Datum) {
-        if let Some(i) = value.as_int() {
-            if i % 2 == 0 {
-                self.even.push(rid);
-            } else {
-                self.odd.push(rid);
-            }
-        }
-    }
-    fn on_delete(&mut self, rid: Rid, value: &Datum) {
-        if let Some(i) = value.as_int() {
-            let v = if i % 2 == 0 { &mut self.even } else { &mut self.odd };
-            v.retain(|r| *r != rid);
-        }
-    }
-    fn supports(&self, func: &str) -> bool {
-        func == "same_parity"
-    }
-    fn probe(&self, func: &str, args: &[Datum]) -> Option<Vec<Rid>> {
-        if func != "same_parity" {
-            return None;
-        }
-        let n = args.first()?.as_int()?;
-        Some(if n % 2 == 0 { self.even.clone() } else { self.odd.clone() })
-    }
-    fn selectivity(&self, _func: &str, _args: &[Datum]) -> Option<f64> {
-        Some(self.selectivity)
-    }
-}
-
 #[test]
 fn user_defined_index_drives_the_plan() {
     let d = seeded();
-    d.register_scalar(
-        "same_parity",
-        Arc::new(|args| {
-            let (a, b) = (args[0].as_int(), args[1].as_int());
-            Ok(match (a, b) {
-                (Some(a), Some(b)) => Datum::Bool(a % 2 == b % 2),
-                _ => Datum::Null,
-            })
-        }),
-    )
-    .unwrap();
+    register_parity(&d);
     // Without the index: sequential scan.
     let plan = d
         .execute("EXPLAIN SELECT symbol FROM genes WHERE same_parity(id, 2)")
@@ -547,12 +498,7 @@ fn user_defined_index_drives_the_plan() {
         .unwrap();
     assert!(plan.contains("SeqScan"), "{plan}");
 
-    d.register_access_method(
-        "genes",
-        "id",
-        Box::new(ParityIndex { even: vec![], odd: vec![], selectivity: 0.3 }),
-    )
-    .unwrap();
+    d.execute("CREATE INDEX ON genes USING parity (id)").unwrap();
     let plan = d
         .execute("EXPLAIN SELECT symbol FROM genes WHERE same_parity(id, 2)")
         .unwrap()
@@ -576,13 +522,8 @@ fn user_defined_index_drives_the_plan() {
 #[test]
 fn unselective_user_defined_index_loses_to_the_scan() {
     let d = seeded();
-    d.register_scalar("same_parity", Arc::new(|_| Ok(Datum::Bool(true)))).unwrap();
-    d.register_access_method(
-        "genes",
-        "id",
-        Box::new(ParityIndex { even: vec![], odd: vec![], selectivity: 0.4 }),
-    )
-    .unwrap();
+    register_parity(&d);
+    d.execute("CREATE INDEX ON genes USING parity (id) WITH (selectivity = 0.4)").unwrap();
     let plan = d
         .execute("EXPLAIN SELECT symbol FROM genes WHERE same_parity(id, 2)")
         .unwrap()
@@ -627,6 +568,104 @@ fn durability_recovery_roundtrip() {
         assert_eq!(texts(&rs), vec!["one", "TWO", "four"]);
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A log written before indexes had kinds holds `CreateIndex` as op 8:
+/// table, column and the unique flag. Such a log, byte for byte, recovers
+/// both indexes as B-trees — the unique one still rejecting a duplicate,
+/// the other accepting one.
+#[test]
+fn create_index_records_of_old_logs_replay_as_btrees() {
+    use unidb::storage::wal::{crc32, WalRecord};
+    let dir = std::env::temp_dir().join(format!("unidb-old-index-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let old_create_index = |column: &str, unique: bool| {
+        let mut bytes = vec![8, 8];
+        bytes.extend_from_slice(b"public.t");
+        bytes.push(column.len() as u8);
+        bytes.extend_from_slice(column.as_bytes());
+        bytes.push(u8::from(unique));
+        bytes
+    };
+    let mut payloads = vec![WalRecord::CreateTable {
+        space: "public".into(),
+        name: "t".into(),
+        columns: vec![
+            ("id".into(), unidb::DataType::Int, true),
+            ("v".into(), unidb::DataType::Int, true),
+        ],
+    }
+    .encode()];
+    for i in 0..3 {
+        let row = vec![Datum::Int(i), Datum::Int(i % 2)];
+        payloads.push(WalRecord::Insert { table: "public.t".into(), row }.encode());
+    }
+    payloads.push(old_create_index("id", true));
+    payloads.push(old_create_index("v", false));
+    let mut log = Vec::new();
+    for payload in &payloads {
+        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        log.extend_from_slice(&crc32(payload).to_le_bytes());
+        log.extend_from_slice(payload);
+    }
+    std::fs::write(dir.join("wal.db"), log).unwrap();
+
+    let d = Database::open(&dir).unwrap();
+    d.recover().unwrap();
+    for (sql, scan) in [
+        ("SELECT v FROM public.t WHERE id = 1", "IndexEqScan public.t.id"),
+        ("SELECT id FROM public.t WHERE v = 1", "IndexEqScan public.t.v"),
+    ] {
+        let plan = d.execute(&format!("EXPLAIN {sql}")).unwrap().explain.unwrap();
+        assert!(plan.contains(scan), "{plan}");
+    }
+    let dup = d.execute_as("INSERT INTO public.t VALUES (1, 5)", &Role::Maintainer);
+    assert!(matches!(dup, Err(DbError::Constraint(_))), "{dup:?}");
+    d.execute_as("INSERT INTO public.t VALUES (3, 1)", &Role::Maintainer).unwrap();
+    let rs = d.execute("SELECT id FROM public.t WHERE v = 1 ORDER BY id").unwrap();
+    assert_eq!(ints(&rs), vec![1, 3]);
+    drop(d);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A user's own space is made, unlogged, by the first table they create in
+/// it; replaying that table's creation from the WAL alone makes it again.
+#[test]
+fn a_table_in_a_users_own_space_recovers_from_the_wal_alone() {
+    let dir = std::env::temp_dir().join(format!("unidb-user-space-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let d = Database::open(&dir).unwrap();
+        d.recover().unwrap();
+        d.execute("CREATE TABLE notes (id INT, body TEXT)").unwrap();
+        d.execute("INSERT INTO notes VALUES (1, 'kept')").unwrap();
+    }
+    let d = Database::open(&dir).unwrap();
+    d.recover().unwrap();
+    assert_eq!(texts(&d.execute("SELECT body FROM notes").unwrap()), vec!["kept"]);
+    d.execute("INSERT INTO notes VALUES (2, 'still writable')").unwrap();
+    drop(d);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Creating a domain index is DDL: it moves the catalog generation, so a
+/// plan prepared before it is refused as stale instead of keeping its scan.
+#[test]
+fn creating_a_domain_index_invalidates_prepared_plans() {
+    let d = seeded();
+    register_parity(&d);
+    let sql = "SELECT symbol FROM genes WHERE same_parity(id, 2)";
+    let before = d.prepare(sql).unwrap();
+    assert!(before.access_label().starts_with("SeqScan"), "{}", before.access_label());
+    d.execute("CREATE INDEX ON genes USING parity (id)").unwrap();
+    assert!(matches!(d.execute_prepared(&before), Err(DbError::Stale(_))));
+    let after = d.prepare(sql).unwrap();
+    assert!(after.access_label().starts_with("UdiScan"), "{}", after.access_label());
+    let again = d.execute("CREATE INDEX ON genes USING parity (id)").unwrap_err();
+    assert!(matches!(again, DbError::AlreadyExists { .. }), "{again}");
+    let unknown = d.execute("CREATE INDEX ON genes USING nosuch (id)").unwrap_err();
+    assert!(unknown.to_string().contains("nosuch"), "{unknown}");
 }
 
 #[test]

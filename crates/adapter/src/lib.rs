@@ -35,7 +35,8 @@ use std::sync::{Arc, OnceLock};
 use unidb::sql::ast::Stmt;
 use unidb::storage::heap::Rid;
 use unidb::{
-    AccessMethod, BoundScalarFn, DataType, Database, Datum, DbError, DbResult, Role, ScalarBinder,
+    AccessMethod, BoundCall, BoundColumnFn, DataType, Database, Datum, DbError, DbResult, Role,
+    ScalarBinder,
 };
 
 /// Opaque type ids assigned by the engine, keyed by sort.
@@ -238,21 +239,28 @@ impl Adapter {
     }
 
     /// The [`ScalarBinder`] of `op`: specialise a call site on its literal
-    /// arguments.
+    /// arguments. A site with one varying argument also gets a
+    /// page-at-a-time entry ([`CallSite::call_column`]).
     fn binder(&self, op: &'static str) -> ScalarBinder {
         let glue = self.clone();
-        Arc::new(move |literals: &[Option<&Datum>]| -> Option<BoundScalarFn> {
+        Arc::new(move |literals: &[Option<&Datum>]| -> Option<BoundCall> {
             if literals.iter().flatten().any(|d| d.is_null()) {
                 // NULL in, NULL out, whatever the other arguments are.
-                return Some(Arc::new(|_: &[&Datum]| Ok(Datum::Null)));
+                return Some(BoundCall::per_row(Arc::new(|_: &[&Datum]| Ok(Datum::Null))));
             }
-            let site = CallSite {
+            let site = Arc::new(CallSite {
                 adapter: glue.clone(),
                 op,
                 literals: literals.iter().map(|l| l.cloned()).collect(),
                 plan: OnceLock::new(),
-            };
-            Some(Arc::new(move |vars: &[&Datum]| site.call(vars)))
+            });
+            let column = (literals.iter().filter(|l| l.is_none()).count() == 1).then(|| {
+                let site = Arc::clone(&site);
+                Arc::new(move |values: &[&Datum], out: &mut Vec<Datum>| {
+                    site.call_column(values, out)
+                }) as BoundColumnFn
+            });
+            Some(BoundCall { row: Arc::new(move |vars: &[&Datum]| site.call(vars)), column })
         })
     }
 
@@ -376,6 +384,52 @@ impl CallSite {
             .collect::<Option<_>>()?;
         let bound = self.adapter.algebra.bind(self.op, &args).ok()?;
         Some(Plan { var_types, bound })
+    }
+
+    /// The page-at-a-time entry of a site with one varying argument: the
+    /// value of each of a run of rows through the same bound kernel
+    /// [`CallSite::call`] sends a stored `dna` payload to, one output per
+    /// value appended to `out`. Refuses the run (`false`) at the first value
+    /// it cannot serve — one that is neither NULL nor a `dna` payload, or a
+    /// payload the kernel rejects (`dna_view` does not read it) — and when
+    /// the site binds no kernel for `dna`: the per-row call then decides
+    /// each row, and words the error.
+    fn call_column(&self, values: &[&Datum], out: &mut Vec<Datum>) -> bool {
+        let dna = self.adapter.types.dna();
+        // The plan the per-row call makes on its first non-NULL row.
+        let plan = match values.iter().find(|d| !d.is_null()) {
+            Some(first) => self.plan.get_or_init(|| self.plan(&[first])),
+            None => self.plan.get().unwrap_or(&None),
+        };
+        let bound = match plan {
+            Some(plan) if plan.var_types == [DataType::Opaque(dna)] => Some(&plan.bound),
+            _ => None,
+        };
+        out.reserve(values.len());
+        for d in values {
+            let value = match (d, bound) {
+                (Datum::Null, _) => Datum::Null,
+                (Datum::Opaque(id, bytes), Some(bound)) if *id == dna => {
+                    // A number or a truth value is taken out of the result
+                    // by value: through `to_datum` and dropping the `Value`
+                    // it cost ~25 ns a value, as much as the `seq_length`
+                    // kernel itself.
+                    match bound.call(&[CallArg::Compact(bytes)]) {
+                        Ok(Value::Int(i)) => Datum::Int(i),
+                        Ok(Value::Float(f)) => Datum::Float(f),
+                        Ok(Value::Bool(b)) => Datum::Bool(b),
+                        Ok(v) => match self.adapter.to_datum(&v) {
+                            Ok(d) => d,
+                            Err(_) => return false,
+                        },
+                        Err(_) => return false,
+                    }
+                }
+                _ => return false,
+            };
+            out.push(value);
+        }
+        true
     }
 
     /// The bound call, or `None` for anything but a value.
@@ -1213,7 +1267,7 @@ mod tests {
                             .map(|(_, a)| a)
                             .collect();
                         let bound = match adapter.binder(op)(&literals) {
-                            Some(f) => f(&vars),
+                            Some(bound) => (bound.row)(&vars),
                             None => adapter.call(op, &args),
                         };
                         assert_eq!(
@@ -1250,7 +1304,7 @@ mod tests {
 
         // A call site keeps working when rows of another type follow the
         // one it bound for: `seq_length` has a text and a dna overload.
-        let length = adapter.binder("length")(&[None]).expect("binds");
+        let length = adapter.binder("length")(&[None]).expect("binds").row;
         for _ in 0..2 {
             assert_eq!(length(&[&dna]).unwrap(), Datum::Int(19));
             assert_eq!(length(&[&text("héllo")]).unwrap(), Datum::Int(5));
@@ -1441,16 +1495,9 @@ mod tests {
                 Some(ids) => dbs[side].txn_execute(ids[side], sql),
                 None => dbs[side].execute(sql),
             };
-            // As multisets: a dirty table's virtual page lists prior images
-            // in the order a concurrent multi-row delete applied them, which
-            // differs between two databases given the same statements.
-            let rows = |side: usize, sql: &str| {
-                run(side, sql).map(|r| {
-                    let mut rows = r.rows;
-                    rows.sort();
-                    rows
-                })
-            };
+            // In order: a dirty table's virtual page lists prior images in
+            // the one fixed order a concurrent multi-row delete applied them in.
+            let rows = |side: usize, sql: &str| run(side, sql).map(|r| r.rows);
             for pattern in patterns {
                 let (a, b) = (rows(0, &sql(pattern)), rows(1, &sql(pattern)));
                 let plan = run(0, &format!("EXPLAIN {}", sql(pattern))).unwrap().explain;
@@ -1610,5 +1657,142 @@ mod tests {
         assert_eq!(accumulated(sequences), decoded(sequences));
         assert_eq!(accumulated(sequences).unwrap(), values[5]);
         assert!(accumulated(&values).is_err());
+    }
+
+    /// Every operator's page entry, where a call site has one, writes
+    /// exactly what the per-row call returns for each value of a run, or
+    /// refuses the run; a run holding a value the per-row call raises on is
+    /// always refused. Runs are drawn from strict and ambiguous `dna`
+    /// payloads, NULLs, corrupt payloads and values of other types.
+    #[test]
+    fn page_entries_agree_with_the_per_row_call() {
+        let (_db, adapter) = setup();
+        let dna_id = adapter.types().dna();
+        let d = |v: Value| adapter.to_datum(&v).unwrap();
+        let protein = d(Value::ProteinSeq(ProteinSeq::from_text("MAFKW").unwrap()));
+        let (_, protein_bytes) = protein.as_opaque().unwrap();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let draw = |next: &mut dyn FnMut(usize) -> usize| -> Datum {
+            let seq = |next: &mut dyn FnMut(usize) -> usize, alphabet: &[u8]| -> DnaSeq {
+                let len = next(40);
+                let text: String =
+                    (0..len).map(|_| alphabet[next(alphabet.len())] as char).collect();
+                DnaSeq::from_text(&text).unwrap()
+            };
+            match next(10) {
+                0 => Datum::Null,
+                1 => d(Value::Dna(seq(next, b"ACGTNRYKMSWBDHV"))),
+                2 => {
+                    let good = d(Value::Dna(seq(next, b"ACGT")));
+                    let (_, bytes) = good.as_opaque().unwrap();
+                    Datum::opaque(dna_id, bytes[..bytes.len().saturating_sub(1)].to_vec())
+                }
+                3 => Datum::opaque(dna_id, protein_bytes.to_vec()),
+                4 => protein.clone(),
+                5 => Datum::Text("GATTACA".into()),
+                _ => d(Value::Dna(seq(next, b"ACGT"))),
+            }
+        };
+        let show = |r: &DbResult<Datum>| match r {
+            Ok(d) => format!("ok {d:?}"),
+            Err(e) => format!("err {e}"),
+        };
+        let (mut served, mut refused, mut sites) = (0usize, 0usize, 0usize);
+        for &(op, _) in SQL_OPS {
+            // The scan shape: the first argument varies, any others are the
+            // literals the operator's tests bind with.
+            let literals: Vec<Option<Datum>> = match op {
+                "contains" | "find" => vec![None, Some(Datum::Text("GATT".into()))],
+                "subsequence" => vec![None, Some(Datum::Int(1)), Some(Datum::Int(3))],
+                "decode" => vec![None, Some(Datum::Int(2))],
+                "resembles" => {
+                    let text = Some(Datum::Text("ACGTACGTAC".into()));
+                    vec![None, text, Some(Datum::Float(0.8)), Some(Datum::Float(0.8))]
+                }
+                "local_score" | "identity" | "hamming" => {
+                    vec![None, Some(Datum::Text("ACGTACGTAC".into()))]
+                }
+                _ => vec![None],
+            };
+            let literals: Vec<Option<&Datum>> = literals.iter().map(Option::as_ref).collect();
+            for _ in 0..30 {
+                // A fresh call site per run, and runs on one site in turn.
+                let bound = adapter.binder(op)(&literals).expect("binds");
+                let Some(column) = bound.column.clone() else { continue };
+                sites += 1;
+                for _ in 0..3 {
+                    let run: Vec<Datum> = (0..1 + next(6)).map(|_| draw(&mut next)).collect();
+                    let refs: Vec<&Datum> = run.iter().collect();
+                    let per_row: Vec<DbResult<Datum>> =
+                        run.iter().map(|v| (bound.row)(&[v])).collect();
+                    let mut out = Vec::new();
+                    if column(&refs, &mut out) {
+                        served += 1;
+                        let got: Vec<String> = out.into_iter().map(|d| show(&Ok(d))).collect();
+                        let want: Vec<String> = per_row.iter().map(show).collect();
+                        assert_eq!(got, want, "{op} over {run:?}");
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(sites > 300 && served > 200 && refused > 200, "{sites} {served} {refused}");
+    }
+
+    /// A statement whose page entry refuses its pages — a `protein_seq`
+    /// column where the site binds for `dna`, a TEXT or INT column where it
+    /// binds for nothing — returns what the per-row call gives each row, or
+    /// the per-row call's error.
+    #[test]
+    fn a_refused_page_folds_through_the_per_row_call() {
+        let (db, _adapter) = setup();
+        db.execute("CREATE TABLE m (id INT, org TEXT, s dna, p protein_seq)").unwrap();
+        let rows: Vec<String> = (0..400)
+            .map(|i| {
+                let s = ["ACGTNACGT", "GGCCA", "ATTRYA", "NNNN", "CCCCGGGG"][i % 5];
+                let org = ["'a'", "'GATC'", "NULL"][i % 3];
+                format!("({i}, {org}, dna('{s}'), protein_seq('MAFKW{}'))", "W".repeat(i % 4))
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO m VALUES {}", rows.join(", "))).unwrap();
+        let outcome =
+            |r: DbResult<unidb::ResultSet>| r.map(|rs| rs.rows).map_err(|e| e.to_string());
+        let mut errors = 0;
+        for call in [
+            "gc_content(s)",
+            "seq_length(s)",
+            "seq_length(p)",
+            "gc_content(org)",
+            "seq_length(org)",
+            "gc_content(id)",
+        ] {
+            let sql =
+                format!("SELECT org, count(*), max({call}) FROM m WHERE id >= 0 GROUP BY org");
+            let got = outcome(db.execute(&sql));
+            let per_row = outcome(db.execute(&format!("SELECT org, {call} FROM m WHERE id >= 0")));
+            let want = per_row.map(|rows| {
+                let mut groups: Vec<Vec<Datum>> = Vec::new();
+                for row in rows {
+                    match groups.iter_mut().find(|g| g[0] == row[0]) {
+                        Some(g) => {
+                            g[1] = Datum::Int(g[1].as_int().unwrap() + 1);
+                            if row[1].total_cmp(&g[2]).is_gt() {
+                                g[2] = row[1].clone();
+                            }
+                        }
+                        None => groups.push(vec![row[0].clone(), Datum::Int(1), row[1].clone()]),
+                    }
+                }
+                groups
+            });
+            errors += usize::from(want.is_err());
+            assert_eq!(got, want, "{sql}");
+        }
+        assert_eq!(errors, 1, "only gc_content over INT raises");
     }
 }

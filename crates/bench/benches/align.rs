@@ -12,6 +12,7 @@
 //! fragments, for CI).
 
 use genalg::core::align::ResemblesQuery;
+use genalg::core::compact::dna_view;
 use genalg::core::index::KmerIndex;
 use genalg::core::seq::ops::kmers;
 use genalg::core::seq::Pattern;
@@ -59,6 +60,8 @@ fn main() {
     // would be timed on that layout (about 2x) rather than on its work.
     let records = generator.records(n);
     let frags: Vec<DnaSeq> = records.iter().map(|r| r.sequence.clone()).collect();
+    let organisms: Vec<String> =
+        records.iter().map(|r| r.organism.clone().expect("repogen assigns an organism")).collect();
     drop(records);
     let total: usize = frags.iter().map(DnaSeq::len).sum();
     let mut entries = Vec::new();
@@ -251,6 +254,66 @@ fn main() {
     entries.push(Entry {
         name: "sql_contains_bound_vs_unbound",
         what: "whole statement, serial scan: literal bound per statement vs the plain per-row call",
+        nucleotides: total,
+        kernel_ns,
+        reference_ns,
+    });
+
+    // The genomic workload's grouped statement, in process: a TEXT key and
+    // two algebra calls per row, against the `gc_content` kernel run over
+    // the same stored payloads where they lie. The ratio is kernel time ÷
+    // statement time; 0.5 is the statement within 2x of its kernel.
+    db.execute("CREATE TABLE seqs (id INT, organism TEXT, seq dna)").expect("ddl");
+    for (chunk, rows) in frags.chunks(200).enumerate() {
+        let values: Vec<String> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let id = chunk * 200 + i;
+                format!("({id}, '{}', dna('{}'))", organisms[id], s.to_text())
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO seqs VALUES {}", values.join(","))).expect("insert");
+    }
+    let grouped = "SELECT organism, count(*), avg(gc_content(seq)), max(seq_length(seq)) \
+                   FROM seqs WHERE id >= 0 GROUP BY organism";
+    let payloads = db.execute("SELECT seq FROM seqs").expect("runs").rows;
+    let gc_sum = || {
+        let gc = payloads.iter().map(|row| match &row[0] {
+            Datum::Opaque(_, bytes) => dna_view(bytes).expect("stored dna").gc_content(),
+            other => panic!("{other:?} is no payload"),
+        });
+        gc.map(|g| (g * 1e6) as usize).sum::<usize>()
+    };
+    // Best of nine, statement and kernel passes taken in turn, so a
+    // disturbed stretch of the run slows both sides of the ratio; at smoke
+    // scale one pass is well under a millisecond.
+    let (mut kernel_ns, mut reference_ns, mut groups) = (f64::INFINITY, f64::INFINITY, 0);
+    for _ in 0..9 {
+        let start = Instant::now();
+        groups = black_box(db.execute(grouped).expect("runs").rows.len());
+        kernel_ns = kernel_ns.min(start.elapsed().as_nanos() as f64);
+        let start = Instant::now();
+        black_box(gc_sum());
+        reference_ns = reference_ns.min(start.elapsed().as_nanos() as f64);
+    }
+    // Same sums in the same order: the statement's averages are exact.
+    let mut want: Vec<(String, i64, f64)> = Vec::new();
+    for (org, f) in organisms.iter().zip(&frags) {
+        match want.iter_mut().find(|(o, ..)| o == org) {
+            Some(g) => (g.1, g.2) = (g.1 + 1, g.2 + f.gc_content()),
+            None => want.push((org.clone(), 1, f.gc_content())),
+        }
+    }
+    let got = db.execute(grouped).expect("runs").rows;
+    assert_eq!(groups, want.len(), "one row per organism");
+    for (row, (org, count, gc)) in got.iter().zip(&want) {
+        let avg = Datum::Float(gc / *count as f64);
+        assert_eq!(row[..3], [Datum::Text(org.clone()), Datum::Int(*count), avg], "{org}");
+    }
+    entries.push(Entry {
+        name: "grouped_fold",
+        what: "GROUP BY organism with gc_content and seq_length per row vs the gc_content kernel",
         nucleotides: total,
         kernel_ns,
         reference_ns,

@@ -34,6 +34,35 @@ const BASE2: [u8; 16] = {
     t
 };
 
+/// The k-mer window [`DnaView::for_each_kmer`] slides over a sequence.
+struct Window {
+    k: usize,
+    mask: u64,
+    /// The last `k` bases read, 2 bits each, first base highest.
+    packed: u64,
+    /// Consecutive concrete bases ending at the last one read.
+    valid: usize,
+}
+
+impl Window {
+    /// Read one base code; the packed k-mer if `k` concrete bases end here.
+    /// Always inlined: a caller's closure is folded into this step, and
+    /// when the step was a closure left out of line, every base became a
+    /// call with the window's state in memory (the bulk k-mer index build
+    /// ran ~60 % slower).
+    #[inline(always)]
+    fn push(&mut self, code: u8) -> Option<u64> {
+        let base = BASE2[code as usize];
+        if base == AMBIGUOUS {
+            self.valid = 0;
+            return None;
+        }
+        self.packed = ((self.packed << 2) | u64::from(base)) & self.mask;
+        self.valid += 1;
+        (self.valid >= self.k).then_some(self.packed)
+    }
+}
+
 /// A zero nibble reads as `N`.
 const fn norm(code: u8) -> u8 {
     if code & 15 == 0 {
@@ -292,28 +321,18 @@ impl<'a> DnaView<'a> {
     /// ambiguity code are skipped. `k` must be 1–31.
     pub fn for_each_kmer(&self, k: usize, mut f: impl FnMut(usize, u64)) {
         assert!((1..=31).contains(&k), "k must be in 1..=31");
-        let mask = (1u64 << (2 * k)) - 1;
-        let mut packed = 0u64;
-        let mut valid = 0usize; // consecutive concrete bases ending here
-        let mut step = |code: u8, i: usize| {
-            let base = BASE2[code as usize];
-            if base == AMBIGUOUS {
-                valid = 0;
-                return;
-            }
-            packed = ((packed << 2) | u64::from(base)) & mask;
-            valid += 1;
-            if valid >= k {
-                f(i + 1 - k, packed);
-            }
-        };
+        let mut window = Window { k, mask: (1u64 << (2 * k)) - 1, packed: 0, valid: 0 };
         let (full, last) = self.split();
         for (j, &b) in full.iter().enumerate() {
-            step(b & 15, 2 * j);
-            step(b >> 4, 2 * j + 1);
+            if let Some(km) = window.push(b & 15) {
+                f(2 * j + 1 - k, km);
+            }
+            if let Some(km) = window.push(b >> 4) {
+                f(2 * j + 2 - k, km);
+            }
         }
-        if let Some(code) = last {
-            step(code, self.len - 1);
+        if let Some(km) = last.and_then(|code| window.push(code)) {
+            f(self.len - k, km);
         }
     }
 

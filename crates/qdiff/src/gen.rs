@@ -26,6 +26,10 @@ const FLOATS: [f64; 11] = [-2.5, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.5, 3.5, 10.
 
 const TEXT_CHARS: [char; 6] = ['a', 'b', 'c', '%', '_', 'é'];
 
+/// The few TEXT values of the low-cardinality profile: a page of rows
+/// repeats each many times, as an organism column does.
+const LABELS: [&str; 4] = ["human", "mouse", "yeast", "b_%"];
+
 const CMP_OPS: [QOp; 6] = [QOp::Eq, QOp::NotEq, QOp::Lt, QOp::LtEq, QOp::Gt, QOp::GtEq];
 const ARITH_OPS: [QOp; 5] = [QOp::Add, QOp::Sub, QOp::Mul, QOp::Div, QOp::Mod];
 
@@ -55,6 +59,11 @@ pub enum Profile {
     /// pruning and sparse column decode act on, so the differential
     /// oracle hammers the pruned-scan path.
     ScanHeavy,
+    /// Low-cardinality TEXT: TEXT columns (and TEXT literals) draw from a
+    /// handful of strings plus NULL, tables are several pages long, and
+    /// most queries aggregate — GROUP BY, `count`, `min` and `max` over
+    /// dictionary-coded column images, groups mapped per code and page.
+    LowCard,
 }
 
 impl Profile {
@@ -64,13 +73,14 @@ impl Profile {
             "default" => Some(Profile::Default),
             "join-heavy" => Some(Profile::JoinHeavy),
             "scan-heavy" => Some(Profile::ScanHeavy),
+            "low-card" => Some(Profile::LowCard),
             _ => None,
         }
     }
 
     fn min_tables(self) -> usize {
         match self {
-            Profile::Default | Profile::ScanHeavy => 1,
+            Profile::Default | Profile::ScanHeavy | Profile::LowCard => 1,
             Profile::JoinHeavy => 2,
         }
     }
@@ -79,13 +89,13 @@ impl Profile {
         match self {
             Profile::Default => 0.35,
             Profile::JoinHeavy => 0.85,
-            Profile::ScanHeavy => 0.10,
+            Profile::ScanHeavy | Profile::LowCard => 0.10,
         }
     }
 
     fn null_chance(self) -> f64 {
         match self {
-            Profile::Default => 0.25,
+            Profile::Default | Profile::LowCard => 0.25,
             Profile::JoinHeavy => 0.45,
             Profile::ScanHeavy => 0.55,
         }
@@ -94,7 +104,7 @@ impl Profile {
     /// Widest table the schema generator may produce.
     fn max_cols(self) -> usize {
         match self {
-            Profile::Default | Profile::JoinHeavy => 5,
+            Profile::Default | Profile::JoinHeavy | Profile::LowCard => 5,
             Profile::ScanHeavy => 8,
         }
     }
@@ -104,6 +114,25 @@ impl Profile {
         match self {
             Profile::Default | Profile::JoinHeavy => 12,
             Profile::ScanHeavy => 30,
+            // Several pages, so all but the tail are served from images.
+            Profile::LowCard => 300,
+        }
+    }
+
+    /// Inclusive upper bounds of one `0..100` roll for a non-key column's
+    /// type: INT, then TEXT, then FLOAT; the rest is BOOL.
+    fn type_bands(self) -> (u32, u32, u32) {
+        match self {
+            Profile::LowCard => (29, 74, 84),
+            _ => (39, 64, 84),
+        }
+    }
+
+    /// Chance that a query aggregates.
+    fn agg_chance(self) -> f64 {
+        match self {
+            Profile::LowCard => 0.75,
+            _ => 0.3,
         }
     }
 
@@ -114,7 +143,7 @@ impl Profile {
     /// unchanged.
     fn pred_bands(self) -> (u32, u32, u32, u32) {
         match self {
-            Profile::Default | Profile::JoinHeavy => (44, 59, 74, 89),
+            Profile::Default | Profile::JoinHeavy | Profile::LowCard => (44, 59, 74, 89),
             Profile::ScanHeavy => (59, 71, 77, 95),
         }
     }
@@ -139,13 +168,14 @@ pub fn gen_scenario_with_profile(seed: u64, profile: Profile) -> Scenario {
         let n_cols = rng.gen_range(2..=profile.max_cols());
         let mut cols = Vec::with_capacity(n_cols);
         for c in 0..n_cols {
+            let (int_hi, text_hi, float_hi) = profile.type_bands();
             let ty = if c == 0 {
                 ColTy::Int
             } else {
                 match rng.gen_range(0..100u32) {
-                    0..=39 => ColTy::Int,
-                    40..=64 => ColTy::Text,
-                    65..=84 => ColTy::Float,
+                    r if r <= int_hi => ColTy::Int,
+                    r if r <= text_hi => ColTy::Text,
+                    r if r <= float_hi => ColTy::Float,
                     _ => ColTy::Bool,
                 }
             };
@@ -216,7 +246,16 @@ impl Gen<'_> {
         }
     }
 
+    /// A TEXT value: up to `max_len` symbols, or under the low-cardinality
+    /// profile one of a handful of labels.
     fn gen_text(&mut self, max_len: usize) -> String {
+        if self.profile == Profile::LowCard {
+            return LABELS[self.rng.gen_range(0..LABELS.len())].to_string();
+        }
+        self.gen_symbols(max_len)
+    }
+
+    fn gen_symbols(&mut self, max_len: usize) -> String {
         let len = self.rng.gen_range(0..=max_len);
         (0..len).map(|_| TEXT_CHARS[self.rng.gen_range(0..TEXT_CHARS.len())]).collect()
     }
@@ -341,7 +380,7 @@ impl Gen<'_> {
         };
         let env = self.env_of(&scope);
 
-        let proj = if self.rng.gen_bool(0.3) {
+        let proj = if self.rng.gen_bool(self.profile.agg_chance()) {
             self.gen_agg_proj(&env)
         } else {
             let n = self.rng.gen_range(1..=4usize);
@@ -678,6 +717,48 @@ mod tests {
         assert!(seed_rows > 60 * 20, "seed rows: {seed_rows}");
         let a = gen_scenario_with_profile(7, Profile::ScanHeavy);
         let b = gen_scenario_with_profile(7, Profile::ScanHeavy);
+        assert_eq!(a.render_script(), b.render_script());
+    }
+
+    #[test]
+    fn low_card_profile_groups_over_a_few_labels() {
+        // TEXT values are the labels or NULL, tables span several pages,
+        // and most queries aggregate, many grouped by a TEXT column.
+        let (mut queries, mut grouped_by_text, mut seed_rows) = (0usize, 0usize, 0usize);
+        for seed in 0..60 {
+            let sc = gen_scenario_with_profile(seed, Profile::LowCard);
+            for op in &sc.ops {
+                match op {
+                    Op::Query(q) => {
+                        queries += 1;
+                        let text_cols: Vec<&str> = sc
+                            .tables
+                            .iter()
+                            .flat_map(|t| &t.cols)
+                            .filter(|c| c.ty == ColTy::Text)
+                            .map(|c| c.name.as_str())
+                            .collect();
+                        if let Proj::Agg { group, .. } = &q.proj {
+                            grouped_by_text +=
+                                group.iter().any(|g| text_cols.contains(&g.as_str())) as usize;
+                        }
+                    }
+                    Op::Insert { rows, .. } => {
+                        seed_rows += rows.len();
+                        for v in rows.iter().flatten() {
+                            if let Val::Text(t) = v {
+                                assert!(LABELS.contains(&t.as_str()), "{t:?} is no label");
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(grouped_by_text * 5 > queries, "grouped by TEXT: {grouped_by_text}/{queries}");
+        assert!(seed_rows > 60 * 200, "seed rows: {seed_rows}");
+        let a = gen_scenario_with_profile(7, Profile::LowCard);
+        let b = gen_scenario_with_profile(7, Profile::LowCard);
         assert_eq!(a.render_script(), b.render_script());
     }
 

@@ -34,9 +34,24 @@
 //! time.
 //!
 //! Expressions read columns and literals in place ([`CompiledExpr::eval`]
-//! borrows them), so a filter copies nothing it only looks at; join keys,
-//! group keys and aggregate arguments are plain references
-//! ([`CompiledExpr::read`]), found through one `KeyTable`.
+//! borrows them), so a filter copies nothing it only looks at; join keys
+//! are plain references ([`CompiledExpr::read`]), found through one
+//! `KeyTable`.
+//!
+//! An Aggregate has one fold (`agg`), over column images. A SeqScan feeding
+//! it hands over each image page it serves whole, with the selection
+//! vector its filter left ([`ImagePage`]), instead of copying survivors
+//! into the batch; its row-path pages (the tail, pages with overflow rows,
+//! a dirty table's pages and virtual page) still arrive as rows, in heap
+//! order among the pages, as do the rows of any other input. The one fold
+//! is generic over an image page with its selection vector and a run of
+//! rows: it reads keys and arguments where they lie — a TEXT key as
+//! dictionary codes, mapped to groups once per code and page, numbers from
+//! their typed vectors — computes a bound call of one column through its
+//! page-at-a-time entry, and folds row after row, so groups, float sums
+//! and the first error are those of a per-row fold. The SeqScan stays its
+//! own operator: its `EXPLAIN` line, counters and span are unchanged, and
+//! `EXPLAIN ANALYZE` runs this same path.
 //!
 //! A statement runs entirely on the thread that calls [`execute_plan`]:
 //! each SeqScan `next_batch` reads and filters one [`MORSEL_PAGES`] range,
@@ -44,6 +59,7 @@
 //! between statements — the server bounds how many run at once — not
 //! within one.
 
+mod agg;
 pub mod stats;
 
 use crate::datum::Datum;
@@ -51,15 +67,15 @@ use crate::error::{DbError, DbResult};
 use crate::expr::compile::{compile, infallible, CompiledExpr, ScanFilter};
 use crate::expr::func::FunctionRegistry;
 use crate::fxhash::hash_one;
-use crate::plan::{AggCall, PhysicalPlan};
+use crate::plan::PhysicalPlan;
 use crate::sql::ast::{Expr, JoinKind};
-use crate::storage::colpage::ColBound;
+use crate::storage::colpage::{ColBound, ColumnPage};
 use crate::storage::heap::Rid;
 use crate::tuple::Row;
 use stats::{stats_tree, OpStats, OpStatsSnapshot};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::ops::Bound;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
@@ -82,7 +98,10 @@ pub trait StorageAccess {
     /// residual only on their survivors; any other page — a dirty table's,
     /// the tail, one with overflow rows, the virtual page — decodes the
     /// referenced columns of each row and runs the filter on it. Either way
-    /// only survivors' values are written.
+    /// only survivors' values are written. With `pages`, an image page is
+    /// not written out: it is pushed there whole with its survivors'
+    /// selection vector and its place among the appended rows, and only
+    /// row-path pages append rows.
     fn scan_batches(
         &self,
         table_id: u32,
@@ -90,6 +109,7 @@ pub trait StorageAccess {
         max_pages: u32,
         spec: &ScanSpec,
         out: &mut Vec<Datum>,
+        pages: Option<&mut Vec<ImagePage>>,
     ) -> DbResult<ScanProgress>;
     /// Fetch specific rows (missing rids are skipped).
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>>;
@@ -202,12 +222,23 @@ pub struct ScanProgress {
     pub pages_read: u32,
     /// Pages within the range the zone map refuted without reading.
     pub pages_skipped: u32,
-    /// Rows the call appended: the survivors of the filter.
+    /// The survivors of the filter: rows appended, and rows selected in
+    /// the image pages handed over.
     pub rows: usize,
     /// Columns read: referenced columns × pages with at least one live
     /// row — decoded on the row path, served on the column-image path —
     /// identical on both.
     pub segments_decoded: u64,
+}
+
+/// An image page a scan hands over whole ([`StorageAccess::scan_batches`]).
+pub struct ImagePage {
+    /// Rows appended before this page's, in heap order: where it lies among
+    /// the rows.
+    pub at: usize,
+    pub page: Arc<ColumnPage>,
+    /// The rows that passed the whole filter, ascending.
+    pub sel: Vec<u32>,
 }
 
 /// Execute a plan to completion, collecting every emitted batch.
@@ -217,7 +248,8 @@ pub fn execute_plan(
     plan: &PhysicalPlan,
 ) -> DbResult<Vec<Row>> {
     let mut query_span = genalg_obs::tracer().span("exec.query");
-    let (it, _) = build_iter(storage, funcs, plan, all_columns(plan), None, query_span.id())?;
+    let need = all_columns(plan);
+    let (it, _) = build_iter(storage, funcs, plan, need, None, query_span.id(), false)?;
     let out = collect_rows(it)?;
     query_span.field("rows", out.len());
     Ok(out)
@@ -234,7 +266,7 @@ pub fn execute_plan_with_stats(
     let mut query_span = genalg_obs::tracer().span("exec.query");
     let root = stats_tree(plan);
     let need = all_columns(plan);
-    let (it, _) = build_iter(storage, funcs, plan, need, Some(&root), query_span.id())?;
+    let (it, _) = build_iter(storage, funcs, plan, need, Some(&root), query_span.id(), false)?;
     let out = collect_rows(it)?;
     query_span.field("rows", out.len());
     Ok((out, root.snapshot()))
@@ -253,21 +285,26 @@ fn collect_rows(mut it: BoxIter<'_>) -> DbResult<Vec<Row>> {
 
 /// Rows in one allocation: `width` datums per row, row after row. The row
 /// count is kept beside the data because a zero-width row (the one
-/// [`PhysicalPlan::Nothing`] emits) occupies no datums.
+/// [`PhysicalPlan::Nothing`] emits) occupies no datums. A SeqScan feeding
+/// an Aggregate adds the image pages it hands over whole (`pages`), each
+/// placed among the rows; no other operator ever sees one.
 #[derive(Default)]
 struct Batch {
     data: Vec<Datum>,
     width: usize,
+    /// Rows in `data`.
     rows: usize,
+    pages: Vec<ImagePage>,
 }
 
 impl Batch {
     fn with_capacity(width: usize, rows: usize) -> Batch {
-        Batch { data: Vec::with_capacity(width * rows), width, rows: 0 }
+        Batch { data: Vec::with_capacity(width * rows), width, rows: 0, pages: Vec::new() }
     }
 
+    /// Rows in `data` and in the pages.
     fn len(&self) -> usize {
-        self.rows
+        self.rows + self.pages.iter().map(|p| p.sel.len()).sum::<usize>()
     }
 
     fn row(&self, i: usize) -> &[Datum] {
@@ -368,6 +405,10 @@ type BoxIter<'a> = Box<dyn BatchIter + 'a>;
 /// [`SpanIter`] that records one `exec.operator` span (under the query's
 /// `span_parent`) when the operator is dropped. The gate is one relaxed
 /// load per operator at *build* time — nothing on the per-batch path.
+///
+/// `whole_pages` is set by an Aggregate for its input: a SeqScan then hands
+/// over the image pages it serves whole ([`ImagePage`]) instead of copying
+/// their survivors into the batch. Every other operator ignores it.
 fn build_iter<'a>(
     storage: &'a dyn StorageAccess,
     funcs: &'a FunctionRegistry,
@@ -375,10 +416,11 @@ fn build_iter<'a>(
     need: Need,
     stats: Option<&Arc<OpStats>>,
     span_parent: u64,
+    whole_pages: bool,
 ) -> DbResult<(BoxIter<'a>, Layout)> {
     let child = |i: usize| stats.map(|s| &s.children[i]);
     let build = |input: &PhysicalPlan, need: Need, i: usize| {
-        build_iter(storage, funcs, input, need, child(i), span_parent)
+        build_iter(storage, funcs, input, need, child(i), span_parent, false)
     };
     let (it, layout): (BoxIter<'a>, Layout) = match plan {
         PhysicalPlan::Nothing => (Box::new(NothingIter { done: false }), Layout::new()),
@@ -391,6 +433,7 @@ fn build_iter<'a>(
                 table_id: *table_id,
                 spec,
                 next_page: Some(0),
+                whole_pages,
                 stats: stats.map(Arc::clone),
             };
             (Box::new(scan), layout)
@@ -489,17 +532,13 @@ fn build_iter<'a>(
                 .map(|c| compile_opt(c.arg.as_ref(), &in_bindings, funcs))
                 .collect::<DbResult<Vec<_>>>()?;
             let need = reading(Need::new(), group_by.iter().chain(args.iter().flatten()));
-            let (input, layout) = build(input, need, 0)?;
+            // The one consumer a SeqScan hands its image pages to whole.
+            let (input, layout) =
+                build_iter(storage, funcs, input, need, child(0), span_parent, true)?;
             group_by.iter_mut().chain(args.iter_mut().flatten()).for_each(|e| e.remap(&layout));
             let width = group_by.len() + calls.len();
-            let agg = AggregateIter {
-                input: Some(input),
-                group_by,
-                args,
-                calls: calls.to_vec(),
-                funcs,
-                stats: stats.map(Arc::clone),
-            };
+            let stats = stats.map(Arc::clone);
+            let agg = agg::AggregateIter::new(input, layout, group_by, args, calls, funcs, stats);
             (Box::new(agg), identity(width))
         }
         PhysicalPlan::Sort { input, keys: sort_keys } => {
@@ -730,7 +769,7 @@ impl BatchIter for NothingIter {
             return Ok(None);
         }
         self.done = true;
-        Ok(Some(Batch { data: Vec::new(), width: 0, rows: 1 }))
+        Ok(Some(Batch { rows: 1, ..Batch::default() }))
     }
 }
 
@@ -738,7 +777,8 @@ impl BatchIter for NothingIter {
 /// range, and [`StorageAccess::scan_batches`] writes only the rows that
 /// pass the whole filter — its kernel leaves a column at a time on pages a
 /// column image serves, per row elsewhere — and only their layout columns,
-/// straight into the batch.
+/// straight into the batch; for an Aggregate, image pages go into the
+/// batch whole, with their selection vectors.
 struct SeqScanIter<'a> {
     storage: &'a dyn StorageAccess,
     table_id: u32,
@@ -746,6 +786,8 @@ struct SeqScanIter<'a> {
     /// pages the zone maps may refute.
     spec: ScanSpec,
     next_page: Option<u32>,
+    /// Hand image pages over whole: the consumer is an Aggregate.
+    whole_pages: bool,
     /// `EXPLAIN ANALYZE` node to attribute `pages_read`, `pages_skipped`
     /// and `segments_decoded` to.
     stats: Option<Arc<OpStats>>,
@@ -761,8 +803,9 @@ impl BatchIter for SeqScanIter<'_> {
             MORSEL_PAGES,
             &self.spec,
             &mut out.data,
+            self.whole_pages.then_some(&mut out.pages),
         )?;
-        out.rows = progress.rows;
+        out.rows = progress.rows - out.pages.iter().map(|p| p.sel.len()).sum::<usize>();
         if let Some(stats) = &self.stats {
             stats.pages_read.fetch_add(u64::from(progress.pages_read), AtomicOrdering::Relaxed);
             stats
@@ -1242,122 +1285,6 @@ impl BatchIter for HashJoinIter<'_> {
                 pick(&mut out, p, &self.probe_pick);
                 out.end_row();
             }
-        }
-        Ok(Some(out))
-    }
-}
-
-struct AggregateIter<'a> {
-    input: Option<BoxIter<'a>>,
-    group_by: Vec<CompiledExpr>,
-    /// Compiled argument per call; `None` is `count(*)`.
-    args: Vec<Option<CompiledExpr>>,
-    calls: Vec<AggCall>,
-    funcs: &'a FunctionRegistry,
-    /// `EXPLAIN ANALYZE` node for `partitions`.
-    stats: Option<Arc<OpStats>>,
-}
-
-/// What `count(*)` folds per row: a non-null marker.
-static ROW_MARKER: Datum = Datum::Int(1);
-
-impl BatchIter for AggregateIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        let Some(mut input) = self.input.take() else { return Ok(None) };
-
-        struct Group {
-            accs: Vec<Box<dyn crate::expr::func::Accumulator>>,
-            distinct_seen: Vec<HashSet<Datum>>,
-        }
-
-        let calls = self.calls.as_slice();
-        let funcs = self.funcs;
-        let make_group = move || -> DbResult<Group> {
-            let mut accs = Vec::with_capacity(calls.len());
-            for c in calls {
-                let factory = funcs
-                    .aggregate(&c.func)
-                    .ok_or(DbError::NotFound { kind: "aggregate", name: c.func.clone() })?;
-                accs.push(factory());
-            }
-            Ok(Group { accs, distinct_seen: vec![HashSet::new(); calls.len()] })
-        };
-
-        fn apply(call: &AggCall, group: &mut Group, ci: usize, value: &Datum) -> DbResult<()> {
-            if call.distinct {
-                let seen = &mut group.distinct_seen[ci];
-                if value.is_null() || seen.contains(value) {
-                    return Ok(());
-                }
-                seen.insert(value.clone());
-            }
-            group.accs[ci].update(value).map_err(|e| match e {
-                DbError::TypeMismatch(m) => DbError::TypeMismatch(format!("{}(): {m}", call.func)),
-                other => other,
-            })
-        }
-
-        // Groups in first-seen order, which is the emission order; group
-        // `g`'s key is `keys[g * n..][..n]`, copied once, when it is new. A
-        // global aggregate (no GROUP BY) has exactly one group, even over
-        // zero rows, and every row folds straight into it: no key to hash,
-        // no table to probe.
-        let n = self.group_by.len();
-        let mut groups: Vec<Group> = if n == 0 { vec![make_group()?] } else { Vec::new() };
-        let (mut keys, mut table) = (Vec::new(), KeyTable::with_capacity(0));
-        // The fold into the accumulators is sequential —
-        // [`crate::expr::func::Accumulator`] is an open extension trait with
-        // no merge operation — and reads each key and argument where it lies
-        // in the input batch. Streaming batch by batch means the input is
-        // never fully materialized here.
-        let mut scratch = Vec::with_capacity(n);
-        while let Some(batch) = input.next_batch()? {
-            for row in batch.iter() {
-                let gi = if n == 0 {
-                    0
-                } else {
-                    // One key is read where it lies and hashes as a `Datum`;
-                    // several are copied into a scratch, hashed as a slice.
-                    let mut slot = None;
-                    let key: &[Datum] = match self.group_by.as_slice() {
-                        [g] => std::slice::from_ref(g.read(row, &mut slot)?),
-                        gs => {
-                            scratch.clear();
-                            for g in gs {
-                                scratch.push(g.read(row, &mut None)?.clone());
-                            }
-                            &scratch
-                        }
-                    };
-                    let hash = if let [k] = key { hash_one(k) } else { hash_one(key) };
-                    match table.find(hash, |g| keys[g * n..][..n] == *key) {
-                        Some(g) => g,
-                        None => {
-                            keys.extend_from_slice(key);
-                            groups.push(make_group()?);
-                            table.insert(hash)?
-                        }
-                    }
-                };
-                let group = &mut groups[gi];
-                for (ci, (call, arg)) in calls.iter().zip(&self.args).enumerate() {
-                    let mut slot = None;
-                    let value = arg.as_ref().map_or(Ok(&ROW_MARKER), |e| e.read(row, &mut slot))?;
-                    apply(call, group, ci, value)?;
-                }
-            }
-        }
-
-        if let Some(stats) = &self.stats {
-            stats.partitions.store(1, AtomicOrdering::Relaxed);
-        }
-
-        let mut out = Batch::with_capacity(n + calls.len(), groups.len());
-        let mut keys = keys.into_iter();
-        for g in groups {
-            out.data.extend(keys.by_ref().take(n));
-            out.data.extend(g.accs.iter().map(|acc| acc.finish()));
-            out.end_row();
         }
         Ok(Some(out))
     }

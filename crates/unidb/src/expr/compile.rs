@@ -15,7 +15,7 @@
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
 use crate::expr::eval::{ColumnBinding, EvalContext, LikePattern};
-use crate::expr::func::{BoundScalarFn, FunctionRegistry, ScalarFn};
+use crate::expr::func::{BoundColumnFn, BoundScalarFn, FunctionRegistry, ScalarFn};
 use crate::sql::ast::{BinOp, Expr, UnaryOp};
 use crate::storage::colpage::{zone_bounds, CmpOp, ColBound, ColPred, ColTest};
 use std::borrow::Cow;
@@ -41,9 +41,11 @@ pub enum CompiledExpr {
     },
     /// A function whose [`ScalarBinder`](crate::expr::func::ScalarBinder)
     /// took its literal arguments at compile time; `args` are the
-    /// remaining ones.
+    /// remaining ones. `column` is the call's page-at-a-time entry, which
+    /// the executor's Aggregate uses when `args` is one column.
     BoundFunc {
         f: BoundScalarFn,
+        column: Option<BoundColumnFn>,
         args: Vec<CompiledExpr>,
     },
     IsNull {
@@ -119,9 +121,13 @@ pub fn compile(
                         _ => None,
                     })
                     .collect();
-                if let Some(f) = bind(&literals) {
+                if let Some(bound) = bind(&literals) {
                     args.retain(|a| !matches!(a, CompiledExpr::Literal(_)));
-                    return Ok(CompiledExpr::BoundFunc { f, args });
+                    return Ok(CompiledExpr::BoundFunc {
+                        f: bound.row,
+                        column: bound.column,
+                        args,
+                    });
                 }
             }
             Ok(CompiledExpr::Func { f: scalar.f.clone(), args })
@@ -228,7 +234,7 @@ impl CompiledExpr {
                 }
                 f(&values).map(Cow::Owned)
             }
-            CompiledExpr::BoundFunc { f, args } => match args.as_slice() {
+            CompiledExpr::BoundFunc { f, args, .. } => match args.as_slice() {
                 [a] => f(&[&*a.eval(row)?]).map(Cow::Owned),
                 _ => {
                     let values = args.iter().map(|a| a.eval(row)).collect::<DbResult<Vec<_>>>()?;
@@ -750,6 +756,7 @@ mod tests {
     /// that has none, is called as before.
     #[test]
     fn literal_arguments_are_bound_at_compile_time() {
+        use crate::expr::func::BoundCall;
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
@@ -767,9 +774,9 @@ mod tests {
                     }
                     count.fetch_add(1, Ordering::Relaxed);
                     let shape = format!("{literals:?}");
-                    Some(Arc::new(move |vars: &[&Datum]| {
+                    Some(BoundCall::per_row(Arc::new(move |vars: &[&Datum]| {
                         Ok(Datum::Text(format!("bound {shape} {vars:?}")))
-                    }))
+                    })))
                 }),
             )
             .unwrap();

@@ -23,14 +23,41 @@ pub type ScalarFn = Arc<dyn Fn(&[Datum]) -> DbResult<Datum> + Send + Sync>;
 /// remaining arguments only, in order, borrowed from wherever they live.
 pub type BoundScalarFn = Arc<dyn Fn(&[&Datum]) -> DbResult<Datum> + Send + Sync>;
 
+/// The page-at-a-time entry of a bound call whose one varying argument is
+/// a column: handed that argument's values for a run of rows (the selected
+/// rows of one column of a page), it either appends one output per value
+/// to `out` — exactly what the per-row call returns for it — and answers
+/// `true`, or *refuses* the run and answers `false`. The caller discards
+/// whatever a refusing entry appended and makes the per-row call for each
+/// value instead, which decides the result and words any error; so an
+/// entry refuses every run holding a value it cannot serve, and never
+/// reports an error itself.
+pub type BoundColumnFn = Arc<dyn Fn(&[&Datum], &mut Vec<Datum>) -> bool + Send + Sync>;
+
+/// A call site as a [`ScalarBinder`] specialised it: the per-row call and,
+/// when the binder offers one, the page-at-a-time entry beside it.
+#[derive(Clone)]
+pub struct BoundCall {
+    pub row: BoundScalarFn,
+    pub column: Option<BoundColumnFn>,
+}
+
+impl BoundCall {
+    /// A bound call with no page-at-a-time entry.
+    pub fn per_row(row: BoundScalarFn) -> BoundCall {
+        BoundCall { row, column: None }
+    }
+}
+
 /// Specialises a scalar function for one call site. It is handed each
 /// argument that is a literal in the statement (`Some`) and a placeholder
 /// for each that varies by row (`None`), once, when the expression is
 /// compiled — so parsing a pattern or resolving an overload is paid per
 /// statement, not per row. The bound function must return exactly what the
-/// plain function returns for the same full argument list; returning `None`
-/// leaves the call site on the plain function.
-pub type ScalarBinder = Arc<dyn Fn(&[Option<&Datum>]) -> Option<BoundScalarFn> + Send + Sync>;
+/// plain function returns for the same full argument list, and so must its
+/// page-at-a-time entry, when it has one, for every run it does not
+/// refuse; returning `None` leaves the call site on the plain function.
+pub type ScalarBinder = Arc<dyn Fn(&[Option<&Datum>]) -> Option<BoundCall> + Send + Sync>;
 
 /// A registered scalar function.
 #[derive(Clone)]

@@ -14,7 +14,7 @@
 //! impl, so the engine-wide invariant that `Int(3)` and `Float(3.0)`
 //! hash alike (both fold the f64 bit pattern) is preserved automatically.
 
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Multiplier from FxHash (the golden-ratio-derived odd constant).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -99,6 +99,9 @@ impl Hasher for FxHasher {
         self.add(v as u64);
     }
 }
+
+/// The Fx hasher for std maps and sets.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Hash one value to a `u64` with the Fx hasher.
 #[inline]

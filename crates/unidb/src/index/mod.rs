@@ -1,9 +1,9 @@
 //! Index structures: built-in B+-trees plus the user-defined index
 //! mechanism (§6.5) that lets the adapter plug genomic indexes into plans.
 //!
-//! Both live behind one entry type, [`TableIndex`], in one collection per
-//! table: `CREATE INDEX` makes either kind through [`new_index`] and fills it
-//! with one [`TableIndex::build`] call, every row mutation maintains the
+//! Both live behind one entry type, `TableIndex`, in one collection per
+//! table: `CREATE INDEX` makes either kind through `new_index` and fills it
+//! with one `TableIndex::build` call, every row mutation maintains the
 //! table's indexes in one walk, and the WAL and the snapshot log either as
 //! one `CreateIndex { table, column, kind, params }` record — so recovery
 //! rebuilds domain indexes exactly as it rebuilds B-trees.

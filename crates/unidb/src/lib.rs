@@ -56,7 +56,8 @@ pub use datum::{DataType, Datum};
 pub use db::{Database, Prepared, ResultSet};
 pub use error::{DbError, DbResult};
 pub use expr::func::{
-    AggregateFn, BoundScalarFn, FunctionRegistry, IndexKindFn, ScalarBinder, ScalarFn,
+    AggregateFn, BoundCall, BoundColumnFn, BoundScalarFn, FunctionRegistry, IndexKindFn,
+    ScalarBinder, ScalarFn,
 };
 pub use index::udi::AccessMethod;
 pub use storage::heap::Rid;

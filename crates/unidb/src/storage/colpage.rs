@@ -3,9 +3,15 @@
 //! A columnar page is an in-memory image of one heap page's live rows,
 //! transposed into one vector per column: INT and FLOAT columns as typed
 //! `i64`/`f64` vectors with a NULL bitmap (8 bytes and a bit per value),
-//! every other column — and a number column holding a value of another
-//! type — as decoded values. It is built on demand from a decoded page and
-//! never written back.
+//! TEXT columns as a *dictionary* — a `u32` code per row plus the page's
+//! distinct values, NULL among them if the column holds one — and every
+//! other column, including a number or TEXT column holding a value of
+//! another type, as decoded values. It is built on demand from a decoded
+//! page and never written back. The rule is fixed: a column whose every
+//! value is TEXT or NULL is a dictionary, however many distinct values it
+//! has; its codes cost 4 bytes a row beside what the decoded values cost,
+//! and [`ColumnPage::approx_bytes`] counts codes, the distinct values and
+//! their strings.
 //!
 //! A scan served from an image decodes nothing and filters a column at a
 //! time: each *kernel leaf* of its filter ([`ColPred`]: a column compared
@@ -13,7 +19,12 @@
 //! vector over one column ([`ColumnPage::select`]), and only the surviving
 //! rows' referenced values are then written out ([`ColumnPage::append`]) —
 //! a copy for a number, an `Arc` increment that shares the payload for an
-//! opaque value. The kernels reproduce [`ColTest::passes`], the per-row
+//! opaque value. A consumer that folds a page where it lies (the
+//! executor's Aggregate) reads it in place instead: a value by reference
+//! ([`ColumnPage::get`]), a dictionary column's codes
+//! ([`ColumnPage::dict`]), a column's selected values as references
+//! ([`ColumnPage::refs`]). A kernel leaf over a dictionary column tests
+//! each distinct value once and then filters the codes. The kernels reproduce [`ColTest::passes`], the per-row
 //! definition other pages use, exactly: they compare as
 //! [`Datum::total_cmp`] does (two INTs as `i64`, anything involving a
 //! FLOAT as `f64`, so `-0.0 < 0.0` and an INT above 2^53 compares as it
@@ -34,9 +45,10 @@
 //! the null-count side of the zone.
 
 use crate::datum::Datum;
+use crate::fxhash::FxBuildHasher;
 use crate::tuple::Row;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Zone maps cover the first `ZONE_COLS` columns of a table; wider
 /// tables keep exact zones for the leading columns and simply cannot
@@ -466,14 +478,20 @@ impl Nulls {
 
 /// One column of an image. A column whose every value is INT or NULL is
 /// held as `i64`s, one whose every value is FLOAT or NULL as `f64`s, each
-/// with a NULL bitmap (a NULL's slot holds 0). Any other column — BOOL,
-/// TEXT, BLOB, opaque, or numbers of both types — keeps its decoded values.
+/// with a NULL bitmap (a NULL's slot holds 0), and one whose every value
+/// is TEXT or NULL as a dictionary: a code per row indexing the page's
+/// distinct values, in first-seen order. Any other column — BOOL, BLOB,
+/// opaque, or values of several types — keeps its decoded values.
 #[derive(Debug, Clone)]
 enum Column {
     Int(Vec<i64>, Nulls),
     Float(Vec<f64>, Nulls),
+    Dict(Vec<u32>, Vec<Datum>),
     Datums(Vec<Datum>),
 }
+
+/// What a read past a row's arity returns.
+static NULL: Datum = Datum::Null;
 
 impl Column {
     fn build(values: Vec<Datum>) -> Column {
@@ -503,26 +521,67 @@ impl Column {
             let (vals, nulls) =
                 typed(&values, |d| if let Datum::Float(v) = d { Some(*v) } else { None });
             Column::Float(vals, nulls)
+        } else if all(|d| matches!(d, Datum::Text(_))) {
+            Column::dictionary(values)
         } else {
             Column::Datums(values)
         }
     }
 
-    /// Row `row`'s value: a copy for a number, a clone for a decoded
-    /// value (an `Arc` increment that shares an opaque payload).
+    /// Code TEXT-or-NULL `values` in one hashing pass, then move each
+    /// distinct value — its first occurrence — into the dictionary.
+    fn dictionary(values: Vec<Datum>) -> Column {
+        let mut codes = Vec::with_capacity(values.len());
+        // The row each code was first seen at, ascending.
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut seen: HashMap<Option<&str>, u32, FxBuildHasher> = HashMap::default();
+        for (r, d) in values.iter().enumerate() {
+            let next = firsts.len() as u32;
+            codes.push(*seen.entry(d.as_text()).or_insert_with(|| {
+                firsts.push(r);
+                next
+            }));
+        }
+        drop(seen);
+        let mut dict = Vec::with_capacity(firsts.len());
+        let mut firsts = firsts.into_iter().peekable();
+        for (r, d) in values.into_iter().enumerate() {
+            if firsts.next_if_eq(&r).is_some() {
+                dict.push(d);
+            }
+        }
+        Column::Dict(codes, dict)
+    }
+
+    /// Row `row`'s value: a copy for a number, a clone for a decoded or
+    /// dictionary value (an `Arc` increment that shares an opaque payload).
     #[inline]
     fn value(&self, row: usize) -> Datum {
         match self {
             Column::Int(_, nulls) | Column::Float(_, nulls) if nulls.get(row) => Datum::Null,
             Column::Int(vals, _) => Datum::Int(vals[row]),
             Column::Float(vals, _) => Datum::Float(vals[row]),
+            Column::Dict(codes, dict) => dict[codes[row] as usize].clone(),
             Column::Datums(vals) => vals[row].clone(),
+        }
+    }
+
+    /// Row `row`'s value where the column holds it as a [`Datum`]: `None`
+    /// for a typed column.
+    #[inline]
+    fn held(&self, row: usize) -> Option<&Datum> {
+        match self {
+            Column::Dict(codes, dict) => Some(&dict[codes[row] as usize]),
+            Column::Datums(vals) => Some(&vals[row]),
+            Column::Int(..) | Column::Float(..) => None,
         }
     }
 
     /// Narrow `sel` to the rows whose value passes `test`, in order. The
     /// typed kernels compare exactly as [`Datum::total_cmp`] does: two
-    /// INTs as `i64`s, anything involving a FLOAT as `f64`s.
+    /// INTs as `i64`s, anything involving a FLOAT as `f64`s. A dictionary
+    /// column tests each distinct value once and keeps the rows whose code
+    /// passed.
     fn retain(&self, sel: &mut Vec<u32>, test: &ColTest) {
         fn keep(sel: &mut Vec<u32>, nulls: &Nulls, pass: impl Fn(usize) -> bool) {
             sel.retain(|&r| !nulls.get(r as usize) && pass(r as usize));
@@ -544,42 +603,49 @@ impl Column {
             (Column::Int(_, nulls) | Column::Float(_, nulls), ColTest::IsNull { negated }) => {
                 sel.retain(|&r| nulls.get(r as usize) != *negated)
             }
+            (Column::Dict(codes, dict), _) => {
+                let pass: Vec<bool> = dict.iter().map(|d| test.passes(d)).collect();
+                sel.retain(|&r| pass[codes[r as usize] as usize])
+            }
             (Column::Datums(vals), _) => sel.retain(|&r| test.passes(&vals[r as usize])),
             // A number column against a non-numeric or NULL literal, or IN.
             _ => sel.retain(|&r| test.passes(&self.value(r as usize))),
         }
     }
 
-    /// Bytes the column holds: its values, its bitmap, and what decoded
-    /// values own on the heap.
+    /// Bytes the column holds: its values or codes, its bitmap, and what
+    /// decoded values own on the heap.
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
+        let decoded = |vals: &Vec<Datum>| {
+            vals.capacity() * size_of::<Datum>()
+                + vals
+                    .iter()
+                    .map(|d| match d {
+                        Datum::Text(s) => s.capacity(),
+                        Datum::Blob(b) => b.capacity(),
+                        Datum::Opaque(_, p) => p.capacity(),
+                        _ => 0,
+                    })
+                    .sum::<usize>()
+        };
         match self {
             Column::Int(vals, nulls) => vals.capacity() * size_of::<i64>() + nulls.0.capacity() * 8,
             Column::Float(vals, nulls) => {
                 vals.capacity() * size_of::<f64>() + nulls.0.capacity() * 8
             }
-            Column::Datums(vals) => {
-                vals.capacity() * size_of::<Datum>()
-                    + vals
-                        .iter()
-                        .map(|d| match d {
-                            Datum::Text(s) => s.capacity(),
-                            Datum::Blob(b) => b.capacity(),
-                            Datum::Opaque(_, p) => p.capacity(),
-                            _ => 0,
-                        })
-                        .sum::<usize>()
-            }
+            Column::Dict(codes, dict) => codes.capacity() * size_of::<u32>() + decoded(dict),
+            Column::Datums(vals) => decoded(vals),
         }
     }
 }
 
 /// A heap page's live rows in columnar form, rows in slot order: INT and
-/// FLOAT columns as typed vectors with a NULL bitmap, every other column
-/// as decoded values. Built only for pages whose rows all share one arity
-/// (the invariant every table page satisfies); [`None`] from
-/// [`ColumnPage::build`] means "keep the row layout for this page".
+/// FLOAT columns as typed vectors with a NULL bitmap, TEXT columns as
+/// dictionaries, every other column as decoded values. Built only for
+/// pages whose rows all share one arity (the invariant every table page
+/// satisfies); [`None`] from [`ColumnPage::build`] means "keep the row
+/// layout for this page".
 ///
 /// A scan filters an image a column at a time: [`ColumnPage::select`]
 /// runs each kernel leaf over its column into a selection vector, and
@@ -630,6 +696,48 @@ impl ColumnPage {
     /// Row `row`'s value of column `col` (NULL past the arity).
     pub fn value(&self, col: usize, row: usize) -> Datum {
         self.cols.get(col).map_or(Datum::Null, |c| c.value(row))
+    }
+
+    /// Row `row`'s value of column `col` read in place: a decoded or
+    /// dictionary value where it lies, a number written into `tmp` (NULL
+    /// past the arity).
+    #[inline]
+    pub fn get<'a>(&'a self, col: usize, row: usize, tmp: &'a mut Datum) -> &'a Datum {
+        match self.cols.get(col) {
+            Some(Column::Dict(codes, dict)) => &dict[codes[row] as usize],
+            Some(Column::Datums(vals)) => &vals[row],
+            Some(c) => {
+                *tmp = c.value(row);
+                tmp
+            }
+            None => &NULL,
+        }
+    }
+
+    /// A dictionary column's codes, one per row, and its distinct values;
+    /// `None` for any other column.
+    pub fn dict(&self, col: usize) -> Option<(&[u32], &[Datum])> {
+        match self.cols.get(col)? {
+            Column::Dict(codes, dict) => Some((codes, dict)),
+            _ => None,
+        }
+    }
+
+    /// Column `col`'s values at the rows `sel`, by reference, appended to
+    /// `out`; `false`, with nothing appended, for a typed column, which
+    /// holds no [`Datum`]s to lend (NULLs past the arity).
+    pub fn refs<'a>(&'a self, col: usize, sel: &[u32], out: &mut Vec<&'a Datum>) -> bool {
+        match self.cols.get(col) {
+            Some(Column::Int(..) | Column::Float(..)) => false,
+            Some(c) => {
+                out.extend(sel.iter().map(|&r| c.held(r as usize).expect("held")));
+                true
+            }
+            None => {
+                out.extend(sel.iter().map(|_| &NULL));
+                true
+            }
+        }
     }
 
     /// Append the values of `cols` (table positions, NULL past the arity)
@@ -773,6 +881,43 @@ mod tests {
                 assert_eq!(format!("{:?}", cp.value(c, r)), format!("{d:?}"), "row {r} col {c}");
             }
         }
+    }
+
+    /// A TEXT-or-NULL column is a dictionary in first-seen order, NULL
+    /// among its values; it reads back, filters and lends its values as
+    /// the decoded column would, and costs at most 4 bytes a row more.
+    #[test]
+    fn text_columns_are_dictionaries() {
+        let labels = [Some("human"), None, Some("mouse"), Some("human"), Some("yeast")];
+        let text = |i: usize| labels[i % 5].map_or(Datum::Null, |s| Datum::Text(s.into()));
+        let rs: Vec<Row> = (0..60)
+            .map(|i| vec![text(i), if i == 7 { Datum::Int(1) } else { text(i + 1) }])
+            .collect();
+        let cp = ColumnPage::build(rs.clone()).unwrap();
+        let (codes, dict) = cp.dict(0).expect("a TEXT-or-NULL column is a dictionary");
+        assert_eq!(dict, [text(0), Datum::Null, text(2), text(4)]);
+        assert_eq!(codes[..6], [0, 1, 2, 0, 3, 0]);
+        assert!(cp.dict(1).is_none(), "a TEXT column holding an INT stays decoded");
+        let (mut tmp, mut refs) = (Datum::Null, Vec::new());
+        assert!(cp.refs(0, &[3, 1], &mut refs));
+        assert_eq!(refs, [&text(3), &Datum::Null]);
+        for (r, row) in rs.iter().enumerate() {
+            assert_eq!(cp.value(0, r), row[0]);
+            assert_eq!(*cp.get(0, r, &mut tmp), row[0]);
+        }
+        for test in [
+            ColTest::Cmp(CmpOp::Eq, Datum::Text("human".into())),
+            ColTest::Cmp(CmpOp::Gt, Datum::Text("j".into())),
+            ColTest::IsNull { negated: false },
+            ColTest::In(vec![Datum::Text("yeast".into()), Datum::Null]),
+        ] {
+            let mut sel = Vec::new();
+            cp.select(&[ColPred { col: 0, test: test.clone() }], &mut sel);
+            let want: Vec<u32> = (0..60).filter(|&r| test.passes(&rs[r as usize][0])).collect();
+            assert_eq!(sel, want, "{test:?}");
+        }
+        let decoded = Column::Datums(rs.iter().map(|r| r[0].clone()).collect());
+        assert!(cp.cols[0].approx_bytes() <= decoded.approx_bytes() + 4 * rs.len());
     }
 
     /// An all-INT image costs 8 bytes per value plus its bitmap (1 bit per

@@ -28,6 +28,7 @@ use crate::db::{
     assign, insert_images, run_read, update_targets, Inner, OldVersion, ResultSet, TableStorage,
 };
 use crate::error::{DbError, DbResult};
+use crate::fxhash::hash_one;
 use crate::locate::{locate_rows, table_bindings, Prov};
 use crate::sql::ast::{Expr, Stmt};
 use crate::storage::heap::Rid;
@@ -330,7 +331,14 @@ pub(crate) fn validate_and_apply(inner: &mut Inner, state: TxnState) -> DbResult
     // write to trip over.
     let mut fresh: Vec<(u32, Row)> = Vec::new();
     for (table_id, tw) in state.writes.tables {
-        for rid in tw.deleted {
+        // Deletes go in one fixed order, so twin databases log the same
+        // bytes and keep their prior images in the same order — but not in
+        // rid order: rows sit in a page in key order as often as not, and
+        // removing each page's extremum in turn would rebuild its zone
+        // once per row. The order of their Fx hashes is fixed and mixed.
+        let mut deleted: Vec<Rid> = tw.deleted.into_iter().collect();
+        deleted.sort_by_key(|rid| (hash_one(rid), *rid));
+        for rid in deleted {
             let row = validated_row(inner, table_id, rid)?;
             inner.delete_row(table_id, rid, &row)?;
         }

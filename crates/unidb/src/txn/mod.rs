@@ -61,7 +61,7 @@ use crate::storage::heap::Rid;
 use crate::tuple::Row;
 use genalg_obs::{Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -175,8 +175,12 @@ pub(crate) struct TableWrites {
     /// Ordered, so the positions the read view's synthetic rids address
     /// (and the order commit applies in) do not depend on a hasher.
     pub(crate) updated: BTreeMap<Rid, Row>,
-    /// Committed rids deleted by this transaction.
-    pub(crate) deleted: HashSet<Rid>,
+    /// Committed rids deleted by this transaction. Ordered like `updated`,
+    /// so nothing here depends on a seeded hasher: commit removes them, and
+    /// logs their WAL records, in one fixed order, and two databases given
+    /// the same statements log the same bytes and keep their prior images
+    /// in the same order.
+    pub(crate) deleted: BTreeSet<Rid>,
     /// Rows this transaction inserted. `None` marks an insert that a later
     /// statement in the same transaction deleted (indices must stay stable
     /// because statements refer to own-inserts by position).
@@ -204,10 +208,11 @@ impl TableWrites {
     }
 }
 
-/// A transaction's private, uncommitted writes, grouped by table id.
+/// A transaction's private, uncommitted writes, grouped by table id and
+/// applied at commit in table-id order.
 #[derive(Debug, Default)]
 pub(crate) struct WriteSet {
-    pub(crate) tables: HashMap<u32, TableWrites>,
+    pub(crate) tables: BTreeMap<u32, TableWrites>,
 }
 
 impl WriteSet {

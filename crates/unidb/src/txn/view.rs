@@ -21,7 +21,9 @@
 //! row is first checked for visibility by rid. A dirty table then serves
 //! one *virtual page* past the real heap: (a) prior images visible to the
 //! snapshot but already superseded in the heap and (b) the transaction's
-//! own updated/inserted rows. Column images are off on dirty tables.
+//! own updated/inserted rows. Column images are off on dirty tables. For
+//! an Aggregate the scan hands an image page over whole, with its
+//! survivors' selection vector, rather than writing their values out.
 //!
 //! **Zone pruning on dirty tables is sound.** A zone map describes the
 //! *current* content of its page, exactly. Every heap row a view serves is
@@ -54,7 +56,7 @@ use crate::catalog::{Catalog, EquiDepthHistogram};
 use crate::datum::Datum;
 use crate::db::{Inner, TableStorage};
 use crate::error::{DbError, DbResult};
-use crate::exec::{ScanProgress, ScanSpec, StorageAccess};
+use crate::exec::{ImagePage, ScanProgress, ScanSpec, StorageAccess};
 use crate::expr::func::FunctionRegistry;
 use crate::index::{AccessMethod, BTreeIndex};
 use crate::locate::Prov;
@@ -311,17 +313,15 @@ fn column_image(
     Ok(Some(cp))
 }
 
-/// Scan one page's image: the kernel leaves narrow a selection vector a
-/// column at a time, the residual runs per row on their survivors (with
-/// only its own columns filled in the scratch), and the survivors' emitted
-/// columns are appended in slot order. Returns the rows appended.
+/// The survivors of one page's image, into `sel`: the kernel leaves narrow
+/// a selection vector a column at a time, and the residual runs per row on
+/// their survivors (with only its own columns filled in the scratch).
 fn image_survivors(
     cp: &ColumnPage,
     spec: &ScanSpec,
     sel: &mut Vec<u32>,
     scratch: &mut Row,
-    out: &mut Vec<Datum>,
-) -> DbResult<usize> {
+) -> DbResult<()> {
     cp.select(&spec.filter.leaves, sel);
     if let Some(residual) = &spec.filter.residual {
         scratch.clear();
@@ -339,8 +339,7 @@ fn image_survivors(
         }
         sel.truncate(kept);
     }
-    cp.append(sel, &spec.emit, out);
-    Ok(sel.len())
+    Ok(())
 }
 
 impl StorageAccess for ReadView<'_> {
@@ -351,6 +350,7 @@ impl StorageAccess for ReadView<'_> {
         max_pages: u32,
         spec: &ScanSpec,
         out: &mut Vec<Datum>,
+        mut pages: Option<&mut Vec<ImagePage>>,
     ) -> DbResult<ScanProgress> {
         let storage = self.storage(table_id)?;
         let overlay = self.overlay(table_id);
@@ -370,12 +370,15 @@ impl StorageAccess for ReadView<'_> {
         }
         let end = first_page.saturating_add(max_pages).min(total);
         let (mut skipped, mut segments, mut visited, mut rows) = (0u32, 0u64, 0u64, 0usize);
+        // Survivors handed over in pages rather than appended.
+        let mut paged = 0usize;
         let mut scratch: Row = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
-        // A column image holds INT and FLOAT columns as typed vectors and
-        // everything else decoded, so a scan served from one runs its
-        // kernel leaves a column at a time and decodes nothing; the row
-        // codec must parse past every column before the last one read.
+        // A column image holds INT and FLOAT columns as typed vectors, TEXT
+        // as dictionaries and everything else decoded, so a scan served
+        // from one runs its kernel leaves a column at a time and decodes
+        // nothing; the row codec must parse past every column before the
+        // last one read.
         // Images serve scans whose mask skips interior columns and scans
         // with kernel leaves. A dense scan without leaves (no mask, or
         // every prefix column referenced — trailing columns are free to
@@ -404,7 +407,20 @@ impl StorageAccess for ReadView<'_> {
             if images {
                 if let Some(cp) = column_image(storage, page_no, real)? {
                     segments += referenced(cp.arity().min(spec.prefix));
-                    rows += image_survivors(&cp, spec, &mut sel, &mut scratch, out)?;
+                    image_survivors(&cp, spec, &mut sel, &mut scratch)?;
+                    match pages.as_deref_mut() {
+                        Some(pages) if !sel.is_empty() => {
+                            let at = rows - paged;
+                            rows += sel.len();
+                            paged += sel.len();
+                            pages.push(ImagePage { at, page: cp, sel: sel.clone() });
+                        }
+                        Some(_) => {}
+                        None => {
+                            cp.append(&sel, &spec.emit, out);
+                            rows += sel.len();
+                        }
+                    }
                     continue;
                 }
             }

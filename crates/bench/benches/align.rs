@@ -36,6 +36,24 @@ fn best_ns(mut pass: impl FnMut() -> usize) -> (f64, usize) {
     (best, out)
 }
 
+/// Best of nine for a kernel and its reference, their passes taken in
+/// turn, so a disturbed stretch of the run slows both sides of the ratio.
+fn best_in_turn(
+    mut kernel: impl FnMut() -> usize,
+    mut reference: impl FnMut() -> usize,
+) -> [(f64, usize); 2] {
+    let mut best = [(f64::INFINITY, 0); 2];
+    for _ in 0..9 {
+        let sides: [&mut dyn FnMut() -> usize; 2] = [&mut kernel, &mut reference];
+        for (side, pass) in sides.into_iter().enumerate() {
+            let start = Instant::now();
+            let out = black_box(pass());
+            best[side] = (best[side].0.min(start.elapsed().as_nanos() as f64), out);
+        }
+    }
+    best
+}
+
 struct Entry {
     name: &'static str,
     what: &'static str,
@@ -104,8 +122,10 @@ fn main() {
         keyed().for_each(|(key, f)| index.add(key, f));
         index
     };
-    let (kernel_ns, built) = best_ns(|| KmerIndex::build(8, keyed()).indexed_positions());
-    let (reference_ns, added) = best_ns(|| add_each().indexed_positions());
+    let [(kernel_ns, built), (reference_ns, added)] = best_in_turn(
+        || KmerIndex::build(8, keyed()).indexed_positions(),
+        || add_each().indexed_positions(),
+    );
     assert_eq!(built, added, "the bulk build indexed other windows than adding did");
     entries.push(Entry {
         name: "kmer_build",
@@ -285,18 +305,9 @@ fn main() {
         });
         gc.map(|g| (g * 1e6) as usize).sum::<usize>()
     };
-    // Best of nine, statement and kernel passes taken in turn, so a
-    // disturbed stretch of the run slows both sides of the ratio; at smoke
-    // scale one pass is well under a millisecond.
-    let (mut kernel_ns, mut reference_ns, mut groups) = (f64::INFINITY, f64::INFINITY, 0);
-    for _ in 0..9 {
-        let start = Instant::now();
-        groups = black_box(db.execute(grouped).expect("runs").rows.len());
-        kernel_ns = kernel_ns.min(start.elapsed().as_nanos() as f64);
-        let start = Instant::now();
-        black_box(gc_sum());
-        reference_ns = reference_ns.min(start.elapsed().as_nanos() as f64);
-    }
+    // At smoke scale one pass is well under a millisecond.
+    let [(kernel_ns, groups), (reference_ns, _)] =
+        best_in_turn(|| db.execute(grouped).expect("runs").rows.len(), gc_sum);
     // Same sums in the same order: the statement's averages are exact.
     let mut want: Vec<(String, i64, f64)> = Vec::new();
     for (org, f) in organisms.iter().zip(&frags) {

@@ -3,7 +3,7 @@
 //! underlying index primitives, and B-tree versus scan for scalar lookups.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use genalg::core::index::{KmerIndex, SuffixArray};
+use genalg::core::index::KmerIndex;
 use genalg::prelude::*;
 
 fn seeded_db(rows: usize, with_index: bool) -> (Database, String) {
@@ -97,18 +97,6 @@ fn bench_index_primitives(c: &mut Criterion) {
     });
     group.bench_function("naive_scan_1000", |b| {
         b.iter(|| seqs.iter().filter(|s| s.contains(&pattern)).count())
-    });
-
-    let genome = generator.random_dna(50_000);
-    group.bench_function("suffix_array_build_50kb", |b| {
-        b.iter(|| SuffixArray::build(&genome).len())
-    });
-    let sa = SuffixArray::build(&genome);
-    let probe = genome.subseq(25_000, 25_020).unwrap().to_text();
-    group.bench_function("suffix_array_find", |b| b.iter(|| sa.find_all(probe.as_bytes()).len()));
-    group.bench_function("naive_find_50kb", |b| {
-        let p = DnaSeq::from_text(&probe).unwrap();
-        b.iter(|| genome.find_all(&p).len())
     });
     group.finish();
 }

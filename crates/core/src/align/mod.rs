@@ -6,23 +6,19 @@
 //!
 //! * [`global_align`] — Needleman–Wunsch with affine gaps (Gotoh).
 //! * [`local_align`] — Smith–Waterman with affine gaps.
-//! * [`banded_global_align`] — banded global alignment for near-identical
-//!   sequences.
-//! * [`seed_and_extend`] — a BLAST-style heuristic: exact k-mer seeds,
-//!   ungapped X-drop extension, and a banded refinement pass.
+//! * [`seed_and_extend`] — a BLAST-style heuristic: exact k-mer seeds and
+//!   ungapped X-drop extension.
 //! * [`resembles`] — the similarity predicate exposed to the query language,
 //!   and [`ResemblesQuery`], its query side prepared once for many subjects.
 //!
 //! All aligners work on ASCII symbol slices so one implementation serves
 //! DNA, RNA, and protein sequences; typed wrappers do the conversion.
 
-mod banded;
 mod gotoh;
 mod matrix;
 mod score;
 mod seedextend;
 
-pub use banded::banded_global_align;
 pub use gotoh::{global_align, local_align, Aligned};
 pub use matrix::Blosum62;
 pub use score::{NucleotideScore, Scoring};

@@ -22,9 +22,9 @@
 //! * [`uncertainty`] — first-class uncertainty ([`uncertainty::Uncertain`], [`uncertainty::Alternatives`]).
 //! * [`algebra`] — the many-sorted signature, terms, and the extensible
 //!   operation registry that evaluates them.
-//! * [`align`] — global/local/banded/seed-and-extend alignment and the
+//! * [`align`] — global/local/seed-and-extend alignment and the
 //!   `resembles` similarity predicate.
-//! * [`index`] — k-mer and suffix-array sequence indexes.
+//! * [`index`] — the k-mer sequence index.
 //! * [`compact`] — pointer-free, page-embeddable encodings of every GDT
 //!   (the opaque-UDT payload format used inside the DBMS).
 //!
@@ -75,7 +75,7 @@ pub mod prelude {
         Chromosome, Feature, FeatureKind, Gene, Genome, Interval, Location, Mrna,
         PrimaryTranscript, Protein,
     };
-    pub use crate::index::{KmerIndex, SuffixArray};
+    pub use crate::index::KmerIndex;
     pub use crate::seq::{DnaSeq, ProteinSeq, RnaSeq};
     pub use crate::uncertainty::{Alternatives, Confidence, Uncertain};
 }

@@ -2,14 +2,13 @@
 
 use genalg_core::algebra::Value;
 use genalg_core::align::{
-    banded_global_align, global_align, local_align, local_align_dna, resembles, NucleotideScore,
-    ResemblesQuery, Scoring,
+    global_align, local_align, local_align_dna, resembles, NucleotideScore, ResemblesQuery, Scoring,
 };
 use genalg_core::alphabet::{AminoAcid, DnaBase, IupacDna};
 use genalg_core::codon::GeneticCode;
 use genalg_core::compact::{dna_view, value_from_bytes, value_to_bytes, Compact};
 use genalg_core::gdt::Gene;
-use genalg_core::index::{KmerIndex, SuffixArray};
+use genalg_core::index::KmerIndex;
 use genalg_core::seq::ops::{kmers, pack_kmer, unpack_kmer};
 use genalg_core::seq::{DnaSeq, ProteinSeq, RnaSeq};
 use proptest::prelude::*;
@@ -267,37 +266,7 @@ proptest! {
             String::from_utf8_lossy(&aln.aligned_a), String::from_utf8_lossy(&aln.aligned_b));
     }
 
-    #[test]
-    fn banded_matches_full_when_band_is_wide(a in dna_text(), b in dna_text()) {
-        // With linear gaps and a band wider than both sequences, banded ==
-        // full alignment.
-        let linear = NucleotideScore { matched: 2, mismatch: -3, gap_open: -4, gap_extend: -4 };
-        let band = a.len().max(b.len()) + 1;
-        let full = global_align(a.as_bytes(), b.as_bytes(), &linear);
-        let banded = banded_global_align(a.as_bytes(), b.as_bytes(), &linear, band).unwrap();
-        prop_assert_eq!(banded.score, full.score);
-    }
-
     // --- indexes -----------------------------------------------------------------
-
-    #[test]
-    fn suffix_array_find_all_matches_naive(
-        text in proptest::collection::vec(proptest::sample::select(vec!['A', 'C', 'G', 'T']), 1..150),
-        pat in proptest::collection::vec(proptest::sample::select(vec!['A', 'C', 'G', 'T']), 1..6),
-    ) {
-        let text: String = text.into_iter().collect();
-        let pat: String = pat.into_iter().collect();
-        let sa = SuffixArray::from_bytes(text.as_bytes().to_vec());
-        let naive: Vec<usize> = if pat.len() > text.len() {
-            Vec::new()
-        } else {
-            (0..=text.len() - pat.len())
-                .filter(|&i| &text.as_bytes()[i..i + pat.len()] == pat.as_bytes())
-                .collect()
-        };
-        prop_assert_eq!(sa.find_all(pat.as_bytes()), naive);
-        prop_assert_eq!(sa.contains(pat.as_bytes()), text.contains(&pat));
-    }
 
     /// Subjects mix strict and IUPAC text, so some are covered by their
     /// k-mers and some are not; patterns run from far below `k` to past it.

@@ -50,7 +50,8 @@ pub enum CacheTier {
     Plan,
     /// Planned from scratch, executed.
     Miss,
-    /// Uncached path (writes, EXPLAIN, caches disabled).
+    /// Uncached path: an autocommit statement other than a SELECT
+    /// (writes, DDL, EXPLAIN), or text that does not lex.
     Bypass,
     /// Ran inside an interactive transaction (caches bypassed by design).
     Txn,

@@ -257,7 +257,7 @@ pub struct Database {
     pub(crate) txns: TxnManager,
     /// The ambient transaction driven by textual `BEGIN`/`COMMIT`/`ROLLBACK`
     /// through [`Database::execute`] — script-style transactions that are
-    /// not pinned to an explicit [`crate::txn::Transaction`] handle.
+    /// not pinned to a transaction id the caller holds.
     pub(crate) ambient: Mutex<Option<u64>>,
 }
 
@@ -448,8 +448,7 @@ impl Database {
     }
 
     /// The one statement routine, and the entry for callers that own their
-    /// transactions (the server's sessions, [`crate::txn::Transaction`]
-    /// handles): the ambient slot is never consulted, and
+    /// transactions by id (the server's sessions): the ambient slot is never consulted, and
     /// `BEGIN`/`COMMIT`/`ROLLBACK` are rejected with [`DbError::Txn`] — those
     /// callers use [`Database::txn_begin`], [`Database::txn_commit`] and
     /// [`Database::txn_rollback`]. Every statement runs in a transaction,

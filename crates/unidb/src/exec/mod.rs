@@ -67,7 +67,7 @@ use crate::error::{DbError, DbResult};
 use crate::expr::compile::{compile, infallible, CompiledExpr, ScanFilter};
 use crate::expr::func::FunctionRegistry;
 use crate::fxhash::hash_one;
-use crate::plan::PhysicalPlan;
+use crate::plan::{PhysicalPlan, Probe};
 use crate::sql::ast::{Expr, JoinKind};
 use crate::storage::colpage::{ColBound, ColumnPage};
 use crate::storage::heap::Rid;
@@ -76,7 +76,6 @@ use stats::{stats_tree, OpStats, OpStatsSnapshot};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
-use std::ops::Bound;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 
@@ -113,24 +112,9 @@ pub trait StorageAccess {
     ) -> DbResult<ScanProgress>;
     /// Fetch specific rows (missing rids are skipped).
     fn fetch_rids(&self, table_id: u32, rids: &[Rid]) -> DbResult<Vec<Row>>;
-    /// Rids with `column == key` from the B-tree index.
-    fn btree_eq(&self, table_id: u32, column: &str, key: &Datum) -> DbResult<Vec<Rid>>;
-    /// Rids with `column` in the given range.
-    fn btree_range(
-        &self,
-        table_id: u32,
-        column: &str,
-        lo: Bound<&Datum>,
-        hi: Bound<&Datum>,
-    ) -> DbResult<Vec<Rid>>;
-    /// Candidate rids from a user-defined index probe.
-    fn udi_probe(
-        &self,
-        table_id: u32,
-        column: &str,
-        func: &str,
-        args: &[Datum],
-    ) -> DbResult<Vec<Rid>>;
+    /// Candidate rids of `probe`, answered by the index on `column` that
+    /// serves it.
+    fn index_probe(&self, table_id: u32, column: &str, probe: &Probe) -> DbResult<Vec<Rid>>;
 }
 
 /// What a SeqScan reads, tests and keeps of each row, built once per scan
@@ -438,17 +422,12 @@ fn build_iter<'a>(
             };
             (Box::new(scan), layout)
         }
-        PhysicalPlan::IndexEqScan { table_id, column, key, residual, columns, .. } => {
-            let rids = storage.btree_eq(*table_id, column, key)?;
-            rid_scan(storage, *table_id, rids, residual.as_ref(), columns, funcs)?
-        }
-        PhysicalPlan::IndexRangeScan { table_id, column, lo, hi, residual, columns, .. } => {
-            let rids = storage.btree_range(*table_id, column, lo.as_ref(), hi.as_ref())?;
-            rid_scan(storage, *table_id, rids, residual.as_ref(), columns, funcs)?
-        }
-        PhysicalPlan::UdiScan { table_id, column, func, args, residual, columns, .. } => {
-            let rids = storage.udi_probe(*table_id, column, func, args)?;
-            rid_scan(storage, *table_id, rids, residual.as_ref(), columns, funcs)?
+        PhysicalPlan::IndexScan { table_id, column, probe, residual, columns, .. } => {
+            let rids = storage.index_probe(*table_id, column, probe)?;
+            let filter = compile_opt(residual.as_ref(), columns, funcs)?;
+            let width = columns.len();
+            let scan = IndexScanIter { storage, table_id: *table_id, rids, pos: 0, filter, width };
+            (Box::new(scan), identity(width))
         }
         PhysicalPlan::Filter { input, predicate } => {
             let mut pred = compile(predicate, &input.bindings(), funcs)?;
@@ -604,19 +583,6 @@ fn identity(width: usize) -> Layout {
 }
 
 /// An index or UDI scan fetching `rids`: whole rows, so an identity layout.
-fn rid_scan<'a>(
-    storage: &'a dyn StorageAccess,
-    table_id: u32,
-    rids: Vec<Rid>,
-    residual: Option<&Expr>,
-    columns: &[crate::expr::eval::ColumnBinding],
-    funcs: &FunctionRegistry,
-) -> DbResult<(BoxIter<'a>, Layout)> {
-    let filter = compile_opt(residual, columns, funcs)?;
-    let width = columns.len();
-    Ok((Box::new(RidScanIter { storage, table_id, rids, pos: 0, filter, width }), identity(width)))
-}
-
 fn compile_opt(
     expr: Option<&Expr>,
     bindings: &[crate::expr::eval::ColumnBinding],
@@ -640,10 +606,9 @@ fn plan_fallible(plan: &PhysicalPlan) -> bool {
     let exprs_ok = |exprs: &[&Expr]| exprs.iter().all(|e| infallible(e));
     match plan {
         PhysicalPlan::Nothing => false,
-        PhysicalPlan::SeqScan { residual, .. }
-        | PhysicalPlan::IndexEqScan { residual, .. }
-        | PhysicalPlan::IndexRangeScan { residual, .. }
-        | PhysicalPlan::UdiScan { residual, .. } => !exprs_ok(&residual.iter().collect::<Vec<_>>()),
+        PhysicalPlan::SeqScan { residual, .. } | PhysicalPlan::IndexScan { residual, .. } => {
+            !exprs_ok(&residual.iter().collect::<Vec<_>>())
+        }
         PhysicalPlan::Filter { input, predicate } => !infallible(predicate) || plan_fallible(input),
         PhysicalPlan::NestedLoopJoin { left, right, on, .. } => {
             !exprs_ok(&on.iter().collect::<Vec<_>>()) || plan_fallible(left) || plan_fallible(right)
@@ -818,9 +783,9 @@ impl BatchIter for SeqScanIter<'_> {
     }
 }
 
-/// Index / UDI scans: the rid list is materialized by the probe, rows are
+/// Index scans: the rid list is materialized by the probe, rows are
 /// fetched in [`BATCH_ROWS`] chunks.
-struct RidScanIter<'a> {
+struct IndexScanIter<'a> {
     storage: &'a dyn StorageAccess,
     table_id: u32,
     rids: Vec<Rid>,
@@ -829,7 +794,7 @@ struct RidScanIter<'a> {
     width: usize,
 }
 
-impl BatchIter for RidScanIter<'_> {
+impl BatchIter for IndexScanIter<'_> {
     fn next_batch(&mut self) -> DbResult<Option<Batch>> {
         if self.pos >= self.rids.len() {
             return Ok(None);

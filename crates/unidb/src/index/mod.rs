@@ -6,7 +6,10 @@
 //! with one `TableIndex::build` call, every row mutation maintains the
 //! table's indexes in one walk, and the WAL and the snapshot log either as
 //! one `CreateIndex { table, column, kind, params }` record — so recovery
-//! rebuilds domain indexes exactly as it rebuilds B-trees.
+//! rebuilds domain indexes exactly as it rebuilds B-trees. Reads ask
+//! through one [`Probe`]: `TableStorage::index_probe` finds the index on the
+//! column that serves it, and this module alone knows which kind serves
+//! which probe.
 
 pub mod btree;
 pub mod udi;
@@ -18,6 +21,7 @@ use crate::datum::{DataType, Datum};
 use crate::db::TableStorage;
 use crate::error::{DbError, DbResult};
 use crate::expr::func::FunctionRegistry;
+use crate::plan::Probe;
 use crate::storage::heap::Rid;
 
 /// The built-in index kind: `CREATE [UNIQUE] INDEX ON t (c)`.
@@ -120,6 +124,23 @@ impl TableIndex {
         }
     }
 
+    /// The rids this index answers `probe` with — the rows of the latest
+    /// heap it files under the probe — or `None` when it cannot serve it:
+    /// a B-tree serves equality and ranges, a domain index the calls its
+    /// access method answers.
+    fn answer(&self, probe: &Probe) -> Option<Vec<Rid>> {
+        match (&self.structure, probe) {
+            (Structure::BTree(tree), Probe::Eq(key)) => Some(tree.get(key)),
+            (Structure::BTree(tree), Probe::Range { lo, hi }) => {
+                Some(tree.range(lo.as_ref(), hi.as_ref()).into_iter().map(|(_, rid)| rid).collect())
+            }
+            (Structure::Domain(method), Probe::Call { func, args }) if method.supports(func) => {
+                method.probe(func, args)
+            }
+            _ => None,
+        }
+    }
+
     /// The B-tree, if this is one.
     pub(crate) fn btree(&self) -> Option<&BTreeIndex> {
         match &self.structure {
@@ -153,6 +174,15 @@ impl TableStorage {
     /// The first domain index on `column` that can answer `func`.
     pub(crate) fn domain_index(&self, column: &str, func: &str) -> Option<&dyn AccessMethod> {
         self.indexes.iter().filter(|i| i.column == column).find_map(|i| i.domain_for(func))
+    }
+
+    /// The candidates of `probe` from the first index on `column` that
+    /// serves it.
+    pub(crate) fn index_probe(&self, column: &str, probe: &Probe) -> DbResult<Vec<Rid>> {
+        let mut on_column = self.indexes.iter().filter(|i| i.column == column);
+        on_column.find_map(|i| i.answer(probe)).ok_or_else(|| {
+            DbError::Internal(format!("no index on {column} serves the probe {probe:?}"))
+        })
     }
 
     /// Every unique B-tree, with its entry.

@@ -62,4 +62,4 @@ pub use expr::func::{
 pub use index::udi::AccessMethod;
 pub use storage::heap::Rid;
 pub use storage::vfs::{FaultConfig, FaultVfs, StdVfs, Vfs};
-pub use txn::{DbTransaction, Engine, Transaction, TxnStats};
+pub use txn::TxnStats;

@@ -71,14 +71,8 @@ pub(crate) fn locate_rows(
     let plan = plan_access(src, def, bindings, filter)?;
     let (rids, residual) = match &plan {
         PhysicalPlan::SeqScan { residual, .. } => (None, residual),
-        PhysicalPlan::IndexEqScan { column, key, residual, .. } => {
-            (Some(src.btree_eq(def.id, column, key)?), residual)
-        }
-        PhysicalPlan::IndexRangeScan { column, lo, hi, residual, .. } => {
-            (Some(src.btree_range(def.id, column, lo.as_ref(), hi.as_ref())?), residual)
-        }
-        PhysicalPlan::UdiScan { column, func, args, residual, .. } => {
-            (Some(src.udi_probe(def.id, column, func, args)?), residual)
+        PhysicalPlan::IndexScan { column, probe, residual, .. } => {
+            (Some(src.index_probe(def.id, column, probe)?), residual)
         }
         other => return Err(DbError::Internal(format!("{} is not a scan", other.node_label()))),
     };

@@ -7,10 +7,11 @@
 //!   move into that table's scan (never into the null-padded side of a
 //!   LEFT JOIN, which would change semantics);
 //! * **index selection** — an equality or range conjunct on a B-tree-indexed
-//!   column becomes an index scan; a *function predicate* (e.g.
-//!   `contains(seq, 'ATT…')`) whose column carries a user-defined access
-//!   method becomes a UDI candidate scan with the predicate re-checked as a
-//!   residual (filter semantics);
+//!   column, or a *function predicate* (e.g. `contains(seq, 'ATT…')`) whose
+//!   column carries a user-defined access method, becomes an index scan
+//!   with that [`Probe`]; a domain call's candidates are re-checked by the
+//!   predicate as a residual (filter semantics), and a range probe absorbs
+//!   every other range conjunct on its column;
 //! * **selectivity estimation** — B-tree distinct-key counts and UDI
 //!   selectivity hooks rank alternative access paths;
 //! * **join strategy** — equi-joins become hash joins, everything else a
@@ -21,7 +22,7 @@ pub mod planner;
 use crate::datum::Datum;
 use crate::expr::eval::ColumnBinding;
 use crate::sql::ast::{Expr, JoinKind};
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 
 /// One aggregate call collected from the query.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,6 +33,36 @@ pub struct AggCall {
     pub arg: Option<Expr>,
     /// `agg(DISTINCT x)`.
     pub distinct: bool,
+}
+
+/// What an index scan asks of the index on its column.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Probe {
+    /// B-tree equality: the rows whose value is the key.
+    Eq(Datum),
+    /// B-tree range: the rows whose value lies between the bounds.
+    Range { lo: Bound<Datum>, hi: Bound<Datum> },
+    /// A domain index's answer to `func(column, args…)`: candidates, a
+    /// superset of the matches.
+    Call { func: String, args: Vec<Datum> },
+}
+
+impl Probe {
+    /// Does the probe return exactly the rows its predicate matches? A
+    /// domain call returns candidates its scan must re-check.
+    pub fn exact(&self) -> bool {
+        !matches!(self, Probe::Call { .. })
+    }
+
+    /// Can a row whose indexed column holds `value` be among the probe's
+    /// answers? A domain call admits every value: its re-check decides.
+    pub fn admits(&self, value: &Datum) -> bool {
+        match self {
+            Probe::Eq(key) => value == key,
+            Probe::Range { lo, hi } => (lo.as_ref(), hi.as_ref()).contains(value),
+            Probe::Call { .. } => true,
+        }
+    }
 }
 
 /// A physical operator tree.
@@ -46,34 +77,16 @@ pub enum PhysicalPlan {
         columns: Vec<ColumnBinding>,
         residual: Option<Expr>,
     },
-    /// B-tree equality lookup.
-    IndexEqScan {
+    /// Index scan: the index on `column` that serves `probe` answers with
+    /// candidate rows, and `residual` filters them. An approximate probe
+    /// (a domain call) keeps its own predicate in `residual`, so every
+    /// candidate is re-checked.
+    IndexScan {
         table_id: u32,
         qualified: String,
         columns: Vec<ColumnBinding>,
         column: String,
-        key: Datum,
-        residual: Option<Expr>,
-    },
-    /// B-tree range scan.
-    IndexRangeScan {
-        table_id: u32,
-        qualified: String,
-        columns: Vec<ColumnBinding>,
-        column: String,
-        lo: Bound<Datum>,
-        hi: Bound<Datum>,
-        residual: Option<Expr>,
-    },
-    /// User-defined-index candidate scan; `residual` re-checks the full
-    /// predicate because UDI probes may return false positives.
-    UdiScan {
-        table_id: u32,
-        qualified: String,
-        columns: Vec<ColumnBinding>,
-        column: String,
-        func: String,
-        args: Vec<Datum>,
+        probe: Probe,
         residual: Option<Expr>,
     },
     Filter {
@@ -139,10 +152,9 @@ impl PhysicalPlan {
     pub fn bindings(&self) -> Vec<ColumnBinding> {
         match self {
             PhysicalPlan::Nothing => Vec::new(),
-            PhysicalPlan::SeqScan { columns, .. }
-            | PhysicalPlan::IndexEqScan { columns, .. }
-            | PhysicalPlan::IndexRangeScan { columns, .. }
-            | PhysicalPlan::UdiScan { columns, .. } => columns.clone(),
+            PhysicalPlan::SeqScan { columns, .. } | PhysicalPlan::IndexScan { columns, .. } => {
+                columns.clone()
+            }
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::TopN { input, .. }
@@ -182,10 +194,7 @@ impl PhysicalPlan {
     fn collect_table_ids(&self, ids: &mut Vec<u32>) {
         match self {
             PhysicalPlan::Nothing => {}
-            PhysicalPlan::SeqScan { table_id, .. }
-            | PhysicalPlan::IndexEqScan { table_id, .. }
-            | PhysicalPlan::IndexRangeScan { table_id, .. }
-            | PhysicalPlan::UdiScan { table_id, .. } => {
+            PhysicalPlan::SeqScan { table_id, .. } | PhysicalPlan::IndexScan { table_id, .. } => {
                 if !ids.contains(table_id) {
                     ids.push(*table_id);
                 }
@@ -210,9 +219,7 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::Nothing
             | PhysicalPlan::SeqScan { .. }
-            | PhysicalPlan::IndexEqScan { .. }
-            | PhysicalPlan::IndexRangeScan { .. }
-            | PhysicalPlan::UdiScan { .. } => Vec::new(),
+            | PhysicalPlan::IndexScan { .. } => Vec::new(),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Aggregate { input, .. }
             | PhysicalPlan::Project { input, .. }
@@ -250,28 +257,18 @@ impl PhysicalPlan {
                 }
                 s
             }
-            PhysicalPlan::IndexEqScan { qualified, column, key, residual, .. } => {
-                let mut s = if shape {
-                    format!("IndexEqScan {qualified}.{column} = ?")
-                } else {
-                    format!("IndexEqScan {qualified}.{column} = {key}")
+            PhysicalPlan::IndexScan { qualified, column, probe, residual, .. } => {
+                let mut s = match probe {
+                    Probe::Eq(_) if shape => format!("IndexEqScan {qualified}.{column} = ?"),
+                    Probe::Eq(key) => format!("IndexEqScan {qualified}.{column} = {key}"),
+                    Probe::Range { .. } => format!("IndexRangeScan {qualified}.{column}"),
+                    Probe::Call { func, .. } => {
+                        format!("UdiScan {qualified}.{column} via {func}()")
+                    }
                 };
                 if let Some(res) = residual {
-                    s.push_str(&format!(" filter={}", r(res)));
-                }
-                s
-            }
-            PhysicalPlan::IndexRangeScan { qualified, column, residual, .. } => {
-                let mut s = format!("IndexRangeScan {qualified}.{column}");
-                if let Some(res) = residual {
-                    s.push_str(&format!(" filter={}", r(res)));
-                }
-                s
-            }
-            PhysicalPlan::UdiScan { qualified, column, func, residual, .. } => {
-                let mut s = format!("UdiScan {qualified}.{column} via {func}()");
-                if let Some(res) = residual {
-                    s.push_str(&format!(" recheck={}", r(res)));
+                    let word = if probe.exact() { "filter" } else { "recheck" };
+                    s.push_str(&format!(" {word}={}", r(res)));
                 }
                 s
             }

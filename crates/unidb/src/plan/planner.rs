@@ -5,8 +5,9 @@ use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
 use crate::expr::eval::ColumnBinding;
 use crate::expr::func::FunctionRegistry;
-use crate::plan::{AggCall, PhysicalPlan};
+use crate::plan::{AggCall, PhysicalPlan, Probe};
 use crate::sql::ast::{BinOp, Expr, JoinKind, Projection, SelectStmt};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::ops::Bound;
 
@@ -415,113 +416,104 @@ fn order_residual(ctx: &dyn PlannerContext, table_id: u32, parts: Vec<Expr>) -> 
     keyed.into_iter().map(|(_, c)| c).collect()
 }
 
+/// The B-tree probe that answers a conjunct exactly, with the column it
+/// probes: `col op literal` (either way round) for `=`, `<`, `<=`, `>`,
+/// `>=`, or `col BETWEEN literal AND literal`. `None` for anything else.
+fn btree_probe(c: &Expr) -> Option<(String, Probe)> {
+    let (name, probe) = match c {
+        Expr::Binary { op, left, right } => {
+            let (name, d, op) = match (left.as_ref(), right.as_ref()) {
+                (Expr::Column { name, .. }, Expr::Literal(d)) => (name, d, *op),
+                (Expr::Literal(d), Expr::Column { name, .. }) => (name, d, flip_cmp(*op)),
+                _ => return None,
+            };
+            // `col op NULL` is never true under three-valued logic, but
+            // the index *stores* NULL keys, so a probe built from a NULL
+            // literal would wrongly return those rows. Leave the conjunct
+            // to the residual filter instead.
+            if matches!(d, Datum::Null) {
+                return None;
+            }
+            // NULL keys sort before every real value in the index, so an
+            // open low end must still exclude them: `col <= k` is never
+            // true for NULL.
+            let range = |lo, hi| Probe::Range { lo, hi };
+            let probe = match op {
+                BinOp::Eq => Probe::Eq(d.clone()),
+                BinOp::Lt => range(Bound::Excluded(Datum::Null), Bound::Excluded(d.clone())),
+                BinOp::LtEq => range(Bound::Excluded(Datum::Null), Bound::Included(d.clone())),
+                BinOp::Gt => range(Bound::Excluded(d.clone()), Bound::Unbounded),
+                BinOp::GtEq => range(Bound::Included(d.clone()), Bound::Unbounded),
+                _ => return None,
+            };
+            (name, probe)
+        }
+        Expr::Between { expr, low, high, negated: false } => {
+            let (Expr::Column { name, .. }, Expr::Literal(lo), Expr::Literal(hi)) =
+                (expr.as_ref(), low.as_ref(), high.as_ref())
+            else {
+                return None;
+            };
+            // Same NULL-literal trap as above: `x BETWEEN NULL AND k`
+            // matches nothing, but Included(Null) would scan NULL keys.
+            if matches!(lo, Datum::Null) || matches!(hi, Datum::Null) {
+                return None;
+            }
+            (
+                name,
+                Probe::Range { lo: Bound::Included(lo.clone()), hi: Bound::Included(hi.clone()) },
+            )
+        }
+        _ => return None,
+    };
+    Some((name.to_ascii_lowercase(), probe))
+}
+
+/// The tighter of two bounds on one end of a range: the greater when
+/// `wins` is `Greater` (low ends), the lesser when it is `Less` (high
+/// ends). At equal values the excluding bound is the tighter.
+fn tighter(a: Bound<Datum>, b: Bound<Datum>, wins: Ordering) -> Bound<Datum> {
+    match (&a, &b) {
+        (Bound::Unbounded, _) => b,
+        (_, Bound::Unbounded) => a,
+        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
+            match x.cmp(y) {
+                Ordering::Equal if matches!(b, Bound::Excluded(_)) => b,
+                Ordering::Equal => a,
+                o if o == wins => a,
+                _ => b,
+            }
+        }
+    }
+}
+
 /// Choose the cheapest access path for one table given its pushed conjuncts.
 fn build_scan(ctx: &dyn PlannerContext, t: &TableInfo, conjuncts: Vec<Expr>) -> PhysicalPlan {
-    #[derive(Debug)]
-    enum Path {
-        Eq { column: String, key: Datum },
-        Range { column: String, lo: Bound<Datum>, hi: Bound<Datum> },
-        Udi { column: String, func: String, args: Vec<Datum> },
-    }
-    // (conjunct index, selectivity, path, exact)
-    let mut best: Option<(usize, f64, Path, bool)> = None;
-    let consider = |cand: (usize, f64, Path, bool), best: &mut Option<(usize, f64, Path, bool)>| {
+    // (conjunct index, selectivity, column, probe)
+    let mut best: Option<(usize, f64, String, Probe)> = None;
+    let mut consider = |cand: (usize, f64, String, Probe)| {
         if best.as_ref().is_none_or(|b| cand.1 < b.1) {
-            *best = Some(cand);
+            best = Some(cand);
         }
     };
 
     for (i, c) in conjuncts.iter().enumerate() {
-        // col = literal / literal = col → B-tree equality.
-        if let Expr::Binary { op, left, right } = c {
-            let pair = match (left.as_ref(), right.as_ref()) {
-                (Expr::Column { name, .. }, Expr::Literal(d)) => Some((name, d, *op, false)),
-                (Expr::Literal(d), Expr::Column { name, .. }) => Some((name, d, *op, true)),
-                _ => None,
-            };
-            if let Some((name, d, op, flipped)) = pair {
-                let name = name.to_ascii_lowercase();
-                // `col op NULL` is never true under three-valued logic, but
-                // the index *stores* NULL keys, so an eq/range probe built
-                // from a NULL literal would wrongly return those rows. Leave
-                // the conjunct to the residual filter instead.
-                if matches!(d, Datum::Null) {
-                    continue;
-                }
-                if let Some(distinct) = ctx.btree_distinct_keys(t.table_id, &name) {
-                    let hist = histogram_selectivity(ctx, t.table_id, c);
-                    match op {
-                        BinOp::Eq => {
-                            let sel = hist.unwrap_or(1.0 / distinct.max(1) as f64);
-                            if hist.is_none() || sel < INDEX_WORTHWHILE {
-                                consider(
-                                    (i, sel, Path::Eq { column: name, key: d.clone() }, true),
-                                    &mut best,
-                                );
-                            }
-                        }
-                        BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                            // Normalize for flipped operands: `5 < col` is `col > 5`.
-                            let effective = if flipped { flip_cmp(op) } else { op };
-                            // NULL keys sort before every real value in the
-                            // index, so an open low end must still exclude
-                            // them: `col <= k` is never true for NULL.
-                            let (lo, hi) = match effective {
-                                BinOp::Lt => {
-                                    (Bound::Excluded(Datum::Null), Bound::Excluded(d.clone()))
-                                }
-                                BinOp::LtEq => {
-                                    (Bound::Excluded(Datum::Null), Bound::Included(d.clone()))
-                                }
-                                BinOp::Gt => (Bound::Excluded(d.clone()), Bound::Unbounded),
-                                _ => (Bound::Included(d.clone()), Bound::Unbounded),
-                            };
-                            let sel = hist.unwrap_or(0.3);
-                            if hist.is_none() || sel < INDEX_WORTHWHILE {
-                                consider(
-                                    (i, sel, Path::Range { column: name, lo, hi }, true),
-                                    &mut best,
-                                );
-                            }
-                        }
-                        _ => {}
-                    }
+        // A comparison or BETWEEN on a B-tree column → B-tree probe.
+        if let Some((column, probe)) = btree_probe(c) {
+            if let Some(distinct) = ctx.btree_distinct_keys(t.table_id, &column) {
+                let hist = histogram_selectivity(ctx, t.table_id, c);
+                let fixed = match (&probe, c) {
+                    (Probe::Eq(_), _) => 1.0 / distinct.max(1) as f64,
+                    (_, Expr::Between { .. }) => 0.25,
+                    _ => 0.3,
+                };
+                let sel = hist.unwrap_or(fixed);
+                if hist.is_none() || sel < INDEX_WORTHWHILE {
+                    consider((i, sel, column, probe));
                 }
             }
         }
-        // col BETWEEN lit AND lit → B-tree range.
-        if let Expr::Between { expr, low, high, negated: false } = c {
-            if let (Expr::Column { name, .. }, Expr::Literal(lo), Expr::Literal(hi)) =
-                (expr.as_ref(), low.as_ref(), high.as_ref())
-            {
-                let name = name.to_ascii_lowercase();
-                // Same NULL-literal trap as above: `x BETWEEN NULL AND k`
-                // matches nothing, but Included(Null) would scan NULL keys.
-                if matches!(lo, Datum::Null) || matches!(hi, Datum::Null) {
-                    continue;
-                }
-                if ctx.btree_distinct_keys(t.table_id, &name).is_some() {
-                    let hist = histogram_selectivity(ctx, t.table_id, c);
-                    let sel = hist.unwrap_or(0.25);
-                    if hist.is_none() || sel < INDEX_WORTHWHILE {
-                        consider(
-                            (
-                                i,
-                                sel,
-                                Path::Range {
-                                    column: name,
-                                    lo: Bound::Included(lo.clone()),
-                                    hi: Bound::Included(hi.clone()),
-                                },
-                                true,
-                            ),
-                            &mut best,
-                        );
-                    }
-                }
-            }
-        }
-        // func(col, literals…) → UDI probe.
+        // func(col, literals…) → domain-index probe.
         if let Expr::Func { name: func, args, distinct: false } = c {
             if let Some(Expr::Column { name: col, .. }) = args.first() {
                 let rest: Option<Vec<Datum>> = args[1..]
@@ -541,67 +533,50 @@ fn build_scan(ctx: &dyn PlannerContext, t: &TableInfo, conjuncts: Vec<Expr>) -> 
                         .udi_selectivity(t.table_id, &col, func, &rest)
                         .filter(|sel| *sel < INDEX_WORTHWHILE);
                     if let Some(sel) = sel {
-                        consider(
-                            (
-                                i,
-                                sel,
-                                Path::Udi { column: col, func: func.clone(), args: rest },
-                                false,
-                            ),
-                            &mut best,
-                        );
+                        consider((i, sel, col, Probe::Call { func: func.clone(), args: rest }));
                     }
                 }
             }
         }
     }
 
-    match best {
-        None => PhysicalPlan::SeqScan {
+    let Some((chosen, _sel, column, mut probe)) = best else {
+        return PhysicalPlan::SeqScan {
             table_id: t.table_id,
             qualified: t.qualified.clone(),
             columns: t.columns.clone(),
             residual: Expr::conjoin(order_residual(ctx, t.table_id, conjuncts)),
-        },
-        Some((chosen, _sel, path, exact)) => {
-            let mut residual_parts: Vec<Expr> = Vec::new();
-            for (i, c) in conjuncts.into_iter().enumerate() {
-                // Exact paths fully satisfy their conjunct; UDI paths are
-                // approximate and must re-check it.
-                if i != chosen || !exact {
-                    residual_parts.push(c);
+        };
+    };
+    let mut residual_parts: Vec<Expr> = Vec::new();
+    for (i, c) in conjuncts.into_iter().enumerate() {
+        // An exact probe fully satisfies its conjunct; a domain call is
+        // approximate and must re-check it.
+        if i == chosen {
+            if !probe.exact() {
+                residual_parts.push(c);
+            }
+            continue;
+        }
+        // Every other range on the probed column narrows a range probe.
+        if let Probe::Range { lo, hi } = &mut probe {
+            if let Some((col, Probe::Range { lo: l, hi: h })) = btree_probe(&c) {
+                if col == column {
+                    *lo = tighter(std::mem::replace(lo, Bound::Unbounded), l, Ordering::Greater);
+                    *hi = tighter(std::mem::replace(hi, Bound::Unbounded), h, Ordering::Less);
+                    continue;
                 }
             }
-            let residual = Expr::conjoin(order_residual(ctx, t.table_id, residual_parts));
-            match path {
-                Path::Eq { column, key } => PhysicalPlan::IndexEqScan {
-                    table_id: t.table_id,
-                    qualified: t.qualified.clone(),
-                    columns: t.columns.clone(),
-                    column,
-                    key,
-                    residual,
-                },
-                Path::Range { column, lo, hi } => PhysicalPlan::IndexRangeScan {
-                    table_id: t.table_id,
-                    qualified: t.qualified.clone(),
-                    columns: t.columns.clone(),
-                    column,
-                    lo,
-                    hi,
-                    residual,
-                },
-                Path::Udi { column, func, args } => PhysicalPlan::UdiScan {
-                    table_id: t.table_id,
-                    qualified: t.qualified.clone(),
-                    columns: t.columns.clone(),
-                    column,
-                    func,
-                    args,
-                    residual,
-                },
-            }
         }
+        residual_parts.push(c);
+    }
+    PhysicalPlan::IndexScan {
+        table_id: t.table_id,
+        qualified: t.qualified.clone(),
+        columns: t.columns.clone(),
+        column,
+        probe,
+        residual: Expr::conjoin(order_residual(ctx, t.table_id, residual_parts)),
     }
 }
 
@@ -1128,23 +1103,20 @@ pub fn estimate_rows(plan: &PhysicalPlan, ctx: &dyn PlannerContext) -> f64 {
         PhysicalPlan::SeqScan { table_id, residual, .. } => {
             scan_rows(ctx, *table_id, residual, 1.0)
         }
-        PhysicalPlan::IndexEqScan { table_id, column, key, residual, .. } => {
-            let eq = ctx
-                .column_histogram(*table_id, column)
-                .map(|h| h.eq_selectivity(key))
-                .or_else(|| ctx.column_ndv(*table_id, column).map(|n| 1.0 / n.max(1) as f64))
-                .unwrap_or(0.25);
-            scan_rows(ctx, *table_id, residual, eq)
-        }
-        PhysicalPlan::IndexRangeScan { table_id, column, lo, hi, residual, .. } => {
-            let range = ctx
-                .column_histogram(*table_id, column)
-                .map(|h| h.range_selectivity(bound_ref(lo), bound_ref(hi)))
-                .unwrap_or(0.3);
-            scan_rows(ctx, *table_id, residual, range)
-        }
-        PhysicalPlan::UdiScan { table_id, column, func, args, residual, .. } => {
-            let sel = ctx.udi_selectivity(*table_id, column, func, args).unwrap_or(0.25);
+        PhysicalPlan::IndexScan { table_id, column, probe, residual, .. } => {
+            let hist = ctx.column_histogram(*table_id, column);
+            let sel = match probe {
+                Probe::Eq(key) => hist
+                    .map(|h| h.eq_selectivity(key))
+                    .or_else(|| ctx.column_ndv(*table_id, column).map(|n| 1.0 / n.max(1) as f64))
+                    .unwrap_or(0.25),
+                Probe::Range { lo, hi } => {
+                    hist.map(|h| h.range_selectivity(bound_ref(lo), bound_ref(hi))).unwrap_or(0.3)
+                }
+                Probe::Call { func, args } => {
+                    ctx.udi_selectivity(*table_id, column, func, args).unwrap_or(0.25)
+                }
+            };
             scan_rows(ctx, *table_id, residual, sel)
         }
         PhysicalPlan::Filter { input, predicate } => {
@@ -1210,10 +1182,9 @@ pub fn estimate_rows(plan: &PhysicalPlan, ctx: &dyn PlannerContext) -> f64 {
 pub fn upper_bound_rows(plan: &PhysicalPlan, ctx: &dyn PlannerContext) -> f64 {
     match plan {
         PhysicalPlan::Nothing => 1.0,
-        PhysicalPlan::SeqScan { table_id, .. }
-        | PhysicalPlan::IndexEqScan { table_id, .. }
-        | PhysicalPlan::IndexRangeScan { table_id, .. }
-        | PhysicalPlan::UdiScan { table_id, .. } => ctx.row_count(*table_id) as f64,
+        PhysicalPlan::SeqScan { table_id, .. } | PhysicalPlan::IndexScan { table_id, .. } => {
+            ctx.row_count(*table_id) as f64
+        }
         PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::Sort { input, .. }

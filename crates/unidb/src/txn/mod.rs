@@ -44,10 +44,6 @@
 //! `BEGIN`. Transaction-state misuse (nested `BEGIN`, `COMMIT` without
 //! `BEGIN`, statements on a finished transaction) surfaces as
 //! [`DbError::Txn`].
-//!
-//! The [`Engine`]/[`Transaction`] traits are the public boundary: code
-//! that drives transactions (the server's session layer, benches, tests)
-//! programs against them rather than against `Database` internals.
 
 pub(crate) mod exec;
 mod view;
@@ -64,89 +60,6 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// A factory for transactions. [`Database`] is the engine; the trait
-/// exists so harnesses (benches, the server session layer, tests) can be
-/// written against the transaction boundary alone.
-pub trait Engine {
-    /// The transaction handle type this engine hands out.
-    type Txn<'a>: Transaction
-    where
-        Self: 'a;
-
-    /// Open a transaction pinned to a snapshot of the current state.
-    fn begin(&self) -> Self::Txn<'_>;
-}
-
-/// An open transaction: snapshot-isolated reads, buffered writes,
-/// first-committer-wins commit. Dropping an unfinished transaction rolls
-/// it back.
-pub trait Transaction {
-    /// The engine-assigned transaction id.
-    fn id(&self) -> u64;
-
-    /// Execute one statement inside the transaction as the default user.
-    fn execute(&mut self, sql: &str) -> DbResult<ResultSet>;
-
-    /// Execute one statement inside the transaction with an explicit role.
-    fn execute_as(&mut self, sql: &str, role: &Role) -> DbResult<ResultSet>;
-
-    /// Validate and atomically apply the write-set. On
-    /// [`DbError::Conflict`] the transaction is aborted and should be
-    /// retried from the beginning.
-    fn commit(self) -> DbResult<()>;
-
-    /// Discard the write-set.
-    fn rollback(self) -> DbResult<()>;
-}
-
-impl Engine for Database {
-    type Txn<'a> = DbTransaction<'a>;
-
-    fn begin(&self) -> DbTransaction<'_> {
-        DbTransaction { db: self, id: self.txn_begin(), finished: false }
-    }
-}
-
-/// RAII transaction handle over a [`Database`]; the [`Engine`] trait's
-/// concrete transaction type.
-pub struct DbTransaction<'a> {
-    db: &'a Database,
-    id: u64,
-    finished: bool,
-}
-
-impl Transaction for DbTransaction<'_> {
-    fn id(&self) -> u64 {
-        self.id
-    }
-
-    fn execute(&mut self, sql: &str) -> DbResult<ResultSet> {
-        self.db.txn_execute(self.id, sql)
-    }
-
-    fn execute_as(&mut self, sql: &str, role: &Role) -> DbResult<ResultSet> {
-        self.db.txn_execute_as(self.id, sql, role)
-    }
-
-    fn commit(mut self) -> DbResult<()> {
-        self.finished = true;
-        self.db.txn_commit(self.id)
-    }
-
-    fn rollback(mut self) -> DbResult<()> {
-        self.finished = true;
-        self.db.txn_rollback(self.id)
-    }
-}
-
-impl Drop for DbTransaction<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = self.db.txn_rollback(self.id);
-        }
-    }
-}
 
 /// Counter snapshot for `SHOW STATS` / `SHOW METRICS` (see
 /// [`Database::txn_stats`]).

@@ -58,14 +58,13 @@ use crate::db::{Inner, TableStorage};
 use crate::error::{DbError, DbResult};
 use crate::exec::{ImagePage, ScanProgress, ScanSpec, StorageAccess};
 use crate::expr::func::FunctionRegistry;
-use crate::index::{AccessMethod, BTreeIndex};
 use crate::locate::Prov;
 use crate::plan::planner::PlannerContext;
+use crate::plan::Probe;
 use crate::storage::colpage::ColumnPage;
 use crate::storage::heap::Rid;
 use crate::tuple::{decode_row_cols_into, Row};
 use crate::txn::{TableWrites, WriteSet};
-use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -103,20 +102,6 @@ impl<'a> ReadView<'a> {
     fn page_count(&self, table_id: u32) -> DbResult<u32> {
         let real = self.storage(table_id)?.heap.num_pages();
         Ok(real.saturating_add(u32::from(self.dirty(table_id))))
-    }
-
-    fn btree(&self, table_id: u32, column: &str) -> DbResult<&'a BTreeIndex> {
-        let index = self.storage(table_id)?.btree(column);
-        index.ok_or_else(|| DbError::Internal(format!("no B-tree on {column}")))
-    }
-
-    fn domain_index(
-        &self,
-        table_id: u32,
-        column: &str,
-        func: &str,
-    ) -> Option<&'a dyn AccessMethod> {
-        self.inner.tables.get(&table_id)?.domain_index(column, func)
     }
 
     /// Position of a named column in its table.
@@ -233,14 +218,14 @@ impl<'a> ReadView<'a> {
     /// its rids stay candidates (the fetch drops the ones this view does not
     /// see, see [`ReadView::located`]), and on a dirty table what the view
     /// sees and the index does not — which can only be a prior image or an
-    /// own write, i.e. a row of the virtual page — is added when its key is
-    /// `in_bound`, addressed by synthetic rid.
+    /// own write, i.e. a row of the virtual page — is added when the probe
+    /// admits its value, addressed by synthetic rid.
     fn with_virtual_candidates(
         &self,
         table_id: u32,
         column: &str,
         mut rids: Vec<Rid>,
-        in_bound: impl Fn(&Datum) -> bool,
+        probe: &Probe,
     ) -> DbResult<Vec<Rid>> {
         if !self.dirty(table_id) {
             return Ok(rids);
@@ -251,7 +236,7 @@ impl<'a> ReadView<'a> {
             .ok_or_else(|| DbError::Internal(format!("no column {column} to re-check")))?;
         let real_pages = storage.heap.num_pages();
         for (i, v) in self.virtual_rows(storage, self.overlay(table_id)).enumerate() {
-            if in_bound(&v.row[pos]) {
+            if probe.admits(&v.row[pos]) {
                 rids.push(virtual_rid(real_pages, i)?);
             }
         }
@@ -482,39 +467,9 @@ impl StorageAccess for ReadView<'_> {
         self.located(table_id, rids, false, |_, row| row)
     }
 
-    fn btree_eq(&self, table_id: u32, column: &str, key: &Datum) -> DbResult<Vec<Rid>> {
-        let rids = self.btree(table_id, column)?.get(key);
-        self.with_virtual_candidates(table_id, column, rids, |k| k == key)
-    }
-
-    fn btree_range(
-        &self,
-        table_id: u32,
-        column: &str,
-        lo: Bound<&Datum>,
-        hi: Bound<&Datum>,
-    ) -> DbResult<Vec<Rid>> {
-        let index = self.btree(table_id, column)?;
-        let rids = index.range(lo, hi).into_iter().map(|(_, rid)| rid).collect();
-        self.with_virtual_candidates(table_id, column, rids, |k| (lo, hi).contains(k))
-    }
-
-    /// Every row of the virtual page is a candidate: the UdiScan's residual
-    /// re-checks `func` on each fetched row.
-    fn udi_probe(
-        &self,
-        table_id: u32,
-        column: &str,
-        func: &str,
-        args: &[Datum],
-    ) -> DbResult<Vec<Rid>> {
-        let udi = self
-            .domain_index(table_id, column, func)
-            .ok_or_else(|| DbError::Internal(format!("no access method for {func} on {column}")))?;
-        let rids = udi
-            .probe(func, args)
-            .ok_or_else(|| DbError::Internal(format!("{} cannot answer {func}", udi.name())))?;
-        self.with_virtual_candidates(table_id, column, rids, |_| true)
+    fn index_probe(&self, table_id: u32, column: &str, probe: &Probe) -> DbResult<Vec<Rid>> {
+        let rids = self.storage(table_id)?.index_probe(column, probe)?;
+        self.with_virtual_candidates(table_id, column, rids, probe)
     }
 }
 
@@ -560,7 +515,7 @@ impl PlannerContext for ReadView<'_> {
         args: &[Datum],
     ) -> Option<f64> {
         // Dirty or not, as for B-trees: the probe adds the virtual page.
-        let udi = self.domain_index(table_id, column, func)?;
+        let udi = self.inner.tables.get(&table_id)?.domain_index(column, func)?;
         Some(udi.selectivity(func, args).unwrap_or(0.1))
     }
 }

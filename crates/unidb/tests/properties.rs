@@ -462,11 +462,17 @@ proptest! {
         }
     }
 
+    /// A B-tree range returns the keys a filter keeps, and so does a
+    /// query whose two conjuncts on the indexed column make one probe:
+    /// same rows as the unindexed twin, for NULL literals, empty
+    /// intersections and equal bounds of mixed inclusivity alike.
     #[test]
     fn btree_range_equals_filtered_scan(
-        keys in proptest::collection::vec(-100i64..100, 0..200),
+        keys in proptest::collection::vec(-100i64..101, 0..200),
         lo in -100i64..100,
         span in 0i64..100,
+        pair in (0usize..7, -20i64..21, 0usize..7, -20i64..21),
+        tie in any::<bool>(),
     ) {
         let mut tree = BTreeIndex::new(false);
         for (i, k) in keys.iter().enumerate() {
@@ -485,6 +491,41 @@ proptest! {
             keys.iter().copied().filter(|k| (lo..=hi).contains(k)).collect();
         expected.sort_unstable();
         prop_assert_eq!(from_range, expected);
+
+        // 20 stands for NULL, as a stored key and as a literal.
+        let lit = |v: i64| if v == 20 { "NULL".to_string() } else { v.to_string() };
+        let conjunct = |form: usize, v: i64| match form {
+            0 => format!("k < {}", lit(v)),
+            1 => format!("k <= {}", lit(v)),
+            2 => format!("k > {}", lit(v)),
+            3 => format!("k >= {}", lit(v)),
+            4 => format!("{} < k", lit(v)),
+            5 => format!("{} >= k", lit(v)),
+            _ => format!("k BETWEEN {} AND {}", lit(v), lit(v.min(19) + span % 5)),
+        };
+        let (form_a, a, form_b, b) = pair;
+        let b = if tie { a } else { b };
+        let sql = format!(
+            "SELECT k FROM t WHERE {} AND {} ORDER BY k",
+            conjunct(form_a, a),
+            conjunct(form_b, b)
+        );
+        let rows: Vec<String> = keys.iter().map(|k| format!("({})", lit(k % 21))).collect();
+        let answers: Vec<Vec<Vec<Datum>>> = [false, true]
+            .into_iter()
+            .map(|indexed| {
+                let db = Database::in_memory();
+                db.execute("CREATE TABLE t (k INT)").unwrap();
+                if !rows.is_empty() {
+                    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+                }
+                if indexed {
+                    db.execute("CREATE INDEX ON t (k)").unwrap();
+                }
+                db.execute(&sql).unwrap().rows
+            })
+            .collect();
+        prop_assert_eq!(&answers[0], &answers[1], "{}", sql);
     }
 
     // --- LIKE -------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 //! Acceptance tests for the MVCC transaction subsystem: snapshot
 //! isolation, first-committer-wins conflicts, concurrent disjoint
-//! writers, the `Engine`/`Transaction` trait boundary, and ambient
-//! (`BEGIN`/`COMMIT`/`ROLLBACK`) transaction control.
+//! writers, and ambient (`BEGIN`/`COMMIT`/`ROLLBACK`) transaction
+//! control.
 
 use std::sync::{Arc, Barrier};
-use unidb::{Database, Datum, DbError, Engine, Transaction};
+use unidb::{Database, Datum, DbError};
 
 fn fresh_kv() -> Database {
     let db = Database::in_memory();
@@ -352,41 +352,6 @@ fn ddl_inside_transaction_is_rejected() {
     let err = db.txn_execute(a, "CREATE TABLE u (x INT)").unwrap_err();
     assert!(matches!(err, DbError::Txn(_)), "expected Txn, got {err:?}");
     db.txn_rollback(a).unwrap();
-}
-
-// -- Engine / Transaction trait boundary -----------------------------------
-
-/// Drives transactions purely through the trait boundary, the way the
-/// server session layer and benches do.
-fn transfer<E: Engine>(engine: &E, from: i64, to: i64, amount: i64) -> Result<(), DbError> {
-    let mut txn = engine.begin();
-    txn.execute(&format!("UPDATE t SET v = v - {amount} WHERE k = {from}"))?;
-    txn.execute(&format!("UPDATE t SET v = v + {amount} WHERE k = {to}"))?;
-    txn.commit()
-}
-
-#[test]
-fn engine_trait_drives_transactions() {
-    let db = fresh_kv();
-    db.execute("INSERT INTO t VALUES (1, 100), (2, 0)").unwrap();
-    transfer(&db, 1, 2, 40).unwrap();
-    assert_eq!(ints(&db, "SELECT k, v FROM t"), vec![(1, 60), (2, 40)]);
-}
-
-/// Dropping an unfinished transaction handle rolls it back.
-#[test]
-fn dropped_handle_rolls_back() {
-    let db = fresh_kv();
-    db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
-    let id;
-    {
-        let mut txn = db.begin();
-        id = txn.id();
-        txn.execute("UPDATE t SET v = 999 WHERE k = 1").unwrap();
-    }
-    assert!(!db.txn_is_active(id));
-    assert_eq!(ints(&db, "SELECT k, v FROM t"), vec![(1, 10)]);
-    assert_eq!(db.txn_stats().aborted, 1);
 }
 
 // -- durability ------------------------------------------------------------

@@ -330,6 +330,55 @@ fn main() {
         reference_ns,
     });
 
+    // The olap workload's grouped statement, in process: an INT key and
+    // `count`/`sum` over INT columns of column images, against a plain loop
+    // over the same `i64`s. Ten rows per fragment; `nucleotides` counts
+    // rows. The ratio is loop time ÷ statement time, as for `grouped_fold`.
+    let rows = 10 * n;
+    db.execute("CREATE TABLE ints (id INT, grp INT, val INT)").expect("ddl");
+    for at in (0..rows).step_by(500) {
+        let values: Vec<String> = (at..(at + 500).min(rows))
+            .map(|id| format!("({id}, {}, {})", id % 16, (id * 7919) % 1000))
+            .collect();
+        db.execute(&format!("INSERT INTO ints VALUES {}", values.join(","))).expect("insert");
+    }
+    let int_grouped = "SELECT grp, count(*), sum(val) FROM ints WHERE id >= 0 GROUP BY grp";
+    let ints: Vec<(usize, i64)> = db
+        .execute("SELECT grp, val FROM ints")
+        .expect("runs")
+        .rows
+        .iter()
+        .map(|row| match row[..] {
+            [Datum::Int(g), Datum::Int(v)] => (g as usize, v),
+            ref other => panic!("{other:?} is no (grp, val)"),
+        })
+        .collect();
+    let fold = || {
+        let mut groups = [(0i64, 0i64); 16];
+        for &(g, v) in &ints {
+            let (count, sum) = &mut groups[g];
+            (*count, *sum) = (*count + 1, *sum + v);
+        }
+        groups
+    };
+    let [(kernel_ns, _), (reference_ns, _)] = best_in_turn(
+        || db.execute(int_grouped).expect("runs").rows.len(),
+        || black_box(fold()).len(),
+    );
+    let want: Vec<Vec<Datum>> = fold()
+        .iter()
+        .enumerate()
+        .map(|(g, &(count, sum))| vec![Datum::Int(g as i64), Datum::Int(count), Datum::Int(sum)])
+        .collect();
+    assert_eq!(db.execute(int_grouped).expect("runs").rows, want, "the loop's groups");
+    entries.push(Entry {
+        name: "int_fold",
+        what: "GROUP BY an INT key with count and sum over INT columns vs a plain loop",
+        nucleotides: rows,
+        kernel_ns,
+        reference_ns,
+    });
+
     let results: Vec<String> = entries
         .iter()
         .map(|e| {

@@ -64,6 +64,9 @@ pub enum Profile {
     /// most queries aggregate — GROUP BY, `count`, `min` and `max` over
     /// dictionary-coded column images, groups mapped per code and page.
     LowCard,
+    /// The join-heavy mix over tables several pages long, so a hash join's
+    /// probe side and a Top-N read column image pages, not just the tail.
+    JoinPages,
 }
 
 impl Profile {
@@ -74,6 +77,7 @@ impl Profile {
             "join-heavy" => Some(Profile::JoinHeavy),
             "scan-heavy" => Some(Profile::ScanHeavy),
             "low-card" => Some(Profile::LowCard),
+            "join-pages" => Some(Profile::JoinPages),
             _ => None,
         }
     }
@@ -81,14 +85,14 @@ impl Profile {
     fn min_tables(self) -> usize {
         match self {
             Profile::Default | Profile::ScanHeavy | Profile::LowCard => 1,
-            Profile::JoinHeavy => 2,
+            Profile::JoinHeavy | Profile::JoinPages => 2,
         }
     }
 
     fn join_chance(self) -> f64 {
         match self {
             Profile::Default => 0.35,
-            Profile::JoinHeavy => 0.85,
+            Profile::JoinHeavy | Profile::JoinPages => 0.85,
             Profile::ScanHeavy | Profile::LowCard => 0.10,
         }
     }
@@ -96,7 +100,7 @@ impl Profile {
     fn null_chance(self) -> f64 {
         match self {
             Profile::Default | Profile::LowCard => 0.25,
-            Profile::JoinHeavy => 0.45,
+            Profile::JoinHeavy | Profile::JoinPages => 0.45,
             Profile::ScanHeavy => 0.55,
         }
     }
@@ -104,7 +108,7 @@ impl Profile {
     /// Widest table the schema generator may produce.
     fn max_cols(self) -> usize {
         match self {
-            Profile::Default | Profile::JoinHeavy | Profile::LowCard => 5,
+            Profile::Default | Profile::JoinHeavy | Profile::LowCard | Profile::JoinPages => 5,
             Profile::ScanHeavy => 8,
         }
     }
@@ -115,7 +119,7 @@ impl Profile {
             Profile::Default | Profile::JoinHeavy => 12,
             Profile::ScanHeavy => 30,
             // Several pages, so all but the tail are served from images.
-            Profile::LowCard => 300,
+            Profile::LowCard | Profile::JoinPages => 300,
         }
     }
 
@@ -143,7 +147,9 @@ impl Profile {
     /// unchanged.
     fn pred_bands(self) -> (u32, u32, u32, u32) {
         match self {
-            Profile::Default | Profile::JoinHeavy | Profile::LowCard => (44, 59, 74, 89),
+            Profile::Default | Profile::JoinHeavy | Profile::LowCard | Profile::JoinPages => {
+                (44, 59, 74, 89)
+            }
             Profile::ScanHeavy => (59, 71, 77, 95),
         }
     }
@@ -759,6 +765,30 @@ mod tests {
         assert!(seed_rows > 60 * 200, "seed rows: {seed_rows}");
         let a = gen_scenario_with_profile(7, Profile::LowCard);
         let b = gen_scenario_with_profile(7, Profile::LowCard);
+        assert_eq!(a.render_script(), b.render_script());
+    }
+
+    #[test]
+    fn join_pages_profile_joins_tables_of_several_pages() {
+        let (mut queries, mut joins, mut seed_rows) = (0usize, 0usize, 0usize);
+        for seed in 0..60 {
+            let sc = gen_scenario_with_profile(seed, Profile::JoinPages);
+            assert!(sc.tables.len() >= 2, "seed {seed}: join-pages needs ≥2 tables");
+            for op in &sc.ops {
+                match op {
+                    Op::Query(q) => {
+                        queries += 1;
+                        joins += q.join.is_some() as usize;
+                    }
+                    Op::Insert { rows, .. } => seed_rows += rows.len(),
+                    _ => {}
+                }
+            }
+        }
+        assert!(joins * 2 > queries, "joins: {joins}/{queries}");
+        assert!(seed_rows > 60 * 2 * 200, "seed rows: {seed_rows}");
+        let a = gen_scenario_with_profile(7, Profile::JoinPages);
+        let b = gen_scenario_with_profile(7, Profile::JoinPages);
         assert_eq!(a.render_script(), b.render_script());
     }
 

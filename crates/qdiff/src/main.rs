@@ -66,7 +66,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: qdiff [--seeds N] [--txn-seeds N] [--start S] [--shrink-budget B] \
-                     [--out DIR] [--profile default|join-heavy|scan-heavy|low-card]\n\
+                     [--out DIR] [--profile default|join-heavy|scan-heavy|low-card|join-pages]\n\
                      env: QDIFF_SEED_START, QDIFF_SEED_COUNT, QDIFF_TXN_SEED_COUNT, QDIFF_PROFILE"
                 );
                 std::process::exit(0);

@@ -38,20 +38,23 @@
 //! are plain references ([`CompiledExpr::read`]), found through one
 //! `KeyTable`.
 //!
-//! An Aggregate has one fold (`agg`), over column images. A SeqScan feeding
-//! it hands over each image page it serves whole, with the selection
-//! vector its filter left ([`ImagePage`]), instead of copying survivors
-//! into the batch; its row-path pages (the tail, pages with overflow rows,
-//! a dirty table's pages and virtual page) still arrive as rows, in heap
-//! order among the pages, as do the rows of any other input. The one fold
-//! is generic over an image page with its selection vector and a run of
-//! rows: it reads keys and arguments where they lie — a TEXT key as
-//! dictionary codes, mapped to groups once per code and page, numbers from
-//! their typed vectors — computes a bound call of one column through its
-//! page-at-a-time entry, and folds row after row, so groups, float sums
-//! and the first error are those of a per-row fold. The SeqScan stays its
-//! own operator: its `EXPLAIN` line, counters and span are unchanged, and
-//! `EXPLAIN ANALYZE` runs this same path.
+//! Three pipeline breakers read column images in place: the Aggregate
+//! (`agg`), a hash join's probe side (`join`) and Top-N (`topn`). A SeqScan
+//! feeding one of them hands over each image page it serves whole, with
+//! the selection vector its filter left ([`ImagePage`]), instead of copying
+//! survivors into the batch; its row-path pages (the tail, pages with
+//! overflow rows, a dirty table's pages and virtual page) still arrive as
+//! rows, in heap order among the pages, as do the rows of any other input.
+//! Each consumer has one loop, generic over an image page with its
+//! selection vector and a run of rows (`rows`), and reads keys where they
+//! lie. The Aggregate reads a TEXT key as dictionary codes, mapped to
+//! groups once per code and page, computes a bound call of one column
+//! through its page-at-a-time entry, and hands each group's numbers of a
+//! page to its accumulators' typed entries in one call, so groups, float
+//! sums and the first error are those of a per-row fold. The join's probe
+//! and Top-N build a row only for an output row or a row that enters the
+//! heap. The SeqScan stays its own operator: its `EXPLAIN` line, counters
+//! and span are unchanged, and `EXPLAIN ANALYZE` runs this same path.
 //!
 //! A statement runs entirely on the thread that calls [`execute_plan`]:
 //! each SeqScan `next_batch` reads and filters one [`MORSEL_PAGES`] range,
@@ -60,7 +63,10 @@
 //! within one.
 
 mod agg;
+mod join;
+mod rows;
 pub mod stats;
+mod topn;
 
 use crate::datum::Datum;
 use crate::error::{DbError, DbResult};
@@ -270,8 +276,9 @@ fn collect_rows(mut it: BoxIter<'_>) -> DbResult<Vec<Row>> {
 /// Rows in one allocation: `width` datums per row, row after row. The row
 /// count is kept beside the data because a zero-width row (the one
 /// [`PhysicalPlan::Nothing`] emits) occupies no datums. A SeqScan feeding
-/// an Aggregate adds the image pages it hands over whole (`pages`), each
-/// placed among the rows; no other operator ever sees one.
+/// an Aggregate, a hash join's probe side or a Top-N adds the image pages
+/// it hands over whole (`pages`), each placed among the rows; only those
+/// three consumers ever see one, and they emit plain rows.
 #[derive(Default)]
 struct Batch {
     data: Vec<Datum>,
@@ -390,9 +397,10 @@ type BoxIter<'a> = Box<dyn BatchIter + 'a>;
 /// `span_parent`) when the operator is dropped. The gate is one relaxed
 /// load per operator at *build* time — nothing on the per-batch path.
 ///
-/// `whole_pages` is set by an Aggregate for its input: a SeqScan then hands
-/// over the image pages it serves whole ([`ImagePage`]) instead of copying
-/// their survivors into the batch. Every other operator ignores it.
+/// `whole_pages` is set for the input of an Aggregate or a Top-N and for a
+/// hash join's probe side: a SeqScan then hands over the image pages it
+/// serves whole ([`ImagePage`]) instead of copying their survivors into the
+/// batch. Every other operator ignores it.
 fn build_iter<'a>(
     storage: &'a dyn StorageAccess,
     funcs: &'a FunctionRegistry,
@@ -403,9 +411,10 @@ fn build_iter<'a>(
     whole_pages: bool,
 ) -> DbResult<(BoxIter<'a>, Layout)> {
     let child = |i: usize| stats.map(|s| &s.children[i]);
-    let build = |input: &PhysicalPlan, need: Need, i: usize| {
-        build_iter(storage, funcs, input, need, child(i), span_parent, false)
+    let build_with = |input: &PhysicalPlan, need: Need, i: usize, whole_pages: bool| {
+        build_iter(storage, funcs, input, need, child(i), span_parent, whole_pages)
     };
+    let build = |input: &PhysicalPlan, need: Need, i: usize| build_with(input, need, i, false);
     let (it, layout): (BoxIter<'a>, Layout) = match plan {
         PhysicalPlan::Nothing => (Box::new(NothingIter { done: false }), Layout::new()),
         PhysicalPlan::SeqScan { table_id, residual, columns, .. } => {
@@ -472,29 +481,34 @@ fn build_iter<'a>(
             // index probes, name-resolution errors — happen in the same
             // order whichever side the executor builds on, and
             // child(0)/child(1) stay attached to the plan's left/right
-            // inputs regardless.
-            let (left_it, left_layout) = build(left, reading(left_need.clone(), [&left_k]), 0)?;
-            let (right_it, right_layout) =
-                build(right, reading(right_need.clone(), [&right_k]), 1)?;
+            // inputs regardless. A SeqScan on the probe side hands its image
+            // pages over whole.
+            let left_need_k = reading(left_need.clone(), [&left_k]);
+            let (left_it, left_layout) = build_with(left, left_need_k, 0, !*build_left)?;
+            let right_need_k = reading(right_need.clone(), [&right_k]);
+            let (right_it, right_layout) = build_with(right, right_need_k, 1, *build_left)?;
             left_k.remap(&left_layout);
             right_k.remap(&right_layout);
             // Where each side's need lies in its rows.
-            let at = |need: Need, layout: Layout| -> Vec<usize> {
+            let at = |need: Need, layout: &Layout| -> Vec<usize> {
                 need.iter()
                     .map(|c| layout.binary_search(c).expect("a layout covers its need"))
                     .collect()
             };
-            let left = (left_it, left_k, at(left_need, left_layout));
-            let right = (right_it, right_k, at(right_need, right_layout));
-            let ((build_it, build_key, build_pick), (probe, probe_key, probe_pick)) =
-                if *build_left { (left, right) } else { (right, left) };
-            let join = HashJoinIter {
+            let left = (left_it, left_k, at(left_need, &left_layout), left_layout);
+            let right = (right_it, right_k, at(right_need, &right_layout), right_layout);
+            let (
+                (build_it, build_key, build_pick, _),
+                (probe, probe_key, probe_pick, probe_layout),
+            ) = if *build_left { (left, right) } else { (right, left) };
+            let join = join::HashJoinIter {
                 probe,
                 build: Some(build_it),
                 build_rows: Batch::default(),
                 table: KeyTable::with_capacity(0),
                 probe_key,
                 build_key,
+                probe_layout,
                 probe_pick,
                 build_pick,
                 build_is_left: *build_left,
@@ -511,9 +525,7 @@ fn build_iter<'a>(
                 .map(|c| compile_opt(c.arg.as_ref(), &in_bindings, funcs))
                 .collect::<DbResult<Vec<_>>>()?;
             let need = reading(Need::new(), group_by.iter().chain(args.iter().flatten()));
-            // The one consumer a SeqScan hands its image pages to whole.
-            let (input, layout) =
-                build_iter(storage, funcs, input, need, child(0), span_parent, true)?;
+            let (input, layout) = build_with(input, need, 0, true)?;
             group_by.iter_mut().chain(args.iter_mut().flatten()).for_each(|e| e.remap(&layout));
             let width = group_by.len() + calls.len();
             let stats = stats.map(Arc::clone);
@@ -529,15 +541,15 @@ fn build_iter<'a>(
         }
         PhysicalPlan::TopN { input, keys: sort_keys, n, offset } => {
             let mut keys = compile_all(sort_keys.iter().map(|(e, _)| e), &input.bindings(), funcs)?;
-            let (input, layout) = build(input, reading(need, &keys), 0)?;
+            let (input, layout) = build_with(input, reading(need, &keys), 0, true)?;
             keys.iter_mut().for_each(|k| k.remap(&layout));
-            let top = TopNIter {
+            let top = topn::TopNIter {
                 input: Some(input),
                 keys,
                 dirs: Arc::new(sort_keys.iter().map(|(_, asc)| *asc).collect()),
                 n: *n,
                 offset: *offset,
-                width: layout.len(),
+                layout: layout.clone(),
             };
             (Box::new(top), layout)
         }
@@ -577,12 +589,13 @@ fn build_iter<'a>(
     Ok((it, layout))
 }
 
-/// Every position of a `width`-column row, in order.
+/// Every position of a `width`-column row, in order: the layout of an
+/// index scan, which fetches whole rows, and of every operator that emits
+/// all of its bindings.
 fn identity(width: usize) -> Layout {
     (0..width).collect()
 }
 
-/// An index or UDI scan fetching `rids`: whole rows, so an identity layout.
 fn compile_opt(
     expr: Option<&Expr>,
     bindings: &[crate::expr::eval::ColumnBinding],
@@ -742,8 +755,9 @@ impl BatchIter for NothingIter {
 /// range, and [`StorageAccess::scan_batches`] writes only the rows that
 /// pass the whole filter — its kernel leaves a column at a time on pages a
 /// column image serves, per row elsewhere — and only their layout columns,
-/// straight into the batch; for an Aggregate, image pages go into the
-/// batch whole, with their selection vectors.
+/// straight into the batch; for an Aggregate, a hash join's probe side or a
+/// Top-N, image pages go into the batch whole, with their selection
+/// vectors.
 struct SeqScanIter<'a> {
     storage: &'a dyn StorageAccess,
     table_id: u32,
@@ -751,7 +765,8 @@ struct SeqScanIter<'a> {
     /// pages the zone maps may refute.
     spec: ScanSpec,
     next_page: Option<u32>,
-    /// Hand image pages over whole: the consumer is an Aggregate.
+    /// Hand image pages over whole: the consumer is an Aggregate, a hash
+    /// join's probe side or a Top-N.
     whole_pages: bool,
     /// `EXPLAIN ANALYZE` node to attribute `pages_read`, `pages_skipped`
     /// and `segments_decoded` to.
@@ -966,91 +981,6 @@ impl BatchIter for SortIter<'_> {
     }
 }
 
-/// Bounded Top-N: a max-heap (in sort order) of the best `offset + n`
-/// rows seen so far. A sequence number per row makes the heap order a
-/// total order that exactly reproduces stable-sort-then-limit, so results
-/// are deterministic.
-struct TopNIter<'a> {
-    input: Option<BoxIter<'a>>,
-    keys: Vec<CompiledExpr>,
-    dirs: Arc<Vec<bool>>,
-    n: u64,
-    offset: u64,
-    width: usize,
-}
-
-struct TopEntry {
-    key: Vec<Datum>,
-    seq: u64,
-    row: Row,
-    dirs: Arc<Vec<bool>>,
-}
-
-impl PartialEq for TopEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for TopEntry {}
-impl PartialOrd for TopEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TopEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        cmp_key_vecs(&self.key, &other.key, &self.dirs).then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl BatchIter for TopNIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        let Some(mut input) = self.input.take() else { return Ok(None) };
-        let keep = usize::try_from(self.offset.saturating_add(self.n)).unwrap_or(usize::MAX);
-        let mut heap: std::collections::BinaryHeap<TopEntry> =
-            std::collections::BinaryHeap::with_capacity(keep.min(BATCH_ROWS) + 1);
-        let mut seq = 0u64;
-        let mut key = Vec::with_capacity(self.keys.len());
-        while let Some(mut batch) = input.next_batch()? {
-            for i in 0..batch.len() {
-                // Key evaluation happens for every input row — exactly as
-                // the unfused Sort would — so error behavior is unchanged.
-                key.clear();
-                for k in &self.keys {
-                    key.push(k.eval(batch.row(i))?.into_owned());
-                }
-                if keep == 0 {
-                    continue;
-                }
-                if heap.len() == keep {
-                    // Cheap reject: worse than the current worst kept row.
-                    let worst = heap.peek().expect("non-empty at capacity");
-                    if cmp_key_vecs(&key, &worst.key, &self.dirs).then(seq.cmp(&worst.seq)).is_ge()
-                    {
-                        seq += 1;
-                        continue;
-                    }
-                }
-                // Only a row entering the heap leaves the batch, moved.
-                let row = batch.take_row(i).collect();
-                heap.push(TopEntry { key: key.clone(), seq, row, dirs: Arc::clone(&self.dirs) });
-                seq += 1;
-                if heap.len() > keep {
-                    heap.pop();
-                }
-            }
-        }
-        let mut entries = heap.into_sorted_vec();
-        let skip = (self.offset as usize).min(entries.len());
-        let mut out = Batch::with_capacity(self.width, entries.len() - skip);
-        for e in entries.drain(skip..) {
-            out.data.extend(e.row);
-            out.end_row();
-        }
-        Ok(Some(out))
-    }
-}
-
 struct NlJoinIter<'a> {
     left: BoxIter<'a>,
     right: Option<BoxIter<'a>>,
@@ -1152,105 +1082,5 @@ impl KeyTable {
             self.next[e] = std::mem::replace(&mut self.heads[bucket], e as u32);
         }
         Ok(e)
-    }
-}
-
-/// Hash join over one [`KeyTable`]. The build side (chosen by the planner's
-/// statistics — `build=left|right` in `EXPLAIN`) is drained once and its
-/// keys read once, in build order; each row with a non-NULL key is kept as
-/// its key followed by the build side's needed values, inserted in reverse
-/// build order so that a chain walks in build order and duplicate keys
-/// match in build order.
-///
-/// Emitted rows are the join's need: the left side's needed values, then
-/// the right side's, whichever side was built. For LEFT joins the build
-/// side is always the right (padded) side; unmatched probe rows — including
-/// rows whose key is NULL, which never joins anything — are padded with
-/// NULLs.
-struct HashJoinIter<'a> {
-    probe: BoxIter<'a>,
-    build: Option<BoxIter<'a>>,
-    /// Key table entry `i`: its key, then the build side's needed values.
-    build_rows: Batch,
-    table: KeyTable,
-    probe_key: CompiledExpr,
-    build_key: CompiledExpr,
-    /// Where each side's needed values lie in its input's rows.
-    probe_pick: Vec<usize>,
-    build_pick: Vec<usize>,
-    /// The build side is the plan's *left* input: emit build ++ probe.
-    build_is_left: bool,
-    /// LEFT OUTER join (probe side preserved, build side padded).
-    left_outer: bool,
-    /// `EXPLAIN ANALYZE` node for `partitions` / `build_rows`.
-    stats: Option<Arc<OpStats>>,
-}
-
-impl HashJoinIter<'_> {
-    fn build_table(&mut self, build: BoxIter<'_>) -> DbResult<()> {
-        let rows = drain(build)?;
-        let keys = rows
-            .iter()
-            .map(|r| self.build_key.read(r, &mut None).cloned())
-            .collect::<DbResult<Vec<_>>>()?;
-        self.table = KeyTable::with_capacity(rows.len());
-        self.build_rows = Batch::with_capacity(1 + self.build_pick.len(), rows.len());
-        for (i, key) in keys.into_iter().enumerate().rev() {
-            // NULL never equals anything, including NULL (3VL).
-            if !key.is_null() {
-                self.table.insert(hash_one(&key))?;
-                self.build_rows.data.push(key);
-                pick(&mut self.build_rows, rows.row(i), &self.build_pick);
-                self.build_rows.end_row();
-            }
-        }
-        if let Some(stats) = &self.stats {
-            stats.partitions.store(1, AtomicOrdering::Relaxed);
-            stats.build_rows.store(rows.len() as u64, AtomicOrdering::Relaxed);
-        }
-        Ok(())
-    }
-}
-
-/// Append `row`'s values at `positions` to the row `out` is writing.
-fn pick(out: &mut Batch, row: &[Datum], positions: &[usize]) {
-    out.data.extend(positions.iter().map(|&c| row[c].clone()));
-}
-
-impl BatchIter for HashJoinIter<'_> {
-    fn next_batch(&mut self) -> DbResult<Option<Batch>> {
-        if let Some(build) = self.build.take() {
-            self.build_table(build)?;
-        }
-        let Some(batch) = self.probe.next_batch()? else { return Ok(None) };
-        let width = self.probe_pick.len() + self.build_pick.len();
-        let mut out = Batch::with_capacity(width, batch.len());
-        for p in batch.iter() {
-            let mut slot = None;
-            let key = self.probe_key.read(p, &mut slot)?;
-            // A NULL key walks a chain too, and matches nothing in it: no
-            // NULL is linked.
-            let mut matched = false;
-            for e in self.table.chain(hash_one(key)) {
-                let b = self.build_rows.row(e);
-                if b[0] == *key {
-                    let at = out.data.len();
-                    pick(&mut out, p, &self.probe_pick);
-                    out.data.extend_from_slice(&b[1..]);
-                    if self.build_is_left {
-                        out.data[at..].rotate_left(self.probe_pick.len());
-                    }
-                    out.end_row();
-                    matched = true;
-                }
-            }
-            // LEFT join: the probe row survives with the build side
-            // padded — also the path a NULL probe key takes.
-            if !matched && self.left_outer {
-                pick(&mut out, p, &self.probe_pick);
-                out.end_row();
-            }
-        }
-        Ok(Some(out))
     }
 }

@@ -67,10 +67,31 @@ pub struct Scalar {
 }
 
 /// Per-group aggregate state.
+///
+/// `update` is the definition. The typed entries `update_ints` and
+/// `update_floats` are optional fast paths: the executor hands one of them
+/// a group's non-NULL INT (or FLOAT) values of one page or run, in row
+/// order (`count(*)` as a `1` per row), and the entry either folds them
+/// exactly as one `update` per value would, in the same order, and answers
+/// `true`, or *refuses* them — before changing any state — and answers
+/// `false`. A refused run is folded one `update` per value instead, which
+/// decides the result and words any error; so a typed entry never fails,
+/// and refuses any run on which `update` could. NULLs are left out of a
+/// run, so only an accumulator whose `update` ignores NULL may override
+/// them; one that does not override them refuses everything and is folded
+/// per value.
 pub trait Accumulator: Send {
     /// Fold one input value (NULLs are filtered by the executor except for
     /// `count(*)`, which feeds a non-null marker per row).
     fn update(&mut self, value: &Datum) -> DbResult<()>;
+    /// Fold INT values as `update` would, or refuse them (`false`).
+    fn update_ints(&mut self, _values: &[i64]) -> bool {
+        false
+    }
+    /// Fold FLOAT values as `update` would, or refuse them (`false`).
+    fn update_floats(&mut self, _values: &[f64]) -> bool {
+        false
+    }
     /// Produce the aggregate result.
     fn finish(&self) -> Datum;
 }
@@ -307,6 +328,16 @@ impl Accumulator for CountAcc {
         Ok(())
     }
 
+    fn update_ints(&mut self, values: &[i64]) -> bool {
+        self.0 += values.len() as i64;
+        true
+    }
+
+    fn update_floats(&mut self, values: &[f64]) -> bool {
+        self.0 += values.len() as i64;
+        true
+    }
+
     fn finish(&self) -> Datum {
         Datum::Int(self.0)
     }
@@ -346,6 +377,22 @@ impl Accumulator for SumAcc {
         Ok(())
     }
 
+    fn update_ints(&mut self, values: &[i64]) -> bool {
+        let Some(sum) = add_ints(self.int_sum, values) else { return false };
+        self.int_sum = sum;
+        self.saw_any |= !values.is_empty();
+        true
+    }
+
+    fn update_floats(&mut self, values: &[f64]) -> bool {
+        for f in values {
+            self.float_sum += f;
+        }
+        self.saw_float |= !values.is_empty();
+        self.saw_any |= !values.is_empty();
+        true
+    }
+
     fn finish(&self) -> Datum {
         if !self.saw_any {
             Datum::Null
@@ -357,6 +404,12 @@ impl Accumulator for SumAcc {
             Datum::Float(self.int_sum as f64)
         }
     }
+}
+
+/// `sum + Σ values`, or `None` where `update` would raise an overflow: a
+/// run's own sum cannot overflow an i128, so only the last add can.
+fn add_ints(sum: i128, values: &[i64]) -> Option<i128> {
+    sum.checked_add(values.iter().map(|&v| i128::from(v)).sum::<i128>())
 }
 
 /// Like [`SumAcc`], integers accumulate exactly in i128; the division
@@ -391,6 +444,21 @@ impl Accumulator for AvgAcc {
         Ok(())
     }
 
+    fn update_ints(&mut self, values: &[i64]) -> bool {
+        let Some(sum) = add_ints(self.int_sum, values) else { return false };
+        self.int_sum = sum;
+        self.n += values.len() as u64;
+        true
+    }
+
+    fn update_floats(&mut self, values: &[f64]) -> bool {
+        for f in values {
+            self.float_sum += f;
+        }
+        self.n += values.len() as u64;
+        true
+    }
+
     fn finish(&self) -> Datum {
         if self.n == 0 {
             Datum::Null
@@ -405,26 +473,45 @@ struct ExtremeAcc {
     want_min: bool,
 }
 
+impl ExtremeAcc {
+    /// Does `value` (not NULL) replace the best so far? A tie keeps the
+    /// first.
+    #[inline]
+    fn better(&self, value: &Datum) -> bool {
+        let Some(best) = &self.best else { return true };
+        let ord = value.total_cmp(best);
+        if self.want_min {
+            ord == std::cmp::Ordering::Less
+        } else {
+            ord == std::cmp::Ordering::Greater
+        }
+    }
+
+    fn offer(&mut self, values: impl Iterator<Item = Datum>) {
+        for d in values {
+            if self.better(&d) {
+                self.best = Some(d);
+            }
+        }
+    }
+}
+
 impl Accumulator for ExtremeAcc {
     fn update(&mut self, value: &Datum) -> DbResult<()> {
-        if value.is_null() {
-            return Ok(());
-        }
-        let better = match &self.best {
-            None => true,
-            Some(b) => {
-                let ord = value.total_cmp(b);
-                if self.want_min {
-                    ord == std::cmp::Ordering::Less
-                } else {
-                    ord == std::cmp::Ordering::Greater
-                }
-            }
-        };
-        if better {
+        if !value.is_null() && self.better(value) {
             self.best = Some(value.clone());
         }
         Ok(())
+    }
+
+    fn update_ints(&mut self, values: &[i64]) -> bool {
+        self.offer(values.iter().map(|&v| Datum::Int(v)));
+        true
+    }
+
+    fn update_floats(&mut self, values: &[f64]) -> bool {
+        self.offer(values.iter().map(|&v| Datum::Float(v)));
+        true
     }
 
     fn finish(&self) -> Datum {

@@ -19,13 +19,15 @@
 //! vector over one column ([`ColumnPage::select`]), and only the surviving
 //! rows' referenced values are then written out ([`ColumnPage::append`]) —
 //! a copy for a number, an `Arc` increment that shares the payload for an
-//! opaque value. A consumer that folds a page where it lies (the
-//! executor's Aggregate) reads it in place instead: a value by reference
-//! ([`ColumnPage::get`]), a dictionary column's codes
-//! ([`ColumnPage::dict`]), a column's selected values as references
-//! ([`ColumnPage::refs`]). A kernel leaf over a dictionary column tests
-//! each distinct value once and then filters the codes. The kernels reproduce [`ColTest::passes`], the per-row
-//! definition other pages use, exactly: they compare as
+//! opaque value. A consumer that reads a page where it lies (the
+//! executor's Aggregate, hash-join probe and Top-N) reads it in place
+//! instead: a value by reference ([`ColumnPage::get`]), a dictionary
+//! column's codes ([`ColumnPage::dict`]), a column's selected values as
+//! references ([`ColumnPage::refs`]) or, for an INT or FLOAT column, as
+//! numbers ([`ColumnPage::ints`], [`ColumnPage::floats`]). A kernel leaf
+//! over a dictionary column tests each distinct value once and then
+//! filters the codes. The kernels reproduce [`ColTest::passes`], the
+//! per-row definition other pages use, exactly: they compare as
 //! [`Datum::total_cmp`] does (two INTs as `i64`, anything involving a
 //! FLOAT as `f64`, so `-0.0 < 0.0` and an INT above 2^53 compares as it
 //! rounds), and NULL never passes a comparison.
@@ -476,6 +478,11 @@ impl Nulls {
     }
 }
 
+/// The values of a typed column at `rows` whose NULL bit is clear, in order.
+fn gather<T: Copy>(vals: &[T], nulls: &Nulls, rows: &[u32], out: &mut Vec<T>) {
+    out.extend(rows.iter().filter(|&&r| !nulls.get(r as usize)).map(|&r| vals[r as usize]));
+}
+
 /// One column of an image. A column whose every value is INT or NULL is
 /// held as `i64`s, one whose every value is FLOAT or NULL as `f64`s, each
 /// with a NULL bitmap (a NULL's slot holds 0), and one whose every value
@@ -738,6 +745,28 @@ impl ColumnPage {
                 true
             }
         }
+    }
+
+    /// Column `col`'s non-NULL values at the rows `rows`, in order, appended
+    /// to `out` as `i64`s; `false`, with nothing appended, unless it is an
+    /// INT column (past the arity every value is NULL: nothing to append).
+    pub fn ints(&self, col: usize, rows: &[u32], out: &mut Vec<i64>) -> bool {
+        match self.cols.get(col) {
+            Some(Column::Int(vals, nulls)) => gather(vals, nulls, rows, out),
+            Some(_) => return false,
+            None => {}
+        }
+        true
+    }
+
+    /// [`ints`](Self::ints) for a FLOAT column, as `f64`s.
+    pub fn floats(&self, col: usize, rows: &[u32], out: &mut Vec<f64>) -> bool {
+        match self.cols.get(col) {
+            Some(Column::Float(vals, nulls)) => gather(vals, nulls, rows, out),
+            Some(_) => return false,
+            None => {}
+        }
+        true
     }
 
     /// Append the values of `cols` (table positions, NULL past the arity)

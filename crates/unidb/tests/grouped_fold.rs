@@ -112,6 +112,8 @@ struct Query {
 enum Arg {
     Star,
     Column(usize),
+    /// `DISTINCT` over a column: each non-NULL value once per group.
+    Distinct(usize),
     Plen,
 }
 
@@ -155,30 +157,37 @@ type Accs = Vec<Box<dyn Accumulator>>;
 /// What a per-row fold over `rows` returns for `q`: groups in first-seen
 /// order, keys before arguments and calls in order on every row, so the
 /// first error in row order is the one reported.
-fn model(q: &Query, rows: &[Vec<Datum>]) -> DbResult<Vec<Vec<Datum>>> {
-    let funcs = FunctionRegistry::with_builtins();
-    let mut groups: Vec<(Vec<Datum>, Accs)> = Vec::new();
+fn model(q: &Query, rows: &[Vec<Datum>], funcs: &FunctionRegistry) -> DbResult<Vec<Vec<Datum>>> {
+    let mut groups: Vec<(Vec<Datum>, Accs, Vec<Vec<Datum>>)> = Vec::new();
     let new_accs = || q.calls.iter().map(|(f, _)| funcs.aggregate(f).unwrap()()).collect();
+    let seen = || vec![Vec::new(); q.calls.len()];
     if q.keys.is_empty() {
-        groups.push((Vec::new(), new_accs()));
+        groups.push((Vec::new(), new_accs(), seen()));
     }
     for row in rows {
         let key: Vec<Datum> = q.keys.iter().map(|&k| row[k].clone()).collect();
-        let g = match groups.iter().position(|(k, _)| *k == key) {
+        let g = match groups.iter().position(|(k, ..)| *k == key) {
             Some(g) => g,
             None => {
-                groups.push((key, new_accs()));
+                groups.push((key, new_accs(), seen()));
                 groups.len() - 1
             }
         };
         for (ci, (func, arg)) in q.calls.iter().enumerate() {
             let value = match arg {
                 Arg::Star => Datum::Int(1),
-                Arg::Column(c) => row[*c].clone(),
+                Arg::Column(c) | Arg::Distinct(c) => row[*c].clone(),
                 Arg::Plen => plen(&row[3])?,
             };
             if value.is_null() && !matches!(arg, Arg::Star) {
                 continue;
+            }
+            if let Arg::Distinct(_) = arg {
+                let seen = &mut groups[g].2[ci];
+                if seen.contains(&value) {
+                    continue;
+                }
+                seen.push(value.clone());
             }
             groups[g].1[ci].update(&value).map_err(|e| match e {
                 DbError::TypeMismatch(m) => DbError::TypeMismatch(format!("{func}(): {m}")),
@@ -188,7 +197,7 @@ fn model(q: &Query, rows: &[Vec<Datum>]) -> DbResult<Vec<Vec<Datum>>> {
     }
     Ok(groups
         .into_iter()
-        .map(|(mut key, accs)| {
+        .map(|(mut key, accs, _)| {
             key.extend(accs.iter().map(|a| a.finish()));
             key
         })
@@ -205,10 +214,27 @@ fn show(r: DbResult<Vec<Vec<Datum>>>) -> String {
 /// Every query, run through `run`, against the model over the rows `run`
 /// scans; returns how many queries raised.
 fn check(entry: &str, run: &dyn Fn(&str) -> DbResult<ResultSet>) -> usize {
-    let rows = run("SELECT id, grp, org, p, name FROM t").unwrap().rows;
+    check_all(
+        entry,
+        "SELECT id, grp, org, p, name FROM t",
+        &QUERIES,
+        &FunctionRegistry::with_builtins(),
+        run,
+    )
+}
+
+/// [`check`] for `queries` over the rows of `scan`, modelled with `funcs`.
+fn check_all(
+    entry: &str,
+    scan: &str,
+    queries: &[Query],
+    funcs: &FunctionRegistry,
+    run: &dyn Fn(&str) -> DbResult<ResultSet>,
+) -> usize {
+    let rows = run(scan).unwrap().rows;
     let mut errors = 0;
-    for q in &QUERIES {
-        let want = model(q, &rows);
+    for q in queries {
+        let want = model(q, &rows, funcs);
         errors += usize::from(want.is_err());
         let got = run(q.sql).map(|rs| rs.rows);
         assert_eq!(show(got), show(want), "{entry}: {}", q.sql);
@@ -250,4 +276,179 @@ fn the_fold_returns_what_a_per_row_fold_returns() {
     assert!(counters.refused.load(Ordering::Relaxed) > refused, "no page was refused");
     db.execute("UPDATE t SET name = NULL").unwrap();
     assert_eq!(check("corrupt payloads, no names", &|sql| db.execute(sql)), 4);
+}
+
+/// `firstval(x)`: the first non-NULL value a group sees. A registered
+/// aggregate without the typed entries, and one that shows any change in
+/// the order a group's values arrive.
+#[derive(Default)]
+struct FirstVal(Option<Datum>);
+
+impl Accumulator for FirstVal {
+    fn update(&mut self, value: &Datum) -> DbResult<()> {
+        if self.0.is_none() && !value.is_null() {
+            self.0 = Some(value.clone());
+        }
+        Ok(())
+    }
+    fn finish(&self) -> Datum {
+        self.0.clone().unwrap_or(Datum::Null)
+    }
+}
+
+/// INT values whose sum leaves the i64 range (qdiff's `BIG_INTS`).
+const BIG_INTS: [&str; 5] = [
+    "9223372036854775807",
+    "9223372036854775806",
+    "NULL",
+    "-9223372036854775807",
+    "4611686018427387904",
+];
+/// FLOAT values whose sum depends on the order they are added in.
+const FLOATS: [&str; 7] = ["1e15", "0.25", "-0.0", "NULL", "0.1", "-1e15", "3.5"];
+
+/// `u (id, k INT, f FLOAT, g TEXT, v INT, big INT)`: 3000 rows over fourteen
+/// pages, so a page holds fewer rows than `GROUP BY id` has groups; `k`
+/// takes 700 values and NULL.
+fn typed_table() -> Database {
+    let db = Database::in_memory();
+    let firstval = || Box::new(FirstVal::default()) as Box<dyn Accumulator>;
+    db.register_aggregate("firstval", Arc::new(firstval)).unwrap();
+    db.execute("CREATE TABLE u (id INT, k INT, f FLOAT, g TEXT, v INT, big INT)").unwrap();
+    let rows: Vec<String> = (0..3000)
+        .map(|i| {
+            let k = if i % 13 == 5 { "NULL".to_string() } else { ((i * 37) % 700).to_string() };
+            let v = if i % 7 == 2 { "NULL".to_string() } else { (i as i64 % 50 - 20).to_string() };
+            let g = ORGS[(i * 3 / 7) % ORGS.len()];
+            let (f, big) = (FLOATS[i % FLOATS.len()], BIG_INTS[(i / 3) % BIG_INTS.len()]);
+            format!("({i}, {k}, {f}, {g}, {v}, {big})")
+        })
+        .collect();
+    for chunk in rows.chunks(250) {
+        db.execute(&format!("INSERT INTO u VALUES {}", chunk.join(", "))).unwrap();
+    }
+    db
+}
+
+/// Columns of `SELECT * FROM u`.
+const ID: usize = 0;
+const K: usize = 1;
+const F: usize = 2;
+const G: usize = 3;
+const V: usize = 4;
+const BIG: usize = 5;
+
+const TYPED: [Query; 7] = [
+    // A dictionary key.
+    Query {
+        sql: "SELECT g, count(*), sum(v), sum(f), sum(big), firstval(v), count(DISTINCT v) \
+              FROM u GROUP BY g",
+        keys: &[G],
+        calls: &[
+            ("count", Arg::Star),
+            ("sum", Arg::Column(V)),
+            ("sum", Arg::Column(F)),
+            ("sum", Arg::Column(BIG)),
+            ("firstval", Arg::Column(V)),
+            ("count", Arg::Distinct(V)),
+        ],
+    },
+    // An INT key of more values than the fold remembers at once.
+    Query {
+        sql: "SELECT k, count(*), sum(f), avg(v), min(f), max(big), firstval(f) FROM u GROUP BY k",
+        keys: &[K],
+        calls: &[
+            ("count", Arg::Star),
+            ("sum", Arg::Column(F)),
+            ("avg", Arg::Column(V)),
+            ("min", Arg::Column(F)),
+            ("max", Arg::Column(BIG)),
+            ("firstval", Arg::Column(F)),
+        ],
+    },
+    // More groups than a page has rows.
+    Query {
+        sql: "SELECT id, sum(v), sum(f), count(f), avg(big) FROM u GROUP BY id",
+        keys: &[ID],
+        calls: &[
+            ("sum", Arg::Column(V)),
+            ("sum", Arg::Column(F)),
+            ("count", Arg::Column(F)),
+            ("avg", Arg::Column(BIG)),
+        ],
+    },
+    // A two-column key.
+    Query {
+        sql: "SELECT g, k, count(v), sum(DISTINCT v), sum(f), avg(f) FROM u GROUP BY g, k",
+        keys: &[G, K],
+        calls: &[
+            ("count", Arg::Column(V)),
+            ("sum", Arg::Distinct(V)),
+            ("sum", Arg::Column(F)),
+            ("avg", Arg::Column(F)),
+        ],
+    },
+    Query {
+        sql: "SELECT count(*), sum(f), sum(big), avg(big), firstval(big), count(DISTINCT g) FROM u",
+        keys: &[],
+        calls: &[
+            ("count", Arg::Star),
+            ("sum", Arg::Column(F)),
+            ("sum", Arg::Column(BIG)),
+            ("avg", Arg::Column(BIG)),
+            ("firstval", Arg::Column(BIG)),
+            ("count", Arg::Distinct(G)),
+        ],
+    },
+    Query {
+        sql: "SELECT k, min(v), max(v), min(g), sum(DISTINCT f) FROM u GROUP BY k",
+        keys: &[K],
+        calls: &[
+            ("min", Arg::Column(V)),
+            ("max", Arg::Column(V)),
+            ("min", Arg::Column(G)),
+            ("sum", Arg::Distinct(F)),
+        ],
+    },
+    // `sum` over TEXT raises, after the typed calls have folded.
+    Query {
+        sql: "SELECT k, sum(v), sum(g) FROM u GROUP BY k",
+        keys: &[K],
+        calls: &[("sum", Arg::Column(V)), ("sum", Arg::Column(G))],
+    },
+];
+
+#[test]
+fn the_typed_fold_returns_what_a_per_row_fold_returns() {
+    let db = typed_table();
+    let mut funcs = FunctionRegistry::with_builtins();
+    let firstval = || Box::new(FirstVal::default()) as Box<dyn Accumulator>;
+    funcs.register_aggregate("firstval", Arc::new(firstval)).unwrap();
+    let check = |entry: &str, run: &dyn Fn(&str) -> DbResult<ResultSet>| {
+        check_all(entry, "SELECT * FROM u", &TYPED, &funcs, run)
+    };
+    let plan = db.execute(&format!("EXPLAIN {}", TYPED[1].sql)).unwrap().explain.unwrap();
+    assert!(plan.contains("Aggregate") && plan.contains("SeqScan"), "{plan}");
+    // The FLOAT sums really depend on the order of their values.
+    let sum = |fs: &[f64]| fs.iter().fold(0.0, |a, b| a + b);
+    let mut fs: Vec<f64> = FLOATS.iter().filter_map(|f| f.parse().ok()).collect();
+    let in_order = sum(&fs);
+    fs.swap(1, 4);
+    assert_ne!(sum(&fs), in_order, "1e15 and -1e15 cancel first");
+    assert_eq!(check("clean", &|sql| db.execute(sql)), 1);
+    let txn = db.txn_begin();
+    db.txn_execute(txn, "SELECT count(*) FROM u").unwrap();
+    db.execute("DELETE FROM u WHERE id % 11 = 3").unwrap();
+    db.execute("UPDATE u SET v = 1000 WHERE id % 9 = 4").unwrap();
+    for write in [
+        "INSERT INTO u VALUES (5000, 1, 1e15, 'human', 7, 9223372036854775807), \
+         (5001, NULL, NULL, NULL, NULL, NULL)",
+        "UPDATE u SET f = 0.25, k = 699 WHERE id % 8 = 6 AND id % 9 <> 4 AND id % 11 <> 3",
+        "DELETE FROM u WHERE id % 10 = 7 AND id % 9 <> 4 AND id % 11 <> 3",
+    ] {
+        db.txn_execute(txn, write).unwrap();
+    }
+    assert_eq!(check("dirty transaction", &|sql| db.txn_execute(txn, sql)), 1);
+    db.txn_commit(txn).unwrap();
+    assert_eq!(check("after the commit", &|sql| db.execute(sql)), 1);
 }

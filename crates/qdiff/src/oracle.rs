@@ -200,13 +200,25 @@ impl OracleDb {
 }
 
 /// Mirror of `unidb::exec::order_by_cmp` (independently stated): NULL is
-/// the largest value under ascending order.
+/// the largest value under ascending order, and an INT and a FLOAT equal
+/// as `f64` are ordered by exact value, so the order is total.
 pub fn order_by_cmp(a: &Val, b: &Val) -> Ordering {
-    match (a.is_null(), b.is_null()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => a.total_cmp(b),
+    // An INT against a FLOAT holding an integer is compared in i128,
+    // where both are exact; any other pair as `total_cmp` orders it.
+    let exact = |i: i64, f: f64| {
+        let fits = f.fract() == 0.0 && f.abs() <= 2f64.powi(63);
+        match (i as f64).total_cmp(&f) {
+            Ordering::Equal if fits => (i as i128).cmp(&(f as i128)),
+            o => o,
+        }
+    };
+    match (a, b) {
+        (Val::Null, Val::Null) => Ordering::Equal,
+        (Val::Null, _) => Ordering::Greater,
+        (_, Val::Null) => Ordering::Less,
+        (Val::Int(i), Val::Float(f)) => exact(*i, *f),
+        (Val::Float(f), Val::Int(i)) => exact(*i, *f).reverse(),
+        _ => a.total_cmp(b),
     }
 }
 

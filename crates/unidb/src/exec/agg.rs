@@ -28,16 +28,18 @@
 //! Numbers are then folded a page at a time. When every key is read
 //! without evaluation, the fold first finds each row's group, then sorts
 //! the page's rows by group, stably, and hands each group's non-NULL INT
-//! or FLOAT values of a call — `count(*)`, a plain column or a page-entry
-//! output, without `DISTINCT` — to its accumulator's typed entry
-//! ([`Accumulator::update_ints`]) in one call per group and call. What is
-//! left — other calls, and any group and call whose typed entry refused —
-//! is folded row after row, keys before arguments and calls in order,
-//! exactly as a per-row fold would. Neither the page entries nor the typed
-//! entries ever fail (they refuse instead), and finding groups cannot
-//! raise, so the first error in row order is the one reported; each group
-//! sees its values in row order, so float sums add in the same order. The
-//! sort costs a page's rows, not the number of groups.
+//! or FLOAT values of a call — `count(*)`, a column an image holds as INT
+//! or FLOAT (or any column of batch rows) or a page-entry output, without
+//! `DISTINCT` — to its accumulator's typed entry
+//! ([`Accumulator::update_ints`]) in one call per group and call; a page
+//! with no such call is not sorted. What is left — other calls, any group
+//! and call whose typed entry refused, and every group of a call its first
+//! group refused — is folded row after row, keys before arguments and
+//! calls in order, exactly as a per-row fold would. Neither the page
+//! entries nor the typed entries ever fail (they refuse instead), and
+//! finding groups cannot raise, so the first error in row order is the one
+//! reported; each group sees its values in row order, so float sums add in
+//! the same order. The sort costs a page's rows, not the number of groups.
 
 use super::rows::{computed_reads, Flat, Rows, Run, ScratchRow};
 use super::stats::OpStats;
@@ -356,7 +358,10 @@ impl AggregateIter<'_> {
         s.keys.ints.resize(INT_SLOTS, (0, NIL));
         // Calls a typed entry may fold. Finding every row's group first
         // must not raise an error before one an earlier row's argument
-        // raises, so only keys read without evaluation allow it.
+        // raises, so only keys read without evaluation allow it. A column
+        // the page holds as neither INT nor FLOAT (a dictionary, decoded
+        // values) has no numbers to hand over, and a page without a typed
+        // call is not sorted.
         let plain_keys = !keys.iter().any(|k| matches!(k, Source::PerRow(_)));
         let typed: Vec<bool> = args
             .iter()
@@ -364,7 +369,13 @@ impl AggregateIter<'_> {
             .map(|(arg, call)| {
                 plain_keys
                     && !call.distinct
-                    && matches!(arg, Source::Marker | Source::Column(_) | Source::Computed(_))
+                    && match arg {
+                        Source::Marker | Source::Computed(_) => true,
+                        Source::Column(c) => {
+                            page.ints(*c, &[], &mut s.ints) || page.floats(*c, &[], &mut s.floats)
+                        }
+                        _ => false,
+                    }
             })
             .collect();
         let sorted = typed.contains(&true);
@@ -412,6 +423,13 @@ impl AggregateIter<'_> {
                         }
                         _ => unreachable!("only numbers are typed"),
                     };
+                    if !folded && l == 0 {
+                        // A call its first group refuses, such as one
+                        // without typed entries, is folded row by row.
+                        let nc = self.calls.len();
+                        by.refused.iter_mut().skip(ci).step_by(nc).for_each(|r| *r = true);
+                        break;
+                    }
                     by.refused[l * self.calls.len() + ci] = !folded;
                 }
             }

@@ -652,13 +652,26 @@ fn plan_fallible(plan: &PhysicalPlan) -> bool {
 /// defaults. This is deliberately different from [`Datum::total_cmp`],
 /// whose NULL-first total order is a storage-level concern (B-tree key
 /// order), not a query-semantics one.
+///
+/// An INT and a FLOAT that are equal as `f64` are ordered by their exact
+/// values: `total_cmp` compares them as `f64` only, which is not
+/// transitive past 2^53 (two distinct INTs can each equal one FLOAT), and
+/// a sort needs a total order to be deterministic.
 pub fn order_by_cmp(a: &Datum, b: &Datum) -> Ordering {
-    match (a.is_null(), b.is_null()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => a.total_cmp(b),
+    match (a, b) {
+        (Datum::Null, Datum::Null) => Ordering::Equal,
+        (Datum::Null, _) => Ordering::Greater,
+        (_, Datum::Null) => Ordering::Less,
+        (Datum::Int(i), Datum::Float(f)) => int_float_cmp(*i, *f),
+        (Datum::Float(f), Datum::Int(i)) => int_float_cmp(*i, *f).reverse(),
+        _ => a.total_cmp(b),
     }
+}
+
+/// `i` against `f`: as `f64`, then, when that ties (`f` is then an
+/// integer within ±2^63), exactly.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    (i as f64).total_cmp(&f).then_with(|| i128::from(i).cmp(&(f as i128)))
 }
 
 fn cmp_key_vecs(a: &[Datum], b: &[Datum], dirs: &[bool]) -> Ordering {

@@ -3,14 +3,12 @@
 //! A SeqScan under a Top-N hands over the image pages it serves whole
 //! ([`ImagePage`](super::ImagePage)), so the sort keys are read from the
 //! column image and a row is built only for a row that enters the heap.
-//! When every key is a plain column, which cannot raise, a full heap's
-//! worst row is compared with a row's keys where they lie, and a worse row
-//! is skipped without reading its keys out. The loop is generic over [`Rows`]: an image page with its selection
+//! The loop is generic over [`Rows`]: an image page with its selection
 //! vector, or a run of the batch's rows, in the input's order — so the
 //! rows kept, and the order of ties, are those of a row-at-a-time Top-N.
 
 use super::rows::{computed_reads, read, Rows, Run, ScratchRow};
-use super::{cmp_key_vecs, order_by_cmp, Batch, BatchIter, BoxIter, Layout, BATCH_ROWS};
+use super::{cmp_key_vecs, Batch, BatchIter, BoxIter, Layout, BATCH_ROWS};
 use crate::datum::Datum;
 use crate::error::DbResult;
 use crate::expr::compile::CompiledExpr;
@@ -80,28 +78,8 @@ impl TopNIter<'_> {
         sel: &[u32],
         cols: &[usize],
     ) -> DbResult<()> {
-        let plain = self.keys.iter().all(|k| matches!(k, CompiledExpr::Column(_)));
         for &r in sel {
             let r = r as usize;
-            if plain && top.keep > 0 && top.heap.len() == top.keep {
-                // Plain columns cannot raise: reject in place what is worse
-                // than the current worst kept row.
-                let worst = top.heap.peek().expect("non-empty at capacity");
-                let mut ord = Ordering::Equal;
-                for ((k, asc), w) in self.keys.iter().zip(self.dirs.iter()).zip(&worst.key) {
-                    let CompiledExpr::Column(j) = k else { unreachable!("plain keys") };
-                    let mut tmp = Datum::Null;
-                    let o = order_by_cmp(rows.get(cols[*j], r, &mut tmp), w);
-                    ord = if *asc { o } else { o.reverse() };
-                    if ord != Ordering::Equal {
-                        break;
-                    }
-                }
-                if ord.then(top.seq.cmp(&worst.seq)).is_ge() {
-                    top.seq += 1;
-                    continue;
-                }
-            }
             // Key evaluation happens for every input row — exactly as the
             // unfused Sort would — so error behavior is unchanged.
             let row = scratch.at(rows, cols, r);

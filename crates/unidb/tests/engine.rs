@@ -781,6 +781,33 @@ fn order_by_multi_key_stability() {
     assert_eq!(ints(&rs), vec![2, 4, 5, 1, 3, 6, 7]);
 }
 
+/// An INT and a FLOAT equal as f64 sort by exact value, so ORDER BY does
+/// not depend on the input order: near -2^63, `sum` stays INT in two
+/// groups and widens to FLOAT in the third, and all three round to the
+/// same f64.
+#[test]
+fn order_by_is_total_across_int_and_float() {
+    for groups in [[1, 2, 3], [3, 2, 1], [2, 3, 1]] {
+        let d = db();
+        d.execute("CREATE TABLE t (g INT, v INT)").unwrap();
+        for g in groups {
+            let values = match g {
+                1 => "(1, -9223372036854775807)",
+                2 => "(2, -9223372036854775807), (2, -2)",
+                _ => "(3, -9223372036854775794)",
+            };
+            d.execute(&format!("INSERT INTO t VALUES {values}")).unwrap();
+        }
+        let rs = d.execute("SELECT g, sum(v) AS s FROM t GROUP BY g ORDER BY s").unwrap();
+        assert_eq!(ints(&rs), vec![2, 1, 3], "insert order {groups:?}");
+        assert!(matches!(rs.rows[0][1], Datum::Float(_)), "{:?}", rs.rows[0]);
+        let rs = d.execute("SELECT g, sum(v) AS s FROM t GROUP BY g ORDER BY s DESC").unwrap();
+        assert_eq!(ints(&rs), vec![3, 1, 2], "insert order {groups:?}");
+        let top = "SELECT g, sum(v) AS s FROM t GROUP BY g ORDER BY s LIMIT 1 OFFSET 1";
+        assert_eq!(ints(&d.execute(top).unwrap()), vec![1], "insert order {groups:?}");
+    }
+}
+
 #[test]
 fn limit_offset_pagination() {
     let d = db();

@@ -25,6 +25,23 @@ fn arb_datum() -> impl Strategy<Value = Datum> {
     ]
 }
 
+/// [`arb_datum`] plus the numbers where INT and FLOAT meet as `f64`: INTs
+/// near ±2^63 and 2^53, the FLOATs they round to or next to, and zeros.
+fn arb_order_datum() -> impl Strategy<Value = Datum> {
+    let two63 = 2f64.powi(63);
+    prop_oneof![
+        arb_datum(),
+        (0i64..3000).prop_map(|k| Datum::Int(i64::MAX - k)),
+        (0i64..3000).prop_map(|k| Datum::Int(i64::MIN + k)),
+        (-4i64..4).prop_map(|k| Datum::Int((1 << 53) + k)),
+        (0u64..3).prop_map(move |k| Datum::Float(f64::from_bits(two63.to_bits() - k))),
+        (0u64..3).prop_map(move |k| Datum::Float(-f64::from_bits(two63.to_bits() - k))),
+        prop_oneof![Just(9007199254740992.0), Just(9007199254740994.0), Just(0.0), Just(-0.0)]
+            .prop_map(Datum::Float),
+        Just(Datum::Int(0)),
+    ]
+}
+
 fn arb_row() -> impl Strategy<Value = Vec<Datum>> {
     proptest::collection::vec(arb_datum(), 0..8)
 }
@@ -286,6 +303,23 @@ proptest! {
         // Transitivity (sampled).
         if a.total_cmp(&b) != Ordering::Greater && b.total_cmp(&c) != Ordering::Greater {
             prop_assert_ne!(a.total_cmp(&c), Ordering::Greater);
+        }
+    }
+
+    #[test]
+    fn order_by_cmp_is_total_order(
+        a in arb_order_datum(), b in arb_order_datum(), c in arb_order_datum()
+    ) {
+        use std::cmp::Ordering;
+        use unidb::exec::order_by_cmp;
+        prop_assert_eq!(order_by_cmp(&a, &b), order_by_cmp(&b, &a).reverse());
+        prop_assert_eq!(order_by_cmp(&a, &a), Ordering::Equal);
+        if order_by_cmp(&a, &b) != Ordering::Greater && order_by_cmp(&b, &c) != Ordering::Greater {
+            prop_assert_ne!(order_by_cmp(&a, &c), Ordering::Greater);
+        }
+        // It refines the value order: what total_cmp orders, it orders alike.
+        if a.total_cmp(&b) != Ordering::Equal && !a.is_null() && !b.is_null() {
+            prop_assert_eq!(order_by_cmp(&a, &b), a.total_cmp(&b));
         }
     }
 
